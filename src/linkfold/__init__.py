@@ -43,10 +43,8 @@ from .geometry import (
     TangentFrame,
     chart,
     complexify,
-    hermitian_inner,
     link_residual,
     project_to_link,
-    real_inner,
     realify,
     sample_link_points,
     tangent_frame,
@@ -81,11 +79,9 @@ from .singular_set import (
     AugmentedSystem,
     CurveTrace,
     collect_components,
-    criterion_det,
     criterion_matrix,
     criterion_rank_defect,
     direct_singularity_test,
-    gradient_pair_defect,
     scan_gradient_dependence,
     seed_singular_points,
     trace_singular_curve,

@@ -23,6 +23,7 @@ from .errors import (
     LinkFoldError,
     PolyParseError,
     RankZero,
+    WrongDimension,
 )
 from .polynomial import homogeneous_degree
 from .report import (
@@ -93,34 +94,21 @@ def _config_from_args(args):
     return make_config(file_values, overrides)
 
 
-def _warn_epsilon(config):
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        config = _config_from_args(args)
         spec, _ = config.build()
-    except ConfigError:
-        return
+    except (ConfigError, PolyParseError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if homogeneous_degree(spec.f) is None and config.epsilon >= 0.5:
         print(
             f"warning: f is not homogeneous and epsilon = {config.epsilon}; "
             "the link is only guaranteed for small epsilon",
             file=sys.stderr,
         )
-
-
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except (ConfigError, PolyParseError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        config.build()
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    _warn_epsilon(config)
 
     try:
         if args.command == "verify-a1":
@@ -153,6 +141,9 @@ def main(argv=None):
                 f"{composed_count} composed critical points)"
             )
             return 0
+    except WrongDimension as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except _DEGENERATE_ERRORS as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return 4

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicable, RankTwo, RankZero
-from .geometry import chart, project_to_link, sample_link_points, tangent_frame
+from .geometry import (
+    chart,
+    chart_hessian,
+    project_to_link,
+    sample_link_points,
+    tangent_frame,
+)
 from .polynomial import eval_poly, homogeneous_degree
 from .singular_set import AugmentedPoint
 
@@ -59,6 +65,10 @@ class FoldRecord:
     embedding_ok: bool
 
 
+# absolute central-difference step for dh, times epsilon
+_JACOBIAN_STEP = 1e-5
+
+
 @dataclass(eq=False)
 class LocalFoldData:
     """First-order data of h in a tangent chart at a singular point."""
@@ -76,7 +86,7 @@ def _h_of(g, z):
     return np.array([val.real, val.imag])
 
 
-def local_fold_data(point, spec, g, step=1e-5, frame=None):
+def local_fold_data(point, spec, g):
     """Rank-1 check of dh at a singular point, with kernel and image direction.
 
     The 2 x (2n-1) chart Jacobian is formed by Richardson-extrapolated
@@ -85,8 +95,7 @@ def local_fold_data(point, spec, g, step=1e-5, frame=None):
     """
     z = point.z if isinstance(point, AugmentedPoint) else np.asarray(point, complex)
     z = project_to_link(z, spec, tol=1e-12)
-    if frame is None:
-        frame = tangent_frame(z, spec)
+    frame = tangent_frame(z, spec)
     m = frame.dim
 
     def jac_at(h):
@@ -99,7 +108,7 @@ def local_fold_data(point, spec, g, step=1e-5, frame=None):
             cols[:, i] = (plus - minus) / (2.0 * h)
         return cols
 
-    h = step * spec.epsilon
+    h = _JACOBIAN_STEP * spec.epsilon
     jac = (4.0 * jac_at(h / 2.0) - jac_at(h)) / 3.0
     u, s, vt = np.linalg.svd(jac, full_matrices=True)
     if s[0] <= 1e-10:
@@ -140,26 +149,7 @@ def intrinsic_hessian(point, kernel_basis, image_dir, spec, g, frame=None,
         u = kernel_basis.T @ svec
         return float(np.dot(nu, _h_of(g, chart(z, frame, u, spec))))
 
-    k = kernel_basis.shape[0]
-    h = step * spec.epsilon
-    center = psi(np.zeros(k))
-    hess = np.empty((k, k))
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h
-        hess[i, i] = (psi(ei) - 2.0 * center + psi(-ei)) / h**2
-    for i in range(k):
-        for j in range(i + 1, k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = h
-            ej[j] = h
-            val = (
-                psi(ei + ej) - psi(ei - ej) - psi(-ei + ej) + psi(-ei - ej)
-            ) / (4.0 * h**2)
-            hess[i, j] = val
-            hess[j, i] = val
-    return (hess + hess.T) / 2.0
+    return chart_hessian(psi, kernel_basis.shape[0], step * spec.epsilon)
 
 
 def fold_counts(eigenvalues, dead_band=1e-5):
@@ -178,36 +168,16 @@ def fold_counts(eigenvalues, dead_band=1e-5):
     return neg, pos, bool(neg + pos < eigenvalues.size)
 
 
-def _record_from_counts(component_id, neg, degenerate, k, center, radius_mean,
-                        radius_dev, embedding_ok):
-    if degenerate:
-        kind = FoldKind.DEGENERATE
-        absolute = None
-    else:
-        absolute = min(neg, k - neg)
-        kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
-    return FoldRecord(
-        component_id=component_id,
-        kind=kind,
-        absolute_index=absolute,
-        negative_eigenvalues=neg,
-        image_center=np.asarray(center, dtype=float),
-        image_radius_mean=float(radius_mean),
-        image_radius_deviation=float(radius_dev),
-        embedding_ok=bool(embedding_ok),
-    )
+def _classify_point(point, spec, g, component_id, center, hessian_step,
+                    dead_band):
+    """Fold record and Hessian spectrum of one singular point.
 
-
-def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
-                  hessian_step=1e-4, jacobian_step=1e-5, dead_band=1e-5):
-    """Classify one singular point as a definite/indefinite/degenerate fold.
-
-    The transverse normal is oriented away from ``image_center`` so the
+    The transverse normal is oriented away from ``center`` so the
     negative-eigenvalue count is consistent along a traced component whose
     image winds around that centre.
     """
-    data = local_fold_data(point, spec, g, step=jacobian_step)
-    center = np.asarray(image_center, dtype=float)
+    center = np.asarray(center, dtype=float)
+    data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
     offset = _h_of(g, data.base_point) - center
     if np.dot(offset, nu) < 0:
@@ -218,11 +188,35 @@ def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
     )
     eigs = np.linalg.eigvalsh(hess)
     neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
-    k = data.kernel_basis.shape[0]
-    radius = float(np.linalg.norm(offset))
-    return _record_from_counts(
-        component_id, neg, degenerate, k, center, radius, 0.0, True
+    if degenerate:
+        kind = FoldKind.DEGENERATE
+        absolute = None
+    else:
+        absolute = min(neg, data.kernel_basis.shape[0] - neg)
+        kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
+    record = FoldRecord(
+        component_id=component_id,
+        kind=kind,
+        absolute_index=absolute,
+        negative_eigenvalues=neg,
+        image_center=center,
+        image_radius_mean=float(np.linalg.norm(offset)),
+        image_radius_deviation=0.0,
+        embedding_ok=True,
     )
+    return record, eigs
+
+
+def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
+                  hessian_step=1e-4, dead_band=1e-5):
+    """Classify one singular point as a definite/indefinite/degenerate fold.
+
+    The image radius is the distance of h(point) from ``image_center``.
+    """
+    record, _ = _classify_point(
+        point, spec, g, component_id, image_center, hessian_step, dead_band
+    )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ class ComponentClassification:
 
 
 def classify_component(trace, spec, g, component_id, max_samples=24,
-                       hessian_step=1e-4, jacobian_step=1e-5, dead_band=1e-5):
+                       hessian_step=1e-4, dead_band=1e-5):
     """Classify sampled points along a traced component and aggregate.
 
     All sampled points must agree in (kind, absolute index) for the
@@ -287,25 +281,12 @@ def classify_component(trace, spec, g, component_id, max_samples=24,
     records = []
     eigenvalues = []
     for idx in indices:
-        point = trace.points[idx]
-        data = local_fold_data(point, spec, g, step=jacobian_step)
-        nu = np.array([-data.image_dir[1], data.image_dir[0]])
-        offset = _h_of(g, data.base_point) - center
-        if np.dot(offset, nu) < 0:
-            nu = -nu
-        hess = intrinsic_hessian(
-            point, data.kernel_basis, data.image_dir, spec, g,
-            frame=data.frame, step=hessian_step, nu=nu,
+        record, eigs = _classify_point(
+            trace.points[idx], spec, g, component_id, center, hessian_step,
+            dead_band,
         )
-        eigs = np.linalg.eigvalsh(hess)
+        records.append(record)
         eigenvalues.append(eigs)
-        neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
-        records.append(
-            _record_from_counts(
-                component_id, neg, degenerate, data.kernel_basis.shape[0],
-                center, 0.0, 0.0, True,
-            )
-        )
     kinds = {(r.kind, r.absolute_index, r.negative_eigenvalues) for r in records}
     consistent = len(kinds) == 1
     radii = np.linalg.norm(trace.image - center, axis=1)

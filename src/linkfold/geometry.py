@@ -12,15 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionCollapse, NonConvergence, RankDeficient
-from .polynomial import ComplexPoly, conj_gradient, eval_poly
+from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient
 
 __all__ = [
     "LinkSpec",
     "TangentFrame",
     "realify",
     "complexify",
-    "hermitian_inner",
-    "real_inner",
     "link_residual",
     "link_residual_jacobian",
     "project_to_link",
@@ -28,10 +26,13 @@ __all__ = [
     "tangent_frame",
     "orthonormal_complement",
     "chart",
+    "chart_hessian",
 ]
 
 # rank threshold for post-projection norms and constraint Jacobians
 _RANK_TOL = 1e-10
+# link samples give up after this many projection attempts per point
+_MAX_ATTEMPTS_FACTOR = 20
 
 
 def realify(z):
@@ -47,24 +48,6 @@ def complexify(v):
     """Inverse of :func:`realify`."""
     v = np.asarray(v, dtype=float)
     return v[0::2] + 1j * v[1::2]
-
-
-def hermitian_inner(u, v):
-    """Hermitian inner product sum_j u_j * conj(v_j)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return complex(np.sum(u * np.conj(v)))
-
-
-def real_inner(u, v):
-    """Euclidean inner product of the realified vectors."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return float(np.dot(realify(u), realify(v)))
 
 
 @dataclass(frozen=True)
@@ -114,7 +97,7 @@ def link_residual_jacobian(z, spec):
     y_k it is i*f_k, which gives the rows below.
     """
     z = np.asarray(z, dtype=complex)
-    fk = np.array([eval_poly(dp, z) for dp in spec.f.partials()], dtype=complex)
+    fk = gradient(spec.f, z)
     m = z.size
     jac = np.zeros((3, 2 * m))
     jac[0, 0::2] = fk.real
@@ -168,7 +151,7 @@ def project_to_link(z0, spec, tol=1e-12, max_iter=50):
     )
 
 
-def sample_link_points(spec, count, rng, max_attempts_factor=20):
+def sample_link_points(spec, count, rng):
     """Project ``count`` Gaussian ambient points onto the link, deterministically.
 
     Draws are scaled to the sphere radius; failed projections are skipped
@@ -176,7 +159,7 @@ def sample_link_points(spec, count, rng, max_attempts_factor=20):
     """
     points = []
     attempts = 0
-    budget = max_attempts_factor * count
+    budget = _MAX_ATTEMPTS_FACTOR * count
     while len(points) < count:
         if attempts >= budget:
             raise NonConvergence(
@@ -293,3 +276,29 @@ def chart(point, frame, u, spec, tol=1e-12, max_iter=50, max_radius=None):
         raise ValueError(f"chart step {norm_u:.3e} exceeds radius {max_radius:.3e}")
     moved = np.asarray(point, dtype=complex) + complexify(frame.basis.T @ u)
     return project_to_link(moved, spec, tol=tol, max_iter=max_iter)
+
+
+def chart_hessian(func, dim, step):
+    """Symmetrised central-difference Hessian of ``func`` on R^dim at 0.
+
+    ``func`` is a scalar function of chart coordinates, typically a height
+    composed with :func:`chart`; ``step`` is the absolute difference step.
+    """
+    center = func(np.zeros(dim))
+    hess = np.empty((dim, dim))
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = step
+        hess[i, i] = (func(ei) - 2.0 * center + func(-ei)) / step**2
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei = np.zeros(dim)
+            ej = np.zeros(dim)
+            ei[i] = step
+            ej[j] = step
+            val = (
+                func(ei + ej) - func(ei - ej) - func(-ei + ej) + func(-ei - ej)
+            ) / (4.0 * step**2)
+            hess[i, j] = val
+            hess[j, i] = val
+    return (hess + hess.T) / 2.0

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHessian, RankZero, WrongDimension
-from .geometry import chart, project_to_link, sample_link_points, tangent_frame
-from .polynomial import eval_poly
+from .fold_classify import circle_fit, fold_counts
+from .geometry import (
+    chart,
+    chart_hessian,
+    complexify,
+    project_to_link,
+    sample_link_points,
+    tangent_frame,
+)
+from .polynomial import eval_poly, gradient
 from .singular_set import AugmentedSystem
 
 __all__ = [
@@ -29,6 +37,11 @@ __all__ = [
     "composed_morse",
     "trace_image_n1",
 ]
+
+# composed-Morse extremum search stops when a parabolic move is this small
+_PARAM_TOL = 1e-10
+# image points closer than this (times epsilon) join one n = 1 component
+_CLUSTER_GAP = 0.08
 
 
 @dataclass(frozen=True)
@@ -54,30 +67,23 @@ class CriticalPointRecord:
     gradient_norm: float = 0.0
 
 
-def _slice_row(system, z, rotation):
-    """Real Jacobian row of Im(rotation * g) at z, plus the gradient values."""
-    gvals = np.array([eval_poly(p, z) for p in system._g1], dtype=complex)
-    row = np.zeros(2 * system.m)
-    row[0::2] = (rotation * gvals).imag
-    row[1::2] = (rotation * gvals).real
-    return row, gvals
-
-
 def _slice_newton(system, w0, rotation, tol=1e-12, max_iter=20):
     """Square Newton on {augmented system, Im(rotation * h) = 0}."""
     w = np.asarray(w0, dtype=float).copy()
     for _ in range(max_iter):
-        z = w[: 2 * system.m]
-        zc = z[0::2] + 1j * z[1::2]
+        zc = complexify(w[: 2 * system.m])
         res_aug = system.residual(w)
         hval = rotation * eval_poly(system.g, zc)
         res = np.concatenate([res_aug, [hval.imag]])
         if np.linalg.norm(res) <= tol:
             return w, True
         jac_aug = system.jacobian(w)
-        row, _ = _slice_row(system, zc, rotation)
-        full_row = np.concatenate([row, np.zeros(4)])
-        jac = np.vstack([jac_aug, full_row])
+        # real Jacobian row of Im(rotation * h), zero in the (a, b) unknowns
+        rotated = rotation * gradient(system.g, zc)
+        row = np.zeros(2 * system.m + 4)
+        row[0 : 2 * system.m : 2] = rotated.imag
+        row[1 : 2 * system.m : 2] = rotated.real
+        jac = np.vstack([jac_aug, row])
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -124,7 +130,7 @@ def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
             w, ok = _slice_newton(system, w0, rotation)
             if not ok:
                 continue
-            z = w[0 : 2 * system.m : 2] + 1j * w[1 : 2 * system.m : 2]
+            z = complexify(w[: 2 * system.m])
             ray_param = (rotation * eval_poly(g, z)).real
             if ray_param < min_ray_param:
                 continue
@@ -134,38 +140,15 @@ def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
     return found
 
 
-def _chart_hessian(func, dim, step):
-    """Symmetrised central-difference Hessian of ``func`` on R^dim at 0."""
-    center = func(np.zeros(dim))
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        hess[i, i] = (func(ei) - 2.0 * center + func(-ei)) / step**2
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = step
-            ej[j] = step
-            val = (
-                func(ei + ej) - func(ei - ej) - func(-ei + ej) + func(-ei - ej)
-            ) / (4.0 * step**2)
-            hess[i, j] = val
-            hess[j, i] = val
-    return (hess + hess.T) / 2.0
-
-
-def _signed_counts(eigs, dead_band):
-    scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0:
-        raise DegenerateHessian("Hessian vanished entirely")
-    tau = dead_band * scale
-    if np.any(np.abs(eigs) <= tau):
+def _morse_index(eigs, dead_band):
+    """Negative-eigenvalue count; DegenerateHessian inside the dead band."""
+    neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
+    if degenerate:
         raise DegenerateHessian(
-            f"eigenvalue inside dead band +-{tau:.3e}: {eigs}"
+            f"Hessian eigenvalue inside dead band {dead_band:g} x spectral "
+            f"norm: {eigs}"
         )
-    return int(np.sum(eigs < -tau))
+    return neg
 
 
 def slice_morse_index(point, slice_spec, spec, g, hessian_step=1e-4,
@@ -177,12 +160,10 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=1e-4,
     Hessian is computed there by central differences. Raises
     DegenerateHessian when an eigenvalue falls in the dead band.
     """
-    system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
     z = project_to_link(np.asarray(point, dtype=complex), spec, tol=1e-12)
     frame = tangent_frame(z, spec)
-    gvals = np.array([eval_poly(p, z) for p in system._g1], dtype=complex)
-    derivs = frame.complex_basis @ gvals
+    derivs = frame.complex_basis @ gradient(g, z)
     im_row = (rotation * derivs).imag
     grad_norm = float(np.max(np.abs((rotation * derivs).real)))
     norm_row = np.linalg.norm(im_row)
@@ -196,9 +177,9 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=1e-4,
         val = rotation * eval_poly(g, chart(z, frame, u, spec))
         return float(val.real)
 
-    hess = _chart_hessian(psi, kernel.shape[0], hessian_step * spec.epsilon)
+    hess = chart_hessian(psi, kernel.shape[0], hessian_step * spec.epsilon)
     eigs = np.linalg.eigvalsh(hess)
-    index = _signed_counts(eigs, dead_band)
+    index = _morse_index(eigs, dead_band)
     value = float((rotation * eval_poly(g, z)).real)
     return CriticalPointRecord(
         point=z,
@@ -222,17 +203,11 @@ def _point_at(system, trace, node_index, delta):
     return w, ok
 
 
-def _eta_value(system, eta, w):
-    z = w[0 : 2 * system.m : 2] + 1j * w[1 : 2 * system.m : 2]
-    val = eval_poly(system.g, z)
-    return eta[0] * val.real + eta[1] * val.imag
-
-
-def _refine_extremum(system, trace, eta, node_index, bracket, param_tol=1e-10):
-    """Locate the 1-D extremum of eta . h near a node of the trace.
+def _refine_extremum(system, trace, height, node_index, bracket):
+    """Locate the 1-D extremum of ``height`` near a node of the trace.
 
     Bisection on the finite-difference derivative narrows the bracket, then
-    three-point parabolic refinement polishes the offset to ``param_tol``.
+    three-point parabolic refinement polishes the offset to ``_PARAM_TOL``.
     Returns the corrected augmented vector, or None if the bracket fails.
     """
 
@@ -240,7 +215,7 @@ def _refine_extremum(system, trace, eta, node_index, bracket, param_tol=1e-10):
         w, ok = _point_at(system, trace, node_index, delta)
         if not ok:
             raise ArithmeticError("corrector failed during refinement")
-        return _eta_value(system, eta, w)
+        return height(complexify(w[: 2 * system.m]))
 
     fd_step = 1e-6
 
@@ -273,7 +248,7 @@ def _refine_extremum(system, trace, eta, node_index, bracket, param_tol=1e-10):
         move = -0.5 * h * (fp - fm) / denom
         move = float(np.clip(move, -2.0 * h, 2.0 * h))
         delta += move
-        if abs(move) <= param_tol:
+        if abs(move) <= _PARAM_TOL:
             break
         h = max(h / 2.0, 1e-6)
     w, ok = _point_at(system, trace, node_index, delta)
@@ -281,7 +256,7 @@ def _refine_extremum(system, trace, eta, node_index, bracket, param_tol=1e-10):
 
 
 def composed_morse(eta, traces, spec, g, hessian_step=1e-4, dead_band=1e-5,
-                   param_tol=1e-10, dedupe_tol=1e-6):
+                   dedupe_tol=1e-6):
     """Critical points of the height eta . h on the link, with Morse data.
 
     ``eta`` is a nonzero covector on R^2 (normalised internally). Critical
@@ -297,6 +272,21 @@ def composed_morse(eta, traces, spec, g, hessian_step=1e-4, dead_band=1e-5,
     eta = eta / norm
     system = AugmentedSystem(spec, g)
     eta_c = complex(eta[0], eta[1])
+
+    def height(z):
+        val = eval_poly(g, z)
+        return eta[0] * val.real + eta[1] * val.imag
+
+    def chart_data(z):
+        """Tangent frame, chart Hessian and chart gradient of eta . h at z."""
+        frame = tangent_frame(z, spec)
+        hess = chart_hessian(
+            lambda u: height(chart(z, frame, u, spec)),
+            frame.dim, hessian_step * spec.epsilon,
+        )
+        grad = np.real(np.conj(eta_c) * (frame.complex_basis @ gradient(g, z)))
+        return frame, hess, grad
+
     records = []
     seen = []
     for trace in traces:
@@ -325,27 +315,17 @@ def composed_morse(eta, traces, spec, g, hessian_step=1e-4, dead_band=1e-5,
                 continue
             bracket = (-0.9 * chords[prev], 0.9 * chords[k])
             try:
-                w = _refine_extremum(
-                    system, trace, eta, k, bracket, param_tol=param_tol
-                )
+                w = _refine_extremum(system, trace, height, k, bracket)
             except ArithmeticError:
                 w = None
             if w is None:
                 continue
-            z = w[0 : 2 * system.m : 2] + 1j * w[1 : 2 * system.m : 2]
+            z = complexify(w[: 2 * system.m])
             if any(np.linalg.norm(z - other) <= dedupe_tol for other in seen):
                 continue
 
             z = project_to_link(z, spec, tol=1e-12)
-            frame = tangent_frame(z, spec)
-
-            def height(u, _z=z, _frame=frame):
-                val = eval_poly(g, chart(_z, _frame, u, spec))
-                return eta[0] * val.real + eta[1] * val.imag
-
-            hess = _chart_hessian(height, frame.dim, hessian_step * spec.epsilon)
-            gvals = np.array([eval_poly(p, z) for p in system._g1], dtype=complex)
-            grad = np.real(np.conj(eta_c) * (frame.complex_basis @ gvals))
+            frame, hess, grad = chart_data(z)
             # one chart-Newton polish step pulls the gradient to solver level
             try:
                 correction = np.linalg.solve(hess, -grad)
@@ -355,26 +335,13 @@ def composed_morse(eta, traces, spec, g, hessian_step=1e-4, dead_band=1e-5,
                 z = project_to_link(
                     chart(z, frame, correction, spec), spec, tol=1e-12
                 )
-                frame = tangent_frame(z, spec)
-                gvals = np.array(
-                    [eval_poly(p, z) for p in system._g1], dtype=complex
-                )
-                grad = np.real(np.conj(eta_c) * (frame.complex_basis @ gvals))
-
-                def height(u, _z=z, _frame=frame):
-                    val = eval_poly(g, chart(_z, _frame, u, spec))
-                    return eta[0] * val.real + eta[1] * val.imag
-
-                hess = _chart_hessian(
-                    height, frame.dim, hessian_step * spec.epsilon
-                )
+                frame, hess, grad = chart_data(z)
             eigs = np.linalg.eigvalsh(hess)
-            index = _signed_counts(eigs, dead_band)
-            hval = eval_poly(g, z)
+            index = _morse_index(eigs, dead_band)
             records.append(
                 CriticalPointRecord(
                     point=z,
-                    value=float(eta[0] * hval.real + eta[1] * hval.imag),
+                    value=float(height(z)),
                     morse_index=index,
                     hessian_eigenvalues=eigs,
                     gradient_norm=float(np.max(np.abs(grad))),
@@ -400,12 +367,12 @@ class N1ImageResult:
     min_intercomponent_distance: float
 
 
-def trace_image_n1(spec, g, n_samples=2000, rng_seed=42, cluster_gap=0.08):
+def trace_image_n1(spec, g, n_samples=2000, rng_seed=42):
     """Sample the 1-dimensional link and group the image points by proximity.
 
     Only valid for n = 1. Components are reported with least-squares circle
-    fits, sorted by radius; ``cluster_gap`` (times epsilon) is the proximity
-    threshold used to join image points into connected components.
+    fits, sorted by radius; image points within ``_CLUSTER_GAP`` (times
+    epsilon) of each other join one connected component.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")
@@ -414,7 +381,7 @@ def trace_image_n1(spec, g, n_samples=2000, rng_seed=42, cluster_gap=0.08):
     values = np.array([eval_poly(g, z) for z in points])
     image = np.column_stack([values.real, values.imag])
 
-    gap = cluster_gap * spec.epsilon
+    gap = _CLUSTER_GAP * spec.epsilon
     dist = np.linalg.norm(image[:, None, :] - image[None, :, :], axis=2)
     adjacency = dist <= gap
     unassigned = set(range(len(image)))
@@ -436,7 +403,7 @@ def trace_image_n1(spec, g, n_samples=2000, rng_seed=42, cluster_gap=0.08):
     fits = []
     for members in groups:
         pts = image[members]
-        center, radius, _ = circle_fit_points(pts)
+        center, radius, _ = circle_fit(pts)
         fits.append((radius, center, pts))
     fits.sort(key=lambda item: item[0])
 
@@ -454,10 +421,3 @@ def trace_image_n1(spec, g, n_samples=2000, rng_seed=42, cluster_gap=0.08):
         radii=[radius for radius, _, _ in fits],
         min_intercomponent_distance=float(min_gap),
     )
-
-
-def circle_fit_points(points):
-    """Least-squares circle fit (center, radius, rms)."""
-    from .fold_classify import circle_fit
-
-    return circle_fit(points)

@@ -34,6 +34,7 @@ __all__ = [
     "poly_to_string",
     "eval_poly",
     "wirtinger_partial",
+    "gradient",
     "conj_gradient",
     "homogeneous_degree",
 ]
@@ -235,12 +236,17 @@ def wirtinger_partial(p, j):
     return ComplexPoly(p.n_vars, out)
 
 
-def conj_gradient(p, z):
-    """Conjugated Wirtinger gradient: entry j is conj( (d p / d z_j)(z) )."""
+def gradient(p, z):
+    """Wirtinger gradient: entry j is (d p / d z_j)(z)."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (p.n_vars,):
         raise ValueError(f"point has shape {z.shape}, expected ({p.n_vars},)")
-    return np.array([np.conj(eval_poly(dp, z)) for dp in p.partials()], dtype=complex)
+    return np.array([eval_poly(dp, z) for dp in p.partials()], dtype=complex)
+
+
+def conj_gradient(p, z):
+    """Conjugated Wirtinger gradient: entry j is conj( (d p / d z_j)(z) )."""
+    return np.conj(gradient(p, z))
 
 
 def homogeneous_degree(p):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,12 +20,13 @@ from . import morse as morse_mod
 from .errors import LinkFoldError, NotApplicable
 from .fold_classify import (
     FoldKind,
+    circle_fit,
     classify_component,
     equivariance_error,
     verify_round,
 )
 from .geometry import LinkSpec, sample_link_points
-from .polynomial import eval_poly, homogeneous_degree, parse_poly, poly_to_string
+from .polynomial import parse_poly
 from .singular_set import (
     collect_components,
     criterion_rank_defect,
@@ -258,6 +259,31 @@ def _component_summary(trace, classification):
     }
 
 
+def _out_dir(config):
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _morse_stage(config, traces, spec, g, theta, eta_angle):
+    """Slice Morse records at ray angle theta, composed ones at eta_angle."""
+    slice_spec = morse_mod.SliceSpec(theta=theta)
+    slice_points = morse_mod.slice_critical_points(slice_spec, traces, spec, g)
+    slice_records = [
+        morse_mod.slice_morse_index(
+            z, slice_spec, spec, g,
+            hessian_step=config.hessian_step, dead_band=config.dead_band,
+        )
+        for z in slice_points
+    ]
+    eta = np.array([np.cos(eta_angle), np.sin(eta_angle)])
+    composed = morse_mod.composed_morse(
+        eta, traces, spec, g,
+        hessian_step=config.hessian_step, dead_band=config.dead_band,
+    )
+    return slice_records, composed
+
+
 def _morse_record_dict(record):
     return {
         "point": [[float(z.real), float(z.imag)] for z in record.point],
@@ -335,6 +361,17 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold, band=(1e-10, 1e-6)
     }
 
 
+_A1_RADII = [SQRT2_OVER_4, THREE_SQRT2_OVER_4]
+
+
+def _closed_form_check(checks, name, values, targets):
+    """Pass when ``values`` match the closed-form ``targets`` to 1e-6 each."""
+    if len(values) != len(targets):
+        return checks.add(name, False, None, 1e-6)
+    err = max(abs(v - t) for v, t in zip(values, targets))
+    return checks.add(name, err <= 1e-6, err, 1e-6)
+
+
 def run_verify_a1(config):
     """Full verification pipeline for the A1 example; returns (report, exit_code).
 
@@ -345,8 +382,7 @@ def run_verify_a1(config):
     """
     config = RunConfig(**{**config.__dict__, "f_text": _a1_f_text(config.n)})
     spec, g = config.build()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
     checks = _CheckList()
     timings = {}
     report = {
@@ -373,13 +409,7 @@ def run_verify_a1(config):
         }
         checks.add("n1_two_components", len(result.components) == 2,
                    len(result.components), 2)
-        if len(radii) == 2:
-            err = max(
-                abs(radii[0] - SQRT2_OVER_4), abs(radii[1] - THREE_SQRT2_OVER_4)
-            )
-            checks.add("n1_image_radii", err <= 1e-6, err, 1e-6)
-        else:
-            checks.add("n1_image_radii", False, None, 1e-6)
+        _closed_form_check(checks, "n1_image_radii", radii, _A1_RADII)
         checks.add(
             "n1_injectivity_gap",
             result.min_intercomponent_distance >= SQRT2_OVER_4,
@@ -388,7 +418,7 @@ def run_verify_a1(config):
         )
         components_xy = result.components
         radii_for_svg = radii
-        write_singular_csv(out_dir / "singular_set.csv", [], spec, g)
+        write_singular_csv(out_dir / "singular_set.csv", [], spec)
     else:
         report["mode"] = "fold_pipeline"
         t0 = time.perf_counter()
@@ -432,14 +462,7 @@ def run_verify_a1(config):
         }
         checks.add("round_verdict", verdict.is_round, verdict.status, "ROUND")
 
-        if len(verdict.radii) == 2:
-            radius_err = max(
-                abs(verdict.radii[0] - SQRT2_OVER_4),
-                abs(verdict.radii[1] - THREE_SQRT2_OVER_4),
-            )
-            checks.add("image_radii", radius_err <= 1e-6, radius_err, 1e-6)
-        else:
-            checks.add("image_radii", False, None, 1e-6)
+        _closed_form_check(checks, "image_radii", verdict.radii, _A1_RADII)
 
         by_radius = sorted(
             zip(records, classifications),
@@ -459,19 +482,7 @@ def run_verify_a1(config):
         )
 
         t0 = time.perf_counter()
-        slice_spec = morse_mod.SliceSpec(theta=0.0)
-        slice_points = morse_mod.slice_critical_points(slice_spec, traces, spec, g)
-        slice_records = [
-            morse_mod.slice_morse_index(
-                z, slice_spec, spec, g,
-                hessian_step=config.hessian_step, dead_band=config.dead_band,
-            )
-            for z in slice_points
-        ]
-        composed = morse_mod.composed_morse(
-            np.array([1.0, 0.0]), traces, spec, g,
-            hessian_step=config.hessian_step, dead_band=config.dead_band,
-        )
+        slice_records, composed = _morse_stage(config, traces, spec, g, 0.0, 0.0)
         timings["morse"] = time.perf_counter() - t0
         report["morse"] = {
             "slice_theta": 0.0,
@@ -514,17 +525,10 @@ def run_verify_a1(config):
             composed_indices,
             expected_indices,
         )
-        if len(composed) == 4:
-            targets = sorted(
-                [-THREE_SQRT2_OVER_4, -SQRT2_OVER_4, SQRT2_OVER_4,
-                 THREE_SQRT2_OVER_4]
-            )
-            value_err = max(
-                abs(r.value - t) for r, t in zip(composed, targets)
-            )
-            checks.add("composed_morse_values", value_err <= 1e-6, value_err, 1e-6)
-        else:
-            checks.add("composed_morse_values", False, None, 1e-6)
+        _closed_form_check(
+            checks, "composed_morse_values", [r.value for r in composed],
+            [-THREE_SQRT2_OVER_4, -SQRT2_OVER_4, SQRT2_OVER_4, THREE_SQRT2_OVER_4],
+        )
 
         t0 = time.perf_counter()
         try:
@@ -574,7 +578,7 @@ def run_verify_a1(config):
         )
         timings["statistics"] = time.perf_counter() - t0
 
-        write_singular_csv(out_dir / "singular_set.csv", traces, spec, g)
+        write_singular_csv(out_dir / "singular_set.csv", traces, spec)
         components_xy = [trace.image for trace in traces]
         radii_for_svg = [float(r) for r in verdict.radii]
 
@@ -600,25 +604,17 @@ def run_verify_a1(config):
 
 def run_singular_set(config):
     """Trace the singular set and write singular_set.csv; returns the path."""
-    spec, g, _, traces = compute_components(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "singular_set.csv"
-    write_singular_csv(path, traces, spec, g)
+    spec, _, _, traces = compute_components(config)
+    path = _out_dir(config) / "singular_set.csv"
+    write_singular_csv(path, traces, spec)
     return path, traces
 
 
 def run_image_svg(config):
     """Trace the singular set and render its image curves as SVG."""
-    spec, g, _, traces = compute_components(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "image.svg"
-    radii = []
-    for trace in traces:
-        from .fold_classify import circle_fit
-
-        radii.append(circle_fit(trace.image)[1])
+    _, _, _, traces = compute_components(config)
+    path = _out_dir(config) / "image.svg"
+    radii = [circle_fit(trace.image)[1] for trace in traces]
     write_image_svg(path, [t.image for t in traces], sorted(radii))
     return path, traces
 
@@ -626,19 +622,8 @@ def run_image_svg(config):
 def run_morse(config, theta=0.0, eta_angle=0.0):
     """Slice and composed Morse data; writes morse.json and returns the dict."""
     spec, g, _, traces = compute_components(config)
-    slice_spec = morse_mod.SliceSpec(theta=theta)
-    slice_points = morse_mod.slice_critical_points(slice_spec, traces, spec, g)
-    slice_records = [
-        morse_mod.slice_morse_index(
-            z, slice_spec, spec, g,
-            hessian_step=config.hessian_step, dead_band=config.dead_band,
-        )
-        for z in slice_points
-    ]
-    eta = np.array([np.cos(eta_angle), np.sin(eta_angle)])
-    composed = morse_mod.composed_morse(
-        eta, traces, spec, g,
-        hessian_step=config.hessian_step, dead_band=config.dead_band,
+    slice_records, composed = _morse_stage(
+        config, traces, spec, g, theta, eta_angle
     )
     payload = {
         "config": config.echo(),
@@ -651,9 +636,7 @@ def run_morse(config, theta=0.0, eta_angle=0.0):
             "records": [_morse_record_dict(r) for r in composed],
         },
     }
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "morse.json"
+    path = _out_dir(config) / "morse.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path, payload
@@ -668,7 +651,7 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_singular_csv(path, traces, spec, g):
+def write_singular_csv(path, traces, spec):
     """CSV of traced singular points: one row per node, 17 significant digits."""
     m = spec.ambient_dim
     header = ["component_id", "arc_param"]
@@ -681,8 +664,8 @@ def write_singular_csv(path, traces, spec, g):
             row = [str(comp_id), _fmt(trace.arc_params[k])]
             for zj in point.z:
                 row += [_fmt(zj.real), _fmt(zj.imag)]
-            hval = eval_poly(g, point.z)
-            row += [_fmt(hval.real), _fmt(hval.imag), _fmt(trace.defects[k])]
+            re_h, im_h = trace.image[k]
+            row += [_fmt(re_h), _fmt(im_h), _fmt(trace.defects[k])]
             lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
@@ -759,9 +742,9 @@ def validate_report(report):
     jsonschema.validate(instance=report, schema=_load_schema())
 
 
-def write_report_json(path, report, validate=True):
-    if validate:
-        validate_report(report)
+def write_report_json(path, report):
+    """Validate ``report`` against the schema and write it as sorted JSON."""
+    validate_report(report)
     Path(path).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -29,11 +29,11 @@ import numpy as np
 from .errors import (
     BifurcationSuspected,
     EmptyResult,
+    LinkFoldError,
     StepCollapse,
     WrongDimension,
 )
 from .geometry import (
-    LinkSpec,
     chart,
     complexify,
     link_residual,
@@ -42,18 +42,16 @@ from .geometry import (
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import eval_poly, wirtinger_partial
+from .polynomial import conj_gradient, eval_poly, gradient, wirtinger_partial
 
 __all__ = [
     "AugmentedPoint",
     "CurveTrace",
     "AugmentedSystem",
     "criterion_matrix",
-    "criterion_det",
     "criterion_rank_defect",
-    "complex_singular_values",
     "direct_singularity_test",
-    "gradient_pair_defect",
+    "projected_descent",
     "scan_gradient_dependence",
     "seed_singular_points",
     "trace_singular_curve",
@@ -61,7 +59,8 @@ __all__ = [
     "GradientDependenceScan",
 ]
 
-_PAIR_TOL = 1e-9  # paired singular values of the doubled real matrix
+# a traced curve may close only after this many nodes
+_MIN_NODES_BEFORE_CLOSURE = 5
 
 
 def criterion_matrix(z, f, g):
@@ -69,43 +68,7 @@ def criterion_matrix(z, f, g):
     z = np.asarray(z, dtype=complex)
     if f.n_vars != z.size or g.n_vars != z.size:
         raise ValueError("dimension mismatch between point and polynomials")
-    from .polynomial import conj_gradient
-
     return np.column_stack([conj_gradient(f, z), conj_gradient(g, z), z])
-
-
-def criterion_det(z, f, g):
-    """Determinant of the 3 x 3 criterion matrix (ambient dimension 3 only).
-
-    Cofactor expansion along the first column, in fixed order, so the
-    floating-point value is reproducible.
-    """
-    m = criterion_matrix(z, f, g)
-    if m.shape != (3, 3):
-        raise WrongDimension(f"criterion determinant needs n = 2, matrix is {m.shape}")
-    minor0 = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    minor1 = m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1]
-    minor2 = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    return m[0, 0] * minor0 - m[1, 0] * minor1 + m[2, 0] * minor2
-
-
-def complex_singular_values(m):
-    """Singular values of a complex matrix via its doubled real representation.
-
-    The real matrix [[Re M, -Im M], [Im M, Re M]] carries each singular value
-    of M twice; the pairs are matched (tolerance 1e-9 relative) and averaged.
-    """
-    m = np.asarray(m, dtype=complex)
-    doubled = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    s = np.linalg.svd(doubled, compute_uv=False)
-    even, odd = s[0::2], s[1::2]
-    mismatch = np.abs(even - odd)
-    limit = _PAIR_TOL * np.maximum(1.0, even)
-    if np.any(mismatch > limit):
-        raise ArithmeticError(
-            f"singular values of doubled matrix failed to pair: {s}"
-        )
-    return (even + odd) / 2.0
 
 
 def criterion_rank_defect(z, f, g):
@@ -117,7 +80,7 @@ def criterion_rank_defect(z, f, g):
     m = criterion_matrix(z, f, g)
     if m.shape[0] < 3:
         raise WrongDimension("rank defect needs ambient dimension >= 3 (n >= 2)")
-    s = complex_singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
         return 0.0
     return float(s[2] / s[0])
@@ -133,28 +96,10 @@ def direct_singularity_test(z, spec, g):
     """
     z = np.asarray(z, dtype=complex)
     frame = tangent_frame(z, spec)
-    grads = np.array([eval_poly(dg, z) for dg in g.partials()], dtype=complex)
-    derivs = frame.complex_basis @ grads
+    derivs = frame.complex_basis @ gradient(g, z)
     matrix = np.vstack([derivs.real, derivs.imag])
     s = np.linalg.svd(matrix, compute_uv=False)
     return float(s[-1])
-
-
-def gradient_pair_defect(z, f, g):
-    """sigma2/sigma1 of the (n+1) x 2 matrix [gradbar f(z), gradbar g(z)].
-
-    Small values mean the two conjugate gradients are complex-linearly
-    dependent, the branch of the singularity criterion that does not
-    constrain z itself.
-    """
-    from .polynomial import conj_gradient
-
-    z = np.asarray(z, dtype=complex)
-    m = np.column_stack([conj_gradient(f, z), conj_gradient(g, z)])
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[1] / s[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +166,25 @@ class AugmentedSystem:
         self.spec = spec
         self.g = g
         self.m = spec.ambient_dim
-        self._f1 = spec.f.partials()
-        self._g1 = g.partials()
         self._f2 = [
-            [wirtinger_partial(p, k) for k in range(1, self.m + 1)] for p in self._f1
+            [wirtinger_partial(p, k) for k in range(1, self.m + 1)]
+            for p in spec.f.partials()
         ]
         self._g2 = [
-            [wirtinger_partial(p, k) for k in range(1, self.m + 1)] for p in self._g1
+            [wirtinger_partial(p, k) for k in range(1, self.m + 1)]
+            for p in g.partials()
         ]
 
     # -- evaluation helpers --------------------------------------------------
 
     def grads(self, z):
         """(gradbar f(z), gradbar g(z)) as complex vectors."""
-        gf = np.conj([eval_poly(p, z) for p in self._f1])
-        gg = np.conj([eval_poly(p, z) for p in self._g1])
-        return gf, gg
+        return conj_gradient(self.spec.f, z), conj_gradient(self.g, z)
 
     def _second_conj(self, z):
         cf = np.conj([[eval_poly(p, z) for p in row] for row in self._f2])
         cg = np.conj([[eval_poly(p, z) for p in row] for row in self._g2])
         return cf, cg
-
-    def h_value(self, z):
-        return eval_poly(self.g, z)
 
     # -- residual / jacobian ---------------------------------------------------
 
@@ -343,44 +283,54 @@ class AugmentedSystem:
 # ---------------------------------------------------------------------------
 
 
-def _defect_and_gradient(system, z):
-    """Rank defect sigma3/sigma1 and its ambient real gradient at z.
+def _ratio_gradient(system, z, cols):
+    """sigma_cols/sigma_1 of the first ``cols`` columns of the criterion matrix.
 
-    Uses first-order perturbation of the singular values: d sigma = Re(u* dM v)
-    for the corresponding singular pair (u, v).
+    The columns are (gradbar f, gradbar g, z): ``cols = 3`` gives the rank
+    defect, ``cols = 2`` the gradient-pair defect. Returns the ratio and its
+    ambient real gradient at z, from first-order perturbation of the
+    singular values: d sigma = Re(u* dM v) for the singular pair (u, v).
     """
-    m = criterion_matrix(z, system.spec.f, system.g)
+    gf, gg = system.grads(z)
+    m = np.column_stack([gf, gg, z][:cols])
     u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0:
         return 0.0, np.zeros(2 * system.m)
     v = vt.conj().T
     cf, cg = system._second_conj(z)
     dim = system.m
+    last = cols - 1
     grad = np.zeros(2 * dim)
     u1, v1 = u[:, 0], v[:, 0]
-    u3, v3 = u[:, 2], v[:, 2]
+    ul, vl = u[:, last], v[:, last]
     for k in range(dim):
         ek = np.zeros(dim, dtype=complex)
         ek[k] = 1.0
-        dmx = np.column_stack([cf[:, k], cg[:, k], ek])
-        dmy = np.column_stack([-1j * cf[:, k], -1j * cg[:, k], 1j * ek])
+        dmx = np.column_stack([cf[:, k], cg[:, k], ek][:cols])
+        dmy = np.column_stack([-1j * cf[:, k], -1j * cg[:, k], 1j * ek][:cols])
         for idx, dm in ((2 * k, dmx), (2 * k + 1, dmy)):
             ds1 = np.real(u1.conj() @ dm @ v1)
-            ds3 = np.real(u3.conj() @ dm @ v3)
-            grad[idx] = (s[0] * ds3 - s[2] * ds1) / s[0] ** 2
-    return float(s[2] / s[0]), grad
+            dsl = np.real(ul.conj() @ dm @ vl)
+            grad[idx] = (s[0] * dsl - s[last] * ds1) / s[0] ** 2
+    return float(s[last] / s[0]), grad
 
 
-def _descend_defect(system, z, max_steps=25, target=2e-2):
-    """Projected gradient descent of the rank defect over the link."""
-    spec = system.spec
-    value, grad = _defect_and_gradient(system, z)
+def projected_descent(objective, z, spec, max_steps, target):
+    """Projected gradient descent with backtracking over the link.
+
+    ``objective(z)`` returns (value, ambient real gradient). Each step moves
+    along the negative tangential gradient in a retraction chart and tries
+    up to six steps, each a third of the last, until the value drops.
+    Stops at ``target``, after ``max_steps`` steps, or when no step helps.
+    Returns the final point and its value.
+    """
+    value, grad = objective(z)
     for _ in range(max_steps):
         if value <= target:
             break
         try:
             frame = tangent_frame(z, spec)
-        except Exception:
+        except (LinkFoldError, ValueError):
             break
         tang_grad = frame.basis @ grad
         slope = np.linalg.norm(tang_grad)
@@ -392,10 +342,10 @@ def _descend_defect(system, z, max_steps=25, target=2e-2):
         for _ in range(6):
             try:
                 trial = chart(z, frame, step * direction, spec, tol=1e-10)
-            except Exception:
+            except (LinkFoldError, ValueError):
                 step /= 3.0
                 continue
-            trial_value, trial_grad = _defect_and_gradient(system, trial)
+            trial_value, trial_grad = objective(trial)
             if trial_value < value:
                 z, value, grad = trial, trial_value, trial_grad
                 improved = True
@@ -421,9 +371,12 @@ def seed_singular_points(
     Random link points are pushed downhill on the squared rank defect, the
     span coefficients (a, b) are initialised by least squares, and Gauss-
     Newton on the augmented system finishes the job. Converged seeds are
-    deduplicated by pairwise distance. Raises EmptyResult if nothing
-    converges.
+    deduplicated by pairwise distance. Raises WrongDimension for n < 2,
+    where the criterion matrix has fewer rows than columns, and EmptyResult
+    if nothing converges.
     """
+    if spec.n < 2:
+        raise WrongDimension(f"singular-set seeding needs n >= 2, got n = {spec.n}")
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
     samples = sample_link_points(spec, n_samples, rng)
@@ -431,7 +384,10 @@ def seed_singular_points(
     tried = converged = 0
     for z0 in samples:
         tried += 1
-        z, defect = _descend_defect(system, z0, max_steps=descent_steps)
+        z, defect = projected_descent(
+            lambda z: _ratio_gradient(system, z, 3), z0, spec,
+            max_steps=descent_steps, target=2e-2,
+        )
         if defect > 0.3:
             continue
         gf, gg = system.grads(z)
@@ -467,31 +423,6 @@ class GradientDependenceScan:
     n_samples: int
 
 
-def _pair_defect_and_gradient(system, z):
-    from .polynomial import conj_gradient
-
-    m = np.column_stack(
-        [conj_gradient(system.spec.f, z), conj_gradient(system.g, z)]
-    )
-    u, s, vt = np.linalg.svd(m)
-    if s[0] == 0.0:
-        return 0.0, np.zeros(2 * system.m)
-    v = vt.conj().T
-    cf, cg = system._second_conj(z)
-    dim = system.m
-    grad = np.zeros(2 * dim)
-    u1, v1 = u[:, 0], v[:, 0]
-    u2, v2 = u[:, 1], v[:, 1]
-    for k in range(dim):
-        dmx = np.column_stack([cf[:, k], cg[:, k]])
-        dmy = np.column_stack([-1j * cf[:, k], -1j * cg[:, k]])
-        for idx, dm in ((2 * k, dmx), (2 * k + 1, dmy)):
-            ds1 = np.real(u1.conj() @ dm @ v1)
-            ds2 = np.real(u2.conj() @ dm @ v2)
-            grad[idx] = (s[0] * ds2 - s[1] * ds1) / s[0] ** 2
-    return float(s[1] / s[0]), grad
-
-
 def scan_gradient_dependence(spec, g, n_samples=64, rng_seed=42, threshold=1e-8):
     """Search the link for points where gradbar g lies in C * gradbar f.
 
@@ -506,36 +437,10 @@ def scan_gradient_dependence(spec, g, n_samples=64, rng_seed=42, threshold=1e-8)
     hits = []
     min_defect = np.inf
     for z0 in samples:
-        z = np.asarray(z0, dtype=complex)
-        value, grad = _pair_defect_and_gradient(system, z)
-        for _ in range(40):
-            if value <= threshold:
-                break
-            try:
-                frame = tangent_frame(z, spec)
-            except Exception:
-                break
-            tang_grad = frame.basis @ grad
-            slope = np.linalg.norm(tang_grad)
-            if slope < 1e-14:
-                break
-            direction = -tang_grad / slope
-            step = min(0.09 * spec.epsilon, value / slope)
-            improved = False
-            for _ in range(6):
-                try:
-                    trial = chart(z, frame, step * direction, spec, tol=1e-10)
-                except Exception:
-                    step /= 3.0
-                    continue
-                trial_value, trial_grad = _pair_defect_and_gradient(system, trial)
-                if trial_value < value:
-                    z, value, grad = trial, trial_value, trial_grad
-                    improved = True
-                    break
-                step /= 3.0
-            if not improved:
-                break
+        z, value = projected_descent(
+            lambda z: _ratio_gradient(system, z, 2), z0, spec,
+            max_steps=40, target=threshold,
+        )
         min_defect = min(min_defect, value)
         if value <= threshold and all(
             np.linalg.norm(z - p) > 1e-4 for p in hits
@@ -578,7 +483,6 @@ def trace_singular_curve(
     max_steps=5000,
     tol=1e-12,
     bifurcation_tol=1e-8,
-    min_nodes_before_closure=5,
 ):
     """Pseudo-arclength continuation of the singular curve through ``seed``.
 
@@ -628,7 +532,7 @@ def trace_singular_curve(
         nodes.append(w_new)
         tangents.append(t_new)
         w, t = w_new, t_new
-        if len(nodes) > min_nodes_before_closure:
+        if len(nodes) > _MIN_NODES_BEFORE_CLOSURE:
             dist_start = np.linalg.norm(w - start_w)
             aligned = np.dot(t, start_t) > 0.9
             if aligned and dist_start <= 0.5 * s:
@@ -661,9 +565,8 @@ def trace_singular_curve(
         arc_length += float(closing[0])
 
     points = [AugmentedPoint.from_vector(node) for node in nodes]
-    image = np.array(
-        [[system.h_value(p.z).real, system.h_value(p.z).imag] for p in points]
-    )
+    values = [eval_poly(g, p.z) for p in points]
+    image = np.array([[v.real, v.imag] for v in values])
     defects = np.array(
         [criterion_rank_defect(p.z, spec.f, g) for p in points]
     )

@@ -244,6 +244,16 @@ def test_cli_morse_runs(tmp_path):
     assert (tmp_path / "morse.json").exists()
 
 
+@pytest.mark.parametrize("command", ["singular-set", "image-svg", "morse"])
+def test_cli_n1_is_configuration_error(tmp_path, capsys, command):
+    # the singular set is only traced for n >= 2; n = 1 must not crash
+    code = main([command, "--n", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 def test_cli_warns_on_large_epsilon_inhomogeneous(tmp_path, capsys):
     code = main([
         "singular-set", "--f", "z1^2 + z2^2 + z3^3", "--g", "z1 + 0.5i*z2",

@@ -3,9 +3,10 @@ import pytest
 
 import linkfold as lf
 from linkfold.errors import EmptyResult, WrongDimension
-from linkfold.singular_set import AugmentedSystem, complex_singular_values
+from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import build_a1, definite_point, indefinite_point
+from oracles import criterion_det, gradient_pair_defect
 
 SQRT2 = np.sqrt(2.0)
 
@@ -54,13 +55,13 @@ def test_criterion_matrix_at_basis_point(a1_n2):
 
 def test_criterion_det_zero_at_singular_point(a1_n2):
     spec, g = a1_n2
-    assert abs(lf.criterion_det(definite_point(2), spec.f, g)) <= 1e-15
+    assert abs(criterion_det(definite_point(2), spec.f, g)) <= 1e-15
 
 
 def test_criterion_det_against_lapack_oracle(a1_n2):
     spec, g = a1_n2
     z = np.array([1.0, 0.0, 1j])
-    det = lf.criterion_det(z, spec.f, g)
+    det = criterion_det(z, spec.f, g)
     oracle = np.linalg.det(lf.criterion_matrix(z, spec.f, g))
     assert det == pytest.approx(2.0 + 0.0j, abs=1e-14)
     assert det == pytest.approx(oracle, abs=1e-12)
@@ -69,27 +70,18 @@ def test_criterion_det_against_lapack_oracle(a1_n2):
 def test_criterion_det_nonzero_off_singular_set(a1_n2):
     spec, g = a1_n2
     z = np.array([0.0, 1.0, 1j]) / SQRT2
-    assert abs(lf.criterion_det(z, spec.f, g)) > 1e-2
+    assert abs(criterion_det(z, spec.f, g)) > 1e-2
 
 
 def test_criterion_det_requires_n2(a1_n3):
     spec, g = a1_n3
     with pytest.raises(WrongDimension):
-        lf.criterion_det(np.zeros(4, dtype=complex), spec.f, g)
+        criterion_det(np.zeros(4, dtype=complex), spec.f, g)
 
 
 # ---------------------------------------------------------------------------
 # rank defect and the direct differential test
 # ---------------------------------------------------------------------------
-
-
-def test_doubled_real_svd_matches_complex_svd():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        ours = complex_singular_values(m)
-        oracle = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(ours, oracle, atol=1e-12)
 
 
 def test_rank_defect_at_singular_point(a1_n2):
@@ -145,7 +137,7 @@ def test_det_and_defect_agree_at_n2(a1_n2, traces_n2):
     points = list(lf.sample_link_points(spec, 200, rng))
     points += [t.points[k].z for t in traces_n2 for k in (0, len(t) // 2)]
     for z in points:
-        det = abs(lf.criterion_det(z, spec.f, g))
+        det = abs(criterion_det(z, spec.f, g))
         defect = lf.criterion_rank_defect(z, spec.f, g)
         if 1e-10 <= defect <= 1e-6:
             continue
@@ -263,6 +255,27 @@ def test_seeding_is_deterministic(a1_n2):
         assert a.a == b.a and a.b == b.b
 
 
+@pytest.mark.parametrize("cols", [2, 3])
+def test_ratio_gradient_matches_svd_and_finite_differences(perturbed_n2, cols):
+    # cols = 3: rank defect sigma3/sigma1; cols = 2: pair defect sigma2/sigma1
+    spec, g = perturbed_n2
+    system = AugmentedSystem(spec, g)
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    value, grad = _ratio_gradient(system, z, cols)
+    s = np.linalg.svd(lf.criterion_matrix(z, spec.f, g)[:, :cols], compute_uv=False)
+    assert value == pytest.approx(s[-1] / s[0], rel=1e-12)
+    h = 1e-6
+    fd = np.empty(6)
+    for k in range(6):
+        e = np.zeros(6)
+        e[k] = h
+        plus, _ = _ratio_gradient(system, z + lf.complexify(e), cols)
+        minus, _ = _ratio_gradient(system, z - lf.complexify(e), cols)
+        fd[k] = (plus - minus) / (2 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
 def test_seeding_empty_result():
     spec, g = build_a1(2)
     with pytest.raises(EmptyResult):
@@ -360,7 +373,7 @@ def test_gradient_pair_defect_scale(a1_n2):
     # a point whose conjugate z is parallel to gradbar g lies off the cone
     z = np.conj(np.array([1.0, -0.5j, 0.0]))
     z /= np.linalg.norm(z)
-    assert lf.gradient_pair_defect(z, spec.f, g) <= 1e-12
+    assert gradient_pair_defect(z, spec.f, g) <= 1e-12
     assert abs(lf.eval_poly(spec.f, z)) > 0.1
 
 
