@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import NotApplicable, RankTwo, RankZero
 from .geometry import (
-    chart,
-    chart_hessian,
+    critical_hessian,
     project_to_link,
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import eval_poly, homogeneous_degree
+from .polynomial import eval_poly, gradient, homogeneous_degree
 from .singular_set import AugmentedPoint
 
 __all__ = [
@@ -65,10 +64,6 @@ class FoldRecord:
     embedding_ok: bool
 
 
-# absolute central-difference step for dh, times epsilon
-_JACOBIAN_STEP = 1e-5
-
-
 @dataclass(eq=False)
 class LocalFoldData:
     """First-order data of h in a tangent chart at a singular point."""
@@ -89,27 +84,16 @@ def _h_of(g, z):
 def local_fold_data(point, spec, g):
     """Rank-1 check of dh at a singular point, with kernel and image direction.
 
-    The 2 x (2n-1) chart Jacobian is formed by Richardson-extrapolated
-    central differences. Raises RankZero when the differential vanishes and
-    RankTwo when the point is actually regular (sigma2/sigma1 > 1e-6).
+    The 2 x (2n-1) chart Jacobian is the (Re, Im) pair of the exact
+    directional derivatives of g along the tangent frame. Raises RankZero
+    when the differential vanishes and RankTwo when the point is actually
+    regular (sigma2/sigma1 > 1e-6).
     """
     z = point.z if isinstance(point, AugmentedPoint) else np.asarray(point, complex)
     z = project_to_link(z, spec, tol=1e-12)
     frame = tangent_frame(z, spec)
-    m = frame.dim
-
-    def jac_at(h):
-        cols = np.empty((2, m))
-        for i in range(m):
-            u = np.zeros(m)
-            u[i] = h
-            plus = _h_of(g, chart(z, frame, u, spec))
-            minus = _h_of(g, chart(z, frame, -u, spec))
-            cols[:, i] = (plus - minus) / (2.0 * h)
-        return cols
-
-    h = _JACOBIAN_STEP * spec.epsilon
-    jac = (4.0 * jac_at(h / 2.0) - jac_at(h)) / 3.0
+    derivs = frame.complex_basis @ gradient(g, z)
+    jac = np.vstack([derivs.real, derivs.imag])
     u, s, vt = np.linalg.svd(jac, full_matrices=True)
     if s[0] <= 1e-10:
         raise RankZero(f"differential of h vanished (sigma1 = {s[0]:.3e})")
@@ -128,28 +112,14 @@ def local_fold_data(point, spec, g):
     )
 
 
-def intrinsic_hessian(point, kernel_basis, image_dir, spec, g, frame=None,
-                      step=1e-4, nu=None):
-    """Transverse Hessian of the normal component of h on the kernel directions.
+def intrinsic_hessian(kernel_basis, frame, spec, g, nu):
+    """Transverse Hessian of the normal component nu . h on the kernel directions.
 
-    ``nu`` defaults to the left normal of ``image_dir``; pass an oriented
-    normal to fix the sign convention. Central second differences with the
-    given step, symmetrised.
+    ``nu`` is the oriented unit normal in R^2; nu . h = Re((nu1 - i nu2) h),
+    whose Hessian on the link comes from :func:`critical_hessian`.
     """
-    z = point.z if isinstance(point, AugmentedPoint) else np.asarray(point, complex)
-    if frame is None:
-        z = project_to_link(z, spec, tol=1e-12)
-        frame = tangent_frame(z, spec)
-    else:
-        z = frame.base_point
-    if nu is None:
-        nu = np.array([-image_dir[1], image_dir[0]])
-
-    def psi(svec):
-        u = kernel_basis.T @ svec
-        return float(np.dot(nu, _h_of(g, chart(z, frame, u, spec))))
-
-    return chart_hessian(psi, kernel_basis.shape[0], step * spec.epsilon)
+    weight = complex(nu[0], -nu[1])
+    return kernel_basis @ critical_hessian(frame, spec, g, weight) @ kernel_basis.T
 
 
 def fold_counts(eigenvalues, dead_band=1e-5):
@@ -168,8 +138,7 @@ def fold_counts(eigenvalues, dead_band=1e-5):
     return neg, pos, bool(neg + pos < eigenvalues.size)
 
 
-def _classify_point(point, spec, g, component_id, center, hessian_step,
-                    dead_band):
+def _classify_point(point, spec, g, component_id, center, dead_band):
     """Fold record and Hessian spectrum of one singular point.
 
     The transverse normal is oriented away from ``center`` so the
@@ -182,10 +151,7 @@ def _classify_point(point, spec, g, component_id, center, hessian_step,
     offset = _h_of(g, data.base_point) - center
     if np.dot(offset, nu) < 0:
         nu = -nu
-    hess = intrinsic_hessian(
-        point, data.kernel_basis, data.image_dir, spec, g,
-        frame=data.frame, step=hessian_step, nu=nu,
-    )
+    hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
     eigs = np.linalg.eigvalsh(hess)
     neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
     if degenerate:
@@ -208,13 +174,13 @@ def _classify_point(point, spec, g, component_id, center, hessian_step,
 
 
 def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
-                  hessian_step=1e-4, dead_band=1e-5):
+                  dead_band=1e-5):
     """Classify one singular point as a definite/indefinite/degenerate fold.
 
     The image radius is the distance of h(point) from ``image_center``.
     """
     record, _ = _classify_point(
-        point, spec, g, component_id, image_center, hessian_step, dead_band
+        point, spec, g, component_id, image_center, dead_band
     )
     return record
 
@@ -266,7 +232,7 @@ class ComponentClassification:
 
 
 def classify_component(trace, spec, g, component_id, max_samples=24,
-                       hessian_step=1e-4, dead_band=1e-5):
+                       dead_band=1e-5):
     """Classify sampled points along a traced component and aggregate.
 
     All sampled points must agree in (kind, absolute index) for the
@@ -282,8 +248,7 @@ def classify_component(trace, spec, g, component_id, max_samples=24,
     eigenvalues = []
     for idx in indices:
         record, eigs = _classify_point(
-            trace.points[idx], spec, g, component_id, center, hessian_step,
-            dead_band,
+            trace.points[idx], spec, g, component_id, center, dead_band
         )
         records.append(record)
         eigenvalues.append(eigs)

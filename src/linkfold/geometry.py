@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionCollapse, NonConvergence, RankDeficient
-from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient
+from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient, hessian
 
 __all__ = [
     "LinkSpec",
@@ -26,7 +26,7 @@ __all__ = [
     "tangent_frame",
     "orthonormal_complement",
     "chart",
-    "chart_hessian",
+    "critical_hessian",
 ]
 
 # rank threshold for post-projection norms and constraint Jacobians
@@ -278,27 +278,23 @@ def chart(point, frame, u, spec, tol=1e-12, max_iter=50, max_radius=None):
     return project_to_link(moved, spec, tol=tol, max_iter=max_iter)
 
 
-def chart_hessian(func, dim, step):
-    """Symmetrised central-difference Hessian of ``func`` on R^dim at 0.
+def critical_hessian(frame, spec, g, weight):
+    """Hessian of phi = Re(weight * g) on the link, in the coordinates of ``frame``.
 
-    ``func`` is a scalar function of chart coordinates, typically a height
-    composed with :func:`chart`; ``step`` is the absolute difference step.
+    This is the Hessian of the Lagrangian phi - Re(conj(alpha) f) -
+    (mu / 2) (|z|^2 - epsilon^2) on the tangent space, with the multipliers
+    fitted to the gradient of phi by least squares. It is the Riemannian
+    Hessian of phi on the link, which the Hessian of phi composed with
+    :func:`chart` at 0 equals because the chart corrects along the normal
+    space; at a critical point no chart changes it. The second partials of f
+    and g are exact.
     """
-    center = func(np.zeros(dim))
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        hess[i, i] = (func(ei) - 2.0 * center + func(-ei)) / step**2
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei = np.zeros(dim)
-            ej = np.zeros(dim)
-            ei[i] = step
-            ej[j] = step
-            val = (
-                func(ei + ej) - func(ei - ej) - func(-ei + ej) + func(-ei - ej)
-            ) / (4.0 * step**2)
-            hess[i, j] = val
-            hess[j, i] = val
-    return (hess + hess.T) / 2.0
+    z = frame.base_point
+    df = conj_gradient(spec.f, z)
+    normals = np.column_stack([realify(df), realify(1j * df), realify(z)])
+    target = realify(np.conj(weight * gradient(g, z)))
+    (re_alpha, im_alpha, mu), *_ = np.linalg.lstsq(normals, target, rcond=None)
+    alpha_bar = complex(re_alpha, -im_alpha)
+    second = weight * hessian(g, z) - alpha_bar * hessian(spec.f, z)
+    basis = frame.complex_basis
+    return np.real(basis @ second @ basis.T) - mu * np.eye(frame.dim)

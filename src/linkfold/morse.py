@@ -2,11 +2,13 @@
 
 For a ray direction theta, the slice Q_theta is the preimage under h of the
 ray {t e^{i theta} : t >= 0}; the function Re(e^{-i theta} h) restricted to
-Q_theta has its critical points exactly on the singular set, and their Morse
-indices are computed from finite-difference Hessians in retraction charts.
-Composing h with a nonzero linear height eta gives a Morse function on the
-whole link whose critical points sit on the traced singular curves; they are
-located along the traces and refined to high accuracy.
+Q_theta has its critical points exactly on the singular set. Composing h
+with a nonzero linear height eta gives a Morse function on the whole link
+whose critical points sit on the traced singular curves. Both kinds of
+critical point are bracketed by sign changes over the trace nodes and
+solved by one square Newton iteration on the augmented system bordered by
+one scalar equation; their Morse indices come from the analytic Hessian
+:func:`critical_hessian`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 from .errors import DegenerateHessian, RankZero, WrongDimension
 from .fold_classify import circle_fit, fold_counts
 from .geometry import (
-    chart,
-    chart_hessian,
     complexify,
+    critical_hessian,
     project_to_link,
     sample_link_points,
     tangent_frame,
@@ -38,8 +39,6 @@ __all__ = [
     "trace_image_n1",
 ]
 
-# composed-Morse extremum search stops when a parabolic move is this small
-_PARAM_TOL = 1e-10
 # image points closer than this (times epsilon) join one n = 1 component
 _CLUSTER_GAP = 0.08
 
@@ -67,23 +66,19 @@ class CriticalPointRecord:
     gradient_norm: float = 0.0
 
 
-def _slice_newton(system, w0, rotation, tol=1e-12, max_iter=20):
-    """Square Newton on {augmented system, Im(rotation * h) = 0}."""
+def _bordered_newton(system, w0, extra, tol=1e-12, max_iter=20):
+    """Square Newton on the augmented system bordered by one scalar equation.
+
+    ``extra(w)`` returns the value of the added equation and its real
+    gradient row in the unknowns (z, a, b). Returns (w, converged).
+    """
     w = np.asarray(w0, dtype=float).copy()
     for _ in range(max_iter):
-        zc = complexify(w[: 2 * system.m])
-        res_aug = system.residual(w)
-        hval = rotation * eval_poly(system.g, zc)
-        res = np.concatenate([res_aug, [hval.imag]])
+        value, row = extra(w)
+        res = np.concatenate([system.residual(w), [value]])
         if np.linalg.norm(res) <= tol:
             return w, True
-        jac_aug = system.jacobian(w)
-        # real Jacobian row of Im(rotation * h), zero in the (a, b) unknowns
-        rotated = rotation * gradient(system.g, zc)
-        row = np.zeros(2 * system.m + 4)
-        row[0 : 2 * system.m : 2] = rotated.imag
-        row[1 : 2 * system.m : 2] = rotated.real
-        jac = np.vstack([jac_aug, row])
+        jac = np.vstack([system.jacobian(w), row])
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -92,6 +87,26 @@ def _slice_newton(system, w0, rotation, tol=1e-12, max_iter=20):
             return w, False
         w = w + delta
     return w, False
+
+
+def _brackets(trace, vals):
+    """Start vectors at the sign changes of ``vals``, one value per trace node.
+
+    Yields (k, next, w0) for each segment from node k to the next node on
+    which ``vals`` vanishes or changes sign, with w0 the augmented vector
+    interpolated linearly to the zero; a closed trace wraps around.
+    """
+    count = len(vals)
+    for k in range(count if trace.closed else count - 1):
+        nxt = (k + 1) % count
+        va, vb = vals[k], vals[nxt]
+        if va == 0.0:
+            frac = 0.0
+        elif va * vb < 0.0:
+            frac = va / (va - vb)
+        else:
+            continue
+        yield k, nxt, trace.nodes[k] + frac * (trace.nodes[nxt] - trace.nodes[k])
 
 
 def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
@@ -105,32 +120,27 @@ def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
     """
     system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
+    dim = 2 * system.m
+
+    def ray_equation(w):
+        """Im(rotation * h) and its real gradient row, zero in (a, b)."""
+        zc = complexify(w[:dim])
+        rotated = rotation * gradient(g, zc)
+        row = np.zeros(dim + 4)
+        row[0:dim:2] = rotated.imag
+        row[1:dim:2] = rotated.real
+        return (rotation * eval_poly(g, zc)).imag, row
+
     found = []
     for trace in traces:
-        hc = trace.image[:, 0] + 1j * trace.image[:, 1]
-        rotated = rotation * hc
-        vals = rotated.imag
-        rays = rotated.real
-        count = len(vals)
-        segments = range(count if trace.closed else count - 1)
-        for k in segments:
-            nxt = (k + 1) % count
-            va, vb = vals[k], vals[nxt]
-            if va == 0.0:
-                crossing = va == 0.0 and rays[k] > 0
-                frac = 0.0
-            elif va * vb < 0.0:
-                crossing = True
-                frac = va / (va - vb)
-            else:
-                crossing = False
-            if not crossing or max(rays[k], rays[nxt]) <= 0:
+        rotated = rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])
+        for k, nxt, w0 in _brackets(trace, rotated.imag):
+            if max(rotated.real[k], rotated.real[nxt]) <= 0:
                 continue
-            w0 = trace.nodes[k] + frac * (trace.nodes[nxt] - trace.nodes[k])
-            w, ok = _slice_newton(system, w0, rotation)
+            w, ok = _bordered_newton(system, w0, ray_equation)
             if not ok:
                 continue
-            z = complexify(w[: 2 * system.m])
+            z = complexify(w[:dim])
             ray_param = (rotation * eval_poly(g, z)).real
             if ray_param < min_ray_param:
                 continue
@@ -151,33 +161,27 @@ def _morse_index(eigs, dead_band):
     return neg
 
 
-def slice_morse_index(point, slice_spec, spec, g, hessian_step=1e-4,
+# hessian_step is accepted and ignored: perfbench/workloads.py still passes it
+def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
                       dead_band=1e-5):
     """Morse index of the slice function Re(e^{-i theta} h) at a critical point.
 
     The chart of the slice at the point is the kernel of the differential of
     Im(e^{-i theta} h) inside the link tangent space (dimension 2n-2); the
-    Hessian is computed there by central differences. Raises
-    DegenerateHessian when an eigenvalue falls in the dead band.
+    Hessian is the analytic link Hessian of Re(e^{-i theta} h) restricted
+    there. Raises DegenerateHessian when an eigenvalue falls in the dead band.
     """
     rotation = slice_spec.rotation
     z = project_to_link(np.asarray(point, dtype=complex), spec, tol=1e-12)
     frame = tangent_frame(z, spec)
-    derivs = frame.complex_basis @ gradient(g, z)
-    im_row = (rotation * derivs).imag
-    grad_norm = float(np.max(np.abs((rotation * derivs).real)))
-    norm_row = np.linalg.norm(im_row)
-    if norm_row <= 1e-10:
+    derivs = rotation * (frame.complex_basis @ gradient(g, z))
+    im_row = derivs.imag
+    grad_norm = float(np.max(np.abs(derivs.real)))
+    if np.linalg.norm(im_row) <= 1e-10:
         raise RankZero("slice normal degenerated: d Im(e^{-i theta} h) = 0")
     _, _, vt = np.linalg.svd(im_row[None, :], full_matrices=True)
     kernel = vt[1:]
-
-    def psi(svec):
-        u = kernel.T @ svec
-        val = rotation * eval_poly(g, chart(z, frame, u, spec))
-        return float(val.real)
-
-    hess = chart_hessian(psi, kernel.shape[0], hessian_step * spec.epsilon)
+    hess = kernel @ critical_hessian(frame, spec, g, rotation) @ kernel.T
     eigs = np.linalg.eigvalsh(hess)
     index = _morse_index(eigs, dead_band)
     value = float((rotation * eval_poly(g, z)).real)
@@ -195,159 +199,55 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=1e-4,
 # ---------------------------------------------------------------------------
 
 
-def _point_at(system, trace, node_index, delta):
-    """Curve point at signed arc offset ``delta`` from a trace node."""
-    w_node = trace.nodes[node_index]
-    t_node = trace.tangents[node_index]
-    w, _, ok = system.corrector(w_node + delta * t_node, t_node)
-    return w, ok
-
-
-def _refine_extremum(system, trace, height, node_index, bracket):
-    """Locate the 1-D extremum of ``height`` near a node of the trace.
-
-    Bisection on the finite-difference derivative narrows the bracket, then
-    three-point parabolic refinement polishes the offset to ``_PARAM_TOL``.
-    Returns the corrected augmented vector, or None if the bracket fails.
-    """
-
-    def phi(delta):
-        w, ok = _point_at(system, trace, node_index, delta)
-        if not ok:
-            raise ArithmeticError("corrector failed during refinement")
-        return height(complexify(w[: 2 * system.m]))
-
-    fd_step = 1e-6
-
-    def dphi(delta):
-        return (phi(delta + fd_step) - phi(delta - fd_step)) / (2.0 * fd_step)
-
-    lo, hi = bracket
-    dlo, dhi = dphi(lo), dphi(hi)
-    for _ in range(2):
-        if dlo * dhi <= 0:
-            break
-        lo, hi = 1.5 * lo, 1.5 * hi
-        dlo, dhi = dphi(lo), dphi(hi)
-    if dlo * dhi > 0:
-        return None
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        dmid = dphi(mid)
-        if dlo * dmid <= 0:
-            hi, dhi = mid, dmid
-        else:
-            lo, dlo = mid, dmid
-    delta = 0.5 * (lo + hi)
-    h = 1e-5
-    for _ in range(10):
-        f0, fp, fm = phi(delta), phi(delta + h), phi(delta - h)
-        denom = fp - 2.0 * f0 + fm
-        if denom == 0.0:
-            break
-        move = -0.5 * h * (fp - fm) / denom
-        move = float(np.clip(move, -2.0 * h, 2.0 * h))
-        delta += move
-        if abs(move) <= _PARAM_TOL:
-            break
-        h = max(h / 2.0, 1e-6)
-    w, ok = _point_at(system, trace, node_index, delta)
-    return w if ok else None
-
-
-def composed_morse(eta, traces, spec, g, hessian_step=1e-4, dead_band=1e-5,
+# hessian_step is accepted and ignored: perfbench/workloads.py still passes it
+def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5,
                    dedupe_tol=1e-6):
     """Critical points of the height eta . h on the link, with Morse data.
 
-    ``eta`` is a nonzero covector on R^2 (normalised internally). Critical
-    points are bracketed by sign changes of the discrete arclength
-    derivative along each traced singular component, refined along the
-    curve, then classified by the full (2n-1)-dimensional chart Hessian.
-    Records are sorted by critical value.
+    ``eta`` is a nonzero covector on R^2 (normalised internally), and
+    eta . h = Re(w h) with w = eta1 - i eta2. On the singular set
+    z = a gradbar f + b gradbar g, and Re(w h) is critical on the link
+    exactly where Im(w b) = 0. Sign changes of Im(w b) over each trace's
+    nodes are refined by Newton on the augmented system plus that equation,
+    then classified by the full (2n-1)-dimensional link Hessian. Records are
+    sorted by critical value.
     """
     eta = np.asarray(eta, dtype=float)
     norm = np.linalg.norm(eta)
     if norm == 0.0:
         raise ValueError("eta must be nonzero")
     eta = eta / norm
+    weight = complex(eta[0], -eta[1])
     system = AugmentedSystem(spec, g)
-    eta_c = complex(eta[0], eta[1])
+    # Im(weight * b) is linear in the last two unknowns (Re b, Im b)
+    row = np.zeros(2 * system.m + 4)
+    row[-2:] = weight.imag, weight.real
 
-    def height(z):
-        val = eval_poly(g, z)
-        return eta[0] * val.real + eta[1] * val.imag
-
-    def chart_data(z):
-        """Tangent frame, chart Hessian and chart gradient of eta . h at z."""
-        frame = tangent_frame(z, spec)
-        hess = chart_hessian(
-            lambda u: height(chart(z, frame, u, spec)),
-            frame.dim, hessian_step * spec.epsilon,
-        )
-        grad = np.real(np.conj(eta_c) * (frame.complex_basis @ gradient(g, z)))
-        return frame, hess, grad
+    def critical_equation(w):
+        return (weight * complex(w[-2], w[-1])).imag, row
 
     records = []
-    seen = []
     for trace in traces:
-        vals = trace.image @ eta
-        count = len(vals)
-        if count < 3:
-            continue
-        diffs = np.array([vals[(k + 1) % count] - vals[k] for k in range(count)])
-        chords = np.array(
-            [
-                np.linalg.norm(
-                    trace.nodes[(k + 1) % count][: 2 * system.m]
-                    - trace.nodes[k][: 2 * system.m]
-                )
-                for k in range(count)
-            ]
-        )
-        segments = range(count) if trace.closed else range(count - 1)
-        for k in segments:
-            prev = (k - 1) % count
-            if not trace.closed and k == 0:
-                continue
-            if diffs[prev] == 0.0 or diffs[k] == 0.0:
-                continue
-            if np.sign(diffs[prev]) == np.sign(diffs[k]):
-                continue
-            bracket = (-0.9 * chords[prev], 0.9 * chords[k])
-            try:
-                w = _refine_extremum(system, trace, height, k, bracket)
-            except ArithmeticError:
-                w = None
-            if w is None:
+        b = trace.nodes[:, -2] + 1j * trace.nodes[:, -1]
+        for _, _, w0 in _brackets(trace, (weight * b).imag):
+            w, ok = _bordered_newton(system, w0, critical_equation)
+            if not ok:
                 continue
             z = complexify(w[: 2 * system.m])
-            if any(np.linalg.norm(z - other) <= dedupe_tol for other in seen):
+            if any(np.linalg.norm(z - r.point) <= dedupe_tol for r in records):
                 continue
-
-            z = project_to_link(z, spec, tol=1e-12)
-            frame, hess, grad = chart_data(z)
-            # one chart-Newton polish step pulls the gradient to solver level
-            try:
-                correction = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                correction = None
-            if correction is not None and np.linalg.norm(correction) < 1e-5:
-                z = project_to_link(
-                    chart(z, frame, correction, spec), spec, tol=1e-12
-                )
-                frame, hess, grad = chart_data(z)
-            eigs = np.linalg.eigvalsh(hess)
-            index = _morse_index(eigs, dead_band)
+            frame = tangent_frame(z, spec)
+            derivs = weight * (frame.complex_basis @ gradient(g, z))
+            eigs = np.linalg.eigvalsh(critical_hessian(frame, spec, g, weight))
             records.append(
                 CriticalPointRecord(
                     point=z,
-                    value=float(height(z)),
-                    morse_index=index,
+                    value=float((weight * eval_poly(g, z)).real),
+                    morse_index=_morse_index(eigs, dead_band),
                     hessian_eigenvalues=eigs,
-                    gradient_norm=float(np.max(np.abs(grad))),
+                    gradient_norm=float(np.max(np.abs(derivs.real))),
                 )
             )
-            seen.append(z)
     records.sort(key=lambda r: r.value)
     return records
 
@@ -382,22 +282,20 @@ def trace_image_n1(spec, g, n_samples=2000, rng_seed=42):
     image = np.column_stack([values.real, values.imag])
 
     gap = _CLUSTER_GAP * spec.epsilon
-    dist = np.linalg.norm(image[:, None, :] - image[None, :, :], axis=2)
-    adjacency = dist <= gap
-    unassigned = set(range(len(image)))
+    unassigned = np.ones(len(image), dtype=bool)
     groups = []
-    while unassigned:
-        stack = [min(unassigned)]
-        unassigned.discard(stack[0])
+    while unassigned.any():
+        start = int(np.argmax(unassigned))
+        unassigned[start] = False
+        stack = [start]
         members = []
         while stack:
             k = stack.pop()
             members.append(k)
-            neighbours = np.nonzero(adjacency[k])[0]
-            fresh = [int(j) for j in neighbours if j in unassigned]
-            for j in fresh:
-                unassigned.discard(j)
-            stack.extend(fresh)
+            near = np.linalg.norm(image - image[k], axis=1) <= gap
+            fresh = np.nonzero(near & unassigned)[0]
+            unassigned[fresh] = False
+            stack.extend(fresh.tolist())
         groups.append(np.array(sorted(members)))
 
     fits = []
@@ -410,10 +308,9 @@ def trace_image_n1(spec, g, n_samples=2000, rng_seed=42):
     min_gap = np.inf
     for i in range(len(fits)):
         for j in range(i + 1, len(fits)):
-            d = np.linalg.norm(
-                fits[i][2][:, None, :] - fits[j][2][None, :, :], axis=2
-            ).min()
-            min_gap = min(min_gap, float(d))
+            for point in fits[i][2]:
+                d = np.linalg.norm(fits[j][2] - point, axis=1).min()
+                min_gap = min(min_gap, float(d))
 
     return N1ImageResult(
         components=[pts for _, _, pts in fits],

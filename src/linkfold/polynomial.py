@@ -36,6 +36,7 @@ __all__ = [
     "wirtinger_partial",
     "gradient",
     "conj_gradient",
+    "hessian",
     "homogeneous_degree",
 ]
 
@@ -247,6 +248,11 @@ def gradient(p, z):
 def conj_gradient(p, z):
     """Conjugated Wirtinger gradient: entry j is conj( (d p / d z_j)(z) )."""
     return np.conj(gradient(p, z))
+
+
+def hessian(p, z):
+    """Matrix of second Wirtinger partials: entry (j, k) is (d^2 p / d z_j d z_k)(z)."""
+    return np.array([gradient(dp, z) for dp in p.partials()])
 
 
 def homogeneous_degree(p):

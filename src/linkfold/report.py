@@ -75,7 +75,6 @@ class RunConfig:
     rng_seed: int = 42
     tol_newton: float = 1e-12
     tol_singular: float = 1e-8
-    hessian_step: float = 1e-4
     dead_band: float = 1e-5
     step_init: float = 0.05
     step_min: float = 1e-4
@@ -84,6 +83,8 @@ class RunConfig:
     equivariance_samples: int = 1000
     oracle_samples: int = 1500
     out_dir: str = "out"
+    # not a field and never read: perfbench/workloads.py still reads it
+    hessian_step = None
 
     def resolved_f_text(self):
         return self.f_text if self.f_text is not None else _a1_f_text(self.n)
@@ -116,7 +117,6 @@ class RunConfig:
             "tolerances": {
                 "newton": self.tol_newton,
                 "singular": self.tol_singular,
-                "hessian_step": self.hessian_step,
                 "dead_band": self.dead_band,
             },
             "continuation": {
@@ -142,7 +142,6 @@ _CONFIG_KEYS = {
     "rng_seed": ("rng_seed", int),
     "tol_newton": ("tol_newton", float),
     "tol_singular": ("tol_singular", float),
-    "hessian_step": ("hessian_step", float),
     "dead_band": ("dead_band", float),
     "step_init": ("step_init", float),
     "step_min": ("step_min", float),
@@ -271,15 +270,13 @@ def _morse_stage(config, traces, spec, g, theta, eta_angle):
     slice_points = morse_mod.slice_critical_points(slice_spec, traces, spec, g)
     slice_records = [
         morse_mod.slice_morse_index(
-            z, slice_spec, spec, g,
-            hessian_step=config.hessian_step, dead_band=config.dead_band,
+            z, slice_spec, spec, g, dead_band=config.dead_band
         )
         for z in slice_points
     ]
     eta = np.array([np.cos(eta_angle), np.sin(eta_angle)])
     composed = morse_mod.composed_morse(
-        eta, traces, spec, g,
-        hessian_step=config.hessian_step, dead_band=config.dead_band,
+        eta, traces, spec, g, dead_band=config.dead_band
     )
     return slice_records, composed
 
@@ -432,10 +429,7 @@ def run_verify_a1(config):
 
         t0 = time.perf_counter()
         classifications = [
-            classify_component(
-                trace, spec, g, idx,
-                hessian_step=config.hessian_step, dead_band=config.dead_band,
-            )
+            classify_component(trace, spec, g, idx, dead_band=config.dead_band)
             for idx, trace in enumerate(traces)
         ]
         timings["classification"] = time.perf_counter() - t0

@@ -42,7 +42,7 @@ from .geometry import (
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import conj_gradient, eval_poly, gradient, wirtinger_partial
+from .polynomial import conj_gradient, eval_poly, gradient, hessian
 
 __all__ = [
     "AugmentedPoint",
@@ -166,14 +166,6 @@ class AugmentedSystem:
         self.spec = spec
         self.g = g
         self.m = spec.ambient_dim
-        self._f2 = [
-            [wirtinger_partial(p, k) for k in range(1, self.m + 1)]
-            for p in spec.f.partials()
-        ]
-        self._g2 = [
-            [wirtinger_partial(p, k) for k in range(1, self.m + 1)]
-            for p in g.partials()
-        ]
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -182,9 +174,7 @@ class AugmentedSystem:
         return conj_gradient(self.spec.f, z), conj_gradient(self.g, z)
 
     def _second_conj(self, z):
-        cf = np.conj([[eval_poly(p, z) for p in row] for row in self._f2])
-        cg = np.conj([[eval_poly(p, z) for p in row] for row in self._g2])
-        return cf, cg
+        return np.conj(hessian(self.spec.f, z)), np.conj(hessian(self.g, z))
 
     # -- residual / jacobian ---------------------------------------------------
 

@@ -47,6 +47,13 @@ def traces_n2(a1_n2):
 
 
 @pytest.fixture(scope="session")
+def traces_n2_seed3(a1_n2):
+    spec, g = a1_n2
+    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=3)
+    return lf.collect_components(seeds, spec, g, step=0.05)
+
+
+@pytest.fixture(scope="session")
 def traces_n3(a1_n3):
     spec, g = a1_n3
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)

@@ -58,3 +58,30 @@ def gradient_pair_defect(z, f, g):
     if s[0] == 0.0:
         return 0.0
     return float(s[1] / s[0])
+
+
+def chart_hessian(func, dim, step):
+    """Symmetrised central-difference Hessian of ``func`` on R^dim at 0.
+
+    ``func`` is a scalar function of chart coordinates, typically a height
+    composed with :func:`linkfold.chart`; ``step`` is the absolute difference
+    step.
+    """
+    center = func(np.zeros(dim))
+    hess = np.empty((dim, dim))
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = step
+        hess[i, i] = (func(ei) - 2.0 * center + func(-ei)) / step**2
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei = np.zeros(dim)
+            ej = np.zeros(dim)
+            ei[i] = step
+            ej[j] = step
+            val = (
+                func(ei + ej) - func(ei - ej) - func(-ei + ej) + func(-ei - ej)
+            ) / (4.0 * step**2)
+            hess[i, j] = val
+            hess[j, i] = val
+    return (hess + hess.T) / 2.0

@@ -61,9 +61,7 @@ def _outward_hessian(spec, g, z):
     hval = lf.eval_poly(g, data.base_point)
     if np.dot([hval.real, hval.imag], nu) < 0:
         nu = -nu
-    hess = lf.intrinsic_hessian(
-        z, data.kernel_basis, data.image_dir, spec, g, frame=data.frame, nu=nu
-    )
+    hess = lf.intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
     return np.linalg.eigvalsh(hess)
 
 
@@ -83,7 +81,7 @@ def test_hessian_at_indefinite_point_mixed_signs(a1_n2):
 
 
 def test_hessian_cross_check_two_difference_schemes(perturbed_n2, perturbed_traces):
-    # scheme A: direct central second differences (intrinsic_hessian);
+    # scheme A: the analytic link Hessian (intrinsic_hessian);
     # scheme B: central differences of the central-difference gradient
     spec, g = perturbed_n2
     trace = perturbed_traces[0]
@@ -91,10 +89,7 @@ def test_hessian_cross_check_two_difference_schemes(perturbed_n2, perturbed_trac
         point = trace.points[k]
         data = lf.local_fold_data(point, spec, g)
         nu = np.array([-data.image_dir[1], data.image_dir[0]])
-        hess_a = lf.intrinsic_hessian(
-            point, data.kernel_basis, data.image_dir, spec, g,
-            frame=data.frame, nu=nu,
-        )
+        hess_a = lf.intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
         z = data.base_point
         frame = data.frame
         kernel = data.kernel_basis

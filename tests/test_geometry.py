@@ -3,10 +3,10 @@ import pytest
 
 import linkfold as lf
 from linkfold.errors import DimensionCollapse, RankDeficient
-from linkfold.geometry import orthonormal_complement
+from linkfold.geometry import critical_hessian, orthonormal_complement
 
 from conftest import build_a1, definite_point
-from oracles import hermitian_inner, real_inner
+from oracles import chart_hessian, hermitian_inner, real_inner
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,3 +251,48 @@ def test_chart_rejects_large_steps(a1_n2):
     frame = lf.tangent_frame(q, spec)
     with pytest.raises(ValueError):
         lf.chart(q, frame, np.array([1.0, 0, 0]), spec)
+
+
+# ---------------------------------------------------------------------------
+# analytic link Hessian
+# ---------------------------------------------------------------------------
+
+
+def _critical_pairs(kind, spec, g, traces):
+    """(point, weight) pairs at which Re(weight * g) is critical on the link."""
+    if kind == "fold":
+        pairs = []
+        for trace in traces:
+            data = lf.local_fold_data(trace.points[len(trace) // 3], spec, g)
+            nu = np.array([-data.image_dir[1], data.image_dir[0]])
+            pairs.append((data.base_point, complex(nu[0], -nu[1])))
+        return pairs
+    if kind == "slice":
+        theta = 0.7
+        points = lf.slice_critical_points(lf.SliceSpec(theta), traces, spec, g)
+        return [(z, np.exp(-1j * theta)) for z in points]
+    angle = 1.1
+    eta = np.array([np.cos(angle), np.sin(angle)])
+    records = lf.composed_morse(eta, traces, spec, g)
+    return [(r.point, np.exp(-1j * angle)) for r in records]
+
+
+@pytest.mark.parametrize("kind", ["fold", "slice", "composed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_critical_hessian_matches_chart_differences(request, n, kind):
+    spec, g = request.getfixturevalue(f"a1_n{n}")
+    traces = request.getfixturevalue(f"traces_n{n}")
+    pairs = _critical_pairs(kind, spec, g, traces)
+    assert len(pairs) >= 2
+    for point, weight in pairs:
+        # chart(z, frame, 0) is z itself, so z must be on the link to round-off
+        z = lf.project_to_link(point, spec)
+        frame = lf.tangent_frame(z, spec)
+
+        def height(u):
+            return float((weight * lf.eval_poly(g, lf.chart(z, frame, u, spec))).real)
+
+        reference = chart_hessian(height, frame.dim, 1e-4 * spec.epsilon)
+        hess = critical_hessian(frame, spec, g, weight)
+        err = np.linalg.norm(hess - reference)
+        assert err <= 1e-6 * np.linalg.norm(reference)

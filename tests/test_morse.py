@@ -80,6 +80,19 @@ def test_slice_index_at_indefinite_point(a1_n2):
     assert record.value == pytest.approx(SQRT2 / 4, abs=1e-12)
 
 
+def test_slice_hessian_ratio_exact_at_rotated_ray(a1_n2):
+    # h is linear, so e^{i theta} times the definite point is the definite
+    # point of the ray at theta; the analytic Hessian gives the ratio 2
+    # to round-off
+    spec, g = a1_n2
+    theta = 0.7
+    point = np.exp(1j * theta) * definite_point(2)
+    record = lf.slice_morse_index(point, SliceSpec(theta), spec, g)
+    assert np.all(record.hessian_eigenvalues < 0)
+    eigs = np.abs(record.hessian_eigenvalues)
+    assert abs(np.max(eigs) / np.min(eigs) - 2.0) <= 1e-12
+
+
 def test_slice_index_n4_definite_point():
     # three identical 2x2 blocks, each contributing two negative eigenvalues
     spec, g = build_a1(4)
@@ -105,9 +118,8 @@ def test_slice_index_matches_fold_negative_count(a1_n2):
 # ---------------------------------------------------------------------------
 
 
-def test_composed_morse_n2(a1_n2, traces_n2):
-    spec, g = a1_n2
-    records = lf.composed_morse(np.array([1.0, 0.0]), traces_n2, spec, g)
+def _assert_composed_n2(spec, g, traces):
+    records = lf.composed_morse(np.array([1.0, 0.0]), traces, spec, g)
     assert len(records) == 4
     assert [r.morse_index for r in records] == [0, 1, 2, 3]
     values = [r.value for r in records]
@@ -115,6 +127,15 @@ def test_composed_morse_n2(a1_n2, traces_n2):
     assert values == pytest.approx(targets, abs=1e-6)
     for r in records:
         assert r.gradient_norm <= 1e-10
+
+
+def test_composed_morse_n2(a1_n2, traces_n2):
+    _assert_composed_n2(*a1_n2, traces_n2)
+
+
+def test_composed_morse_n2_second_seed(a1_n2, traces_n2_seed3):
+    # a different seeding traces the same curves from other start nodes
+    _assert_composed_n2(*a1_n2, traces_n2_seed3)
 
 
 def test_composed_morse_negated_height_reverses_indices(a1_n2, traces_n2):

@@ -195,7 +195,6 @@ def test_report_validates_against_schema(tmp_path):
     assert on_disk["config"]["tolerances"] == {
         "newton": config.tol_newton,
         "singular": config.tol_singular,
-        "hessian_step": config.hessian_step,
         "dead_band": config.dead_band,
     }
 
@@ -221,6 +220,14 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")
+    code = main(["verify-a1", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_cli_hessian_step_key_is_rejected(tmp_path):
+    # Hessians are analytic; the old finite-difference step is no setting
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("hessian_step = 1e-4\n")
     code = main(["verify-a1", "--config", str(cfg)])
     assert code == 2
 
