@@ -201,39 +201,18 @@ class TangentFrame:
         return self._complex_rows
 
 
-def _project_out(v, rows):
-    for row in rows:
-        v = v - np.dot(row, v) * row
-    return v
+def orthonormal_complement(spanning):
+    """Orthonormal basis of the complement of the span of ``spanning`` vectors.
 
-
-def orthonormal_complement(spanning, ambient_dim):
-    """Orthonormal basis of the complement of ``spanning`` rows in R^ambient_dim.
-
-    Modified Gram-Schmidt with one re-orthogonalisation pass; vectors whose
-    post-projection norm falls below 1e-10 are treated as dependent. Raises
-    DimensionCollapse if the spanning set itself is dependent.
+    The trailing columns of a complete QR factorisation of the spanning
+    vectors, returned as rows. Raises DimensionCollapse if the spanning set
+    is dependent (a diagonal entry of R at or below 1e-10).
     """
-    ortho = []
-    for v in spanning:
-        w = _project_out(np.asarray(v, dtype=float), ortho)
-        w = _project_out(w, ortho)
-        norm = np.linalg.norm(w)
-        if norm <= _RANK_TOL:
-            raise DimensionCollapse(
-                f"spanning vector collapsed (post-projection norm {norm:.3e})"
-            )
-        ortho.append(w / norm)
-    complement = []
-    for k in range(ambient_dim):
-        e = np.zeros(ambient_dim)
-        e[k] = 1.0
-        w = _project_out(e, ortho)
-        w = _project_out(w, ortho + complement)
-        norm = np.linalg.norm(w)
-        if norm > _RANK_TOL:
-            complement.append(w / norm)
-    return np.array(complement)
+    q, r = np.linalg.qr(np.column_stack(spanning), mode="complete")
+    pivot = float(np.min(np.abs(np.diag(r))))
+    if pivot <= _RANK_TOL:
+        raise DimensionCollapse(f"spanning vectors dependent (|R_kk| = {pivot:.3e})")
+    return q[:, len(spanning):].T
 
 
 def tangent_frame(point, spec):
@@ -248,12 +227,7 @@ def tangent_frame(point, spec):
     if np.linalg.norm(grad) <= _RANK_TOL:
         raise DimensionCollapse("conjugate gradient of f vanishes at the base point")
     spanning = [realify(grad), realify(1j * grad), realify(z)]
-    basis = orthonormal_complement(spanning, 2 * spec.ambient_dim)
-    expected = 2 * spec.n - 1
-    if basis.shape[0] != expected:
-        raise DimensionCollapse(
-            f"tangent space dimension {basis.shape[0]}, expected {expected}"
-        )
+    basis = orthonormal_complement(spanning)
     return TangentFrame(base_point=z, basis=basis)
 
 

@@ -181,6 +181,14 @@ def test_tangent_frame_dimension_on_random_points(a1_n2, a1_n3):
         rng = np.random.default_rng(6)
         for z in lf.sample_link_points(spec, 100, rng):
             assert lf.tangent_frame(z, spec).dim == 2 * spec.n - 1
+    # a well-conditioned point (spanning singular values 2, 2, 1) at which
+    # Gram-Schmidt with an absolute cut once kept a sixth basis row
+    spec, _ = a1_n3
+    z = lf.sample_link_points(spec, 657, np.random.default_rng(5))[656]
+    frame = lf.tangent_frame(z, spec)
+    assert frame.dim == 2 * spec.n - 1
+    assert np.allclose(frame.basis @ frame.basis.T, np.eye(frame.dim), atol=1e-12)
+    assert np.all(_orthogonality_residuals(frame, spec) <= 1e-12)
 
 
 def test_complex_kernel_contains_higher_coordinates(a1_n2):
@@ -195,7 +203,7 @@ def test_complex_kernel_contains_higher_coordinates(a1_n2):
 def test_orthonormal_complement_detects_collapse():
     spanning = [np.array([1.0, 0, 0, 0]), np.array([1.0, 1e-13, 0, 0])]
     with pytest.raises(DimensionCollapse):
-        orthonormal_complement(spanning, 4)
+        orthonormal_complement(spanning)
 
 
 # ---------------------------------------------------------------------------
