@@ -76,11 +76,6 @@ class LocalFoldData:
     base_point: np.ndarray
 
 
-def _h_of(g, z):
-    val = eval_poly(g, z)
-    return np.array([val.real, val.imag])
-
-
 def local_fold_data(point, spec, g):
     """Rank-1 check of dh at a singular point, with kernel and image direction.
 
@@ -148,7 +143,8 @@ def _classify_point(point, spec, g, component_id, center, dead_band):
     center = np.asarray(center, dtype=float)
     data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
-    offset = _h_of(g, data.base_point) - center
+    hval = eval_poly(g, data.base_point)
+    offset = np.array([hval.real, hval.imag]) - center
     if np.dot(offset, nu) < 0:
         nu = -nu
     hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)

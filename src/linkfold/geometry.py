@@ -29,7 +29,7 @@ __all__ = [
     "critical_hessian",
 ]
 
-# rank threshold for post-projection norms and constraint Jacobians
+# rank threshold for QR pivots of spanning sets and constraint Jacobians
 _RANK_TOL = 1e-10
 # link samples give up after this many projection attempts per point
 _MAX_ATTEMPTS_FACTOR = 20

@@ -83,7 +83,7 @@ class RunConfig:
     equivariance_samples: int = 1000
     oracle_samples: int = 1500
     out_dir: str = "out"
-    # not a field and never read: perfbench/workloads.py still reads it
+    # no longer a setting; perfbench/workloads.py still passes it on
     hessian_step = None
 
     def resolved_f_text(self):
