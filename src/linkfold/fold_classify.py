@@ -43,6 +43,9 @@ __all__ = [
     "min_nonadjacent_image_distance",
 ]
 
+# points classified per component, evenly strided along the trace
+_MAX_SAMPLES = 24
+
 
 class FoldKind(enum.Enum):
     DEFINITE = "DEFINITE"
@@ -134,7 +137,7 @@ def fold_counts(eigenvalues, dead_band=1e-5):
 
 
 def _classify_point(point, spec, g, component_id, center, dead_band):
-    """Fold record and Hessian spectrum of one singular point.
+    """Fold record of one singular point.
 
     The transverse normal is oriented away from ``center`` so the
     negative-eigenvalue count is consistent along a traced component whose
@@ -156,7 +159,7 @@ def _classify_point(point, spec, g, component_id, center, dead_band):
     else:
         absolute = min(neg, data.kernel_basis.shape[0] - neg)
         kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
-    record = FoldRecord(
+    return FoldRecord(
         component_id=component_id,
         kind=kind,
         absolute_index=absolute,
@@ -166,7 +169,6 @@ def _classify_point(point, spec, g, component_id, center, dead_band):
         image_radius_deviation=0.0,
         embedding_ok=True,
     )
-    return record, eigs
 
 
 def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
@@ -175,10 +177,7 @@ def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
 
     The image radius is the distance of h(point) from ``image_center``.
     """
-    record, _ = _classify_point(
-        point, spec, g, component_id, image_center, dead_band
-    )
-    return record
+    return _classify_point(point, spec, g, component_id, image_center, dead_band)
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +199,23 @@ def circle_fit(points):
 
 
 def min_nonadjacent_image_distance(trace):
-    """Smallest image distance between circularly non-adjacent trace samples."""
+    """Smallest image distance between circularly non-adjacent trace samples.
+
+    One row of distances at a time, from sample k to the samples after k + 1
+    (on a closed trace the last sample is adjacent to the first), so memory
+    stays linear in the trace length.
+    """
     pts = trace.image
     count = len(pts)
     if count < 4:
         return np.inf
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    idx = np.arange(count)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    if trace.closed:
-        gap = np.minimum(gap, count - gap)
-    mask = gap <= 1
-    dist[mask] = np.inf
-    return float(dist.min())
+    best = np.inf
+    for k in range(count - 2):
+        stop = count - 1 if trace.closed and k == 0 else count
+        if stop > k + 2:
+            dist = np.linalg.norm(pts[k] - pts[k + 2 : stop], axis=1)
+            best = min(best, float(dist.min()))
+    return best
 
 
 @dataclass(eq=False)
@@ -221,33 +223,25 @@ class ComponentClassification:
     """Aggregate classification of one traced component."""
 
     record: FoldRecord
-    point_indices: list
-    point_records: list
-    eigenvalues: list
     consistent: bool
 
 
-def classify_component(trace, spec, g, component_id, max_samples=24,
-                       dead_band=1e-5):
+def classify_component(trace, spec, g, component_id, dead_band=1e-5):
     """Classify sampled points along a traced component and aggregate.
 
-    All sampled points must agree in (kind, absolute index) for the
-    component to be consistently classified; ``consistent`` reports that.
-    Image geometry comes from a least-squares circle fit of the full trace
-    image.
+    About ``_MAX_SAMPLES`` points, evenly strided, must all agree in (kind,
+    absolute index) for the component to be consistently classified;
+    ``consistent`` reports that. Image geometry comes from a least-squares
+    circle fit of the full trace image, and ``embedding_ok`` is the
+    injectivity verdict that :func:`verify_round` reads.
     """
-    center, radius, _ = circle_fit(trace.image)
+    center = circle_fit(trace.image)[0]
     count = len(trace.points)
-    stride = max(1, count // max_samples)
-    indices = list(range(0, count, stride))
-    records = []
-    eigenvalues = []
-    for idx in indices:
-        record, eigs = _classify_point(
-            trace.points[idx], spec, g, component_id, center, dead_band
-        )
-        records.append(record)
-        eigenvalues.append(eigs)
+    stride = max(1, count // _MAX_SAMPLES)
+    records = [
+        _classify_point(trace.points[idx], spec, g, component_id, center, dead_band)
+        for idx in range(0, count, stride)
+    ]
     kinds = {(r.kind, r.absolute_index, r.negative_eigenvalues) for r in records}
     consistent = len(kinds) == 1
     radii = np.linalg.norm(trace.image - center, axis=1)
@@ -262,13 +256,7 @@ def classify_component(trace, spec, g, component_id, max_samples=24,
         image_radius_deviation=float(np.max(np.abs(radii - np.mean(radii)))),
         embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6,
     )
-    return ComponentClassification(
-        record=record,
-        point_indices=indices,
-        point_records=records,
-        eigenvalues=eigenvalues,
-        consistent=consistent,
-    )
+    return ComponentClassification(record=record, consistent=consistent)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +295,11 @@ def verify_round(traces, records):
     """Decide whether classified singular components form a round structure.
 
     Checks, in order: every component closed and non-degenerate; h injective
-    on each component (non-adjacent image samples separated by more than
-    1e-6); winding number +-1 about the common centre; and pairwise disjoint
-    radial annuli. Returns a RoundVerdict with per-component fitted radii.
+    on each component, as ``embedding_ok`` of its record says (set by
+    :func:`classify_component`: non-adjacent image samples separated by more
+    than 1e-6); winding number +-1 about the common centre; and pairwise
+    disjoint radial annuli. Returns a RoundVerdict with per-component fitted
+    radii.
     """
     if not traces:
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "no_components")
@@ -318,9 +308,8 @@ def verify_round(traces, records):
     if any(r.kind == FoldKind.DEGENERATE for r in records):
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "degenerate_fold")
 
-    for trace in traces:
-        if min_nonadjacent_image_distance(trace) <= 1e-6:
-            return RoundVerdict("NOT_ROUND", [], np.zeros(2), "injectivity")
+    if any(not r.embedding_ok for r in records):
+        return RoundVerdict("NOT_ROUND", [], np.zeros(2), "injectivity")
 
     center = np.mean(np.vstack([t.image for t in traces]), axis=0)
     for trace in traces:

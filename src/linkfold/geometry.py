@@ -33,6 +33,8 @@ __all__ = [
 _RANK_TOL = 1e-10
 # link samples give up after this many projection attempts per point
 _MAX_ATTEMPTS_FACTOR = 20
+# chart steps longer than this (times epsilon) are refused
+_CHART_MAX_RADIUS = 0.1
 
 
 def realify(z):
@@ -231,25 +233,25 @@ def tangent_frame(point, spec):
     return TangentFrame(base_point=z, basis=basis)
 
 
-def chart(point, frame, u, spec, tol=1e-12, max_iter=50, max_radius=None):
+def chart(point, frame, u, spec, tol=1e-12):
     """Retraction chart: project point + sum(u_i * basis_i) back onto the link.
 
     chart(p, frame, 0) returns p exactly; for small u the result has
     second-order contact with the tangent plane because the Gauss-Newton
-    correction is normal to the link.
+    correction is normal to the link. Steps longer than
+    ``_CHART_MAX_RADIUS`` times epsilon raise ValueError.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (frame.dim,):
         raise ValueError(f"chart coordinates have shape {u.shape}, expected ({frame.dim},)")
-    if max_radius is None:
-        max_radius = 0.1 * spec.epsilon
+    max_radius = _CHART_MAX_RADIUS * spec.epsilon
     norm_u = np.linalg.norm(u)
     if norm_u == 0.0:
         return np.asarray(point, dtype=complex).copy()
     if norm_u > max_radius:
         raise ValueError(f"chart step {norm_u:.3e} exceeds radius {max_radius:.3e}")
     moved = np.asarray(point, dtype=complex) + complexify(frame.basis.T @ u)
-    return project_to_link(moved, spec, tol=tol, max_iter=max_iter)
+    return project_to_link(moved, spec, tol=tol)
 
 
 def critical_hessian(frame, spec, g, weight):

@@ -6,9 +6,11 @@ Q_theta has its critical points exactly on the singular set. Composing h
 with a nonzero linear height eta gives a Morse function on the whole link
 whose critical points sit on the traced singular curves. Both kinds of
 critical point are bracketed by sign changes over the trace nodes and
-solved by one square Newton iteration on the augmented system bordered by
-one scalar equation; their Morse indices come from the analytic Hessian
-:func:`critical_hessian`.
+solved by :meth:`AugmentedSystem.corrector`, the one bordered Newton solve
+of the singular set, whose ``extra(w)`` returns the added equation's value
+and its real gradient row in (z, a, b): the ray equation for slices, the
+criticality equation Im(w b) = 0 for composed heights. Their Morse indices
+come from the analytic Hessian :func:`critical_hessian`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ __all__ = [
 
 # image points closer than this (times epsilon) join one n = 1 component
 _CLUSTER_GAP = 0.08
+# link samples whose image is clustered at n = 1
+_N1_SAMPLES = 2000
+# iteration budget of the bordered Newton solve for slice and composed points
+_SOLVE_MAX_ITER = 20
+# critical points closer than this are one
+_DEDUPE_TOL = 1e-6
+# slice points with a smaller ray parameter sit at the slice boundary
+_MIN_RAY_PARAM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,29 +76,6 @@ class CriticalPointRecord:
     gradient_norm: float = 0.0
 
 
-def _bordered_newton(system, w0, extra, tol=1e-12, max_iter=20):
-    """Square Newton on the augmented system bordered by one scalar equation.
-
-    ``extra(w)`` returns the value of the added equation and its real
-    gradient row in the unknowns (z, a, b). Returns (w, converged).
-    """
-    w = np.asarray(w0, dtype=float).copy()
-    for _ in range(max_iter):
-        value, row = extra(w)
-        res = np.concatenate([system.residual(w), [value]])
-        if np.linalg.norm(res) <= tol:
-            return w, True
-        jac = np.vstack([system.jacobian(w), row])
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return w, False
-        if not np.all(np.isfinite(delta)):
-            return w, False
-        w = w + delta
-    return w, False
-
-
 def _brackets(trace, vals):
     """Start vectors at the sign changes of ``vals``, one value per trace node.
 
@@ -109,14 +96,13 @@ def _brackets(trace, vals):
         yield k, nxt, trace.nodes[k] + frac * (trace.nodes[nxt] - trace.nodes[k])
 
 
-def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
-                          dedupe_tol=1e-6):
+def slice_critical_points(slice_spec, traces, spec, g):
     """Points of the traced singular set whose image lies on the ray.
 
     Sign changes of Im(e^{-i theta} h) along each trace (on the Re > 0 side)
-    are refined by Newton on the augmented system plus the ray equation.
-    Points whose ray parameter ends up below ``min_ray_param`` are discarded
-    to stay away from the slice boundary at the origin.
+    are refined by the bordered corrector with the ray equation. Points whose
+    ray parameter ends up below ``_MIN_RAY_PARAM`` are discarded to stay
+    away from the slice boundary at the origin.
     """
     system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
@@ -137,14 +123,14 @@ def slice_critical_points(slice_spec, traces, spec, g, min_ray_param=1e-3,
         for k, nxt, w0 in _brackets(trace, rotated.imag):
             if max(rotated.real[k], rotated.real[nxt]) <= 0:
                 continue
-            w, ok = _bordered_newton(system, w0, ray_equation)
+            w, _, ok = system.corrector(w0, ray_equation, max_iter=_SOLVE_MAX_ITER)
             if not ok:
                 continue
             z = complexify(w[:dim])
             ray_param = (rotation * eval_poly(g, z)).real
-            if ray_param < min_ray_param:
+            if ray_param < _MIN_RAY_PARAM:
                 continue
-            if all(np.linalg.norm(z - other) > dedupe_tol for other in found):
+            if all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
                 found.append(z)
     found.sort(key=lambda z: -(rotation * eval_poly(g, z)).real)
     return found
@@ -200,16 +186,15 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
 
 
 # hessian_step is accepted and ignored: perfbench/workloads.py still passes it
-def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5,
-                   dedupe_tol=1e-6):
+def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5):
     """Critical points of the height eta . h on the link, with Morse data.
 
     ``eta`` is a nonzero covector on R^2 (normalised internally), and
     eta . h = Re(w h) with w = eta1 - i eta2. On the singular set
     z = a gradbar f + b gradbar g, and Re(w h) is critical on the link
     exactly where Im(w b) = 0. Sign changes of Im(w b) over each trace's
-    nodes are refined by Newton on the augmented system plus that equation,
-    then classified by the full (2n-1)-dimensional link Hessian. Records are
+    nodes are refined by the bordered corrector with that equation, then
+    classified by the full (2n-1)-dimensional link Hessian. Records are
     sorted by critical value.
     """
     eta = np.asarray(eta, dtype=float)
@@ -230,11 +215,13 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5,
     for trace in traces:
         b = trace.nodes[:, -2] + 1j * trace.nodes[:, -1]
         for _, _, w0 in _brackets(trace, (weight * b).imag):
-            w, ok = _bordered_newton(system, w0, critical_equation)
+            w, _, ok = system.corrector(
+                w0, critical_equation, max_iter=_SOLVE_MAX_ITER
+            )
             if not ok:
                 continue
             z = complexify(w[: 2 * system.m])
-            if any(np.linalg.norm(z - r.point) <= dedupe_tol for r in records):
+            if any(np.linalg.norm(z - r.point) <= _DEDUPE_TOL for r in records):
                 continue
             frame = tangent_frame(z, spec)
             derivs = weight * (frame.complex_basis @ gradient(g, z))
@@ -267,17 +254,17 @@ class N1ImageResult:
     min_intercomponent_distance: float
 
 
-def trace_image_n1(spec, g, n_samples=2000, rng_seed=42):
+def trace_image_n1(spec, g, rng_seed=42):
     """Sample the 1-dimensional link and group the image points by proximity.
 
-    Only valid for n = 1. Components are reported with least-squares circle
+    Only valid for n = 1. ``_N1_SAMPLES`` link points are sampled. Components are reported with least-squares circle
     fits, sorted by radius; image points within ``_CLUSTER_GAP`` (times
     epsilon) of each other join one connected component.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")
     rng = np.random.default_rng(rng_seed)
-    points = sample_link_points(spec, n_samples, rng)
+    points = sample_link_points(spec, _N1_SAMPLES, rng)
     values = np.array([eval_poly(g, z) for z in points])
     image = np.column_stack([values.real, values.imag])
 

@@ -105,12 +105,6 @@ class ComplexPoly:
         """Terms in graded lexicographic order, highest degree first."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def total_degree(self):
-        """Maximum total degree over all terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_zero(self):
         return not self.terms
 

@@ -55,6 +55,11 @@ __all__ = [
 SQRT2_OVER_4 = np.sqrt(2.0) / 4.0
 THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
+# oracle-agreement points with a statistic inside this band are not compared
+_ORACLE_BAND = (1e-10, 1e-6)
+# side of the square image.svg, in pixels
+_SVG_SIZE = 640
+
 
 class ConfigError(LinkFoldError):
     """Invalid run configuration (bad polynomial text, bad key, bad value)."""
@@ -330,12 +335,14 @@ def _rotation_invariance(traces, spec, g, rng_seed, tol):
     return worst
 
 
-def _oracle_agreement(spec, g, n_points, rng_seed, threshold, band=(1e-10, 1e-6)):
+def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
     """Cross-check the rank-defect and direct-differential singularity tests.
 
-    Points where either statistic lands inside the margin band are excluded
-    from the comparison (threshold flapping), and counted separately.
+    Points where either statistic lands inside the margin band
+    ``_ORACLE_BAND`` are excluded from the comparison (threshold flapping),
+    and counted separately.
     """
+    band = _ORACLE_BAND
     rng = np.random.default_rng(rng_seed + 2)
     points = sample_link_points(spec, n_points, rng)
     disagreements = 0
@@ -393,9 +400,7 @@ def run_verify_a1(config):
     if config.n == 1:
         report["mode"] = "embedding_n1"
         t0 = time.perf_counter()
-        result = morse_mod.trace_image_n1(
-            spec, g, n_samples=2000, rng_seed=config.rng_seed
-        )
+        result = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
         timings["trace_image"] = time.perf_counter() - t0
         radii = sorted(result.radii)
         report["n1_image"] = {
@@ -547,9 +552,7 @@ def run_verify_a1(config):
             config.tol_singular,
         )
 
-        scan = scan_gradient_dependence(
-            spec, g, n_samples=48, rng_seed=config.rng_seed
-        )
+        scan = scan_gradient_dependence(spec, g, rng_seed=config.rng_seed)
         report["degenerate_branch"] = {
             "solutions_found": len(scan.points),
             "min_pair_defect": scan.min_defect,
@@ -668,7 +671,7 @@ def write_singular_csv(path, traces, spec):
 _SVG_PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 
 
-def write_image_svg(path, components_xy, radii=None, size=640):
+def write_image_svg(path, components_xy, radii=None):
     """SVG rendering of image curves: axes, origin, one closed path each.
 
     The viewBox fits every curve with a 10 percent margin; radius labels are
@@ -679,6 +682,7 @@ def write_image_svg(path, components_xy, radii=None, size=640):
         if components_xy
         else np.zeros((1, 2))
     )
+    size = _SVG_SIZE
     span = max(np.max(np.abs(pts)), 1e-6)
     lim = 1.1 * span
 

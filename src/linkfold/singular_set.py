@@ -17,7 +17,11 @@ The singular set itself is a curve cut out by the augmented system
 
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeding runs descent on the rank defect followed by Gauss-Newton on
-this system; tracing is pseudo-arclength predictor-corrector continuation.
+this system. Every other point of the curve comes from one solver,
+:meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
+one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
+(predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
+equation or the composed critical-point equation.
 """
 
 from __future__ import annotations
@@ -61,6 +65,22 @@ __all__ = [
 
 # a traced curve may close only after this many nodes
 _MIN_NODES_BEFORE_CLOSURE = 5
+# a trace stops open at this many nodes
+_MAX_NODES = 5000
+# an augmented-Jacobian singular value below this suspects a branch point
+_BIFURCATION_TOL = 1e-8
+# residual target and iteration budget of the least-norm Gauss-Newton solve
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 30
+# projected-descent steps on the rank defect before a seed's Newton solve
+_SEED_DESCENT_STEPS = 25
+# a seed counts as converged when its augmented residual is at most this
+_SEED_RESIDUAL_TOL = 1e-11
+# singular-set points (or augmented vectors) closer than this are the same
+_SAME_POINT_TOL = 1e-4
+# starts of the gradient-dependence scan, and the pair defect that counts as a hit
+_SCAN_SAMPLES = 48
+_SCAN_THRESHOLD = 1e-8
 
 
 def criterion_matrix(z, f, g):
@@ -219,13 +239,13 @@ class AugmentedSystem:
         _, s, vt = np.linalg.svd(jac, full_matrices=True)
         return vt[-1], float(s[-1])
 
-    def newton_least_norm(self, w, tol=1e-12, max_iter=30):
+    def newton_least_norm(self, w):
         """Damped Gauss-Newton with minimum-norm steps; returns (w, converged)."""
         w = np.asarray(w, dtype=float).copy()
         res = self.residual(w)
         norm = np.linalg.norm(res)
-        for _ in range(max_iter):
-            if norm <= tol:
+        for _ in range(_NEWTON_MAX_ITER):
+            if norm <= _NEWTON_TOL:
                 break
             jac = self.jacobian(w)
             delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -240,32 +260,40 @@ class AugmentedSystem:
                 scale *= 0.5
             else:
                 break
-        return w, bool(norm <= 10 * tol)
+        return w, bool(norm <= 10 * _NEWTON_TOL)
 
-    def corrector(self, w_pred, tangent_dir, tol=1e-12, max_iter=12):
-        """Newton on the system bordered by the pseudo-arclength hyperplane.
+    def corrector(self, w0, extra, tol=1e-12, max_iter=12):
+        """Square Newton on the system bordered by one scalar equation.
 
-        Keeps the iterate in the plane through ``w_pred`` orthogonal to
-        ``tangent_dir``. Returns (w, iterations, converged).
+        The one solver for points of the singular curve: continuation nodes
+        and duplicate probes (the pseudo-arclength hyperplane of
+        :func:`_hyperplane`), ray-slice points and composed critical points.
+        ``extra(w)`` returns the added equation's value and its real gradient
+        row in the unknowns (z, a, b). Converged means the norm of the
+        residual with that value appended is at most ``tol``, tested before
+        every step and after the last. Returns (w, iterations, converged).
         """
-        w = np.asarray(w_pred, dtype=float).copy()
-        for it in range(max_iter):
-            res = self.residual(w)
-            res_norm = np.linalg.norm(res)
-            if res_norm <= tol:
+        w = np.asarray(w0, dtype=float).copy()
+        for it in range(max_iter + 1):
+            value, row = extra(w)
+            res = np.concatenate([self.residual(w), [value]])
+            if np.linalg.norm(res) <= tol:
                 return w, it, True
-            jac = self.jacobian(w)
-            bordered = np.vstack([jac, tangent_dir])
-            rhs = np.concatenate([-res, [-np.dot(tangent_dir, w - w_pred)]])
+            if it == max_iter:
+                break
             try:
-                delta = np.linalg.solve(bordered, rhs)
+                delta = np.linalg.solve(np.vstack([self.jacobian(w), row]), -res)
             except np.linalg.LinAlgError:
                 return w, it, False
             if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e3:
                 return w, it, False
             w = w + delta
-        res_norm = np.linalg.norm(self.residual(w))
-        return w, max_iter, bool(res_norm <= tol)
+        return w, max_iter, False
+
+
+def _hyperplane(t, w_pred):
+    """The pseudo-arclength equation t . (w - w_pred) = 0, as a corrector ``extra``."""
+    return lambda w: (np.dot(t, w - w_pred), t)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +374,7 @@ def projected_descent(objective, z, spec, max_steps, target):
     return z, value
 
 
-def seed_singular_points(
-    spec,
-    g,
-    n_samples=200,
-    rng_seed=42,
-    descent_steps=25,
-    newton_steps=30,
-    residual_tol=1e-11,
-    dedupe_tol=1e-4,
-):
+def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
     """Find points of the singular set by multi-start descent plus Newton.
 
     Random link points are pushed downhill on the squared rank defect, the
@@ -376,20 +395,20 @@ def seed_singular_points(
         tried += 1
         z, defect = projected_descent(
             lambda z: _ratio_gradient(system, z, 3), z0, spec,
-            max_steps=descent_steps, target=2e-2,
+            max_steps=_SEED_DESCENT_STEPS, target=2e-2,
         )
         if defect > 0.3:
             continue
         gf, gg = system.grads(z)
         coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
         w0 = AugmentedPoint(z=z, a=complex(coeffs[0]), b=complex(coeffs[1])).as_vector()
-        w, ok = system.newton_least_norm(w0, tol=1e-13, max_iter=newton_steps)
-        if not ok or np.linalg.norm(system.residual(w)) > residual_tol:
+        w, ok = system.newton_least_norm(w0)
+        if not ok or np.linalg.norm(system.residual(w)) > _SEED_RESIDUAL_TOL:
             continue
         converged += 1
         candidate = AugmentedPoint.from_vector(w)
         if all(
-            np.linalg.norm(candidate.z - s.z) > dedupe_tol for s in seeds
+            np.linalg.norm(candidate.z - s.z) > _SAME_POINT_TOL for s in seeds
         ):
             seeds.append(candidate)
     if not seeds:
@@ -413,31 +432,31 @@ class GradientDependenceScan:
     n_samples: int
 
 
-def scan_gradient_dependence(spec, g, n_samples=64, rng_seed=42, threshold=1e-8):
+def scan_gradient_dependence(spec, g, rng_seed=42):
     """Search the link for points where gradbar g lies in C * gradbar f.
 
     Multi-start projected descent of sigma2/sigma1 of the two-column gradient
-    matrix. Points driven below ``threshold`` are returned; an empty list
-    certifies (numerically) that this degenerate branch does not meet the
-    link.
+    matrix from ``_SCAN_SAMPLES`` link points. Points driven below
+    ``_SCAN_THRESHOLD`` are returned; an empty list certifies (numerically)
+    that this degenerate branch does not meet the link.
     """
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
-    samples = sample_link_points(spec, n_samples, rng)
+    samples = sample_link_points(spec, _SCAN_SAMPLES, rng)
     hits = []
     min_defect = np.inf
     for z0 in samples:
         z, value = projected_descent(
             lambda z: _ratio_gradient(system, z, 2), z0, spec,
-            max_steps=40, target=threshold,
+            max_steps=40, target=_SCAN_THRESHOLD,
         )
         min_defect = min(min_defect, value)
-        if value <= threshold and all(
-            np.linalg.norm(z - p) > 1e-4 for p in hits
+        if value <= _SCAN_THRESHOLD and all(
+            np.linalg.norm(z - p) > _SAME_POINT_TOL for p in hits
         ):
             hits.append(z)
     return GradientDependenceScan(
-        points=hits, min_defect=float(min_defect), n_samples=n_samples
+        points=hits, min_defect=float(min_defect), n_samples=_SCAN_SAMPLES
     )
 
 
@@ -463,24 +482,15 @@ def _arc_segments(nodes_z, tangents_z, pairs):
     return np.array(lengths)
 
 
-def trace_singular_curve(
-    seed,
-    spec,
-    g,
-    step=0.05,
-    step_min=None,
-    step_max=None,
-    max_steps=5000,
-    tol=1e-12,
-    bifurcation_tol=1e-8,
-):
+def trace_singular_curve(seed, spec, g, step=0.05, step_min=None, step_max=None,
+                         tol=1e-12):
     """Pseudo-arclength continuation of the singular curve through ``seed``.
 
     Steps along the one-dimensional null space of the augmented Jacobian
     with an adaptive step, correcting back onto the curve after each
     prediction. The trace closes when it returns within half a step of the
-    start with an aligned tangent; otherwise it stops open at the step
-    budget. Raises BifurcationSuspected when the Jacobian loses rank along
+    start with an aligned tangent; otherwise it stops open at ``_MAX_NODES``
+    nodes. Raises BifurcationSuspected when the Jacobian loses rank along
     the way and StepCollapse when adaptation falls below the minimum step.
     """
     if step_min is None:
@@ -488,11 +498,11 @@ def trace_singular_curve(
     if step_max is None:
         step_max = 1e-1 * spec.epsilon
     system = AugmentedSystem(spec, g)
-    w, ok = system.newton_least_norm(seed.as_vector(), tol=1e-13)
+    w, ok = system.newton_least_norm(seed.as_vector())
     if not ok:
         raise StepCollapse("seed does not satisfy the augmented system")
     t, smin = system.tangent(w)
-    if smin < bifurcation_tol:
+    if smin < _BIFURCATION_TOL:
         raise BifurcationSuspected(
             f"Jacobian second-smallest singular value {smin:.3e} at the seed"
         )
@@ -501,12 +511,12 @@ def trace_singular_curve(
     tangents = [t]
     s = float(np.clip(step, step_min, step_max))
     closed = False
-    while len(nodes) < max_steps:
+    while len(nodes) < _MAX_NODES:
         w_pred = w + s * t
-        w_new, iters, ok = system.corrector(w_pred, t, tol=tol)
+        w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred), tol=tol)
         if ok:
             t_new, smin = system.tangent(w_new)
-            if smin < bifurcation_tol:
+            if smin < _BIFURCATION_TOL:
                 raise BifurcationSuspected(
                     f"second-smallest singular value {smin:.3e} during trace"
                 )
@@ -572,13 +582,14 @@ def trace_singular_curve(
     )
 
 
-def point_on_trace(system, trace, w_probe, tol=1e-4):
+def point_on_trace(system, trace, w_probe):
     """Whether the augmented vector ``w_probe`` lies on the traced curve.
 
-    Coarse gate on node distance first, then a corrector solve from the
-    nearest node's tangent station; the probe is on the curve when the
-    corrected point reproduces it to ``tol``. This measures distance to the
-    curve itself rather than to the discrete node set.
+    Coarse gate on node distance first, then the bordered corrector from the
+    probe's station on the nearest node's tangent line, held to the
+    pseudo-arclength hyperplane through it; the probe is on the curve when
+    the corrected point reproduces it to ``_SAME_POINT_TOL``. This measures
+    distance to the curve itself rather than to the discrete node set.
     """
     dim = 2 * system.m
     dz = np.linalg.norm(trace.nodes[:, :dim] - w_probe[:dim], axis=1)
@@ -589,39 +600,36 @@ def point_on_trace(system, trace, w_probe, tol=1e-4):
         return False
     w_k = trace.nodes[k]
     t_k = trace.tangents[k]
-    delta = float(np.dot(t_k, w_probe - w_k))
-    w_star, _, ok = system.corrector(w_k + delta * t_k, t_k)
+    w_pred = w_k + float(np.dot(t_k, w_probe - w_k)) * t_k
+    w_star, _, ok = system.corrector(w_pred, _hyperplane(t_k, w_pred))
     if not ok:
         return False
-    return bool(np.linalg.norm(w_star - w_probe) <= tol)
+    return bool(np.linalg.norm(w_star - w_probe) <= _SAME_POINT_TOL)
 
 
-def _same_component(system, trace_a, trace_b, tol=1e-4):
+def _same_component(system, trace_a, trace_b):
     """Two traces describe the same closed component if probe nodes coincide."""
     count = len(trace_a.nodes)
     probe_idx = sorted({0, count // 3, (2 * count) // 3})
-    return all(
-        point_on_trace(system, trace_b, trace_a.nodes[i], tol=tol)
-        for i in probe_idx
-    )
+    return all(point_on_trace(system, trace_b, trace_a.nodes[i]) for i in probe_idx)
 
 
-def collect_components(seeds, spec, g, dedupe_tol=1e-4, **trace_kwargs):
+def collect_components(seeds, spec, g, **trace_kwargs):
     """Trace every novel seed and return the distinct singular components.
 
     Seeds already lying on a kept component are skipped (the trace would be
     a resampling of the same curve); remaining traces are deduplicated by
-    curve distance at ``dedupe_tol`` and sorted by a canonical key so the
-    output order is independent of seed order.
+    curve distance at ``_SAME_POINT_TOL`` and sorted by a canonical key so
+    the output order is independent of seed order.
     """
     system = AugmentedSystem(spec, g)
     components = []
     for seed in seeds:
         w = seed.as_vector()
-        if any(point_on_trace(system, c, w, tol=dedupe_tol) for c in components):
+        if any(point_on_trace(system, c, w) for c in components):
             continue
         trace = trace_singular_curve(seed, spec, g, **trace_kwargs)
-        if any(_same_component(system, trace, c, tol=dedupe_tol) for c in components):
+        if any(_same_component(system, trace, c) for c in components):
             continue
         components.append(trace)
     components.sort(key=lambda tr: tuple(np.round(realify(tr.points[0].z), 12)))

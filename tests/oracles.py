@@ -85,3 +85,22 @@ def chart_hessian(func, dim, step):
             hess[i, j] = val
             hess[j, i] = val
     return (hess + hess.T) / 2.0
+
+
+def dense_min_nonadjacent_distance(trace):
+    """Smallest image distance between circularly non-adjacent samples.
+
+    The all-pairs formula: a full distance matrix with the diagonal and the
+    (circular) neighbours masked out.
+    """
+    pts = trace.image
+    count = len(pts)
+    if count < 4:
+        return np.inf
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    idx = np.arange(count)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    if trace.closed:
+        gap = np.minimum(gap, count - gap)
+    dist[gap <= 1] = np.inf
+    return float(dist.min())

@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linkfold
@@ -45,3 +46,25 @@ def test_workload_keywords_still_bind():
     assert hasattr(RunConfig(), "hessian_step")
     for func in (morse.slice_morse_index, morse.composed_morse):
         inspect.signature(func).bind_partial(hessian_step=None, dead_band=1e-5)
+
+
+def test_traced_results_keep_their_shape(a1_n2, traces_n2):
+    # FAILED_IF reads corrector(...)[2] and newton_least_norm(...)[1];
+    # COUNTS reads len(trace.points)
+    spec, g = a1_n2
+    system = AugmentedSystem(spec, g)
+    trace = traces_n2[0]
+    node, tangent = trace.nodes[1], trace.tangents[1]
+    w_pred = node + 0.01 * tangent
+
+    def hyperplane(w):
+        return np.dot(tangent, w - w_pred), tangent
+
+    w, iterations, converged = system.corrector(w_pred, hyperplane)
+    assert isinstance(w, np.ndarray) and w.shape == node.shape
+    assert isinstance(iterations, int) and isinstance(converged, bool)
+    assert converged and iterations >= 1
+    w, converged = system.newton_least_norm(node)
+    assert isinstance(w, np.ndarray) and w.shape == node.shape
+    assert isinstance(converged, bool) and converged
+    assert len(trace.points) == len(trace.nodes)

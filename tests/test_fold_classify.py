@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from linkfold.fold_classify import fold_counts, min_nonadjacent_image_distance
 from linkfold.singular_set import CurveTrace
 
 from conftest import definite_point, indefinite_point
+from oracles import dense_min_nonadjacent_distance
 
 SQRT2 = np.sqrt(2.0)
 
@@ -157,7 +160,7 @@ def test_dead_band_flags_exact_zero_eigenvalue():
 def test_absolute_index_formula_on_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        cls = lf.classify_component(trace, spec, g, comp_id, max_samples=6)
+        cls = lf.classify_component(trace, spec, g, comp_id)
         record = cls.record
         lam = record.negative_eigenvalues
         assert 0 <= lam <= 2 * spec.n - 2
@@ -167,14 +170,14 @@ def test_absolute_index_formula_on_components(a1_n2, traces_n2):
 def test_classification_constant_along_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        cls = lf.classify_component(trace, spec, g, comp_id, max_samples=12)
+        cls = lf.classify_component(trace, spec, g, comp_id)
         assert cls.consistent
 
 
 def test_image_radius_constant_along_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        record = lf.classify_component(trace, spec, g, comp_id, max_samples=4).record
+        record = lf.classify_component(trace, spec, g, comp_id).record
         assert record.image_radius_deviation <= 1e-8 * record.image_radius_mean
 
 
@@ -185,7 +188,7 @@ def test_image_radius_constant_along_components(a1_n2, traces_n2):
 
 def _records_for(traces, spec, g):
     return [
-        lf.classify_component(t, spec, g, i, max_samples=4).record
+        lf.classify_component(t, spec, g, i).record
         for i, t in enumerate(traces)
     ]
 
@@ -257,6 +260,34 @@ def test_min_nonadjacent_distance_on_synthetic_circle():
     spacing = 2 * np.pi / 100
     expected = 2 * np.sin(spacing)  # chord across two steps
     assert min_nonadjacent_image_distance(trace) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_min_nonadjacent_distance_equals_dense_formula(closed):
+    rng = np.random.default_rng(11)
+    for count in (4, 5, 37, 300):
+        trace = _synthetic_trace((0.0, 0.0), 1.0, count=count)
+        trace.image = trace.image + 0.3 * rng.standard_normal(trace.image.shape)
+        trace.closed = closed
+        assert min_nonadjacent_image_distance(trace) == (
+            dense_min_nonadjacent_distance(trace)
+        )
+
+
+def test_min_nonadjacent_distance_memory_is_linear():
+    # an open trace that ran into the 5,000-node budget: the all-pairs
+    # formula would need about 1 GB here
+    trace = _synthetic_trace((0.0, 0.0), 1.0, count=5000)
+    trace.closed = False
+    tracemalloc.start()
+    try:
+        value = min_nonadjacent_image_distance(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    # open, the first and last samples are one step apart and not neighbours
+    assert value == pytest.approx(2 * np.sin(np.pi / 5000), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_composed_morse_n3(a1_n3, traces_n3):
 
 def test_trace_image_n1_two_circles():
     spec, g = build_a1(1)
-    result = lf.trace_image_n1(spec, g, n_samples=1500, rng_seed=42)
+    result = lf.trace_image_n1(spec, g, rng_seed=42)
     assert len(result.components) == 2
     assert result.radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-6)
     for center in result.centers:
@@ -194,11 +194,11 @@ def test_trace_image_n1_two_circles():
 def test_trace_image_n1_injectivity_gap():
     # the exact circles are separated by 3 sqrt2/4 - sqrt2/4 = sqrt2/2
     spec, g = build_a1(1)
-    result = lf.trace_image_n1(spec, g, n_samples=1500, rng_seed=42)
+    result = lf.trace_image_n1(spec, g, rng_seed=42)
     assert result.min_intercomponent_distance >= SQRT2 / 4
 
 
 def test_trace_image_n1_wrong_dimension(a1_n2):
     spec, g = a1_n2
     with pytest.raises(WrongDimension):
-        lf.trace_image_n1(spec, g, n_samples=10)
+        lf.trace_image_n1(spec, g)

@@ -379,6 +379,6 @@ def test_gradient_pair_defect_scale(a1_n2):
 
 def test_gradient_dependence_locus_empty_on_link(a1_n2):
     spec, g = a1_n2
-    scan = lf.scan_gradient_dependence(spec, g, n_samples=48, rng_seed=42)
+    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
     assert scan.points == []
     assert scan.min_defect > 1e-3
