@@ -153,21 +153,28 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     """Morse index of the slice function Re(e^{-i theta} h) at a critical point.
 
     The chart of the slice at the point is the kernel of the differential of
-    Im(e^{-i theta} h) inside the link tangent space (dimension 2n-2); the
-    Hessian is the analytic link Hessian of Re(e^{-i theta} h) restricted
-    there. Raises DegenerateHessian when an eigenvalue falls in the dead band.
+    Im(e^{-i theta} h) inside the link tangent space (dimension 2n-2). The
+    Hessian is the analytic link Hessian of the slice's Lagrangian
+    Re(e^{-i theta} h) - lam Im(e^{-i theta} h) restricted there, with lam
+    the multiplier that makes its differential vanish on the link; the
+    record's ``gradient_norm`` is the largest entry of that differential.
+    Raises DegenerateHessian when an eigenvalue falls in the dead band.
     """
     rotation = slice_spec.rotation
     z = project_to_link(np.asarray(point, dtype=complex), spec, tol=1e-12)
     frame = tangent_frame(z, spec)
     derivs = rotation * (frame.complex_basis @ gradient(g, z))
     im_row = derivs.imag
-    grad_norm = float(np.max(np.abs(derivs.real)))
     if np.linalg.norm(im_row) <= 1e-10:
         raise RankZero("slice normal degenerated: d Im(e^{-i theta} h) = 0")
+    # the slice's multiplier: d Re = lam d Im on the link at a critical point
+    lam = float(np.dot(derivs.real, im_row) / np.dot(im_row, im_row))
+    grad_norm = float(np.max(np.abs(derivs.real - lam * im_row)))
     _, _, vt = np.linalg.svd(im_row[None, :], full_matrices=True)
     kernel = vt[1:]
-    hess = kernel @ critical_hessian(frame, spec, g, rotation) @ kernel.T
+    # Re((1 + i lam) rotation h) = Re(rotation h) - lam Im(rotation h)
+    weight = rotation * (1.0 + 1j * lam)
+    hess = kernel @ critical_hessian(frame, spec, g, weight) @ kernel.T
     eigs = np.linalg.eigvalsh(hess)
     index = _morse_index(eigs, dead_band)
     value = float((rotation * eval_poly(g, z)).real)

@@ -4,8 +4,10 @@ import pytest
 import linkfold as lf
 from linkfold import SliceSpec
 from linkfold.errors import WrongDimension
+from linkfold.polynomial import gradient
 
 from conftest import build_a1, definite_point, indefinite_point
+from oracles import chart_hessian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -111,6 +113,52 @@ def test_slice_index_matches_fold_negative_count(a1_n2):
         record = lf.slice_morse_index(point, SliceSpec(0.0), spec, g)
         fold = lf.classify_fold(point, spec, g)
         assert record.morse_index == fold.negative_eigenvalues
+
+
+def _slice_difference_hessian(z, theta, spec, g, step=1e-4):
+    """Central-difference Hessian of the slice function at z, on the slice.
+
+    A chart step in the kernel of d Im(e^{-i theta} h) is pulled back onto
+    Q_theta by Newton along the tangential gradient of Im(e^{-i theta} h).
+    """
+    rotation = np.exp(-1j * theta)
+    frame = lf.tangent_frame(z, spec)
+    im_row = (rotation * (frame.complex_basis @ gradient(g, z))).imag
+    kernel = np.linalg.svd(im_row[None, :], full_matrices=True)[2][1:]
+
+    def height(s):
+        y = lf.chart(z, frame, kernel.T @ s, spec)
+        for _ in range(8):
+            off = (rotation * lf.eval_poly(g, y)).imag
+            if abs(off) <= 1e-15:
+                break
+            frame_y = lf.tangent_frame(y, spec)
+            d_im = (rotation * (frame_y.complex_basis @ gradient(g, y))).imag
+            y = lf.chart(y, frame_y, -off * d_im / np.dot(d_im, d_im), spec)
+        return float((rotation * lf.eval_poly(g, y)).real)
+
+    return chart_hessian(height, kernel.shape[0], step)
+
+
+def test_slice_hessian_off_normal_ray_matches_differences(a1_n2):
+    # with a constant term in g the image circles are off-centre, so the ray
+    # at theta = pi/2 meets them off the normal and the slice Hessian needs
+    # the multiplier term of Im(e^{-i theta} h)
+    spec, _ = a1_n2
+    g = lf.parse_poly("z1 + 0.5i*z2 + 0.3", 3)
+    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
+    traces = lf.collect_components(seeds, spec, g, step=0.05)
+    theta = np.pi / 2
+    points = lf.slice_critical_points(SliceSpec(theta), traces, spec, g)
+    assert len(points) == 2
+    for z in points:
+        record = lf.slice_morse_index(z, SliceSpec(theta), spec, g)
+        assert record.gradient_norm <= 1e-9
+        expected = np.linalg.eigvalsh(
+            _slice_difference_hessian(record.point, theta, spec, g)
+        )
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(record.hessian_eigenvalues - expected)) <= 1e-5 * scale
 
 
 # ---------------------------------------------------------------------------
