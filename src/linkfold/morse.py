@@ -264,9 +264,10 @@ class N1ImageResult:
 def trace_image_n1(spec, g, rng_seed=42):
     """Sample the 1-dimensional link and group the image points by proximity.
 
-    Only valid for n = 1. ``_N1_SAMPLES`` link points are sampled. Components are reported with least-squares circle
-    fits, sorted by radius; image points within ``_CLUSTER_GAP`` (times
-    epsilon) of each other join one connected component.
+    Only valid for n = 1. Components of the images of ``_N1_SAMPLES`` link
+    points are reported with least-squares circle fits, sorted by radius;
+    image points within ``_CLUSTER_GAP`` (times epsilon) of each other join
+    one connected component.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")

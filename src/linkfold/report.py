@@ -342,7 +342,7 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
     ``_ORACLE_BAND`` are excluded from the comparison (threshold flapping),
     and counted separately.
     """
-    band = _ORACLE_BAND
+    low, high = _ORACLE_BAND
     rng = np.random.default_rng(rng_seed + 2)
     points = sample_link_points(spec, n_points, rng)
     disagreements = 0
@@ -350,7 +350,7 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
     for z in points:
         defect = criterion_rank_defect(z, spec.f, g)
         direct = direct_singularity_test(z, spec, g)
-        in_band = (band[0] <= defect <= band[1]) or (band[0] <= direct <= band[1])
+        in_band = (low <= defect <= high) or (low <= direct <= high)
         if in_band:
             excluded += 1
             continue
@@ -361,7 +361,7 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
         "disagreements": int(disagreements),
         "band_excluded": int(excluded),
         "threshold": threshold,
-        "margin_band": list(band),
+        "margin_band": [low, high],
     }
 
 

@@ -78,7 +78,7 @@ _SEED_DESCENT_STEPS = 25
 _SEED_RESIDUAL_TOL = 1e-11
 # singular-set points (or augmented vectors) closer than this are the same
 _SAME_POINT_TOL = 1e-4
-# starts of the gradient-dependence scan, and the pair defect that counts as a hit
+# starts of the gradient-dependence scan, and the pair defect of a hit
 _SCAN_SAMPLES = 48
 _SCAN_THRESHOLD = 1e-8
 
