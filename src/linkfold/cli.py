@@ -150,8 +150,6 @@ def main(argv=None):
     except LinkFoldError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    parser.error(f"unknown command {args.command}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -136,14 +136,16 @@ def fold_counts(eigenvalues, dead_band=1e-5):
     return neg, pos, bool(neg + pos < eigenvalues.size)
 
 
-def _classify_point(point, spec, g, component_id, center, dead_band):
-    """Fold record of one singular point.
+def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
+                  dead_band=1e-5):
+    """Classify one singular point as a definite/indefinite/degenerate fold.
 
-    The transverse normal is oriented away from ``center`` so the
+    The transverse normal is oriented away from ``image_center`` so the
     negative-eigenvalue count is consistent along a traced component whose
-    image winds around that centre.
+    image winds around that centre. The image radius is the distance of
+    h(point) from ``image_center``.
     """
-    center = np.asarray(center, dtype=float)
+    center = np.asarray(image_center, dtype=float)
     data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
     hval = eval_poly(g, data.base_point)
@@ -169,15 +171,6 @@ def _classify_point(point, spec, g, component_id, center, dead_band):
         image_radius_deviation=0.0,
         embedding_ok=True,
     )
-
-
-def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
-                  dead_band=1e-5):
-    """Classify one singular point as a definite/indefinite/degenerate fold.
-
-    The image radius is the distance of h(point) from ``image_center``.
-    """
-    return _classify_point(point, spec, g, component_id, image_center, dead_band)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def classify_component(trace, spec, g, component_id, dead_band=1e-5):
     count = len(trace.points)
     stride = max(1, count // _MAX_SAMPLES)
     records = [
-        _classify_point(trace.points[idx], spec, g, component_id, center, dead_band)
+        classify_fold(trace.points[idx], spec, g, component_id, center, dead_band)
         for idx in range(0, count, stride)
     ]
     kinds = {(r.kind, r.absolute_index, r.negative_eigenvalues) for r in records}

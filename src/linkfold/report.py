@@ -218,32 +218,6 @@ def compute_components(config, spec=None, g=None):
     return spec, g, seeds, traces
 
 
-class _CheckList:
-    def __init__(self):
-        self.entries = []
-
-    def add(self, name, passed, achieved=None, tolerance=None):
-        entry = {"name": name, "passed": bool(passed)}
-        if achieved is not None:
-            if isinstance(achieved, (int, float, np.integer, np.floating)):
-                achieved = float(achieved)
-            entry["achieved"] = achieved
-        if tolerance is not None:
-            entry["tolerance"] = tolerance
-        self.entries.append(entry)
-        return bool(passed)
-
-    @property
-    def all_passed(self):
-        return all(e["passed"] for e in self.entries)
-
-    def first_failed(self):
-        for e in self.entries:
-            if not e["passed"]:
-                return e["name"]
-        return None
-
-
 def _component_summary(trace, classification):
     rec = classification.record
     return {
@@ -301,12 +275,32 @@ def _morse_record_dict(record):
 # ---------------------------------------------------------------------------
 
 
-def _verify_a1_locus_checks(checks, traces, tol):
-    """The A1 singular locus: z1 = +-i z2, |z1| = |z2| = 1/sqrt(2), rest 0."""
+def _check(name, passed, achieved=None, tolerance=None):
+    """One report check: its verdict, the value achieved and its tolerance."""
+    entry = {"name": name, "passed": bool(passed)}
+    if achieved is not None:
+        if isinstance(achieved, (int, float, np.integer, np.floating)):
+            achieved = float(achieved)
+        entry["achieved"] = achieved
+    if tolerance is not None:
+        entry["tolerance"] = tolerance
+    return entry
+
+
+def _closed_form(name, values, targets, tol):
+    """Pass when ``values`` match the closed-form ``targets`` to ``tol`` each."""
+    if len(values) != len(targets):
+        return _check(name, False, None, tol)
+    err = max(abs(v - t) for v, t in zip(values, targets))
+    return _check(name, err <= tol, err, tol)
+
+
+def _locus_checks(traces, epsilon, tol):
+    """The A1 singular locus: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
     off_plane = 0.0
     circle_dev = 0.0
     modulus_dev = 0.0
-    target = 1.0 / np.sqrt(2.0)
+    target = epsilon / np.sqrt(2.0)
     for trace in traces:
         for p in trace.points:
             z = p.z
@@ -317,12 +311,14 @@ def _verify_a1_locus_checks(checks, traces, tol):
             modulus_dev = max(
                 modulus_dev, abs(abs(z[0]) - target), abs(abs(z[1]) - target)
             )
-    checks.add("locus_higher_coordinates_vanish", off_plane <= tol, off_plane, tol)
-    checks.add("locus_on_diagonal_circles", circle_dev <= tol, circle_dev, tol)
-    checks.add("locus_moduli", modulus_dev <= tol, modulus_dev, tol)
+    return [
+        _check("locus_higher_coordinates_vanish", off_plane <= tol, off_plane, tol),
+        _check("locus_on_diagonal_circles", circle_dev <= tol, circle_dev, tol),
+        _check("locus_moduli", modulus_dev <= tol, modulus_dev, tol),
+    ]
 
 
-def _rotation_invariance(traces, spec, g, rng_seed, tol):
+def _rotation_invariance(traces, spec, g, rng_seed):
     rng = np.random.default_rng(rng_seed + 1)
     worst = 0.0
     for trace in traces:
@@ -365,15 +361,148 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
     }
 
 
-_A1_RADII = [SQRT2_OVER_4, THREE_SQRT2_OVER_4]
+def _verify_n1(config, spec, g, radii, tol, timings):
+    """n = 1: h embeds the link, and its image is the two A1 circles."""
+    t0 = time.perf_counter()
+    result = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
+    timings["trace_image"] = time.perf_counter() - t0
+    image_radii = sorted(result.radii)
+    count = len(result.components)
+    gap = result.min_intercomponent_distance
+    sections = {
+        "n1_image": {
+            "n_components": count,
+            "radii": image_radii,
+            "centers": [[float(x) for x in c] for c in result.centers],
+            "min_intercomponent_distance": gap,
+        }
+    }
+    checks = [
+        _check("n1_two_components", count == 2, count, 2),
+        _closed_form("n1_image_radii", image_radii, radii, tol),
+        _check("n1_injectivity_gap", gap >= radii[0], gap, radii[0]),
+    ]
+    return "embedding_n1", sections, checks, [], result.components, image_radii
 
 
-def _closed_form_check(checks, name, values, targets):
-    """Pass when ``values`` match the closed-form ``targets`` to 1e-6 each."""
-    if len(values) != len(targets):
-        return checks.add(name, False, None, 1e-6)
-    err = max(abs(v - t) for v, t in zip(values, targets))
-    return checks.add(name, err <= 1e-6, err, 1e-6)
+def _verify_folds(config, spec, g, radii, tol, timings):
+    """n >= 2: trace, classify and Morse-check the two A1 fold circles."""
+    n = config.n
+    t0 = time.perf_counter()
+    spec, g, _, traces = compute_components(config, spec, g)
+    timings["seed_and_trace"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    classifications = [
+        classify_component(trace, spec, g, idx, dead_band=config.dead_band)
+        for idx, trace in enumerate(traces)
+    ]
+    timings["classification"] = time.perf_counter() - t0
+    records = [c.record for c in classifications]
+    verdict = verify_round(traces, records)
+    by_radius = sorted(records, key=lambda r: r.image_radius_mean)
+    inner, outer = by_radius[0], by_radius[-1]
+
+    t0 = time.perf_counter()
+    slice_records, composed = _morse_stage(config, traces, spec, g, 0.0, 0.0)
+    timings["morse"] = time.perf_counter() - t0
+    slice_indices = sorted(r.morse_index for r in slice_records)
+    slice_expected = sorted([2 * n - 2, n - 1])
+    definite = [
+        r.hessian_eigenvalues for r in slice_records if r.morse_index == 2 * n - 2
+    ]
+    ratio, ratio_ok = None, False
+    if definite:
+        eigs = np.abs(definite[0])
+        ratio = float(np.max(eigs) / np.min(eigs))
+        ratio_ok = bool(np.all(definite[0] < 0)) and abs(ratio - 2.0) <= 1e-3
+    composed_indices = sorted(r.morse_index for r in composed)
+    composed_expected = sorted([0, n - 1, n, 2 * n - 1])
+
+    sections = {
+        "components": [
+            _component_summary(trace, cls)
+            for trace, cls in zip(traces, classifications)
+        ],
+        "round": {
+            "status": verdict.status,
+            "radii": [float(r) for r in verdict.radii],
+            "center": [float(x) for x in verdict.center],
+            "failed_check": verdict.failed_check,
+            "note": verdict.note,
+        },
+        "morse": {
+            "slice_theta": 0.0,
+            "slice_records": [_morse_record_dict(r) for r in slice_records],
+            "composed_eta_angle": 0.0,
+            "composed_records": [_morse_record_dict(r) for r in composed],
+        },
+    }
+    checks = [
+        _check("two_closed_components",
+               len(traces) == 2 and all(t.closed for t in traces), len(traces), 2),
+        *_locus_checks(traces, spec.epsilon, 1e-8 * spec.epsilon),
+        _check("classification_consistent",
+               all(c.consistent for c in classifications)),
+        _check("round_verdict", verdict.is_round, verdict.status, "ROUND"),
+        _closed_form("image_radii", verdict.radii, radii, tol),
+        _check("outer_component_definite", outer.kind == FoldKind.DEFINITE,
+               outer.kind.value, "DEFINITE"),
+        _check("inner_component_indefinite",
+               inner.kind == FoldKind.INDEFINITE and inner.absolute_index == n - 1,
+               inner.absolute_index, n - 1),
+        _check("slice_morse_indices", slice_indices == slice_expected,
+               slice_indices, slice_expected),
+        _check("slice_hessian_ratio_two_to_one", ratio_ok, ratio, 2.0),
+        _check("composed_morse_indices",
+               len(composed) == 4 and composed_indices == composed_expected,
+               composed_indices, composed_expected),
+        _closed_form("composed_morse_values", [r.value for r in composed],
+                     [-radii[1], -radii[0], radii[0], radii[1]], tol),
+    ]
+
+    t0 = time.perf_counter()
+    try:
+        equiv = equivariance_error(
+            spec, g, n_samples=config.equivariance_samples, rng_seed=config.rng_seed
+        )
+        checks.append(_check("equivariance", equiv <= 1e-12, equiv, 1e-12))
+        sections["equivariance"] = {
+            "max_error": equiv, "n_samples": config.equivariance_samples,
+        }
+    except NotApplicable as exc:
+        checks.append(_check("equivariance", False, str(exc), 1e-12))
+
+    rotation_defect = _rotation_invariance(traces, spec, g, config.rng_seed)
+    checks.append(_check(
+        "rotation_invariance_of_singular_set",
+        rotation_defect <= config.tol_singular, rotation_defect, config.tol_singular,
+    ))
+
+    scan = scan_gradient_dependence(spec, g, rng_seed=config.rng_seed)
+    sections["degenerate_branch"] = {
+        "solutions_found": len(scan.points),
+        "min_pair_defect": scan.min_defect,
+        "n_samples": scan.n_samples,
+    }
+    checks.append(_check(
+        "gradient_dependence_locus_empty", len(scan.points) == 0,
+        scan.min_defect, "no points with pair defect <= 1e-8",
+    ))
+
+    agreement = _oracle_agreement(
+        spec, g, config.oracle_samples, config.rng_seed, config.tol_singular
+    )
+    sections["oracle_agreement"] = agreement
+    checks.append(_check(
+        "oracle_agreement", agreement["disagreements"] == 0,
+        agreement["disagreements"], 0,
+    ))
+    timings["statistics"] = time.perf_counter() - t0
+
+    curves = [trace.image for trace in traces]
+    svg_radii = [float(r) for r in verdict.radii]
+    return "fold_pipeline", sections, checks, traces, curves, svg_radii
 
 
 def run_verify_a1(config):
@@ -382,216 +511,38 @@ def run_verify_a1(config):
     Builds f = z1^2 + ... + z_{n+1}^2 and g = z1 + (i/2) z2 for the
     configured n, runs seed -> trace -> classify -> round verdict -> slice
     Morse -> composed Morse -> equivariance, and writes report.json,
-    singular_set.csv and image.svg into the output directory.
+    singular_set.csv and image.svg into the output directory. The closed
+    forms (image radii eps sqrt(2)/4 and 3 eps sqrt(2)/4) scale with eps.
     """
     config = RunConfig(**{**config.__dict__, "f_text": _a1_f_text(config.n)})
     spec, g = config.build()
     out_dir = _out_dir(config)
-    checks = _CheckList()
+    eps = config.epsilon
+    radii = [SQRT2_OVER_4 * eps, THREE_SQRT2_OVER_4 * eps]
     timings = {}
+    started = time.perf_counter()
+    stage = _verify_n1 if config.n == 1 else _verify_folds
+    mode, sections, checks, traces, curves, svg_radii = stage(
+        config, spec, g, radii, 1e-6 * eps, timings
+    )
+    write_singular_csv(out_dir / "singular_set.csv", traces, spec)
+    write_image_svg(out_dir / "image.svg", curves, svg_radii)
+    timings["total"] = time.perf_counter() - started
+
+    failed = [c["name"] for c in checks if not c["passed"]]
     report = {
         "config": config.echo(),
-        "checks": checks.entries,
+        "mode": mode,
+        **sections,
+        "checks": checks,
         "timings": timings,
+        "all_passed": not failed,
+        "first_failed_check": failed[0] if failed else None,
     }
-    degenerate_seen = False
-    started = time.perf_counter()
-
-    if config.n == 1:
-        report["mode"] = "embedding_n1"
-        t0 = time.perf_counter()
-        result = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
-        timings["trace_image"] = time.perf_counter() - t0
-        radii = sorted(result.radii)
-        report["n1_image"] = {
-            "n_components": len(result.components),
-            "radii": radii,
-            "centers": [[float(x) for x in c] for c in result.centers],
-            "min_intercomponent_distance": result.min_intercomponent_distance,
-        }
-        checks.add("n1_two_components", len(result.components) == 2,
-                   len(result.components), 2)
-        _closed_form_check(checks, "n1_image_radii", radii, _A1_RADII)
-        checks.add(
-            "n1_injectivity_gap",
-            result.min_intercomponent_distance >= SQRT2_OVER_4,
-            result.min_intercomponent_distance,
-            SQRT2_OVER_4,
-        )
-        components_xy = result.components
-        radii_for_svg = radii
-        write_singular_csv(out_dir / "singular_set.csv", [], spec)
-    else:
-        report["mode"] = "fold_pipeline"
-        t0 = time.perf_counter()
-        spec, g, seeds, traces = compute_components(config, spec, g)
-        timings["seed_and_trace"] = time.perf_counter() - t0
-        checks.add("two_closed_components",
-                   len(traces) == 2 and all(t.closed for t in traces),
-                   len(traces), 2)
-
-        _verify_a1_locus_checks(checks, traces, 1e-8)
-
-        t0 = time.perf_counter()
-        classifications = [
-            classify_component(trace, spec, g, idx, dead_band=config.dead_band)
-            for idx, trace in enumerate(traces)
-        ]
-        timings["classification"] = time.perf_counter() - t0
-        records = [c.record for c in classifications]
-        degenerate_seen = any(r.kind == FoldKind.DEGENERATE for r in records)
-        report["components"] = [
-            _component_summary(trace, cls)
-            for trace, cls in zip(traces, classifications)
-        ]
-        checks.add(
-            "classification_consistent",
-            all(c.consistent for c in classifications),
-            None,
-            None,
-        )
-
-        verdict = verify_round(traces, records)
-        report["round"] = {
-            "status": verdict.status,
-            "radii": [float(r) for r in verdict.radii],
-            "center": [float(x) for x in verdict.center],
-            "failed_check": verdict.failed_check,
-            "note": verdict.note,
-        }
-        checks.add("round_verdict", verdict.is_round, verdict.status, "ROUND")
-
-        _closed_form_check(checks, "image_radii", verdict.radii, _A1_RADII)
-
-        by_radius = sorted(
-            zip(records, classifications),
-            key=lambda rc: rc[0].image_radius_mean,
-        )
-        inner, outer = by_radius[0][0], by_radius[-1][0]
-        checks.add(
-            "outer_component_definite", outer.kind == FoldKind.DEFINITE,
-            outer.kind.value, "DEFINITE",
-        )
-        checks.add(
-            "inner_component_indefinite",
-            inner.kind == FoldKind.INDEFINITE
-            and inner.absolute_index == config.n - 1,
-            inner.absolute_index,
-            config.n - 1,
-        )
-
-        t0 = time.perf_counter()
-        slice_records, composed = _morse_stage(config, traces, spec, g, 0.0, 0.0)
-        timings["morse"] = time.perf_counter() - t0
-        report["morse"] = {
-            "slice_theta": 0.0,
-            "slice_records": [_morse_record_dict(r) for r in slice_records],
-            "composed_eta_angle": 0.0,
-            "composed_records": [_morse_record_dict(r) for r in composed],
-        }
-
-        slice_indices = sorted(r.morse_index for r in slice_records)
-        checks.add(
-            "slice_morse_indices",
-            slice_indices == sorted([2 * config.n - 2, config.n - 1]),
-            slice_indices,
-            sorted([2 * config.n - 2, config.n - 1]),
-        )
-        definite_records = [
-            r for r in slice_records if r.morse_index == 2 * config.n - 2
-        ]
-        if definite_records:
-            eigs = np.abs(definite_records[0].hessian_eigenvalues)
-            ratio = float(np.max(eigs) / np.min(eigs))
-            ratio_err = abs(ratio - 2.0)
-            all_negative = bool(
-                np.all(definite_records[0].hessian_eigenvalues < 0)
-            )
-            checks.add(
-                "slice_hessian_ratio_two_to_one",
-                all_negative and ratio_err <= 1e-3,
-                ratio,
-                2.0,
-            )
-        else:
-            checks.add("slice_hessian_ratio_two_to_one", False, None, 2.0)
-
-        composed_indices = sorted(r.morse_index for r in composed)
-        expected_indices = sorted([0, config.n - 1, config.n, 2 * config.n - 1])
-        checks.add(
-            "composed_morse_indices",
-            len(composed) == 4 and composed_indices == expected_indices,
-            composed_indices,
-            expected_indices,
-        )
-        _closed_form_check(
-            checks, "composed_morse_values", [r.value for r in composed],
-            [-THREE_SQRT2_OVER_4, -SQRT2_OVER_4, SQRT2_OVER_4, THREE_SQRT2_OVER_4],
-        )
-
-        t0 = time.perf_counter()
-        try:
-            equiv = equivariance_error(
-                spec, g, n_samples=config.equivariance_samples,
-                rng_seed=config.rng_seed,
-            )
-            checks.add("equivariance", equiv <= 1e-12, equiv, 1e-12)
-            report["equivariance"] = {
-                "max_error": equiv, "n_samples": config.equivariance_samples,
-            }
-        except NotApplicable as exc:
-            checks.add("equivariance", False, str(exc), 1e-12)
-
-        rotation_defect = _rotation_invariance(
-            traces, spec, g, config.rng_seed, config.tol_singular
-        )
-        checks.add(
-            "rotation_invariance_of_singular_set",
-            rotation_defect <= config.tol_singular,
-            rotation_defect,
-            config.tol_singular,
-        )
-
-        scan = scan_gradient_dependence(spec, g, rng_seed=config.rng_seed)
-        report["degenerate_branch"] = {
-            "solutions_found": len(scan.points),
-            "min_pair_defect": scan.min_defect,
-            "n_samples": scan.n_samples,
-        }
-        checks.add(
-            "gradient_dependence_locus_empty",
-            len(scan.points) == 0,
-            scan.min_defect,
-            "no points with pair defect <= 1e-8",
-        )
-
-        agreement = _oracle_agreement(
-            spec, g, config.oracle_samples, config.rng_seed, config.tol_singular
-        )
-        report["oracle_agreement"] = agreement
-        checks.add(
-            "oracle_agreement", agreement["disagreements"] == 0,
-            agreement["disagreements"], 0,
-        )
-        timings["statistics"] = time.perf_counter() - t0
-
-        write_singular_csv(out_dir / "singular_set.csv", traces, spec)
-        components_xy = [trace.image for trace in traces]
-        radii_for_svg = [float(r) for r in verdict.radii]
-
-    write_image_svg(out_dir / "image.svg", components_xy, radii_for_svg)
-    timings["total"] = time.perf_counter() - started
-    report["all_passed"] = checks.all_passed
-    report["first_failed_check"] = checks.first_failed()
     write_report_json(out_dir / "report.json", report)
-
-    if checks.all_passed:
-        exit_code = 0
-    elif degenerate_seen:
-        exit_code = 4
-    else:
-        exit_code = 3
-    return report, exit_code
+    kinds = {c["kind"] for c in sections.get("components", [])}
+    degenerate = FoldKind.DEGENERATE.value in kinds
+    return report, 0 if not failed else 4 if degenerate else 3
 
 
 # ---------------------------------------------------------------------------

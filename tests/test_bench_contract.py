@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import linkfold
-from linkfold import morse
+from linkfold import morse, report
 from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem
 
@@ -46,6 +46,19 @@ def test_workload_keywords_still_bind():
     assert hasattr(RunConfig(), "hessian_step")
     for func in (morse.slice_morse_index, morse.composed_morse):
         inspect.signature(func).bind_partial(hessian_step=None, dead_band=1e-5)
+
+
+def test_report_results_keep_their_shape(a1_n2, tmp_path):
+    # workloads.py unpacks four values from compute_components and
+    # (report, exit code) from run_verify_a1
+    spec, g = a1_n2
+    config = RunConfig(n=2, seed_samples=24)
+    result = report.compute_components(config, spec, g)
+    assert len(result) == 4
+    assert result[0] is spec and result[1] is g
+    verified = report.run_verify_a1(RunConfig(n=1, out_dir=str(tmp_path)))
+    assert isinstance(verified, tuple) and len(verified) == 2
+    assert isinstance(verified[0], dict) and isinstance(verified[1], int)
 
 
 def test_traced_results_keep_their_shape(a1_n2, traces_n2):

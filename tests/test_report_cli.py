@@ -199,6 +199,54 @@ def test_report_validates_against_schema(tmp_path):
     }
 
 
+_N1_LAYOUT = (
+    ["n1_two_components", "n1_image_radii", "n1_injectivity_gap"],
+    ["trace_image", "total"],
+)
+_FOLD_LAYOUT = (
+    [
+        "two_closed_components",
+        "locus_higher_coordinates_vanish",
+        "locus_on_diagonal_circles",
+        "locus_moduli",
+        "classification_consistent",
+        "round_verdict",
+        "image_radii",
+        "outer_component_definite",
+        "inner_component_indefinite",
+        "slice_morse_indices",
+        "slice_hessian_ratio_two_to_one",
+        "composed_morse_indices",
+        "composed_morse_values",
+        "equivariance",
+        "rotation_invariance_of_singular_set",
+        "gradient_dependence_locus_empty",
+        "oracle_agreement",
+    ],
+    ["seed_and_trace", "classification", "morse", "statistics", "total"],
+)
+
+
+@pytest.mark.parametrize("n, layout", [(1, _N1_LAYOUT), (2, _FOLD_LAYOUT)])
+def test_verify_a1_report_layout(tmp_path, n, layout):
+    report, code = lf.run_verify_a1(_fast_config(tmp_path, n=n))
+    assert code == 0
+    check_names, timing_keys = layout
+    assert [c["name"] for c in report["checks"]] == check_names
+    assert list(report["timings"]) == timing_keys
+
+
+@pytest.mark.parametrize("n, epsilon", [(2, 0.1), (2, 10.0), (1, 0.1)])
+def test_verify_a1_scales_with_epsilon(tmp_path, n, epsilon):
+    # f is homogeneous and g linear: the image circles have radii
+    # epsilon * sqrt(2)/4 and epsilon * 3 sqrt(2)/4
+    report, code = lf.run_verify_a1(_fast_config(tmp_path, n=n, epsilon=epsilon))
+    assert code == 0, report["first_failed_check"]
+    radii = report["n1_image" if n == 1 else "round"]["radii"]
+    scaled = np.array(radii) / epsilon
+    assert np.allclose(scaled, [SQRT2 / 4, 3 * SQRT2 / 4], rtol=0, atol=1e-12)
+
+
 def test_schema_rejects_malformed_report():
     import jsonschema
 
