@@ -7,6 +7,7 @@ constraint work happens on the 3 real residuals (Re f, Im f, |z|^2 - eps^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ __all__ = [
 
 # rank threshold for QR pivots of spanning sets and constraint Jacobians
 _RANK_TOL = 1e-10
+# residual target and iteration budget of a link projection
+_PROJECT_TOL = 1e-12
+_PROJECT_MAX_ITER = 50
 # link samples give up after this many projection attempts per point
 _MAX_ATTEMPTS_FACTOR = 20
 # chart steps longer than this (times epsilon) are refused
@@ -38,18 +42,31 @@ _CHART_MAX_RADIUS = 0.1
 
 
 def realify(z):
-    """Interleave a complex vector into reals: (Re z1, Im z1, Re z2, ...)."""
+    """Interleave a complex vector into reals: (Re z1, Im z1, Re z2, ...).
+
+    Works on the last axis, so a stack of vectors gives a stack of rows.
+    """
     z = np.asarray(z, dtype=complex)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def complexify(v):
     """Inverse of :func:`realify`."""
     v = np.asarray(v, dtype=float)
-    return v[0::2] + 1j * v[1::2]
+    return v[..., 0::2] + 1j * v[..., 1::2]
+
+
+def _row_dot(a, b):
+    """Dot products of the last-axis rows of ``a`` and ``b``.
+
+    Each entry equals the 1-D ``a @ b`` of its rows bit for bit (a stacked
+    matmul of a row by a column), which ``einsum`` and ``norm(axis=...)``
+    do not guarantee.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -85,32 +102,36 @@ class LinkSpec:
 
 
 def link_residual(z, spec):
-    """Constraint residual (Re f(z), Im f(z), |z|^2 - epsilon^2)."""
+    """Constraint residual (Re f(z), Im f(z), |z|^2 - epsilon^2).
+
+    Shape (3,) for one point, (N, 3) for a stack of N points.
+    """
     z = np.asarray(z, dtype=complex)
     fval = eval_poly(spec.f, z)
-    norm_sq = float(np.sum(z.real**2 + z.imag**2))
-    return np.array([fval.real, fval.imag, norm_sq - spec.epsilon**2])
+    norm_sq = np.sum(z.real**2 + z.imag**2, axis=-1)
+    res = np.array([fval.real, fval.imag, norm_sq - spec.epsilon**2])
+    # contiguous rows: a strided row would take another BLAS dot kernel
+    return np.ascontiguousarray(res.T)
 
 
 def link_residual_jacobian(z, spec):
-    """3 x (2n+2) real Jacobian of :func:`link_residual`.
+    """3 x (2n+2) real Jacobian of :func:`link_residual` (stacked for a stack).
 
     For holomorphic f the derivative along x_k is f_k := df/dz_k and along
     y_k it is i*f_k, which gives the rows below.
     """
     z = np.asarray(z, dtype=complex)
     fk = gradient(spec.f, z)
-    m = z.size
-    jac = np.zeros((3, 2 * m))
-    jac[0, 0::2] = fk.real
-    jac[0, 1::2] = -fk.imag
-    jac[1, 0::2] = fk.imag
-    jac[1, 1::2] = fk.real
-    jac[2, :] = 2.0 * realify(z)
+    jac = np.zeros(z.shape[:-1] + (3, 2 * z.shape[-1]))
+    jac[..., 0, 0::2] = fk.real
+    jac[..., 0, 1::2] = -fk.imag
+    jac[..., 1, 0::2] = fk.imag
+    jac[..., 1, 1::2] = fk.real
+    jac[..., 2, :] = 2.0 * realify(z)
     return jac
 
 
-def project_to_link(z0, spec, tol=1e-12, max_iter=50):
+def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
     Each step solves J * delta = -residual for the minimum-norm delta, which
@@ -119,7 +140,9 @@ def project_to_link(z0, spec, tol=1e-12, max_iter=50):
     drops sharply, so well-conditioned points land near machine precision.
 
     Raises RankDeficient if the constraint Jacobian has a singular value
-    below 1e-10 (e.g. at the origin) and NonConvergence after ``max_iter``.
+    below 1e-10 (e.g. at the origin), and NonConvergence when a residual or
+    Jacobian is not finite or after ``max_iter`` iterations.
+    :func:`_project_rows` applies the same rules to independent rows.
     """
     z = np.asarray(z0, dtype=complex).copy()
     if z.shape != (spec.ambient_dim,):
@@ -127,25 +150,30 @@ def project_to_link(z0, spec, tol=1e-12, max_iter=50):
     best = z
     best_norm = np.inf
     hit_tol = False
-    for _ in range(max_iter):
-        res = link_residual(z, spec)
-        res_norm = float(np.linalg.norm(res))
-        if res_norm < best_norm:
-            best, best_norm = z, res_norm
-        if hit_tol and res_norm > 0.25 * best_norm:
-            return best
-        if res_norm <= tol:
-            hit_tol = True
-            if res_norm == 0.0:
-                return z
-        jac = link_residual_jacobian(z, spec)
-        u, s, vt = np.linalg.svd(jac, full_matrices=False)
-        if s[-1] < _RANK_TOL:
-            raise RankDeficient(
-                f"constraint Jacobian singular value {s[-1]:.3e} below {_RANK_TOL}"
-            )
-        delta = vt.T @ ((u.T @ -res) / s)
-        z = z + complexify(delta)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            res = link_residual(z, spec)
+            res_norm = float(np.linalg.norm(res))
+            if res_norm < best_norm:
+                best, best_norm = z, res_norm
+            if hit_tol and res_norm > 0.25 * best_norm:
+                return best
+            if not math.isfinite(res_norm):
+                raise NonConvergence(f"projection residual is {res_norm}")
+            if res_norm <= tol:
+                hit_tol = True
+                if res_norm == 0.0:
+                    return z
+            jac = link_residual_jacobian(z, spec)
+            if not np.all(np.isfinite(jac)):
+                raise NonConvergence("projection Jacobian is not finite")
+            u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            if s[-1] < _RANK_TOL:
+                raise RankDeficient(
+                    f"constraint Jacobian singular value {s[-1]:.3e} below {_RANK_TOL}"
+                )
+            delta = vt.T @ ((u.T @ -res) / s)
+            z = z + complexify(delta)
     if hit_tol or best_norm <= tol:
         return best
     raise NonConvergence(
@@ -153,29 +181,81 @@ def project_to_link(z0, spec, tol=1e-12, max_iter=50):
     )
 
 
+def _project_rows(z0, spec, tol, max_iter):
+    """:func:`project_to_link` applied to each row of the (N, m) array ``z0``.
+
+    Returns (points, converged): row k of ``points`` equals
+    ``project_to_link(z0[k])`` bit for bit where ``converged[k]``, and
+    ``converged[k]`` is False exactly where that call raises. Every row
+    keeps its own best residual, polishing flag and iteration count; the
+    residuals, norms and least-norm steps of all live rows are computed
+    together, with stacked products that round as the 1-D ones do.
+    """
+    z = np.array(z0, dtype=complex)
+    best = z.copy()
+    best_norm = np.full(len(z), np.inf)
+    hit_tol = np.zeros(len(z), dtype=bool)
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            zl = z[live]
+            res = link_residual(zl, spec)
+            res_norm = np.sqrt(_row_dot(res, res))
+            better = res_norm < best_norm[live]
+            best[live[better]] = zl[better]
+            best_norm[live[better]] = res_norm[better]
+            polished = hit_tol[live] & (res_norm > 0.25 * best_norm[live])
+            broken = ~polished & ~np.isfinite(res_norm)
+            hit_tol[live[res_norm <= tol]] = True
+            exact = ~polished & (res_norm == 0.0)
+            converged[live[polished | exact]] = True
+            jac = link_residual_jacobian(zl, spec)
+            step = ~(polished | broken | exact) & np.all(np.isfinite(jac), axis=(1, 2))
+            live, zl, res, jac = live[step], zl[step], res[step], jac[step]
+            u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            coeffs = np.matmul(np.swapaxes(u, 1, 2), -res[:, :, None])[:, :, 0] / s
+            delta = np.matmul(np.swapaxes(vt, 1, 2), coeffs[:, :, None])[:, :, 0]
+            full_rank = s[:, -1] >= _RANK_TOL
+            live = live[full_rank]
+            z[live] = (zl + complexify(delta))[full_rank]
+    converged[live] = hit_tol[live] | (best_norm[live] <= tol)
+    return best, converged
+
+
 def sample_link_points(spec, count, rng):
     """Project ``count`` Gaussian ambient points onto the link, deterministically.
 
-    Draws are scaled to the sphere radius; failed projections are skipped
-    and redrawn, so the output depends only on the generator state.
+    Returns an array of shape (count, n + 1). Draws are scaled to the sphere
+    radius; failed projections are skipped and redrawn, so the output
+    depends only on the generator state. The draws are independent, so
+    each round projects all of its draws at once with :func:`_project_rows`.
+    A round draws as many points as are still missing, which consumes the
+    generator exactly as one draw per attempt would, leaves it in the same
+    state, and gives the same points. Raises NonConvergence after
+    ``_MAX_ATTEMPTS_FACTOR * count`` attempts.
     """
-    points = []
-    attempts = 0
+    found = [np.empty((0, spec.ambient_dim), dtype=complex)]
+    have = attempts = 0
     budget = _MAX_ATTEMPTS_FACTOR * count
-    while len(points) < count:
-        if attempts >= budget:
+    while have < count:
+        draws = min(count - have, budget - attempts)
+        if draws == 0:
             raise NonConvergence(
-                f"only {len(points)}/{count} link samples converged "
+                f"only {have}/{count} link samples converged "
                 f"after {attempts} attempts"
             )
-        attempts += 1
-        raw = rng.standard_normal(2 * spec.ambient_dim)
-        raw *= spec.epsilon / max(np.linalg.norm(raw), 1e-12)
-        try:
-            points.append(project_to_link(complexify(raw), spec))
-        except (NonConvergence, RankDeficient):
-            continue
-    return np.array(points)
+        attempts += draws
+        raw = rng.standard_normal((draws, 2 * spec.ambient_dim))
+        raw *= (spec.epsilon / np.maximum(np.sqrt(_row_dot(raw, raw)), 1e-12))[:, None]
+        points, converged = _project_rows(
+            complexify(raw), spec, _PROJECT_TOL, _PROJECT_MAX_ITER
+        )
+        found.append(points[converged])
+        have += int(np.count_nonzero(converged))
+    return np.concatenate(found)
 
 
 @dataclass
@@ -193,7 +273,7 @@ class TangentFrame:
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     @property
     def complex_basis(self):
@@ -207,14 +287,17 @@ def orthonormal_complement(spanning):
     """Orthonormal basis of the complement of the span of ``spanning`` vectors.
 
     The trailing columns of a complete QR factorisation of the spanning
-    vectors, returned as rows. Raises DimensionCollapse if the spanning set
-    is dependent (a diagonal entry of R at or below 1e-10).
+    vectors, returned as rows; a stack of spanning vectors gives a stack of
+    bases. Raises DimensionCollapse if a spanning set is dependent (a
+    diagonal entry of R at or below 1e-10).
     """
-    q, r = np.linalg.qr(np.column_stack(spanning), mode="complete")
-    pivot = float(np.min(np.abs(np.diag(r))))
-    if pivot <= _RANK_TOL:
-        raise DimensionCollapse(f"spanning vectors dependent (|R_kk| = {pivot:.3e})")
-    return q[:, len(spanning):].T
+    q, r = np.linalg.qr(np.stack(spanning, axis=-1), mode="complete")
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(pivots <= _RANK_TOL):
+        raise DimensionCollapse(
+            f"spanning vectors dependent (|R_kk| = {np.min(pivots):.3e})"
+        )
+    return np.swapaxes(q[..., len(spanning):], -1, -2)
 
 
 def tangent_frame(point, spec):
@@ -222,11 +305,12 @@ def tangent_frame(point, spec):
 
     The tangent space is the real orthogonal complement of the span of
     realify(gradbar f), realify(i * gradbar f) and realify(point); its
-    dimension is 2n - 1 at every regular link point.
+    dimension is 2n - 1 at every regular link point. A stack of N points
+    gives stacked ``base_point`` (N, n + 1) and ``basis`` (N, 2n - 1, 2n + 2).
     """
     z = np.asarray(point, dtype=complex)
     grad = conj_gradient(spec.f, z)
-    if np.linalg.norm(grad) <= _RANK_TOL:
+    if np.any(np.linalg.norm(grad, axis=-1) <= _RANK_TOL):
         raise DimensionCollapse("conjugate gradient of f vanishes at the base point")
     spanning = [realify(grad), realify(1j * grad), realify(z)]
     basis = orthonormal_complement(spanning)

@@ -273,7 +273,7 @@ def trace_image_n1(spec, g, rng_seed=42):
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")
     rng = np.random.default_rng(rng_seed)
     points = sample_link_points(spec, _N1_SAMPLES, rng)
-    values = np.array([eval_poly(g, z) for z in points])
+    values = eval_poly(g, points)
     image = np.column_stack([values.real, values.imag])
 
     gap = _CLUSTER_GAP * spec.epsilon

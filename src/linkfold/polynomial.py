@@ -59,7 +59,7 @@ class ComplexPoly:
     arithmetic returns new objects.
     """
 
-    __slots__ = ("n_vars", "terms", "_partials_cache")
+    __slots__ = ("n_vars", "terms", "_partials_cache", "_table")
 
     def __init__(self, n_vars, terms=None):
         if n_vars < 1:
@@ -79,6 +79,7 @@ class ComplexPoly:
                     del clean[exps]
         self.terms = clean
         self._partials_cache = None
+        self._table = None
 
     # -- constructors ------------------------------------------------------
 
@@ -104,6 +105,19 @@ class ComplexPoly:
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest degree first."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def _term_table(self):
+        """Terms as (coefficient, ((variable, exponent), ...)) in graded order.
+
+        Only nonzero exponents are listed, variables ascending. Built on the
+        first evaluation and cached on the instance.
+        """
+        if self._table is None:
+            self._table = tuple(
+                (coeff, tuple((j, e) for j, e in enumerate(exps) if e))
+                for exps, coeff in self.sorted_terms()
+            )
+        return self._table
 
     def is_zero(self):
         return not self.terms
@@ -196,23 +210,122 @@ class ComplexPoly:
         return self._partials_cache
 
 
-def eval_poly(p, z):
-    """Evaluate ``p`` at the point ``z`` (sequence of ``n_vars`` complex numbers).
-
-    Terms are summed in graded lexicographic order so the floating-point
-    result is reproducible.
-    """
+def _points(p, z):
+    """``z`` as a complex array of shape (n_vars,) or (N, n_vars)."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (p.n_vars,):
-        raise ValueError(f"point has shape {z.shape}, expected ({p.n_vars},)")
-    total = 0.0 + 0.0j
-    for exps, coeff in p.sorted_terms():
+    if z.ndim not in (1, 2) or z.shape[-1] != p.n_vars:
+        raise ValueError(
+            f"point has shape {z.shape}, expected ({p.n_vars},) or (N, {p.n_vars})"
+        )
+    return z
+
+
+def _power(x, e):
+    """``x ** e`` for a Python complex x and an integer e >= 1.
+
+    Rounded as numpy's scalar complex power: +0 for a zero base, products
+    for e <= 3, binary exponentiation from 1 above. Python's own
+    ``complex ** int`` rounds differently and raises OverflowError where
+    this returns inf or nan.
+    """
+    if x == 0:
+        return 0j
+    if e == 1:
+        return x
+    if e == 2:
+        return x * x
+    if e == 3:
+        return x * (x * x)
+    result = 1 + 0j
+    while True:
+        if e & 1:
+            result *= x
+        e >>= 1
+        if not e:
+            return result
+        x *= x
+
+
+def _eval_point(p, zs):
+    """``p`` at one point, given as a list of Python complex numbers."""
+    total = 0j
+    for coeff, factors in p._term_table():
         term = coeff
-        for zj, e in zip(z, exps):
-            if e:
-                term *= zj ** e
+        for j, e in factors:
+            term *= _power(zs[j], e)
         total += term
     return total
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as (re, im), rounded as a scalar complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _power_rows(xr, xi, e):
+    """:func:`_power` over arrays of real parts ``xr`` and imaginary parts ``xi``."""
+    if e == 1:
+        pr, pi = xr, xi
+    elif e == 2:
+        pr, pi = _cmul(xr, xi, xr, xi)
+    elif e == 3:
+        pr, pi = _cmul(xr, xi, *_cmul(xr, xi, xr, xi))
+    else:
+        pr, pi = 1.0, 0.0
+        br, bi = xr, xi
+        while True:
+            if e & 1:
+                pr, pi = _cmul(pr, pi, br, bi)
+            e >>= 1
+            if not e:
+                break
+            br, bi = _cmul(br, bi, br, bi)
+    zero = (xr == 0.0) & (xi == 0.0)
+    return np.where(zero, 0.0, pr), np.where(zero, 0.0, pi)
+
+
+def _eval_rows(p, zr, zi):
+    """``p`` at N points; row j of ``zr`` / ``zi`` holds Re / Im of z_j, shape (N,)."""
+    total_r = np.zeros(zr.shape[1])
+    total_i = np.zeros(zr.shape[1])
+    powers = {}
+    for coeff, factors in p._term_table():
+        tr, ti = coeff.real, coeff.imag
+        for j, e in factors:
+            if (j, e) not in powers:
+                powers[j, e] = _power_rows(zr[j], zi[j], e)
+            tr, ti = _cmul(tr, ti, *powers[j, e])
+        total_r += tr
+        total_i += ti
+    out = np.empty(zr.shape[1], dtype=complex)
+    out.real = total_r
+    out.imag = total_i
+    return out
+
+
+def _eval_many(polys, z):
+    """Each of ``polys`` at each row of the (N, m) array ``z``, as columns."""
+    zr = np.ascontiguousarray(z.real.T)
+    zi = np.ascontiguousarray(z.imag.T)
+    with np.errstate(all="ignore"):
+        return np.stack([_eval_rows(q, zr, zi) for q in polys], axis=-1)
+
+
+def eval_poly(p, z):
+    """Evaluate ``p`` at one point z of shape (n_vars,), or at each row of (N, n_vars).
+
+    Returns a complex scalar, or an (N,) array whose row k equals the
+    scalar call at z[k] bit for bit. Terms are summed in graded order from
+    a table cached on ``p``, so the result is reproducible. Both paths round
+    like numpy's scalar complex arithmetic. The batched path writes each
+    complex product as real float operations because numpy's complex array
+    multiply may fuse multiply-adds and round differently. Non-finite
+    inputs or overflow give inf or nan, never an exception or a warning.
+    """
+    z = _points(p, z)
+    if z.ndim == 1:
+        return np.complex128(_eval_point(p, z.tolist()))
+    return _eval_many((p,), z)[:, 0]
 
 
 def wirtinger_partial(p, j):
@@ -232,11 +345,16 @@ def wirtinger_partial(p, j):
 
 
 def gradient(p, z):
-    """Wirtinger gradient: entry j is (d p / d z_j)(z)."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (p.n_vars,):
-        raise ValueError(f"point has shape {z.shape}, expected ({p.n_vars},)")
-    return np.array([eval_poly(dp, z) for dp in p.partials()], dtype=complex)
+    """Wirtinger gradient: entry j is (d p / d z_j)(z).
+
+    Shape (n_vars,) for one point, (N, n_vars) for a stack of N points,
+    with the rows of the batched call equal to the scalar calls.
+    """
+    z = _points(p, z)
+    if z.ndim == 1:
+        zs = z.tolist()
+        return np.array([_eval_point(dp, zs) for dp in p.partials()], dtype=complex)
+    return _eval_many(p.partials(), z)
 
 
 def conj_gradient(p, z):
@@ -245,8 +363,11 @@ def conj_gradient(p, z):
 
 
 def hessian(p, z):
-    """Matrix of second Wirtinger partials: entry (j, k) is (d^2 p / d z_j d z_k)(z)."""
-    return np.array([gradient(dp, z) for dp in p.partials()])
+    """Matrix of second Wirtinger partials: entry (j, k) is (d^2 p / d z_j d z_k)(z).
+
+    Shape (n_vars, n_vars), or (N, n_vars, n_vars) for a stack of points.
+    """
+    return np.stack([gradient(dp, z) for dp in p.partials()], axis=-2)
 
 
 def homogeneous_degree(p):

@@ -320,15 +320,13 @@ def _locus_checks(traces, epsilon, tol):
 
 def _rotation_invariance(traces, spec, g, rng_seed):
     rng = np.random.default_rng(rng_seed + 1)
-    worst = 0.0
+    rotated = []
     for trace in traces:
         idx = rng.integers(0, len(trace.points), size=min(8, len(trace.points)))
         for k in idx:
             alpha = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            worst = max(
-                worst, criterion_rank_defect(alpha * trace.points[k].z, spec.f, g)
-            )
-    return worst
+            rotated.append(alpha * trace.points[k].z)
+    return float(np.max(criterion_rank_defect(np.array(rotated), spec.f, g)))
 
 
 def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
@@ -341,21 +339,14 @@ def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
     low, high = _ORACLE_BAND
     rng = np.random.default_rng(rng_seed + 2)
     points = sample_link_points(spec, n_points, rng)
-    disagreements = 0
-    excluded = 0
-    for z in points:
-        defect = criterion_rank_defect(z, spec.f, g)
-        direct = direct_singularity_test(z, spec, g)
-        in_band = (low <= defect <= high) or (low <= direct <= high)
-        if in_band:
-            excluded += 1
-            continue
-        if (defect <= threshold) != (direct <= threshold):
-            disagreements += 1
+    defect = criterion_rank_defect(points, spec.f, g)
+    direct = direct_singularity_test(points, spec, g)
+    in_band = (low <= defect) & (defect <= high) | (low <= direct) & (direct <= high)
+    differ = (defect <= threshold) != (direct <= threshold)
     return {
         "n_points": int(n_points),
-        "disagreements": int(disagreements),
-        "band_excluded": int(excluded),
+        "disagreements": int(np.count_nonzero(differ & ~in_band)),
+        "band_excluded": int(np.count_nonzero(in_band)),
         "threshold": threshold,
         "margin_band": [low, high],
     }

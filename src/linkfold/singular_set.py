@@ -84,26 +84,30 @@ _SCAN_THRESHOLD = 1e-8
 
 
 def criterion_matrix(z, f, g):
-    """(n+1) x 3 complex matrix with columns gradbar f(z), gradbar g(z), z."""
+    """(n+1) x 3 complex matrix with columns gradbar f(z), gradbar g(z), z.
+
+    A stack of N points gives N stacked matrices.
+    """
     z = np.asarray(z, dtype=complex)
-    if f.n_vars != z.size or g.n_vars != z.size:
+    if f.n_vars != z.shape[-1] or g.n_vars != z.shape[-1]:
         raise ValueError("dimension mismatch between point and polynomials")
-    return np.column_stack([conj_gradient(f, z), conj_gradient(g, z), z])
+    return np.stack([conj_gradient(f, z), conj_gradient(g, z), z], axis=-1)
 
 
 def criterion_rank_defect(z, f, g):
     """Scale-normalised rank defect sigma3/sigma1 of the criterion matrix.
 
     Returns 0 when the matrix vanishes entirely. Values at or below about
-    1e-8 indicate a singular point of h.
+    1e-8 indicate a singular point of h. A stack of N points gives an (N,)
+    array equal to the N single-point calls.
     """
     m = criterion_matrix(z, f, g)
-    if m.shape[0] < 3:
+    if m.shape[-2] < 3:
         raise WrongDimension("rank defect needs ambient dimension >= 3 (n >= 2)")
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[2] / s[0])
+    if m.ndim == 2:
+        return 0.0 if s[0] == 0.0 else float(s[2] / s[0])
+    return np.divide(s[:, 2], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
 
 
 def direct_singularity_test(z, spec, g):
@@ -113,13 +117,18 @@ def direct_singularity_test(z, spec, g):
     the complex directional derivatives of g along an orthonormal tangent
     frame; rank below 2 (sigma_min near zero) marks a singular point. This
     tests the differential directly and is independent of the span criterion.
+    A stack of N points gives an (N,) array equal to the N single-point
+    calls: the derivatives are summed in real arithmetic over contiguous
+    rows, which rounds the same for one point as for a stack.
     """
     z = np.asarray(z, dtype=complex)
-    frame = tangent_frame(z, spec)
-    derivs = frame.complex_basis @ gradient(g, z)
-    matrix = np.vstack([derivs.real, derivs.imag])
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return float(s[-1])
+    basis = np.ascontiguousarray(tangent_frame(z, spec).basis)
+    dx, dy = basis[..., 0::2], basis[..., 1::2]
+    grad = gradient(g, z)[..., None, :]
+    d_re = np.sum(dx * grad.real - dy * grad.imag, axis=-1)
+    d_im = np.sum(dx * grad.imag + dy * grad.real, axis=-1)
+    s = np.linalg.svd(np.stack([d_re, d_im], axis=-2), compute_uv=False)
+    return float(s[-1]) if z.ndim == 1 else s[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +574,10 @@ def trace_singular_curve(seed, spec, g, step=0.05, step_min=None, step_max=None,
         arc_length += float(closing[0])
 
     points = [AugmentedPoint.from_vector(node) for node in nodes]
-    values = [eval_poly(g, p.z) for p in points]
-    image = np.array([[v.real, v.imag] for v in values])
-    defects = np.array(
-        [criterion_rank_defect(p.z, spec.f, g) for p in points]
-    )
+    nodes_c = complexify(nodes_z)
+    values = eval_poly(g, nodes_c)
+    image = np.column_stack([values.real, values.imag])
+    defects = criterion_rank_defect(nodes_c, spec.f, g)
     return CurveTrace(
         points=points,
         closed=closed,

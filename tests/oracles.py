@@ -6,8 +6,8 @@ so a test can compare the two.
 
 import numpy as np
 
-from linkfold.errors import WrongDimension
-from linkfold.geometry import realify
+from linkfold.errors import NonConvergence, RankDeficient, WrongDimension
+from linkfold.geometry import complexify, project_to_link, realify
 from linkfold.polynomial import conj_gradient
 from linkfold.singular_set import criterion_matrix
 
@@ -104,3 +104,41 @@ def dense_min_nonadjacent_distance(trace):
         gap = np.minimum(gap, count - gap)
     dist[gap <= 1] = np.inf
     return float(dist.min())
+
+
+def eval_poly_loop(p, z):
+    """``p`` at one point by the plain term loop: numpy scalar powers, graded order.
+
+    The evaluation the cached term table replaced; the package's scalar
+    and batched paths must both reproduce it bit for bit.
+    """
+    z = np.asarray(z, dtype=complex)
+    total = 0.0 + 0.0j
+    for exps, coeff in p.sorted_terms():
+        term = coeff
+        for zj, e in zip(z, exps):
+            if e:
+                term *= zj ** e
+        total += term
+    return total
+
+
+def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
+    """Link samples drawn and projected one at a time with ``project_to_link``."""
+    points = []
+    attempts = 0
+    budget = max_attempts_factor * count
+    while len(points) < count:
+        if attempts >= budget:
+            raise NonConvergence(
+                f"only {len(points)}/{count} link samples converged "
+                f"after {attempts} attempts"
+            )
+        attempts += 1
+        raw = rng.standard_normal(2 * spec.ambient_dim)
+        raw *= spec.epsilon / max(np.linalg.norm(raw), 1e-12)
+        try:
+            points.append(project_to_link(complexify(raw), spec))
+        except (NonConvergence, RankDeficient):
+            continue
+    return np.array(points)

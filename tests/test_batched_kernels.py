@@ -1,0 +1,165 @@
+"""The batched kernels against their scalar calls and the plain loops they replace.
+
+Every comparison is exact (``np.array_equal``): the batched paths promise
+the scalar results bit for bit, and the scalar paths promise the results of
+the term loop and the one-at-a-time sampler in ``oracles.py``.
+"""
+
+import numpy as np
+import pytest
+
+import linkfold as lf
+from linkfold.errors import NonConvergence, RankDeficient
+from linkfold.geometry import _project_rows
+from linkfold.polynomial import gradient, hessian, wirtinger_partial
+
+from conftest import build_a1
+from oracles import eval_poly_loop, sample_link_points_serial
+
+BRIESKORN = "z1^2 + z2^3 + z3^5"
+
+
+def _poly_cases():
+    cases = [(f"a1_n{n}", build_a1(n)[0].f) for n in (1, 2, 3, 4)]
+    cases.append(("brieskorn", lf.parse_poly(BRIESKORN, 3)))
+    return cases
+
+
+def _random_points(rng, count, m):
+    z = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+    z *= rng.choice([1e-3, 1.0, 3.0], size=(count, 1))
+    # zero bases, including a signed one, take numpy's zero-power rule
+    z[::97, 0] = 0.0
+    z[1::97, -1] = complex(-0.0, -0.0)
+    return z
+
+
+@pytest.mark.parametrize("name, p", _poly_cases(), ids=[c[0] for c in _poly_cases()])
+def test_eval_paths_match_term_loop(name, p):
+    rng = np.random.default_rng(11)
+    z = _random_points(rng, 2000, p.n_vars)
+    firsts = [wirtinger_partial(p, j) for j in range(1, p.n_vars + 1)]
+    seconds = [wirtinger_partial(q, k) for q in firsts for k in range(1, p.n_vars + 1)]
+    for q in [p, *firsts, *seconds]:
+        expected = np.array([eval_poly_loop(q, row) for row in z])
+        assert np.array_equal(lf.eval_poly(q, z), expected), str(q)
+        scalar = np.array([lf.eval_poly(q, row) for row in z])
+        assert np.array_equal(scalar, expected), str(q)
+    grads = gradient(p, z)
+    assert grads.shape == z.shape
+    assert np.array_equal(grads, np.array([gradient(p, row) for row in z]))
+    assert np.array_equal(lf.conj_gradient(p, z), np.conj(grads))
+    hess = hessian(p, z[:200])
+    assert hess.shape == (200, p.n_vars, p.n_vars)
+    assert np.array_equal(hess, np.array([hessian(p, row) for row in z[:200]]))
+
+
+def test_eval_rejects_other_shapes():
+    p = lf.parse_poly("z1 + z2", 2)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros(())):
+        with pytest.raises(ValueError):
+            lf.eval_poly(p, bad)
+
+
+def _scalar_projection(z, spec, **kwargs):
+    try:
+        return lf.project_to_link(z, spec, **kwargs)
+    except (NonConvergence, RankDeficient):
+        return None
+
+
+@pytest.mark.parametrize("f_text", [None, BRIESKORN], ids=["a1", "brieskorn"])
+@pytest.mark.parametrize("tol, max_iter", [(1e-12, 50), (1e-12, 8)])
+def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
+    spec = build_a1(2)[0]
+    if f_text is not None:
+        spec = lf.LinkSpec(f=lf.parse_poly(f_text, 3), n=2)
+    rng = np.random.default_rng(7)
+    z0 = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
+    z0 *= rng.choice([0.05, 1.0, 4.0], size=(300, 1))
+    z0[5] = 0.0  # rank deficient
+    z0[6] = [np.nan, 0.0, 0.0]
+    z0[7] = [1e200, 1e200, 0.0]
+    points, converged = _project_rows(z0, spec, tol=tol, max_iter=max_iter)
+    expected = [_scalar_projection(z, spec, tol=tol, max_iter=max_iter) for z in z0]
+    assert converged.tolist() == [e is not None for e in expected]
+    assert 0 < converged.sum() <= len(z0) - 3
+    for point, ok, e in zip(points, converged, expected):
+        if ok:
+            assert np.array_equal(point, e)
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("count", [100, 1500])
+def test_sample_link_points_matches_serial_draws(seed, count):
+    spec = build_a1(2)[0]
+    rng, rng_serial = np.random.default_rng(seed), np.random.default_rng(seed)
+    points = lf.sample_link_points(spec, count, rng)
+    expected = sample_link_points_serial(spec, count, rng_serial)
+    assert points.shape == (count, 3)
+    assert np.array_equal(points, expected)
+    assert rng.standard_normal() == rng_serial.standard_normal()
+
+
+def test_sample_link_points_redraws_failures_like_serial_draws():
+    # on this link a few projections from random draws fail and are redrawn
+    spec = lf.LinkSpec(f=lf.parse_poly("z1^2 + z2^7 + z3^11", 3), n=2)
+    rng, rng_serial = np.random.default_rng(4), np.random.default_rng(4)
+    points = lf.sample_link_points(spec, 400, rng)
+    expected = sample_link_points_serial(spec, 400, rng_serial)
+    assert np.array_equal(points, expected)
+    next_draw = rng.standard_normal()
+    assert next_draw == rng_serial.standard_normal()
+    no_redraws = np.random.default_rng(4)
+    no_redraws.standard_normal((400, 6))
+    assert next_draw != no_redraws.standard_normal()
+
+
+def test_nonfinite_projection_fails_by_name(a1_n2):
+    spec, _ = a1_n2
+    for z0 in ([np.nan, 0.0, 0.0], [1e200, 1e200, 0.0]):
+        value = lf.eval_poly(spec.f, z0)
+        assert not np.isfinite(value)
+        assert not np.all(np.isfinite(lf.eval_poly(spec.f, np.array([z0]))))
+        with pytest.raises(NonConvergence):
+            lf.project_to_link(np.array(z0, dtype=complex), spec)
+    stack = np.array([[np.nan, 0, 0], [1.0, 0.2, 1j], [1e200, 1e200, 0]], dtype=complex)
+    points, converged = _project_rows(stack, spec, 1e-12, 50)
+    assert converged.tolist() == [False, True, False]
+    assert np.array_equal(points[1], lf.project_to_link(stack[1], spec))
+
+
+def test_singularity_tests_accept_stacks(a1_n2, perturbed_n2):
+    for spec, g in (a1_n2, perturbed_n2):
+        z = lf.sample_link_points(spec, 300, np.random.default_rng(8))
+        defects = lf.criterion_rank_defect(z, spec.f, g)
+        expected = [lf.criterion_rank_defect(p, spec.f, g) for p in z]
+        assert np.array_equal(defects, expected)
+        direct = lf.direct_singularity_test(z, spec, g)
+        expected = [lf.direct_singularity_test(p, spec, g) for p in z]
+        assert np.array_equal(direct, expected)
+    # an empty stack, as from a run configured with no oracle samples
+    empty = np.zeros((0, 3), dtype=complex)
+    assert lf.criterion_rank_defect(empty, spec.f, g).shape == (0,)
+    assert lf.direct_singularity_test(empty, spec, g).shape == (0,)
+
+
+def test_equivariance_error_matches_pointwise_loop(a1_n3):
+    spec, g = a1_n3
+    rng = np.random.default_rng(4)
+    points = sample_link_points_serial(spec, 300, rng)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=300))
+    expected = max(
+        abs(lf.eval_poly(g, alpha * z) - alpha * lf.eval_poly(g, z))
+        for z, alpha in zip(points, phases)
+    )
+    assert lf.equivariance_error(spec, g, n_samples=300, rng_seed=4) == expected
+
+
+def test_trace_image_and_defects_are_pointwise(a1_n2, traces_n2):
+    spec, g = a1_n2
+    for trace in traces_n2:
+        values = [lf.eval_poly(g, p.z) for p in trace.points]
+        assert np.array_equal(trace.image, [[v.real, v.imag] for v in values])
+        defects = [lf.criterion_rank_defect(p.z, spec.f, g) for p in trace.points]
+        assert np.array_equal(trace.defects, defects)

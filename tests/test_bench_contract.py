@@ -81,3 +81,23 @@ def test_traced_results_keep_their_shape(a1_n2, traces_n2):
     assert isinstance(w, np.ndarray) and w.shape == node.shape
     assert isinstance(converged, bool) and converged
     assert len(trace.points) == len(trace.nodes)
+
+
+def test_verify_a1_calls_every_traced_name(tracing, tmp_path):
+    # a traced a1_verify run reports correct: false if a required name
+    # records no call, e.g. when a batched path bypasses a public function
+    tracer = tracing.Tracer("contract")
+    tracer.install()
+    try:
+        for n in (1, 2):
+            config = RunConfig(
+                n=n, seed_samples=24, equivariance_samples=50, oracle_samples=50,
+                out_dir=str(tmp_path / f"n{n}"),
+            )
+            with tracer.span(f"run_verify_a1.n{n}"):
+                report.run_verify_a1(config)
+    finally:
+        tracer.uninstall()
+    # the bench's own spans for n = 3 and 4 are the only names not called
+    missing = set(tracer.missing("a1_verify"))
+    assert missing == {"run_verify_a1.n3", "run_verify_a1.n4"}
