@@ -24,7 +24,6 @@ from .geometry import (
     tangent_frame,
 )
 from .polynomial import eval_poly, gradient, homogeneous_degree
-from .singular_set import AugmentedPoint
 
 __all__ = [
     "FoldKind",
@@ -87,8 +86,7 @@ def local_fold_data(point, spec, g):
     when the differential vanishes and RankTwo when the point is actually
     regular (sigma2/sigma1 > 1e-6).
     """
-    z = point.z if isinstance(point, AugmentedPoint) else np.asarray(point, complex)
-    z = project_to_link(z, spec, tol=1e-12)
+    z = project_to_link(np.asarray(point, complex), spec)
     frame = tangent_frame(z, spec)
     derivs = frame.complex_basis @ gradient(g, z)
     jac = np.vstack([derivs.real, derivs.imag])

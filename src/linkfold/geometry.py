@@ -8,7 +8,7 @@ constraint work happens on the 3 real residuals (Re f, Im f, |z|^2 - eps^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,7 +269,6 @@ class TangentFrame:
 
     base_point: np.ndarray
     basis: np.ndarray
-    _complex_rows: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -278,9 +277,7 @@ class TangentFrame:
     @property
     def complex_basis(self):
         """Rows of ``basis`` reassembled as complex ambient vectors."""
-        if self._complex_rows is None:
-            self._complex_rows = np.array([complexify(row) for row in self.basis])
-        return self._complex_rows
+        return complexify(self.basis)
 
 
 def orthonormal_complement(spanning):

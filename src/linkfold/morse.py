@@ -161,7 +161,7 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     Raises DegenerateHessian when an eigenvalue falls in the dead band.
     """
     rotation = slice_spec.rotation
-    z = project_to_link(np.asarray(point, dtype=complex), spec, tol=1e-12)
+    z = project_to_link(np.asarray(point, dtype=complex), spec)
     frame = tangent_frame(z, spec)
     derivs = rotation * (frame.complex_basis @ gradient(g, z))
     im_row = derivs.imag

@@ -28,6 +28,10 @@ from .fold_classify import (
 from .geometry import LinkSpec, sample_link_points
 from .polynomial import parse_poly
 from .singular_set import (
+    _CORRECTOR_TOL,
+    _STEP_INIT,
+    _STEP_MAX,
+    _STEP_MIN,
     collect_components,
     criterion_rank_defect,
     direct_singularity_test,
@@ -55,6 +59,8 @@ __all__ = [
 SQRT2_OVER_4 = np.sqrt(2.0) / 4.0
 THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
+# a rank defect at or below this marks a singular point
+_SINGULAR_TOL = 1e-8
 # oracle-agreement points with a statistic inside this band are not compared
 _ORACLE_BAND = (1e-10, 1e-6)
 # side of the square image.svg, in pixels
@@ -71,19 +77,17 @@ def _a1_f_text(n):
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run depends on, echoed verbatim into reports."""
+    """Everything a pipeline run depends on, echoed verbatim into reports.
+
+    Continuation steps and solver tolerances are constants, echoed alongside.
+    """
 
     f_text: str | None = None  # None: sum of squares in n + 1 variables
     g_text: str = "z1 + 0.5i*z2"
     n: int = 2
     epsilon: float = 1.0
     rng_seed: int = 42
-    tol_newton: float = 1e-12
-    tol_singular: float = 1e-8
     dead_band: float = 1e-5
-    step_init: float = 0.05
-    step_min: float = 1e-4
-    step_max: float = 1e-1
     seed_samples: int = 64
     equivariance_samples: int = 1000
     oracle_samples: int = 1500
@@ -120,14 +124,14 @@ class RunConfig:
             "epsilon": self.epsilon,
             "rng_seed": self.rng_seed,
             "tolerances": {
-                "newton": self.tol_newton,
-                "singular": self.tol_singular,
+                "newton": _CORRECTOR_TOL,
+                "singular": _SINGULAR_TOL,
                 "dead_band": self.dead_band,
             },
             "continuation": {
-                "step_init": self.step_init,
-                "step_min": self.step_min,
-                "step_max": self.step_max,
+                "step_init": _STEP_INIT,
+                "step_min": _STEP_MIN,
+                "step_max": _STEP_MAX,
             },
             "samples": {
                 "seeds": self.seed_samples,
@@ -145,12 +149,7 @@ _CONFIG_KEYS = {
     "epsilon": ("epsilon", float),
     "seed": ("rng_seed", int),
     "rng_seed": ("rng_seed", int),
-    "tol_newton": ("tol_newton", float),
-    "tol_singular": ("tol_singular", float),
     "dead_band": ("dead_band", float),
-    "step_init": ("step_init", float),
-    "step_min": ("step_min", float),
-    "step_max": ("step_max", float),
     "seed_samples": ("seed_samples", int),
     "equivariance_samples": ("equivariance_samples", int),
     "oracle_samples": ("oracle_samples", int),
@@ -197,7 +196,10 @@ def make_config(file_values=None, overrides=None):
 
 
 def compute_components(config, spec=None, g=None):
-    """Seed and trace the singular components for the configured problem."""
+    """Seed and trace the singular components; returns (spec, g, seeds, traces).
+
+    Tracing follows the epsilon-scaled continuation policy of collect_components.
+    """
     if spec is None or g is None:
         spec, g = config.build()
     seeds = seed_singular_points(
@@ -206,16 +208,7 @@ def compute_components(config, spec=None, g=None):
         n_samples=config.seed_samples,
         rng_seed=config.rng_seed,
     )
-    traces = collect_components(
-        seeds,
-        spec,
-        g,
-        step=config.step_init * spec.epsilon,
-        step_min=config.step_min * spec.epsilon,
-        step_max=config.step_max * spec.epsilon,
-        tol=config.tol_newton,
-    )
-    return spec, g, seeds, traces
+    return spec, g, seeds, collect_components(seeds, spec, g)
 
 
 def _component_summary(trace, classification):
@@ -302,8 +295,7 @@ def _locus_checks(traces, epsilon, tol):
     modulus_dev = 0.0
     target = epsilon / np.sqrt(2.0)
     for trace in traces:
-        for p in trace.points:
-            z = p.z
+        for z in trace.points:
             if z.size > 2:
                 off_plane = max(off_plane, float(np.max(np.abs(z[2:]))))
             branch = min(abs(z[0] - 1j * z[1]), abs(z[0] + 1j * z[1]))
@@ -322,10 +314,10 @@ def _rotation_invariance(traces, spec, g, rng_seed):
     rng = np.random.default_rng(rng_seed + 1)
     rotated = []
     for trace in traces:
-        idx = rng.integers(0, len(trace.points), size=min(8, len(trace.points)))
+        idx = rng.integers(0, len(trace), size=min(8, len(trace)))
         for k in idx:
             alpha = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            rotated.append(alpha * trace.points[k].z)
+            rotated.append(alpha * trace.points[k])
     return float(np.max(criterion_rank_defect(np.array(rotated), spec.f, g)))
 
 
@@ -467,7 +459,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     rotation_defect = _rotation_invariance(traces, spec, g, config.rng_seed)
     checks.append(_check(
         "rotation_invariance_of_singular_set",
-        rotation_defect <= config.tol_singular, rotation_defect, config.tol_singular,
+        rotation_defect <= _SINGULAR_TOL, rotation_defect, _SINGULAR_TOL,
     ))
 
     scan = scan_gradient_dependence(spec, g, rng_seed=config.rng_seed)
@@ -482,7 +474,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     ))
 
     agreement = _oracle_agreement(
-        spec, g, config.oracle_samples, config.rng_seed, config.tol_singular
+        spec, g, config.oracle_samples, config.rng_seed, _SINGULAR_TOL
     )
     sections["oracle_agreement"] = agreement
     checks.append(_check(
@@ -601,7 +593,7 @@ def write_singular_csv(path, traces, spec):
     for comp_id, trace in enumerate(traces):
         for k, point in enumerate(trace.points):
             row = [str(comp_id), _fmt(trace.arc_params[k])]
-            for zj in point.z:
+            for zj in point:
                 row += [_fmt(zj.real), _fmt(zj.imag)]
             re_h, im_h = trace.image[k]
             row += [_fmt(re_h), _fmt(im_h), _fmt(trace.defects[k])]

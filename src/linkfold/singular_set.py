@@ -27,6 +27,7 @@ equation or the composed critical-point equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,12 @@ __all__ = [
     "GradientDependenceScan",
 ]
 
+# the continuation policy, in units of epsilon: first step and step limits
+_STEP_INIT = 0.05
+_STEP_MIN = 1e-4
+_STEP_MAX = 0.1
+# a corrector converges when its bordered residual is at most this
+_CORRECTOR_TOL = 1e-12
 # a traced curve may close only after this many nodes
 _MIN_NODES_BEFORE_CLOSURE = 5
 # a trace stops open at this many nodes
@@ -167,23 +174,27 @@ class AugmentedPoint:
 class CurveTrace:
     """An ordered polyline on the singular set with its image in the plane.
 
-    ``image`` holds h(z) as (Re, Im) rows, one per point; ``arc_params`` is
-    the cumulative curvature-corrected arc length; ``defects`` the rank
-    defect at each node. ``nodes`` and ``tangents`` keep the raw augmented
-    vectors for continuation-based post-processing.
+    ``nodes`` and ``tangents`` hold the augmented vectors (z, a, b) of the
+    continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
+    ``arc_params`` is the cumulative curvature-corrected arc length;
+    ``defects`` the rank defect at each node.
     """
 
-    points: list
     closed: bool
     arc_length: float
     image: np.ndarray
     arc_params: np.ndarray
     defects: np.ndarray
-    nodes: np.ndarray = field(repr=False, default=None)
-    tangents: np.ndarray = field(repr=False, default=None)
+    nodes: np.ndarray = field(repr=False)
+    tangents: np.ndarray = field(repr=False)
+
+    @cached_property
+    def points(self):
+        """The nodes' singular-set points z, as an (N, n+1) complex array."""
+        return complexify(self.nodes[:, :-4])
 
     def __len__(self):
-        return len(self.points)
+        return len(self.nodes)
 
 
 class AugmentedSystem:
@@ -271,7 +282,7 @@ class AugmentedSystem:
                 break
         return w, bool(norm <= 10 * _NEWTON_TOL)
 
-    def corrector(self, w0, extra, tol=1e-12, max_iter=12):
+    def corrector(self, w0, extra, max_iter=12):
         """Square Newton on the system bordered by one scalar equation.
 
         The one solver for points of the singular curve: continuation nodes
@@ -279,14 +290,15 @@ class AugmentedSystem:
         :func:`_hyperplane`), ray-slice points and composed critical points.
         ``extra(w)`` returns the added equation's value and its real gradient
         row in the unknowns (z, a, b). Converged means the norm of the
-        residual with that value appended is at most ``tol``, tested before
-        every step and after the last. Returns (w, iterations, converged).
+        residual with that value appended is at most ``_CORRECTOR_TOL``,
+        tested before every step and after the last. Returns
+        (w, iterations, converged).
         """
         w = np.asarray(w0, dtype=float).copy()
         for it in range(max_iter + 1):
             value, row = extra(w)
             res = np.concatenate([self.residual(w), [value]])
-            if np.linalg.norm(res) <= tol:
+            if np.linalg.norm(res) <= _CORRECTOR_TOL:
                 return w, it, True
             if it == max_iter:
                 break
@@ -491,21 +503,21 @@ def _arc_segments(nodes_z, tangents_z, pairs):
     return np.array(lengths)
 
 
-def trace_singular_curve(seed, spec, g, step=0.05, step_min=None, step_max=None,
-                         tol=1e-12):
+def trace_singular_curve(seed, spec, g):
     """Pseudo-arclength continuation of the singular curve through ``seed``.
 
     Steps along the one-dimensional null space of the augmented Jacobian
     with an adaptive step, correcting back onto the curve after each
-    prediction. The trace closes when it returns within half a step of the
-    start with an aligned tangent; otherwise it stops open at ``_MAX_NODES``
-    nodes. Raises BifurcationSuspected when the Jacobian loses rank along
-    the way and StepCollapse when adaptation falls below the minimum step.
+    prediction. The step starts at ``_STEP_INIT`` and stays within
+    [``_STEP_MIN``, ``_STEP_MAX``], all times epsilon, and each corrector is
+    held to ``_CORRECTOR_TOL``. The trace closes when it returns within half
+    a step of the start with an aligned tangent; otherwise it stops open at
+    ``_MAX_NODES`` nodes. Raises BifurcationSuspected when the Jacobian
+    loses rank along the way and StepCollapse when adaptation falls below
+    the minimum step.
     """
-    if step_min is None:
-        step_min = 1e-4 * spec.epsilon
-    if step_max is None:
-        step_max = 1e-1 * spec.epsilon
+    step_min = _STEP_MIN * spec.epsilon
+    step_max = _STEP_MAX * spec.epsilon
     system = AugmentedSystem(spec, g)
     w, ok = system.newton_least_norm(seed.as_vector())
     if not ok:
@@ -518,11 +530,11 @@ def trace_singular_curve(seed, spec, g, step=0.05, step_min=None, step_max=None,
     start_w, start_t = w, t
     nodes = [w]
     tangents = [t]
-    s = float(np.clip(step, step_min, step_max))
+    s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
     closed = False
     while len(nodes) < _MAX_NODES:
         w_pred = w + s * t
-        w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred), tol=tol)
+        w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred))
         if ok:
             t_new, smin = system.tangent(w_new)
             if smin < _BIFURCATION_TOL:
@@ -573,13 +585,11 @@ def trace_singular_curve(seed, spec, g, step=0.05, step_min=None, step_max=None,
         closing = _arc_segments(nodes_z, tangents_z, [(count - 1, 0)])
         arc_length += float(closing[0])
 
-    points = [AugmentedPoint.from_vector(node) for node in nodes]
     nodes_c = complexify(nodes_z)
     values = eval_poly(g, nodes_c)
     image = np.column_stack([values.real, values.imag])
     defects = criterion_rank_defect(nodes_c, spec.f, g)
     return CurveTrace(
-        points=points,
         closed=closed,
         arc_length=arc_length,
         image=image,
@@ -622,13 +632,14 @@ def _same_component(system, trace_a, trace_b):
     return all(point_on_trace(system, trace_b, trace_a.nodes[i]) for i in probe_idx)
 
 
-def collect_components(seeds, spec, g, **trace_kwargs):
+def collect_components(seeds, spec, g):
     """Trace every novel seed and return the distinct singular components.
 
     Seeds already lying on a kept component are skipped (the trace would be
-    a resampling of the same curve); remaining traces are deduplicated by
-    curve distance at ``_SAME_POINT_TOL`` and sorted by a canonical key so
-    the output order is independent of seed order.
+    a resampling of the same curve); the rest are traced with the policy of
+    :func:`trace_singular_curve`, deduplicated by curve distance at
+    ``_SAME_POINT_TOL`` and sorted by a canonical key so the output order is
+    independent of seed order.
     """
     system = AugmentedSystem(spec, g)
     components = []
@@ -636,9 +647,9 @@ def collect_components(seeds, spec, g, **trace_kwargs):
         w = seed.as_vector()
         if any(point_on_trace(system, c, w) for c in components):
             continue
-        trace = trace_singular_curve(seed, spec, g, **trace_kwargs)
+        trace = trace_singular_curve(seed, spec, g)
         if any(_same_component(system, trace, c) for c in components):
             continue
         components.append(trace)
-    components.sort(key=lambda tr: tuple(np.round(realify(tr.points[0].z), 12)))
+    components.sort(key=lambda tr: tuple(np.round(tr.nodes[0, :-4], 12)))
     return components

@@ -43,21 +43,21 @@ def a1_n3():
 def traces_n2(a1_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
-    return lf.collect_components(seeds, spec, g, step=0.05)
+    return lf.collect_components(seeds, spec, g)
 
 
 @pytest.fixture(scope="session")
 def traces_n2_seed3(a1_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=3)
-    return lf.collect_components(seeds, spec, g, step=0.05)
+    return lf.collect_components(seeds, spec, g)
 
 
 @pytest.fixture(scope="session")
 def traces_n3(a1_n3):
     spec, g = a1_n3
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
-    return lf.collect_components(seeds, spec, g, step=0.05)
+    return lf.collect_components(seeds, spec, g)
 
 
 @pytest.fixture(scope="session")
@@ -72,4 +72,4 @@ def perturbed_n2():
 def perturbed_traces(perturbed_n2):
     spec, g = perturbed_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=7)
-    return lf.collect_components(seeds, spec, g, step=0.05)
+    return lf.collect_components(seeds, spec, g)

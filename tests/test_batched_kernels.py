@@ -159,7 +159,7 @@ def test_equivariance_error_matches_pointwise_loop(a1_n3):
 def test_trace_image_and_defects_are_pointwise(a1_n2, traces_n2):
     spec, g = a1_n2
     for trace in traces_n2:
-        values = [lf.eval_poly(g, p.z) for p in trace.points]
+        values = [lf.eval_poly(g, z) for z in trace.points]
         assert np.array_equal(trace.image, [[v.real, v.imag] for v in values])
-        defects = [lf.criterion_rank_defect(p.z, spec.f, g) for p in trace.points]
+        defects = [lf.criterion_rank_defect(z, spec.f, g) for z in trace.points]
         assert np.array_equal(trace.defects, defects)

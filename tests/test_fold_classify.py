@@ -207,12 +207,13 @@ def _synthetic_trace(center, radius, count=120):
         [center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)]
     )
     return CurveTrace(
-        points=[None] * count,
         closed=True,
         arc_length=2 * np.pi * radius,
         image=image,
         arc_params=np.linspace(0, 2 * np.pi * radius, count),
         defects=np.zeros(count),
+        nodes=np.zeros((count, 10)),
+        tangents=np.zeros((count, 10)),
     )
 
 

@@ -63,11 +63,16 @@ def test_config_flags_override_file(tmp_path):
     assert config.n == 2
 
 
-def test_config_unknown_key(tmp_path):
+# the continuation policy and the solver tolerances are constants, not keys
+@pytest.mark.parametrize(
+    "key", ["bogus", "tol_newton", "tol_singular", "step_init", "step_min", "step_max"]
+)
+def test_config_unknown_key(tmp_path, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
+    cfg.write_text(f"{key} = 1\n")
     with pytest.raises(ConfigError):
         load_config_file(cfg)
+    assert main(["verify-a1", "--config", str(cfg)]) == 2
 
 
 def test_config_bad_polynomial():
@@ -193,9 +198,9 @@ def test_report_validates_against_schema(tmp_path):
     on_disk = json.loads((tmp_path / "report.json").read_text())
     validate_report(on_disk)
     assert on_disk["config"]["tolerances"] == {
-        "newton": config.tol_newton,
-        "singular": config.tol_singular,
-        "dead_band": config.dead_band,
+        "newton": 1e-12,
+        "singular": 1e-8,
+        "dead_band": 1e-5,
     }
 
 

@@ -135,7 +135,7 @@ def test_det_and_defect_agree_at_n2(a1_n2, traces_n2):
     spec, g = a1_n2
     rng = np.random.default_rng(4)
     points = list(lf.sample_link_points(spec, 200, rng))
-    points += [t.points[k].z for t in traces_n2 for k in (0, len(t) // 2)]
+    points += [t.points[k] for t in traces_n2 for k in (0, len(t) // 2)]
     for z in points:
         det = abs(criterion_det(z, spec.f, g))
         defect = lf.criterion_rank_defect(z, spec.f, g)
@@ -298,7 +298,7 @@ def test_trace_through_definite_point(a1_n2):
     spec, g = a1_n2
     trace = lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     assert trace.closed
-    zs = np.array([p.z for p in trace.points])
+    zs = trace.points
     assert np.max(np.abs(zs[:, 0] - 1j * zs[:, 1])) <= 1e-8
     # exact parametrization oracle: (i e^{i t}, e^{i t}, 0)/sqrt(2)
     theta = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
@@ -348,6 +348,16 @@ def test_collect_components_two_circles(traces_n2, traces_n3):
         assert all(t.closed for t in traces)
 
 
+def test_collect_components_steps_scale_with_epsilon():
+    # a direct call follows the same epsilon-scaled policy as the pipeline
+    config = lf.RunConfig(n=2, epsilon=10.0, seed_samples=24)
+    spec, g, seeds, traces = lf.report.compute_components(config)
+    direct = lf.collect_components(seeds, spec, g)
+    assert len(direct) == len(traces) == 2
+    for mine, theirs in zip(direct, traces):
+        assert np.array_equal(mine.nodes, theirs.nodes)
+
+
 def test_collect_components_empty_seed_list(a1_n2):
     spec, g = a1_n2
     assert lf.collect_components([], spec, g) == []
@@ -356,7 +366,7 @@ def test_collect_components_empty_seed_list(a1_n2):
 def test_collect_components_duplicate_seeds(a1_n2, traces_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=24, rng_seed=13)
-    doubled = lf.collect_components(seeds + seeds, spec, g, step=0.05)
+    doubled = lf.collect_components(seeds + seeds, spec, g)
     assert len(doubled) == len(traces_n2) == 2
     # the two components are identified by their image radii
     radii = sorted(np.mean(np.linalg.norm(t.image, axis=1)) for t in doubled)
@@ -382,3 +392,17 @@ def test_gradient_dependence_locus_empty_on_link(a1_n2):
     scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
     assert scan.points == []
     assert scan.min_defect > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gradient_dependence_scan_finds_dependent_circle(n):
+    # with g = z1 + i z2, gradbar g = (1, -i, 0, ...) is parallel to
+    # gradbar f = 2 conj(z) on the link circle z = t (1, i, 0, ...)/sqrt(2)
+    spec, _ = build_a1(n)
+    g = lf.parse_poly("z1 + 1i*z2", n + 1)
+    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
+    assert scan.points
+    for z in scan.points:
+        assert abs(lf.eval_poly(spec.f, z)) <= 1e-12
+        assert abs(np.linalg.norm(z) - spec.epsilon) <= 1e-12
+        assert gradient_pair_defect(z, spec.f, g) <= 1e-8
