@@ -75,7 +75,6 @@ from .report import (
     run_verify_a1,
 )
 from .singular_set import (
-    AugmentedPoint,
     AugmentedSystem,
     CurveTrace,
     collect_components,

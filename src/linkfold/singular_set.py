@@ -16,8 +16,10 @@ The singular set itself is a curve cut out by the augmented system
     link residual(z) = 0                            (3 real equations)
 
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
-square. Seeding runs descent on the rank defect followed by Gauss-Newton on
-this system. Every other point of the curve comes from one solver,
+square. Seeds, trace nodes and tangents are all augmented vectors
+w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs descent
+on the rank defect followed by Gauss-Newton on this system. Every other
+point of the curve comes from one solver,
 :meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
 one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
 (predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
@@ -35,6 +37,7 @@ from .errors import (
     BifurcationSuspected,
     EmptyResult,
     LinkFoldError,
+    NonConvergence,
     StepCollapse,
     WrongDimension,
 )
@@ -50,7 +53,6 @@ from .geometry import (
 from .polynomial import conj_gradient, eval_poly, gradient, hessian
 
 __all__ = [
-    "AugmentedPoint",
     "CurveTrace",
     "AugmentedSystem",
     "criterion_matrix",
@@ -144,40 +146,14 @@ def direct_singularity_test(z, spec, g):
 
 
 @dataclass(eq=False)
-class AugmentedPoint:
-    """A singular-set point together with its span coefficients.
-
-    Satisfies z = a * gradbar f(z) + b * gradbar g(z) and the link
-    constraints, up to the trace tolerance.
-    """
-
-    z: np.ndarray
-    a: complex
-    b: complex
-
-    def as_vector(self):
-        return np.concatenate(
-            [realify(self.z), [self.a.real, self.a.imag, self.b.real, self.b.imag]]
-        )
-
-    @classmethod
-    def from_vector(cls, w):
-        w = np.asarray(w, dtype=float)
-        return cls(
-            z=complexify(w[:-4]),
-            a=complex(w[-4], w[-3]),
-            b=complex(w[-2], w[-1]),
-        )
-
-
-@dataclass(eq=False)
 class CurveTrace:
     """An ordered polyline on the singular set with its image in the plane.
 
     ``nodes`` and ``tangents`` hold the augmented vectors (z, a, b) of the
     continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
     ``arc_params`` is the cumulative curvature-corrected arc length;
-    ``defects`` the rank defect at each node.
+    ``defects`` the rank defect at each node; ``closed`` says whether the
+    polyline joins up, which every trace of :func:`trace_singular_curve` does.
     """
 
     closed: bool
@@ -219,19 +195,19 @@ class AugmentedSystem:
     # -- residual / jacobian ---------------------------------------------------
 
     def residual(self, w):
-        pt = AugmentedPoint.from_vector(w)
-        gf, gg = self.grads(pt.z)
-        span = pt.z - pt.a * gf - pt.b * gg
-        return np.concatenate([realify(span), link_residual(pt.z, self.spec)])
+        z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
+        gf, gg = self.grads(z)
+        span = z - a * gf - b * gg
+        return np.concatenate([realify(span), link_residual(z, self.spec)])
 
     def jacobian(self, w):
-        pt = AugmentedPoint.from_vector(w)
+        z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
         m = self.m
-        gf, gg = self.grads(pt.z)
-        cf, cg = self._second_conj(pt.z)
+        gf, gg = self.grads(z)
+        cf, cg = self._second_conj(z)
         eye = np.eye(m)
         # d(span)/dx_k and d(span)/dy_k as complex (m, m) blocks
-        mix = pt.a * cf + pt.b * cg
+        mix = a * cf + b * cg
         dx = eye - mix
         dy = 1j * (eye + mix)
         jc = np.zeros((m, 2 * m + 4), dtype=complex)
@@ -244,7 +220,7 @@ class AugmentedSystem:
         jac = np.zeros((2 * m + 3, 2 * m + 4))
         jac[0 : 2 * m : 2, :] = jc.real
         jac[1 : 2 * m : 2, :] = jc.imag
-        jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_residual_jacobian(pt.z, self.spec)
+        jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_residual_jacobian(z, self.spec)
         return jac
 
     # -- solvers -----------------------------------------------------------
@@ -329,28 +305,24 @@ def _ratio_gradient(system, z, cols):
     defect, ``cols = 2`` the gradient-pair defect. Returns the ratio and its
     ambient real gradient at z, from first-order perturbation of the
     singular values: d sigma = Re(u* dM v) for the singular pair (u, v).
+    With H = v0 u* conj(Hess f) + v1 u* conj(Hess g) and L = v2 conj(u)
+    (zero for two columns), d sigma/dx = Re(H + L) and d sigma/dy = Im(H - L).
     """
-    gf, gg = system.grads(z)
-    m = np.column_stack([gf, gg, z][:cols])
+    m = criterion_matrix(z, system.spec.f, system.g)[:, :cols]
     u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0:
         return 0.0, np.zeros(2 * system.m)
-    v = vt.conj().T
-    cf, cg = system._second_conj(z)
-    dim = system.m
     last = cols - 1
-    grad = np.zeros(2 * dim)
-    u1, v1 = u[:, 0], v[:, 0]
-    ul, vl = u[:, last], v[:, last]
-    for k in range(dim):
-        ek = np.zeros(dim, dtype=complex)
-        ek[k] = 1.0
-        dmx = np.column_stack([cf[:, k], cg[:, k], ek][:cols])
-        dmy = np.column_stack([-1j * cf[:, k], -1j * cg[:, k], 1j * ek][:cols])
-        for idx, dm in ((2 * k, dmx), (2 * k + 1, dmy)):
-            ds1 = np.real(u1.conj() @ dm @ v1)
-            dsl = np.real(ul.conj() @ dm @ vl)
-            grad[idx] = (s[0] * dsl - s[last] * ds1) / s[0] ** 2
+    # rows: the pairs of sigma_1 and sigma_cols
+    uh = u[:, [0, last]].conj().T
+    v = vt[[0, last]].conj()
+    cf, cg = system._second_conj(z)
+    h = v[:, :1] * (uh @ cf) + v[:, 1:2] * (uh @ cg)
+    low = v[:, 2:] * uh if cols == 3 else 0.0
+    dsigma = np.empty((2, 2 * system.m))
+    dsigma[:, 0::2] = np.real(h + low)
+    dsigma[:, 1::2] = np.imag(h - low)
+    grad = (s[0] * dsigma[1] - s[last] * dsigma[0]) / s[0] ** 2
     return float(s[last] / s[0]), grad
 
 
@@ -398,12 +370,14 @@ def projected_descent(objective, z, spec, max_steps, target):
 def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
     """Find points of the singular set by multi-start descent plus Newton.
 
-    Random link points are pushed downhill on the squared rank defect, the
-    span coefficients (a, b) are initialised by least squares, and Gauss-
-    Newton on the augmented system finishes the job. Converged seeds are
-    deduplicated by pairwise distance. Raises WrongDimension for n < 2,
-    where the criterion matrix has fewer rows than columns, and EmptyResult
-    if nothing converges.
+    Random link points are pushed downhill on the rank defect, the span
+    coefficients (a, b) are initialised by least squares, and Gauss-Newton
+    on the augmented system finishes the job. Converged seeds are
+    deduplicated by the distance of their points z. Returns a (k, 2n+6)
+    array of augmented vectors (realify(z), Re a, Im a, Re b, Im b), the
+    layout of trace nodes. Raises WrongDimension for n < 2, where the
+    criterion matrix has fewer rows than columns, and EmptyResult if
+    nothing converges.
     """
     if spec.n < 2:
         raise WrongDimension(f"singular-set seeding needs n >= 2, got n = {spec.n}")
@@ -411,9 +385,8 @@ def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
     rng = np.random.default_rng(rng_seed)
     samples = sample_link_points(spec, n_samples, rng)
     seeds = []
-    tried = converged = 0
+    converged = 0
     for z0 in samples:
-        tried += 1
         z, defect = projected_descent(
             lambda z: _ratio_gradient(system, z, 3), z0, spec,
             max_steps=_SEED_DESCENT_STEPS, target=2e-2,
@@ -422,21 +395,17 @@ def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
             continue
         gf, gg = system.grads(z)
         coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
-        w0 = AugmentedPoint(z=z, a=complex(coeffs[0]), b=complex(coeffs[1])).as_vector()
-        w, ok = system.newton_least_norm(w0)
+        w, ok = system.newton_least_norm(np.concatenate([realify(z), realify(coeffs)]))
         if not ok or np.linalg.norm(system.residual(w)) > _SEED_RESIDUAL_TOL:
             continue
         converged += 1
-        candidate = AugmentedPoint.from_vector(w)
-        if all(
-            np.linalg.norm(candidate.z - s.z) > _SAME_POINT_TOL for s in seeds
-        ):
-            seeds.append(candidate)
+        if all(np.linalg.norm(w[:-4] - s[:-4]) > _SAME_POINT_TOL for s in seeds):
+            seeds.append(w)
     if not seeds:
         raise EmptyResult(
-            f"no singular seeds converged ({tried} samples, {converged} solved)"
+            f"no singular seeds converged ({len(samples)} samples, {converged} solved)"
         )
-    return seeds
+    return np.array(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +475,26 @@ def _arc_segments(nodes_z, tangents_z, pairs):
 def trace_singular_curve(seed, spec, g):
     """Pseudo-arclength continuation of the singular curve through ``seed``.
 
-    Steps along the one-dimensional null space of the augmented Jacobian
-    with an adaptive step, correcting back onto the curve after each
-    prediction. The step starts at ``_STEP_INIT`` and stays within
-    [``_STEP_MIN``, ``_STEP_MAX``], all times epsilon, and each corrector is
-    held to ``_CORRECTOR_TOL``. The trace closes when it returns within half
-    a step of the start with an aligned tangent; otherwise it stops open at
-    ``_MAX_NODES`` nodes. Raises BifurcationSuspected when the Jacobian
-    loses rank along the way and StepCollapse when adaptation falls below
-    the minimum step.
+    ``seed`` is an augmented vector (z, a, b), a row of
+    :func:`seed_singular_points`. Steps along the one-dimensional null space
+    of the augmented Jacobian with an adaptive step, correcting back onto
+    the curve after each prediction. The step starts at ``_STEP_INIT`` and
+    stays within [``_STEP_MIN``, ``_STEP_MAX``], all times epsilon, and each
+    corrector is held to ``_CORRECTOR_TOL``. A corrected point farther than
+    half a step from its prediction is rejected like a failed corrector
+    (the distance test of Allgower & Georg, section 6.1), so the trace
+    cannot jump to another part of the curve. The trace closes when it
+    returns within half a step of the start with an aligned tangent. It
+    starts in the direction in which the image turns counterclockwise about
+    0, so its orientation does not depend on round-off in the seed. Raises
+    NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
+    BifurcationSuspected when the Jacobian loses rank along the way and
+    StepCollapse when adaptation falls below the minimum step.
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
     system = AugmentedSystem(spec, g)
-    w, ok = system.newton_least_norm(seed.as_vector())
+    w, ok = system.newton_least_norm(seed)
     if not ok:
         raise StepCollapse("seed does not satisfy the augmented system")
     t, smin = system.tangent(w)
@@ -527,14 +502,25 @@ def trace_singular_curve(seed, spec, g):
         raise BifurcationSuspected(
             f"Jacobian second-smallest singular value {smin:.3e} at the seed"
         )
+    # start so that the image h(z) turns counterclockwise about 0, whatever
+    # sign the SVD gave the null vector
+    z0 = complexify(w[:-4])
+    if np.imag(np.conj(eval_poly(g, z0)) * (gradient(g, z0) @ complexify(t[:-4]))) < 0:
+        t = -t
     start_w, start_t = w, t
     nodes = [w]
     tangents = [t]
     s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
-    closed = False
-    while len(nodes) < _MAX_NODES:
+    while True:
+        if len(nodes) >= _MAX_NODES:
+            raise NonConvergence(
+                f"trace did not close within {_MAX_NODES} nodes "
+                f"(gap to start {np.linalg.norm(w - start_w):.1e})"
+            )
         w_pred = w + s * t
         w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred))
+        if ok and np.linalg.norm(w_new - w_pred) > 0.5 * s:
+            ok = False  # the corrector jumped: the distance test fails
         if ok:
             t_new, smin = system.tangent(w_new)
             if smin < _BIFURCATION_TOL:
@@ -557,7 +543,6 @@ def trace_singular_curve(seed, spec, g):
             dist_start = np.linalg.norm(w - start_w)
             aligned = np.dot(t, start_t) > 0.9
             if aligned and dist_start <= 0.5 * s:
-                closed = True
                 break
             if aligned and dist_start <= 2.0 * s:
                 # approach mode: aim to land right next to the start
@@ -580,17 +565,15 @@ def trace_singular_curve(seed, spec, g):
     pairs = [(k, k + 1) for k in range(count - 1)]
     seg = _arc_segments(nodes_z, tangents_z, pairs)
     arc_params = np.concatenate([[0.0], np.cumsum(seg)])
-    arc_length = float(arc_params[-1])
-    if closed:
-        closing = _arc_segments(nodes_z, tangents_z, [(count - 1, 0)])
-        arc_length += float(closing[0])
+    closing = _arc_segments(nodes_z, tangents_z, [(count - 1, 0)])
+    arc_length = float(arc_params[-1] + closing[0])
 
     nodes_c = complexify(nodes_z)
     values = eval_poly(g, nodes_c)
     image = np.column_stack([values.real, values.imag])
     defects = criterion_rank_defect(nodes_c, spec.f, g)
     return CurveTrace(
-        closed=closed,
+        closed=True,
         arc_length=arc_length,
         image=image,
         arc_params=arc_params,
@@ -635,7 +618,7 @@ def _same_component(system, trace_a, trace_b):
 def collect_components(seeds, spec, g):
     """Trace every novel seed and return the distinct singular components.
 
-    Seeds already lying on a kept component are skipped (the trace would be
+    ``seeds`` holds augmented vectors, one per row. Seeds already lying on a kept component are skipped (the trace would be
     a resampling of the same curve); the rest are traced with the policy of
     :func:`trace_singular_curve`, deduplicated by curve distance at
     ``_SAME_POINT_TOL`` and sorted by a canonical key so the output order is
@@ -643,11 +626,10 @@ def collect_components(seeds, spec, g):
     """
     system = AugmentedSystem(spec, g)
     components = []
-    for seed in seeds:
-        w = seed.as_vector()
+    for w in seeds:
         if any(point_on_trace(system, c, w) for c in components):
             continue
-        trace = trace_singular_curve(seed, spec, g)
+        trace = trace_singular_curve(w, spec, g)
         if any(_same_component(system, trace, c) for c in components):
             continue
         components.append(trace)

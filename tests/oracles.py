@@ -142,3 +142,14 @@ def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
         except (NonConvergence, RankDeficient):
             continue
     return np.array(points)
+
+
+def winding_number(image):
+    """Winding number about 0 of the closed polyline through the (Re, Im) rows.
+
+    Sums the signed turns of consecutive points, the closing segment
+    included; every step must turn by less than half a revolution.
+    """
+    w = image[:, 0] + 1j * image[:, 1]
+    turns = np.angle(np.roll(w, -1) / w)
+    return turns.sum() / (2 * np.pi)

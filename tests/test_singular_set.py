@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold.errors import EmptyResult, WrongDimension
+import linkfold.singular_set as singular_set
+from linkfold.cli import main
+from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import build_a1, definite_point, indefinite_point
-from oracles import criterion_det, gradient_pair_defect
+from oracles import criterion_det, gradient_pair_defect, winding_number
 
 SQRT2 = np.sqrt(2.0)
 
@@ -203,24 +205,16 @@ def test_augmented_jacobian_matches_finite_differences(perturbed_n2):
     assert np.allclose(jac, fd, atol=1e-7)
 
 
-def test_augmented_point_round_trip():
-    pt = lf.AugmentedPoint(
-        z=np.array([1.0 + 2j, -0.5j, 0.25]), a=0.5 - 1j, b=2.0 + 0.125j
-    )
-    again = lf.AugmentedPoint.from_vector(pt.as_vector())
-    assert np.array_equal(again.z, pt.z)
-    assert again.a == pt.a and again.b == pt.b
-
-
 def test_augmented_span_invariant_on_seeds(a1_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=32, rng_seed=1)
     system = AugmentedSystem(spec, g)
     for seed in seeds:
-        gf, gg = system.grads(seed.z)
-        span_residual = np.linalg.norm(seed.z - seed.a * gf - seed.b * gg)
+        z, (a, b) = lf.complexify(seed[:-4]), lf.complexify(seed[-4:])
+        gf, gg = system.grads(z)
+        span_residual = np.linalg.norm(z - a * gf - b * gg)
         assert span_residual <= 1e-10
-        assert np.linalg.norm(lf.link_residual(seed.z, spec)) <= 1e-10
+        assert np.linalg.norm(lf.link_residual(z, spec)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +225,7 @@ def test_augmented_span_invariant_on_seeds(a1_n2):
 def test_seeds_land_on_both_circles(a1_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=200, rng_seed=42)
-    zs = np.array([s.z for s in seeds])
+    zs = lf.complexify(seeds[:, :-4])
     plus = np.abs(zs[:, 0] - 1j * zs[:, 1]) <= 1e-8
     minus = np.abs(zs[:, 0] + 1j * zs[:, 1]) <= 1e-8
     assert np.all(plus | minus)
@@ -241,18 +235,16 @@ def test_seeds_land_on_both_circles(a1_n2):
 def test_seeds_have_vanishing_higher_coordinates(a1_n3):
     spec, g = a1_n3
     seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
-    for seed in seeds:
-        assert np.max(np.abs(seed.z[2:])) <= 1e-8
+    for z in lf.complexify(seeds[:, :-4]):
+        assert np.max(np.abs(z[2:])) <= 1e-8
 
 
 def test_seeding_is_deterministic(a1_n2):
     spec, g = a1_n2
     first = lf.seed_singular_points(spec, g, n_samples=48, rng_seed=9)
     second = lf.seed_singular_points(spec, g, n_samples=48, rng_seed=9)
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.z, b.z)
-        assert a.a == b.a and a.b == b.b
+    assert first.shape == second.shape == (len(first), 10)
+    assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("cols", [2, 3])
@@ -291,7 +283,7 @@ def _seed_near(spec, g, z):
     system = AugmentedSystem(spec, g)
     gf, gg = system.grads(z)
     coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
-    return lf.AugmentedPoint(z=z, a=complex(coeffs[0]), b=complex(coeffs[1]))
+    return np.concatenate([lf.realify(z), lf.realify(coeffs)])
 
 
 def test_trace_through_definite_point(a1_n2):
@@ -337,6 +329,51 @@ def test_trace_nodes_satisfy_system(a1_n2):
     assert np.all(trace.defects <= 1e-8)
 
 
+@pytest.mark.parametrize("seed", [42, 5])
+def test_brieskorn_trace_is_one_lap(seed):
+    # without the distance test the corrector jumps to a later lap of the
+    # 1,650-node curve: 4,927 nodes at seed 42, an open trace at seed 5
+    config = lf.RunConfig(f_text="z1^2 + z2^3 + z3^5", n=2, rng_seed=seed)
+    _, _, _, traces = lf.report.compute_components(config)
+    assert len(traces) == 2
+    assert all(t.closed for t in traces)
+    assert max(len(t) for t in traces) < 2000
+
+
+def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monkeypatch):
+    spec, g = a1_n2
+    monkeypatch.setattr(singular_set, "_MAX_NODES", 30)
+    with pytest.raises(NonConvergence, match="within 30 nodes"):
+        lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
+    assert main(["singular-set", "--n", "2", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "trace did not close within 30 nodes (gap to start" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [42, 3, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a1_images_turn_counterclockwise(n, seed):
+    _, _, _, traces = lf.report.compute_components(lf.RunConfig(n=n, rng_seed=seed))
+    assert len(traces) == 2
+    for trace in traces:
+        assert winding_number(trace.image) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_trace_direction_ignores_seed_round_off(a1_n2):
+    # a relative 1e-15 move of the seed flips the sign of the SVD's null
+    # vector for some of these draws; the trace must not follow it
+    spec, g = a1_n2
+    seed = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)[0]
+    reference = lf.trace_singular_curve(seed, spec, g)
+    for draw in range(4):
+        rng = np.random.default_rng(draw)
+        moved = seed * (1.0 + 1e-15 * rng.standard_normal(seed.size))
+        trace = lf.trace_singular_curve(moved, spec, g)
+        assert len(trace) == len(reference)
+        assert np.allclose(trace.nodes, reference.nodes, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # component collection
 # ---------------------------------------------------------------------------
@@ -366,7 +403,7 @@ def test_collect_components_empty_seed_list(a1_n2):
 def test_collect_components_duplicate_seeds(a1_n2, traces_n2):
     spec, g = a1_n2
     seeds = lf.seed_singular_points(spec, g, n_samples=24, rng_seed=13)
-    doubled = lf.collect_components(seeds + seeds, spec, g)
+    doubled = lf.collect_components(np.vstack([seeds, seeds]), spec, g)
     assert len(doubled) == len(traces_n2) == 2
     # the two components are identified by their image radii
     radii = sorted(np.mean(np.linalg.norm(t.image, axis=1)) for t in doubled)
