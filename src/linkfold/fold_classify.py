@@ -44,6 +44,8 @@ __all__ = [
 
 # points classified per component, evenly strided along the trace
 _MAX_SAMPLES = 24
+# link points at which equivariance_error compares h(alpha z) and alpha h(z)
+_EQUIVARIANCE_SAMPLES = 1000
 
 
 class FoldKind(enum.Enum):
@@ -193,8 +195,8 @@ def min_nonadjacent_image_distance(trace):
     """Smallest image distance between circularly non-adjacent trace samples.
 
     One row of distances at a time, from sample k to the samples after k + 1
-    (on a closed trace the last sample is adjacent to the first), so memory
-    stays linear in the trace length.
+    (the last sample is adjacent to the first), so memory stays linear in
+    the trace length.
     """
     pts = trace.image
     count = len(pts)
@@ -202,7 +204,7 @@ def min_nonadjacent_image_distance(trace):
         return np.inf
     best = np.inf
     for k in range(count - 2):
-        stop = count - 1 if trace.closed and k == 0 else count
+        stop = count - 1 if k == 0 else count
         if stop > k + 2:
             dist = np.linalg.norm(pts[k] - pts[k + 2 : stop], axis=1)
             best = min(best, float(dist.min()))
@@ -285,7 +287,7 @@ def _winding_number(image, center):
 def verify_round(traces, records):
     """Decide whether classified singular components form a round structure.
 
-    Checks, in order: every component closed and non-degenerate; h injective
+    Checks, in order: every component non-degenerate; h injective
     on each component, as ``embedding_ok`` of its record says (set by
     :func:`classify_component`: non-adjacent image samples separated by more
     than 1e-6); winding number +-1 about the common centre; and pairwise
@@ -294,8 +296,6 @@ def verify_round(traces, records):
     """
     if not traces:
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "no_components")
-    if any(not t.closed for t in traces):
-        return RoundVerdict("NOT_ROUND", [], np.zeros(2), "open_component")
     if any(r.kind == FoldKind.DEGENERATE for r in records):
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "degenerate_fold")
 
@@ -322,19 +322,20 @@ def verify_round(traces, records):
     return RoundVerdict("ROUND", sorted(fitted), center, None)
 
 
-def equivariance_error(spec, g, n_samples=1000, rng_seed=42):
+def equivariance_error(spec, g, rng_seed=42):
     """Max of |h(alpha z) - alpha h(z)| over random unit alpha and link points.
 
-    Only meaningful when f is homogeneous (so the circle action preserves
-    the link) and g is homogeneous of degree 1; otherwise NotApplicable.
+    ``_EQUIVARIANCE_SAMPLES`` pairs are drawn. Only meaningful when f is
+    homogeneous (so the circle action preserves the link) and g is
+    homogeneous of degree 1; otherwise NotApplicable.
     """
     if homogeneous_degree(spec.f) is None:
         raise NotApplicable("f is not homogeneous; the circle action does not act")
     if homogeneous_degree(g) != 1:
         raise NotApplicable("g is not homogeneous of degree 1")
     rng = np.random.default_rng(rng_seed)
-    points = sample_link_points(spec, n_samples, rng)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_samples))
+    points = sample_link_points(spec, _EQUIVARIANCE_SAMPLES, rng)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=_EQUIVARIANCE_SAMPLES))
     lhs = eval_poly(g, phases[:, None] * points)
     values = eval_poly(g, points)
     # alpha * h(z) in real arithmetic, rounded as the scalar complex product

@@ -81,10 +81,11 @@ def _brackets(trace, vals):
 
     Yields (k, next, w0) for each segment from node k to the next node on
     which ``vals`` vanishes or changes sign, with w0 the augmented vector
-    interpolated linearly to the zero; a closed trace wraps around.
+    interpolated linearly to the zero; the last node's segment wraps around
+    to the first.
     """
     count = len(vals)
-    for k in range(count if trace.closed else count - 1):
+    for k in range(count):
         nxt = (k + 1) % count
         va, vb = vals[k], vals[nxt]
         if va == 0.0:

@@ -19,6 +19,7 @@ import numpy as np
 from . import morse as morse_mod
 from .errors import LinkFoldError, NotApplicable
 from .fold_classify import (
+    _EQUIVARIANCE_SAMPLES,
     FoldKind,
     circle_fit,
     classify_component,
@@ -29,6 +30,8 @@ from .geometry import LinkSpec, sample_link_points
 from .polynomial import parse_poly
 from .singular_set import (
     _CORRECTOR_TOL,
+    _SCAN_SAMPLES,
+    _SEED_SAMPLES,
     _STEP_INIT,
     _STEP_MAX,
     _STEP_MIN,
@@ -61,7 +64,9 @@ THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
 # a rank defect at or below this marks a singular point
 _SINGULAR_TOL = 1e-8
-# oracle-agreement points with a statistic inside this band are not compared
+# link points at which the two singularity tests are compared, and the band
+# of either statistic inside which a point is not compared
+_ORACLE_SAMPLES = 1500
 _ORACLE_BAND = (1e-10, 1e-6)
 # side of the square image.svg, in pixels
 _SVG_SIZE = 640
@@ -79,7 +84,8 @@ def _a1_f_text(n):
 class RunConfig:
     """Everything a pipeline run depends on, echoed verbatim into reports.
 
-    Continuation steps and solver tolerances are constants, echoed alongside.
+    Continuation steps, solver tolerances and sample sizes are constants,
+    echoed alongside.
     """
 
     f_text: str | None = None  # None: sum of squares in n + 1 variables
@@ -88,9 +94,6 @@ class RunConfig:
     epsilon: float = 1.0
     rng_seed: int = 42
     dead_band: float = 1e-5
-    seed_samples: int = 64
-    equivariance_samples: int = 1000
-    oracle_samples: int = 1500
     out_dir: str = "out"
     # no longer a setting; perfbench/workloads.py still passes it on
     hessian_step = None
@@ -134,9 +137,9 @@ class RunConfig:
                 "step_max": _STEP_MAX,
             },
             "samples": {
-                "seeds": self.seed_samples,
-                "equivariance": self.equivariance_samples,
-                "oracle": self.oracle_samples,
+                "seeds": _SEED_SAMPLES,
+                "equivariance": _EQUIVARIANCE_SAMPLES,
+                "oracle": _ORACLE_SAMPLES,
             },
             "out_dir": self.out_dir,
         }
@@ -150,9 +153,6 @@ _CONFIG_KEYS = {
     "seed": ("rng_seed", int),
     "rng_seed": ("rng_seed", int),
     "dead_band": ("dead_band", float),
-    "seed_samples": ("seed_samples", int),
-    "equivariance_samples": ("equivariance_samples", int),
-    "oracle_samples": ("oracle_samples", int),
     "out": ("out_dir", str),
     "out_dir": ("out_dir", str),
 }
@@ -202,12 +202,7 @@ def compute_components(config, spec=None, g=None):
     """
     if spec is None or g is None:
         spec, g = config.build()
-    seeds = seed_singular_points(
-        spec,
-        g,
-        n_samples=config.seed_samples,
-        rng_seed=config.rng_seed,
-    )
+    seeds = seed_singular_points(spec, g, rng_seed=config.rng_seed)
     return spec, g, seeds, collect_components(seeds, spec, g)
 
 
@@ -216,7 +211,7 @@ def _component_summary(trace, classification):
     return {
         "component_id": rec.component_id,
         "n_points": len(trace.points),
-        "closed": trace.closed,
+        "closed": True,  # an unclosed trace raises NonConvergence
         "arc_length": trace.arc_length,
         "kind": rec.kind.value,
         "absolute_index": rec.absolute_index,
@@ -321,22 +316,22 @@ def _rotation_invariance(traces, spec, g, rng_seed):
     return float(np.max(criterion_rank_defect(np.array(rotated), spec.f, g)))
 
 
-def _oracle_agreement(spec, g, n_points, rng_seed, threshold):
+def _oracle_agreement(spec, g, rng_seed, threshold):
     """Cross-check the rank-defect and direct-differential singularity tests.
 
-    Points where either statistic lands inside the margin band
+    They are compared at ``_ORACLE_SAMPLES`` link points. Points where either statistic lands inside the margin band
     ``_ORACLE_BAND`` are excluded from the comparison (threshold flapping),
     and counted separately.
     """
     low, high = _ORACLE_BAND
     rng = np.random.default_rng(rng_seed + 2)
-    points = sample_link_points(spec, n_points, rng)
+    points = sample_link_points(spec, _ORACLE_SAMPLES, rng)
     defect = criterion_rank_defect(points, spec.f, g)
     direct = direct_singularity_test(points, spec, g)
     in_band = (low <= defect) & (defect <= high) | (low <= direct) & (direct <= high)
     differ = (defect <= threshold) != (direct <= threshold)
     return {
-        "n_points": int(n_points),
+        "n_points": _ORACLE_SAMPLES,
         "disagreements": int(np.count_nonzero(differ & ~in_band)),
         "band_excluded": int(np.count_nonzero(in_band)),
         "threshold": threshold,
@@ -422,8 +417,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
         },
     }
     checks = [
-        _check("two_closed_components",
-               len(traces) == 2 and all(t.closed for t in traces), len(traces), 2),
+        _check("two_closed_components", len(traces) == 2, len(traces), 2),
         *_locus_checks(traces, spec.epsilon, 1e-8 * spec.epsilon),
         _check("classification_consistent",
                all(c.consistent for c in classifications)),
@@ -446,12 +440,10 @@ def _verify_folds(config, spec, g, radii, tol, timings):
 
     t0 = time.perf_counter()
     try:
-        equiv = equivariance_error(
-            spec, g, n_samples=config.equivariance_samples, rng_seed=config.rng_seed
-        )
+        equiv = equivariance_error(spec, g, rng_seed=config.rng_seed)
         checks.append(_check("equivariance", equiv <= 1e-12, equiv, 1e-12))
         sections["equivariance"] = {
-            "max_error": equiv, "n_samples": config.equivariance_samples,
+            "max_error": equiv, "n_samples": _EQUIVARIANCE_SAMPLES,
         }
     except NotApplicable as exc:
         checks.append(_check("equivariance", False, str(exc), 1e-12))
@@ -466,16 +458,14 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     sections["degenerate_branch"] = {
         "solutions_found": len(scan.points),
         "min_pair_defect": scan.min_defect,
-        "n_samples": scan.n_samples,
+        "n_samples": _SCAN_SAMPLES,
     }
     checks.append(_check(
         "gradient_dependence_locus_empty", len(scan.points) == 0,
         scan.min_defect, "no points with pair defect <= 1e-8",
     ))
 
-    agreement = _oracle_agreement(
-        spec, g, config.oracle_samples, config.rng_seed, _SINGULAR_TOL
-    )
+    agreement = _oracle_agreement(spec, g, config.rng_seed, _SINGULAR_TOL)
     sections["oracle_agreement"] = agreement
     checks.append(_check(
         "oracle_agreement", agreement["disagreements"] == 0,

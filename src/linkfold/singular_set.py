@@ -74,14 +74,16 @@ _STEP_MAX = 0.1
 _CORRECTOR_TOL = 1e-12
 # a traced curve may close only after this many nodes
 _MIN_NODES_BEFORE_CLOSURE = 5
-# a trace stops open at this many nodes
+# a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
 # an augmented-Jacobian singular value below this suspects a branch point
 _BIFURCATION_TOL = 1e-8
 # residual target and iteration budget of the least-norm Gauss-Newton solve
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
-# projected-descent steps on the rank defect before a seed's Newton solve
+# link points that seeding starts from, and the projected-descent steps on
+# the rank defect before each one's Newton solve
+_SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 25
 # a seed counts as converged when its augmented residual is at most this
 _SEED_RESIDUAL_TOL = 1e-11
@@ -152,11 +154,10 @@ class CurveTrace:
     ``nodes`` and ``tangents`` hold the augmented vectors (z, a, b) of the
     continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
     ``arc_params`` is the cumulative curvature-corrected arc length;
-    ``defects`` the rank defect at each node; ``closed`` says whether the
-    polyline joins up, which every trace of :func:`trace_singular_curve` does.
+    ``defects`` the rank defect at each node. The polyline is closed: the
+    last node joins the first, and ``arc_length`` includes that segment.
     """
 
-    closed: bool
     arc_length: float
     image: np.ndarray
     arc_params: np.ndarray
@@ -367,12 +368,12 @@ def projected_descent(objective, z, spec, max_steps, target):
     return z, value
 
 
-def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
+def seed_singular_points(spec, g, rng_seed=42):
     """Find points of the singular set by multi-start descent plus Newton.
 
-    Random link points are pushed downhill on the rank defect, the span
-    coefficients (a, b) are initialised by least squares, and Gauss-Newton
-    on the augmented system finishes the job. Converged seeds are
+    ``_SEED_SAMPLES`` random link points are pushed downhill on the rank
+    defect, the span coefficients (a, b) are initialised by least squares,
+    and Gauss-Newton on the augmented system finishes the job. Converged seeds are
     deduplicated by the distance of their points z. Returns a (k, 2n+6)
     array of augmented vectors (realify(z), Re a, Im a, Re b, Im b), the
     layout of trace nodes. Raises WrongDimension for n < 2, where the
@@ -383,7 +384,7 @@ def seed_singular_points(spec, g, n_samples=200, rng_seed=42):
         raise WrongDimension(f"singular-set seeding needs n >= 2, got n = {spec.n}")
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
-    samples = sample_link_points(spec, n_samples, rng)
+    samples = sample_link_points(spec, _SEED_SAMPLES, rng)
     seeds = []
     converged = 0
     for z0 in samples:
@@ -419,7 +420,6 @@ class GradientDependenceScan:
 
     points: list
     min_defect: float
-    n_samples: int
 
 
 def scan_gradient_dependence(spec, g, rng_seed=42):
@@ -445,9 +445,7 @@ def scan_gradient_dependence(spec, g, rng_seed=42):
             np.linalg.norm(z - p) > _SAME_POINT_TOL for p in hits
         ):
             hits.append(z)
-    return GradientDependenceScan(
-        points=hits, min_defect=float(min_defect), n_samples=_SCAN_SAMPLES
-    )
+    return GradientDependenceScan(points=hits, min_defect=float(min_defect))
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +453,17 @@ def scan_gradient_dependence(spec, g, rng_seed=42):
 # ---------------------------------------------------------------------------
 
 
-def _arc_segments(nodes_z, tangents_z, pairs):
-    """Curvature-corrected chord lengths for the given index pairs.
+def _arc_segments(nodes_z, tangents_z):
+    """Curvature-corrected chord lengths of a closed polyline, node k to k + 1.
 
+    The last length closes the polyline from the last node to the first.
     A chord subtending a tangent turn of angle phi underestimates the arc by
     the factor sin(phi/2)/(phi/2); the correction is exact on circles.
     """
+    count = len(nodes_z)
     lengths = []
-    for i, j in pairs:
+    for i in range(count):
+        j = (i + 1) % count
         chord = np.linalg.norm(nodes_z[j] - nodes_z[i])
         ti, tj = tangents_z[i], tangents_z[j]
         cosphi = np.clip(np.dot(ti, tj), -1.0, 1.0)
@@ -561,19 +562,15 @@ def trace_singular_curve(seed, spec, g):
     norms = np.linalg.norm(tangents_z, axis=1, keepdims=True)
     tangents_z = tangents_z / np.maximum(norms, 1e-15)
 
-    count = len(nodes)
-    pairs = [(k, k + 1) for k in range(count - 1)]
-    seg = _arc_segments(nodes_z, tangents_z, pairs)
-    arc_params = np.concatenate([[0.0], np.cumsum(seg)])
-    closing = _arc_segments(nodes_z, tangents_z, [(count - 1, 0)])
-    arc_length = float(arc_params[-1] + closing[0])
+    seg = _arc_segments(nodes_z, tangents_z)
+    arc_params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
+    arc_length = float(arc_params[-1] + seg[-1])
 
     nodes_c = complexify(nodes_z)
     values = eval_poly(g, nodes_c)
     image = np.column_stack([values.real, values.imag])
     defects = criterion_rank_defect(nodes_c, spec.f, g)
     return CurveTrace(
-        closed=True,
         arc_length=arc_length,
         image=image,
         arc_params=arc_params,
@@ -618,8 +615,9 @@ def _same_component(system, trace_a, trace_b):
 def collect_components(seeds, spec, g):
     """Trace every novel seed and return the distinct singular components.
 
-    ``seeds`` holds augmented vectors, one per row. Seeds already lying on a kept component are skipped (the trace would be
-    a resampling of the same curve); the rest are traced with the policy of
+    ``seeds`` holds augmented vectors, one per row. Seeds already lying on a
+    kept component are skipped (the trace would be a resampling of the same
+    curve); the rest are traced with the policy of
     :func:`trace_singular_curve`, deduplicated by curve distance at
     ``_SAME_POINT_TOL`` and sorted by a canonical key so the output order is
     independent of seed order.

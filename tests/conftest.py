@@ -42,21 +42,21 @@ def a1_n3():
 @pytest.fixture(scope="session")
 def traces_n2(a1_n2):
     spec, g = a1_n2
-    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     return lf.collect_components(seeds, spec, g)
 
 
 @pytest.fixture(scope="session")
 def traces_n2_seed3(a1_n2):
     spec, g = a1_n2
-    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=3)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=3)
     return lf.collect_components(seeds, spec, g)
 
 
 @pytest.fixture(scope="session")
 def traces_n3(a1_n3):
     spec, g = a1_n3
-    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     return lf.collect_components(seeds, spec, g)
 
 
@@ -71,5 +71,5 @@ def perturbed_n2():
 @pytest.fixture(scope="session")
 def perturbed_traces(perturbed_n2):
     spec, g = perturbed_n2
-    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=7)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=7)
     return lf.collect_components(seeds, spec, g)

@@ -91,7 +91,7 @@ def dense_min_nonadjacent_distance(trace):
     """Smallest image distance between circularly non-adjacent samples.
 
     The all-pairs formula: a full distance matrix with the diagonal and the
-    (circular) neighbours masked out.
+    circular neighbours masked out.
     """
     pts = trace.image
     count = len(pts)
@@ -100,8 +100,7 @@ def dense_min_nonadjacent_distance(trace):
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     idx = np.arange(count)
     gap = np.abs(idx[:, None] - idx[None, :])
-    if trace.closed:
-        gap = np.minimum(gap, count - gap)
+    gap = np.minimum(gap, count - gap)
     dist[gap <= 1] = np.inf
     return float(dist.min())
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import linkfold
-from linkfold import morse, report
+from linkfold import fold_classify, morse, report, singular_set
 from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem
 
@@ -48,11 +48,12 @@ def test_workload_keywords_still_bind():
         inspect.signature(func).bind_partial(hessian_step=None, dead_band=1e-5)
 
 
-def test_report_results_keep_their_shape(a1_n2, tmp_path):
+def test_report_results_keep_their_shape(a1_n2, tmp_path, monkeypatch):
     # workloads.py unpacks four values from compute_components and
     # (report, exit code) from run_verify_a1
     spec, g = a1_n2
-    config = RunConfig(n=2, seed_samples=24)
+    monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
+    config = RunConfig(n=2)
     result = report.compute_components(config, spec, g)
     assert len(result) == 4
     assert result[0] is spec and result[1] is g
@@ -83,17 +84,17 @@ def test_traced_results_keep_their_shape(a1_n2, traces_n2):
     assert len(trace.points) == len(trace.nodes)
 
 
-def test_verify_a1_calls_every_traced_name(tracing, tmp_path):
+def test_verify_a1_calls_every_traced_name(tracing, tmp_path, monkeypatch):
     # a traced a1_verify run reports correct: false if a required name
     # records no call, e.g. when a batched path bypasses a public function
+    monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
+    monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 50)
+    monkeypatch.setattr(report, "_ORACLE_SAMPLES", 50)
     tracer = tracing.Tracer("contract")
     tracer.install()
     try:
         for n in (1, 2):
-            config = RunConfig(
-                n=n, seed_samples=24, equivariance_samples=50, oracle_samples=50,
-                out_dir=str(tmp_path / f"n{n}"),
-            )
+            config = RunConfig(n=n, out_dir=str(tmp_path / f"n{n}"))
             with tracer.span(f"run_verify_a1.n{n}"):
                 report.run_verify_a1(config)
     finally:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold import FoldKind
+from linkfold import FoldKind, fold_classify
 from linkfold.errors import NotApplicable, RankTwo
 from linkfold.fold_classify import fold_counts, min_nonadjacent_image_distance
 from linkfold.singular_set import CurveTrace
@@ -207,7 +207,6 @@ def _synthetic_trace(center, radius, count=120):
         [center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)]
     )
     return CurveTrace(
-        closed=True,
         arc_length=2 * np.pi * radius,
         image=image,
         arc_params=np.linspace(0, 2 * np.pi * radius, count),
@@ -249,13 +248,6 @@ def test_verify_round_rejects_overlapping_circles():
     assert verdict.failed_check == "radial_overlap"
 
 
-def test_verify_round_rejects_open_component():
-    trace = _synthetic_trace((0.0, 0.0), 1.0)
-    trace.closed = False
-    verdict = lf.verify_round([trace], [_synthetic_record(0, (0, 0), 1.0)])
-    assert verdict.failed_check == "open_component"
-
-
 def test_min_nonadjacent_distance_on_synthetic_circle():
     trace = _synthetic_trace((0.0, 0.0), 1.0, count=100)
     spacing = 2 * np.pi / 100
@@ -263,23 +255,20 @@ def test_min_nonadjacent_distance_on_synthetic_circle():
     assert min_nonadjacent_image_distance(trace) == pytest.approx(expected, rel=1e-6)
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_min_nonadjacent_distance_equals_dense_formula(closed):
+def test_min_nonadjacent_distance_equals_dense_formula():
     rng = np.random.default_rng(11)
     for count in (4, 5, 37, 300):
         trace = _synthetic_trace((0.0, 0.0), 1.0, count=count)
         trace.image = trace.image + 0.3 * rng.standard_normal(trace.image.shape)
-        trace.closed = closed
         assert min_nonadjacent_image_distance(trace) == (
             dense_min_nonadjacent_distance(trace)
         )
 
 
 def test_min_nonadjacent_distance_memory_is_linear():
-    # an open trace that ran into the 5,000-node budget: the all-pairs
-    # formula would need about 1 GB here
+    # a trace at the 5,000-node budget: the all-pairs formula would need
+    # about 1 GB here
     trace = _synthetic_trace((0.0, 0.0), 1.0, count=5000)
-    trace.closed = False
     tracemalloc.start()
     try:
         value = min_nonadjacent_image_distance(trace)
@@ -287,8 +276,8 @@ def test_min_nonadjacent_distance_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
-    # open, the first and last samples are one step apart and not neighbours
-    assert value == pytest.approx(2 * np.sin(np.pi / 5000), rel=1e-6)
+    # closed, the nearest non-adjacent samples are two steps apart
+    assert value == pytest.approx(2 * np.sin(2 * np.pi / 5000), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +285,10 @@ def test_min_nonadjacent_distance_memory_is_linear():
 # ---------------------------------------------------------------------------
 
 
-def test_equivariance_error_tiny_for_a1(a1_n2):
+def test_equivariance_error_tiny_for_a1(a1_n2, monkeypatch):
     spec, g = a1_n2
-    assert lf.equivariance_error(spec, g, n_samples=200, rng_seed=0) <= 1e-12
+    monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 200)
+    assert lf.equivariance_error(spec, g, rng_seed=0) <= 1e-12
 
 
 def test_equivariance_identity_phase(a1_n2):
@@ -320,8 +310,8 @@ def test_equivariance_not_applicable_for_inhomogeneous():
     g = lf.parse_poly("z1 + 0.5i*z2", 3)
     spec = lf.LinkSpec(f=f, n=2, epsilon=0.4)
     with pytest.raises(NotApplicable):
-        lf.equivariance_error(spec, g, n_samples=10, rng_seed=0)
+        lf.equivariance_error(spec, g, rng_seed=0)
     g2 = lf.parse_poly("z1^2", 3)
     spec2 = lf.LinkSpec(f=lf.parse_poly("z1^2 + z2^2 + z3^2", 3), n=2)
     with pytest.raises(NotApplicable):
-        lf.equivariance_error(spec2, g2, n_samples=10, rng_seed=0)
+        lf.equivariance_error(spec2, g2, rng_seed=0)

@@ -146,7 +146,7 @@ def test_slice_hessian_off_normal_ray_matches_differences(a1_n2):
     # the multiplier term of Im(e^{-i theta} h)
     spec, _ = a1_n2
     g = lf.parse_poly("z1 + 0.5i*z2 + 0.3", 3)
-    seeds = lf.seed_singular_points(spec, g, n_samples=64, rng_seed=42)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     traces = lf.collect_components(seeds, spec, g)
     theta = np.pi / 2
     points = lf.slice_critical_points(SliceSpec(theta), traces, spec, g)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 
@@ -21,13 +22,24 @@ from linkfold.report import (
 SQRT2 = np.sqrt(2.0)
 
 
-def _fast_config(out_dir, **kwargs):
-    values = dict(
-        n=2, seed_samples=24, oracle_samples=200, equivariance_samples=100,
-        out_dir=str(out_dir),
-    )
-    values.update(kwargs)
-    return RunConfig(**values)
+@contextlib.contextmanager
+def _fast_samples():
+    """Fewer seeds and statistics samples than a run draws, for speed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lf.singular_set, "_SEED_SAMPLES", 24)
+        mp.setattr(lf.report, "_ORACLE_SAMPLES", 200)
+        mp.setattr(lf.fold_classify, "_EQUIVARIANCE_SAMPLES", 100)
+        yield
+
+
+@pytest.fixture
+def fast_samples():
+    with _fast_samples():
+        yield
+
+
+def _config(out_dir, **kwargs):
+    return RunConfig(**{"n": 2, "out_dir": str(out_dir), **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +75,14 @@ def test_config_flags_override_file(tmp_path):
     assert config.n == 2
 
 
-# the continuation policy and the solver tolerances are constants, not keys
+# the continuation policy, the solver tolerances and the sample sizes are
+# constants, not keys
 @pytest.mark.parametrize(
-    "key", ["bogus", "tol_newton", "tol_singular", "step_init", "step_min", "step_max"]
+    "key",
+    [
+        "bogus", "tol_newton", "tol_singular", "step_init", "step_min", "step_max",
+        "seed_samples", "equivariance_samples", "oracle_samples",
+    ],
 )
 def test_config_unknown_key(tmp_path, key):
     cfg = tmp_path / "run.cfg"
@@ -96,8 +113,9 @@ def test_config_defaults_to_a1():
 @pytest.fixture(scope="module")
 def csv_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("csv_run")
-    config = _fast_config(out)
-    path, traces = run_singular_set(config)
+    config = _config(out)
+    with _fast_samples():
+        path, traces = run_singular_set(config)
     return config, path, traces
 
 
@@ -120,9 +138,10 @@ def test_csv_defect_column_small(csv_run):
         assert float(row.split(",")[-1]) <= 1e-8
 
 
+@pytest.mark.usefixtures("fast_samples")
 def test_csv_rerun_byte_identical(csv_run, tmp_path):
     config, path, _ = csv_run
-    rerun_config = _fast_config(tmp_path / "again")
+    rerun_config = _config(tmp_path / "again")
     rerun_path, _ = run_singular_set(rerun_config)
     assert rerun_path.read_bytes() == path.read_bytes()
 
@@ -174,8 +193,9 @@ def test_svg_empty_trace_set(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("fast_samples")
 def test_morse_json_n2(tmp_path):
-    config = _fast_config(tmp_path)
+    config = _config(tmp_path)
     path, payload = run_morse(config, theta=0.0, eta_angle=0.0)
     data = json.loads(path.read_text())
     slice_indices = sorted(r["morse_index"] for r in data["slice"]["records"])
@@ -190,8 +210,9 @@ def test_morse_json_n2(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("fast_samples")
 def test_report_validates_against_schema(tmp_path):
-    config = _fast_config(tmp_path)
+    config = _config(tmp_path)
     report, code = lf.run_verify_a1(config)
     assert code == 0
     validate_report(report)
@@ -232,20 +253,22 @@ _FOLD_LAYOUT = (
 )
 
 
+@pytest.mark.usefixtures("fast_samples")
 @pytest.mark.parametrize("n, layout", [(1, _N1_LAYOUT), (2, _FOLD_LAYOUT)])
 def test_verify_a1_report_layout(tmp_path, n, layout):
-    report, code = lf.run_verify_a1(_fast_config(tmp_path, n=n))
+    report, code = lf.run_verify_a1(_config(tmp_path, n=n))
     assert code == 0
     check_names, timing_keys = layout
     assert [c["name"] for c in report["checks"]] == check_names
     assert list(report["timings"]) == timing_keys
 
 
+@pytest.mark.usefixtures("fast_samples")
 @pytest.mark.parametrize("n, epsilon", [(2, 0.1), (2, 10.0), (1, 0.1)])
 def test_verify_a1_scales_with_epsilon(tmp_path, n, epsilon):
     # f is homogeneous and g linear: the image circles have radii
     # epsilon * sqrt(2)/4 and epsilon * 3 sqrt(2)/4
-    report, code = lf.run_verify_a1(_fast_config(tmp_path, n=n, epsilon=epsilon))
+    report, code = lf.run_verify_a1(_config(tmp_path, n=n, epsilon=epsilon))
     assert code == 0, report["first_failed_check"]
     radii = report["n1_image" if n == 1 else "round"]["radii"]
     scaled = np.array(radii) / epsilon

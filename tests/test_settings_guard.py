@@ -11,11 +11,11 @@ from dataclasses import fields
 from pathlib import Path
 
 import linkfold
-from linkfold.report import RunConfig
+from linkfold.report import _CONFIG_KEYS, RunConfig
 
 _PACKAGE = Path(linkfold.__file__).resolve().parent
 # defaulted parameters across src/linkfold/*.py, counted as below
-_MAX_DEFAULTED_PARAMETERS = 30
+_MAX_DEFAULTED_PARAMETERS = 28
 
 
 def test_run_config_fields_are_pinned():
@@ -26,11 +26,18 @@ def test_run_config_fields_are_pinned():
         "epsilon",
         "rng_seed",
         "dead_band",
-        "seed_samples",
-        "equivariance_samples",
-        "oracle_samples",
         "out_dir",
     ]
+
+
+def test_config_keys_target_exactly_the_fields():
+    # one key per field plus the aliases seed and out, so a removed field
+    # cannot leave a live key behind
+    targets = [attr for attr, _ in _CONFIG_KEYS.values()]
+    assert set(targets) == {f.name for f in fields(RunConfig)}
+    assert len(targets) == len(fields(RunConfig)) + 2
+    assert _CONFIG_KEYS["seed"][0] == "rng_seed"
+    assert _CONFIG_KEYS["out"][0] == "out_dir"
 
 
 def _defaulted_parameters(source):
