@@ -287,12 +287,13 @@ def _winding_number(image, center):
 def verify_round(traces, records):
     """Decide whether classified singular components form a round structure.
 
-    Checks, in order: every component non-degenerate; h injective
-    on each component, as ``embedding_ok`` of its record says (set by
+    Checks, in order: every component non-degenerate; h injective on each
+    component, as ``embedding_ok`` of its record says (set by
     :func:`classify_component`: non-adjacent image samples separated by more
     than 1e-6); winding number +-1 about the common centre; and pairwise
-    disjoint radial annuli. Returns a RoundVerdict with per-component fitted
-    radii.
+    disjoint radial annuli. The common centre is the mean of the records'
+    circle-fit centres, so it does not depend on how the trace nodes are
+    spaced. Returns a RoundVerdict with per-component fitted radii.
     """
     if not traces:
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "no_components")
@@ -302,7 +303,7 @@ def verify_round(traces, records):
     if any(not r.embedding_ok for r in records):
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "injectivity")
 
-    center = np.mean(np.vstack([t.image for t in traces]), axis=0)
+    center = np.mean([r.image_center for r in records], axis=0)
     for trace in traces:
         w = _winding_number(trace.image, center)
         if abs(abs(w) - 1.0) > 0.05:

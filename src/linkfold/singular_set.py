@@ -618,9 +618,10 @@ def collect_components(seeds, spec, g):
     ``seeds`` holds augmented vectors, one per row. Seeds already lying on a
     kept component are skipped (the trace would be a resampling of the same
     curve); the rest are traced with the policy of
-    :func:`trace_singular_curve`, deduplicated by curve distance at
-    ``_SAME_POINT_TOL`` and sorted by a canonical key so the output order is
-    independent of seed order.
+    :func:`trace_singular_curve` and deduplicated by curve distance at
+    ``_SAME_POINT_TOL``. Components come in increasing order of their
+    largest |h| over the nodes, rounded to 1e-6 epsilon, which does not
+    depend on where the seeds fell; ties fall back to the first node.
     """
     system = AugmentedSystem(spec, g)
     components = []
@@ -631,5 +632,10 @@ def collect_components(seeds, spec, g):
         if any(_same_component(system, trace, c) for c in components):
             continue
         components.append(trace)
-    components.sort(key=lambda tr: tuple(np.round(tr.nodes[0, :-4], 12)))
-    return components
+
+    def order(trace):
+        peak = float(np.max(np.hypot(trace.image[:, 0], trace.image[:, 1])))
+        first = tuple(np.round(trace.nodes[0, :-4], 12))
+        return round(peak / (1e-6 * spec.epsilon)), first
+
+    return sorted(components, key=order)

@@ -198,7 +198,7 @@ def test_verify_round_on_a1(a1_n2, traces_n2):
     verdict = lf.verify_round(traces_n2, _records_for(traces_n2, spec, g))
     assert verdict.is_round
     assert verdict.radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-6)
-    assert np.linalg.norm(verdict.center) <= 1e-2
+    assert np.linalg.norm(verdict.center) <= 1e-12
 
 
 def _synthetic_trace(center, radius, count=120):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from conftest import build_a1, definite_point, indefinite_point
 from oracles import criterion_det, gradient_pair_defect, winding_number
 
 SQRT2 = np.sqrt(2.0)
+BRIESKORN_F = "z1^2 + z2^3 + z3^5"
+
+
+@functools.cache
+def _pipeline_traces(n, seed, f_text=None):
+    """The pipeline's components at the default g, computed once per test run."""
+    config = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed)
+    return lf.report.compute_components(config)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +346,7 @@ def test_brieskorn_trace_is_one_lap(seed):
     # without the distance test the corrector jumps to a later lap of the
     # 1,650-node curve: 4,927 nodes at seeds 42 and 4, 5,000 nodes without
     # closing at seeds 5 and 9
-    config = lf.RunConfig(f_text="z1^2 + z2^3 + z3^5", n=2, rng_seed=seed)
-    _, _, _, traces = lf.report.compute_components(config)
+    traces = _pipeline_traces(2, seed, BRIESKORN_F)
     assert len(traces) == 2
     assert max(len(t) for t in traces) < 2000
 
@@ -356,7 +365,7 @@ def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monk
 @pytest.mark.parametrize("seed", [42, 3, 5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_a1_images_turn_counterclockwise(n, seed):
-    _, _, _, traces = lf.report.compute_components(lf.RunConfig(n=n, rng_seed=seed))
+    traces = _pipeline_traces(n, seed)
     assert len(traces) == 2
     for trace in traces:
         assert winding_number(trace.image) == pytest.approx(1.0, abs=1e-9)
@@ -384,6 +393,20 @@ def test_trace_direction_ignores_seed_round_off(a1_n2):
 def test_collect_components_two_circles(traces_n2, traces_n3):
     for traces in (traces_n2, traces_n3):
         assert len(traces) == 2
+
+
+@pytest.mark.parametrize(
+    "n, f_text, seeds",
+    [(2, None, (42, 3, 5)), (3, None, (42, 3, 5)), (2, BRIESKORN_F, (42, 4))],
+)
+def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
+    # ordered by the first node, A1 at n = 2 listed the inner circle first at
+    # seed 42 and second at seed 3, and the Brieskorn link its long component
+    # first at seed 42 and second at seed 4
+    counts = np.array([[len(t) for t in _pipeline_traces(n, s, f_text)] for s in seeds])
+    assert counts.shape == (len(seeds), 2)
+    # the k-th component has about the same node count at every seed
+    assert np.all(np.abs(counts - counts[0]) <= 0.01 * counts[0])
 
 
 def test_collect_components_steps_scale_with_epsilon(monkeypatch):
