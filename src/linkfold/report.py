@@ -319,9 +319,9 @@ def _rotation_invariance(traces, spec, g, rng_seed):
 def _oracle_agreement(spec, g, rng_seed, threshold):
     """Cross-check the rank-defect and direct-differential singularity tests.
 
-    They are compared at ``_ORACLE_SAMPLES`` link points. Points where either statistic lands inside the margin band
-    ``_ORACLE_BAND`` are excluded from the comparison (threshold flapping),
-    and counted separately.
+    They are compared at ``_ORACLE_SAMPLES`` link points. Points where either
+    statistic lands inside the margin band ``_ORACLE_BAND`` are excluded
+    from the comparison (threshold flapping), and counted separately.
     """
     low, high = _ORACLE_BAND
     rng = np.random.default_rng(rng_seed + 2)

@@ -373,11 +373,11 @@ def seed_singular_points(spec, g, rng_seed=42):
 
     ``_SEED_SAMPLES`` random link points are pushed downhill on the rank
     defect, the span coefficients (a, b) are initialised by least squares,
-    and Gauss-Newton on the augmented system finishes the job. Converged seeds are
-    deduplicated by the distance of their points z. Returns a (k, 2n+6)
-    array of augmented vectors (realify(z), Re a, Im a, Re b, Im b), the
-    layout of trace nodes. Raises WrongDimension for n < 2, where the
-    criterion matrix has fewer rows than columns, and EmptyResult if
+    and Gauss-Newton on the augmented system finishes the job. Converged
+    seeds are deduplicated by the distance of their points z. Returns a
+    (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a, Re b,
+    Im b), the layout of trace nodes. Raises WrongDimension for n < 2, where
+    the criterion matrix has fewer rows than columns, and EmptyResult if
     nothing converges.
     """
     if spec.n < 2:

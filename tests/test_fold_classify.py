@@ -266,8 +266,8 @@ def test_min_nonadjacent_distance_equals_dense_formula():
 
 
 def test_min_nonadjacent_distance_memory_is_linear():
-    # a trace at the 5,000-node budget: the all-pairs formula would need
-    # about 1 GB here
+    # a trace as long as the 5,000-node budget allows: the all-pairs
+    # formula would need about 1 GB here
     trace = _synthetic_trace((0.0, 0.0), 1.0, count=5000)
     tracemalloc.start()
     try:

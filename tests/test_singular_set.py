@@ -398,6 +398,7 @@ def test_collect_components_two_circles(traces_n2, traces_n3):
 @pytest.mark.parametrize(
     "n, f_text, seeds",
     [(2, None, (42, 3, 5)), (3, None, (42, 3, 5)), (2, BRIESKORN_F, (42, 4))],
+    ids=["a1_n2", "a1_n3", "brieskorn"],
 )
 def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
     # ordered by the first node, A1 at n = 2 listed the inner circle first at
