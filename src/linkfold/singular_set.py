@@ -72,8 +72,6 @@ _STEP_MIN = 1e-4
 _STEP_MAX = 0.1
 # a corrector converges when its bordered residual is at most this
 _CORRECTOR_TOL = 1e-12
-# a traced curve may close only after this many nodes
-_MIN_NODES_BEFORE_CLOSURE = 5
 # a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
 # an augmented-Jacobian singular value below this suspects a branch point
@@ -155,7 +153,9 @@ class CurveTrace:
     continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
     ``arc_params`` is the cumulative curvature-corrected arc length;
     ``defects`` the rank defect at each node. The polyline is closed: the
-    last node joins the first, and ``arc_length`` includes that segment.
+    first node is the start, the last is the last node before the trace
+    crossed the start's tangent hyperplane, the last node joins the first,
+    and ``arc_length`` includes that segment.
     """
 
     arc_length: float
@@ -484,8 +484,10 @@ def trace_singular_curve(seed, spec, g):
     corrector is held to ``_CORRECTOR_TOL``. A corrected point farther than
     half a step from its prediction is rejected like a failed corrector
     (the distance test of Allgower & Georg, section 6.1), so the trace
-    cannot jump to another part of the curve. The trace closes when it
-    returns within half a step of the start with an aligned tangent. It
+    cannot jump to another part of the curve. The trace closes when a step
+    from a node within one step of the start crosses the start's tangent
+    hyperplane t0 . (w - w0) = 0 from behind; that step's point is not
+    stored, and the polyline closes from the last node back to the start. It
     starts in the direction in which the image turns counterclockwise about
     0, so its orientation does not depend on round-off in the seed. Raises
     NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
@@ -537,18 +539,14 @@ def trace_singular_curve(seed, spec, g):
             if s < step_min:
                 raise StepCollapse(f"continuation step collapsed below {step_min:.1e}")
             continue
+        if (
+            np.dot(start_t, w - start_w) < 0 <= np.dot(start_t, w_new - start_w)
+            and np.linalg.norm(w - start_w) <= s
+        ):
+            break  # the step crosses the start's tangent hyperplane: closed
         nodes.append(w_new)
         tangents.append(t_new)
         w, t = w_new, t_new
-        if len(nodes) > _MIN_NODES_BEFORE_CLOSURE:
-            dist_start = np.linalg.norm(w - start_w)
-            aligned = np.dot(t, start_t) > 0.9
-            if aligned and dist_start <= 0.5 * s:
-                break
-            if aligned and dist_start <= 2.0 * s:
-                # approach mode: aim to land right next to the start
-                s = float(np.clip(0.9 * dist_start, step_min, step_max))
-                continue
         if iters <= 3:
             s = min(s * 1.4, step_max)
         elif iters >= 6:
