@@ -69,7 +69,6 @@ from .polynomial import (
 )
 from .report import (
     RunConfig,
-    run_image_svg,
     run_morse,
     run_singular_set,
     run_verify_a1,

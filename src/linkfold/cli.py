@@ -3,8 +3,7 @@
 Subcommands:
 
     linkfold verify-a1    --n 2 --out out        full A1 verification pipeline
-    linkfold singular-set --f ... --g ... --n 2  trace S(h), write CSV
-    linkfold image-svg    ...                    render h(S(h)) as SVG
+    linkfold singular-set --f ... --g ... --n 2  trace S(h), write CSV and SVG
     linkfold morse        --theta 0 --eta-angle 0  slice / composed Morse data
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the first
@@ -30,7 +29,6 @@ from .report import (
     ConfigError,
     load_config_file,
     make_config,
-    run_image_svg,
     run_morse,
     run_singular_set,
     run_verify_a1,
@@ -65,10 +63,7 @@ def build_parser():
     p = sub.add_parser("verify-a1", help="verify the A1 round fold map end to end")
     _add_common(p)
 
-    p = sub.add_parser("singular-set", help="trace the singular set, write CSV")
-    _add_common(p)
-
-    p = sub.add_parser("image-svg", help="render the singular value set as SVG")
+    p = sub.add_parser("singular-set", help="trace the singular set, write CSV and SVG")
     _add_common(p)
 
     p = sub.add_parser("morse", help="slice and composed Morse data, write JSON")
@@ -127,10 +122,6 @@ def main(argv=None):
             path, traces = run_singular_set(config)
             print(f"wrote {path} ({len(traces)} components)")
             return 0
-        if args.command == "image-svg":
-            path, traces = run_image_svg(config)
-            print(f"wrote {path} ({len(traces)} components)")
-            return 0
         if args.command == "morse":
             path, payload = run_morse(config, theta=args.theta,
                                       eta_angle=args.eta_angle)
@@ -141,7 +132,7 @@ def main(argv=None):
                 f"{composed_count} composed critical points)"
             )
             return 0
-    except WrongDimension as exc:
+    except (ConfigError, WrongDimension) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _DEGENERATE_ERRORS as exc:

@@ -268,7 +268,10 @@ def trace_image_n1(spec, g, rng_seed=42):
     Only valid for n = 1. Components of the images of ``_N1_SAMPLES`` link
     points are reported with least-squares circle fits, sorted by radius;
     image points within ``_CLUSTER_GAP`` (times epsilon) of each other join
-    one connected component.
+    one connected component. Each component's points come in order of their
+    angle about its fitted centre, so they form a closed polyline along the
+    curve; this assumes each image component is star-shaped about that
+    centre, as the A1 circles are.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")
@@ -298,7 +301,9 @@ def trace_image_n1(spec, g, rng_seed=42):
     for members in groups:
         pts = image[members]
         center, radius, _ = circle_fit(pts)
-        fits.append((radius, center, pts))
+        rel = pts - center
+        order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
+        fits.append((radius, center, pts[order]))
     fits.sort(key=lambda item: item[0])
 
     min_gap = np.inf

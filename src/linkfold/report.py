@@ -49,7 +49,6 @@ __all__ = [
     "compute_components",
     "run_verify_a1",
     "run_singular_set",
-    "run_image_svg",
     "run_morse",
     "write_singular_csv",
     "write_image_svg",
@@ -486,9 +485,11 @@ def run_verify_a1(config):
     Morse -> composed Morse -> equivariance, and writes report.json,
     singular_set.csv and image.svg into the output directory. The closed
     forms (image radii eps sqrt(2)/4 and 3 eps sqrt(2)/4) scale with eps.
+    Raises ConfigError when ``f_text`` is set to any other polynomial.
     """
-    config = RunConfig(**{**config.__dict__, "f_text": _a1_f_text(config.n)})
     spec, g = config.build()
+    if spec.f != parse_poly(_a1_f_text(config.n), config.n + 1):
+        raise ConfigError(f"verify-a1 needs the A1 polynomial f, got {spec.f}")
     out_dir = _out_dir(config)
     eps = config.epsilon
     radii = [SQRT2_OVER_4 * eps, THREE_SQRT2_OVER_4 * eps]
@@ -524,19 +525,16 @@ def run_verify_a1(config):
 
 
 def run_singular_set(config):
-    """Trace the singular set and write singular_set.csv; returns the path."""
+    """Trace the singular set, write singular_set.csv and image.svg.
+
+    The SVG labels the image curves with their circle-fit radii. Returns
+    (path of the CSV, traces).
+    """
     spec, _, _, traces = compute_components(config)
-    path = _out_dir(config) / "singular_set.csv"
-    write_singular_csv(path, traces, spec)
-    return path, traces
-
-
-def run_image_svg(config):
-    """Trace the singular set and render its image curves as SVG."""
-    _, _, _, traces = compute_components(config)
-    path = _out_dir(config) / "image.svg"
-    radii = [circle_fit(trace.image)[1] for trace in traces]
-    write_image_svg(path, [t.image for t in traces], sorted(radii))
+    out_dir = _out_dir(config)
+    path = write_singular_csv(out_dir / "singular_set.csv", traces, spec)
+    radii = sorted(circle_fit(trace.image)[1] for trace in traces)
+    write_image_svg(out_dir / "image.svg", [t.image for t in traces], radii)
     return path, traces
 
 

@@ -83,8 +83,6 @@ _NEWTON_MAX_ITER = 30
 # the rank defect before each one's Newton solve
 _SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 25
-# a seed counts as converged when its augmented residual is at most this
-_SEED_RESIDUAL_TOL = 1e-11
 # singular-set points (or augmented vectors) closer than this are the same
 _SAME_POINT_TOL = 1e-4
 # starts of the gradient-dependence scan, and the pair defect of a hit
@@ -153,9 +151,9 @@ class CurveTrace:
     continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
     ``arc_params`` is the cumulative curvature-corrected arc length;
     ``defects`` the rank defect at each node. The polyline is closed: the
-    first node is the start, the last is the last node before the trace
-    crossed the start's tangent hyperplane, the last node joins the first,
-    and ``arc_length`` includes that segment.
+    first node is the start, the last node joins it in place of the step
+    that crossed the start's tangent hyperplane, and ``arc_length``
+    includes that segment. The image polygon has positive signed area.
     """
 
     arc_length: float
@@ -397,7 +395,7 @@ def seed_singular_points(spec, g, rng_seed=42):
         gf, gg = system.grads(z)
         coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
         w, ok = system.newton_least_norm(np.concatenate([realify(z), realify(coeffs)]))
-        if not ok or np.linalg.norm(system.residual(w)) > _SEED_RESIDUAL_TOL:
+        if not ok:
             continue
         converged += 1
         if all(np.linalg.norm(w[:-4] - s[:-4]) > _SAME_POINT_TOL for s in seeds):
@@ -489,10 +487,13 @@ def trace_singular_curve(seed, spec, g):
     hyperplane t0 . (w - w0) = 0 from behind; that step's point is not
     stored, and the polyline closes from the last node back to the start. It
     starts in the direction in which the image turns counterclockwise about
-    0, so its orientation does not depend on round-off in the seed. Raises
-    NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
-    BifurcationSuspected when the Jacobian loses rank along the way and
-    StepCollapse when adaptation falls below the minimum step.
+    0, so node placement does not depend on round-off in the seed. A
+    finished polyline whose image polygon has negative signed area is then
+    reversed with the start kept first, so every image turns counterclockwise
+    as a whole, whichever seed the trace began at. Raises NonConvergence when
+    it has not closed after ``_MAX_NODES`` nodes, BifurcationSuspected when
+    the Jacobian loses rank along the way and StepCollapse when adaptation
+    falls below the minimum step.
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
@@ -555,6 +556,12 @@ def trace_singular_curve(seed, spec, g):
     nodes = np.array(nodes)
     tangents = np.array(tangents)
     dim = 2 * system.m
+    values = eval_poly(g, complexify(nodes[:, :dim]))
+    # orient by the whole image: a polyline whose image polygon has negative
+    # signed area is reversed, keeping the start first
+    if np.sum(np.imag(np.conj(values) * np.roll(values, -1))) < 0:
+        order = np.r_[0, len(nodes) - 1 : 0 : -1]
+        nodes, tangents, values = nodes[order], -tangents[order], values[order]
     nodes_z = nodes[:, :dim]
     tangents_z = tangents[:, :dim]
     norms = np.linalg.norm(tangents_z, axis=1, keepdims=True)
@@ -564,10 +571,8 @@ def trace_singular_curve(seed, spec, g):
     arc_params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
     arc_length = float(arc_params[-1] + seg[-1])
 
-    nodes_c = complexify(nodes_z)
-    values = eval_poly(g, nodes_c)
     image = np.column_stack([values.real, values.imag])
-    defects = criterion_rank_defect(nodes_c, spec.f, g)
+    defects = criterion_rank_defect(complexify(nodes_z), spec.f, g)
     return CurveTrace(
         arc_length=arc_length,
         image=image,

@@ -246,6 +246,16 @@ def test_trace_image_n1_injectivity_gap():
     assert result.min_intercomponent_distance >= SQRT2 / 4
 
 
+@pytest.mark.parametrize("epsilon", [1.0, 1e-3])
+def test_trace_image_n1_polylines_follow_the_circles(epsilon):
+    # in sampling order each closed polyline was about 200 circumferences long
+    spec, g = lf.RunConfig(n=1, epsilon=epsilon).build()
+    result = lf.trace_image_n1(spec, g, rng_seed=42)
+    for pts, radius in zip(result.components, result.radii):
+        length = np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
+        assert length == pytest.approx(2 * np.pi * radius, rel=0.01)
+
+
 def test_trace_image_n1_wrong_dimension(a1_n2):
     spec, g = a1_n2
     with pytest.raises(WrongDimension):

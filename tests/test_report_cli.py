@@ -312,13 +312,19 @@ def test_cli_singular_set_runs(tmp_path, capsys):
     code = main(["singular-set", "--n", "2", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "singular_set.csv").exists()
+    assert (tmp_path / "image.svg").exists()
     assert "2 components" in capsys.readouterr().out
 
 
-def test_cli_image_svg_runs(tmp_path):
-    code = main(["image-svg", "--n", "2", "--out", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "image.svg").exists()
+def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):
+    # verify-a1 holds the run to the A1 closed forms, so it must not trace
+    # the A1 polynomial in place of the f it was given
+    code = main(["verify-a1", "--n", "2", "--f", "z1^2 + z2^3 + z3^5",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_morse_runs(tmp_path):
@@ -327,7 +333,7 @@ def test_cli_morse_runs(tmp_path):
     assert (tmp_path / "morse.json").exists()
 
 
-@pytest.mark.parametrize("command", ["singular-set", "image-svg", "morse"])
+@pytest.mark.parametrize("command", ["singular-set", "morse"])
 def test_cli_n1_is_configuration_error(tmp_path, capsys, command):
     # the singular set is only traced for n >= 2; n = 1 must not crash
     code = main([command, "--n", "1", "--out", str(tmp_path)])

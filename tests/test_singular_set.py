@@ -348,7 +348,11 @@ def test_brieskorn_trace_is_one_lap(seed):
     # closing at seeds 5 and 9
     traces = _pipeline_traces(2, seed, BRIESKORN_F)
     assert len(traces) == 2
-    assert max(len(t) for t in traces) < 2000
+    longest = max(traces, key=len)
+    assert len(longest) < 2000
+    # one lap turns the image 10 times about 0; oriented by the start
+    # direction alone it turned -10 times at seeds 42, 4 and 5
+    assert winding_number(longest.image) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monkeypatch):
