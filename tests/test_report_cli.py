@@ -312,8 +312,15 @@ def test_cli_singular_set_runs(tmp_path, capsys):
     code = main(["singular-set", "--n", "2", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "singular_set.csv").exists()
-    assert (tmp_path / "image.svg").exists()
     assert "2 components" in capsys.readouterr().out
+
+
+def test_cli_image_svg_runs(tmp_path):
+    # the image is drawn by singular-set, next to the CSV it writes
+    code = main(["singular-set", "--n", "2", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "singular_set.csv").exists()
+    assert (tmp_path / "image.svg").exists()
 
 
 def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):
