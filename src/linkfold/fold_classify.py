@@ -46,6 +46,8 @@ __all__ = [
 _MAX_SAMPLES = 24
 # link points at which equivariance_error compares h(alpha z) and alpha h(z)
 _EQUIVARIANCE_SAMPLES = 1000
+# eigenvalues within this fraction of the spectral norm cannot be signed
+_DEAD_BAND = 1e-5
 
 
 class FoldKind(enum.Enum):
@@ -120,24 +122,23 @@ def intrinsic_hessian(kernel_basis, frame, spec, g, nu):
     return kernel_basis @ critical_hessian(frame, spec, g, weight) @ kernel_basis.T
 
 
-def fold_counts(eigenvalues, dead_band=1e-5):
+def fold_counts(eigenvalues):
     """(negative, positive, degenerate) eigenvalue counts with a dead band.
 
-    The band is ``dead_band`` times the spectral norm; an eigenvalue inside
+    The band is ``_DEAD_BAND`` times the spectral norm; an eigenvalue inside
     it cannot be signed, which makes the point degenerate.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     if scale == 0.0:
         return 0, 0, True
-    tau = dead_band * scale
+    tau = _DEAD_BAND * scale
     neg = int(np.sum(eigenvalues < -tau))
     pos = int(np.sum(eigenvalues > tau))
     return neg, pos, bool(neg + pos < eigenvalues.size)
 
 
-def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
-                  dead_band=1e-5):
+def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0)):
     """Classify one singular point as a definite/indefinite/degenerate fold.
 
     The transverse normal is oriented away from ``image_center`` so the
@@ -154,7 +155,7 @@ def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0),
         nu = -nu
     hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
     eigs = np.linalg.eigvalsh(hess)
-    neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
+    neg, _, degenerate = fold_counts(eigs)
     if degenerate:
         kind = FoldKind.DEGENERATE
         absolute = None
@@ -219,7 +220,7 @@ class ComponentClassification:
     consistent: bool
 
 
-def classify_component(trace, spec, g, component_id, dead_band=1e-5):
+def classify_component(trace, spec, g, component_id):
     """Classify sampled points along a traced component and aggregate.
 
     About ``_MAX_SAMPLES`` points, evenly strided, must all agree in (kind,
@@ -232,7 +233,7 @@ def classify_component(trace, spec, g, component_id, dead_band=1e-5):
     count = len(trace.points)
     stride = max(1, count // _MAX_SAMPLES)
     records = [
-        classify_fold(trace.points[idx], spec, g, component_id, center, dead_band)
+        classify_fold(trace.points[idx], spec, g, component_id, center)
         for idx in range(0, count, stride)
     ]
     kinds = {(r.kind, r.absolute_index, r.negative_eigenvalues) for r in records}

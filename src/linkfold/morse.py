@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHessian, RankZero, WrongDimension
-from .fold_classify import circle_fit, fold_counts
+from .fold_classify import _DEAD_BAND, circle_fit, fold_counts
 from .geometry import (
     complexify,
     critical_hessian,
@@ -137,20 +137,20 @@ def slice_critical_points(slice_spec, traces, spec, g):
     return found
 
 
-def _morse_index(eigs, dead_band):
+def _morse_index(eigs):
     """Negative-eigenvalue count; DegenerateHessian inside the dead band."""
-    neg, _, degenerate = fold_counts(eigs, dead_band=dead_band)
+    neg, _, degenerate = fold_counts(eigs)
     if degenerate:
         raise DegenerateHessian(
-            f"Hessian eigenvalue inside dead band {dead_band:g} x spectral "
+            f"Hessian eigenvalue inside dead band {_DEAD_BAND:g} x spectral "
             f"norm: {eigs}"
         )
     return neg
 
 
-# hessian_step is accepted and ignored: perfbench/workloads.py still passes it
+# hessian_step and dead_band are ignored: perfbench/workloads.py passes them
 def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
-                      dead_band=1e-5):
+                      dead_band=None):
     """Morse index of the slice function Re(e^{-i theta} h) at a critical point.
 
     The chart of the slice at the point is the kernel of the differential of
@@ -177,7 +177,7 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     weight = rotation * (1.0 + 1j * lam)
     hess = kernel @ critical_hessian(frame, spec, g, weight) @ kernel.T
     eigs = np.linalg.eigvalsh(hess)
-    index = _morse_index(eigs, dead_band)
+    index = _morse_index(eigs)
     value = float((rotation * eval_poly(g, z)).real)
     return CriticalPointRecord(
         point=z,
@@ -193,8 +193,8 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
 # ---------------------------------------------------------------------------
 
 
-# hessian_step is accepted and ignored: perfbench/workloads.py still passes it
-def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5):
+# hessian_step and dead_band are ignored: perfbench/workloads.py passes them
+def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     """Critical points of the height eta . h on the link, with Morse data.
 
     ``eta`` is a nonzero covector on R^2 (normalised internally), and
@@ -238,7 +238,7 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=1e-5):
                 CriticalPointRecord(
                     point=z,
                     value=float((weight * eval_poly(g, z)).real),
-                    morse_index=_morse_index(eigs, dead_band),
+                    morse_index=_morse_index(eigs),
                     hessian_eigenvalues=eigs,
                     gradient_norm=float(np.max(np.abs(derivs.real))),
                 )

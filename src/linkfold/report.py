@@ -19,6 +19,7 @@ import numpy as np
 from . import morse as morse_mod
 from .errors import LinkFoldError, NotApplicable
 from .fold_classify import (
+    _DEAD_BAND,
     _EQUIVARIANCE_SAMPLES,
     FoldKind,
     circle_fit,
@@ -83,8 +84,8 @@ def _a1_f_text(n):
 class RunConfig:
     """Everything a pipeline run depends on, echoed verbatim into reports.
 
-    Continuation steps, solver tolerances and sample sizes are constants,
-    echoed alongside.
+    Continuation steps, solver tolerances, the Hessian dead band and sample
+    sizes are constants, echoed alongside.
     """
 
     f_text: str | None = None  # None: sum of squares in n + 1 variables
@@ -92,10 +93,10 @@ class RunConfig:
     n: int = 2
     epsilon: float = 1.0
     rng_seed: int = 42
-    dead_band: float = 1e-5
     out_dir: str = "out"
-    # no longer a setting; perfbench/workloads.py still passes it on
+    # no longer settings; perfbench/workloads.py still passes them on
     hessian_step = None
+    dead_band = _DEAD_BAND
 
     def resolved_f_text(self):
         return self.f_text if self.f_text is not None else _a1_f_text(self.n)
@@ -128,7 +129,7 @@ class RunConfig:
             "tolerances": {
                 "newton": _CORRECTOR_TOL,
                 "singular": _SINGULAR_TOL,
-                "dead_band": self.dead_band,
+                "dead_band": _DEAD_BAND,
             },
             "continuation": {
                 "step_init": _STEP_INIT,
@@ -151,7 +152,6 @@ _CONFIG_KEYS = {
     "epsilon": ("epsilon", float),
     "seed": ("rng_seed", int),
     "rng_seed": ("rng_seed", int),
-    "dead_band": ("dead_band", float),
     "out": ("out_dir", str),
     "out_dir": ("out_dir", str),
 }
@@ -230,20 +230,16 @@ def _out_dir(config):
     return out_dir
 
 
-def _morse_stage(config, traces, spec, g, theta, eta_angle):
+def _morse_stage(traces, spec, g, theta, eta_angle):
     """Slice Morse records at ray angle theta, composed ones at eta_angle."""
     slice_spec = morse_mod.SliceSpec(theta=theta)
     slice_points = morse_mod.slice_critical_points(slice_spec, traces, spec, g)
     slice_records = [
-        morse_mod.slice_morse_index(
-            z, slice_spec, spec, g, dead_band=config.dead_band
-        )
+        morse_mod.slice_morse_index(z, slice_spec, spec, g)
         for z in slice_points
     ]
     eta = np.array([np.cos(eta_angle), np.sin(eta_angle)])
-    composed = morse_mod.composed_morse(
-        eta, traces, spec, g, dead_band=config.dead_band
-    )
+    composed = morse_mod.composed_morse(eta, traces, spec, g)
     return slice_records, composed
 
 
@@ -371,7 +367,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
 
     t0 = time.perf_counter()
     classifications = [
-        classify_component(trace, spec, g, idx, dead_band=config.dead_band)
+        classify_component(trace, spec, g, idx)
         for idx, trace in enumerate(traces)
     ]
     timings["classification"] = time.perf_counter() - t0
@@ -381,7 +377,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     inner, outer = by_radius[0], by_radius[-1]
 
     t0 = time.perf_counter()
-    slice_records, composed = _morse_stage(config, traces, spec, g, 0.0, 0.0)
+    slice_records, composed = _morse_stage(traces, spec, g, 0.0, 0.0)
     timings["morse"] = time.perf_counter() - t0
     slice_indices = sorted(r.morse_index for r in slice_records)
     slice_expected = sorted([2 * n - 2, n - 1])
@@ -541,9 +537,7 @@ def run_singular_set(config):
 def run_morse(config, theta=0.0, eta_angle=0.0):
     """Slice and composed Morse data; writes morse.json and returns the dict."""
     spec, g, _, traces = compute_components(config)
-    slice_records, composed = _morse_stage(
-        config, traces, spec, g, theta, eta_angle
-    )
+    slice_records, composed = _morse_stage(traces, spec, g, theta, eta_angle)
     payload = {
         "config": config.echo(),
         "slice": {

@@ -42,8 +42,10 @@ def test_traced_augmented_methods_exist(tracing):
 
 
 def test_workload_keywords_still_bind():
-    # perfbench/workloads.py reads config.hessian_step and passes it on
+    # perfbench/workloads.py reads config.hessian_step and config.dead_band
+    # and passes them on
     assert hasattr(RunConfig(), "hessian_step")
+    assert hasattr(RunConfig(), "dead_band")
     for func in (morse.slice_morse_index, morse.composed_morse):
         inspect.signature(func).bind_partial(hessian_step=None, dead_band=1e-5)
 

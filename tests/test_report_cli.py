@@ -293,6 +293,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
+    # an output path below a regular file cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["verify-a1", "--n", "1", "--out", str(blocker / "out")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")
@@ -300,10 +309,12 @@ def test_cli_unknown_config_key_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_hessian_step_key_is_rejected(tmp_path):
-    # Hessians are analytic; the old finite-difference step is no setting
+@pytest.mark.parametrize("key", ["hessian_step", "dead_band"])
+def test_cli_hessian_step_key_is_rejected(tmp_path, key):
+    # Hessians are analytic and the dead band is a constant: neither is a
+    # setting any more
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("hessian_step = 1e-4\n")
+    cfg.write_text(f"{key} = 1e-4\n")
     code = main(["verify-a1", "--config", str(cfg)])
     assert code == 2
 
@@ -351,11 +362,23 @@ def test_cli_n1_is_configuration_error(tmp_path, capsys, command):
 
 
 def test_cli_warns_on_large_epsilon_inhomogeneous(tmp_path, capsys):
+    # no positive weights make z1^2 and z1^3 both of weighted degree 1
     code = main([
-        "singular-set", "--f", "z1^2 + z2^2 + z3^3", "--g", "z1 + 0.5i*z2",
+        "singular-set", "--f", "z1^2 + z2^2 + z3^2 + z1^3", "--g", "z1 + 0.5i*z2",
         "--n", "2", "--epsilon", "0.9", "--seed", "3",
         "--out", str(tmp_path),
     ])
     err = capsys.readouterr().err
     assert "not homogeneous" in err
     assert code in (0, 3, 4)
+
+
+def test_cli_no_warning_for_weighted_homogeneous_f(tmp_path, capsys):
+    # z1^2 + z2^3 + z3^5 has weights (1/2, 1/3, 1/5): its link is the same
+    # at every epsilon
+    code = main([
+        "singular-set", "--f", "z1^2 + z2^3 + z3^5", "--n", "2",
+        "--epsilon", "1", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert "warning" not in capsys.readouterr().err
