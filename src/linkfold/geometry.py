@@ -92,6 +92,8 @@ class LinkSpec:
             )
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if not self.f.terms:
+            raise ValueError("f must be a nonzero polynomial")
         origin = (0,) * self.f.n_vars
         if origin in self.f.terms:
             raise ValueError("f must vanish at the origin")

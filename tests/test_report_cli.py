@@ -293,6 +293,13 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_zero_f_is_configuration_error(tmp_path, capsys):
+    # the zero polynomial cuts out no hypersurface, so there is no link
+    code = main(["singular-set", "--f", "0", "--n", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
     # an output path below a regular file cannot be created
     blocker = tmp_path / "file"
