@@ -65,6 +65,7 @@ from .polynomial import (
     homogeneous_degree,
     parse_poly,
     poly_to_string,
+    weighted_homogeneous,
     wirtinger_partial,
 )
 from .report import (

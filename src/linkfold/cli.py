@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import (
     BifurcationSuspected,
     DegenerateHessian,
@@ -26,6 +24,7 @@ from .errors import (
     RankZero,
     WrongDimension,
 )
+from .polynomial import weighted_homogeneous
 from .report import (
     ConfigError,
     load_config_file,
@@ -41,17 +40,6 @@ _DEGENERATE_ERRORS = (
     DegenerateHessian,
     RankZero,
 )
-
-
-def _weighted_homogeneous(f):
-    """Whether positive weights w solve sum_j w_j e_j = 1 over f's exponents e.
-
-    Tests the least-squares w. Such an f has the same link at every epsilon
-    (Milnor, Singular Points of Complex Hypersurfaces, 1968).
-    """
-    exps = np.array(list(f.terms), dtype=float).reshape(-1, f.n_vars)
-    weights, *_ = np.linalg.lstsq(exps, np.ones(len(exps)), rcond=None)
-    return bool(np.all(weights > 0) and np.allclose(exps @ weights, 1.0))
 
 
 def _add_common(parser):
@@ -102,17 +90,23 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
         spec, _ = config.build()
-        if not _weighted_homogeneous(spec.f) and config.epsilon >= 0.5:
-            print(
-                "warning: f is not homogeneous for any positive weights and "
-                f"epsilon = {config.epsilon}; "
-                "the link is only guaranteed for small epsilon",
-                file=sys.stderr,
-            )
+    except (ConfigError, PolyParseError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if not weighted_homogeneous(spec.f) and config.epsilon >= 0.5:
+        print(
+            "warning: f is not homogeneous for any positive weights and "
+            f"epsilon = {config.epsilon}; "
+            "the link is only guaranteed for small epsilon",
+            file=sys.stderr,
+        )
+
+    try:
         if args.command == "verify-a1":
             report, code = run_verify_a1(config)
             for entry in report["checks"]:
@@ -139,7 +133,7 @@ def main(argv=None):
                 f"{composed_count} composed critical points)"
             )
             return 0
-    except (ConfigError, PolyParseError, WrongDimension, OSError) as exc:
+    except (ConfigError, WrongDimension) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _DEGENERATE_ERRORS as exc:

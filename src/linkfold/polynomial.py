@@ -38,6 +38,7 @@ __all__ = [
     "conj_gradient",
     "hessian",
     "homogeneous_degree",
+    "weighted_homogeneous",
 ]
 
 
@@ -379,6 +380,24 @@ def homogeneous_degree(p):
     if len(degrees) == 1:
         return degrees.pop()
     return None
+
+
+def weighted_homogeneous(p):
+    """Whether positive weights w give every term of p weighted degree 1.
+
+    That is, sum_j w_j e_j = 1 over p's exponent tuples e; such an f has the
+    same link at every epsilon (Milnor, Singular Points of Complex
+    Hypersurfaces, 1968). A homogeneous p of positive degree d has w_j = 1/d.
+    Otherwise the least-squares w over the variables p uses is tested, which
+    can miss positive weights that are not unique.
+    """
+    if homogeneous_degree(p):
+        return True
+    exps = np.array(list(p.terms), dtype=float).reshape(-1, p.n_vars)
+    exps = exps[:, exps.any(axis=0)]
+    weights = np.linalg.lstsq(exps, np.ones(len(exps)), rcond=None)[0]
+    fits = bool(np.allclose(exps @ weights, 1.0))
+    return len(exps) > 0 and fits and bool(np.all(weights > 0))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,9 @@ class RunConfig:
             g = parse_poly(self.g_text, self.n + 1)
         except LinkFoldError as exc:
             raise ConfigError(f"polynomial parse failure: {exc}") from exc
+        if not any(any(e) for e in g.terms):
+            # a constant h is singular on the whole link
+            raise ConfigError("g must be nonconstant")
         try:
             spec = LinkSpec(f=f, n=self.n, epsilon=self.epsilon)
         except ValueError as exc:

@@ -18,8 +18,8 @@ The singular set itself is a curve cut out by the augmented system
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeds, trace nodes and tangents are all augmented vectors
 w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs descent
-on the rank defect, then Gauss-Newton on this system from the criterion
-kernel. Every other point of the curve comes from one solver,
+on the rank defect followed by Gauss-Newton on this system. Every other
+point of the curve comes from one solver,
 :meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
 one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
 (predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
@@ -371,9 +371,9 @@ def seed_singular_points(spec, g, rng_seed=42):
 
     ``_SEED_SAMPLES`` random link points are pushed downhill on the rank
     defect. Gauss-Newton on the augmented system starts from each endpoint z
-    with (a, b) = -(v1, v2)/v3, v the smallest right singular vector of the
-    criterion matrix [gradbar f, gradbar g, z]. Each start that converges is
-    a seed; :func:`collect_components` skips seeds on a traced component.
+    with the span coefficients (a, b) of the least-squares fit of z on
+    (gradbar f, gradbar g). Each start that converges is a seed;
+    :func:`collect_components` skips seeds on a traced component.
     Returns a (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a,
     Re b, Im b), the layout of trace nodes. Raises WrongDimension for n < 2,
     where the criterion matrix has fewer rows than columns, and EmptyResult
@@ -390,9 +390,9 @@ def seed_singular_points(spec, g, rng_seed=42):
             lambda z: _ratio_gradient(system, z, 3), z0, spec,
             max_steps=_SEED_DESCENT_STEPS, target=2e-2,
         )
-        v = np.linalg.svd(criterion_matrix(z, spec.f, g))[2][-1].conj()
-        start = np.concatenate([realify(z), realify(-v[:2] / v[2])])
-        w, ok = system.newton_least_norm(start)
+        gf, gg = system.grads(z)
+        coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
+        w, ok = system.newton_least_norm(np.concatenate([realify(z), realify(coeffs)]))
         if ok:
             seeds.append(w)
     if not seeds:

@@ -224,6 +224,17 @@ def test_homogeneous_degree():
     assert lf.homogeneous_degree(ComplexPoly.zero(2)) is None
 
 
+def test_weighted_homogeneous():
+    # Brieskorn: weights (1/2, 1/3, 1/5)
+    assert lf.weighted_homogeneous(lf.parse_poly("z1^2 + z2^3 + z3^5", 3))
+    # homogeneous, with z3 unused
+    assert lf.weighted_homogeneous(lf.parse_poly("z1^2 + z2^2", 3))
+    # z1^2 and z1^3 cannot both have weighted degree 1
+    assert not lf.weighted_homogeneous(lf.parse_poly("z1^2 + z2^2 + z1^3", 3))
+    assert not lf.weighted_homogeneous(ComplexPoly.zero(2))
+    assert not lf.weighted_homogeneous(ComplexPoly.constant(1.0, 2))
+
+
 def test_euler_identity_on_homogeneous_polynomials():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -300,13 +300,12 @@ def test_cli_zero_f_is_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
-    # an output path below a regular file cannot be created
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code = main(["verify-a1", "--n", "1", "--out", str(blocker / "out")])
+@pytest.mark.parametrize("g_text", ["1", "0"])
+def test_cli_constant_g_is_configuration_error(tmp_path, capsys, g_text):
+    # a constant g has no singular curve: every link point is singular
+    code = main(["singular-set", "--g", g_text, "--n", "2", "--out", str(tmp_path)])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert "g must be nonconstant" in capsys.readouterr().err
 
 
 def test_cli_unknown_config_key_exit_code(tmp_path):

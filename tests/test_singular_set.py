@@ -218,8 +218,8 @@ def test_augmented_jacobian_matches_finite_differences(perturbed_n2):
 @pytest.mark.parametrize("c", [0.5, 1])
 def test_augmented_span_invariant_on_seeds(c, monkeypatch):
     # at g = z1 + i z2 the gradients are dependent on a circle of the link,
-    # where the criterion kernel's z part nearly vanishes and (a, b) start
-    # far out: seeding still returns only converged seeds
+    # where the criterion kernel's z part nearly vanishes: seeding still
+    # returns only converged seeds
     spec, _ = build_a1(2)
     g = lf.parse_poly(f"z1 + {c}i*z2", 3)
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 32)
