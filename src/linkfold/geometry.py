@@ -143,10 +143,14 @@ def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
 
     Raises RankDeficient if the constraint Jacobian has a singular value
     below 1e-10 (e.g. at the origin), and NonConvergence when a residual or
-    Jacobian is not finite or after ``max_iter`` iterations.
-    :func:`_project_rows` applies the same rules to independent rows.
+    Jacobian is not finite or after ``max_iter`` iterations. An (N, n+1)
+    stack is projected row by row with :func:`_project_rows`: each row
+    equals its single call bit for bit, and is NaN where that call raises.
     """
     z = np.asarray(z0, dtype=complex).copy()
+    if z.ndim == 2:
+        points, converged = _project_rows(z, spec, tol, max_iter)
+        return np.where(converged[:, None], points, np.nan)
     if z.shape != (spec.ambient_dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({spec.ambient_dim},)")
     best = z
@@ -322,19 +326,30 @@ def chart(point, frame, u, spec, tol=1e-12):
     chart(p, frame, 0) returns p exactly; for small u the result has
     second-order contact with the tangent plane because the Gauss-Newton
     correction is normal to the link. Steps longer than
-    ``_CHART_MAX_RADIUS`` times epsilon raise ValueError.
+    ``_CHART_MAX_RADIUS`` times epsilon raise ValueError. A stack of points,
+    frames and coordinates gives the single calls' rows, NaN where one raises.
     """
+    point = np.asarray(point, dtype=complex)
     u = np.asarray(u, dtype=float)
-    if u.shape != (frame.dim,):
-        raise ValueError(f"chart coordinates have shape {u.shape}, expected ({frame.dim},)")
+    expected = point.shape[:-1] + (frame.dim,)
+    if u.shape != expected:
+        raise ValueError(f"chart coordinates have shape {u.shape}, expected {expected}")
     max_radius = _CHART_MAX_RADIUS * spec.epsilon
-    norm_u = np.linalg.norm(u)
-    if norm_u == 0.0:
-        return np.asarray(point, dtype=complex).copy()
-    if norm_u > max_radius:
-        raise ValueError(f"chart step {norm_u:.3e} exceeds radius {max_radius:.3e}")
-    moved = np.asarray(point, dtype=complex) + complexify(frame.basis.T @ u)
-    return project_to_link(moved, spec, tol=tol)
+    norm_u = np.sqrt(_row_dot(u, u))
+    if np.any(norm_u > max_radius):
+        raise ValueError(
+            f"chart step {np.max(norm_u):.3e} exceeds radius {max_radius:.3e}"
+        )
+    if point.ndim == 1:
+        if norm_u == 0.0:
+            return point.copy()
+        return project_to_link(point + complexify(frame.basis.T @ u), spec, tol=tol)
+    step = norm_u != 0.0
+    moved = point.copy()
+    for k in np.flatnonzero(step):  # 1-D products: a stacked matmul rounds apart
+        moved[k] += complexify(frame.basis[k].T @ u[k])
+    moved[step] = project_to_link(moved[step], spec, tol=tol)
+    return moved
 
 
 def critical_hessian(frame, spec, g, weight):

@@ -229,7 +229,10 @@ def _component_summary(trace, classification):
 
 def _out_dir(config):
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out_dir
 
 

@@ -17,9 +17,9 @@ The singular set itself is a curve cut out by the augmented system
 
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeds, trace nodes and tangents are all augmented vectors
-w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs descent
-on the rank defect followed by Gauss-Newton on this system. Every other
-point of the curve comes from one solver,
+w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs one
+lockstep descent of all its starts on the rank defect, then Gauss-Newton on
+this system from each. Every other point of the curve comes from one solver,
 :meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
 one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
 (predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
@@ -42,6 +42,7 @@ from .errors import (
     WrongDimension,
 )
 from .geometry import (
+    TangentFrame,
     chart,
     complexify,
     link_residual,
@@ -301,95 +302,118 @@ def _ratio_gradient(system, z, cols):
     """sigma_cols/sigma_1 of the first ``cols`` columns of the criterion matrix.
 
     The columns are (gradbar f, gradbar g, z): ``cols = 3`` gives the rank
-    defect, ``cols = 2`` the gradient-pair defect. Returns the ratio and its
-    ambient real gradient at z, from first-order perturbation of the
-    singular values: d sigma = Re(u* dM v) for the singular pair (u, v).
-    With H = v0 u* conj(Hess f) + v1 u* conj(Hess g) and L = v2 conj(u)
-    (zero for two columns), d sigma/dx = Re(H + L) and d sigma/dy = Im(H - L).
+    defect, ``cols = 2`` the gradient-pair defect. Returns, for each row of
+    the (N, n+1) stack z, the ratio (0 where sigma_1 = 0) and its ambient
+    real gradient, from first-order perturbation of the singular values:
+    d sigma = Re(u* dM v) for the singular pair (u, v). With H = v0 u*
+    conj(Hess f) + v1 u* conj(Hess g) and L = v2 conj(u) (zero for two
+    columns), d sigma/dx = Re(H + L) and d sigma/dy = Im(H - L).
     """
-    m = criterion_matrix(z, system.spec.f, system.g)[:, :cols]
+    m = criterion_matrix(z, system.spec.f, system.g)[..., :cols]
     u, s, vt = np.linalg.svd(m)
-    if s[0] == 0.0:
-        return 0.0, np.zeros(2 * system.m)
     last = cols - 1
     # rows: the pairs of sigma_1 and sigma_cols
-    uh = u[:, [0, last]].conj().T
-    v = vt[[0, last]].conj()
+    uh = np.swapaxes(u[..., [0, last]].conj(), -1, -2)
+    v = vt[:, [0, last]].conj()
     cf, cg = system._second_conj(z)
-    h = v[:, :1] * (uh @ cf) + v[:, 1:2] * (uh @ cg)
-    low = v[:, 2:] * uh if cols == 3 else 0.0
-    dsigma = np.empty((2, 2 * system.m))
-    dsigma[:, 0::2] = np.real(h + low)
-    dsigma[:, 1::2] = np.imag(h - low)
-    grad = (s[0] * dsigma[1] - s[last] * dsigma[0]) / s[0] ** 2
-    return float(s[last] / s[0]), grad
+    h = v[..., :1] * (uh @ cf) + v[..., 1:2] * (uh @ cg)
+    low = v[..., 2:] * uh if cols == 3 else 0.0
+    dsigma = np.empty((len(z), 2, 2 * system.m))
+    dsigma[..., 0::2] = np.real(h + low)
+    dsigma[..., 1::2] = np.imag(h - low)
+    top, bottom = s[:, :1], s[:, last:cols]
+    # square each sigma_1 as a NumPy scalar, as one point did: a scalar
+    # squares through pow, which can round apart from an array's square
+    top_sq = np.array([x**2 for x in s[:, 0]]).reshape(-1, 1)
+    grad = np.divide(top * dsigma[:, 1] - bottom * dsigma[:, 0], top_sq,
+                     out=np.zeros_like(dsigma[:, 0]), where=top != 0.0)
+    return np.divide(bottom, top, out=np.zeros_like(top), where=top != 0.0)[:, 0], grad
+
+
+def _has_frame(z, spec):
+    try:
+        tangent_frame(z, spec)
+    except (LinkFoldError, ValueError):
+        return False
+    return True
 
 
 def projected_descent(objective, z, spec, max_steps, target):
-    """Projected gradient descent with backtracking over the link.
+    """Projected gradient descent with backtracking from each row of ``z``.
 
-    ``objective(z)`` returns (value, ambient real gradient). Each step moves
-    along the negative tangential gradient in a retraction chart and tries
-    up to six steps, each a third of the last, until the value drops.
-    Stops at ``target``, after ``max_steps`` steps, or when no step helps.
-    Returns the final point and its value.
+    ``objective`` maps an (N, n+1) stack to (N,) values and (N, 2n+2)
+    ambient real gradients. Each row steps along its negative tangential
+    gradient in a retraction chart, trying up to six steps, each a third of
+    the last, until its value drops. It stops at ``target``, after
+    ``max_steps`` steps, at a slope below 1e-14, when its frame fails or
+    when no step helps. Rows run in lockstep, one stacked
+    :func:`tangent_frame` per round and one stacked :func:`chart` and
+    objective call per trial, and end bit for bit as lone starts would.
     """
+    z = np.array(z, dtype=complex)
     value, grad = objective(z)
+    live = np.arange(len(z))
     for _ in range(max_steps):
-        if value <= target:
-            break
+        live = live[value[live] > target]
         try:
-            frame = tangent_frame(z, spec)
-        except (LinkFoldError, ValueError):
+            frame = tangent_frame(z[live], spec)
+        except (LinkFoldError, ValueError):  # stop only the rows that raise
+            live = live[[_has_frame(p, spec) for p in z[live]]]
+            frame = tangent_frame(z[live], spec)
+        if not live.size:
             break
-        tang_grad = frame.basis @ grad
-        slope = np.linalg.norm(tang_grad)
-        if slope < 1e-14:
-            break
-        direction = -tang_grad / slope
-        step = min(0.09 * spec.epsilon, value / slope)
-        improved = False
+        # 1-D products, each on a basis laid out as one start's, round as its do
+        tang_grad = np.array([b @ grad[k] for b, k in zip(frame.basis, live)])
+        slope = np.array([np.linalg.norm(t) for t in tang_grad])
+        steep = np.flatnonzero(~(slope < 1e-14))
+        live, slope, basis_t = live[steep], slope[steep], np.swapaxes(frame.basis, 1, 2)
+        direction = -tang_grad[steep] / slope[:, None]
+        step = np.minimum(0.09 * spec.epsilon, value[live] / slope)
+        trying = np.arange(len(live))
         for _ in range(6):
-            try:
-                trial = chart(z, frame, step * direction, spec, tol=1e-10)
-            except (LinkFoldError, ValueError):
-                step /= 3.0
-                continue
-            trial_value, trial_grad = objective(trial)
-            if trial_value < value:
-                z, value, grad = trial, trial_value, trial_grad
-                improved = True
+            if not trying.size:
                 break
-            step /= 3.0
-        if not improved:
-            break
+            rows = live[trying]
+            frames = TangentFrame(z[rows], np.swapaxes(basis_t[steep[trying]], 1, 2))
+            u = step[trying, None] * direction[trying]
+            trial = chart(z[rows], frames, u, spec, tol=1e-10)
+            ok = np.flatnonzero(~np.isnan(trial[:, 0]))
+            trial_value, trial_grad = objective(trial[ok])
+            better = trial_value < value[rows[ok]]
+            done = ok[better]
+            z[rows[done]] = trial[done]
+            value[rows[done]] = trial_value[better]
+            grad[rows[done]] = trial_grad[better]
+            trying = np.delete(trying, done)
+            step[trying] /= 3.0
+        live = np.delete(live, trying)
     return z, value
 
 
 def seed_singular_points(spec, g, rng_seed=42):
     """Find points of the singular set by multi-start descent plus Newton.
 
-    ``_SEED_SAMPLES`` random link points are pushed downhill on the rank
-    defect. Gauss-Newton on the augmented system starts from each endpoint z
-    with the span coefficients (a, b) of the least-squares fit of z on
-    (gradbar f, gradbar g). Each start that converges is a seed;
-    :func:`collect_components` skips seeds on a traced component.
-    Returns a (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a,
-    Re b, Im b), the layout of trace nodes. Raises WrongDimension for n < 2,
-    where the criterion matrix has fewer rows than columns, and EmptyResult
-    if nothing converges.
+    ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
+    one stacked :func:`projected_descent`. Gauss-Newton on the augmented
+    system starts from each endpoint z with the span coefficients (a, b) of
+    the least-squares fit of z on (gradbar f, gradbar g). Each start that
+    converges is a seed; :func:`collect_components` skips seeds on a traced
+    component. Returns a (k, 2n+6) array of augmented vectors (realify(z),
+    Re a, Im a, Re b, Im b), the layout of trace nodes. Raises
+    WrongDimension for n < 2, where the criterion matrix has fewer rows
+    than columns, and EmptyResult if nothing converges.
     """
     if spec.n < 2:
         raise WrongDimension(f"singular-set seeding needs n >= 2, got n = {spec.n}")
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
     samples = sample_link_points(spec, _SEED_SAMPLES, rng)
+    ends, _ = projected_descent(
+        lambda z: _ratio_gradient(system, z, 3), samples, spec,
+        max_steps=_SEED_DESCENT_STEPS, target=2e-2,
+    )
     seeds = []
-    for z0 in samples:
-        z, _ = projected_descent(
-            lambda z: _ratio_gradient(system, z, 3), z0, spec,
-            max_steps=_SEED_DESCENT_STEPS, target=2e-2,
-        )
+    for z in ends:
         gf, gg = system.grads(z)
         coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
         w, ok = system.newton_least_norm(np.concatenate([realify(z), realify(coeffs)]))
@@ -416,27 +440,25 @@ class GradientDependenceScan:
 def scan_gradient_dependence(spec, g, rng_seed=42):
     """Search the link for points where gradbar g lies in C * gradbar f.
 
-    Multi-start projected descent of sigma2/sigma1 of the two-column gradient
-    matrix from ``_SCAN_SAMPLES`` link points. Points driven below
+    One stacked :func:`projected_descent` of sigma2/sigma1 of the two-column
+    gradient matrix from ``_SCAN_SAMPLES`` link points. Points driven below
     ``_SCAN_THRESHOLD`` are returned; an empty list certifies (numerically)
     that this degenerate branch does not meet the link.
     """
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
     samples = sample_link_points(spec, _SCAN_SAMPLES, rng)
+    ends, values = projected_descent(
+        lambda z: _ratio_gradient(system, z, 2), samples, spec,
+        max_steps=40, target=_SCAN_THRESHOLD,
+    )
     hits = []
-    min_defect = np.inf
-    for z0 in samples:
-        z, value = projected_descent(
-            lambda z: _ratio_gradient(system, z, 2), z0, spec,
-            max_steps=40, target=_SCAN_THRESHOLD,
-        )
-        min_defect = min(min_defect, value)
+    for z, value in zip(ends, values):
         if value <= _SCAN_THRESHOLD and all(
             np.linalg.norm(z - p) > _SAME_POINT_TOL for p in hits
         ):
             hits.append(z)
-    return GradientDependenceScan(points=hits, min_defect=float(min_defect))
+    return GradientDependenceScan(hits, float(min(values, default=np.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ so a test can compare the two.
 
 import numpy as np
 
-from linkfold.errors import NonConvergence, RankDeficient, WrongDimension
-from linkfold.geometry import complexify, project_to_link, realify
+from linkfold.errors import LinkFoldError, NonConvergence, RankDeficient, WrongDimension
+from linkfold.geometry import chart, complexify, project_to_link, realify, tangent_frame
 from linkfold.polynomial import conj_gradient
 from linkfold.singular_set import criterion_matrix
 
@@ -141,6 +141,72 @@ def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
         except (NonConvergence, RankDeficient):
             continue
     return np.array(points)
+
+
+def ratio_gradient_point(system, z, cols):
+    """sigma_cols/sigma_1 of the first ``cols`` criterion columns at one point z.
+
+    The one-point objective the stacked ``_ratio_gradient`` replaced: the
+    ratio and its ambient real gradient by first-order perturbation of the
+    singular values, with NumPy scalar arithmetic for sigma_1.
+    """
+    m = criterion_matrix(z, system.spec.f, system.g)[:, :cols]
+    u, s, vt = np.linalg.svd(m)
+    if s[0] == 0.0:
+        return 0.0, np.zeros(2 * system.m)
+    last = cols - 1
+    uh = u[:, [0, last]].conj().T
+    v = vt[[0, last]].conj()
+    cf, cg = system._second_conj(z)
+    h = v[:, :1] * (uh @ cf) + v[:, 1:2] * (uh @ cg)
+    low = v[:, 2:] * uh if cols == 3 else 0.0
+    dsigma = np.empty((2, 2 * system.m))
+    dsigma[:, 0::2] = np.real(h + low)
+    dsigma[:, 1::2] = np.imag(h - low)
+    grad = (s[0] * dsigma[1] - s[last] * dsigma[0]) / s[0] ** 2
+    return float(s[last] / s[0]), grad
+
+
+def projected_descent_serial(objective, z, spec, max_steps, target):
+    """Projected descent from one start, with one-point frames and charts.
+
+    The routine the stacked ``projected_descent`` replaced: ``objective(z)``
+    returns (value, ambient real gradient) at one point. Each step moves
+    along the negative tangential gradient in a retraction chart and tries
+    up to six steps, each a third of the last, until the value drops.
+    Stops at ``target``, after ``max_steps`` steps, or when no step helps.
+    Returns the final point and its value.
+    """
+    value, grad = objective(z)
+    for _ in range(max_steps):
+        if value <= target:
+            break
+        try:
+            frame = tangent_frame(z, spec)
+        except (LinkFoldError, ValueError):
+            break
+        tang_grad = frame.basis @ grad
+        slope = np.linalg.norm(tang_grad)
+        if slope < 1e-14:
+            break
+        direction = -tang_grad / slope
+        step = min(0.09 * spec.epsilon, value / slope)
+        improved = False
+        for _ in range(6):
+            try:
+                trial = chart(z, frame, step * direction, spec, tol=1e-10)
+            except (LinkFoldError, ValueError):
+                step /= 3.0
+                continue
+            trial_value, trial_grad = objective(trial)
+            if trial_value < value:
+                z, value, grad = trial, trial_value, trial_grad
+                improved = True
+                break
+            step /= 3.0
+        if not improved:
+            break
+    return z, value
 
 
 def winding_number(image):

@@ -88,6 +88,32 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
     for point, ok, e in zip(points, converged, expected):
         if ok:
             assert np.array_equal(point, e)
+    # the public call on a stack: NaN rows where the single call raises
+    stacked = lf.project_to_link(z0, spec, tol=tol, max_iter=max_iter)
+    nan_row = np.full(3, np.nan, dtype=complex)
+    assert np.array_equal(
+        stacked, [nan_row if e is None else e for e in expected], equal_nan=True
+    )
+    # charts of a stack of link points, with a zero step and steps of up
+    # to the largest radius
+    base = points[converged][:40]
+    frame = lf.tangent_frame(base, spec)
+    u = rng.standard_normal((len(base), 3))
+    u *= (rng.uniform(0.0, 0.1, len(base)) / np.linalg.norm(u, axis=1))[:, None]
+    u[0] = 0.0
+    u[1] *= 0.0999 / np.linalg.norm(u[1])
+    moved = lf.chart(base, frame, u, spec, tol=tol)
+    assert np.array_equal(moved[0], base[0])
+    for k, row in enumerate(moved):
+        one_frame = lf.tangent_frame(base[k], spec)
+        try:
+            expected_row = lf.chart(base[k], one_frame, u[k], spec, tol=tol)
+        except (NonConvergence, RankDeficient):
+            expected_row = nan_row
+        assert np.array_equal(row, expected_row, equal_nan=True)
+    u[2] *= 1.01 * 0.1 / np.linalg.norm(u[2])
+    with pytest.raises(ValueError, match="exceeds radius"):
+        lf.chart(base, frame, u, spec)
 
 
 @pytest.mark.parametrize("seed", [42, 3])

@@ -308,6 +308,15 @@ def test_cli_constant_g_is_configuration_error(tmp_path, capsys, g_text):
     assert "g must be nonconstant" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["verify-a1", "--n", "1", "--out", str(blocker / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")

@@ -10,7 +10,13 @@ from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import build_a1, definite_point, indefinite_point
-from oracles import criterion_det, gradient_pair_defect, winding_number
+from oracles import (
+    criterion_det,
+    gradient_pair_defect,
+    projected_descent_serial,
+    ratio_gradient_point,
+    winding_number,
+)
 
 SQRT2 = np.sqrt(2.0)
 BRIESKORN_F = "z1^2 + z2^3 + z3^5"
@@ -274,7 +280,9 @@ def test_ratio_gradient_matches_svd_and_finite_differences(perturbed_n2, cols):
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(8)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    value, grad = _ratio_gradient(system, z, cols)
+    values, grads = _ratio_gradient(system, z[None], cols)
+    value, grad = ratio_gradient_point(system, z, cols)
+    assert values[0] == value and np.array_equal(grads[0], grad)
     s = np.linalg.svd(lf.criterion_matrix(z, spec.f, g)[:, :cols], compute_uv=False)
     assert value == pytest.approx(s[-1] / s[0], rel=1e-12)
     h = 1e-6
@@ -282,10 +290,62 @@ def test_ratio_gradient_matches_svd_and_finite_differences(perturbed_n2, cols):
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
-        plus, _ = _ratio_gradient(system, z + lf.complexify(e), cols)
-        minus, _ = _ratio_gradient(system, z - lf.complexify(e), cols)
-        fd[k] = (plus - minus) / (2 * h)
+        plus, _ = _ratio_gradient(system, (z + lf.complexify(e))[None], cols)
+        minus, _ = _ratio_gradient(system, (z - lf.complexify(e))[None], cols)
+        fd[k] = (plus[0] - minus[0]) / (2 * h)
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+# the descents of seeding (rank defect) and of the gradient-dependence scan
+_DESCENTS = {
+    "rank": dict(cols=3, max_steps=25, target=2e-2, samples=64),
+    "pair": dict(cols=2, max_steps=40, target=1e-8, samples=48),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCENTS))
+@pytest.mark.parametrize("n, seed", [(2, 42), (4, 3)])
+def test_stacked_descent_matches_serial_starts(kind, n, seed):
+    # n = 2, seed 42 reaches a sigma_1 whose scalar square rounds apart
+    # from an array's
+    cols, max_steps, target, samples = _DESCENTS[kind].values()
+    spec, g = build_a1(n)
+    system = AugmentedSystem(spec, g)
+    starts = lf.sample_link_points(spec, samples, np.random.default_rng(seed))
+    ends, values = singular_set.projected_descent(
+        lambda z: _ratio_gradient(system, z, cols), starts, spec, max_steps, target
+    )
+    assert ends.shape == starts.shape and values.shape == (samples,)
+    ratio = functools.partial(ratio_gradient_point, system, cols=cols)
+    for start, end, value in zip(starts, ends, values):
+        expected_end, expected_value = projected_descent_serial(
+            ratio, start, spec, max_steps, target
+        )
+        assert np.array_equal(end, expected_end)
+        assert value == expected_value
+
+
+def test_descent_stops_only_the_rows_whose_frame_fails(a1_n2):
+    # at eps * (1, 0, 0), off the link, z is parallel to gradbar f and the
+    # tangent frame raises; the pair defect there is not small
+    spec, g = a1_n2
+    system = AugmentedSystem(spec, g)
+    starts = lf.sample_link_points(spec, 6, np.random.default_rng(5))
+    starts[0] = [spec.epsilon, 0.0, 0.0]
+    with pytest.raises(lf.LinkFoldError):
+        lf.tangent_frame(starts, spec)
+    ends, values = singular_set.projected_descent(
+        lambda z: _ratio_gradient(system, z, 2), starts, spec, 40, 1e-8
+    )
+    ratio = functools.partial(ratio_gradient_point, system, cols=2)
+    assert np.array_equal(ends[0], starts[0])
+    assert values[0] == ratio(starts[0])[0] > 1e-8
+    for start, end, value in zip(starts[1:], ends[1:], values[1:]):
+        expected_end, expected_value = projected_descent_serial(
+            ratio, start, spec, 40, 1e-8
+        )
+        assert np.array_equal(end, expected_end)
+        assert value == expected_value
 
 
 def test_seeding_empty_result(monkeypatch):
