@@ -362,7 +362,7 @@ def projected_descent(objective, z, spec, max_steps, target):
             frame = tangent_frame(z[live], spec)
         if not live.size:
             break
-        # 1-D products, each on a basis laid out as one start's, round as its do
+        # 1-D products on bases in one-start layout: each row rounds as a lone start
         tang_grad = np.array([b @ grad[k] for b, k in zip(frame.basis, live)])
         slope = np.array([np.linalg.norm(t) for t in tang_grad])
         steep = np.flatnonzero(~(slope < 1e-14))
