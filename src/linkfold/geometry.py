@@ -7,7 +7,6 @@ constraint work happens on the 3 real residuals (Re f, Im f, |z|^2 - eps^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +89,8 @@ class LinkSpec:
             raise ValueError(
                 f"f has {self.f.n_vars} variables, expected n + 1 = {self.n + 1}"
             )
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not self.f.terms:
             raise ValueError("f must be a nonzero polynomial")
         origin = (0,) * self.f.n_vars
@@ -136,70 +135,43 @@ def link_residual_jacobian(z, spec):
 def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
-    Each step solves J * delta = -residual for the minimum-norm delta, which
-    keeps the correction orthogonal to the constraint level sets. After the
-    tolerance is met the iteration keeps polishing while the residual still
-    drops sharply, so well-conditioned points land near machine precision.
-
-    Raises RankDeficient if the constraint Jacobian has a singular value
-    below 1e-10 (e.g. at the origin), and NonConvergence when a residual or
-    Jacobian is not finite or after ``max_iter`` iterations. An (N, n+1)
-    stack is projected row by row with :func:`_project_rows`: each row
-    equals its single call bit for bit, and is NaN where that call raises.
+    One point is a one-row stack of :func:`_project_rows`. It raises
+    RankDeficient if the constraint Jacobian has a singular value below
+    1e-10 (e.g. at the origin), and NonConvergence when a residual or
+    Jacobian is not finite or after ``max_iter`` iterations. Each row of an
+    (N, n+1) stack is its single call's point, or NaN where that raises.
     """
-    z = np.asarray(z0, dtype=complex).copy()
+    z = np.asarray(z0, dtype=complex)
     if z.ndim == 2:
-        points, converged = _project_rows(z, spec, tol, max_iter)
+        points, converged, _ = _project_rows(z, spec, tol, max_iter)
         return np.where(converged[:, None], points, np.nan)
     if z.shape != (spec.ambient_dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({spec.ambient_dim},)")
-    best = z
-    best_norm = np.inf
-    hit_tol = False
+    (point,), (converged,), (sigma,) = _project_rows(z[None], spec, tol, max_iter)
+    if converged:
+        return point
+    if sigma < _RANK_TOL:
+        raise RankDeficient(f"Jacobian singular value {sigma:.3e} below {_RANK_TOL}")
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            res = link_residual(z, spec)
-            res_norm = float(np.linalg.norm(res))
-            if res_norm < best_norm:
-                best, best_norm = z, res_norm
-            if hit_tol and res_norm > 0.25 * best_norm:
-                return best
-            if not math.isfinite(res_norm):
-                raise NonConvergence(f"projection residual is {res_norm}")
-            if res_norm <= tol:
-                hit_tol = True
-                if res_norm == 0.0:
-                    return z
-            jac = link_residual_jacobian(z, spec)
-            if not np.all(np.isfinite(jac)):
-                raise NonConvergence("projection Jacobian is not finite")
-            u, s, vt = np.linalg.svd(jac, full_matrices=False)
-            if s[-1] < _RANK_TOL:
-                raise RankDeficient(
-                    f"constraint Jacobian singular value {s[-1]:.3e} below {_RANK_TOL}"
-                )
-            delta = vt.T @ ((u.T @ -res) / s)
-            z = z + complexify(delta)
-    if hit_tol or best_norm <= tol:
-        return best
-    raise NonConvergence(
-        f"projection residual {best_norm:.3e} > {tol:.1e} after {max_iter} iterations"
-    )
+        residual = np.linalg.norm(link_residual(point, spec))
+    raise NonConvergence(f"projection stopped at residual {residual:.3e} > {tol:.1e}")
 
 
 def _project_rows(z0, spec, tol, max_iter):
-    """:func:`project_to_link` applied to each row of the (N, m) array ``z0``.
+    """Gauss-Newton least-norm projection of each row of the (N, m) array ``z0``.
 
-    Returns (points, converged): row k of ``points`` equals
-    ``project_to_link(z0[k])`` bit for bit where ``converged[k]``, and
-    ``converged[k]`` is False exactly where that call raises. Every row
-    keeps its own best residual, polishing flag and iteration count; the
-    residuals, norms and least-norm steps of all live rows are computed
-    together, with stacked products that round as the 1-D ones do.
+    Each step solves J * delta = -residual for the minimum-norm delta, normal
+    to the constraint level sets; within ``tol`` a row keeps polishing while
+    its residual still drops sharply. Rows keep their own best residual,
+    polishing flag and iteration count, and stacked products round as 1-D
+    ones do, so each row equals the one-point iteration bit for bit. Returns
+    (points, converged, sigma): ``sigma`` is each row's last smallest Jacobian
+    singular value, below 1e-10 exactly where the row stopped on rank loss.
     """
     z = np.array(z0, dtype=complex)
     best = z.copy()
     best_norm = np.full(len(z), np.inf)
+    sigma = np.full(len(z), np.nan)
     hit_tol = np.zeros(len(z), dtype=bool)
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
@@ -222,13 +194,14 @@ def _project_rows(z0, spec, tol, max_iter):
             step = ~(polished | broken | exact) & np.all(np.isfinite(jac), axis=(1, 2))
             live, zl, res, jac = live[step], zl[step], res[step], jac[step]
             u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            sigma[live] = s[:, -1]
             coeffs = np.matmul(np.swapaxes(u, 1, 2), -res[:, :, None])[:, :, 0] / s
             delta = np.matmul(np.swapaxes(vt, 1, 2), coeffs[:, :, None])[:, :, 0]
             full_rank = s[:, -1] >= _RANK_TOL
             live = live[full_rank]
             z[live] = (zl + complexify(delta))[full_rank]
     converged[live] = hit_tol[live] | (best_norm[live] <= tol)
-    return best, converged
+    return best, converged, sigma
 
 
 def sample_link_points(spec, count, rng):
@@ -256,7 +229,7 @@ def sample_link_points(spec, count, rng):
         attempts += draws
         raw = rng.standard_normal((draws, 2 * spec.ambient_dim))
         raw *= (spec.epsilon / np.maximum(np.sqrt(_row_dot(raw, raw)), 1e-12))[:, None]
-        points, converged = _project_rows(
+        points, converged, _ = _project_rows(
             complexify(raw), spec, _PROJECT_TOL, _PROJECT_MAX_ITER
         )
         found.append(points[converged])

@@ -259,7 +259,7 @@ class N1ImageResult:
     components: list  # list of (M, 2) arrays
     centers: list
     radii: list
-    min_intercomponent_distance: float
+    min_intercomponent_distance: float | None  # None for a single component
 
 
 def trace_image_n1(spec, g, rng_seed=42):
@@ -317,5 +317,5 @@ def trace_image_n1(spec, g, rng_seed=42):
         components=[pts for _, _, pts in fits],
         centers=[center for _, center, _ in fits],
         radii=[radius for radius, _, _ in fits],
-        min_intercomponent_distance=float(min_gap),
+        min_intercomponent_distance=min_gap if len(fits) > 1 else None,
     )

@@ -211,6 +211,10 @@ class ComplexPoly:
         return self._partials_cache
 
 
+# row count from which one vectorised evaluation beats a loop over the rows
+_VECTOR_MIN_ROWS = 32
+
+
 def _points(p, z):
     """``z`` as a complex array of shape (n_vars,) or (N, n_vars)."""
     z = np.asarray(z, dtype=complex)
@@ -305,7 +309,14 @@ def _eval_rows(p, zr, zi):
 
 
 def _eval_many(polys, z):
-    """Each of ``polys`` at each row of the (N, m) array ``z``, as columns."""
+    """Each of ``polys`` at each row of the (N, m) array ``z``, as columns.
+
+    Fewer than ``_VECTOR_MIN_ROWS`` rows take :func:`_eval_point` row by row,
+    more take :func:`_eval_rows`; both equal the term loop bit for bit.
+    """
+    if len(z) < _VECTOR_MIN_ROWS:
+        rows = [[_eval_point(q, zs) for q in polys] for zs in z.tolist()]
+        return np.array(rows, dtype=complex).reshape(len(z), len(polys))
     zr = np.ascontiguousarray(z.real.T)
     zi = np.ascontiguousarray(z.imag.T)
     with np.errstate(all="ignore"):
@@ -317,11 +328,13 @@ def eval_poly(p, z):
 
     Returns a complex scalar, or an (N,) array whose row k equals the
     scalar call at z[k] bit for bit. Terms are summed in graded order from
-    a table cached on ``p``, so the result is reproducible. Both paths round
-    like numpy's scalar complex arithmetic. The batched path writes each
-    complex product as real float operations because numpy's complex array
-    multiply may fuse multiply-adds and round differently. Non-finite
-    inputs or overflow give inf or nan, never an exception or a warning.
+    a table cached on ``p``, so the result is reproducible. One point and
+    stacks below ``_VECTOR_MIN_ROWS`` rows take the scalar loop, larger
+    stacks the vectorised path, which writes each complex product as real
+    float operations because numpy's complex array multiply may fuse
+    multiply-adds; every path equals the plain term loop bit for bit.
+    Non-finite inputs or overflow give inf or nan, never an exception or a
+    warning.
     """
     z = _points(p, z)
     if z.ndim == 1:

@@ -105,8 +105,6 @@ class RunConfig:
         """Parse the polynomials and return (LinkSpec, g)."""
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         try:
             f = parse_poly(self.resolved_f_text(), self.n + 1)
             g = parse_poly(self.g_text, self.n + 1)
@@ -359,7 +357,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
     checks = [
         _check("n1_two_components", count == 2, count, 2),
         _closed_form("n1_image_radii", image_radii, radii, tol),
-        _check("n1_injectivity_gap", gap >= radii[0], gap, radii[0]),
+        _check("n1_injectivity_gap", gap is None or gap >= radii[0], gap, radii[0]),
     ]
     return "embedding_n1", sections, checks, [], result.components, image_radii
 
@@ -542,6 +540,8 @@ def run_singular_set(config):
 
 def run_morse(config, theta=0.0, eta_angle=0.0):
     """Slice and composed Morse data; writes morse.json and returns the dict."""
+    if not np.isfinite([theta, eta_angle]).all():
+        raise ConfigError(f"angles must be finite, got {theta} and {eta_angle}")
     spec, g, _, traces = compute_components(config)
     slice_records, composed = _morse_stage(traces, spec, g, theta, eta_angle)
     payload = {
@@ -556,8 +556,8 @@ def run_morse(config, theta=0.0, eta_angle=0.0):
         },
     }
     path = _out_dir(config) / "morse.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path, payload
 
 
@@ -663,9 +663,8 @@ def validate_report(report):
 
 
 def write_report_json(path, report):
-    """Validate ``report`` against the schema and write it as sorted JSON."""
+    """Validate ``report`` against the schema and write it as strict, sorted JSON."""
     validate_report(report)
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
     return path

@@ -4,10 +4,19 @@ Each oracle computes a quantity the package also reaches by another route,
 so a test can compare the two.
 """
 
+import math
+
 import numpy as np
 
 from linkfold.errors import LinkFoldError, NonConvergence, RankDeficient, WrongDimension
-from linkfold.geometry import chart, complexify, project_to_link, realify, tangent_frame
+from linkfold.geometry import (
+    chart,
+    complexify,
+    link_residual,
+    link_residual_jacobian,
+    realify,
+    tangent_frame,
+)
 from linkfold.polynomial import conj_gradient
 from linkfold.singular_set import criterion_matrix
 
@@ -122,8 +131,49 @@ def eval_poly_loop(p, z):
     return total
 
 
+def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
+    """Gauss-Newton least-norm projection of the one point ``z0`` onto the link.
+
+    The one-point iteration the batched projection replaced, with 1-D
+    residuals, norms and SVD solves: each step solves J * delta = -residual
+    for the minimum-norm delta, and after the tolerance is met it keeps
+    polishing while the residual still drops sharply. Raises RankDeficient
+    on a Jacobian singular value below 1e-10 and NonConvergence on a
+    non-finite residual or Jacobian, or after ``max_iter`` iterations.
+    """
+    z = np.asarray(z0, dtype=complex).copy()
+    best = z
+    best_norm = np.inf
+    hit_tol = False
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            res = link_residual(z, spec)
+            res_norm = float(np.linalg.norm(res))
+            if res_norm < best_norm:
+                best, best_norm = z, res_norm
+            if hit_tol and res_norm > 0.25 * best_norm:
+                return best
+            if not math.isfinite(res_norm):
+                raise NonConvergence(f"projection residual is {res_norm}")
+            if res_norm <= tol:
+                hit_tol = True
+                if res_norm == 0.0:
+                    return z
+            jac = link_residual_jacobian(z, spec)
+            if not np.all(np.isfinite(jac)):
+                raise NonConvergence("projection Jacobian is not finite")
+            u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            if s[-1] < 1e-10:
+                raise RankDeficient(f"constraint Jacobian singular value {s[-1]:.3e}")
+            delta = vt.T @ ((u.T @ -res) / s)
+            z = z + complexify(delta)
+    if hit_tol or best_norm <= tol:
+        return best
+    raise NonConvergence(f"projection residual {best_norm:.3e} after {max_iter} steps")
+
+
 def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
-    """Link samples drawn and projected one at a time with ``project_to_link``."""
+    """Link samples drawn and projected one at a time with ``project_to_link_point``."""
     points = []
     attempts = 0
     budget = max_attempts_factor * count
@@ -137,7 +187,7 @@ def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
         raw = rng.standard_normal(2 * spec.ambient_dim)
         raw *= spec.epsilon / max(np.linalg.norm(raw), 1e-12)
         try:
-            points.append(project_to_link(complexify(raw), spec))
+            points.append(project_to_link_point(complexify(raw), spec))
         except (NonConvergence, RankDeficient):
             continue
     return np.array(points)

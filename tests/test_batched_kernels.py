@@ -12,10 +12,10 @@ import linkfold as lf
 from linkfold import fold_classify
 from linkfold.errors import NonConvergence, RankDeficient
 from linkfold.geometry import _project_rows
-from linkfold.polynomial import gradient, hessian, wirtinger_partial
+from linkfold.polynomial import _VECTOR_MIN_ROWS, gradient, hessian, wirtinger_partial
 
 from conftest import build_a1
-from oracles import eval_poly_loop, sample_link_points_serial
+from oracles import eval_poly_loop, project_to_link_point, sample_link_points_serial
 
 BRIESKORN = "z1^2 + z2^3 + z3^5"
 
@@ -53,6 +53,18 @@ def test_eval_paths_match_term_loop(name, p):
     hess = hessian(p, z[:200])
     assert hess.shape == (200, p.n_vars, p.n_vars)
     assert np.array_equal(hess, np.array([hessian(p, row) for row in z[:200]]))
+    # stacks on both sides of the row count where the vectorised path starts
+    m = p.n_vars
+    for size in (0, 1, 2, _VECTOR_MIN_ROWS - 1, _VECTOR_MIN_ROWS):
+        stack = z[:size]
+        for value, polys, shape in (
+            (lf.eval_poly(p, stack), [p], (size,)),
+            (gradient(p, stack), firsts, (size, m)),
+            (hessian(p, stack), seconds, (size, m, m)),
+        ):
+            loop = [[eval_poly_loop(q, row) for q in polys] for row in stack]
+            assert value.shape == shape
+            assert np.array_equal(value, np.array(loop, dtype=complex).reshape(shape))
 
 
 def test_eval_rejects_other_shapes():
@@ -63,10 +75,11 @@ def test_eval_rejects_other_shapes():
 
 
 def _scalar_projection(z, spec, **kwargs):
+    """The reference projection's point, or the class of the error it raises."""
     try:
-        return lf.project_to_link(z, spec, **kwargs)
-    except (NonConvergence, RankDeficient):
-        return None
+        return project_to_link_point(z, spec, **kwargs)
+    except (NonConvergence, RankDeficient) as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("f_text", [None, BRIESKORN], ids=["a1", "brieskorn"])
@@ -81,18 +94,28 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
     z0[5] = 0.0  # rank deficient
     z0[6] = [np.nan, 0.0, 0.0]
     z0[7] = [1e200, 1e200, 0.0]
-    points, converged = _project_rows(z0, spec, tol=tol, max_iter=max_iter)
+    points, converged, sigma = _project_rows(z0, spec, tol=tol, max_iter=max_iter)
     expected = [_scalar_projection(z, spec, tol=tol, max_iter=max_iter) for z in z0]
-    assert converged.tolist() == [e is not None for e in expected]
+    failed = [isinstance(e, type) for e in expected]
+    assert converged.tolist() == [not f for f in failed]
     assert 0 < converged.sum() <= len(z0) - 3
-    for point, ok, e in zip(points, converged, expected):
+    assert (sigma < 1e-10).tolist() == [e is RankDeficient for e in expected]
+    assert expected[5:8] == [RankDeficient, NonConvergence, NonConvergence]
+    for k, (point, ok, e) in enumerate(zip(points, converged, expected)):
         if ok:
             assert np.array_equal(point, e)
+        # the public call on one point: the reference's row or its error
+        if failed[k]:
+            with pytest.raises(e):
+                lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
+        else:
+            single = lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
+            assert np.array_equal(single, e)
     # the public call on a stack: NaN rows where the single call raises
     stacked = lf.project_to_link(z0, spec, tol=tol, max_iter=max_iter)
     nan_row = np.full(3, np.nan, dtype=complex)
     assert np.array_equal(
-        stacked, [nan_row if e is None else e for e in expected], equal_nan=True
+        stacked, [nan_row if f else e for f, e in zip(failed, expected)], equal_nan=True
     )
     # charts of a stack of link points, with a zero step and steps of up
     # to the largest radius
@@ -151,7 +174,7 @@ def test_nonfinite_projection_fails_by_name(a1_n2):
         with pytest.raises(NonConvergence):
             lf.project_to_link(np.array(z0, dtype=complex), spec)
     stack = np.array([[np.nan, 0, 0], [1.0, 0.2, 1j], [1e200, 1e200, 0]], dtype=complex)
-    points, converged = _project_rows(stack, spec, 1e-12, 50)
+    points, converged, _ = _project_rows(stack, spec, 1e-12, 50)
     assert converged.tolist() == [False, True, False]
     assert np.array_equal(points[1], lf.project_to_link(stack[1], spec))
 

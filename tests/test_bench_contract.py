@@ -2,12 +2,14 @@
 
 perfbench/ drives linkfold from outside the package and is not changed with
 it, so a rename inside linkfold would only show when the benchmark runs.
-This test loads the harness's tracing table (stdlib only) by path and checks
-every name in it against the package.
+These tests load the harness's tracing table (stdlib only) and workloads by
+path, check every name in the table against the package, and check that
+each workload calls every name its traced run requires.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +20,31 @@ from linkfold import fold_classify, morse, report, singular_set
 from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, path, mp):
+    """Run ``path`` as module ``name``, in sys.modules until ``mp`` undoes it."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    mp.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    with pytest.MonkeyPatch.context() as mp:
+        return _load("perfbench_tracing", _PERFBENCH / "tracing.py", mp)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports the harness's oracles module by its plain name,
+    # which the tests' own oracles.py answers outside this block
+    with pytest.MonkeyPatch.context() as mp:
+        _load("oracles", _PERFBENCH / "oracles.py", mp)
+        return _load("perfbench_workloads", _PERFBENCH / "workloads.py", mp)
 
 
 def test_traced_functions_exist(tracing):
@@ -104,3 +122,18 @@ def test_verify_a1_calls_every_traced_name(tracing, tmp_path, monkeypatch):
     # the bench's own spans for n = 3 and 4 are the only names not called
     missing = set(tracer.missing("a1_verify"))
     assert missing == {"run_verify_a1.n3", "run_verify_a1.n4"}
+
+
+@pytest.mark.parametrize("workload", ["morse_sweep", "singular_trace"])
+def test_workload_calls_every_traced_name(tracing, workloads, workload, tmp_path,
+                                          monkeypatch):
+    # as above, for the workloads that run no verify-a1 pass
+    monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
+    run_pass = workloads.WORKLOADS[workload][0]
+    tracer = tracing.Tracer("contract")
+    tracer.install()
+    try:
+        run_pass(linkfold, 42, tmp_path, span=tracer.span)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing(workload) == []

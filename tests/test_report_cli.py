@@ -317,6 +317,41 @@ def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-a1", "--epsilon", "nan"],
+        ["verify-a1", "--epsilon", "inf"],
+        ["singular-set", "--epsilon", "nan"],
+        ["morse", "--theta", "nan"],
+        ["morse", "--eta-angle", "inf"],
+    ],
+    ids=["verify-a1-epsilon-nan", "verify-a1-epsilon-inf", "singular-set-epsilon-nan",
+         "morse-theta-nan", "morse-eta-angle-inf"],
+)
+def test_cli_nonfinite_number_is_configuration_error(tmp_path, capsys, argv):
+    code = main([*argv, "--n", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_single_image_component_report_is_strict_json(tmp_path, capsys):
+    # g = z1 maps the n = 1 A1 link onto one circle, so there is no gap
+    code = main(["verify-a1", "--n", "1", "--g", "z1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "n1_two_components" in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=reject)
+    assert report["first_failed_check"] == "n1_two_components"
+    assert report["n1_image"]["min_intercomponent_distance"] is None
+
+
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")
