@@ -8,6 +8,18 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the first
 failed check is named on stderr), 4 degenerate geometry detected.
+
+Exit 2 covers every input a run cannot start from:
+
+- polynomial text that does not parse, nesting too deep included;
+- an f that is zero or does not vanish at the origin, or a constant g;
+- n < 1, or an n the command does not support;
+- a negative seed;
+- an epsilon that is not positive or whose square is not finite;
+- a non-finite Morse angle;
+- a config file that cannot be read, or has an unknown key or a bad value;
+- an output directory that cannot be created;
+- an f other than A1 for verify-a1.
 """
 
 from __future__ import annotations

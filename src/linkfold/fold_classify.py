@@ -115,8 +115,10 @@ def local_fold_data(point, spec, g):
 def intrinsic_hessian(kernel_basis, frame, spec, g, nu):
     """Transverse Hessian of the normal component nu . h on the kernel directions.
 
-    ``nu`` is the oriented unit normal in R^2; nu . h = Re((nu1 - i nu2) h),
-    whose Hessian on the link comes from :func:`critical_hessian`.
+    ``nu`` is a covector on R^2, the oriented unit normal for a fold; it need
+    not be a unit vector (the slice weight is not). nu . h =
+    Re((nu1 - i nu2) h), whose Hessian on the link comes from
+    :func:`critical_hessian`.
     """
     weight = complex(nu[0], -nu[1])
     return kernel_basis @ critical_hessian(frame, spec, g, weight) @ kernel_basis.T

@@ -89,8 +89,12 @@ class LinkSpec:
             raise ValueError(
                 f"f has {self.f.n_vars} variables, expected n + 1 = {self.n + 1}"
             )
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # a product of Python floats overflows to inf, with no numpy warning
+        eps = float(self.epsilon)
+        if not (eps > 0 and eps * eps < np.inf):
+            raise ValueError(
+                f"epsilon must be positive with a finite square, got {self.epsilon}"
+            )
         if not self.f.terms:
             raise ValueError("f must be a nonzero polynomial")
         origin = (0,) * self.f.n_vars

@@ -1,16 +1,18 @@
 """Morse data of ray slices and of composed height functions.
 
 For a ray direction theta, the slice Q_theta is the preimage under h of the
-ray {t e^{i theta} : t >= 0}; the function Re(e^{-i theta} h) restricted to
-Q_theta has its critical points exactly on the singular set. Composing h
-with a nonzero linear height eta gives a Morse function on the whole link
-whose critical points sit on the traced singular curves. Both kinds of
-critical point are bracketed by sign changes over the trace nodes and
-solved by :meth:`AugmentedSystem.corrector`, the one bordered Newton solve
-of the singular set, whose ``extra(w)`` returns the added equation's value
-and its real gradient row in (z, a, b): the ray equation for slices, the
-criticality equation Im(w b) = 0 for composed heights. Their Morse indices
-come from the analytic Hessian :func:`critical_hessian`.
+ray {t e^{i theta} : t >= 0}; the critical points of Re(e^{-i theta} h) on
+Q_theta are the fold points of h on the ray, and the slice Hessian there is
+the fold's transverse Hessian :func:`intrinsic_hessian` on ker dh, weighted
+by the slice multiplier. Composing h with a nonzero linear height eta gives
+a Morse function on the whole link whose critical points sit on the traced
+singular curves; its Morse indices come from the full link Hessian
+:func:`critical_hessian`. Both kinds of critical point are found by one
+search: sign changes over the trace nodes, solved by
+:meth:`AugmentedSystem.corrector`, the one bordered Newton solve of the
+singular set, whose ``extra(w)`` returns the added equation's value and its
+real gradient row in (z, a, b): the ray equation for slices, the
+criticality equation Im(w b) = 0 for composed heights.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHessian, RankZero, WrongDimension
-from .fold_classify import _DEAD_BAND, circle_fit, fold_counts
-from .geometry import (
-    complexify,
-    critical_hessian,
-    project_to_link,
-    sample_link_points,
-    tangent_frame,
+from .fold_classify import (
+    _DEAD_BAND,
+    circle_fit,
+    fold_counts,
+    intrinsic_hessian,
+    local_fold_data,
 )
+from .geometry import complexify, critical_hessian, sample_link_points, tangent_frame
 from .polynomial import eval_poly, gradient
 from .singular_set import AugmentedSystem
 
@@ -76,34 +78,37 @@ class CriticalPointRecord:
     gradient_norm: float = 0.0
 
 
-def _brackets(trace, vals):
-    """Start vectors at the sign changes of ``vals``, one value per trace node.
+def _equation_zeros(traces, system, node_values, equation):
+    """Points of the traced singular set where ``equation`` vanishes.
 
-    Yields (k, next, w0) for each segment from node k to the next node on
-    which ``vals`` vanishes or changes sign, with w0 the augmented vector
-    interpolated linearly to the zero; the last node's segment wraps around
-    to the first.
+    Where ``node_values(trace)``, one value per node, vanishes at node k or
+    changes sign from k to the next node (the last wraps to the first), the
+    bordered corrector solves ``equation`` from the augmented vector
+    interpolated linearly to the zero. Points within ``_DEDUPE_TOL`` of an
+    earlier one are dropped.
     """
-    count = len(vals)
-    for k in range(count):
-        nxt = (k + 1) % count
-        va, vb = vals[k], vals[nxt]
-        if va == 0.0:
-            frac = 0.0
-        elif va * vb < 0.0:
-            frac = va / (va - vb)
-        else:
-            continue
-        yield k, nxt, trace.nodes[k] + frac * (trace.nodes[nxt] - trace.nodes[k])
+    found = []
+    for trace in traces:
+        va = node_values(trace)
+        vb = np.roll(va, -1)
+        nodes, following = trace.nodes, np.roll(trace.nodes, -1, axis=0)
+        for k in np.flatnonzero((va == 0.0) | (va * vb < 0.0)):
+            frac = 0.0 if va[k] == 0.0 else va[k] / (va[k] - vb[k])
+            w0 = nodes[k] + frac * (following[k] - nodes[k])
+            w, _, ok = system.corrector(w0, equation, max_iter=_SOLVE_MAX_ITER)
+            z = complexify(w[: 2 * system.m])
+            if ok and all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
+                found.append(z)
+    return found
 
 
 def slice_critical_points(slice_spec, traces, spec, g):
     """Points of the traced singular set whose image lies on the ray.
 
-    Sign changes of Im(e^{-i theta} h) along each trace (on the Re > 0 side)
-    are refined by the bordered corrector with the ray equation. Points whose
-    ray parameter ends up below ``_MIN_RAY_PARAM`` are discarded to stay
-    away from the slice boundary at the origin.
+    Sign changes of Im(e^{-i theta} h) along each trace are refined by the
+    bordered corrector with the ray equation. Points whose ray parameter
+    Re(e^{-i theta} h) ends up below ``_MIN_RAY_PARAM`` are discarded: they
+    lie on the opposite ray or at the slice boundary at the origin.
     """
     system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
@@ -118,21 +123,13 @@ def slice_critical_points(slice_spec, traces, spec, g):
         row[1:dim:2] = rotated.real
         return (rotation * eval_poly(g, zc)).imag, row
 
-    found = []
-    for trace in traces:
-        rotated = rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])
-        for k, nxt, w0 in _brackets(trace, rotated.imag):
-            if max(rotated.real[k], rotated.real[nxt]) <= 0:
-                continue
-            w, _, ok = system.corrector(w0, ray_equation, max_iter=_SOLVE_MAX_ITER)
-            if not ok:
-                continue
-            z = complexify(w[:dim])
-            ray_param = (rotation * eval_poly(g, z)).real
-            if ray_param < _MIN_RAY_PARAM:
-                continue
-            if all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
-                found.append(z)
+    def node_values(trace):
+        return (rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])).imag
+
+    found = [
+        z for z in _equation_zeros(traces, system, node_values, ray_equation)
+        if (rotation * eval_poly(g, z)).real >= _MIN_RAY_PARAM
+    ]
     found.sort(key=lambda z: -(rotation * eval_poly(g, z)).real)
     return found
 
@@ -153,36 +150,33 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
                       dead_band=None):
     """Morse index of the slice function Re(e^{-i theta} h) at a critical point.
 
-    The chart of the slice at the point is the kernel of the differential of
-    Im(e^{-i theta} h) inside the link tangent space (dimension 2n-2). The
-    Hessian is the analytic link Hessian of the slice's Lagrangian
-    Re(e^{-i theta} h) - lam Im(e^{-i theta} h) restricted there, with lam
-    the multiplier that makes its differential vanish on the link; the
-    record's ``gradient_norm`` is the largest entry of that differential.
-    Raises DegenerateHessian when an eigenvalue falls in the dead band.
+    Slice critical points are fold points of h on the ray: the point, frame
+    and slice chart ker dh (dimension 2n-2) come from :func:`local_fold_data`,
+    which raises RankTwo at a regular point. The Hessian is the fold's
+    :func:`intrinsic_hessian` with the slice weight w = e^{-i theta}(1 + i lam)
+    as covector (Re w, -Im w): Re(w h) is the slice's Lagrangian, with lam
+    the multiplier that makes its differential vanish on the link, whose
+    largest entry is ``gradient_norm``. DegenerateHessian inside the dead band.
     """
     rotation = slice_spec.rotation
-    z = project_to_link(np.asarray(point, dtype=complex), spec)
-    frame = tangent_frame(z, spec)
-    derivs = rotation * (frame.complex_basis @ gradient(g, z))
+    data = local_fold_data(point, spec, g)
+    z = data.base_point
+    derivs = rotation * (data.frame.complex_basis @ gradient(g, z))
     im_row = derivs.imag
     if np.linalg.norm(im_row) <= 1e-10:
         raise RankZero("slice normal degenerated: d Im(e^{-i theta} h) = 0")
     # the slice's multiplier: d Re = lam d Im on the link at a critical point
     lam = float(np.dot(derivs.real, im_row) / np.dot(im_row, im_row))
     grad_norm = float(np.max(np.abs(derivs.real - lam * im_row)))
-    _, _, vt = np.linalg.svd(im_row[None, :], full_matrices=True)
-    kernel = vt[1:]
-    # Re((1 + i lam) rotation h) = Re(rotation h) - lam Im(rotation h)
     weight = rotation * (1.0 + 1j * lam)
-    hess = kernel @ critical_hessian(frame, spec, g, weight) @ kernel.T
+    hess = intrinsic_hessian(
+        data.kernel_basis, data.frame, spec, g, (weight.real, -weight.imag)
+    )
     eigs = np.linalg.eigvalsh(hess)
-    index = _morse_index(eigs)
-    value = float((rotation * eval_poly(g, z)).real)
     return CriticalPointRecord(
         point=z,
-        value=value,
-        morse_index=index,
+        value=float((rotation * eval_poly(g, z)).real),
+        morse_index=_morse_index(eigs),
         hessian_eigenvalues=eigs,
         gradient_norm=grad_norm,
     )
@@ -219,30 +213,23 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     def critical_equation(w):
         return (weight * complex(w[-2], w[-1])).imag, row
 
+    def node_values(trace):
+        return (weight * (trace.nodes[:, -2] + 1j * trace.nodes[:, -1])).imag
+
     records = []
-    for trace in traces:
-        b = trace.nodes[:, -2] + 1j * trace.nodes[:, -1]
-        for _, _, w0 in _brackets(trace, (weight * b).imag):
-            w, _, ok = system.corrector(
-                w0, critical_equation, max_iter=_SOLVE_MAX_ITER
+    for z in _equation_zeros(traces, system, node_values, critical_equation):
+        frame = tangent_frame(z, spec)
+        derivs = weight * (frame.complex_basis @ gradient(g, z))
+        eigs = np.linalg.eigvalsh(critical_hessian(frame, spec, g, weight))
+        records.append(
+            CriticalPointRecord(
+                point=z,
+                value=float((weight * eval_poly(g, z)).real),
+                morse_index=_morse_index(eigs),
+                hessian_eigenvalues=eigs,
+                gradient_norm=float(np.max(np.abs(derivs.real))),
             )
-            if not ok:
-                continue
-            z = complexify(w[: 2 * system.m])
-            if any(np.linalg.norm(z - r.point) <= _DEDUPE_TOL for r in records):
-                continue
-            frame = tangent_frame(z, spec)
-            derivs = weight * (frame.complex_basis @ gradient(g, z))
-            eigs = np.linalg.eigvalsh(critical_hessian(frame, spec, g, weight))
-            records.append(
-                CriticalPointRecord(
-                    point=z,
-                    value=float((weight * eval_poly(g, z)).real),
-                    morse_index=_morse_index(eigs),
-                    hessian_eigenvalues=eigs,
-                    gradient_norm=float(np.max(np.abs(derivs.real))),
-                )
-            )
+        )
     records.sort(key=lambda r: r.value)
     return records
 

@@ -591,5 +591,12 @@ def parse_poly(text, n_vars):
 
     >>> str(parse_poly("(z1+z2)^2", 2))
     'z1^2 + 2.0*z1*z2 + z2^2'
+
+    Text nested deeper than the interpreter's recursion limit allows raises
+    PolyParseError, like any other text that does not parse.
     """
-    return _Parser(text, n_vars).parse()
+    parser = _Parser(text, n_vars)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply", parser.peek()[2]) from None

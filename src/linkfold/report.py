@@ -105,6 +105,8 @@ class RunConfig:
         """Parse the polynomials and return (LinkSpec, g)."""
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         try:
             f = parse_poly(self.resolved_f_text(), self.n + 1)
             g = parse_poly(self.g_text, self.n + 1)

@@ -3,7 +3,7 @@ import pytest
 
 import linkfold as lf
 from linkfold import SliceSpec
-from linkfold.errors import WrongDimension
+from linkfold.errors import RankTwo, WrongDimension
 from linkfold.polynomial import gradient
 
 from conftest import build_a1, definite_point, indefinite_point
@@ -51,6 +51,15 @@ def test_slice_arbitrary_angle_equivariance(a1_n2, traces_n2):
 def test_slice_empty_traces(a1_n2):
     spec, g = a1_n2
     assert lf.slice_critical_points(SliceSpec(0.0), [], spec, g) == []
+
+
+def test_a_component_listed_twice_adds_no_critical_point(a1_n2, traces_n2):
+    # slices and composed heights share one search and its dedupe
+    spec, g = a1_n2
+    doubled = list(traces_n2) * 2
+    assert len(lf.slice_critical_points(SliceSpec(0.3), doubled, spec, g)) == 2
+    composed = lf.composed_morse((1.0, 0.0), doubled, spec, g)
+    assert len(composed) == len(lf.composed_morse((1.0, 0.0), traces_n2, spec, g)) == 4
 
 
 def test_slice_points_lie_on_singular_set(a1_n2, traces_n2):
@@ -113,6 +122,15 @@ def test_slice_index_matches_fold_negative_count(a1_n2):
         record = lf.slice_morse_index(point, SliceSpec(0.0), spec, g)
         fold = lf.classify_fold(point, spec, g)
         assert record.morse_index == fold.negative_eigenvalues
+
+
+def test_slice_index_at_regular_point_raises_rank_two(a1_n2):
+    # the slice data is the fold model's: a regular link point has no
+    # kernel of dh to restrict to, so it is refused rather than indexed
+    spec, g = a1_n2
+    z = np.array([0.0, 1.0, 1j]) / SQRT2
+    with pytest.raises(RankTwo):
+        lf.slice_morse_index(z, SliceSpec(0.0), spec, g)
 
 
 def _slice_difference_hessian(z, theta, spec, g, step=1e-4):

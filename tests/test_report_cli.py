@@ -330,6 +330,27 @@ def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
          "morse-theta-nan", "morse-eta-angle-inf"],
 )
 def test_cli_nonfinite_number_is_configuration_error(tmp_path, capsys, argv):
+    _assert_configuration_error(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-a1", "--seed", "-1"],
+        ["verify-a1", "--epsilon", "1e300"],
+        ["singular-set", "--epsilon", "1e200"],
+        ["singular-set", "--g", "(" * 250 + "z1" + ")" * 250],
+    ],
+    ids=["verify-a1-negative-seed", "verify-a1-epsilon-square-overflows",
+         "singular-set-epsilon-square-overflows", "singular-set-g-nested-too-deeply"],
+)
+def test_cli_invalid_input_is_configuration_error(tmp_path, capsys, argv):
+    # each once ended in a traceback and exit 1: numpy's ValueError for the
+    # seed, OverflowError from epsilon**2, RecursionError from the parser
+    _assert_configuration_error(tmp_path, capsys, argv)
+
+
+def _assert_configuration_error(tmp_path, capsys, argv):
     code = main([*argv, "--n", "2", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2

@@ -482,6 +482,21 @@ def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
     assert np.all(np.abs(counts - counts[0]) <= 0.01 * counts[0])
 
 
+def test_component_peak_does_not_depend_on_the_seed():
+    # the largest node |h| of the short Brieskorn component spanned 18
+    # rounding units over these seeds; the interpolated peak must agree. The
+    # key's z part only breaks ties: the long component reaches its peak at
+    # symmetric cusps, and the seed decides which one the nodes sample best
+    spec, g = lf.RunConfig(f_text=BRIESKORN_F, n=2).build()
+    peaks = [
+        [singular_set._component_key(t, spec, g)[0] for t in traces]
+        for traces in (_pipeline_traces(2, s, BRIESKORN_F) for s in (42, 4, 5, 9))
+    ]
+    assert len(peaks[0]) == 2
+    assert peaks[0][0] < peaks[0][1]
+    assert all(p == peaks[0] for p in peaks)
+
+
 def test_collect_components_steps_scale_with_epsilon(monkeypatch):
     # a direct call follows the same epsilon-scaled policy as the pipeline
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
