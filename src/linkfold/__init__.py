@@ -25,9 +25,9 @@ from .errors import (
     WrongDimension,
 )
 from .fold_classify import (
-    ComponentClassification,
     FoldKind,
     FoldRecord,
+    FoldType,
     RoundVerdict,
     circle_fit,
     classify_component,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .polynomial import eval_poly, gradient, homogeneous_degree
 
 __all__ = [
     "FoldKind",
+    "FoldType",
     "FoldRecord",
     "LocalFoldData",
-    "ComponentClassification",
     "RoundVerdict",
     "local_fold_data",
     "intrinsic_hessian",
@@ -56,29 +57,36 @@ class FoldKind(enum.Enum):
     DEGENERATE = "DEGENERATE"
 
 
+class FoldType(NamedTuple):
+    """Fold type of one singular point; see :func:`classify_fold`."""
+
+    kind: FoldKind
+    absolute_index: int | None
+    negative_eigenvalues: int
+
+
 @dataclass(eq=False)
 class FoldRecord:
-    """Classification summary for one singular point or component."""
+    """Classification of one traced component; see :func:`classify_component`."""
 
     component_id: int
     kind: FoldKind
     absolute_index: int | None
-    negative_eigenvalues: int | None
+    negative_eigenvalues: int
     image_center: np.ndarray
     image_radius_mean: float
     image_radius_deviation: float
     embedding_ok: bool
+    consistent: bool
 
 
 @dataclass(eq=False)
 class LocalFoldData:
     """First-order data of h in a tangent chart at a singular point."""
 
-    rank: int
     kernel_basis: np.ndarray  # (2n-2, 2n-1) rows, chart coordinates
     image_dir: np.ndarray  # unit vector in R^2, sign arbitrary
     frame: object
-    singular_values: tuple
     base_point: np.ndarray
 
 
@@ -103,12 +111,7 @@ def local_fold_data(point, spec, g):
             "point is regular"
         )
     return LocalFoldData(
-        rank=1,
-        kernel_basis=vt[1:],
-        image_dir=u[:, 0],
-        frame=frame,
-        singular_values=(float(s[0]), float(s[1])),
-        base_point=z,
+        kernel_basis=vt[1:], image_dir=u[:, 0], frame=frame, base_point=z
     )
 
 
@@ -140,20 +143,19 @@ def fold_counts(eigenvalues):
     return neg, pos, bool(neg + pos < eigenvalues.size)
 
 
-def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0)):
+def classify_fold(point, spec, g, image_center):
     """Classify one singular point as a definite/indefinite/degenerate fold.
 
     The transverse normal is oriented away from ``image_center`` so the
     negative-eigenvalue count is consistent along a traced component whose
-    image winds around that centre. The image radius is the distance of
-    h(point) from ``image_center``.
+    image winds around that centre. Returns the point's FoldType: its kind,
+    its absolute index (None when degenerate) and the negative-eigenvalue
+    count of the transverse Hessian.
     """
-    center = np.asarray(image_center, dtype=float)
     data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
     hval = eval_poly(g, data.base_point)
-    offset = np.array([hval.real, hval.imag]) - center
-    if np.dot(offset, nu) < 0:
+    if np.dot(np.array([hval.real, hval.imag]) - image_center, nu) < 0:
         nu = -nu
     hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
     eigs = np.linalg.eigvalsh(hess)
@@ -164,16 +166,7 @@ def classify_fold(point, spec, g, component_id=-1, image_center=(0.0, 0.0)):
     else:
         absolute = min(neg, data.kernel_basis.shape[0] - neg)
         kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
-    return FoldRecord(
-        component_id=component_id,
-        kind=kind,
-        absolute_index=absolute,
-        negative_eigenvalues=neg,
-        image_center=center,
-        image_radius_mean=float(np.linalg.norm(offset)),
-        image_radius_deviation=0.0,
-        embedding_ok=True,
-    )
+    return FoldType(kind, absolute, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -214,57 +207,37 @@ def min_nonadjacent_image_distance(trace):
     return best
 
 
-@dataclass(eq=False)
-class ComponentClassification:
-    """Aggregate classification of one traced component."""
-
-    record: FoldRecord
-    consistent: bool
-
-
 def classify_component(trace, spec, g, component_id):
     """Classify sampled points along a traced component and aggregate.
 
-    About ``_MAX_SAMPLES`` points, evenly strided, must all agree in (kind,
-    absolute index) for the component to be consistently classified;
-    ``consistent`` reports that. Image geometry comes from a least-squares
-    circle fit of the full trace image, and ``embedding_ok`` is the
-    injectivity verdict that :func:`verify_round` reads.
+    Returns the component's FoldRecord. Its fold type is that of the first
+    of about ``_MAX_SAMPLES`` points, evenly strided, and ``consistent``
+    says whether all of them agree on it. Image geometry comes from a
+    least-squares circle fit of the full trace image, and ``embedding_ok``
+    is the injectivity verdict that :func:`verify_round` reads.
     """
     center = circle_fit(trace.image)[0]
     count = len(trace.points)
     stride = max(1, count // _MAX_SAMPLES)
-    records = [
-        classify_fold(trace.points[idx], spec, g, component_id, center)
+    types = [
+        classify_fold(trace.points[idx], spec, g, center)
         for idx in range(0, count, stride)
     ]
-    kinds = {(r.kind, r.absolute_index, r.negative_eigenvalues) for r in records}
-    consistent = len(kinds) == 1
     radii = np.linalg.norm(trace.image - center, axis=1)
-    base = records[0]
-    record = FoldRecord(
+    return FoldRecord(
         component_id=component_id,
-        kind=base.kind,
-        absolute_index=base.absolute_index,
-        negative_eigenvalues=base.negative_eigenvalues,
+        **types[0]._asdict(),
         image_center=center,
         image_radius_mean=float(np.mean(radii)),
         image_radius_deviation=float(np.max(np.abs(radii - np.mean(radii)))),
         embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6,
+        consistent=len(set(types)) == 1,
     )
-    return ComponentClassification(record=record, consistent=consistent)
 
 
 # ---------------------------------------------------------------------------
 # round verdict
 # ---------------------------------------------------------------------------
-
-_ROUND_NOTE = (
-    "concentricity is checked operationally: embedded closed image curves "
-    "with winding number +-1 about the common centre and pairwise disjoint "
-    "radial annuli"
-)
-
 
 @dataclass(eq=False)
 class RoundVerdict:
@@ -272,7 +245,11 @@ class RoundVerdict:
     radii: list
     center: np.ndarray
     failed_check: str | None
-    note: str = _ROUND_NOTE
+    note = (
+        "concentricity is checked operationally: embedded closed image curves "
+        "with winding number +-1 about the common centre and pairwise disjoint "
+        "radial annuli"
+    )
 
     @property
     def is_round(self):

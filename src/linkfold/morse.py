@@ -75,7 +75,7 @@ class CriticalPointRecord:
     value: float
     morse_index: int
     hessian_eigenvalues: np.ndarray
-    gradient_norm: float = 0.0
+    gradient_norm: float
 
 
 def _equation_zeros(traces, system, node_values, equation):

@@ -208,8 +208,7 @@ def compute_components(config, spec=None, g=None):
     return spec, g, seeds, collect_components(seeds, spec, g)
 
 
-def _component_summary(trace, classification):
-    rec = classification.record
+def _component_summary(trace, rec):
     return {
         "component_id": rec.component_id,
         "n_points": len(trace.points),
@@ -222,7 +221,7 @@ def _component_summary(trace, classification):
         "image_radius_mean": rec.image_radius_mean,
         "image_radius_deviation": rec.image_radius_deviation,
         "embedding_ok": rec.embedding_ok,
-        "classification_consistent": classification.consistent,
+        "classification_consistent": rec.consistent,
         "max_defect": float(np.max(trace.defects)),
     }
 
@@ -372,12 +371,11 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     timings["seed_and_trace"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    classifications = [
+    records = [
         classify_component(trace, spec, g, idx)
         for idx, trace in enumerate(traces)
     ]
     timings["classification"] = time.perf_counter() - t0
-    records = [c.record for c in classifications]
     verdict = verify_round(traces, records)
     by_radius = sorted(records, key=lambda r: r.image_radius_mean)
     inner, outer = by_radius[0], by_radius[-1]
@@ -400,8 +398,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
 
     sections = {
         "components": [
-            _component_summary(trace, cls)
-            for trace, cls in zip(traces, classifications)
+            _component_summary(trace, rec) for trace, rec in zip(traces, records)
         ],
         "round": {
             "status": verdict.status,
@@ -421,7 +418,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
         _check("two_closed_components", len(traces) == 2, len(traces), 2),
         *_locus_checks(traces, spec.epsilon, 1e-8 * spec.epsilon),
         _check("classification_consistent",
-               all(c.consistent for c in classifications)),
+               all(r.consistent for r in records)),
         _check("round_verdict", verdict.is_round, verdict.status, "ROUND"),
         _closed_form("image_radii", verdict.radii, radii, tol),
         _check("outer_component_definite", outer.kind == FoldKind.DEFINITE,

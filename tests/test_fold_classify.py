@@ -23,9 +23,10 @@ SQRT2 = np.sqrt(2.0)
 def test_local_fold_data_at_definite_point(a1_n2):
     spec, g = a1_n2
     data = lf.local_fold_data(definite_point(2), spec, g)
-    assert data.rank == 1
     assert data.kernel_basis.shape == (2, 3)
-    assert data.singular_values[1] / data.singular_values[0] <= 1e-6
+    # dh vanishes on the kernel rows
+    derivs = data.frame.complex_basis @ lf.polynomial.gradient(g, data.base_point)
+    assert np.max(np.abs(data.kernel_basis @ derivs)) <= 1e-12
 
 
 def test_image_direction_tangent_to_image_circle(a1_n2, traces_n2):
@@ -129,24 +130,24 @@ def test_hessian_cross_check_two_difference_schemes(perturbed_n2, perturbed_trac
 
 def test_classify_definite_point(a1_n2):
     spec, g = a1_n2
-    record = lf.classify_fold(definite_point(2), spec, g)
-    assert record.kind == FoldKind.DEFINITE
-    assert record.absolute_index == 0
-    assert record.negative_eigenvalues == 2 * spec.n - 2
+    fold = lf.classify_fold(definite_point(2), spec, g, (0.0, 0.0))
+    assert fold.kind == FoldKind.DEFINITE
+    assert fold.absolute_index == 0
+    assert fold.negative_eigenvalues == 2 * spec.n - 2
 
 
 def test_classify_indefinite_point(a1_n2):
     spec, g = a1_n2
-    record = lf.classify_fold(indefinite_point(2), spec, g)
-    assert record.kind == FoldKind.INDEFINITE
-    assert record.absolute_index == spec.n - 1
+    fold = lf.classify_fold(indefinite_point(2), spec, g, (0.0, 0.0))
+    assert fold.kind == FoldKind.INDEFINITE
+    assert fold.absolute_index == spec.n - 1
 
 
 def test_classify_definite_point_n3(a1_n3):
     spec, g = a1_n3
-    record = lf.classify_fold(definite_point(3), spec, g)
-    assert record.kind == FoldKind.DEFINITE
-    assert record.negative_eigenvalues == 4
+    fold = lf.classify_fold(definite_point(3), spec, g, (0.0, 0.0))
+    assert fold.kind == FoldKind.DEFINITE
+    assert fold.negative_eigenvalues == 4
 
 
 def test_dead_band_flags_exact_zero_eigenvalue():
@@ -160,8 +161,7 @@ def test_dead_band_flags_exact_zero_eigenvalue():
 def test_absolute_index_formula_on_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        cls = lf.classify_component(trace, spec, g, comp_id)
-        record = cls.record
+        record = lf.classify_component(trace, spec, g, comp_id)
         lam = record.negative_eigenvalues
         assert 0 <= lam <= 2 * spec.n - 2
         assert record.absolute_index == min(lam, 2 * spec.n - 2 - lam)
@@ -170,14 +170,13 @@ def test_absolute_index_formula_on_components(a1_n2, traces_n2):
 def test_classification_constant_along_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        cls = lf.classify_component(trace, spec, g, comp_id)
-        assert cls.consistent
+        assert lf.classify_component(trace, spec, g, comp_id).consistent
 
 
 def test_image_radius_constant_along_components(a1_n2, traces_n2):
     spec, g = a1_n2
     for comp_id, trace in enumerate(traces_n2):
-        record = lf.classify_component(trace, spec, g, comp_id).record
+        record = lf.classify_component(trace, spec, g, comp_id)
         assert record.image_radius_deviation <= 1e-8 * record.image_radius_mean
 
 
@@ -187,10 +186,7 @@ def test_image_radius_constant_along_components(a1_n2, traces_n2):
 
 
 def _records_for(traces, spec, g):
-    return [
-        lf.classify_component(t, spec, g, i).record
-        for i, t in enumerate(traces)
-    ]
+    return [lf.classify_component(t, spec, g, i) for i, t in enumerate(traces)]
 
 
 def test_verify_round_on_a1(a1_n2, traces_n2):
@@ -226,6 +222,7 @@ def _synthetic_record(comp_id, center, radius):
         image_radius_mean=radius,
         image_radius_deviation=0.0,
         embedding_ok=True,
+        consistent=True,
     )
 
 

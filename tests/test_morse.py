@@ -120,7 +120,7 @@ def test_slice_index_matches_fold_negative_count(a1_n2):
     spec, g = a1_n2
     for point in (definite_point(2), indefinite_point(2)):
         record = lf.slice_morse_index(point, SliceSpec(0.0), spec, g)
-        fold = lf.classify_fold(point, spec, g)
+        fold = lf.classify_fold(point, spec, g, (0.0, 0.0))
         assert record.morse_index == fold.negative_eigenvalues
 
 
