@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import NotApplicable, RankTwo, RankZero
 from .geometry import (
+    complexify,
     critical_hessian,
     project_to_link,
     sample_link_points,
@@ -77,6 +78,7 @@ class FoldRecord:
     image_radius_mean: float
     image_radius_deviation: float
     embedding_ok: bool
+    cusps: int
     consistent: bool
 
 
@@ -211,10 +213,14 @@ def classify_component(trace, spec, g, component_id):
     """Classify sampled points along a traced component and aggregate.
 
     Returns the component's FoldRecord. Its fold type is that of the first
-    of about ``_MAX_SAMPLES`` points, evenly strided, and ``consistent``
-    says whether all of them agree on it. Image geometry comes from a
-    least-squares circle fit of the full trace image, and ``embedding_ok``
-    is the injectivity verdict that :func:`verify_round` reads.
+    of about ``_MAX_SAMPLES`` points, evenly strided. ``cusps`` counts the
+    nodes k where the image velocity v = dh(t) reverses,
+    Re(conj(v_k) v_{k+1}) < 0 with the last node wrapping to the first:
+    there ker dh contains the curve's tangent, so the fold condition fails.
+    ``consistent`` says that all sampled points agree on the fold type and
+    that there is no cusp. Image geometry comes from a least-squares circle
+    fit of the full trace image, and ``embedding_ok`` is the injectivity
+    verdict that :func:`verify_round` reads.
     """
     center = circle_fit(trace.image)[0]
     count = len(trace.points)
@@ -224,6 +230,11 @@ def classify_component(trace, spec, g, component_id):
         for idx in range(0, count, stride)
     ]
     radii = np.linalg.norm(trace.image - center, axis=1)
+    # image velocity dh(t) at each node, from the trace's z-tangents
+    velocity = np.sum(
+        gradient(g, trace.points) * complexify(trace.tangents[:, :-4]), axis=1
+    )
+    cusps = int(np.sum((np.conj(velocity) * np.roll(velocity, -1)).real < 0))
     return FoldRecord(
         component_id=component_id,
         **types[0]._asdict(),
@@ -231,13 +242,15 @@ def classify_component(trace, spec, g, component_id):
         image_radius_mean=float(np.mean(radii)),
         image_radius_deviation=float(np.max(np.abs(radii - np.mean(radii)))),
         embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6,
-        consistent=len(set(types)) == 1,
+        cusps=cusps,
+        consistent=len(set(types)) == 1 and cusps == 0,
     )
 
 
 # ---------------------------------------------------------------------------
 # round verdict
 # ---------------------------------------------------------------------------
+
 
 @dataclass(eq=False)
 class RoundVerdict:

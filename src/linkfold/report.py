@@ -221,6 +221,7 @@ def _component_summary(trace, rec):
         "image_radius_mean": rec.image_radius_mean,
         "image_radius_deviation": rec.image_radius_deviation,
         "embedding_ok": rec.embedding_ok,
+        "cusps": rec.cusps,
         "classification_consistent": rec.consistent,
         "max_defect": float(np.max(trace.defects)),
     }

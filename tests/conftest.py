@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 import linkfold as lf
 
 SQRT2 = np.sqrt(2.0)
+BRIESKORN_F = "z1^2 + z2^3 + z3^5"
 
 
 def build_a1(n):
@@ -11,6 +14,13 @@ def build_a1(n):
     f = lf.parse_poly(" + ".join(f"z{j}^2" for j in range(1, n + 2)), n + 1)
     g = lf.parse_poly("z1 + 0.5i*z2", n + 1)
     return lf.LinkSpec(f=f, n=n), g
+
+
+@functools.cache
+def pipeline_traces(n, seed, f_text=None):
+    """The pipeline's components at the default g, computed once per test run."""
+    config = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed)
+    return lf.report.compute_components(config)[3]
 
 
 def definite_point(n):

@@ -9,7 +9,7 @@ from linkfold.errors import NotApplicable, RankTwo
 from linkfold.fold_classify import fold_counts, min_nonadjacent_image_distance
 from linkfold.singular_set import CurveTrace
 
-from conftest import definite_point, indefinite_point
+from conftest import BRIESKORN_F, definite_point, indefinite_point, pipeline_traces
 from oracles import dense_min_nonadjacent_distance
 
 SQRT2 = np.sqrt(2.0)
@@ -180,6 +180,34 @@ def test_image_radius_constant_along_components(a1_n2, traces_n2):
         assert record.image_radius_deviation <= 1e-8 * record.image_radius_mean
 
 
+def _pipeline_records(n, seed, f_text=None):
+    spec, g = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed).build()
+    traces = pipeline_traces(n, seed, f_text)
+    return [lf.classify_component(t, spec, g, i) for i, t in enumerate(traces)]
+
+
+@pytest.mark.parametrize("seed", [42, 4, 5, 9])
+def test_brieskorn_long_component_has_cusps(seed):
+    # the long component's image reverses direction 10 times: there ker dh
+    # contains the curve's tangent, so it is no fold, whatever the Hessian
+    short, long = sorted(_pipeline_records(2, seed, BRIESKORN_F), key=lambda r: r.cusps)
+    assert (short.cusps, long.cusps) == (0, 10)
+    assert short.consistent and not long.consistent
+
+
+@pytest.mark.parametrize(
+    "n, seed, f_text",
+    [(2, 42, None), (2, 3, None), (3, 42, None), (3, 3, None), (4, 42, None),
+     (4, 3, None), (2, 7, "z1^2 + z2^2 + z3^3")],
+    ids=["a1_n2_s42", "a1_n2_s3", "a1_n3_s42", "a1_n3_s3", "a1_n4_s42",
+         "a1_n4_s3", "a2_n2_s7"],
+)
+def test_fold_components_have_no_cusps(n, seed, f_text):
+    records = _pipeline_records(n, seed, f_text)
+    assert len(records) == (3 if f_text else 2)
+    assert all(r.cusps == 0 and r.consistent for r in records)
+
+
 # ---------------------------------------------------------------------------
 # round verdict
 # ---------------------------------------------------------------------------
@@ -222,6 +250,7 @@ def _synthetic_record(comp_id, center, radius):
         image_radius_mean=radius,
         image_radius_deviation=0.0,
         embedding_ok=True,
+        cusps=0,
         consistent=True,
     )
 

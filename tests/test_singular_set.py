@@ -9,7 +9,13 @@ from linkfold.cli import main
 from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
-from conftest import build_a1, definite_point, indefinite_point
+from conftest import (
+    BRIESKORN_F,
+    build_a1,
+    definite_point,
+    indefinite_point,
+    pipeline_traces,
+)
 from oracles import (
     criterion_det,
     gradient_pair_defect,
@@ -19,14 +25,6 @@ from oracles import (
 )
 
 SQRT2 = np.sqrt(2.0)
-BRIESKORN_F = "z1^2 + z2^3 + z3^5"
-
-
-@functools.cache
-def _pipeline_traces(n, seed, f_text=None):
-    """The pipeline's components at the default g, computed once per test run."""
-    config = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed)
-    return lf.report.compute_components(config)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,7 @@ def test_brieskorn_trace_is_one_lap(seed):
     # without the distance test the corrector jumps to a later lap of the
     # 1,650-node curve: 4,927 nodes at seeds 42 and 4, 5,000 nodes without
     # closing at seeds 5 and 9
-    traces = _pipeline_traces(2, seed, BRIESKORN_F)
+    traces = pipeline_traces(2, seed, BRIESKORN_F)
     assert len(traces) == 2
     longest = max(traces, key=len)
     assert len(longest) < 2000
@@ -437,7 +435,7 @@ def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monk
 @pytest.mark.parametrize("seed", [42, 3, 5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_a1_images_turn_counterclockwise(n, seed):
-    traces = _pipeline_traces(n, seed)
+    traces = pipeline_traces(n, seed)
     assert len(traces) == 2
     for trace in traces:
         assert winding_number(trace.image) == pytest.approx(1.0, abs=1e-9)
@@ -476,7 +474,7 @@ def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
     # ordered by the first node, A1 at n = 2 listed the inner circle first at
     # seed 42 and second at seed 3, and the Brieskorn link its long component
     # first at seed 42 and second at seed 4
-    counts = np.array([[len(t) for t in _pipeline_traces(n, s, f_text)] for s in seeds])
+    counts = np.array([[len(t) for t in pipeline_traces(n, s, f_text)] for s in seeds])
     assert counts.shape == (len(seeds), 2)
     # the k-th component has about the same node count at every seed
     assert np.all(np.abs(counts - counts[0]) <= 0.01 * counts[0])
@@ -490,7 +488,7 @@ def test_component_peak_does_not_depend_on_the_seed():
     spec, g = lf.RunConfig(f_text=BRIESKORN_F, n=2).build()
     peaks = [
         [singular_set._component_key(t, spec, g)[0] for t in traces]
-        for traces in (_pipeline_traces(2, s, BRIESKORN_F) for s in (42, 4, 5, 9))
+        for traces in (pipeline_traces(2, s, BRIESKORN_F) for s in (42, 4, 5, 9))
     ]
     assert len(peaks[0]) == 2
     assert peaks[0][0] < peaks[0][1]
