@@ -89,11 +89,13 @@ class LinkSpec:
             raise ValueError(
                 f"f has {self.f.n_vars} variables, expected n + 1 = {self.n + 1}"
             )
-        # a product of Python floats overflows to inf, with no numpy warning
+        # a product of Python floats overflows to inf or underflows to 0.0,
+        # with no numpy warning
         eps = float(self.epsilon)
-        if not (eps > 0 and eps * eps < np.inf):
+        if not (eps > 0 and 0 < eps * eps < np.inf):
             raise ValueError(
-                f"epsilon must be positive with a finite square, got {self.epsilon}"
+                "epsilon must be positive with a finite nonzero square, "
+                f"got {self.epsilon}"
             )
         if not self.f.terms:
             raise ValueError("f must be a nonzero polynomial")

@@ -340,13 +340,16 @@ def test_cli_nonfinite_number_is_configuration_error(tmp_path, capsys, argv):
         ["verify-a1", "--epsilon", "1e300"],
         ["singular-set", "--epsilon", "1e200"],
         ["singular-set", "--g", "(" * 250 + "z1" + ")" * 250],
+        ["verify-a1", "--epsilon", "1e-300"],
     ],
     ids=["verify-a1-negative-seed", "verify-a1-epsilon-square-overflows",
-         "singular-set-epsilon-square-overflows", "singular-set-g-nested-too-deeply"],
+         "singular-set-epsilon-square-overflows", "singular-set-g-nested-too-deeply",
+         "verify-a1-epsilon-square-underflows"],
 )
 def test_cli_invalid_input_is_configuration_error(tmp_path, capsys, argv):
     # each once ended in a traceback and exit 1: numpy's ValueError for the
-    # seed, OverflowError from epsilon**2, RecursionError from the parser
+    # seed, OverflowError from epsilon**2, RecursionError from the parser;
+    # the square of 1e-300 is 0.0, which once exited 4 as degenerate geometry
     _assert_configuration_error(tmp_path, capsys, argv)
 
 
