@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,40 @@ def test_verify_round_rejects_overlapping_circles():
     assert not verdict.is_round
     assert verdict.failed_check in {"radial_overlap", "injectivity", "winding"}
     assert verdict.failed_check == "radial_overlap"
+
+
+def test_verify_round_rejects_no_components():
+    verdict = lf.verify_round([], [])
+    assert not verdict.is_round
+    assert verdict.failed_check == "no_components"
+
+
+def test_verify_round_rejects_degenerate_fold():
+    trace = _synthetic_trace((0.0, 0.0), 1.0)
+    record = replace(_synthetic_record(0, (0, 0), 1.0), kind=FoldKind.DEGENERATE,
+                     absolute_index=None)
+    verdict = lf.verify_round([trace], [record])
+    assert not verdict.is_round
+    assert verdict.failed_check == "degenerate_fold"
+
+
+def test_verify_round_rejects_non_embedded_component():
+    trace = _synthetic_trace((0.0, 0.0), 1.0)
+    record = replace(_synthetic_record(0, (0, 0), 1.0), embedding_ok=False)
+    verdict = lf.verify_round([trace], [record])
+    assert not verdict.is_round
+    assert verdict.failed_check == "injectivity"
+
+
+def test_verify_round_rejects_circles_that_do_not_wind_about_the_centre():
+    # side by side, neither circle encloses the common centre (2.5, 0); its
+    # radial intervals about that centre would also overlap
+    t1 = _synthetic_trace((0.0, 0.0), 1.0)
+    t2 = _synthetic_trace((5.0, 0.0), 1.0)
+    records = [_synthetic_record(0, (0, 0), 1.0), _synthetic_record(1, (5, 0), 1.0)]
+    verdict = lf.verify_round([t1, t2], records)
+    assert not verdict.is_round
+    assert verdict.failed_check == "winding"
 
 
 def test_min_nonadjacent_distance_on_synthetic_circle():
