@@ -1,8 +1,17 @@
 """Fold classification of singular points and the round-map verdict.
 
-At a fold point the differential of h has rank 1; the transverse Hessian of
-the normal component of h on the kernel directions is nondegenerate and its
-negative-eigenvalue count lambda fixes the absolute index
+A singular point of h is a fold when three conditions hold (Whitney 1955),
+each checked by one function:
+
+1. dh has rank 1: :func:`local_fold_data`, which raises RankZero or RankTwo.
+2. ker dh is transverse to the singular curve, so the image velocity
+   dh(t) along the curve does not vanish: :func:`classify_component` counts
+   the nodes where it reverses as cusps.
+3. The transverse Hessian of the normal component of h on ker dh is
+   nondegenerate: :func:`classify_fold`, through :func:`intrinsic_hessian`
+   and :func:`fold_counts`.
+
+The Hessian's negative-eigenvalue count lambda fixes the absolute index
 min(lambda, (2n-2) - lambda). A map whose singular components are embedded
 onto disjoint nested circles around a common centre is reported ROUND; that
 operational test stands in for isotopy to concentric circles and is noted as
