@@ -27,11 +27,9 @@ from .errors import (
 from .fold_classify import (
     FoldKind,
     FoldRecord,
-    FoldType,
     RoundVerdict,
     circle_fit,
     classify_component,
-    classify_fold,
     equivariance_error,
     fold_counts,
     intrinsic_hessian,

@@ -8,8 +8,13 @@ each checked by one function:
    dh(t) along the curve does not vanish: :func:`classify_component` counts
    the nodes where it reverses as cusps.
 3. The transverse Hessian of the normal component of h on ker dh is
-   nondegenerate: :func:`classify_fold`, through :func:`intrinsic_hessian`
-   and :func:`fold_counts`.
+   nondegenerate: :func:`classify_component`, in closed form at every trace
+   node w = (z, a, b). There z = a gradbar f + b gradbar g, so the image
+   normal is b/|b|, ker dh is the complex complement C of (gradbar f,
+   gradbar g), and the Lagrange multipliers are mu = 1/|b| and
+   alpha = -a/|b|. The Hessian's eigenvalues are +-sigma_k - mu, with
+   sigma_k the singular values of C^T (w Hg - conj(alpha) Hf) C and
+   w = conj(b)/|b|; :func:`fold_counts` signs them.
 
 The Hessian's negative-eigenvalue count lambda fixes the absolute index
 min(lambda, (2n-2) - lambda). A map whose singular components are embedded
@@ -22,30 +27,29 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotApplicable, RankTwo, RankZero
 from .geometry import (
+    TangentFrame,
     complexify,
     critical_hessian,
+    orthonormal_complement,
     project_to_link,
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import eval_poly, gradient, homogeneous_degree
+from .polynomial import eval_poly, gradient, hessian, homogeneous_degree
 
 __all__ = [
     "FoldKind",
-    "FoldType",
     "FoldRecord",
     "LocalFoldData",
     "RoundVerdict",
     "local_fold_data",
     "intrinsic_hessian",
     "fold_counts",
-    "classify_fold",
     "classify_component",
     "verify_round",
     "equivariance_error",
@@ -53,8 +57,6 @@ __all__ = [
     "min_nonadjacent_image_distance",
 ]
 
-# points classified per component, evenly strided along the trace
-_MAX_SAMPLES = 24
 # link points at which equivariance_error compares h(alpha z) and alpha h(z)
 _EQUIVARIANCE_SAMPLES = 1000
 # eigenvalues within this fraction of the spectral norm cannot be signed
@@ -67,14 +69,6 @@ class FoldKind(enum.Enum):
     DEGENERATE = "DEGENERATE"
 
 
-class FoldType(NamedTuple):
-    """Fold type of one singular point; see :func:`classify_fold`."""
-
-    kind: FoldKind
-    absolute_index: int | None
-    negative_eigenvalues: int
-
-
 @dataclass(eq=False)
 class FoldRecord:
     """Classification of one traced component; see :func:`classify_component`."""
@@ -82,7 +76,7 @@ class FoldRecord:
     component_id: int
     kind: FoldKind
     absolute_index: int | None
-    negative_eigenvalues: int
+    negative_eigenvalues: int | None
     image_center: np.ndarray
     image_radius_mean: float
     image_radius_deviation: float
@@ -97,7 +91,7 @@ class LocalFoldData:
 
     kernel_basis: np.ndarray  # (2n-2, 2n-1) rows, chart coordinates
     image_dir: np.ndarray  # unit vector in R^2, sign arbitrary
-    frame: object
+    frame: TangentFrame
     base_point: np.ndarray
 
 
@@ -142,42 +136,18 @@ def fold_counts(eigenvalues):
     """(negative, positive, degenerate) eigenvalue counts with a dead band.
 
     The band is ``_DEAD_BAND`` times the spectral norm; an eigenvalue inside
-    it cannot be signed, which makes the point degenerate.
+    it cannot be signed, which makes the point degenerate. A stack of rows
+    gives one array per count, each row's entry equal to its 1-D call.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    if scale == 0.0:
-        return 0, 0, True
-    tau = _DEAD_BAND * scale
-    neg = int(np.sum(eigenvalues < -tau))
-    pos = int(np.sum(eigenvalues > tau))
-    return neg, pos, bool(neg + pos < eigenvalues.size)
-
-
-def classify_fold(point, spec, g, image_center):
-    """Classify one singular point as a definite/indefinite/degenerate fold.
-
-    The transverse normal is oriented away from ``image_center`` so the
-    negative-eigenvalue count is consistent along a traced component whose
-    image winds around that centre. Returns the point's FoldType: its kind,
-    its absolute index (None when degenerate) and the negative-eigenvalue
-    count of the transverse Hessian.
-    """
-    data = local_fold_data(point, spec, g)
-    nu = np.array([-data.image_dir[1], data.image_dir[0]])
-    hval = eval_poly(g, data.base_point)
-    if np.dot(np.array([hval.real, hval.imag]) - image_center, nu) < 0:
-        nu = -nu
-    hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
-    eigs = np.linalg.eigvalsh(hess)
-    neg, _, degenerate = fold_counts(eigs)
-    if degenerate:
-        kind = FoldKind.DEGENERATE
-        absolute = None
-    else:
-        absolute = min(neg, data.kernel_basis.shape[0] - neg)
-        kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
-    return FoldType(kind, absolute, neg)
+    scale = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    tau = (_DEAD_BAND * scale)[..., None]
+    neg = np.sum(eigenvalues < -tau, axis=-1)
+    pos = np.sum(eigenvalues > tau, axis=-1)
+    degenerate = (scale == 0.0) | (neg + pos < eigenvalues.shape[-1])
+    if eigenvalues.ndim == 1:
+        return int(neg), int(pos), bool(degenerate)
+    return neg, pos, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -218,41 +188,66 @@ def min_nonadjacent_image_distance(trace):
     return best
 
 
-def classify_component(trace, spec, g, component_id):
-    """Classify sampled points along a traced component and aggregate.
+def _node_folds(trace, spec, g):
+    """Fold data of a traced component at every node, in closed form.
 
-    Returns the component's FoldRecord. Its fold type is that of the first
-    of about ``_MAX_SAMPLES`` points, evenly strided. ``cusps`` counts the
-    nodes k where the image velocity v = dh(t) reverses,
-    Re(conj(v_k) v_{k+1}) < 0 with the last node wrapping to the first:
-    there ker dh contains the curve's tangent, so the fold condition fails.
-    ``consistent`` says that all sampled points agree on the fold type and
-    that there is no cusp. Image geometry comes from a least-squares circle
-    fit of the full trace image, and ``embedding_ok`` is the injectivity
-    verdict that :func:`verify_round` reads.
+    Returns three arrays with one entry per node: the negative-eigenvalue
+    count of the transverse Hessian of (b/|b|) . h on ker dh (see the module
+    docstring), whether one of its eigenvalues falls in the dead band, and
+    whether the image velocity v = dh(t) reverses from the node to the next,
+    Re(conj(v_k) v_{k+1}) < 0 with the last node wrapping to the first.
     """
-    center = circle_fit(trace.image)[0]
-    count = len(trace.points)
-    stride = max(1, count // _MAX_SAMPLES)
-    types = [
-        classify_fold(trace.points[idx], spec, g, center)
-        for idx in range(0, count, stride)
-    ]
-    radii = np.linalg.norm(trace.image - center, axis=1)
+    z = trace.points
+    a, b = complexify(trace.nodes[:, -4:]).T
+    grad_g = gradient(g, z)
     # image velocity dh(t) at each node, from the trace's z-tangents
-    velocity = np.sum(
-        gradient(g, trace.points) * complexify(trace.tangents[:, :-4]), axis=1
-    )
-    cusps = int(np.sum((np.conj(velocity) * np.roll(velocity, -1)).real < 0))
+    velocity = np.sum(grad_g * complexify(trace.tangents[:, :-4]), axis=1)
+    reversal = (np.conj(velocity) * np.roll(velocity, -1)).real < 0
+    kernel = orthonormal_complement([np.conj(gradient(spec.f, z)), np.conj(grad_g)])
+    mu = 1.0 / np.abs(b)
+    weight = (mu * np.conj(b))[:, None, None]
+    alpha = (-mu * a)[:, None, None]
+    second = weight * hessian(g, z) - np.conj(alpha) * hessian(spec.f, z)
+    sigma = np.linalg.svd(kernel @ second @ np.swapaxes(kernel, 1, 2), compute_uv=False)
+    neg, _, degenerate = fold_counts(np.hstack([sigma, -sigma]) - mu[:, None])
+    return neg, degenerate, reversal
+
+
+def classify_component(trace, spec, g, component_id):
+    """Classify a traced component from the fold data at all of its nodes.
+
+    Returns the component's FoldRecord. Its kind, absolute index and
+    negative-eigenvalue count are those of every node when the nodes agree
+    on the count and none falls in the dead band. Otherwise the kind is
+    DEGENERATE with no index or count: a count that changes between nodes
+    takes an eigenvalue through zero, at a degenerate fold point. ``cusps``
+    counts the nodes where the image velocity v = dh(t) reverses; there
+    ker dh contains the curve's tangent, so the fold condition fails.
+    ``consistent`` says that the kind is not DEGENERATE and that there is
+    no cusp. Image geometry comes from a least-squares circle fit of the
+    full trace image, and ``embedding_ok`` is the injectivity verdict that
+    :func:`verify_round` reads.
+    """
+    neg, degenerate, reversal = _node_folds(trace, spec, g)
+    kind, absolute, count = FoldKind.DEGENERATE, None, None
+    if not degenerate.any() and np.all(neg == neg[0]):
+        count = int(neg[0])
+        absolute = min(count, 2 * spec.n - 2 - count)
+        kind = FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE
+    center = circle_fit(trace.image)[0]
+    radii = np.linalg.norm(trace.image - center, axis=1)
+    cusps = int(np.count_nonzero(reversal))
     return FoldRecord(
         component_id=component_id,
-        **types[0]._asdict(),
+        kind=kind,
+        absolute_index=absolute,
+        negative_eigenvalues=count,
         image_center=center,
         image_radius_mean=float(np.mean(radii)),
         image_radius_deviation=float(np.max(np.abs(radii - np.mean(radii)))),
         embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6,
         cusps=cusps,
-        consistent=len(set(types)) == 1 and cusps == 0,
+        consistent=kind is not FoldKind.DEGENERATE and cusps == 0,
     )
 
 

@@ -9,6 +9,12 @@ import math
 import numpy as np
 
 from linkfold.errors import LinkFoldError, NonConvergence, RankDeficient, WrongDimension
+from linkfold.fold_classify import (
+    FoldKind,
+    fold_counts,
+    intrinsic_hessian,
+    local_fold_data,
+)
 from linkfold.geometry import (
     chart,
     complexify,
@@ -17,7 +23,7 @@ from linkfold.geometry import (
     realify,
     tangent_frame,
 )
-from linkfold.polynomial import conj_gradient
+from linkfold.polynomial import conj_gradient, eval_poly
 from linkfold.singular_set import criterion_matrix
 
 
@@ -94,6 +100,37 @@ def chart_hessian(func, dim, step):
             hess[i, j] = val
             hess[j, i] = val
     return (hess + hess.T) / 2.0
+
+
+def transverse_eigenvalues(point, spec, g, image_center):
+    """Transverse Hessian eigenvalues at one singular point, from its own chart.
+
+    The per-point route that the closed form at trace nodes replaced: project
+    the point, take a tangent frame, the kernel and image direction of dh by
+    SVD, and the Hessian of the normal component of h on the kernel with
+    least-squares multipliers. The normal points away from ``image_center``.
+    """
+    data = local_fold_data(point, spec, g)
+    nu = np.array([-data.image_dir[1], data.image_dir[0]])
+    hval = eval_poly(g, data.base_point)
+    if np.dot(np.array([hval.real, hval.imag]) - image_center, nu) < 0:
+        nu = -nu
+    hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
+    return np.linalg.eigvalsh(hess)
+
+
+def classify_fold(point, spec, g, image_center):
+    """Fold type of one singular point: (kind, absolute index, negative count).
+
+    From :func:`transverse_eigenvalues`; the absolute index is None when an
+    eigenvalue falls in the dead band and the kind is DEGENERATE.
+    """
+    eigs = transverse_eigenvalues(point, spec, g, image_center)
+    neg, _, degenerate = fold_counts(eigs)
+    if degenerate:
+        return FoldKind.DEGENERATE, None, neg
+    absolute = min(neg, len(eigs) - neg)
+    return FoldKind.DEFINITE if absolute == 0 else FoldKind.INDEFINITE, absolute, neg
 
 
 def dense_min_nonadjacent_distance(trace):

@@ -11,7 +11,11 @@ from linkfold.fold_classify import fold_counts, min_nonadjacent_image_distance
 from linkfold.singular_set import CurveTrace
 
 from conftest import BRIESKORN_F, definite_point, indefinite_point, pipeline_traces
-from oracles import dense_min_nonadjacent_distance
+from oracles import (
+    classify_fold,
+    dense_min_nonadjacent_distance,
+    transverse_eigenvalues,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,19 +64,9 @@ def test_regular_point_raises_rank_two(a1_n2):
 # ---------------------------------------------------------------------------
 
 
-def _outward_hessian(spec, g, z):
-    data = lf.local_fold_data(z, spec, g)
-    nu = np.array([-data.image_dir[1], data.image_dir[0]])
-    hval = lf.eval_poly(g, data.base_point)
-    if np.dot([hval.real, hval.imag], nu) < 0:
-        nu = -nu
-    hess = lf.intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
-    return np.linalg.eigvalsh(hess)
-
-
 def test_hessian_at_definite_point_signs_and_ratio(a1_n2):
     spec, g = a1_n2
-    eigs = _outward_hessian(spec, g, definite_point(2))
+    eigs = transverse_eigenvalues(definite_point(2), spec, g, (0.0, 0.0))
     assert np.all(eigs < 0)
     ratio = np.max(np.abs(eigs)) / np.min(np.abs(eigs))
     assert abs(ratio - 2.0) <= 1e-3
@@ -80,7 +74,7 @@ def test_hessian_at_definite_point_signs_and_ratio(a1_n2):
 
 def test_hessian_at_indefinite_point_mixed_signs(a1_n2):
     spec, g = a1_n2
-    eigs = _outward_hessian(spec, g, indefinite_point(2))
+    eigs = transverse_eigenvalues(indefinite_point(2), spec, g, (0.0, 0.0))
     assert np.sum(eigs < 0) == 1
     assert np.sum(eigs > 0) == 1
 
@@ -131,24 +125,24 @@ def test_hessian_cross_check_two_difference_schemes(perturbed_n2, perturbed_trac
 
 def test_classify_definite_point(a1_n2):
     spec, g = a1_n2
-    fold = lf.classify_fold(definite_point(2), spec, g, (0.0, 0.0))
-    assert fold.kind == FoldKind.DEFINITE
-    assert fold.absolute_index == 0
-    assert fold.negative_eigenvalues == 2 * spec.n - 2
+    kind, absolute, neg = classify_fold(definite_point(2), spec, g, (0.0, 0.0))
+    assert kind == FoldKind.DEFINITE
+    assert absolute == 0
+    assert neg == 2 * spec.n - 2
 
 
 def test_classify_indefinite_point(a1_n2):
     spec, g = a1_n2
-    fold = lf.classify_fold(indefinite_point(2), spec, g, (0.0, 0.0))
-    assert fold.kind == FoldKind.INDEFINITE
-    assert fold.absolute_index == spec.n - 1
+    kind, absolute, _ = classify_fold(indefinite_point(2), spec, g, (0.0, 0.0))
+    assert kind == FoldKind.INDEFINITE
+    assert absolute == spec.n - 1
 
 
 def test_classify_definite_point_n3(a1_n3):
     spec, g = a1_n3
-    fold = lf.classify_fold(definite_point(3), spec, g, (0.0, 0.0))
-    assert fold.kind == FoldKind.DEFINITE
-    assert fold.negative_eigenvalues == 4
+    kind, _, neg = classify_fold(definite_point(3), spec, g, (0.0, 0.0))
+    assert kind == FoldKind.DEFINITE
+    assert neg == 4
 
 
 def test_dead_band_flags_exact_zero_eigenvalue():
@@ -157,6 +151,12 @@ def test_dead_band_flags_exact_zero_eigenvalue():
     assert (neg, pos) == (1, 1)
     neg, pos, degenerate = fold_counts(np.array([-2.0, -1.0]))
     assert not degenerate and neg == 2
+    # a stack of rows: each row's counts are its 1-D call's
+    rows = np.array([[-2.0, 0.0, 1.0], [-2.0, -1.0, -1.5]])
+    stacked = fold_counts(rows)
+    assert [tuple(c[k] for c in stacked) for k in range(2)] == [
+        fold_counts(row) for row in rows
+    ]
 
 
 def test_absolute_index_formula_on_components(a1_n2, traces_n2):
@@ -190,10 +190,51 @@ def _pipeline_records(n, seed, f_text=None):
 @pytest.mark.parametrize("seed", [42, 4, 5, 9])
 def test_brieskorn_long_component_has_cusps(seed):
     # the long component's image reverses direction 10 times: there ker dh
-    # contains the curve's tangent, so it is no fold, whatever the Hessian
+    # contains the curve's tangent, so it is no fold, whatever the Hessian;
+    # its fold type changes there too, so it has none, at every seed
     short, long = sorted(_pipeline_records(2, seed, BRIESKORN_F), key=lambda r: r.cusps)
     assert (short.cusps, long.cusps) == (0, 10)
     assert short.consistent and not long.consistent
+    assert (short.kind, short.absolute_index) == (FoldKind.DEFINITE, 0)
+    assert long.kind == FoldKind.DEGENERATE
+    assert long.absolute_index is None and long.negative_eigenvalues is None
+    # plain Python values, which the JSON report writer accepts
+    for record in (short, long):
+        values = (record.absolute_index, record.negative_eigenvalues,
+                  record.cusps, record.consistent, record.embedding_ok)
+        assert {type(v) for v in values} <= {int, bool, type(None)}
+
+
+@pytest.mark.parametrize("seed", [42, 4, 5, 9])
+def test_brieskorn_fold_count_changes_exactly_at_cusps(seed):
+    # Whitney's cusp normal form: across a cusp the transverse count moves by
+    # one; along the fold arcs between cusps it stays put
+    spec, g = lf.RunConfig(f_text=BRIESKORN_F, n=2, rng_seed=seed).build()
+    long = max(pipeline_traces(2, seed, BRIESKORN_F), key=len)
+    neg, degenerate, reversal = fold_classify._node_folds(long, spec, g)
+    step = np.roll(neg, -1) - neg
+    assert not degenerate.any()
+    assert np.flatnonzero(step).tolist() == np.flatnonzero(reversal).tolist()
+    assert len(np.flatnonzero(step)) == 10
+    assert set(step[reversal].tolist()) <= {-1, 1}
+
+
+@pytest.mark.parametrize(
+    "n, seed, f_text",
+    [(2, 42, None), (3, 42, None), (4, 42, None), (2, 7, "z1^2 + z2^2 + z3^3"),
+     (2, 42, BRIESKORN_F)],
+    ids=["a1_n2", "a1_n3", "a1_n4", "a2_n2_s7", "brieskorn_n2"],
+)
+def test_closed_form_fold_counts_match_per_point_oracle(n, seed, f_text):
+    # the oracle projects each point and fits its multipliers in a chart,
+    # with the normal pointing away from the circle-fit centre
+    spec, g = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed).build()
+    for trace in pipeline_traces(n, seed, f_text):
+        neg, degenerate, _ = fold_classify._node_folds(trace, spec, g)
+        center = lf.circle_fit(trace.image)[0]
+        for k in range(0, len(trace), max(1, len(trace) // 24)):
+            kind, _, oracle_neg = classify_fold(trace.points[k], spec, g, center)
+            assert (neg[k], degenerate[k]) == (oracle_neg, kind == FoldKind.DEGENERATE)
 
 
 @pytest.mark.parametrize(

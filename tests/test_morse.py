@@ -7,7 +7,7 @@ from linkfold.errors import RankTwo, WrongDimension
 from linkfold.polynomial import gradient
 
 from conftest import build_a1, definite_point, indefinite_point
-from oracles import chart_hessian
+from oracles import chart_hessian, classify_fold
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,8 +120,8 @@ def test_slice_index_matches_fold_negative_count(a1_n2):
     spec, g = a1_n2
     for point in (definite_point(2), indefinite_point(2)):
         record = lf.slice_morse_index(point, SliceSpec(0.0), spec, g)
-        fold = lf.classify_fold(point, spec, g, (0.0, 0.0))
-        assert record.morse_index == fold.negative_eigenvalues
+        _, _, fold_negative = classify_fold(point, spec, g, (0.0, 0.0))
+        assert record.morse_index == fold_negative
 
 
 def test_slice_index_at_regular_point_raises_rank_two(a1_n2):

@@ -376,6 +376,23 @@ def test_single_image_component_report_is_strict_json(tmp_path, capsys):
     assert report["n1_image"]["min_intercomponent_distance"] is None
 
 
+def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys):
+    # with a quadratic term in g, three of the four traced components change
+    # their transverse negative count between nodes: each passes a degenerate
+    # fold point, so the run ends as degenerate geometry, not as a failed check
+    code = main(["verify-a1", "--n", "2", "--g", "z1 + 0.5i*z2 + 0.8*z2^2",
+                 "--seed", "42", "--out", str(tmp_path)])
+    assert code == 4
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    validate_report(report)
+    assert report["round"]["failed_check"] == "degenerate_fold"
+    degenerate = [c for c in report["components"] if c["kind"] == "DEGENERATE"]
+    assert len(degenerate) == 3
+    assert all(c["absolute_index"] is None and c["negative_eigenvalues"] is None
+               for c in degenerate)
+
+
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")
