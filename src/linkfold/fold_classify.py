@@ -40,7 +40,7 @@ from .geometry import (
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import eval_poly, gradient, hessian, homogeneous_degree
+from .polynomial import conj_gradient, eval_poly, gradient, hessian, homogeneous_degree
 
 __all__ = [
     "FoldKind",
@@ -203,7 +203,7 @@ def _node_folds(trace, spec, g):
     # image velocity dh(t) at each node, from the trace's z-tangents
     velocity = np.sum(grad_g * complexify(trace.tangents[:, :-4]), axis=1)
     reversal = (np.conj(velocity) * np.roll(velocity, -1)).real < 0
-    kernel = orthonormal_complement([np.conj(gradient(spec.f, z)), np.conj(grad_g)])
+    kernel = orthonormal_complement([conj_gradient(spec.f, z), np.conj(grad_g)])
     mu = 1.0 / np.abs(b)
     weight = (mu * np.conj(b))[:, None, None]
     alpha = (-mu * a)[:, None, None]
