@@ -11,10 +11,10 @@ each checked by one function:
    nondegenerate: :func:`classify_component`, in closed form at every trace
    node w = (z, a, b). There z = a gradbar f + b gradbar g, so the image
    normal is b/|b|, ker dh is the complex complement C of (gradbar f,
-   gradbar g), and the Lagrange multipliers are mu = 1/|b| and
-   alpha = -a/|b|. The Hessian's eigenvalues are +-sigma_k - mu, with
-   sigma_k the singular values of C^T (w Hg - conj(alpha) Hf) C and
-   w = conj(b)/|b|; :func:`fold_counts` signs them.
+   gradbar g), and by :func:`~linkfold.singular_set.span_hessian` the
+   Hessian's eigenvalues are mu (+-sigma_k - 1), with mu = 1/|b| and
+   sigma_k the singular values of C P C^T, P = conj(a) Hf + conj(b) Hg;
+   :func:`fold_counts` signs +-sigma_k - 1.
 
 The Hessian's negative-eigenvalue count lambda fixes the absolute index
 min(lambda, (2n-2) - lambda). A map whose singular components are embedded
@@ -34,13 +34,13 @@ from .errors import NotApplicable, RankTwo, RankZero
 from .geometry import (
     TangentFrame,
     complexify,
-    critical_hessian,
     orthonormal_complement,
     project_to_link,
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import conj_gradient, eval_poly, gradient, hessian, homogeneous_degree
+from .polynomial import conj_gradient, eval_poly, gradient, homogeneous_degree
+from .singular_set import AugmentedSystem, span_hessian
 
 __all__ = [
     "FoldKind",
@@ -124,12 +124,18 @@ def intrinsic_hessian(kernel_basis, frame, spec, g, nu):
     """Transverse Hessian of the normal component nu . h on the kernel directions.
 
     ``nu`` is a covector on R^2, the oriented unit normal for a fold; it need
-    not be a unit vector (the slice weight is not). nu . h =
-    Re((nu1 - i nu2) h), whose Hessian on the link comes from
-    :func:`critical_hessian`.
+    not be a unit vector (the slice weight is not). nu . h = Re(w h),
+    w = nu1 - i nu2, must be critical at the frame's base point. Its Hessian
+    is mu (Re(V P V^T) - I) with V the kernel rows as ambient vectors and P
+    from :func:`span_hessian` at the point's span coefficients (a, b), and
+    mu = w / conj(b). The identity kernel gives the whole tangent space.
     """
-    weight = complex(nu[0], -nu[1])
-    return kernel_basis @ critical_hessian(frame, spec, g, weight) @ kernel_basis.T
+    z = frame.base_point
+    a, b = AugmentedSystem(spec, g).span_coefficients(z)
+    mu = (complex(nu[0], -nu[1]) / np.conj(b)).real
+    vectors = kernel_basis @ frame.complex_basis
+    second = np.real(vectors @ span_hessian(z, a, b, spec, g) @ vectors.T)
+    return mu * (second - np.eye(len(vectors)))
 
 
 def fold_counts(eigenvalues):
@@ -198,18 +204,16 @@ def _node_folds(trace, spec, g):
     Re(conj(v_k) v_{k+1}) < 0 with the last node wrapping to the first.
     """
     z = trace.points
-    a, b = complexify(trace.nodes[:, -4:]).T
+    a, b = complexify(trace.nodes[:, -4:]).T[..., None, None]
     grad_g = gradient(g, z)
     # image velocity dh(t) at each node, from the trace's z-tangents
     velocity = np.sum(grad_g * complexify(trace.tangents[:, :-4]), axis=1)
     reversal = (np.conj(velocity) * np.roll(velocity, -1)).real < 0
     kernel = orthonormal_complement([conj_gradient(spec.f, z), np.conj(grad_g)])
-    mu = 1.0 / np.abs(b)
-    weight = (mu * np.conj(b))[:, None, None]
-    alpha = (-mu * a)[:, None, None]
-    second = weight * hessian(g, z) - np.conj(alpha) * hessian(spec.f, z)
-    sigma = np.linalg.svd(kernel @ second @ np.swapaxes(kernel, 1, 2), compute_uv=False)
-    neg, _, degenerate = fold_counts(np.hstack([sigma, -sigma]) - mu[:, None])
+    second = kernel @ span_hessian(z, a, b, spec, g) @ np.swapaxes(kernel, 1, 2)
+    sigma = np.linalg.svd(second, compute_uv=False)
+    # the Hessian's eigenvalues over mu = 1/|b| > 0: same signs, same band
+    neg, _, degenerate = fold_counts(np.hstack([sigma, -sigma]) - 1.0)
     return neg, degenerate, reversal
 
 
@@ -320,7 +324,7 @@ def verify_round(traces, records):
     return RoundVerdict("ROUND", sorted(fitted), center, None)
 
 
-def equivariance_error(spec, g, rng_seed=42):
+def equivariance_error(spec, g, rng_seed):
     """Max of |h(alpha z) - alpha h(z)| over random unit alpha and link points.
 
     ``_EQUIVARIANCE_SAMPLES`` pairs are drawn. Only meaningful when f is

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCollapse, NonConvergence, RankDeficient
-from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient, hessian
+from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient
 
 __all__ = [
     "LinkSpec",
@@ -26,7 +26,6 @@ __all__ = [
     "tangent_frame",
     "orthonormal_complement",
     "chart",
-    "critical_hessian",
 ]
 
 # rank threshold for QR pivots of spanning sets and constraint Jacobians
@@ -330,24 +329,3 @@ def chart(point, frame, u, spec, tol=1e-12):
     moved[step] = project_to_link(moved[step], spec, tol=tol)
     return moved
 
-
-def critical_hessian(frame, spec, g, weight):
-    """Hessian of phi = Re(weight * g) on the link, in the coordinates of ``frame``.
-
-    This is the Hessian of the Lagrangian phi - Re(conj(alpha) f) -
-    (mu / 2) (|z|^2 - epsilon^2) on the tangent space, with the multipliers
-    fitted to the gradient of phi by least squares. It is the Riemannian
-    Hessian of phi on the link, which the Hessian of phi composed with
-    :func:`chart` at 0 equals because the chart corrects along the normal
-    space; at a critical point no chart changes it. The second partials of f
-    and g are exact.
-    """
-    z = frame.base_point
-    df = conj_gradient(spec.f, z)
-    normals = np.column_stack([realify(df), realify(1j * df), realify(z)])
-    target = realify(np.conj(weight * gradient(g, z)))
-    (re_alpha, im_alpha, mu), *_ = np.linalg.lstsq(normals, target, rcond=None)
-    alpha_bar = complex(re_alpha, -im_alpha)
-    second = weight * hessian(g, z) - alpha_bar * hessian(spec.f, z)
-    basis = frame.complex_basis
-    return np.real(basis @ second @ basis.T) - mu * np.eye(frame.dim)

@@ -6,9 +6,11 @@ Q_theta are the fold points of h on the ray, and the slice Hessian there is
 the fold's transverse Hessian :func:`intrinsic_hessian` on ker dh, weighted
 by the slice multiplier. Composing h with a nonzero linear height eta gives
 a Morse function on the whole link whose critical points sit on the traced
-singular curves; its Morse indices come from the full link Hessian
-:func:`critical_hessian`. Both kinds of critical point are found by one
-search: sign changes over the trace nodes, solved by
+singular curves; its Morse indices come from :func:`intrinsic_hessian` on
+the whole tangent space. Both rest on one closed-form second-order model,
+P = conj(a) Hess f + conj(b) Hess g of
+:func:`~linkfold.singular_set.span_hessian`. Both kinds of critical point
+are found by one search: sign changes over the trace nodes, solved by
 :meth:`AugmentedSystem.corrector`, the one bordered Newton solve of the
 singular set, whose ``extra(w)`` returns the added equation's value and its
 real gradient row in (z, a, b): the ray equation for slices, the
@@ -29,7 +31,7 @@ from .fold_classify import (
     intrinsic_hessian,
     local_fold_data,
 )
-from .geometry import complexify, critical_hessian, sample_link_points, tangent_frame
+from .geometry import complexify, sample_link_points, tangent_frame
 from .polynomial import eval_poly, gradient
 from .singular_set import AugmentedSystem
 
@@ -134,15 +136,16 @@ def slice_critical_points(slice_spec, traces, spec, g):
     return found
 
 
-def _morse_index(eigs):
-    """Negative-eigenvalue count; DegenerateHessian inside the dead band."""
+def _critical_record(point, value, hess, gradient_norm):
+    """Record with Morse index from ``hess``; DegenerateHessian in the dead band."""
+    eigs = np.linalg.eigvalsh(hess)
     neg, _, degenerate = fold_counts(eigs)
     if degenerate:
         raise DegenerateHessian(
             f"Hessian eigenvalue inside dead band {_DEAD_BAND:g} x spectral "
             f"norm: {eigs}"
         )
-    return neg
+    return CriticalPointRecord(point, float(value), neg, eigs, float(gradient_norm))
 
 
 # hessian_step and dead_band are ignored: perfbench/workloads.py passes them
@@ -167,18 +170,12 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
         raise RankZero("slice normal degenerated: d Im(e^{-i theta} h) = 0")
     # the slice's multiplier: d Re = lam d Im on the link at a critical point
     lam = float(np.dot(derivs.real, im_row) / np.dot(im_row, im_row))
-    grad_norm = float(np.max(np.abs(derivs.real - lam * im_row)))
     weight = rotation * (1.0 + 1j * lam)
-    hess = intrinsic_hessian(
-        data.kernel_basis, data.frame, spec, g, (weight.real, -weight.imag)
-    )
-    eigs = np.linalg.eigvalsh(hess)
-    return CriticalPointRecord(
-        point=z,
-        value=float((rotation * eval_poly(g, z)).real),
-        morse_index=_morse_index(eigs),
-        hessian_eigenvalues=eigs,
-        gradient_norm=grad_norm,
+    nu = (weight.real, -weight.imag)
+    hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
+    return _critical_record(
+        z, (rotation * eval_poly(g, z)).real, hess,
+        np.max(np.abs(derivs.real - lam * im_row)),
     )
 
 
@@ -196,8 +193,8 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     z = a gradbar f + b gradbar g, and Re(w h) is critical on the link
     exactly where Im(w b) = 0. Sign changes of Im(w b) over each trace's
     nodes are refined by the bordered corrector with that equation, then
-    classified by the full (2n-1)-dimensional link Hessian. Records are
-    sorted by critical value.
+    classified by the full (2n-1)-dimensional link Hessian, eta's
+    :func:`intrinsic_hessian` on the whole frame. Records are sorted by value.
     """
     eta = np.asarray(eta, dtype=float)
     norm = np.linalg.norm(eta)
@@ -220,16 +217,10 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     for z in _equation_zeros(traces, system, node_values, critical_equation):
         frame = tangent_frame(z, spec)
         derivs = weight * (frame.complex_basis @ gradient(g, z))
-        eigs = np.linalg.eigvalsh(critical_hessian(frame, spec, g, weight))
-        records.append(
-            CriticalPointRecord(
-                point=z,
-                value=float((weight * eval_poly(g, z)).real),
-                morse_index=_morse_index(eigs),
-                hessian_eigenvalues=eigs,
-                gradient_norm=float(np.max(np.abs(derivs.real))),
-            )
-        )
+        hess = intrinsic_hessian(np.eye(frame.dim), frame, spec, g, eta)
+        records.append(_critical_record(
+            z, (weight * eval_poly(g, z)).real, hess, np.max(np.abs(derivs.real))
+        ))
     records.sort(key=lambda r: r.value)
     return records
 

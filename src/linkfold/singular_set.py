@@ -62,6 +62,7 @@ __all__ = [
     "projected_descent",
     "scan_gradient_dependence",
     "seed_singular_points",
+    "span_hessian",
     "trace_singular_curve",
     "collect_components",
     "GradientDependenceScan",
@@ -71,7 +72,7 @@ __all__ = [
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
 _STEP_MAX = 0.1
-# a corrector converges when its bordered residual is at most this
+# bordered residual at which a corrector converges, times max(1, epsilon^2)
 _CORRECTOR_TOL = 1e-12
 # a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
@@ -116,6 +117,19 @@ def criterion_rank_defect(z, f, g):
     if m.ndim == 2:
         return 0.0 if s[0] == 0.0 else float(s[2] / s[0])
     return np.divide(s[:, 2], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
+
+
+def span_hessian(z, a, b, spec, g):
+    """P = conj(a) Hess f(z) + conj(b) Hess g(z), the second-order data of h.
+
+    Precondition: z lies on the singular set, z = a gradbar f + b gradbar g
+    on the link. There Re(w h) is critical on the link exactly when
+    mu = w / conj(b) is real, and its link Hessian in orthonormal tangent
+    directions V (complex rows) is mu (Re(V P V^T) - I), with multipliers mu
+    and -mu a. The augmented Jacobian uses conj(P). For a stack of points,
+    a and b broadcast against the (N, n+1, n+1) Hessians.
+    """
+    return np.conj(a) * hessian(spec.f, z) + np.conj(b) * hessian(g, z)
 
 
 def direct_singularity_test(z, spec, g):
@@ -204,15 +218,12 @@ class AugmentedSystem:
         z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
         m = self.m
         gf, gg = self.grads(z)
-        cf, cg = self._second_conj(z)
         eye = np.eye(m)
+        mix = np.conj(span_hessian(z, a, b, self.spec, self.g))
         # d(span)/dx_k and d(span)/dy_k as complex (m, m) blocks
-        mix = a * cf + b * cg
-        dx = eye - mix
-        dy = 1j * (eye + mix)
         jc = np.zeros((m, 2 * m + 4), dtype=complex)
-        jc[:, 0 : 2 * m : 2] = dx
-        jc[:, 1 : 2 * m : 2] = dy
+        jc[:, 0 : 2 * m : 2] = eye - mix
+        jc[:, 1 : 2 * m : 2] = 1j * (eye + mix)
         jc[:, 2 * m] = -gf
         jc[:, 2 * m + 1] = -1j * gf
         jc[:, 2 * m + 2] = -gg
@@ -222,6 +233,10 @@ class AugmentedSystem:
         jac[1 : 2 * m : 2, :] = jc.imag
         jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_residual_jacobian(z, self.spec)
         return jac
+
+    def span_coefficients(self, z):
+        """Least-squares (a, b) with z = a gradbar f + b gradbar g on the curve."""
+        return np.linalg.lstsq(np.column_stack(self.grads(z)), z, rcond=None)[0]
 
     # -- solvers -----------------------------------------------------------
 
@@ -266,15 +281,17 @@ class AugmentedSystem:
         :func:`_hyperplane`), ray-slice points and composed critical points.
         ``extra(w)`` returns the added equation's value and its real gradient
         row in the unknowns (z, a, b). Converged means the norm of the
-        residual with that value appended is at most ``_CORRECTOR_TOL``,
-        tested before every step and after the last. Returns
-        (w, iterations, converged).
+        residual with that value appended is at most ``_CORRECTOR_TOL`` times
+        max(1, epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row,
+        tested before every step and after the last. Returns (w, iterations,
+        converged).
         """
         w = np.asarray(w0, dtype=float).copy()
+        tol = _CORRECTOR_TOL * max(1.0, self.spec.epsilon**2)
         for it in range(max_iter + 1):
             value, row = extra(w)
             res = np.concatenate([self.residual(w), [value]])
-            if np.linalg.norm(res) <= _CORRECTOR_TOL:
+            if np.linalg.norm(res) <= tol:
                 return w, it, True
             if it == max_iter:
                 break
@@ -390,14 +407,14 @@ def projected_descent(objective, z, spec, max_steps, target):
     return z, value
 
 
-def seed_singular_points(spec, g, rng_seed=42):
+def seed_singular_points(spec, g, rng_seed):
     """Find points of the singular set by multi-start descent plus Newton.
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
     one stacked :func:`projected_descent`. Gauss-Newton on the augmented
     system starts from each endpoint z with the span coefficients (a, b) of
-    the least-squares fit of z on (gradbar f, gradbar g). Each start that
-    converges is a seed; :func:`collect_components` skips seeds on a traced
+    :meth:`AugmentedSystem.span_coefficients`. Each start that converges is
+    a seed; :func:`collect_components` skips seeds on a traced
     component. Returns a (k, 2n+6) array of augmented vectors (realify(z),
     Re a, Im a, Re b, Im b), the layout of trace nodes. Raises
     WrongDimension for n < 2, where the criterion matrix has fewer rows
@@ -414,9 +431,9 @@ def seed_singular_points(spec, g, rng_seed=42):
     )
     seeds = []
     for z in ends:
-        gf, gg = system.grads(z)
-        coeffs, *_ = np.linalg.lstsq(np.column_stack([gf, gg]), z, rcond=None)
-        w, ok = system.newton_least_norm(np.concatenate([realify(z), realify(coeffs)]))
+        w, ok = system.newton_least_norm(
+            np.concatenate([realify(z), realify(system.span_coefficients(z))])
+        )
         if ok:
             seeds.append(w)
     if not seeds:
@@ -437,7 +454,7 @@ class GradientDependenceScan:
     min_defect: float
 
 
-def scan_gradient_dependence(spec, g, rng_seed=42):
+def scan_gradient_dependence(spec, g, rng_seed):
     """Search the link for points where gradbar g lies in C * gradbar f.
 
     One stacked :func:`projected_descent` of sigma2/sigma1 of the two-column

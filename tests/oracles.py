@@ -9,12 +9,7 @@ import math
 import numpy as np
 
 from linkfold.errors import LinkFoldError, NonConvergence, RankDeficient, WrongDimension
-from linkfold.fold_classify import (
-    FoldKind,
-    fold_counts,
-    intrinsic_hessian,
-    local_fold_data,
-)
+from linkfold.fold_classify import FoldKind, fold_counts, local_fold_data
 from linkfold.geometry import (
     chart,
     complexify,
@@ -23,7 +18,7 @@ from linkfold.geometry import (
     realify,
     tangent_frame,
 )
-from linkfold.polynomial import conj_gradient, eval_poly
+from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian
 from linkfold.singular_set import criterion_matrix
 
 
@@ -102,20 +97,46 @@ def chart_hessian(func, dim, step):
     return (hess + hess.T) / 2.0
 
 
+def critical_hessian(frame, spec, g, weight):
+    """Hessian of phi = Re(weight * g) on the link, in the coordinates of ``frame``.
+
+    The fitted-multiplier reference for the closed form of
+    ``intrinsic_hessian``: the Hessian of the Lagrangian
+    phi - Re(conj(alpha) f) - (mu / 2) (|z|^2 - epsilon^2) on the tangent
+    space, with the multipliers fitted to the gradient of phi by least
+    squares, so it needs no span coefficients (a, b). It is the Riemannian
+    Hessian of phi on the link, which the Hessian of phi composed with
+    ``chart`` at 0 equals because the chart corrects along the normal space;
+    at a critical point no chart changes it.
+    """
+    z = frame.base_point
+    df = conj_gradient(spec.f, z)
+    normals = np.column_stack([realify(df), realify(1j * df), realify(z)])
+    target = realify(np.conj(weight * gradient(g, z)))
+    (re_alpha, im_alpha, mu), *_ = np.linalg.lstsq(normals, target, rcond=None)
+    alpha_bar = complex(re_alpha, -im_alpha)
+    second = weight * hessian(g, z) - alpha_bar * hessian(spec.f, z)
+    basis = frame.complex_basis
+    return np.real(basis @ second @ basis.T) - mu * np.eye(frame.dim)
+
+
 def transverse_eigenvalues(point, spec, g, image_center):
     """Transverse Hessian eigenvalues at one singular point, from its own chart.
 
     The per-point route that the closed form at trace nodes replaced: project
     the point, take a tangent frame, the kernel and image direction of dh by
     SVD, and the Hessian of the normal component of h on the kernel with
-    least-squares multipliers. The normal points away from ``image_center``.
+    least-squares multipliers (:func:`critical_hessian`). The normal points
+    away from ``image_center``.
     """
     data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
     hval = eval_poly(g, data.base_point)
     if np.dot(np.array([hval.real, hval.imag]) - image_center, nu) < 0:
         nu = -nu
-    hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
+    kernel = data.kernel_basis
+    weight = complex(nu[0], -nu[1])
+    hess = kernel @ critical_hessian(data.frame, spec, g, weight) @ kernel.T
     return np.linalg.eigvalsh(hess)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import linkfold as lf
 from linkfold.errors import DimensionCollapse, RankDeficient
-from linkfold.geometry import critical_hessian, orthonormal_complement
+from linkfold.geometry import orthonormal_complement
 
 from conftest import build_a1, definite_point
 from oracles import chart_hessian, hermitian_inner, real_inner
@@ -301,6 +301,8 @@ def test_critical_hessian_matches_chart_differences(request, n, kind):
             return float((weight * lf.eval_poly(g, lf.chart(z, frame, u, spec))).real)
 
         reference = chart_hessian(height, frame.dim, 1e-4 * spec.epsilon)
-        hess = critical_hessian(frame, spec, g, weight)
+        hess = lf.intrinsic_hessian(
+            np.eye(frame.dim), frame, spec, g, (weight.real, -weight.imag)
+        )
         err = np.linalg.norm(hess - reference)
         assert err <= 1e-6 * np.linalg.norm(reference)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,16 @@ import linkfold as lf
 from linkfold import SliceSpec
 from linkfold.errors import RankTwo, WrongDimension
 from linkfold.polynomial import gradient
+from linkfold.singular_set import AugmentedSystem, _hyperplane
 
-from conftest import build_a1, definite_point, indefinite_point
-from oracles import chart_hessian, classify_fold
+from conftest import (
+    BRIESKORN_F,
+    build_a1,
+    definite_point,
+    indefinite_point,
+    pipeline_traces,
+)
+from oracles import chart_hessian, classify_fold, critical_hessian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -158,14 +167,20 @@ def _slice_difference_hessian(z, theta, spec, g, step=1e-4):
     return chart_hessian(height, kernel.shape[0], step)
 
 
-def test_slice_hessian_off_normal_ray_matches_differences(a1_n2):
+@functools.cache
+def _off_centre_a1():
+    """A1 at n = 2 with g = z1 + 0.5i*z2 + 0.3, and its components at seed 42."""
+    spec, _ = build_a1(2)
+    g = lf.parse_poly("z1 + 0.5i*z2 + 0.3", 3)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    return spec, g, lf.collect_components(seeds, spec, g)
+
+
+def test_slice_hessian_off_normal_ray_matches_differences():
     # with a constant term in g the image circles are off-centre, so the ray
     # at theta = pi/2 meets them off the normal and the slice Hessian needs
     # the multiplier term of Im(e^{-i theta} h)
-    spec, _ = a1_n2
-    g = lf.parse_poly("z1 + 0.5i*z2 + 0.3", 3)
-    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
-    traces = lf.collect_components(seeds, spec, g)
+    spec, g, traces = _off_centre_a1()
     theta = np.pi / 2
     points = lf.slice_critical_points(SliceSpec(theta), traces, spec, g)
     assert len(points) == 2
@@ -278,3 +293,141 @@ def test_trace_image_n1_wrong_dimension(a1_n2):
     spec, g = a1_n2
     with pytest.raises(WrongDimension):
         lf.trace_image_n1(spec, g)
+
+
+# ---------------------------------------------------------------------------
+# one second-order model: closed form, fitted multipliers, fold model
+# ---------------------------------------------------------------------------
+
+# eight height angles, in mirror pairs k and k + 4
+_ANGLES = np.arange(8) * np.pi / 4
+
+
+def _pair(name):
+    """(spec, g, traces) of a named configuration, traced once per test run."""
+    if name == "a1_off_centre":
+        return _off_centre_a1()
+    n, seed, f_text = {
+        "a1_n2": (2, 42, None), "a1_n3": (3, 42, None), "a1_n4": (4, 42, None),
+        "brieskorn_s42": (2, 42, BRIESKORN_F), "brieskorn_s4": (2, 4, BRIESKORN_F),
+    }[name]
+    spec, g = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed).build()
+    return spec, g, pipeline_traces(n, seed, f_text)
+
+
+@functools.cache
+def _composed(name, angle):
+    spec, g, traces = _pair(name)
+    return lf.composed_morse((np.cos(angle), np.sin(angle)), traces, spec, g)
+
+
+def _slice_weight(z, theta, spec, g):
+    """e^{-i theta} (1 + i lam): the slice Lagrangian's weight at a slice point."""
+    rotation = np.exp(-1j * theta)
+    derivs = rotation * (lf.tangent_frame(z, spec).complex_basis @ gradient(g, z))
+    lam = np.dot(derivs.real, derivs.imag) / np.dot(derivs.imag, derivs.imag)
+    return rotation * (1.0 + 1j * lam)
+
+
+def _critical_heights(name):
+    """(point, weight, kernel) triples where Re(weight h) is critical on the link.
+
+    Fold points at about 24 nodes per component, with the kernel of dh;
+    slice points at three rays, with the kernel of dh; composed critical
+    points at the eight angles, on the whole frame (kernel None).
+    """
+    spec, g, traces = _pair(name)
+    triples = []
+    for trace in traces:
+        for k in range(0, len(trace), max(1, len(trace) // 24)):
+            data = lf.local_fold_data(trace.points[k], spec, g)
+            normal = complex(-data.image_dir[1], -data.image_dir[0])
+            triples.append((data.base_point, normal, data.kernel_basis))
+    for theta in (0.0, 0.7, np.pi / 2):
+        for z in lf.slice_critical_points(SliceSpec(theta), traces, spec, g):
+            data = lf.local_fold_data(z, spec, g)
+            weight = _slice_weight(data.base_point, theta, spec, g)
+            triples.append((data.base_point, weight, data.kernel_basis))
+    for angle in _ANGLES:
+        weight = np.exp(-1j * angle)
+        triples += [(r.point, weight, None) for r in _composed(name, angle)]
+    return triples
+
+
+@pytest.mark.parametrize(
+    "name", ["a1_n2", "a1_n3", "a1_off_centre", "brieskorn_s42"]
+)
+def test_closed_form_hessian_matches_fitted_multipliers(name):
+    # intrinsic_hessian reads its multipliers from the span coefficients
+    # (a, b); the oracle fits them to the gradient by least squares
+    spec, g, _ = _pair(name)
+    triples = _critical_heights(name)
+    assert len(triples) >= 40
+    for point, weight, kernel in triples:
+        frame = lf.tangent_frame(point, spec)
+        kernel = np.eye(frame.dim) if kernel is None else kernel
+        nu = (weight.real, -weight.imag)
+        closed = lf.intrinsic_hessian(kernel, frame, spec, g, nu)
+        fitted = kernel @ critical_hessian(frame, spec, g, weight) @ kernel.T
+        assert np.linalg.norm(closed - fitted) <= 1e-12 * np.linalg.norm(fitted)
+
+
+def _curve_neighbours(z, spec, g):
+    """The singular-curve points 1e-3 epsilon before and after z, by the corrector."""
+    system = AugmentedSystem(spec, g)
+    w = np.concatenate([lf.realify(z), lf.realify(system.span_coefficients(z))])
+    tangent, _ = system.tangent(w)
+    points = []
+    for step in (-1e-3 * spec.epsilon, 1e-3 * spec.epsilon):
+        w_pred = w + step * tangent
+        w_new, _, ok = system.corrector(w_pred, _hyperplane(tangent, w_pred))
+        assert ok
+        points.append(lf.complexify(w_new[:-4]))
+    return points
+
+
+@pytest.mark.parametrize(
+    "name", ["a1_n2", "a1_n3", "a1_n4", "brieskorn_s42", "brieskorn_s4"]
+)
+def test_composed_index_is_fold_index_plus_curve_index(name):
+    # T K = ker dh + (curve tangent): the index of eta . h is the transverse
+    # negative count lambda_eta of the fitted fold Hessian with normal eta,
+    # plus kappa = 1 at a maximum of eta . h along the singular curve, 0 at
+    # a minimum
+    spec, g, _ = _pair(name)
+    checked = 0
+    for angle in _ANGLES:
+        weight = np.exp(-1j * angle)
+        for record in _composed(name, angle):
+            data = lf.local_fold_data(record.point, spec, g)
+            kernel = data.kernel_basis
+            fitted = critical_hessian(data.frame, spec, g, weight)
+            transverse = kernel @ fitted @ kernel.T
+            lambda_eta = int(np.sum(np.linalg.eigvalsh(transverse) < 0))
+            along = [(weight * lf.eval_poly(g, y)).real - record.value
+                     for y in _curve_neighbours(record.point, spec, g)]
+            assert all(d < 0 for d in along) or all(d > 0 for d in along)
+            kappa = 1 if along[0] < 0 else 0
+            assert record.morse_index == lambda_eta + kappa
+            checked += 1
+    assert checked >= 8 * 4
+
+
+@pytest.mark.parametrize("name", ["brieskorn_s42", "brieskorn_s4"])
+def test_brieskorn_composed_morse_topology(name):
+    # the Brieskorn link of (2, 3, 5) is the Poincare homology sphere, with
+    # Betti numbers (1, 0, 0, 1); -eta . h has the critical points of eta . h
+    # with index 3 - i
+    betti = np.array([1, 0, 0, 1])
+    counts = []
+    for angle in _ANGLES:
+        indices = [r.morse_index for r in _composed(name, angle)]
+        c = np.bincount(indices, minlength=4)
+        assert len(c) == 4
+        assert np.dot(c, [1, -1, 1, -1]) == 0
+        for k in range(4):
+            signs = (-1) ** (k - np.arange(k + 1))
+            assert np.dot(signs, c[: k + 1]) >= np.dot(signs, betti[: k + 1])
+        counts.append(c)
+    for k in range(4):
+        assert counts[k + 4].tolist() == counts[k][::-1].tolist()
