@@ -21,6 +21,7 @@ __all__ = [
     "complexify",
     "link_residual",
     "link_residual_jacobian",
+    "link_jacobian_rows",
     "project_to_link",
     "sample_link_points",
     "tangent_frame",
@@ -127,7 +128,11 @@ def link_residual_jacobian(z, spec):
     y_k it is i*f_k, which gives the rows below.
     """
     z = np.asarray(z, dtype=complex)
-    fk = gradient(spec.f, z)
+    return link_jacobian_rows(z, gradient(spec.f, z))
+
+
+def link_jacobian_rows(z, fk):
+    """:func:`link_residual_jacobian` at ``z`` from f's Wirtinger gradient ``fk`` there."""
     jac = np.zeros(z.shape[:-1] + (3, 2 * z.shape[-1]))
     jac[..., 0, 0::2] = fk.real
     jac[..., 0, 1::2] = -fk.imag

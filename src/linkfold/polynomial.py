@@ -6,6 +6,14 @@ zeros are never stored. Printing and evaluation always walk the terms in
 graded lexicographic order (total degree first, then exponent tuple,
 descending), so both are deterministic.
 
+Evaluation takes one of two paths. One point, and stacks below
+``_VECTOR_MIN_ROWS`` rows, are evaluated point by point in Python complex
+arithmetic from term tables cached on the polynomial: its own table for
+values, each first partial's for gradients, and one slot table of all
+second partials for :func:`hessian`. Larger stacks compute the same products
+as real float array operations. Every path equals the plain term loop bit
+for bit.
+
 The text grammar accepted by :func:`parse_poly`:
 
     expr   := term (('+' | '-') term)*
@@ -60,7 +68,7 @@ class ComplexPoly:
     arithmetic returns new objects.
     """
 
-    __slots__ = ("n_vars", "terms", "_partials_cache", "_table")
+    __slots__ = ("n_vars", "terms", "_partials_cache", "_table", "_hessian")
 
     def __init__(self, n_vars, terms=None):
         if n_vars < 1:
@@ -81,6 +89,7 @@ class ComplexPoly:
         self.terms = clean
         self._partials_cache = None
         self._table = None
+        self._hessian = None
 
     # -- constructors ------------------------------------------------------
 
@@ -119,6 +128,23 @@ class ComplexPoly:
                 for exps, coeff in self.sorted_terms()
             )
         return self._table
+
+    def _hessian_table(self):
+        """Distinct powers (variable, exponent) and terms of all second partials.
+
+        Terms are (slot j * n_vars + k, coefficient, indices into the powers),
+        each slot's in its partial's graded order. Cached on the instance.
+        """
+        if self._hessian is None:
+            m = self.n_vars
+            powers, entries = {}, []
+            for j, dp in enumerate(self.partials()):
+                for k, ddp in enumerate(dp.partials()):
+                    for coeff, factors in ddp._term_table():
+                        idx = tuple(powers.setdefault(f, len(powers)) for f in factors)
+                        entries.append((j * m + k, coeff, idx))
+            self._hessian = tuple(powers), tuple(entries)
+        return self._hessian
 
     def is_zero(self):
         return not self.terms
@@ -376,11 +402,36 @@ def conj_gradient(p, z):
     return np.conj(gradient(p, z))
 
 
+def _hessian_point(p, zs):
+    """Second partials of ``p`` at one point (a list of Python complex), row-major."""
+    powers, entries = p._hessian_table()
+    values = [_power(zs[j], e) for j, e in powers]
+    out = [0j] * (p.n_vars * p.n_vars)
+    for slot, coeff, idx in entries:
+        term = coeff
+        for i in idx:
+            term *= values[i]
+        out[slot] += term
+    return out
+
+
 def hessian(p, z):
     """Matrix of second Wirtinger partials: entry (j, k) is (d^2 p / d z_j d z_k)(z).
 
     Shape (n_vars, n_vars), or (N, n_vars, n_vars) for a stack of points.
+    One point and stacks below ``_VECTOR_MIN_ROWS`` rows walk a slot table
+    cached on ``p``: every term of every second partial, tagged with its
+    slot j * n_vars + k. Each slot starts at 0j and adds its terms in the
+    graded order of its own partial, and each power of a variable is taken
+    once per point, so every entry equals the term loop of that partial
+    bit for bit. Larger stacks evaluate the partials' gradients with the
+    vectorised path of :func:`eval_poly`, which rounds the same.
     """
+    z = _points(p, z)
+    m = p.n_vars
+    if z.ndim == 1 or len(z) < _VECTOR_MIN_ROWS:
+        rows = [_hessian_point(p, zs) for zs in z.reshape(-1, m).tolist()]
+        return np.array(rows, dtype=complex).reshape(z.shape[:-1] + (m, m))
     return np.stack([gradient(dp, z) for dp in p.partials()], axis=-2)
 
 

@@ -45,8 +45,8 @@ from .geometry import (
     TangentFrame,
     chart,
     complexify,
+    link_jacobian_rows,
     link_residual,
-    link_residual_jacobian,
     realify,
     sample_link_points,
     tangent_frame,
@@ -188,7 +188,16 @@ class CurveTrace:
 
 
 class AugmentedSystem:
-    """Residual and Jacobian of the singular-curve equations in (z, a, b)."""
+    """Residual and Jacobian of the singular-curve equations in (z, a, b).
+
+    The system keeps (z, a, b, gradbar f, gradbar g) for the last augmented
+    vector w that :meth:`residual`, :meth:`jacobian` or :meth:`tangent`
+    evaluated, keyed by the bytes of w. A corrector step's residual and
+    Jacobian, a converged corrector's point and its tangent, and an
+    accepted Newton trial and the next Jacobian so share one evaluation.
+    The key is the value of w, never its identity, so a caller's array
+    changed in place, or a new array at a reused address, misses the cache.
+    """
 
     def __init__(self, spec, g):
         if g.n_vars != spec.ambient_dim:
@@ -196,6 +205,8 @@ class AugmentedSystem:
         self.spec = spec
         self.g = g
         self.m = spec.ambient_dim
+        self._key = None
+        self._last = None
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -203,21 +214,29 @@ class AugmentedSystem:
         """(gradbar f(z), gradbar g(z)) as complex vectors."""
         return conj_gradient(self.spec.f, z), conj_gradient(self.g, z)
 
+    def _evaluate(self, w):
+        """(z, a, b, gradbar f(z), gradbar g(z)) at w, from the one-entry cache."""
+        w = np.asarray(w, dtype=float)
+        key = w.tobytes()
+        if key != self._key:
+            z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
+            self._last = (z, a, b, *self.grads(z))
+            self._key = key
+        return self._last
+
     def _second_conj(self, z):
         return np.conj(hessian(self.spec.f, z)), np.conj(hessian(self.g, z))
 
     # -- residual / jacobian ---------------------------------------------------
 
     def residual(self, w):
-        z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
-        gf, gg = self.grads(z)
+        z, a, b, gf, gg = self._evaluate(w)
         span = z - a * gf - b * gg
         return np.concatenate([realify(span), link_residual(z, self.spec)])
 
     def jacobian(self, w):
-        z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
+        z, a, b, gf, gg = self._evaluate(w)
         m = self.m
-        gf, gg = self.grads(z)
         eye = np.eye(m)
         mix = np.conj(span_hessian(z, a, b, self.spec, self.g))
         # d(span)/dx_k and d(span)/dy_k as complex (m, m) blocks
@@ -231,7 +250,7 @@ class AugmentedSystem:
         jac = np.zeros((2 * m + 3, 2 * m + 4))
         jac[0 : 2 * m : 2, :] = jc.real
         jac[1 : 2 * m : 2, :] = jc.imag
-        jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_residual_jacobian(z, self.spec)
+        jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_jacobian_rows(z, np.conj(gf))
         return jac
 
     def span_coefficients(self, z):

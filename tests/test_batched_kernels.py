@@ -18,11 +18,18 @@ from conftest import build_a1
 from oracles import eval_poly_loop, project_to_link_point, sample_link_points_serial
 
 BRIESKORN = "z1^2 + z2^3 + z3^5"
+# second partials with several terms each, sharing powers of z1, z2 and z3
+MIXED = "(0.3+0.7i)*z1^3*z2 - 2*z2^4 + 1.5i*z1*z3^2 + z3^7"
+# three terms in four Hessian entries: a sum of two terms does not depend
+# on their order, a sum of three does
+QUARTIC = "z1^4 + 0.5i*z1^3*z2 - z1^2*z2^2 + (0.2+0.9i)*z1*z2^3 + z2^4 + z3^3"
 
 
 def _poly_cases():
     cases = [(f"a1_n{n}", build_a1(n)[0].f) for n in (1, 2, 3, 4)]
     cases.append(("brieskorn", lf.parse_poly(BRIESKORN, 3)))
+    cases.append(("mixed", lf.parse_poly(MIXED, 3)))
+    cases.append(("quartic", lf.parse_poly(QUARTIC, 3)))
     return cases
 
 
@@ -65,6 +72,24 @@ def test_eval_paths_match_term_loop(name, p):
             loop = [[eval_poly_loop(q, row) for q in polys] for row in stack]
             assert value.shape == shape
             assert np.array_equal(value, np.array(loop, dtype=complex).reshape(shape))
+
+
+def test_hessian_of_nonfinite_rows_is_nonfinite_without_warning():
+    # the suite turns warnings into errors, so a warning fails this test
+    p = lf.parse_poly(MIXED, 3)
+    z = _random_points(np.random.default_rng(5), _VECTOR_MIN_ROWS + 8, 3)
+    z[3] = [np.inf, 1.0, 0.5j]
+    z[4] = [0.2, np.nan, 1.0]
+    z[5] = [1e200, 1e200, 1e200]
+    for size in (6, len(z)):
+        stack = z[:size]
+        hess = hessian(p, stack)
+        partials = np.stack([gradient(dp, stack) for dp in p.partials()], axis=-2)
+        assert np.array_equal(hess, partials, equal_nan=True)
+        assert np.isfinite(hess[:3]).all()
+        assert not np.isfinite(hess[3:6]).all(axis=(1, 2)).any()
+        for k in (3, 4, 5):
+            assert np.array_equal(hessian(p, z[k]), hess[k], equal_nan=True)
 
 
 def test_eval_rejects_other_shapes():

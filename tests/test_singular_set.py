@@ -7,6 +7,7 @@ import linkfold as lf
 import linkfold.singular_set as singular_set
 from linkfold.cli import main
 from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
+from linkfold.geometry import link_residual_jacobian
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import (
@@ -217,6 +218,56 @@ def test_augmented_jacobian_matches_finite_differences(perturbed_n2):
         e[k] = h
         fd[:, k] = (system.residual(w + e) - system.residual(w - e)) / (2 * h)
     assert np.allclose(jac, fd, atol=1e-7)
+
+
+def test_augmented_point_cache_cannot_go_stale(perturbed_n2):
+    spec, g = perturbed_n2
+    system = AugmentedSystem(spec, g)
+    w1, w2 = np.random.default_rng(3).standard_normal((2, 10))
+
+    def check(w):
+        for method in ("residual", "jacobian", "tangent"):
+            got = getattr(system, method)(w)
+            want = getattr(AugmentedSystem(spec, g), method)(w.copy())
+            if method == "tangent":
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            else:
+                assert np.array_equal(got, want)
+
+    for w in (w1, w2, w1):
+        check(w)
+    # one caller's array, changed in place between calls
+    caller = w1.copy()
+    check(caller)
+    caller[3] += 0.25
+    check(caller)
+    caller[:] = w2
+    check(caller)
+    rows = system.jacobian(w1)[6:9, :6]
+    assert np.array_equal(rows, link_residual_jacobian(lf.complexify(w1[:-4]), spec))
+
+
+def test_trace_evaluates_each_augmented_point_once(monkeypatch):
+    spec, g = build_a1(4)
+    seed = lf.seed_singular_points(spec, g, rng_seed=42)[0]
+    points, gradients = set(), []
+    for name in ("residual", "jacobian"):
+        def recording(self, w, _method=getattr(AugmentedSystem, name)):
+            points.add(np.asarray(w, dtype=float).tobytes())
+            return _method(self, w)
+
+        monkeypatch.setattr(AugmentedSystem, name, recording)
+
+    def counting(p, z, _grad=singular_set.conj_gradient):
+        # one-point calls: the closing rank defect takes all nodes at once
+        if np.ndim(z) == 1:
+            gradients.append(p)
+        return _grad(p, z)
+
+    monkeypatch.setattr(singular_set, "conj_gradient", counting)
+    trace = lf.trace_singular_curve(seed, spec, g)
+    assert len(trace) > 50
+    assert len(gradients) == 2 * len(points)
 
 
 @pytest.mark.parametrize("c", [0.5, 1])
