@@ -8,11 +8,10 @@ descending), so both are deterministic.
 
 Evaluation takes one of two paths. One point, and stacks below
 ``_VECTOR_MIN_ROWS`` rows, are evaluated point by point in Python complex
-arithmetic from term tables cached on the polynomial: its own table for
-values, each first partial's for gradients, and one slot table of all
-second partials for :func:`hessian`. Larger stacks compute the same products
-as real float array operations. Every path equals the plain term loop bit
-for bit.
+arithmetic from tables cached on the polynomial: its term table for values,
+a slot table of all first or all second partials for :func:`gradient` or
+:func:`hessian`. Larger stacks compute the same products as real float
+array operations. Every path equals the plain term loop bit for bit.
 
 The text grammar accepted by :func:`parse_poly`:
 
@@ -68,7 +67,7 @@ class ComplexPoly:
     arithmetic returns new objects.
     """
 
-    __slots__ = ("n_vars", "terms", "_partials_cache", "_table", "_hessian")
+    __slots__ = ("n_vars", "terms", "_partials_cache", "_table", "_slots")
 
     def __init__(self, n_vars, terms=None):
         if n_vars < 1:
@@ -89,7 +88,7 @@ class ComplexPoly:
         self.terms = clean
         self._partials_cache = None
         self._table = None
-        self._hessian = None
+        self._slots = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -129,22 +128,23 @@ class ComplexPoly:
             )
         return self._table
 
-    def _hessian_table(self):
-        """Distinct powers (variable, exponent) and terms of all second partials.
+    def _slot_table(self, order):
+        """All partials of ``order``, their distinct powers (variable, exponent) and terms.
 
-        Terms are (slot j * n_vars + k, coefficient, indices into the powers),
-        each slot's in its partial's graded order. Cached on the instance.
+        Terms are (slot, coefficient, indices into the powers), each slot's in
+        its partial's graded order; slot j is d/dz_j, slot j * n_vars + k is
+        d^2/dz_j dz_k. Cached on the instance.
         """
-        if self._hessian is None:
-            m = self.n_vars
+        if order not in self._slots:
+            partials = self.partials() if order == 1 else [
+                q for dp in self.partials() for q in dp.partials()]
             powers, entries = {}, []
-            for j, dp in enumerate(self.partials()):
-                for k, ddp in enumerate(dp.partials()):
-                    for coeff, factors in ddp._term_table():
-                        idx = tuple(powers.setdefault(f, len(powers)) for f in factors)
-                        entries.append((j * m + k, coeff, idx))
-            self._hessian = tuple(powers), tuple(entries)
-        return self._hessian
+            for slot, q in enumerate(partials):
+                for coeff, factors in q._term_table():
+                    idx = tuple(powers.setdefault(f, len(powers)) for f in factors)
+                    entries.append((slot, coeff, idx))
+            self._slots[order] = tuple(partials), tuple(powers), tuple(entries)
+        return self._slots[order]
 
     def is_zero(self):
         return not self.terms
@@ -390,11 +390,7 @@ def gradient(p, z):
     Shape (n_vars,) for one point, (N, n_vars) for a stack of N points,
     with the rows of the batched call equal to the scalar calls.
     """
-    z = _points(p, z)
-    if z.ndim == 1:
-        zs = z.tolist()
-        return np.array([_eval_point(dp, zs) for dp in p.partials()], dtype=complex)
-    return _eval_many(p.partials(), z)
+    return _partials(p, z, 1)
 
 
 def conj_gradient(p, z):
@@ -402,37 +398,40 @@ def conj_gradient(p, z):
     return np.conj(gradient(p, z))
 
 
-def _hessian_point(p, zs):
-    """Second partials of ``p`` at one point (a list of Python complex), row-major."""
-    powers, entries = p._hessian_table()
-    values = [_power(zs[j], e) for j, e in powers]
-    out = [0j] * (p.n_vars * p.n_vars)
-    for slot, coeff, idx in entries:
-        term = coeff
-        for i in idx:
-            term *= values[i]
-        out[slot] += term
-    return out
+def _partials(p, z, order):
+    """All partials of ``order`` 1 or 2 of ``p`` at ``z``, one n_vars axis per order.
+
+    One point and stacks below ``_VECTOR_MIN_ROWS`` rows walk the slot table
+    of that order: each slot adds its terms from 0j in its partial's graded
+    order and each power is taken once per point, so every entry equals the
+    term loop of its partial bit for bit. Larger stacks evaluate the same
+    partials with the vectorised path of :func:`eval_poly`, which rounds the same.
+    """
+    z, m = _points(p, z), p.n_vars
+    partials, powers, entries = p._slot_table(order)
+    shape = z.shape[:-1] + (m,) * order
+    if z.ndim == 2 and len(z) >= _VECTOR_MIN_ROWS:
+        return _eval_many(partials, z).reshape(shape)
+    rows = []
+    for zs in [z.tolist()] if z.ndim == 1 else z.tolist():
+        values = [_power(zs[j], e) for j, e in powers]
+        row = [0j] * m**order
+        for slot, coeff, idx in entries:
+            term = coeff
+            for i in idx:
+                term *= values[i]
+            row[slot] += term
+        rows.append(row)
+    return np.array(rows[0] if z.ndim == 1 else rows, dtype=complex).reshape(shape)
 
 
 def hessian(p, z):
     """Matrix of second Wirtinger partials: entry (j, k) is (d^2 p / d z_j d z_k)(z).
 
-    Shape (n_vars, n_vars), or (N, n_vars, n_vars) for a stack of points.
-    One point and stacks below ``_VECTOR_MIN_ROWS`` rows walk a slot table
-    cached on ``p``: every term of every second partial, tagged with its
-    slot j * n_vars + k. Each slot starts at 0j and adds its terms in the
-    graded order of its own partial, and each power of a variable is taken
-    once per point, so every entry equals the term loop of that partial
-    bit for bit. Larger stacks evaluate the partials' gradients with the
-    vectorised path of :func:`eval_poly`, which rounds the same.
+    Shape (n_vars, n_vars), or (N, n_vars, n_vars) for a stack of points,
+    with the rows of the batched call equal to the scalar calls.
     """
-    z = _points(p, z)
-    m = p.n_vars
-    if z.ndim == 1 or len(z) < _VECTOR_MIN_ROWS:
-        rows = [_hessian_point(p, zs) for zs in z.reshape(-1, m).tolist()]
-        return np.array(rows, dtype=complex).reshape(z.shape[:-1] + (m, m))
-    return np.stack([gradient(dp, z) for dp in p.partials()], axis=-2)
+    return _partials(p, z, 2)
 
 
 def homogeneous_degree(p):

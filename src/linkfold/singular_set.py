@@ -47,6 +47,7 @@ from .geometry import (
     complexify,
     link_jacobian_rows,
     link_residual,
+    project_to_link,
     realify,
     sample_link_points,
     tangent_frame,
@@ -87,8 +88,10 @@ _SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 25
 # singular-set points (or augmented vectors) closer than this are the same
 _SAME_POINT_TOL = 1e-4
-# starts of the gradient-dependence scan, and the pair defect of a hit
+# starts and Gauss-Newton rounds of the gradient-dependence scan, and the
+# pair defect of a hit
 _SCAN_SAMPLES = 48
+_SCAN_ROUNDS = 15
 _SCAN_THRESHOLD = 1e-8
 
 
@@ -467,7 +470,12 @@ def seed_singular_points(spec, g, rng_seed):
 
 @dataclass
 class GradientDependenceScan:
-    """Result of searching the link for points with dependent gradients."""
+    """Result of searching the link for points with dependent gradients.
+
+    ``min_defect`` is the least pair defect sigma2/sigma1 of [gradbar f, gradbar g]
+    at the scan's endpoints, which minimise |gradbar g - c gradbar f|: the least
+    on the link where |gradbar f| is constant there (A1), else maybe a bit above.
+    """
 
     points: list
     min_defect: float
@@ -476,24 +484,46 @@ class GradientDependenceScan:
 def scan_gradient_dependence(spec, g, rng_seed):
     """Search the link for points where gradbar g lies in C * gradbar f.
 
-    One stacked :func:`projected_descent` of sigma2/sigma1 of the two-column
-    gradient matrix from ``_SCAN_SAMPLES`` link points. Points driven below
-    ``_SCAN_THRESHOLD`` are returned; an empty list certifies (numerically)
-    that this degenerate branch does not meet the link.
+    Riemannian Gauss-Newton on gradbar g(z) - c gradbar f(z) = 0, z on the link,
+    from ``_SCAN_SAMPLES`` link points in lockstep, each starting at the
+    least-squares c. A round steps z in its tangent frame and c in C by the
+    row's pseudo-inverse (rcond 1e-12: the Jacobian, with z-block
+    conj(Hess g) - c conj(Hess f), loses rank along a dependent circle), then
+    projects z onto the link. A row stops after a step of at most 1e-12
+    epsilon, when its frame or projection fails (keeping its last point), or
+    after ``_SCAN_ROUNDS`` rounds. It returns the endpoints with pair defect
+    at most ``_SCAN_THRESHOLD``; none certifies that the branch misses the link.
     """
-    system = AugmentedSystem(spec, g)
-    rng = np.random.default_rng(rng_seed)
-    samples = sample_link_points(spec, _SCAN_SAMPLES, rng)
-    ends, values = projected_descent(
-        lambda z: _ratio_gradient(system, z, 2), samples, spec,
-        max_steps=40, target=_SCAN_THRESHOLD,
-    )
+    z = sample_link_points(spec, _SCAN_SAMPLES, np.random.default_rng(rng_seed))
+    gf, gg = conj_gradient(spec.f, z), conj_gradient(g, z)
+    c = np.sum(np.conj(gf) * gg, axis=-1) / np.sum(np.abs(gf) ** 2, axis=-1)
+    live = np.arange(len(z))
+    for _ in range(_SCAN_ROUNDS):
+        try:
+            frame = tangent_frame(z[live], spec)
+        except (LinkFoldError, ValueError):  # stop only the rows that raise
+            live = live[[_has_frame(p, spec) for p in z[live]]]
+            frame = tangent_frame(z[live], spec)
+        if not live.size:
+            break
+        zl, cl, basis = z[live], c[live, None], frame.complex_basis
+        gf, gg = conj_gradient(spec.f, zl), conj_gradient(g, zl)
+        # columns: mix conj(v) for each frame vector v, Re c, Im c; rows (Re, Im)
+        mix = np.conj(span_hessian(zl, -cl[..., None], 1.0, spec, g))
+        cols = np.concatenate([mix @ np.conj(np.swapaxes(basis, 1, 2)),
+                               -gf[..., None], -1j * gf[..., None]], axis=-1)
+        jac = np.swapaxes(realify(np.swapaxes(cols, 1, 2)), 1, 2)
+        step = -(np.linalg.pinv(jac, rcond=1e-12) @ realify(gg - cl * gf)[..., None])[..., 0]
+        moved = project_to_link(zl + (step[:, None, :-2] @ basis)[:, 0], spec)
+        ok = ~np.isnan(moved[:, 0])
+        z[live[ok]], c[live[ok]] = moved[ok], c[live[ok]] + complexify(step[ok, -2:])[:, 0]
+        live = live[ok & (np.linalg.norm(step[:, :-2], axis=1) > 1e-12 * spec.epsilon)]
+    s = np.linalg.svd(criterion_matrix(z, spec.f, g)[..., :2], compute_uv=False)
+    values = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
     hits = []
-    for z, value in zip(ends, values):
-        if value <= _SCAN_THRESHOLD and all(
-            np.linalg.norm(z - p) > _SAME_POINT_TOL for p in hits
-        ):
-            hits.append(z)
+    for point in z[values <= _SCAN_THRESHOLD]:
+        if all(np.linalg.norm(point - p) > _SAME_POINT_TOL for p in hits):
+            hits.append(point)
     return GradientDependenceScan(hits, float(min(values, default=np.inf)))
 
 

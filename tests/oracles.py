@@ -70,6 +70,26 @@ def gradient_pair_defect(z, f, g):
     return float(s[1] / s[0])
 
 
+def a1_linear_min_pair_defect(u, epsilon):
+    """Least sigma2/sigma1 of [gradbar f, gradbar g] on the A1 link, for g = u . z.
+
+    The A1 link at radius epsilon is z = epsilon (x + i y)/sqrt(2) with x, y
+    orthonormal real vectors. So |gradbar f| = |2 conj(z)| = 2 epsilon, and
+    |<gradbar g, gradbar f>| = 2|u . z| is at most sqrt(2) epsilon (s1 + s2),
+    with s1 >= s2 the singular values of [Re u; Im u]. The ratio of the
+    Gram matrix's eigenvalues falls as that inner product grows, which gives
+    sqrt((S - D)/(S + D)) with a^2 = 4 epsilon^2, b^2 = |u|^2,
+    c^2 = (s1 + s2)^2/(2 |u|^2), S = a^2 + b^2, D^2 = (a^2 - b^2)^2 + 4 a^2 b^2 c^2.
+    """
+    u = np.asarray(u, dtype=complex)
+    s1, s2 = np.linalg.svd(np.vstack([u.real, u.imag]), compute_uv=False)
+    a2, b2 = 4.0 * epsilon**2, float(np.sum(np.abs(u) ** 2))
+    c2 = (s1 + s2) ** 2 / (2.0 * b2)
+    total = a2 + b2
+    root = math.sqrt((a2 - b2) ** 2 + 4.0 * a2 * b2 * c2)
+    return math.sqrt((total - root) / (total + root))
+
+
 def chart_hessian(func, dim, step):
     """Symmetrised central-difference Hessian of ``func`` on R^dim at 0.
 

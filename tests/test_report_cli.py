@@ -404,6 +404,21 @@ def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys)
                for c in degenerate)
 
 
+def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
+    # g = z1 + i z2 has gradbar g parallel to gradbar f on the A1 link circle
+    # z = t (1, i, 0)/sqrt(2), so the degenerate branch meets the link
+    code = main(["verify-a1", "--n", "2", "--g", "z1 + 1i*z2", "--out", str(tmp_path)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    validate_report(report)
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "gradient_dependence_locus_empty"]
+    assert not check["passed"]
+    assert report["degenerate_branch"]["solutions_found"] > 0
+    assert report["degenerate_branch"]["min_pair_defect"] <= 1e-8
+
+
 def test_cli_unknown_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nope = 3\n")

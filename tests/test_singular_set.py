@@ -18,6 +18,7 @@ from conftest import (
     pipeline_traces,
 )
 from oracles import (
+    a1_linear_min_pair_defect,
     criterion_det,
     gradient_pair_defect,
     projected_descent_serial,
@@ -606,3 +607,75 @@ def test_gradient_dependence_scan_finds_dependent_circle(n):
         assert abs(lf.eval_poly(spec.f, z)) <= 1e-12
         assert abs(np.linalg.norm(z) - spec.epsilon) <= 1e-12
         assert gradient_pair_defect(z, spec.f, g) <= 1e-8
+
+
+# the linear g of the repository's examples: the paper's, the perturbed one and
+# the Fermat pairs'; their least pair defects on the A1 link are 0.098 to 0.138
+_LINEAR_G = {
+    "paper": [1.0, 0.5j],
+    "perturbed": [1.0, 0.5j, 0.1],
+    "mixed": [0.3 + 0.7j, 0.45, -0.2 + 0.1j],
+}
+
+
+def _linear_g(n, which):
+    """g = u . z in n + 1 variables, with u padded by zeros, and u."""
+    u = np.zeros(n + 1, dtype=complex)
+    u[: len(_LINEAR_G[which])] = _LINEAR_G[which]
+    return lf.ComplexPoly(n + 1, {tuple(np.eye(n + 1, dtype=int)[j]): c
+                                  for j, c in enumerate(u)}), u
+
+
+def test_a1_closed_form_at_the_paper_g():
+    assert a1_linear_min_pair_defect([1.0, 0.5j, 0.0], 1.0) == pytest.approx(
+        0.1372231897106016, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("which", sorted(_LINEAR_G))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_min_defect_meets_a1_closed_form(n, which):
+    # |gradbar f| = 2 epsilon on the A1 link, so the scan's endpoints, which
+    # minimise |gradbar g - c gradbar f|, also minimise the pair defect.
+    # Gauss-Newton converges linearly, the slower the larger that residual:
+    # where the least defect is above about 0.19, fifteen rounds can stop
+    # short of 1e-11 (by up to 1e-6 relative at 0.27)
+    for epsilon in (0.5, 0.7, 1.0):
+        spec = lf.LinkSpec(f=build_a1(n)[0].f, n=n, epsilon=epsilon)
+        g, u = _linear_g(n, which)
+        expected = a1_linear_min_pair_defect(u, epsilon)
+        for seed in (42, 3):
+            scan = lf.scan_gradient_dependence(spec, g, rng_seed=seed)
+            assert scan.points == []
+            assert scan.min_defect == pytest.approx(expected, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("g_text", ["z1 + 0.5i*z2", "z1 + 1i*z2"])
+def test_scan_stops_only_the_rows_whose_frame_fails(monkeypatch, g_text):
+    # at eps * (1, 0, 0), off the link, z is parallel to gradbar f and the
+    # tangent frame raises; g = z1 + i z2 has a circle of dependent gradients
+    spec, _ = build_a1(2)
+    g = lf.parse_poly(g_text, 3)
+    rng = np.random.default_rng(42)
+    starts = lf.sample_link_points(spec, singular_set._SCAN_SAMPLES, rng)
+    bad = starts.copy()
+    bad[0] = [spec.epsilon, 0.0, 0.0]
+    with pytest.raises(lf.LinkFoldError):
+        lf.tangent_frame(bad, spec)
+    ends = []
+
+    def record_ends(z, f, g):
+        ends.append(z.copy())
+        return lf.criterion_matrix(z, f, g)
+
+    monkeypatch.setattr(singular_set, "criterion_matrix", record_ends)
+    monkeypatch.setattr(singular_set, "sample_link_points", lambda *_: bad.copy())
+    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
+    monkeypatch.setattr(singular_set, "sample_link_points", lambda *_: starts[1:].copy())
+    reference = lf.scan_gradient_dependence(spec, g, rng_seed=42)
+    assert np.array_equal(ends[0][0], bad[0])
+    assert bool(reference.points) == (g_text == "z1 + 1i*z2")
+    assert len(scan.points) == len(reference.points)
+    for point, expected in zip(scan.points, reference.points):
+        assert np.max(np.abs(point - expected)) <= 1e-12
+    assert abs(scan.min_defect - reference.min_defect) <= 1e-12
