@@ -6,12 +6,12 @@ zeros are never stored. Printing and evaluation always walk the terms in
 graded lexicographic order (total degree first, then exponent tuple,
 descending), so both are deterministic.
 
-Evaluation takes one of two paths. One point, and stacks below
-``_VECTOR_MIN_ROWS`` rows, are evaluated point by point in Python complex
-arithmetic from tables cached on the polynomial: its term table for values,
-a slot table of all first or all second partials for :func:`gradient` or
-:func:`hessian`. Larger stacks compute the same products as real float
-array operations. Every path equals the plain term loop bit for bit.
+Values, gradients and Hessians walk one kind of table, cached on the
+polynomial per derivative order: the distinct powers and the terms of all
+its partials of that order. One point, and stacks below ``_VECTOR_MIN_ROWS``
+rows, walk it point by point in Python complex arithmetic. Larger stacks
+walk it once as real float array operations. Every path equals the plain
+term loop bit for bit.
 
 The text grammar accepted by :func:`parse_poly`:
 
@@ -64,10 +64,11 @@ class ComplexPoly:
 
     ``terms`` maps exponent tuples (length ``n_vars``, entries >= 0) to
     nonzero complex coefficients. Instances are treated as immutable; all
-    arithmetic returns new objects.
+    arithmetic returns new objects. The only cache is ``_slots``, the
+    evaluation table of each derivative order used so far.
     """
 
-    __slots__ = ("n_vars", "terms", "_partials_cache", "_table", "_slots")
+    __slots__ = ("n_vars", "terms", "_slots")
 
     def __init__(self, n_vars, terms=None):
         if n_vars < 1:
@@ -86,8 +87,6 @@ class ComplexPoly:
                 if clean[exps] == 0:
                     del clean[exps]
         self.terms = clean
-        self._partials_cache = None
-        self._table = None
         self._slots = {}
 
     # -- constructors ------------------------------------------------------
@@ -115,35 +114,25 @@ class ComplexPoly:
         """Terms in graded lexicographic order, highest degree first."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def _term_table(self):
-        """Terms as (coefficient, ((variable, exponent), ...)) in graded order.
-
-        Only nonzero exponents are listed, variables ascending. Built on the
-        first evaluation and cached on the instance.
-        """
-        if self._table is None:
-            self._table = tuple(
-                (coeff, tuple((j, e) for j, e in enumerate(exps) if e))
-                for exps, coeff in self.sorted_terms()
-            )
-        return self._table
-
     def _slot_table(self, order):
-        """All partials of ``order``, their distinct powers (variable, exponent) and terms.
+        """The distinct powers (variable, exponent) and terms of all partials of ``order``.
 
-        Terms are (slot, coefficient, indices into the powers), each slot's in
-        its partial's graded order; slot j is d/dz_j, slot j * n_vars + k is
-        d^2/dz_j dz_k. Cached on the instance.
+        Order 0 is the polynomial itself, in slot 0; slot j is d/dz_j and
+        slot j * n_vars + k is d^2/dz_j dz_k. Terms are (slot, coefficient,
+        indices into the powers), each slot's in its partial's graded order.
+        Cached on the instance.
         """
         if order not in self._slots:
-            partials = self.partials() if order == 1 else [
-                q for dp in self.partials() for q in dp.partials()]
+            polys = [self]
+            for _ in range(order):
+                polys = [q for p in polys for q in p.partials()]
             powers, entries = {}, []
-            for slot, q in enumerate(partials):
-                for coeff, factors in q._term_table():
+            for slot, q in enumerate(polys):
+                for exps, coeff in q.sorted_terms():
+                    factors = ((j, e) for j, e in enumerate(exps) if e)
                     idx = tuple(powers.setdefault(f, len(powers)) for f in factors)
                     entries.append((slot, coeff, idx))
-            self._slots[order] = tuple(partials), tuple(powers), tuple(entries)
+            self._slots[order] = tuple(powers), tuple(entries)
         return self._slots[order]
 
     def is_zero(self):
@@ -229,12 +218,8 @@ class ComplexPoly:
         return eval_poly(self, z)
 
     def partials(self):
-        """All first Wirtinger partials, cached on the instance."""
-        if self._partials_cache is None:
-            self._partials_cache = tuple(
-                wirtinger_partial(self, j) for j in range(1, self.n_vars + 1)
-            )
-        return self._partials_cache
+        """All first Wirtinger partials."""
+        return tuple(wirtinger_partial(self, j) for j in range(1, self.n_vars + 1))
 
 
 # row count from which one vectorised evaluation beats a loop over the rows
@@ -277,17 +262,6 @@ def _power(x, e):
         x *= x
 
 
-def _eval_point(p, zs):
-    """``p`` at one point, given as a list of Python complex numbers."""
-    total = 0j
-    for coeff, factors in p._term_table():
-        term = coeff
-        for j, e in factors:
-            term *= _power(zs[j], e)
-        total += term
-    return total
-
-
 def _cmul(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) as (re, im), rounded as a scalar complex product."""
     return ar * br - ai * bi, ar * bi + ai * br
@@ -315,57 +289,62 @@ def _power_rows(xr, xi, e):
     return np.where(zero, 0.0, pr), np.where(zero, 0.0, pi)
 
 
-def _eval_rows(p, zr, zi):
-    """``p`` at N points; row j of ``zr`` / ``zi`` holds Re / Im of z_j, shape (N,)."""
-    total_r = np.zeros(zr.shape[1])
-    total_i = np.zeros(zr.shape[1])
-    powers = {}
-    for coeff, factors in p._term_table():
-        tr, ti = coeff.real, coeff.imag
-        for j, e in factors:
-            if (j, e) not in powers:
-                powers[j, e] = _power_rows(zr[j], zi[j], e)
-            tr, ti = _cmul(tr, ti, *powers[j, e])
-        total_r += tr
-        total_i += ti
-    out = np.empty(zr.shape[1], dtype=complex)
-    out.real = total_r
-    out.imag = total_i
-    return out
+def _evaluate(p, z, order):
+    """All partials of ``order`` 0, 1 or 2 of ``p`` at ``z``, one n_vars axis per order.
 
-
-def _eval_many(polys, z):
-    """Each of ``polys`` at each row of the (N, m) array ``z``, as columns.
-
-    Fewer than ``_VECTOR_MIN_ROWS`` rows take :func:`_eval_point` row by row,
-    more take :func:`_eval_rows`; both equal the term loop bit for bit.
+    Walks the slot table of that order. One point and stacks below
+    ``_VECTOR_MIN_ROWS`` rows go point by point: each power is taken once
+    per point and each slot adds its terms from 0j in its partial's graded
+    order, so every entry equals the term loop of its partial bit for bit.
+    Larger stacks walk the table once over arrays of real and imaginary
+    parts, taking each power once per call. They write each complex product
+    as real float operations, because numpy's complex array multiply may
+    fuse multiply-adds, and so round as the point path does. Non-finite
+    inputs or overflow give inf or nan, never an exception or a warning.
     """
-    if len(z) < _VECTOR_MIN_ROWS:
-        rows = [[_eval_point(q, zs) for q in polys] for zs in z.tolist()]
-        return np.array(rows, dtype=complex).reshape(len(z), len(polys))
-    zr = np.ascontiguousarray(z.real.T)
-    zi = np.ascontiguousarray(z.imag.T)
-    with np.errstate(all="ignore"):
-        return np.stack([_eval_rows(q, zr, zi) for q in polys], axis=-1)
+    z, m = _points(p, z), p.n_vars
+    powers, entries = p._slot_table(order)
+    shape, slots = z.shape[:-1] + (m,) * order, m**order
+    if z.ndim == 2 and len(z) >= _VECTOR_MIN_ROWS:
+        zr = np.ascontiguousarray(z.real.T)
+        zi = np.ascontiguousarray(z.imag.T)
+        # one (N,) sum per slot: a fresh (slots, N) block is slower, from page faults
+        sum_r, sum_i = [0.0] * slots, [0.0] * slots
+        with np.errstate(all="ignore"):
+            values = [_power_rows(zr[j], zi[j], e) for j, e in powers]
+            for slot, coeff, idx in entries:
+                tr, ti = coeff.real, coeff.imag
+                for i in idx:
+                    tr, ti = _cmul(tr, ti, *values[i])
+                sum_r[slot] += tr
+                sum_i[slot] += ti
+        out = np.empty((len(z), slots), dtype=complex)
+        for slot in range(slots):
+            out.real[:, slot] = sum_r[slot]
+            out.imag[:, slot] = sum_i[slot]
+        return out.reshape(shape)
+    rows = []
+    for zs in [z.tolist()] if z.ndim == 1 else z.tolist():
+        values = [_power(zs[j], e) for j, e in powers]
+        row = [0j] * slots
+        for slot, coeff, idx in entries:
+            term = coeff
+            for i in idx:
+                term *= values[i]
+            row[slot] += term
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(shape)
 
 
 def eval_poly(p, z):
     """Evaluate ``p`` at one point z of shape (n_vars,), or at each row of (N, n_vars).
 
     Returns a complex scalar, or an (N,) array whose row k equals the
-    scalar call at z[k] bit for bit. Terms are summed in graded order from
-    a table cached on ``p``, so the result is reproducible. One point and
-    stacks below ``_VECTOR_MIN_ROWS`` rows take the scalar loop, larger
-    stacks the vectorised path, which writes each complex product as real
-    float operations because numpy's complex array multiply may fuse
-    multiply-adds; every path equals the plain term loop bit for bit.
-    Non-finite inputs or overflow give inf or nan, never an exception or a
-    warning.
+    scalar call at z[k] bit for bit. Terms are summed in graded order, so
+    the result is reproducible; see :func:`_evaluate` for the two paths,
+    which both equal the plain term loop bit for bit.
     """
-    z = _points(p, z)
-    if z.ndim == 1:
-        return np.complex128(_eval_point(p, z.tolist()))
-    return _eval_many((p,), z)[:, 0]
+    return _evaluate(p, z, 0)[()]
 
 
 def wirtinger_partial(p, j):
@@ -390,39 +369,12 @@ def gradient(p, z):
     Shape (n_vars,) for one point, (N, n_vars) for a stack of N points,
     with the rows of the batched call equal to the scalar calls.
     """
-    return _partials(p, z, 1)
+    return _evaluate(p, z, 1)
 
 
 def conj_gradient(p, z):
     """Conjugated Wirtinger gradient: entry j is conj( (d p / d z_j)(z) )."""
     return np.conj(gradient(p, z))
-
-
-def _partials(p, z, order):
-    """All partials of ``order`` 1 or 2 of ``p`` at ``z``, one n_vars axis per order.
-
-    One point and stacks below ``_VECTOR_MIN_ROWS`` rows walk the slot table
-    of that order: each slot adds its terms from 0j in its partial's graded
-    order and each power is taken once per point, so every entry equals the
-    term loop of its partial bit for bit. Larger stacks evaluate the same
-    partials with the vectorised path of :func:`eval_poly`, which rounds the same.
-    """
-    z, m = _points(p, z), p.n_vars
-    partials, powers, entries = p._slot_table(order)
-    shape = z.shape[:-1] + (m,) * order
-    if z.ndim == 2 and len(z) >= _VECTOR_MIN_ROWS:
-        return _eval_many(partials, z).reshape(shape)
-    rows = []
-    for zs in [z.tolist()] if z.ndim == 1 else z.tolist():
-        values = [_power(zs[j], e) for j, e in powers]
-        row = [0j] * m**order
-        for slot, coeff, idx in entries:
-            term = coeff
-            for i in idx:
-                term *= values[i]
-            row[slot] += term
-        rows.append(row)
-    return np.array(rows[0] if z.ndim == 1 else rows, dtype=complex).reshape(shape)
 
 
 def hessian(p, z):
@@ -431,7 +383,7 @@ def hessian(p, z):
     Shape (n_vars, n_vars), or (N, n_vars, n_vars) for a stack of points,
     with the rows of the batched call equal to the scalar calls.
     """
-    return _partials(p, z, 2)
+    return _evaluate(p, z, 2)
 
 
 def homogeneous_degree(p):

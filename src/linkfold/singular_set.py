@@ -227,9 +227,6 @@ class AugmentedSystem:
             self._key = key
         return self._last
 
-    def _second_conj(self, z):
-        return np.conj(hessian(self.spec.f, z)), np.conj(hessian(self.g, z))
-
     # -- residual / jacobian ---------------------------------------------------
 
     def residual(self, w):
@@ -337,30 +334,27 @@ def _hyperplane(t, w_pred):
 # ---------------------------------------------------------------------------
 
 
-def _ratio_gradient(system, z, cols):
-    """sigma_cols/sigma_1 of the first ``cols`` columns of the criterion matrix.
+def _ratio_gradient(system, z):
+    """Rank defect sigma_3/sigma_1 of the criterion matrix and its gradient.
 
-    The columns are (gradbar f, gradbar g, z): ``cols = 3`` gives the rank
-    defect, ``cols = 2`` the gradient-pair defect. Returns, for each row of
-    the (N, n+1) stack z, the ratio (0 where sigma_1 = 0) and its ambient
-    real gradient, from first-order perturbation of the singular values:
-    d sigma = Re(u* dM v) for the singular pair (u, v). With H = v0 u*
-    conj(Hess f) + v1 u* conj(Hess g) and L = v2 conj(u) (zero for two
-    columns), d sigma/dx = Re(H + L) and d sigma/dy = Im(H - L).
+    Returns, for each row of the (N, n+1) stack z, the ratio (0 where
+    sigma_1 = 0) and its ambient real gradient, from first-order
+    perturbation of the singular values: d sigma = Re(u* dM v) for the
+    singular pair (u, v) of the columns (gradbar f, gradbar g, z). With
+    H = v0 u* conj(Hess f) + v1 u* conj(Hess g) and L = v2 conj(u),
+    d sigma/dx = Re(H + L) and d sigma/dy = Im(H - L).
     """
-    m = criterion_matrix(z, system.spec.f, system.g)[..., :cols]
-    u, s, vt = np.linalg.svd(m)
-    last = cols - 1
-    # rows: the pairs of sigma_1 and sigma_cols
-    uh = np.swapaxes(u[..., [0, last]].conj(), -1, -2)
-    v = vt[:, [0, last]].conj()
-    cf, cg = system._second_conj(z)
+    u, s, vt = np.linalg.svd(criterion_matrix(z, system.spec.f, system.g))
+    # rows: the pairs of sigma_1 and sigma_3
+    uh = np.swapaxes(u[..., [0, 2]].conj(), -1, -2)
+    v = vt[:, [0, 2]].conj()
+    cf, cg = np.conj(hessian(system.spec.f, z)), np.conj(hessian(system.g, z))
     h = v[..., :1] * (uh @ cf) + v[..., 1:2] * (uh @ cg)
-    low = v[..., 2:] * uh if cols == 3 else 0.0
+    low = v[..., 2:] * uh
     dsigma = np.empty((len(z), 2, 2 * system.m))
     dsigma[..., 0::2] = np.real(h + low)
     dsigma[..., 1::2] = np.imag(h - low)
-    top, bottom = s[:, :1], s[:, last:cols]
+    top, bottom = s[:, :1], s[:, 2:3]
     # square each sigma_1 as a NumPy scalar, as one point did: a scalar
     # squares through pow, which can round apart from an array's square
     top_sq = np.array([x**2 for x in s[:, 0]]).reshape(-1, 1)
@@ -448,7 +442,7 @@ def seed_singular_points(spec, g, rng_seed):
     rng = np.random.default_rng(rng_seed)
     samples = sample_link_points(spec, _SEED_SAMPLES, rng)
     ends, _ = projected_descent(
-        lambda z: _ratio_gradient(system, z, 3), samples, spec,
+        lambda z: _ratio_gradient(system, z), samples, spec,
         max_steps=_SEED_DESCENT_STEPS, target=2e-2,
     )
     seeds = []

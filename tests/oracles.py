@@ -195,8 +195,8 @@ def dense_min_nonadjacent_distance(trace):
 def eval_poly_loop(p, z):
     """``p`` at one point by the plain term loop: numpy scalar powers, graded order.
 
-    The evaluation the cached term table replaced; the package's scalar
-    and batched paths must both reproduce it bit for bit.
+    The reference for the package's slot-table walk: its one-point and
+    vectorised paths must both reproduce it bit for bit.
     """
     z = np.asarray(z, dtype=complex)
     total = 0.0 + 0.0j
@@ -274,9 +274,10 @@ def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
 def ratio_gradient_point(system, z, cols):
     """sigma_cols/sigma_1 of the first ``cols`` criterion columns at one point z.
 
-    The one-point objective the stacked ``_ratio_gradient`` replaced: the
-    ratio and its ambient real gradient by first-order perturbation of the
-    singular values, with NumPy scalar arithmetic for sigma_1.
+    The one-point objective the stacked ``_ratio_gradient`` replaced for
+    ``cols = 3``: the ratio and its ambient real gradient by first-order
+    perturbation of the singular values, with NumPy scalar arithmetic for
+    sigma_1. ``cols = 2`` gives the gradient-pair defect.
     """
     m = criterion_matrix(z, system.spec.f, system.g)[:, :cols]
     u, s, vt = np.linalg.svd(m)
@@ -285,7 +286,7 @@ def ratio_gradient_point(system, z, cols):
     last = cols - 1
     uh = u[:, [0, last]].conj().T
     v = vt[[0, last]].conj()
-    cf, cg = system._second_conj(z)
+    cf, cg = np.conj(hessian(system.spec.f, z)), np.conj(hessian(system.g, z))
     h = v[:, :1] * (uh @ cf) + v[:, 1:2] * (uh @ cg)
     low = v[:, 2:] * uh if cols == 3 else 0.0
     dsigma = np.empty((2, 2 * system.m))
@@ -293,6 +294,17 @@ def ratio_gradient_point(system, z, cols):
     dsigma[:, 1::2] = np.imag(h - low)
     grad = (s[0] * dsigma[1] - s[last] * dsigma[0]) / s[0] ** 2
     return float(s[last] / s[0]), grad
+
+
+def pair_ratio_gradient(system, z):
+    """The gradient-pair defect of :func:`ratio_gradient_point` at each row of z.
+
+    A stacked objective for projected descent: (N,) values and (N, 2n+2)
+    ambient real gradients, each row the one-point call's.
+    """
+    rows = [ratio_gradient_point(system, point, 2) for point in z]
+    values = np.array([value for value, _ in rows])
+    return values, np.array([grad for _, grad in rows]).reshape(len(z), 2 * system.m)
 
 
 def projected_descent_serial(objective, z, spec, max_steps, target):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold import fold_classify
+from linkfold import fold_classify, polynomial
 from linkfold.errors import NonConvergence, RankDeficient
 from linkfold.geometry import _project_rows
 from linkfold.polynomial import _VECTOR_MIN_ROWS, gradient, hessian, wirtinger_partial
@@ -83,13 +83,35 @@ def test_hessian_of_nonfinite_rows_is_nonfinite_without_warning():
     z[5] = [1e200, 1e200, 1e200]
     for size in (6, len(z)):
         stack = z[:size]
-        hess = hessian(p, stack)
-        partials = np.stack([gradient(dp, stack) for dp in p.partials()], axis=-2)
+        value, grad, hess = lf.eval_poly(p, stack), gradient(p, stack), hessian(p, stack)
+        firsts = p.partials()
+        partials = np.stack([lf.eval_poly(dp, stack) for dp in firsts], axis=-1)
+        assert np.array_equal(grad, partials, equal_nan=True)
+        partials = np.stack([gradient(dp, stack) for dp in firsts], axis=-2)
         assert np.array_equal(hess, partials, equal_nan=True)
-        assert np.isfinite(hess[:3]).all()
-        assert not np.isfinite(hess[3:6]).all(axis=(1, 2)).any()
-        for k in (3, 4, 5):
-            assert np.array_equal(hessian(p, z[k]), hess[k], equal_nan=True)
+        for call, out in ((lf.eval_poly, value), (gradient, grad), (hessian, hess)):
+            rows = out.reshape(size, -1)
+            assert np.isfinite(rows[:3]).all()
+            assert not np.isfinite(rows[3:6]).all(axis=1).any()
+            for k in (3, 4, 5):
+                assert np.array_equal(call(p, z[k]), out[k], equal_nan=True)
+
+
+def test_each_power_is_taken_once_per_call(monkeypatch):
+    p = lf.parse_poly(QUARTIC, 3)
+    z = _random_points(np.random.default_rng(5), _VECTOR_MIN_ROWS + 8, 3)
+    calls = []
+    power_rows = polynomial._power_rows
+    monkeypatch.setattr(
+        polynomial, "_power_rows", lambda xr, xi, e: calls.append(e) or power_rows(xr, xi, e)
+    )
+    polys = [p]
+    for evaluate in (lf.eval_poly, gradient, hessian):
+        distinct = {(j, e) for q in polys for exps in q.terms for j, e in enumerate(exps) if e}
+        calls.clear()
+        evaluate(p, z)
+        assert len(calls) == len(distinct)
+        polys = [wirtinger_partial(q, k) for q in polys for k in (1, 2, 3)]
 
 
 def test_eval_rejects_other_shapes():
