@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCollapse, NonConvergence, RankDeficient
-from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient
+from .polynomial import ComplexPoly, _cmul, conj_gradient, eval_poly, gradient
 
 __all__ = [
     "LinkSpec",
@@ -20,7 +20,6 @@ __all__ = [
     "realify",
     "complexify",
     "link_residual",
-    "link_residual_jacobian",
     "link_jacobian_rows",
     "project_to_link",
     "sample_link_points",
@@ -121,18 +120,8 @@ def link_residual(z, spec):
     return np.ascontiguousarray(res.T)
 
 
-def link_residual_jacobian(z, spec):
-    """3 x (2n+2) real Jacobian of :func:`link_residual` (stacked for a stack).
-
-    For holomorphic f the derivative along x_k is f_k := df/dz_k and along
-    y_k it is i*f_k, which gives the rows below.
-    """
-    z = np.asarray(z, dtype=complex)
-    return link_jacobian_rows(z, gradient(spec.f, z))
-
-
 def link_jacobian_rows(z, fk):
-    """:func:`link_residual_jacobian` at ``z`` from f's Wirtinger gradient ``fk`` there."""
+    """Real 3 x (2n+2) Jacobian of :func:`link_residual` at ``z``, from f's gradient ``fk``."""
     jac = np.zeros(z.shape[:-1] + (3, 2 * z.shape[-1]))
     jac[..., 0, 0::2] = fk.real
     jac[..., 0, 1::2] = -fk.imag
@@ -145,11 +134,12 @@ def link_jacobian_rows(z, fk):
 def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
-    One point is a one-row stack of :func:`_project_rows`. It raises
-    RankDeficient if the constraint Jacobian has a singular value below
-    1e-10 (e.g. at the origin), and NonConvergence when a residual or
-    Jacobian is not finite or after ``max_iter`` iterations. Each row of an
-    (N, n+1) stack is its single call's point, or NaN where that raises.
+    One point is a one-row stack of :func:`_project_rows`, whose closed-form
+    steps the tests check against an SVD solve. It raises RankDeficient if
+    the constraint Jacobian has a singular value below 1e-10 (e.g. at the
+    origin), and NonConvergence when a residual or gradient is not finite or
+    after ``max_iter`` iterations. Each row of an (N, n+1) stack is its
+    single call's point, or NaN where that raises.
     """
     z = np.asarray(z0, dtype=complex)
     if z.ndim == 2:
@@ -170,13 +160,20 @@ def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
 def _project_rows(z0, spec, tol, max_iter):
     """Gauss-Newton least-norm projection of each row of the (N, m) array ``z0``.
 
-    Each step solves J * delta = -residual for the minimum-norm delta, normal
-    to the constraint level sets; within ``tol`` a row keeps polishing while
-    its residual still drops sharply. Rows keep their own best residual,
-    polishing flag and iteration count, and stacked products round as 1-D
-    ones do, so each row equals the one-point iteration bit for bit. Returns
-    (points, converged, sigma): ``sigma`` is each row's last smallest Jacobian
-    singular value, below 1e-10 exactly where the row stopped on rank loss.
+    Steps solve J * delta = -residual for the minimum-norm delta in closed
+    form: J's rows realify(conj fk), realify(i conj fk), 2 realify(z) have the
+    Gram matrix [[s, 0, Re c], [0, s, Im c], [Re c, Im c, t]], s = |fk|^2,
+    c = 2 sum_k fk_k z_k, t = 4 |z|^2. For r = -residual and D = s t - |c|^2,
+    delta = conj(fk) (y1 + i y2) + 2 y3 z with y3 = (s r3 - Re c r1 - Im c r2) / D
+    and y1,2 = (r1,2 - (Re c, Im c) y3) / s; J's least singular value is
+    sqrt(D / lam), lam = (s + t)/2 + sqrt(((s - t)/2)^2 + |c|^2), 0 on a zero
+    row. D is the Lagrange sum 4 sum_{j<k} |conj(fk_j) z_k - conj(fk_k) z_j|^2,
+    as s t - |c|^2 cancels near rank loss. Within ``tol`` a row keeps
+    polishing while its residual drops sharply. Rows keep their own state
+    and sum by :func:`_row_dot` over contiguous rows, so each equals the
+    one-point call bit for bit. Returns (points, converged, sigma), ``sigma``
+    each row's last least singular value: below 1e-10 exactly where the row
+    stopped on rank loss.
     """
     z = np.array(z0, dtype=complex)
     best = z.copy()
@@ -185,6 +182,7 @@ def _project_rows(z0, spec, tol, max_iter):
     hit_tol = np.zeros(len(z), dtype=bool)
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
+    j, k = np.triu_indices(z.shape[1], 1)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             if not live.size:
@@ -200,16 +198,27 @@ def _project_rows(z0, spec, tol, max_iter):
             hit_tol[live[res_norm <= tol]] = True
             exact = ~polished & (res_norm == 0.0)
             converged[live[polished | exact]] = True
-            jac = link_residual_jacobian(zl, spec)
-            step = ~(polished | broken | exact) & np.all(np.isfinite(jac), axis=(1, 2))
-            live, zl, res, jac = live[step], zl[step], res[step], jac[step]
-            u, s, vt = np.linalg.svd(jac, full_matrices=False)
-            sigma[live] = s[:, -1]
-            coeffs = np.matmul(np.swapaxes(u, 1, 2), -res[:, :, None])[:, :, 0] / s
-            delta = np.matmul(np.swapaxes(vt, 1, 2), coeffs[:, :, None])[:, :, 0]
-            full_rank = s[:, -1] >= _RANK_TOL
+            fk = gradient(spec.f, zl)
+            # a finite residual bounds |z|, so J is finite where fk is
+            step = ~(polished | broken | exact) & np.all(np.isfinite(fk), axis=1)
+            live, zl, res, fk_bar = live[step], zl[step], res[step], np.conj(fk[step])
+            a, b, w = fk_bar.view(float), (1j * fk_bar).view(float), 2.0 * zl.view(float)
+            s, t, cr, ci = _row_dot(a, a), _row_dot(w, w), _row_dot(a, w), _row_dot(b, w)
+            # take, unlike [:, j], keeps rows contiguous, as _row_dot needs
+            uj, uk, zj, zk = fk_bar.take(j, 1), fk_bar.take(k, 1), zl.take(j, 1), zl.take(k, 1)
+            pr, pi = _cmul(uj.real, uj.imag, zk.real, zk.imag)
+            qr, qi = _cmul(uk.real, uk.imag, zj.real, zj.imag)
+            minors = np.concatenate([pr - qr, pi - qi], axis=1)
+            det = 4.0 * _row_dot(minors, minors)
+            lam = 0.5 * (s + t) + np.hypot(0.5 * (s - t), np.hypot(cr, ci))
+            sigma[live] = np.where(lam > 0.0, np.sqrt(det / lam), 0.0)
+            r1, r2, r3 = -res.T
+            y3 = (s * r3 - cr * r1 - ci * r2) / det
+            y1, y2 = (r1 - cr * y3) / s, (r2 - ci * y3) / s
+            delta = (y1[:, None] * a + y2[:, None] * b + y3[:, None] * w).view(complex)
+            full_rank = sigma[live] >= _RANK_TOL
             live = live[full_rank]
-            z[live] = (zl + complexify(delta))[full_rank]
+            z[live] = (zl + delta)[full_rank]
     converged[live] = hit_tol[live] | (best_norm[live] <= tol)
     return best, converged, sigma
 

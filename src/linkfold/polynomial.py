@@ -333,7 +333,7 @@ def _evaluate(p, z, order):
                 term *= values[i]
             row[slot] += term
         rows.append(row)
-    return np.array(rows, dtype=complex).reshape(shape)
+    return np.array(rows, dtype=complex).reshape(shape) if shape else np.complex128(rows[0][0])
 
 
 def eval_poly(p, z):
@@ -344,7 +344,7 @@ def eval_poly(p, z):
     the result is reproducible; see :func:`_evaluate` for the two paths,
     which both equal the plain term loop bit for bit.
     """
-    return _evaluate(p, z, 0)[()]
+    return _evaluate(p, z, 0)
 
 
 def wirtinger_partial(p, j):

@@ -14,7 +14,6 @@ from linkfold.geometry import (
     chart,
     complexify,
     link_residual,
-    link_residual_jacobian,
     realify,
     tangent_frame,
 )
@@ -209,15 +208,28 @@ def eval_poly_loop(p, z):
     return total
 
 
+def link_residual_jacobian(z, spec):
+    """3 x (2n+2) real Jacobian of ``link_residual`` at z (stacked for a stack).
+
+    From its definition: along x_k, f changes at the rate f_k := df/dz_k and
+    |z|^2 at 2 x_k; along y_k, at i f_k and 2 y_k.
+    """
+    z = np.asarray(z, dtype=complex)
+    fk_bar = np.conj(gradient(spec.f, z))
+    return np.stack([realify(fk_bar), realify(1j * fk_bar), 2.0 * realify(z)], axis=-2)
+
+
 def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
     """Gauss-Newton least-norm projection of the one point ``z0`` onto the link.
 
-    The one-point iteration the batched projection replaced, with 1-D
-    residuals, norms and SVD solves: each step solves J * delta = -residual
-    for the minimum-norm delta, and after the tolerance is met it keeps
-    polishing while the residual still drops sharply. Raises RankDeficient
-    on a Jacobian singular value below 1e-10 and NonConvergence on a
-    non-finite residual or Jacobian, or after ``max_iter`` iterations.
+    The SVD reference for the package's projection, which takes the same
+    step and smallest singular value in closed form from the Jacobian's
+    3 x 3 Gram matrix: each step here is the minimum-norm solution of
+    J * delta = -residual from LAPACK's SVD of J, with 1-D residuals and
+    norms, and after the tolerance is met it keeps polishing while the
+    residual still drops sharply. Raises RankDeficient on a Jacobian
+    singular value below 1e-10 and NonConvergence on a non-finite residual
+    or Jacobian, or after ``max_iter`` iterations.
     """
     z = np.asarray(z0, dtype=complex).copy()
     best = z
@@ -250,8 +262,15 @@ def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
     raise NonConvergence(f"projection residual {best_norm:.3e} after {max_iter} steps")
 
 
-def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
-    """Link samples drawn and projected one at a time with ``project_to_link_point``."""
+def sample_link_points_serial(
+    spec, count, rng, project=project_to_link_point, max_attempts_factor=20
+):
+    """Link samples drawn and projected one at a time.
+
+    ``project(z, spec)`` projects one draw, raising NonConvergence or
+    RankDeficient where it fails: the SVD reference by default, or the
+    package's one-point ``project_to_link``.
+    """
     points = []
     attempts = 0
     budget = max_attempts_factor * count
@@ -265,7 +284,7 @@ def sample_link_points_serial(spec, count, rng, max_attempts_factor=20):
         raw = rng.standard_normal(2 * spec.ambient_dim)
         raw *= spec.epsilon / max(np.linalg.norm(raw), 1e-12)
         try:
-            points.append(project_to_link_point(complexify(raw), spec))
+            points.append(project(complexify(raw), spec))
         except (NonConvergence, RankDeficient):
             continue
     return np.array(points)

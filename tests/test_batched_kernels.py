@@ -1,21 +1,28 @@
 """The batched kernels against their scalar calls and the plain loops they replace.
 
-Every comparison is exact (``np.array_equal``): the batched paths promise
-the scalar results bit for bit, and the scalar paths promise the results of
-the term loop and the one-at-a-time sampler in ``oracles.py``.
+The batched paths promise the scalar results bit for bit, and the scalar
+polynomial paths the results of the term loop in ``oracles.py``: those
+comparisons are exact (``np.array_equal``). The link projection takes its
+steps in closed form, so it meets its SVD reference in ``oracles.py`` to
+rounding, with every convergence flag and error class exact.
 """
 
 import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold import fold_classify, polynomial
+from linkfold import fold_classify, geometry, polynomial
 from linkfold.errors import NonConvergence, RankDeficient
-from linkfold.geometry import _project_rows
+from linkfold.geometry import _project_rows, link_residual
 from linkfold.polynomial import _VECTOR_MIN_ROWS, gradient, hessian, wirtinger_partial
 
 from conftest import build_a1
-from oracles import eval_poly_loop, project_to_link_point, sample_link_points_serial
+from oracles import (
+    eval_poly_loop,
+    link_residual_jacobian,
+    project_to_link_point,
+    sample_link_points_serial,
+)
 
 BRIESKORN = "z1^2 + z2^3 + z3^5"
 # second partials with several terms each, sharing powers of z1, z2 and z3
@@ -129,6 +136,26 @@ def _scalar_projection(z, spec, **kwargs):
         return type(exc)
 
 
+def _assert_within_reference_rounding(points, starts, expected, spec, **kwargs):
+    """Each point is the SVD reference's point ``expected`` from its start, to rounding.
+
+    A point more than 1e-14 from the reference's must lie within ten times
+    as far as the reference's own point moves when its start moves by about
+    an ulp: there the map from start to link point amplifies rounding, and
+    the two steps, which round apart, may end at different link points.
+    """
+    rng = np.random.default_rng(0)
+    for z, point, reference in zip(starts, points, expected):
+        gap = np.max(np.abs(point - reference))
+        if gap <= 1e-14:
+            continue
+        spread = max(
+            np.max(np.abs(project_to_link_point(nudged, spec, **kwargs) - reference))
+            for nudged in z * (1.0 + 2.2e-16 * rng.standard_normal((8, len(z))))
+        )
+        assert gap <= 10.0 * spread, (z, gap, spread)
+
+
 @pytest.mark.parametrize("f_text", [None, BRIESKORN], ids=["a1", "brieskorn"])
 @pytest.mark.parametrize("tol, max_iter", [(1e-12, 50), (1e-12, 8)])
 def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
@@ -148,21 +175,31 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
     assert 0 < converged.sum() <= len(z0) - 3
     assert (sigma < 1e-10).tolist() == [e is RankDeficient for e in expected]
     assert expected[5:8] == [RankDeficient, NonConvergence, NonConvergence]
-    for k, (point, ok, e) in enumerate(zip(points, converged, expected)):
-        if ok:
-            assert np.array_equal(point, e)
-        # the public call on one point: the reference's row or its error
+    # converged A1 rows lie within 3.6e-14 of the reference. Four Brieskorn
+    # rows at max_iter = 50 (starts 0.05 and 4 epsilon out) end 6e-9 to 3e-7
+    # from it, on the link on both sides; the reference itself moves up to
+    # 6e-5 there when its start moves by an ulp
+    _assert_within_reference_rounding(
+        points[converged],
+        z0[converged],
+        [e for e, f in zip(expected, failed) if not f],
+        spec,
+        tol=tol,
+        max_iter=max_iter,
+    )
+    for k, point in enumerate(points):
+        # the public call on one point: the stacked row, or the reference's error
         if failed[k]:
-            with pytest.raises(e):
+            with pytest.raises(expected[k]):
                 lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
         else:
             single = lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
-            assert np.array_equal(single, e)
+            assert np.array_equal(single, point)
     # the public call on a stack: NaN rows where the single call raises
     stacked = lf.project_to_link(z0, spec, tol=tol, max_iter=max_iter)
     nan_row = np.full(3, np.nan, dtype=complex)
     assert np.array_equal(
-        stacked, [nan_row if f else e for f, e in zip(failed, expected)], equal_nan=True
+        stacked, np.where(converged[:, None], points, nan_row), equal_nan=True
     )
     # charts of a stack of link points, with a zero step and steps of up
     # to the largest radius
@@ -186,16 +223,34 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
         lf.chart(base, frame, u, spec)
 
 
+def _serial_draws(spec, count, rng):
+    """Serial draws through the public one-point ``project_to_link``, and their starts."""
+    starts = []
+
+    def project(z, spec):
+        point = lf.project_to_link(z, spec)
+        starts.append(z)
+        return point
+
+    return sample_link_points_serial(spec, count, rng, project), starts
+
+
+def _assert_draws_near_reference(points, starts, spec):
+    expected = [project_to_link_point(z, spec) for z in starts]
+    _assert_within_reference_rounding(points, starts, expected, spec)
+
+
 @pytest.mark.parametrize("seed", [42, 3])
 @pytest.mark.parametrize("count", [100, 1500])
 def test_sample_link_points_matches_serial_draws(seed, count):
     spec = build_a1(2)[0]
     rng, rng_serial = np.random.default_rng(seed), np.random.default_rng(seed)
     points = lf.sample_link_points(spec, count, rng)
-    expected = sample_link_points_serial(spec, count, rng_serial)
+    expected, starts = _serial_draws(spec, count, rng_serial)
     assert points.shape == (count, 3)
     assert np.array_equal(points, expected)
     assert rng.standard_normal() == rng_serial.standard_normal()
+    _assert_draws_near_reference(points, starts, spec)
 
 
 def test_sample_link_points_redraws_failures_like_serial_draws():
@@ -203,10 +258,15 @@ def test_sample_link_points_redraws_failures_like_serial_draws():
     spec = lf.LinkSpec(f=lf.parse_poly("z1^2 + z2^7 + z3^11", 3), n=2)
     rng, rng_serial = np.random.default_rng(4), np.random.default_rng(4)
     points = lf.sample_link_points(spec, 400, rng)
-    expected = sample_link_points_serial(spec, 400, rng_serial)
+    expected, starts = _serial_draws(spec, 400, rng_serial)
     assert np.array_equal(points, expected)
     next_draw = rng.standard_normal()
     assert next_draw == rng_serial.standard_normal()
+    # the SVD reference fails on the same draws
+    reference = np.random.default_rng(4)
+    sample_link_points_serial(spec, 400, reference)
+    assert next_draw == reference.standard_normal()
+    _assert_draws_near_reference(points, starts, spec)
     no_redraws = np.random.default_rng(4)
     no_redraws.standard_normal((400, 6))
     assert next_draw != no_redraws.standard_normal()
@@ -224,6 +284,91 @@ def test_nonfinite_projection_fails_by_name(a1_n2):
     points, converged, _ = _project_rows(stack, spec, 1e-12, 50)
     assert converged.tolist() == [False, True, False]
     assert np.array_equal(points[1], lf.project_to_link(stack[1], spec))
+
+
+def _svd_step(z, spec):
+    """The SVD reference's least-norm step and Jacobian singular values at each row."""
+    res = link_residual(z, spec)
+    u, s, vt = np.linalg.svd(link_residual_jacobian(z, spec), full_matrices=False)
+    with np.errstate(all="ignore"):  # the zero row has s = 0
+        coeffs = np.matmul(np.swapaxes(u, 1, 2), -res[:, :, None]) / s[:, :, None]
+        return lf.complexify(np.matmul(np.swapaxes(vt, 1, 2), coeffs)[:, :, 0]), s
+
+
+def _first_steps(z, spec, monkeypatch):
+    """The first projection step from each row of z, and J's least singular value there.
+
+    A step shows as the point of the projection's second residual call; every
+    row must take one.
+    """
+    calls = []
+    monkeypatch.setattr(
+        geometry, "link_residual", lambda zl, spec: calls.append(zl) or link_residual(zl, spec)
+    )
+    _project_rows(z, spec, 1e-12, 2)
+    monkeypatch.undo()
+    assert calls[1].shape == z.shape
+    return calls[1], _project_rows(z, spec, 1e-12, 1)[2]
+
+
+def test_step_and_sigma_match_the_svd_reference(monkeypatch):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(12)
+    specs = [build_a1(n)[0] for n in (1, 2, 3, 4)]
+    specs.append(lf.LinkSpec(f=lf.parse_poly(BRIESKORN, 3), n=2))
+    for spec in specs:
+        z = rng.standard_normal((40, spec.ambient_dim))
+        z = z + 1j * rng.standard_normal(z.shape)
+        stepped, sigma = _first_steps(z, spec, monkeypatch)
+        delta, s = _svd_step(z, spec)
+        # the Gram solve's rounding error grows with the square of J's condition
+        kappa = s[:, 0] / s[:, -1]
+        bound = 64 * eps * kappa**2 * np.max(np.abs(delta), axis=1)
+        bound += 2 * eps * np.max(np.abs(stepped), axis=1)
+        assert np.all(np.max(np.abs(stepped - (z + delta)), axis=1) <= bound)
+        assert np.all(np.abs(sigma - s[:, -1]) <= 8 * eps * s[:, 0])
+        # each row of a stack is its one-row call, to convergence
+        points, converged, sigma = _project_rows(z, spec, 1e-12, 50)
+        for k in range(len(z)):
+            one = _project_rows(z[k : k + 1], spec, 1e-12, 50)
+            assert np.array_equal(one[0][0], points[k]) and one[1][0] == converged[k]
+            assert np.array_equal(one[2][0], sigma[k], equal_nan=True)
+    # A1 rows 1e-2 ... 1e-14 off z parallel to conj(grad f), where J loses
+    # rank, and the zero row; s t - |c|^2 cancels here, and gives 2e-8 at
+    # 1e-12 off and 0 at 1e-10 off
+    spec = build_a1(3)[0]
+    x = rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    y = rng.standard_normal(4)
+    y -= (y @ x) * x
+    y /= np.linalg.norm(y)
+    offsets = 10.0 ** -np.arange(2, 15)
+    z = np.exp(0.7j) * (x + 1j * offsets[:, None] * y)
+    z = np.vstack([z, np.zeros(4)])
+    _, _, sigma = _project_rows(z, spec, 1e-12, 1)
+    _, s = _svd_step(z, spec)
+    expected = s[:, -1]
+    assert np.all(np.abs(sigma - expected) <= 8 * eps * s[:, 0])
+    above = expected > 1e-13
+    assert above[:-2].all() and not above[-2:].any()
+    np.testing.assert_allclose(sigma[above], expected[above], rtol=1e-2)
+    away = (expected < 1e-11) | (expected > 1e-9)
+    assert np.array_equal((sigma < 1e-10)[away], (expected < 1e-10)[away])
+    assert sigma[-1] == 0.0
+
+
+def test_projection_takes_no_svd(a1_n2, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    spec, _ = a1_n2
+    points = lf.sample_link_points(spec, 200, np.random.default_rng(1))
+    assert np.all(np.abs(lf.eval_poly(spec.f, points)) <= 1e-12)
+    point = lf.project_to_link(np.array([1.0, 0.3j, 0.2 - 0.1j]), spec)
+    assert np.linalg.norm(lf.link_residual(point, spec)) <= 1e-12
+    with pytest.raises(RankDeficient):
+        lf.project_to_link(np.zeros(3, dtype=complex), spec)
 
 
 def test_singularity_tests_accept_stacks(a1_n2, perturbed_n2):
@@ -245,7 +390,7 @@ def test_equivariance_error_matches_pointwise_loop(a1_n3, monkeypatch):
     spec, g = a1_n3
     monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 300)
     rng = np.random.default_rng(4)
-    points = sample_link_points_serial(spec, 300, rng)
+    points = sample_link_points_serial(spec, 300, rng, lf.project_to_link)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=300))
     expected = max(
         abs(lf.eval_poly(g, alpha * z) - alpha * lf.eval_poly(g, z))

@@ -7,7 +7,6 @@ import linkfold as lf
 import linkfold.singular_set as singular_set
 from linkfold.cli import main
 from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
-from linkfold.geometry import link_residual_jacobian
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import (
@@ -21,6 +20,7 @@ from oracles import (
     a1_linear_min_pair_defect,
     criterion_det,
     gradient_pair_defect,
+    link_residual_jacobian,
     pair_ratio_gradient,
     projected_descent_serial,
     ratio_gradient_point,
