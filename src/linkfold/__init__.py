@@ -49,7 +49,6 @@ from .geometry import (
 )
 from .morse import (
     CriticalPointRecord,
-    N1ImageResult,
     SliceSpec,
     composed_morse,
     slice_critical_points,

@@ -14,7 +14,8 @@ are found by one search: sign changes over the trace nodes, solved by
 :meth:`AugmentedSystem.corrector`, the one bordered Newton solve of the
 singular set, whose ``extra(w)`` returns the added equation's value and its
 real gradient row in (z, a, b): the ray equation for slices, the
-criticality equation Im(w b) = 0 for composed heights.
+criticality equation Im(w b) = 0 for composed heights. At n = 1 the whole
+link is singular, and :func:`trace_image_n1` traces it the same way.
 """
 
 from __future__ import annotations
@@ -26,34 +27,28 @@ import numpy as np
 from .errors import DegenerateHessian, RankZero, WrongDimension
 from .fold_classify import (
     _DEAD_BAND,
-    circle_fit,
     fold_counts,
     intrinsic_hessian,
     local_fold_data,
 )
-from .geometry import complexify, sample_link_points, tangent_frame
+from .geometry import complexify, tangent_frame
 from .polynomial import eval_poly, gradient
-from .singular_set import AugmentedSystem
+from .singular_set import AugmentedSystem, collect_components, seed_singular_points
 
 __all__ = [
     "SliceSpec",
     "CriticalPointRecord",
-    "N1ImageResult",
     "slice_critical_points",
     "slice_morse_index",
     "composed_morse",
     "trace_image_n1",
 ]
 
-# image points closer than this (times epsilon) join one n = 1 component
-_CLUSTER_GAP = 0.08
-# link samples whose image is clustered at n = 1
-_N1_SAMPLES = 2000
 # iteration budget of the bordered Newton solve for slice and composed points
 _SOLVE_MAX_ITER = 20
 # critical points closer than this are one
 _DEDUPE_TOL = 1e-6
-# slice points with a smaller ray parameter sit at the slice boundary
+# slice points with a ray parameter below this times epsilon sit at the origin
 _MIN_RAY_PARAM = 1e-3
 
 
@@ -109,8 +104,8 @@ def slice_critical_points(slice_spec, traces, spec, g):
 
     Sign changes of Im(e^{-i theta} h) along each trace are refined by the
     bordered corrector with the ray equation. Points whose ray parameter
-    Re(e^{-i theta} h) ends up below ``_MIN_RAY_PARAM`` are discarded: they
-    lie on the opposite ray or at the slice boundary at the origin.
+    Re(e^{-i theta} h) ends up below ``_MIN_RAY_PARAM`` epsilon are discarded:
+    they lie on the opposite ray or at the slice boundary at the origin.
     """
     system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
@@ -130,7 +125,7 @@ def slice_critical_points(slice_spec, traces, spec, g):
 
     found = [
         z for z in _equation_zeros(traces, system, node_values, ray_equation)
-        if (rotation * eval_poly(g, z)).real >= _MIN_RAY_PARAM
+        if (rotation * eval_poly(g, z)).real >= _MIN_RAY_PARAM * spec.epsilon
     ]
     found.sort(key=lambda z: -(rotation * eval_poly(g, z)).real)
     return found
@@ -226,74 +221,16 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
 
 
 # ---------------------------------------------------------------------------
-# n = 1: the restriction is an embedding; trace its image
+# n = 1: the whole link is singular; trace it
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class N1ImageResult:
-    """Image components of h for a 1-dimensional link."""
-
-    components: list  # list of (M, 2) arrays
-    centers: list
-    radii: list
-    min_intercomponent_distance: float | None  # None for a single component
-
-
 def trace_image_n1(spec, g, rng_seed=42):
-    """Sample the 1-dimensional link and group the image points by proximity.
+    """The traced components of a 1-dimensional link, each with its image.
 
-    Only valid for n = 1. Components of the images of ``_N1_SAMPLES`` link
-    points are reported with least-squares circle fits, sorted by radius;
-    image points within ``_CLUSTER_GAP`` (times epsilon) of each other join
-    one connected component. Each component's points come in order of their
-    angle about its fitted centre, so they form a closed polyline along the
-    curve; this assumes each image component is star-shaped about that
-    centre, as the A1 circles are.
+    Only valid for n = 1, where every link point is singular for h: the
+    link is seeded and traced as the singular set is at n >= 2.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")
-    rng = np.random.default_rng(rng_seed)
-    points = sample_link_points(spec, _N1_SAMPLES, rng)
-    values = eval_poly(g, points)
-    image = np.column_stack([values.real, values.imag])
-
-    gap = _CLUSTER_GAP * spec.epsilon
-    unassigned = np.ones(len(image), dtype=bool)
-    groups = []
-    while unassigned.any():
-        start = int(np.argmax(unassigned))
-        unassigned[start] = False
-        stack = [start]
-        members = []
-        while stack:
-            k = stack.pop()
-            members.append(k)
-            near = np.linalg.norm(image - image[k], axis=1) <= gap
-            fresh = np.nonzero(near & unassigned)[0]
-            unassigned[fresh] = False
-            stack.extend(fresh.tolist())
-        groups.append(np.array(sorted(members)))
-
-    fits = []
-    for members in groups:
-        pts = image[members]
-        center, radius, _ = circle_fit(pts)
-        rel = pts - center
-        order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-        fits.append((radius, center, pts[order]))
-    fits.sort(key=lambda item: item[0])
-
-    min_gap = np.inf
-    for i in range(len(fits)):
-        for j in range(i + 1, len(fits)):
-            for point in fits[i][2]:
-                d = np.linalg.norm(fits[j][2] - point, axis=1).min()
-                min_gap = min(min_gap, float(d))
-
-    return N1ImageResult(
-        components=[pts for _, _, pts in fits],
-        centers=[center for _, center, _ in fits],
-        radii=[radius for radius, _, _ in fits],
-        min_intercomponent_distance=min_gap if len(fits) > 1 else None,
-    )
+    return collect_components(seed_singular_points(spec, g, rng_seed), spec, g)

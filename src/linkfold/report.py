@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import morse as morse_mod
-from .errors import LinkFoldError, NotApplicable
+from .errors import LinkFoldError, NotApplicable, WrongDimension
 from .fold_classify import (
     _DEAD_BAND,
     _EQUIVARIANCE_SAMPLES,
@@ -201,9 +201,12 @@ def compute_components(config, spec=None, g=None):
     """Seed and trace the singular components; returns (spec, g, seeds, traces).
 
     Tracing follows the epsilon-scaled continuation policy of collect_components.
+    Raises WrongDimension for n < 2, where the whole link is singular.
     """
     if spec is None or g is None:
         spec, g = config.build()
+    if spec.n < 2:
+        raise WrongDimension(f"fold analysis needs n >= 2, got n = {spec.n}")
     seeds = seed_singular_points(spec, g, rng_seed=config.rng_seed)
     return spec, g, seeds, collect_components(seeds, spec, g)
 
@@ -341,18 +344,27 @@ def _oracle_agreement(spec, g, rng_seed, threshold):
 
 
 def _verify_n1(config, spec, g, radii, tol, timings):
-    """n = 1: h embeds the link, and its image is the two A1 circles."""
+    """n = 1: h embeds the link, and its image is the two A1 circles.
+
+    Radii and centres are circle fits of the traced images; the gap is the
+    least node-to-node distance between two image polylines (None for one).
+    """
     t0 = time.perf_counter()
-    result = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
+    traces = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
     timings["trace_image"] = time.perf_counter() - t0
-    image_radii = sorted(result.radii)
-    count = len(result.components)
-    gap = result.min_intercomponent_distance
+    fits = sorted((circle_fit(trace.image)[:2] for trace in traces), key=lambda fit: fit[1])
+    image_radii = [radius for _, radius in fits]
+    count = len(traces)
+    gap = min((
+        float(np.min(np.linalg.norm(other.image - point, axis=1)))
+        for i, trace in enumerate(traces) for other in traces[i + 1:]
+        for point in trace.image
+    ), default=None)
     sections = {
         "n1_image": {
             "n_components": count,
             "radii": image_radii,
-            "centers": [[float(x) for x in c] for c in result.centers],
+            "centers": [[float(x) for x in center] for center, _ in fits],
             "min_intercomponent_distance": gap,
         }
     }
@@ -361,7 +373,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
         _closed_form("n1_image_radii", image_radii, radii, tol),
         _check("n1_injectivity_gap", gap is None or gap >= radii[0], gap, radii[0]),
     ]
-    return "embedding_n1", sections, checks, [], result.components, image_radii
+    return "embedding_n1", sections, checks, traces, [t.image for t in traces], image_radii
 
 
 def _verify_folds(config, spec, g, radii, tol, timings):

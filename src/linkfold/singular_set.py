@@ -18,8 +18,9 @@ The singular set itself is a curve cut out by the augmented system
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeds, trace nodes and tangents are all augmented vectors
 w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs one
-lockstep descent of all its starts on the rank defect, then Gauss-Newton on
-this system from each. Every other point of the curve comes from one solver,
+lockstep descent of all its starts on the rank defect (none at n = 1, where
+the whole link is singular), then Gauss-Newton on this system from each.
+Every other point of the curve comes from one solver,
 :meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
 one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
 (predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
@@ -39,7 +40,6 @@ from .errors import (
     LinkFoldError,
     NonConvergence,
     StepCollapse,
-    WrongDimension,
 )
 from .geometry import (
     TangentFrame,
@@ -69,7 +69,7 @@ __all__ = [
     "GradientDependenceScan",
 ]
 
-# the continuation policy, in units of epsilon: first step and step limits
+# the continuation policy, in z-arc length over epsilon: first step and limits
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
 _STEP_MAX = 0.1
@@ -109,13 +109,13 @@ def criterion_matrix(z, f, g):
 def criterion_rank_defect(z, f, g):
     """Scale-normalised rank defect sigma3/sigma1 of the criterion matrix.
 
-    Returns 0 when the matrix vanishes entirely. Values at or below about
-    1e-8 indicate a singular point of h. A stack of N points gives an (N,)
-    array equal to the N single-point calls.
+    Returns 0 when the matrix vanishes or has two rows (n = 1: sigma3 = 0).
+    Values at or below about 1e-8 indicate a singular point of h. A stack of
+    N points gives an (N,) array equal to the N single-point calls.
     """
     m = criterion_matrix(z, f, g)
     if m.shape[-2] < 3:
-        raise WrongDimension("rank defect needs ambient dimension >= 3 (n >= 2)")
+        return 0.0 if m.ndim == 2 else np.zeros(len(m))
     s = np.linalg.svd(m, compute_uv=False)
     if m.ndim == 2:
         return 0.0 if s[0] == 0.0 else float(s[2] / s[0])
@@ -427,24 +427,23 @@ def seed_singular_points(spec, g, rng_seed):
     """Find points of the singular set by multi-start descent plus Newton.
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
-    one stacked :func:`projected_descent`. Gauss-Newton on the augmented
-    system starts from each endpoint z with the span coefficients (a, b) of
-    :meth:`AugmentedSystem.span_coefficients`. Each start that converges is
-    a seed; :func:`collect_components` skips seeds on a traced
+    one stacked :func:`projected_descent`; at n = 1, where every link point
+    is singular, the samples are the endpoints. Gauss-Newton on the
+    augmented system starts from each endpoint z with the span coefficients
+    (a, b) of :meth:`AugmentedSystem.span_coefficients`. Each start that
+    converges is a seed; :func:`collect_components` skips seeds on a traced
     component. Returns a (k, 2n+6) array of augmented vectors (realify(z),
-    Re a, Im a, Re b, Im b), the layout of trace nodes. Raises
-    WrongDimension for n < 2, where the criterion matrix has fewer rows
-    than columns, and EmptyResult if nothing converges.
+    Re a, Im a, Re b, Im b), the layout of trace nodes. Raises EmptyResult
+    if nothing converges.
     """
-    if spec.n < 2:
-        raise WrongDimension(f"singular-set seeding needs n >= 2, got n = {spec.n}")
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
-    samples = sample_link_points(spec, _SEED_SAMPLES, rng)
-    ends, _ = projected_descent(
-        lambda z: _ratio_gradient(system, z), samples, spec,
-        max_steps=_SEED_DESCENT_STEPS, target=2e-2,
-    )
+    ends = samples = sample_link_points(spec, _SEED_SAMPLES, rng)
+    if spec.n > 1:
+        ends, _ = projected_descent(
+            lambda z: _ratio_gradient(system, z), samples, spec,
+            max_steps=_SEED_DESCENT_STEPS, target=2e-2,
+        )
     seeds = []
     for z in ends:
         w, ok = system.newton_least_norm(
@@ -552,23 +551,25 @@ def trace_singular_curve(seed, spec, g):
     ``seed`` is an augmented vector (z, a, b), a row of
     :func:`seed_singular_points`. Steps along the one-dimensional null space
     of the augmented Jacobian with an adaptive step, correcting back onto
-    the curve after each prediction. The step starts at ``_STEP_INIT`` and
-    stays within [``_STEP_MIN``, ``_STEP_MAX``], all times epsilon, and each
-    corrector is held to ``_CORRECTOR_TOL``. A corrected point farther than
-    half a step from its prediction is rejected like a failed corrector
-    (the distance test of Allgower & Georg, section 6.1), so the trace
+    the curve after each prediction. Steps s are z-arc lengths, as (a, b)
+    are O(1) at every epsilon: the predictor moves h = s / |t_z| along the
+    unit tangent t (Allgower & Georg, section 6.1). s starts at
+    ``_STEP_INIT`` and stays within [``_STEP_MIN``, ``_STEP_MAX``], all
+    times epsilon, and each corrector is held to ``_CORRECTOR_TOL``. A
+    corrected point farther than h/2 from its prediction is rejected like a
+    failed corrector (the distance test of the same section), so the trace
     cannot jump to another part of the curve. The trace closes when a step
-    from a node within one step of the start crosses the start's tangent
-    hyperplane t0 . (w - w0) = 0 from behind; that step's point is not
-    stored, and the polyline closes from the last node back to the start. It
-    starts in the direction in which the image turns counterclockwise about
-    0, so node placement does not depend on round-off in the seed. A
-    finished polyline whose image polygon has negative signed area is then
-    reversed with the start kept first, so every image turns counterclockwise
-    as a whole, whichever seed the trace began at. Raises NonConvergence when
-    it has not closed after ``_MAX_NODES`` nodes, BifurcationSuspected when
-    the Jacobian loses rank along the way and StepCollapse when adaptation
-    falls below the minimum step.
+    crosses the start's tangent hyperplane t0 . (w - w0) = 0 from behind and
+    either end of that step lies within s of the start in z; that step's
+    point is not stored, and the polyline closes from the last node back to
+    the start. It starts in the direction in which the image turns
+    counterclockwise about 0, so node placement does not depend on round-off
+    in the seed. A finished polyline whose image polygon has negative signed
+    area is then reversed with the start kept first, so every image turns
+    counterclockwise as a whole, whichever seed the trace began at. Raises
+    NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
+    BifurcationSuspected when the Jacobian loses rank along the way and
+    StepCollapse when adaptation falls below the minimum step.
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
@@ -587,6 +588,7 @@ def trace_singular_curve(seed, spec, g):
     if np.imag(np.conj(eval_poly(g, z0)) * (gradient(g, z0) @ complexify(t[:-4]))) < 0:
         t = -t
     start_w, start_t = w, t
+    dim = 2 * system.m
     nodes = [w]
     tangents = [t]
     s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
@@ -596,9 +598,10 @@ def trace_singular_curve(seed, spec, g):
                 f"trace did not close within {_MAX_NODES} nodes "
                 f"(gap to start {np.linalg.norm(w - start_w):.1e})"
             )
-        w_pred = w + s * t
+        h = s / np.linalg.norm(t[:dim])
+        w_pred = w + h * t
         w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred))
-        if ok and np.linalg.norm(w_new - w_pred) > 0.5 * s:
+        if ok and np.linalg.norm(w_new - w_pred) > 0.5 * h:
             ok = False  # the corrector jumped: the distance test fails
         if ok:
             t_new, smin = system.tangent(w_new)
@@ -615,10 +618,8 @@ def trace_singular_curve(seed, spec, g):
             if s < step_min:
                 raise StepCollapse(f"continuation step collapsed below {step_min:.1e}")
             continue
-        if (
-            np.dot(start_t, w - start_w) < 0 <= np.dot(start_t, w_new - start_w)
-            and np.linalg.norm(w - start_w) <= s
-        ):
+        near = min(np.linalg.norm(end[:dim] - start_w[:dim]) for end in (w, w_new)) <= s
+        if near and np.dot(start_t, w - start_w) < 0 <= np.dot(start_t, w_new - start_w):
             break  # the step crosses the start's tangent hyperplane: closed
         nodes.append(w_new)
         tangents.append(t_new)
@@ -630,7 +631,6 @@ def trace_singular_curve(seed, spec, g):
 
     nodes = np.array(nodes)
     tangents = np.array(tangents)
-    dim = 2 * system.m
     values = eval_poly(g, complexify(nodes[:, :dim]))
     # orient by the whole image: a polyline whose image polygon has negative
     # signed area is reversed, keeping the start first

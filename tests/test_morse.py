@@ -265,28 +265,36 @@ def test_composed_morse_n3(a1_n3, traces_n3):
 
 def test_trace_image_n1_two_circles():
     spec, g = build_a1(1)
-    result = lf.trace_image_n1(spec, g, rng_seed=42)
-    assert len(result.components) == 2
-    assert result.radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-6)
-    for center in result.centers:
+    traces = lf.trace_image_n1(spec, g, rng_seed=42)
+    assert len(traces) == 2
+    fits = sorted((lf.circle_fit(trace.image) for trace in traces), key=lambda fit: fit[1])
+    assert [radius for _, radius, _ in fits] == pytest.approx(
+        [SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-6)
+    for center, _, _ in fits:
         assert np.linalg.norm(center) <= 1e-6
 
 
 def test_trace_image_n1_injectivity_gap():
     # the exact circles are separated by 3 sqrt2/4 - sqrt2/4 = sqrt2/2
     spec, g = build_a1(1)
-    result = lf.trace_image_n1(spec, g, rng_seed=42)
-    assert result.min_intercomponent_distance >= SQRT2 / 4
+    inner, outer = lf.trace_image_n1(spec, g, rng_seed=42)
+    gap = min(np.min(np.linalg.norm(outer.image - point, axis=1)) for point in inner.image)
+    assert gap >= SQRT2 / 4
 
 
-@pytest.mark.parametrize("epsilon", [1.0, 1e-3])
+@pytest.mark.parametrize("epsilon", [1.0, 1e-3, 0.1, 10.0])
 def test_trace_image_n1_polylines_follow_the_circles(epsilon):
-    # in sampling order each closed polyline was about 200 circumferences long
+    # each image polyline is one lap of its circle in node order; image
+    # points taken in sampling order made polylines about 200 laps long
     spec, g = lf.RunConfig(n=1, epsilon=epsilon).build()
-    result = lf.trace_image_n1(spec, g, rng_seed=42)
-    for pts, radius in zip(result.components, result.radii):
-        length = np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
-        assert length == pytest.approx(2 * np.pi * radius, rel=0.01)
+    for seed in (42, 3, 5):
+        traces = lf.trace_image_n1(spec, g, rng_seed=seed)
+        assert len(traces) == 2
+        for trace in traces:
+            pts = trace.image
+            radius = lf.circle_fit(pts)[1]
+            length = np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
+            assert length == pytest.approx(2 * np.pi * radius, rel=0.01)
 
 
 def test_trace_image_n1_wrong_dimension(a1_n2):

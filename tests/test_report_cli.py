@@ -263,20 +263,32 @@ def test_verify_a1_report_layout(tmp_path, n, layout):
     assert list(report["timings"]) == timing_keys
 
 
-def _assert_radii_scale_with_epsilon(tmp_path, n, epsilon):
+def _assert_radii_scale_with_epsilon(tmp_path, n, epsilon, atol=1e-12):
     # f is homogeneous and g linear: the image circles have radii
     # epsilon * sqrt(2)/4 and epsilon * 3 sqrt(2)/4
     report, code = lf.run_verify_a1(_config(tmp_path, n=n, epsilon=epsilon))
     assert code == 0, report["first_failed_check"]
     radii = report["n1_image" if n == 1 else "round"]["radii"]
     scaled = np.array(radii) / epsilon
-    assert np.allclose(scaled, [SQRT2 / 4, 3 * SQRT2 / 4], rtol=0, atol=1e-12)
+    assert np.allclose(scaled, [SQRT2 / 4, 3 * SQRT2 / 4], rtol=0, atol=atol)
 
 
 @pytest.mark.usefixtures("fast_samples")
-@pytest.mark.parametrize("n, epsilon", [(2, 0.1), (2, 10.0), (1, 0.1)])
+@pytest.mark.parametrize("n, epsilon", [
+    (2, 0.1), (2, 10.0), (1, 0.1), (2, 1.0), (1, 1.0), (1, 10.0),
+])
 def test_verify_a1_scales_with_epsilon(tmp_path, n, epsilon):
     _assert_radii_scale_with_epsilon(tmp_path, n, epsilon)
+
+
+@pytest.mark.usefixtures("fast_samples")
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_a1_scales_to_epsilon_1e_3(tmp_path, n):
+    # steps in z-arc length close the traces, and the slice ray floor scales
+    # with epsilon, so the inner circle's slice points (|h| = 3.5e-4) stay.
+    # The corrector holds the |z|^2 - epsilon^2 row to 1e-12 absolute, which
+    # bounds |z| / epsilon - 1, and so radii / epsilon, by 1e-12 / (2 epsilon^2)
+    _assert_radii_scale_with_epsilon(tmp_path, n, 1e-3, atol=5e-7)
 
 
 def test_verify_a1_scales_to_epsilon_100(tmp_path):
@@ -373,18 +385,22 @@ def _assert_configuration_error(tmp_path, capsys, argv):
 
 
 def test_single_image_component_report_is_strict_json(tmp_path, capsys):
-    # g = z1 maps the n = 1 A1 link onto one circle, so there is no gap
+    # g = z1 maps both circles of the n = 1 A1 link onto one image circle:
+    # two traced components whose image polylines nearly touch
     code = main(["verify-a1", "--n", "1", "--g", "z1", "--out", str(tmp_path)])
     assert code == 3
-    assert "n1_two_components" in capsys.readouterr().err
+    assert "n1_image_radii" in capsys.readouterr().err
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     text = (tmp_path / "report.json").read_text(encoding="utf-8")
     report = json.loads(text, parse_constant=reject)
-    assert report["first_failed_check"] == "n1_two_components"
-    assert report["n1_image"]["min_intercomponent_distance"] is None
+    assert report["first_failed_check"] == "n1_image_radii"
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["n1_two_components"]["passed"]
+    assert not checks["n1_injectivity_gap"]["passed"]
+    assert 0 < report["n1_image"]["min_intercomponent_distance"] < 1e-2
 
 
 def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys):

@@ -460,11 +460,13 @@ def test_trace_nodes_satisfy_system(a1_n2):
     assert np.all(trace.defects <= 1e-8)
 
 
-@pytest.mark.parametrize("seed", [42, 4, 5, 9])
+@pytest.mark.parametrize("seed", [42, 4, 5, 9, 13, 23, 26, 32])
 def test_brieskorn_trace_is_one_lap(seed):
     # without the distance test the corrector jumps to a later lap of the
-    # 1,650-node curve: 4,927 nodes at seeds 42 and 4, 5,000 nodes without
-    # closing at seeds 5 and 9
+    # curve: 4,927 nodes at seeds 42 and 4, 5,000 nodes without closing at
+    # seeds 5 and 9. Closing only when the node before the crossing lies
+    # near the start ran a second lap at seeds 26 and 32 with steps in
+    # augmented arclength, and at 13 and 23 with steps in z-arc length
     traces = pipeline_traces(2, seed, BRIESKORN_F)
     assert len(traces) == 2
     longest = max(traces, key=len)
