@@ -114,10 +114,12 @@ def link_residual(z, spec):
     """
     z = np.asarray(z, dtype=complex)
     fval = eval_poly(spec.f, z)
-    norm_sq = np.sum(z.real**2 + z.imag**2, axis=-1)
-    res = np.array([fval.real, fval.imag, norm_sq - spec.epsilon**2])
     # contiguous rows: a strided row would take another BLAS dot kernel
-    return np.ascontiguousarray(res.T)
+    res = np.empty(z.shape[:-1] + (3,))
+    res[..., 0] = fval.real
+    res[..., 1] = fval.imag
+    res[..., 2] = np.add.reduce(z.real**2 + z.imag**2, axis=-1) - spec.epsilon**2
+    return res
 
 
 def link_jacobian_rows(z, fk):

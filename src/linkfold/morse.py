@@ -10,12 +10,14 @@ singular curves; its Morse indices come from :func:`intrinsic_hessian` on
 the whole tangent space. Both rest on one closed-form second-order model,
 P = conj(a) Hess f + conj(b) Hess g of
 :func:`~linkfold.singular_set.span_hessian`. Both kinds of critical point
-are found by one search: sign changes over the trace nodes, solved by
-:meth:`AugmentedSystem.corrector`, the one bordered Newton solve of the
-singular set, whose ``extra(w)`` returns the added equation's value and its
-real gradient row in (z, a, b): the ray equation for slices, the
-criticality equation Im(w b) = 0 for composed heights. At n = 1 the whole
-link is singular, and :func:`trace_image_n1` traces it the same way.
+are found by one search: sign changes over the trace nodes, each bracket
+interpolated to a start, and every start of every trace solved in one call
+of the lockstep bordered Newton solver of the singular set
+(:meth:`AugmentedSystem._correct_rows`). Its ``extra(W)`` returns the added
+equation's values and real gradient rows in (z, a, b) at a stack of
+augmented rows: the ray equation for slices, the criticality equation
+Im(w b) = 0 for composed heights. At n = 1 the whole link is singular, and
+:func:`trace_image_n1` traces it the same way.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ _DEDUPE_TOL = 1e-6
 _MIN_RAY_PARAM = 1e-3
 
 
+def _rotated(rotation, values):
+    """(Re, Im) of the complex scalar ``rotation`` times each of ``values``.
+
+    Written out as Python's complex product rounds it, so each entry of a
+    stack equals the product at one point.
+    """
+    return (rotation.real * values.real - rotation.imag * values.imag,
+            rotation.real * values.imag + rotation.imag * values.real)
+
+
 @dataclass(frozen=True)
 class SliceSpec:
     """Ray direction angle theta; the ray is {t e^{i theta} : t >= 0}."""
@@ -81,21 +93,24 @@ def _equation_zeros(traces, system, node_values, equation):
     Where ``node_values(trace)``, one value per node, vanishes at node k or
     changes sign from k to the next node (the last wraps to the first), the
     bordered corrector solves ``equation`` from the augmented vector
-    interpolated linearly to the zero. Points within ``_DEDUPE_TOL`` of an
-    earlier one are dropped.
+    interpolated linearly to the zero: every bracket of every trace in one
+    :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
+    ``equation``. Converged points within ``_DEDUPE_TOL`` of an earlier one,
+    in trace and node order, are dropped.
     """
-    found = []
+    starts = [np.empty((0, 2 * system.m + 4))]
     for trace in traces:
         va = node_values(trace)
         vb = np.roll(va, -1)
-        nodes, following = trace.nodes, np.roll(trace.nodes, -1, axis=0)
-        for k in np.flatnonzero((va == 0.0) | (va * vb < 0.0)):
-            frac = 0.0 if va[k] == 0.0 else va[k] / (va[k] - vb[k])
-            w0 = nodes[k] + frac * (following[k] - nodes[k])
-            w, _, ok = system.corrector(w0, equation, max_iter=_SOLVE_MAX_ITER)
-            z = complexify(w[: 2 * system.m])
-            if ok and all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
-                found.append(z)
+        k = np.flatnonzero((va == 0.0) | (va * vb < 0.0))
+        frac = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
+        nodes, following = trace.nodes[k], np.roll(trace.nodes, -1, axis=0)[k]
+        starts.append(nodes + frac[:, None] * (following - nodes))
+    w, _, ok = system._correct_rows(np.concatenate(starts), equation, _SOLVE_MAX_ITER)
+    found = []
+    for z in complexify(w[ok, : 2 * system.m]):
+        if all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
+            found.append(z)
     return found
 
 
@@ -112,13 +127,12 @@ def slice_critical_points(slice_spec, traces, spec, g):
     dim = 2 * system.m
 
     def ray_equation(w):
-        """Im(rotation * h) and its real gradient row, zero in (a, b)."""
-        zc = complexify(w[:dim])
-        rotated = rotation * gradient(g, zc)
-        row = np.zeros(dim + 4)
-        row[0:dim:2] = rotated.imag
-        row[1:dim:2] = rotated.real
-        return (rotation * eval_poly(g, zc)).imag, row
+        """Im(rotation * h) and its real gradient rows, zero in (a, b), at each row of w."""
+        zc = complexify(w[:, :dim])
+        re, im = _rotated(rotation, gradient(g, zc))
+        rows = np.zeros((len(w), dim + 4))
+        rows[:, 0:dim:2], rows[:, 1:dim:2] = im, re
+        return _rotated(rotation, eval_poly(g, zc))[1], rows
 
     def node_values(trace):
         return (rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])).imag
@@ -203,7 +217,8 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     row[-2:] = weight.imag, weight.real
 
     def critical_equation(w):
-        return (weight * complex(w[-2], w[-1])).imag, row
+        """Im(weight * b) and its real gradient rows at each row of w."""
+        return weight.real * w[:, -1] + weight.imag * w[:, -2], np.broadcast_to(row, w.shape)
 
     def node_values(trace):
         return (weight * (trace.nodes[:, -2] + 1j * trace.nodes[:, -1])).imag

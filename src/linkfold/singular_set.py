@@ -17,14 +17,21 @@ The singular set itself is a curve cut out by the augmented system
 
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeds, trace nodes and tangents are all augmented vectors
-w = (realify(z), Re a, Im a, Re b, Im b), one per row. Seeding runs one
-lockstep descent of all its starts on the rank defect (none at n = 1, where
-the whole link is singular), then Gauss-Newton on this system from each.
-Every other point of the curve comes from one solver,
-:meth:`AugmentedSystem.corrector`: square Newton on the system bordered by
-one scalar equation. Tracing borders it by the pseudo-arclength hyperplane
-(predictor-corrector continuation), and :mod:`linkfold.morse` by the ray
-equation or the composed critical-point equation.
+w = (realify(z), Re a, Im a, Re b, Im b), one per row, and
+:class:`AugmentedSystem` evaluates one row or a stack of rows alike. Two
+lockstep solvers work on stacks, each row keeping its own state and ending
+as its one-row call would, bit for bit: a least-norm Gauss-Newton
+(:meth:`AugmentedSystem.newton_least_norm` for one row), and square Newton
+on the system bordered by one scalar equation per row
+(:meth:`AugmentedSystem.corrector` for one row). Seeding runs one lockstep
+descent of all its starts on the rank defect (none at n = 1, where the
+whole link is singular), then one Gauss-Newton solve of all of them. Every
+other point of the curve comes from the bordered solver: tracing borders
+it by the pseudo-arclength hyperplane (predictor-corrector continuation),
+one row per step; the on-trace probes of :func:`collect_components` by the
+hyperplanes through their stations, all of them in one solve; and
+:mod:`linkfold.morse` by the ray equation or the composed critical-point
+equation, all brackets in one solve.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .errors import (
 )
 from .geometry import (
     TangentFrame,
+    _row_dot,
     chart,
     complexify,
     link_jacobian_rows,
@@ -73,8 +81,10 @@ __all__ = [
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
 _STEP_MAX = 0.1
-# bordered residual at which a corrector converges, times max(1, epsilon^2)
+# bordered residual at which a corrector converges, times max(1, epsilon^2),
+# and its iteration budget on the trace
 _CORRECTOR_TOL = 1e-12
+_CORRECTOR_MAX_ITER = 12
 # a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
 # an augmented-Jacobian singular value below this suspects a branch point
@@ -193,13 +203,17 @@ class CurveTrace:
 class AugmentedSystem:
     """Residual and Jacobian of the singular-curve equations in (z, a, b).
 
-    The system keeps (z, a, b, gradbar f, gradbar g) for the last augmented
-    vector w that :meth:`residual`, :meth:`jacobian` or :meth:`tangent`
-    evaluated, keyed by the bytes of w. A corrector step's residual and
-    Jacobian, a converged corrector's point and its tangent, and an
-    accepted Newton trial and the next Jacobian so share one evaluation.
-    The key is the value of w, never its identity, so a caller's array
-    changed in place, or a new array at a reused address, misses the cache.
+    :meth:`residual` and :meth:`jacobian` take one augmented vector w of
+    shape (2n+6,) or a stack of N rows (N, 2n+6), and return one result or
+    N stacked ones, each row its one-row call bit for bit. The system keeps
+    (z, a, b, gradbar f, gradbar g) for the last w that :meth:`residual`,
+    :meth:`jacobian` or :meth:`tangent` evaluated, keyed by the bytes of w,
+    so one row and the one-row stack with its bytes share an evaluation. A
+    corrector step's residual and Jacobian, a converged corrector's point
+    and its tangent, and an accepted Newton trial and the next Jacobian so
+    share one evaluation. The key is the value of w, never its identity, so
+    a caller's array changed in place, or a new array at a reused address,
+    misses the cache.
     """
 
     def __init__(self, spec, g):
@@ -208,22 +222,28 @@ class AugmentedSystem:
         self.spec = spec
         self.g = g
         self.m = spec.ambient_dim
+        self._eye = np.eye(self.m)
         self._key = None
         self._last = None
 
     # -- evaluation helpers --------------------------------------------------
 
     def grads(self, z):
-        """(gradbar f(z), gradbar g(z)) as complex vectors."""
+        """(gradbar f(z), gradbar g(z)) as complex vectors (stacked for a stack)."""
         return conj_gradient(self.spec.f, z), conj_gradient(self.g, z)
 
     def _evaluate(self, w):
-        """(z, a, b, gradbar f(z), gradbar g(z)) at w, from the one-entry cache."""
+        """(z, a, b, gradbar f(z), gradbar g(z)) at the rows of w, from the one-entry cache.
+
+        Always stacked: z and the gradients (N, n+1), a and b (N, 1), as
+        complex views of copies of w's blocks.
+        """
         w = np.asarray(w, dtype=float)
         key = w.tobytes()
         if key != self._key:
-            z, (a, b) = complexify(w[:-4]), complexify(w[-4:])
-            self._last = (z, a, b, *self.grads(z))
+            w = w.reshape(-1, 2 * self.m + 4)
+            z, ab = w[:, :-4].copy().view(complex), w[:, -4:].copy().view(complex)
+            self._last = (z, ab[:, :1], ab[:, 1:], *self.grads(z))
             self._key = key
         return self._last
 
@@ -231,31 +251,51 @@ class AugmentedSystem:
 
     def residual(self, w):
         z, a, b, gf, gg = self._evaluate(w)
-        span = z - a * gf - b * gg
-        return np.concatenate([realify(span), link_residual(z, self.spec)])
+        dim = 2 * self.m
+        res = np.empty((len(z), dim + 3))
+        res[:, :dim] = (z - a * gf - b * gg).view(float)
+        res[:, dim:] = link_residual(z, self.spec)
+        return res if np.ndim(w) == 2 else res[0]
 
     def jacobian(self, w):
         z, a, b, gf, gg = self._evaluate(w)
         m = self.m
-        eye = np.eye(m)
-        mix = np.conj(span_hessian(z, a, b, self.spec, self.g))
+        mix = np.conj(span_hessian(z, a[..., None], b[..., None], self.spec, self.g))
         # d(span)/dx_k and d(span)/dy_k as complex (m, m) blocks
-        jc = np.zeros((m, 2 * m + 4), dtype=complex)
-        jc[:, 0 : 2 * m : 2] = eye - mix
-        jc[:, 1 : 2 * m : 2] = 1j * (eye + mix)
-        jc[:, 2 * m] = -gf
-        jc[:, 2 * m + 1] = -1j * gf
-        jc[:, 2 * m + 2] = -gg
-        jc[:, 2 * m + 3] = -1j * gg
-        jac = np.zeros((2 * m + 3, 2 * m + 4))
-        jac[0 : 2 * m : 2, :] = jc.real
-        jac[1 : 2 * m : 2, :] = jc.imag
-        jac[2 * m : 2 * m + 3, 0 : 2 * m] = link_jacobian_rows(z, np.conj(gf))
-        return jac
+        jc = np.empty((len(z), m, 2 * m + 4), dtype=complex)
+        jc[:, :, 0 : 2 * m : 2] = self._eye - mix
+        jc[:, :, 1 : 2 * m : 2] = 1j * (self._eye + mix)
+        jc[:, :, 2 * m] = -gf
+        jc[:, :, 2 * m + 1] = -1j * gf
+        jc[:, :, 2 * m + 2] = -gg
+        jc[:, :, 2 * m + 3] = -1j * gg
+        jac = np.zeros((len(z), 2 * m + 3, 2 * m + 4))
+        jac[:, 0 : 2 * m : 2] = jc.real
+        jac[:, 1 : 2 * m : 2] = jc.imag
+        jac[:, 2 * m :, : 2 * m] = link_jacobian_rows(z, np.conj(gf))
+        return jac if np.ndim(w) == 2 else jac[0]
 
     def span_coefficients(self, z):
-        """Least-squares (a, b) with z = a gradbar f + b gradbar g on the curve."""
-        return np.linalg.lstsq(np.column_stack(self.grads(z)), z, rcond=None)[0]
+        """Least-squares (a, b) with z = a gradbar f + b gradbar g on the curve.
+
+        By Cramer's rule on wedge products: with P = gradbar f ^ gradbar g,
+        a = <P, z ^ gradbar g> / <P, P> and b = <P, gradbar f ^ z> / <P, P>,
+        summed over coordinate pairs j < k, which is exact where z lies in
+        the span and is the least-squares solution elsewhere. One point
+        gives the pair (a, b); a stack of N points gives (N, 2), each row
+        its one-point call bit for bit; a row whose gradients are dependent
+        gives non-finite values.
+        """
+        z = np.asarray(z, dtype=complex)
+        j, k = np.triu_indices(self.m, 1)
+        # take, unlike [..., j], keeps rows contiguous
+        (uj, vj, zj), (uk, vk, zk) = ([x.take(i, -1) for x in (*self.grads(z), z)] for i in (j, k))
+        pair = uj * vk - uk * vj
+        wedges = np.stack([zj * vk - zk * vj, uj * zk - uk * zj], axis=-1)
+        # row products by matmul: a sum over the last axis rounds apart for a stack
+        dots = np.matmul(np.conj(pair)[..., None, :], wedges)[..., 0, :]
+        with np.errstate(all="ignore"):
+            return dots / _row_dot(pair.view(float), pair.view(float))[..., None]
 
     # -- solvers -----------------------------------------------------------
 
@@ -270,63 +310,156 @@ class AugmentedSystem:
         return vt[-1], float(s[-1])
 
     def newton_least_norm(self, w):
-        """Damped Gauss-Newton with minimum-norm steps; returns (w, converged)."""
-        w = np.asarray(w, dtype=float).copy()
-        res = self.residual(w)
-        norm = np.linalg.norm(res)
-        for _ in range(_NEWTON_MAX_ITER):
-            if norm <= _NEWTON_TOL:
-                break
-            jac = self.jacobian(w)
-            delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            scale = 1.0
-            for _ in range(8):
-                trial = w + scale * delta
-                trial_res = self.residual(trial)
-                trial_norm = np.linalg.norm(trial_res)
-                if trial_norm < norm:
-                    w, res, norm = trial, trial_res, trial_norm
-                    break
-                scale *= 0.5
-            else:
-                break
-        return w, bool(norm <= 10 * _NEWTON_TOL)
+        """Damped Gauss-Newton with minimum-norm steps; returns (w, converged).
 
-    def corrector(self, w0, extra, max_iter=12):
+        The one-row call of :meth:`_newton_rows`.
+        """
+        (w,), (converged,) = self._newton_rows(np.asarray(w, dtype=float)[None])
+        return w, bool(converged)
+
+    def _newton_rows(self, w0):
+        """Damped Gauss-Newton with minimum-norm steps on each row of ``w0``.
+
+        Rows run in lockstep. Each round takes every live row's step from
+        :func:`_least_norm_step`, one stacked QR and solve, then halves the
+        step of each row whose residual norm did not drop, up to 8 times. A
+        row stops at a residual norm of ``_NEWTON_TOL``, when no trial
+        lowers its norm (a non-finite step never does), or after
+        ``_NEWTON_MAX_ITER`` rounds. Returns the (N, 2n+6) points and the
+        (N,) flags of the rows whose norm ends at most 10 ``_NEWTON_TOL``.
+        """
+        w = np.array(w0, dtype=float)
+        res = self.residual(w)
+        norm = np.sqrt(_row_dot(res, res))
+        live = np.flatnonzero(norm > _NEWTON_TOL)
+        with np.errstate(all="ignore"):
+            for _ in range(_NEWTON_MAX_ITER):
+                if not live.size:
+                    break
+                # views of w's rows while every row is live
+                rows = slice(None) if len(live) == len(w) else live
+                base, trying, scale = w[rows], live, 1.0
+                delta = _least_norm_step(self.jacobian(base), -res[rows])
+                for _ in range(8):
+                    trial = base + scale * delta
+                    trial_res = self.residual(trial)
+                    trial_norm = np.sqrt(_row_dot(trial_res, trial_res))
+                    better = trial_norm < norm[rows]
+                    if np.count_nonzero(better) == len(better):
+                        w[rows], res[rows], norm[rows] = trial, trial_res, trial_norm
+                        break
+                    took = trying[better]
+                    w[took], res[took], norm[took] = trial[better], trial_res[better], trial_norm[better]
+                    rows = trying = trying[~better]
+                    base, delta, scale = base[~better], delta[~better], 0.5 * scale
+                else:  # no trial lowered these rows' norms: they stop
+                    live = live[~np.isin(live, trying)]
+                live = live[norm[live] > _NEWTON_TOL]
+        return w, norm <= 10 * _NEWTON_TOL
+
+    def corrector(self, w0, extra, max_iter=_CORRECTOR_MAX_ITER):
         """Square Newton on the system bordered by one scalar equation.
 
-        The one solver for points of the singular curve: continuation nodes
-        and duplicate probes (the pseudo-arclength hyperplane of
-        :func:`_hyperplane`), ray-slice points and composed critical points.
-        ``extra(w)`` returns the added equation's value and its real gradient
-        row in the unknowns (z, a, b). Converged means the norm of the
-        residual with that value appended is at most ``_CORRECTOR_TOL`` times
-        max(1, epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row,
-        tested before every step and after the last. Returns (w, iterations,
-        converged).
+        The one-row call of :meth:`_correct_rows`, for continuation nodes:
+        ``extra(w)`` returns the added equation's value at the one row w and
+        its real gradient row in the unknowns (z, a, b). Returns (w,
+        iterations, converged).
         """
-        w = np.asarray(w0, dtype=float).copy()
+        def stacked(w):
+            value, row = extra(w[0])
+            return np.asarray(value).reshape(1), row[None]
+
+        (w,), (iters,), (ok,) = self._correct_rows(
+            np.asarray(w0, dtype=float)[None], stacked, max_iter
+        )
+        return w, int(iters), bool(ok)
+
+    def _correct_rows(self, w0, extra, max_iter):
+        """Square Newton on each row of ``w0``, bordered by one scalar equation.
+
+        The one solver for points of the singular curve: continuation nodes
+        and on-trace probes (the pseudo-arclength hyperplane of
+        :func:`_hyperplane`), ray-slice points and composed critical points.
+        ``extra(W)`` returns the added equation's (N,) values at all N rows
+        of W and its (N, 2n+6) real gradient rows in the unknowns (z, a, b).
+        Rows run in lockstep, each step of every live row from one stacked
+        solve. A row converges when the norm of its residual with that
+        value appended is at most ``_CORRECTOR_TOL`` times max(1,
+        epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row, tested
+        before every step and after the last. A row stops unconverged,
+        keeping its last point, where its bordered matrix is singular or its
+        step is not finite or longer than 1e3. Returns the (N, 2n+6)
+        points, (N,) iteration counts and (N,) converged flags.
+        """
+        w = np.array(w0, dtype=float)
+        count = len(w)
+        iters = np.full(count, max_iter)
+        converged = np.zeros(count, dtype=bool)
         tol = _CORRECTOR_TOL * max(1.0, self.spec.epsilon**2)
+        live = np.arange(count)
         for it in range(max_iter + 1):
+            # views of w's rows while every row is live
+            rows = slice(None) if len(live) == count else live
             value, row = extra(w)
-            res = np.concatenate([self.residual(w), [value]])
-            if np.linalg.norm(res) <= tol:
-                return w, it, True
+            wl = w[rows]
+            res = np.concatenate([self.residual(wl), value[rows, None]], axis=1)
+            done = np.sqrt(_row_dot(res, res)) <= tol
+            if np.count_nonzero(done):
+                finished = live[done]
+                converged[finished], iters[finished] = True, it
+                if len(finished) == len(live):
+                    break
+                rows = live = live[~done]
+                wl, res = wl[~done], res[~done]
             if it == max_iter:
                 break
+            bordered = np.concatenate([self.jacobian(wl), row[rows, None]], axis=1)
+            delta = _solve_rows(bordered, -res)
+            # a step that is not finite or longer than 1e3 stops its row
+            good = _row_dot(delta, delta) <= 1e6
+            if np.count_nonzero(good) < len(good):
+                iters[live[~good]] = it
+                rows = live = live[good]
+                wl, delta = wl[good], delta[good]
+            w[rows] = wl + delta
+        return w, iters, converged
+
+
+def _solve_rows(a, b):
+    """x with a x = b for each (square matrix, vector) row of the stacks ``a`` and ``b``.
+
+    One stacked solve; where that raises on a singular matrix, each row
+    alone, with NaN in the rows whose matrix is singular.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for k in range(len(a)):
             try:
-                delta = np.linalg.solve(np.vstack([self.jacobian(w), row]), -res)
+                x[k] = np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
-                return w, it, False
-            if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e3:
-                return w, it, False
-            w = w + delta
-        return w, max_iter, False
+                pass
+        return x
+
+
+def _least_norm_step(jac, rhs):
+    """Minimum-norm x with jac x = rhs, for each row of the (N, r, c) stack, r < c.
+
+    From the QR factorisation jac^T = Q R of each row: x = Q y with
+    R^T y = rhs, one stacked QR and one stacked solve. NaN where R is
+    singular (jac of rank below r).
+    """
+    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
+    return (q @ _solve_rows(np.swapaxes(r, 1, 2), rhs)[..., None])[..., 0]
 
 
 def _hyperplane(t, w_pred):
-    """The pseudo-arclength equation t . (w - w_pred) = 0, as a corrector ``extra``."""
-    return lambda w: (np.dot(t, w - w_pred), t)
+    """The pseudo-arclength equation t . (w - w_pred) = 0, as a corrector ``extra``.
+
+    One row t and w_pred border one row w; stacks of rows border stacks.
+    """
+    return lambda w: (_row_dot(t, w - w_pred), t)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +561,15 @@ def seed_singular_points(spec, g, rng_seed):
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
     one stacked :func:`projected_descent`; at n = 1, where every link point
-    is singular, the samples are the endpoints. Gauss-Newton on the
-    augmented system starts from each endpoint z with the span coefficients
-    (a, b) of :meth:`AugmentedSystem.span_coefficients`. Each start that
-    converges is a seed; :func:`collect_components` skips seeds on a traced
-    component. Returns a (k, 2n+6) array of augmented vectors (realify(z),
-    Re a, Im a, Re b, Im b), the layout of trace nodes. Raises EmptyResult
-    if nothing converges.
+    is singular, the samples are the endpoints. One lockstep Gauss-Newton
+    solve on the augmented system (:meth:`AugmentedSystem._newton_rows`)
+    starts from all endpoints z at once, each with the span coefficients
+    (a, b) of one stacked :meth:`AugmentedSystem.span_coefficients` call.
+    Each start that converges is a seed, in start order;
+    :func:`collect_components` skips seeds on a traced component. Returns a
+    (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a, Re b,
+    Im b), the layout of trace nodes. Raises EmptyResult if nothing
+    converges.
     """
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)
@@ -444,16 +579,11 @@ def seed_singular_points(spec, g, rng_seed):
             lambda z: _ratio_gradient(system, z), samples, spec,
             max_steps=_SEED_DESCENT_STEPS, target=2e-2,
         )
-    seeds = []
-    for z in ends:
-        w, ok = system.newton_least_norm(
-            np.concatenate([realify(z), realify(system.span_coefficients(z))])
-        )
-        if ok:
-            seeds.append(w)
-    if not seeds:
+    starts = np.concatenate([realify(ends), realify(system.span_coefficients(ends))], axis=1)
+    seeds, converged = system._newton_rows(starts)
+    if not converged.any():
         raise EmptyResult(f"no singular seeds converged ({len(samples)} samples)")
-    return np.array(seeds)
+    return seeds[converged]
 
 
 # ---------------------------------------------------------------------------
@@ -658,36 +788,45 @@ def trace_singular_curve(seed, spec, g):
     )
 
 
-def point_on_trace(system, trace, w_probe):
-    """Whether the augmented vector ``w_probe`` lies on the traced curve.
+def point_on_trace(system, trace, probes):
+    """Which rows of the (N, 2n+6) stack ``probes`` lie on the traced curve.
 
-    Coarse gate on node distance first, then the bordered corrector from the
-    probe's station on the nearest node's tangent line, held to the
-    pseudo-arclength hyperplane through it; the probe is on the curve when
-    the corrected point reproduces it to ``_SAME_POINT_TOL``. This measures
-    distance to the curve itself rather than to the discrete node set.
+    A coarse gate on node distance first. Each probe that passes starts the
+    bordered corrector from its station on the nearest node's tangent line,
+    held to the pseudo-arclength hyperplane through it, all such probes in
+    one :meth:`AugmentedSystem._correct_rows` call. A probe is on the curve
+    when its corrected point reproduces it to ``_SAME_POINT_TOL``. This
+    measures distance to the curve itself rather than to the discrete node
+    set. Returns an (N,) boolean array.
     """
     dim = 2 * system.m
-    dz = np.linalg.norm(trace.nodes[:, :dim] - w_probe[:dim], axis=1)
-    k = int(np.argmin(dz))
+    # |node - probe| for every pair, squared in place: one (N, K, 2n+2) block
+    diff = trace.nodes[:, :dim] - probes[:, None, :dim]
+    dz = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=2))
+    k = np.argmin(dz, axis=1)
     seg = np.diff(trace.arc_params)
     max_chord = float(seg.max()) if seg.size else 0.1
-    if dz[k] > max(4.0 * max_chord, 0.05):
-        return False
-    w_k = trace.nodes[k]
-    t_k = trace.tangents[k]
-    w_pred = w_k + float(np.dot(t_k, w_probe - w_k)) * t_k
-    w_star, _, ok = system.corrector(w_pred, _hyperplane(t_k, w_pred))
-    if not ok:
-        return False
-    return bool(np.linalg.norm(w_star - w_probe) <= _SAME_POINT_TOL)
+    near = np.flatnonzero(dz[np.arange(len(probes)), k] <= max(4.0 * max_chord, 0.05))
+    on = np.zeros(len(probes), dtype=bool)
+    if near.size:
+        w_k, t_k, probe = trace.nodes[k[near]], trace.tangents[k[near]], probes[near]
+        w_pred = w_k + _row_dot(t_k, probe - w_k)[:, None] * t_k
+        w_star, _, ok = system._correct_rows(
+            w_pred, _hyperplane(t_k, w_pred), _CORRECTOR_MAX_ITER
+        )
+        miss = w_star - probe
+        on[near] = ok & (np.sqrt(_row_dot(miss, miss)) <= _SAME_POINT_TOL)
+    return on
 
 
 def _same_component(system, trace_a, trace_b):
-    """Two traces describe the same closed component if probe nodes coincide."""
+    """Two traces describe the same closed component if probe nodes coincide.
+
+    The three probe nodes of ``trace_a`` go to :func:`point_on_trace` as one stack.
+    """
     count = len(trace_a.nodes)
     probe_idx = sorted({0, count // 3, (2 * count) // 3})
-    return all(point_on_trace(system, trace_b, trace_a.nodes[i]) for i in probe_idx)
+    return bool(np.all(point_on_trace(system, trace_b, trace_a.nodes[probe_idx])))
 
 
 def _component_key(trace, spec, g):
@@ -732,21 +871,28 @@ def _component_key(trace, spec, g):
 def collect_components(seeds, spec, g):
     """Trace every novel seed and return the distinct singular components.
 
-    ``seeds`` holds augmented vectors, one per row. Seeds already lying on a
-    kept component are skipped (the trace would be a resampling of the same
-    curve); the rest are traced with the policy of
+    ``seeds`` holds augmented vectors, one per row, taken in order. A seed
+    already lying on a kept component is skipped (the trace would be a
+    resampling of the same curve): after each kept trace, every later seed
+    not yet skipped is probed against it in one :func:`point_on_trace` call,
+    which makes the probes that a seed-by-seed check against the components
+    kept before it would make. The rest are traced with the policy of
     :func:`trace_singular_curve` and deduplicated by curve distance at
     ``_SAME_POINT_TOL``. Components come in increasing order of their peak
     |h|, ties broken by z at the peak (see :func:`_component_key`), which
     does not depend on where the seeds fell.
     """
     system = AugmentedSystem(spec, g)
+    seeds = np.asarray(seeds, dtype=float)
+    skipped = np.zeros(len(seeds), dtype=bool)
     components = []
-    for w in seeds:
-        if any(point_on_trace(system, c, w) for c in components):
+    for i, w in enumerate(seeds):
+        if skipped[i]:
             continue
         trace = trace_singular_curve(w, spec, g)
         if any(_same_component(system, trace, c) for c in components):
             continue
         components.append(trace)
+        later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
+        skipped[later] = point_on_trace(system, trace, seeds[later])
     return sorted(components, key=lambda trace: _component_key(trace, spec, g))

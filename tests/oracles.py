@@ -18,7 +18,14 @@ from linkfold.geometry import (
     tangent_frame,
 )
 from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian
-from linkfold.singular_set import criterion_matrix
+from linkfold.singular_set import (
+    _SAME_POINT_TOL,
+    AugmentedSystem,
+    _component_key,
+    _hyperplane,
+    criterion_matrix,
+    trace_singular_curve,
+)
 
 
 def hermitian_inner(u, v):
@@ -377,3 +384,75 @@ def winding_number(image):
     w = image[:, 0] + 1j * image[:, 1]
     turns = np.angle(np.roll(w, -1) / w)
     return turns.sum() / (2 * np.pi)
+
+
+def newton_least_norm_lstsq(system, w, tol=1e-13, max_iter=30):
+    """Damped Gauss-Newton from the one augmented row ``w``, with LAPACK least-norm steps.
+
+    The serial solver the lockstep ``_newton_rows`` replaced: each step is
+    ``np.linalg.lstsq``'s minimum-norm solution of J delta = -residual, and
+    up to 8 halvings look for a drop in the residual norm. Stops at the
+    norm ``tol``, when no trial helps, or after ``max_iter`` steps.
+    Returns (w, converged), converged at a norm of at most 10 ``tol``.
+    """
+    w = np.asarray(w, dtype=float).copy()
+    res = system.residual(w)
+    norm = np.linalg.norm(res)
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        delta, *_ = np.linalg.lstsq(system.jacobian(w), -res, rcond=None)
+        scale = 1.0
+        for _ in range(8):
+            trial = w + scale * delta
+            trial_res = system.residual(trial)
+            trial_norm = np.linalg.norm(trial_res)
+            if trial_norm < norm:
+                w, res, norm = trial, trial_res, trial_norm
+                break
+            scale *= 0.5
+        else:
+            break
+    return w, bool(norm <= 10 * tol)
+
+
+def point_on_trace_serial(system, trace, w_probe):
+    """Whether the one augmented row ``w_probe`` lies on the traced curve.
+
+    The per-probe test the stacked ``point_on_trace`` replaced: a gate on
+    node distance, then the one-row corrector from the probe's station on
+    the nearest node's tangent line, held to the hyperplane through it.
+    """
+    dim = 2 * system.m
+    dz = np.linalg.norm(trace.nodes[:, :dim] - w_probe[:dim], axis=1)
+    k = int(np.argmin(dz))
+    seg = np.diff(trace.arc_params)
+    max_chord = float(seg.max()) if seg.size else 0.1
+    if dz[k] > max(4.0 * max_chord, 0.05):
+        return False
+    w_k, t_k = trace.nodes[k], trace.tangents[k]
+    w_pred = w_k + float(np.dot(t_k, w_probe - w_k)) * t_k
+    w_star, _, ok = system.corrector(w_pred, _hyperplane(t_k, w_pred))
+    return ok and bool(np.linalg.norm(w_star - w_probe) <= _SAME_POINT_TOL)
+
+
+def collect_components_serial(seeds, spec, g):
+    """The distinct components of ``seeds``, checking one seed at a time.
+
+    The loop the stacked ``collect_components`` replaced: each seed is
+    probed against every component kept so far with
+    :func:`point_on_trace_serial`, and a new trace against them at three
+    of its nodes. Sorted as the package sorts them.
+    """
+    system = AugmentedSystem(spec, g)
+    components = []
+    for w in seeds:
+        if any(point_on_trace_serial(system, c, w) for c in components):
+            continue
+        trace = trace_singular_curve(w, spec, g)
+        count = len(trace.nodes)
+        probes = [trace.nodes[i] for i in sorted({0, count // 3, (2 * count) // 3})]
+        if any(all(point_on_trace_serial(system, c, p) for p in probes) for c in components):
+            continue
+        components.append(trace)
+    return sorted(components, key=lambda trace: _component_key(trace, spec, g))

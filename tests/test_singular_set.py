@@ -252,24 +252,25 @@ def test_augmented_point_cache_cannot_go_stale(perturbed_n2):
 def test_trace_evaluates_each_augmented_point_once(monkeypatch):
     spec, g = build_a1(4)
     seed = lf.seed_singular_points(spec, g, rng_seed=42)[0]
-    points, gradients = set(), []
+    # distinct augmented rows passed in, and rows whose gradients were taken:
+    # one row and the one-row stack with its bytes are one augmented row
+    points, evaluated = set(), []
     for name in ("residual", "jacobian"):
         def recording(self, w, _method=getattr(AugmentedSystem, name)):
-            points.add(np.asarray(w, dtype=float).tobytes())
+            w = np.asarray(w, dtype=float)
+            points.update(row.tobytes() for row in w.reshape(-1, w.shape[-1]))
             return _method(self, w)
 
         monkeypatch.setattr(AugmentedSystem, name, recording)
 
-    def counting(p, z, _grad=singular_set.conj_gradient):
-        # one-point calls: the closing rank defect takes all nodes at once
-        if np.ndim(z) == 1:
-            gradients.append(p)
-        return _grad(p, z)
+    def counting(self, z, _grads=AugmentedSystem.grads):
+        evaluated.append(len(np.atleast_2d(z)))
+        return _grads(self, z)
 
-    monkeypatch.setattr(singular_set, "conj_gradient", counting)
+    monkeypatch.setattr(AugmentedSystem, "grads", counting)
     trace = lf.trace_singular_curve(seed, spec, g)
     assert len(trace) > 50
-    assert len(gradients) == 2 * len(points)
+    assert sum(evaluated) == len(points)
 
 
 @pytest.mark.parametrize("c", [0.5, 1])
