@@ -156,7 +156,14 @@ def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
         raise RankDeficient(f"Jacobian singular value {sigma:.3e} below {_RANK_TOL}")
     with np.errstate(all="ignore"):
         residual = np.linalg.norm(link_residual(point, spec))
-    raise NonConvergence(f"projection stopped at residual {residual:.3e} > {tol:.1e}")
+    raise NonConvergence(
+        f"projection stopped at residual {residual:.3e} > {_residual_tol(tol, spec):.1e}"
+    )
+
+
+def _residual_tol(tol, spec):
+    """``tol`` times max(1, epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row."""
+    return tol * max(1.0, spec.epsilon**2)
 
 
 def _project_rows(z0, spec, tol, max_iter):
@@ -170,13 +177,15 @@ def _project_rows(z0, spec, tol, max_iter):
     and y1,2 = (r1,2 - (Re c, Im c) y3) / s; J's least singular value is
     sqrt(D / lam), lam = (s + t)/2 + sqrt(((s - t)/2)^2 + |c|^2), 0 on a zero
     row. D is the Lagrange sum 4 sum_{j<k} |conj(fk_j) z_k - conj(fk_k) z_j|^2,
-    as s t - |c|^2 cancels near rank loss. Within ``tol`` a row keeps
-    polishing while its residual drops sharply. Rows keep their own state
-    and sum by :func:`_row_dot` over contiguous rows, so each equals the
-    one-point call bit for bit. Returns (points, converged, sigma), ``sigma``
-    each row's last least singular value: below 1e-10 exactly where the row
-    stopped on rank loss.
+    as s t - |c|^2 cancels near rank loss. A row is held to ``tol`` times
+    max(1, epsilon^2), the scale at which the |z|^2 - epsilon^2 row rounds,
+    and within it keeps polishing while its residual drops sharply. Rows
+    keep their own state and sum by :func:`_row_dot` over contiguous rows,
+    so each equals the one-point call bit for bit. Returns (points,
+    converged, sigma), ``sigma`` each row's last least singular value:
+    below 1e-10 exactly where the row stopped on rank loss.
     """
+    tol = _residual_tol(tol, spec)
     z = np.array(z0, dtype=complex)
     best = z.copy()
     best_norm = np.full(len(z), np.inf)

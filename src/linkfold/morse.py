@@ -11,8 +11,9 @@ the whole tangent space. Both rest on one closed-form second-order model,
 P = conj(a) Hess f + conj(b) Hess g of
 :func:`~linkfold.singular_set.span_hessian`. Both kinds of critical point
 are found by one search: sign changes over the trace nodes, each bracket
-interpolated to a start, and every start of every trace solved in one call
-of the lockstep bordered Newton solver of the singular set
+started on the cubic Hermite interpolant of its two nodes and tangents,
+and every start of every trace solved in one call of the lockstep
+bordered Newton solver of the singular set
 (:meth:`AugmentedSystem._correct_rows`). Its ``extra(W)`` returns the added
 equation's values and real gradient rows in (z, a, b) at a stack of
 augmented rows: the ray equation for slices, the criticality equation
@@ -35,7 +36,12 @@ from .fold_classify import (
 )
 from .geometry import complexify, tangent_frame
 from .polynomial import eval_poly, gradient
-from .singular_set import AugmentedSystem, collect_components, seed_singular_points
+from .singular_set import (
+    AugmentedSystem,
+    _hermite_basis,
+    collect_components,
+    seed_singular_points,
+)
 
 __all__ = [
     "SliceSpec",
@@ -92,20 +98,27 @@ def _equation_zeros(traces, system, node_values, equation):
 
     Where ``node_values(trace)``, one value per node, vanishes at node k or
     changes sign from k to the next node (the last wraps to the first), the
-    bordered corrector solves ``equation`` from the augmented vector
-    interpolated linearly to the zero: every bracket of every trace in one
-    :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
-    ``equation``. Converged points within ``_DEDUPE_TOL`` of an earlier one,
-    in trace and node order, are dropped.
+    bordered corrector solves ``equation`` from H(u), the cubic Hermite
+    interpolant of the nodes w_k, w_{k+1} and their unit tangents scaled by
+    the chord L = |w_{k+1} - w_k|, at the values' linear zero fraction u:
+    H = h00 w_k + h10 L t_k + h01 w_{k+1} + h11 L t_{k+1}. Every bracket of
+    every trace goes in one :meth:`AugmentedSystem._correct_rows` call,
+    whose ``extra(W)`` is ``equation``; on A1 each takes at most 2 Newton
+    iterations, where the chord's start took 2 or 3. Converged points
+    within ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
+    dropped.
     """
     starts = [np.empty((0, 2 * system.m + 4))]
     for trace in traces:
         va = node_values(trace)
         vb = np.roll(va, -1)
         k = np.flatnonzero((va == 0.0) | (va * vb < 0.0))
-        frac = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
-        nodes, following = trace.nodes[k], np.roll(trace.nodes, -1, axis=0)[k]
-        starts.append(nodes + frac[:, None] * (following - nodes))
+        u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
+        w0, w1 = trace.nodes[k], np.roll(trace.nodes, -1, axis=0)[k]
+        t0, t1 = trace.tangents[k], np.roll(trace.tangents, -1, axis=0)[k]
+        chord = np.linalg.norm(w1 - w0, axis=1)[:, None]
+        ends = np.stack([w0, chord * t0, w1, chord * t1], axis=1)
+        starts.append((_hermite_basis(u)[:, None, :] @ ends)[:, 0])
     w, _, ok = system._correct_rows(np.concatenate(starts), equation, _SOLVE_MAX_ITER)
     found = []
     for z in complexify(w[ok, : 2 * system.m]):

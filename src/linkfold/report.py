@@ -8,6 +8,7 @@ in the report carries the achieved value and the tolerance it was held to.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, fields
@@ -660,18 +661,31 @@ def write_image_svg(path, components_xy, radii=None):
     return path
 
 
-def _load_schema():
+@functools.cache
+def _validator():
+    """The shipped schema's validator, built on first use; SchemaError if the schema is broken."""
+    import jsonschema
+
     with resources.files("linkfold.schemas").joinpath("report.schema.json").open(
         "r", encoding="utf-8"
     ) as handle:
-        return json.load(handle)
+        schema = json.load(handle)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_report(report):
-    """Validate a report dict against the shipped JSON schema."""
+    """Validate a report dict against the shipped JSON schema.
+
+    Raises the error that ``jsonschema.validate`` would, from one validator
+    built on the first call.
+    """
     import jsonschema
 
-    jsonschema.validate(instance=report, schema=_load_schema())
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def write_report_json(path, report):

@@ -28,10 +28,12 @@ descent of all its starts on the rank defect (none at n = 1, where the
 whole link is singular), then one Gauss-Newton solve of all of them. Every
 other point of the curve comes from the bordered solver: tracing borders
 it by the pseudo-arclength hyperplane (predictor-corrector continuation),
-one row per step; the on-trace probes of :func:`collect_components` by the
-hyperplanes through their stations, all of them in one solve; and
-:mod:`linkfold.morse` by the ray equation or the composed critical-point
-equation, all brackets in one solve.
+one row per step, each started from a second-order point; the on-trace
+probes of :func:`collect_components` by the hyperplanes through their
+stations, all of them in one solve; and :mod:`linkfold.morse` by the ray
+equation or the composed critical-point equation, all brackets in one
+solve, each started on the cubic Hermite interpolant of its nodes. A start
+only moves where Newton begins; the bordered equation pins the point.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import (
 )
 from .geometry import (
     TangentFrame,
+    _residual_tol,
     _row_dot,
     chart,
     complexify,
@@ -395,7 +398,7 @@ class AugmentedSystem:
         count = len(w)
         iters = np.full(count, max_iter)
         converged = np.zeros(count, dtype=bool)
-        tol = _CORRECTOR_TOL * max(1.0, self.spec.epsilon**2)
+        tol = _residual_tol(_CORRECTOR_TOL, self.spec)
         live = np.arange(count)
         for it in range(max_iter + 1):
             # views of w's rows while every row is live
@@ -685,10 +688,17 @@ def trace_singular_curve(seed, spec, g):
     are O(1) at every epsilon: the predictor moves h = s / |t_z| along the
     unit tangent t (Allgower & Georg, section 6.1). s starts at
     ``_STEP_INIT`` and stays within [``_STEP_MIN``, ``_STEP_MAX``], all
-    times epsilon, and each corrector is held to ``_CORRECTOR_TOL``. A
-    corrected point farther than h/2 from its prediction is rejected like a
-    failed corrector (the distance test of the same section), so the trace
-    cannot jump to another part of the curve. The trace closes when a step
+    times epsilon, and each corrector is held to ``_CORRECTOR_TOL``. The
+    prediction w_pred = w + h t anchors the pseudo-arclength hyperplane
+    t . (w' - w_pred) = 0, the distance test and the step control. The
+    corrector starts from the second-order point w_pred + (h^2/2) kappa,
+    with kappa = (t - t_prev) / (t . (w - w_prev)) the curvature of the last
+    accepted step (ch. 6 of the same book), or from w_pred on a trace's
+    first step: on A1 that takes 2 Newton iterations per step in place of
+    3, and the hyperplane's equation pins the node. A corrected point
+    farther than h/2 from its prediction is rejected like a failed
+    corrector (the distance test of section 6.1), so the trace cannot jump
+    to another part of the curve. The trace closes when a step
     crosses the start's tangent hyperplane t0 . (w - w0) = 0 from behind and
     either end of that step lies within s of the start in z; that step's
     point is not stored, and the polyline closes from the last node back to
@@ -722,6 +732,7 @@ def trace_singular_curve(seed, spec, g):
     nodes = [w]
     tangents = [t]
     s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
+    curvature = None  # of the last accepted step; none before the first
     while True:
         if len(nodes) >= _MAX_NODES:
             raise NonConvergence(
@@ -730,7 +741,8 @@ def trace_singular_curve(seed, spec, g):
             )
         h = s / np.linalg.norm(t[:dim])
         w_pred = w + h * t
-        w_new, iters, ok = system.corrector(w_pred, _hyperplane(t, w_pred))
+        start = w_pred if curvature is None else w_pred + (0.5 * h * h) * curvature
+        w_new, iters, ok = system.corrector(start, _hyperplane(t, w_pred))
         if ok and np.linalg.norm(w_new - w_pred) > 0.5 * h:
             ok = False  # the corrector jumped: the distance test fails
         if ok:
@@ -753,6 +765,7 @@ def trace_singular_curve(seed, spec, g):
             break  # the step crosses the start's tangent hyperplane: closed
         nodes.append(w_new)
         tangents.append(t_new)
+        curvature = (t_new - t) / np.dot(t_new, w_new - w)
         w, t = w_new, t_new
         if iters <= 3:
             s = min(s * 1.4, step_max)
@@ -829,6 +842,17 @@ def _same_component(system, trace_a, trace_b):
     return bool(np.all(point_on_trace(system, trace_b, trace_a.nodes[probe_idx])))
 
 
+def _hermite_basis(u):
+    """The cubic Hermite basis (h00, h10, h01, h11) at each of the (N,) fractions u, as (N, 4).
+
+    A segment with ends p0, p1 and end slopes m0, m1 in its own parameter
+    u in [0, 1] is h00 p0 + h10 m0 + h01 p1 + h11 m1.
+    """
+    u = np.asarray(u, dtype=float)[:, None]
+    return np.hstack([2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u,
+                      3 * u**2 - 2 * u**3, u**3 - u**2])
+
+
 def _component_key(trace, spec, g):
     """Sort key of a component: its peak |h|, then its z there.
 
@@ -852,9 +876,7 @@ def _component_key(trace, spec, g):
     points = np.column_stack([np.abs(h) ** 2, w])
     slopes = np.column_stack([2.0 * (np.conj(h) * dh).real, t])
     # cubic Hermite basis at 1001 points of a segment, u in [0, 1]
-    u = np.linspace(0.0, 1.0, 1001)[:, None]
-    basis = np.hstack([2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u,
-                       3 * u**2 - 2 * u**3, u**3 - u**2])
+    basis = _hermite_basis(np.linspace(0.0, 1.0, 1001))
     peak = None
     for i in (0, 1):
         step = np.linalg.norm(w[i + 1] - w[i])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold.errors import DimensionCollapse, RankDeficient
+from linkfold.errors import DimensionCollapse, NonConvergence, RankDeficient
 from linkfold.geometry import orthonormal_complement
 
 from conftest import build_a1, definite_point
@@ -139,6 +139,30 @@ def test_project_radial_point_against_bisection_oracle(a1_n2):
     oracle = 0.5 * (lo + hi) * z0
     assert np.linalg.norm(oracle - q) <= 1e-10
     assert np.linalg.norm(z - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("epsilon", [100.0, 1000.0])
+def test_projection_converges_at_large_epsilon(epsilon):
+    # |z|^2 - epsilon^2 rounds at about epsilon^2 times 1e-16, so the
+    # projection is held to 1e-12 epsilon^2 there: held to 1e-12, 53 of these
+    # 400 draws failed at epsilon = 100 and 369 at 1000
+    spec, _ = build_a1(2)
+    spec = lf.LinkSpec(f=spec.f, n=2, epsilon=epsilon)
+    raw = np.random.default_rng(0).standard_normal((400, 6))
+    raw *= epsilon / np.linalg.norm(raw, axis=1, keepdims=True)
+    points = lf.project_to_link(lf.complexify(raw), spec)
+    assert not np.isnan(points).any()
+    residuals = np.linalg.norm(lf.link_residual(points, spec), axis=1)
+    assert np.max(residuals) <= 1e-12 * epsilon**2
+
+
+def test_projection_failure_names_the_scaled_tolerance(a1_n2):
+    # one iteration from a far point cannot converge; the message gives the
+    # tolerance the rows were held to
+    spec, _ = a1_n2
+    spec = lf.LinkSpec(f=spec.f, n=2, epsilon=100.0)
+    with pytest.raises(NonConvergence, match=r"> 1\.0e-08$"):
+        lf.project_to_link(np.array([100.0, 30.0, 1j]), spec, max_iter=1)
 
 
 def test_projection_idempotent(a1_n2):

@@ -258,6 +258,29 @@ def test_composed_morse_n3(a1_n3, traces_n3):
     assert [r.morse_index for r in records] == [0, 2, 3, 5]
 
 
+def test_morse_zeros_take_at_most_two_iterations(monkeypatch):
+    # each bracket starts from the cubic Hermite interpolant of its two nodes
+    # and tangents; from the chord, half of the zeros took 3 iterations
+    spec, g = lf.RunConfig(n=4).build()
+    traces = pipeline_traces(4, 42)
+    counts = []
+    correct_rows = AugmentedSystem._correct_rows
+
+    def counted(self, w0, extra, max_iter):
+        w, iters, ok = correct_rows(self, w0, extra, max_iter)
+        counts.extend(iters)
+        return w, iters, ok
+
+    monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted)
+    for theta in 2 * np.pi * np.arange(8) / 8:
+        lf.slice_critical_points(SliceSpec(theta), traces, spec, g)
+        lf.composed_morse(np.array([np.cos(theta), np.sin(theta)]), traces, spec, g)
+    # per angle, each of the two circles crosses the ray's line and the
+    # height's criticality equation twice
+    assert len(counts) == 8 * (4 + 4)
+    assert max(counts) <= 2
+
+
 # ---------------------------------------------------------------------------
 # n = 1 image tracing
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -301,8 +302,17 @@ def test_verify_a1_scales_to_epsilon_100(tmp_path):
 def test_schema_rejects_malformed_report():
     import jsonschema
 
-    with pytest.raises(jsonschema.ValidationError):
-        validate_report({"config": {}, "mode": "fold_pipeline"})
+    report = {"config": {}, "mode": "fold_pipeline"}
+    schema = json.loads(
+        resources.files("linkfold.schemas").joinpath("report.schema.json").read_text("utf-8")
+    )
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(instance=report, schema=schema)
+    # repeated calls reuse one validator and raise the same error
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError) as raised:
+            validate_report(report)
+        assert str(raised.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +491,18 @@ def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):
 def test_cli_morse_runs(tmp_path):
     code = main(["morse", "--n", "2", "--out", str(tmp_path), "--theta", "0.0"])
     assert code == 0
+    assert (tmp_path / "morse.json").exists()
+
+
+@pytest.mark.parametrize("theta, seed", [
+    ("0.7853981633974483", "3"), ("3.9269908169872414", "42"),
+])
+def test_cli_morse_at_epsilon_100(tmp_path, capsys, theta, seed):
+    # held to an absolute 1e-12, a link projection stopped at 1.819e-12, one
+    # rounding unit of epsilon^2 = 1e4, and these runs exited 3
+    code = main(["morse", "--n", "2", "--epsilon", "100", "--theta", theta,
+                 "--seed", seed, "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
     assert (tmp_path / "morse.json").exists()
 
 

@@ -511,6 +511,87 @@ def test_trace_direction_ignores_seed_round_off(a1_n2):
         assert np.allclose(trace.nodes, reference.nodes, rtol=0.0, atol=1e-12)
 
 
+def _trace_corrector_iterations(monkeypatch):
+    """Record the corrector iterations of every trace step, one list per trace."""
+    runs = []
+    trace, corrector = singular_set.trace_singular_curve, AugmentedSystem.corrector
+
+    def counted_trace(*args):
+        runs.append([])
+        return trace(*args)
+
+    def counted_corrector(self, w0, extra, max_iter=singular_set._CORRECTOR_MAX_ITER):
+        w, iters, ok = corrector(self, w0, extra, max_iter)
+        runs[-1].append(iters)
+        return w, iters, ok
+
+    monkeypatch.setattr(singular_set, "trace_singular_curve", counted_trace)
+    monkeypatch.setattr(AugmentedSystem, "corrector", counted_corrector)
+    return runs
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_steps_after_the_first_take_two_corrector_iterations(n, seed, monkeypatch):
+    # from the second step on, each corrector starts at the second-order point
+    # of the last accepted step's curvature; from the Euler prediction every
+    # A1 step took 3 iterations
+    spec, g = build_a1(n)
+    runs = _trace_corrector_iterations(monkeypatch)
+    lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
+    assert runs and all(len(steps) > 1 for steps in runs)
+    assert max(max(steps[1:]) for steps in runs) <= 2
+
+
+@pytest.mark.parametrize("n, epsilon", [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (2, 1e-3)])
+def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch):
+    # the hyperplane's equation pins each node; correctors started at its
+    # anchor, the Euler prediction, must find the same nodes. Compared in the
+    # units (z / epsilon, a, b / epsilon), in which A1 nodes do not depend on
+    # epsilon: there the corrector's absolute 1e-12 on the |z|^2 - epsilon^2
+    # row is 1e-12 / epsilon^2 when epsilon < 1 (the Euler starts' nodes lay
+    # 1.4e-10 of epsilon off the sphere at epsilon = 1e-3)
+    spec, g = build_a1(n)
+    spec = lf.LinkSpec(f=spec.f, n=n, epsilon=epsilon)
+    units = np.r_[np.full(2 * n + 2, epsilon), 1.0, 1.0, epsilon, epsilon]
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    reference = lf.collect_components(seeds, spec, g)
+    trace, hyperplane = singular_set.trace_singular_curve, singular_set._hyperplane
+    corrector = AugmentedSystem.corrector
+    calls = []  # per trace: (tangent, anchor, corrected point) of each step
+
+    def traced(*args):
+        calls.append([])
+        return trace(*args)
+
+    def anchored(t, w_pred):
+        extra = hyperplane(t, w_pred)
+        extra.tangent, extra.anchor = t, w_pred
+        return extra
+
+    def from_anchor(self, w0, extra, max_iter=singular_set._CORRECTOR_MAX_ITER):
+        w, iters, ok = corrector(self, extra.anchor, extra, max_iter)
+        calls[-1].append((extra.tangent, extra.anchor, w))
+        return w, iters, ok
+
+    monkeypatch.setattr(singular_set, "trace_singular_curve", traced)
+    monkeypatch.setattr(singular_set, "_hyperplane", anchored)
+    monkeypatch.setattr(AugmentedSystem, "corrector", from_anchor)
+    euler = lf.collect_components(seeds, spec, g)
+    assert len(euler) == len(reference) == 2
+    for mine, theirs in zip(reference, euler):
+        assert len(mine) == len(theirs)
+        moved = np.max(np.abs(mine.nodes - theirs.nodes) / units)
+        assert moved <= 1e-12 / min(1.0, epsilon) ** 2
+    # the anchor stays the Euler prediction: a step with a new tangent leaves
+    # the point the step before it accepted, along that tangent
+    for steps in calls:
+        for (t_before, _, node), (t, anchor, _) in zip(steps, steps[1:]):
+            if not np.array_equal(t, t_before):
+                ahead = anchor - node
+                assert np.linalg.norm(ahead - (ahead @ t) * t) <= 1e-12 * np.linalg.norm(ahead)
+
+
 # ---------------------------------------------------------------------------
 # component collection
 # ---------------------------------------------------------------------------
