@@ -18,22 +18,21 @@ The singular set itself is a curve cut out by the augmented system
 in the 2n+6 real unknowns (z, a, b), which is smooth and exactly one short of
 square. Seeds, trace nodes and tangents are all augmented vectors
 w = (realify(z), Re a, Im a, Re b, Im b), one per row, and
-:class:`AugmentedSystem` evaluates one row or a stack of rows alike. Two
-lockstep solvers work on stacks, each row keeping its own state and ending
-as its one-row call would, bit for bit: a least-norm Gauss-Newton
-(:meth:`AugmentedSystem.newton_least_norm` for one row), and square Newton
-on the system bordered by one scalar equation per row
-(:meth:`AugmentedSystem.corrector` for one row). Seeding runs one lockstep
-descent of all its starts on the rank defect (none at n = 1, where the
-whole link is singular), then one Gauss-Newton solve of all of them. Every
-other point of the curve comes from the bordered solver: tracing borders
-it by the pseudo-arclength hyperplane (predictor-corrector continuation),
-one row per step, each started from a second-order point; the on-trace
-probes of :func:`collect_components` by the hyperplanes through their
-stations, all of them in one solve; and :mod:`linkfold.morse` by the ray
-equation or the composed critical-point equation, all brackets in one
-solve, each started on the cubic Hermite interpolant of its nodes. A start
-only moves where Newton begins; the bordered equation pins the point.
+:class:`AugmentedSystem` evaluates one row or a stack of rows alike. One
+lockstep Newton solver works on stacks, each row keeping its own state and
+ending as its one-row call would, bit for bit: square Newton on the system
+bordered by one scalar equation per row (:meth:`AugmentedSystem.corrector`
+for one row). Seeding runs one lockstep descent of all its starts on the
+rank defect (none at n = 1, where the whole link is singular), then one
+solve of all of them bordered by each Jacobian's null vector, which makes
+every step the least-norm Gauss-Newton step. Tracing borders the system by
+the pseudo-arclength hyperplane (predictor-corrector continuation), one
+row per step, each started from a second-order point; the on-trace probes
+of :func:`collect_components` by the hyperplanes through their stations,
+all of them in one solve; and :mod:`linkfold.morse` by the ray equation or
+the composed critical-point equation, all brackets in one solve, each
+started on the cubic Hermite interpolant of its nodes. A start only moves
+where Newton begins; the bordered equation pins the point.
 """
 
 from __future__ import annotations
@@ -92,8 +91,7 @@ _CORRECTOR_MAX_ITER = 12
 _MAX_NODES = 5000
 # an augmented-Jacobian singular value below this suspects a branch point
 _BIFURCATION_TOL = 1e-8
-# residual target and iteration budget of the least-norm Gauss-Newton solve
-_NEWTON_TOL = 1e-13
+# iteration budget of the least-norm Gauss-Newton solve (no added equation)
 _NEWTON_MAX_ITER = 30
 # link points that seeding starts from, and the projected-descent steps on
 # the rank defect before each one's Newton solve
@@ -212,11 +210,10 @@ class AugmentedSystem:
     (z, a, b, gradbar f, gradbar g) for the last w that :meth:`residual`,
     :meth:`jacobian` or :meth:`tangent` evaluated, keyed by the bytes of w,
     so one row and the one-row stack with its bytes share an evaluation. A
-    corrector step's residual and Jacobian, a converged corrector's point
-    and its tangent, and an accepted Newton trial and the next Jacobian so
-    share one evaluation. The key is the value of w, never its identity, so
-    a caller's array changed in place, or a new array at a reused address,
-    misses the cache.
+    Newton step's residual and Jacobian, and a converged corrector's point
+    and its tangent, so share one evaluation. The key is the value of w,
+    never its identity, so a caller's array changed in place, or a new array
+    at a reused address, misses the cache.
     """
 
     def __init__(self, spec, g):
@@ -313,52 +310,12 @@ class AugmentedSystem:
         return vt[-1], float(s[-1])
 
     def newton_least_norm(self, w):
-        """Damped Gauss-Newton with minimum-norm steps; returns (w, converged).
+        """Gauss-Newton with minimum-norm steps from one row; returns (w, converged).
 
-        The one-row call of :meth:`_newton_rows`.
+        The one-row call of :meth:`_correct_rows` with no added equation.
         """
-        (w,), (converged,) = self._newton_rows(np.asarray(w, dtype=float)[None])
-        return w, bool(converged)
-
-    def _newton_rows(self, w0):
-        """Damped Gauss-Newton with minimum-norm steps on each row of ``w0``.
-
-        Rows run in lockstep. Each round takes every live row's step from
-        :func:`_least_norm_step`, one stacked QR and solve, then halves the
-        step of each row whose residual norm did not drop, up to 8 times. A
-        row stops at a residual norm of ``_NEWTON_TOL``, when no trial
-        lowers its norm (a non-finite step never does), or after
-        ``_NEWTON_MAX_ITER`` rounds. Returns the (N, 2n+6) points and the
-        (N,) flags of the rows whose norm ends at most 10 ``_NEWTON_TOL``.
-        """
-        w = np.array(w0, dtype=float)
-        res = self.residual(w)
-        norm = np.sqrt(_row_dot(res, res))
-        live = np.flatnonzero(norm > _NEWTON_TOL)
-        with np.errstate(all="ignore"):
-            for _ in range(_NEWTON_MAX_ITER):
-                if not live.size:
-                    break
-                # views of w's rows while every row is live
-                rows = slice(None) if len(live) == len(w) else live
-                base, trying, scale = w[rows], live, 1.0
-                delta = _least_norm_step(self.jacobian(base), -res[rows])
-                for _ in range(8):
-                    trial = base + scale * delta
-                    trial_res = self.residual(trial)
-                    trial_norm = np.sqrt(_row_dot(trial_res, trial_res))
-                    better = trial_norm < norm[rows]
-                    if np.count_nonzero(better) == len(better):
-                        w[rows], res[rows], norm[rows] = trial, trial_res, trial_norm
-                        break
-                    took = trying[better]
-                    w[took], res[took], norm[took] = trial[better], trial_res[better], trial_norm[better]
-                    rows = trying = trying[~better]
-                    base, delta, scale = base[~better], delta[~better], 0.5 * scale
-                else:  # no trial lowered these rows' norms: they stop
-                    live = live[~np.isin(live, trying)]
-                live = live[norm[live] > _NEWTON_TOL]
-        return w, norm <= 10 * _NEWTON_TOL
+        (w,), _, (ok,) = self._correct_rows(np.asarray(w, float)[None], None, _NEWTON_MAX_ITER)
+        return w, bool(ok)
 
     def corrector(self, w0, extra, max_iter=_CORRECTOR_MAX_ITER):
         """Square Newton on the system bordered by one scalar equation.
@@ -380,19 +337,22 @@ class AugmentedSystem:
     def _correct_rows(self, w0, extra, max_iter):
         """Square Newton on each row of ``w0``, bordered by one scalar equation.
 
-        The one solver for points of the singular curve: continuation nodes
-        and on-trace probes (the pseudo-arclength hyperplane of
-        :func:`_hyperplane`), ray-slice points and composed critical points.
-        ``extra(W)`` returns the added equation's (N,) values at all N rows
-        of W and its (N, 2n+6) real gradient rows in the unknowns (z, a, b).
-        Rows run in lockstep, each step of every live row from one stacked
-        solve. A row converges when the norm of its residual with that
-        value appended is at most ``_CORRECTOR_TOL`` times max(1,
-        epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row, tested
-        before every step and after the last. A row stops unconverged,
-        keeping its last point, where its bordered matrix is singular or its
-        step is not finite or longer than 1e3. Returns the (N, 2n+6)
-        points, (N,) iteration counts and (N,) converged flags.
+        The one Newton solver for points of the singular curve: seeds and
+        trace starts (no added equation), continuation nodes and on-trace
+        probes (the pseudo-arclength hyperplane of :func:`_hyperplane`),
+        ray-slice points and composed critical points. ``extra(W)`` returns
+        the added equation's (N,) values at all N rows of W and its
+        (N, 2n+6) real gradient rows in the unknowns (z, a, b). ``extra``
+        None borders each step by its Jacobian's unit null vector at the
+        value 0, which is the least-norm Gauss-Newton step. Rows run in
+        lockstep, each step of every live row from one stacked solve. A row
+        converges when the norm of its residual with that value appended is
+        at most ``_CORRECTOR_TOL`` times max(1, epsilon^2), the rounding
+        scale of the |z|^2 - epsilon^2 row, tested before every step and
+        after the last. A row stops unconverged, keeping its last point,
+        where its bordered matrix is singular or its step is not finite or
+        longer than 1e3. Returns the (N, 2n+6) points, (N,) iteration
+        counts and (N,) converged flags.
         """
         w = np.array(w0, dtype=float)
         count = len(w)
@@ -400,10 +360,12 @@ class AugmentedSystem:
         converged = np.zeros(count, dtype=bool)
         tol = _residual_tol(_CORRECTOR_TOL, self.spec)
         live = np.arange(count)
+        value = np.zeros(count)
         for it in range(max_iter + 1):
             # views of w's rows while every row is live
             rows = slice(None) if len(live) == count else live
-            value, row = extra(w)
+            if extra is not None:
+                value, row = extra(w)
             wl = w[rows]
             res = np.concatenate([self.residual(wl), value[rows, None]], axis=1)
             done = np.sqrt(_row_dot(res, res)) <= tol
@@ -416,8 +378,9 @@ class AugmentedSystem:
                 wl, res = wl[~done], res[~done]
             if it == max_iter:
                 break
-            bordered = np.concatenate([self.jacobian(wl), row[rows, None]], axis=1)
-            delta = _solve_rows(bordered, -res)
+            jac = self.jacobian(wl)
+            border = _null_vectors(jac) if extra is None else row[rows]
+            delta = _solve_rows(np.concatenate([jac, border[:, None]], axis=1), -res)
             # a step that is not finite or longer than 1e3 stops its row
             good = _row_dot(delta, delta) <= 1e6
             if np.count_nonzero(good) < len(good):
@@ -446,15 +409,14 @@ def _solve_rows(a, b):
         return x
 
 
-def _least_norm_step(jac, rhs):
-    """Minimum-norm x with jac x = rhs, for each row of the (N, r, c) stack, r < c.
+def _null_vectors(jac):
+    """Unit null vector of each full-rank (r, r + 1) matrix of the stack ``jac``.
 
-    From the QR factorisation jac^T = Q R of each row: x = Q y with
-    R^T y = rhs, one stacked QR and one stacked solve. NaN where R is
-    singular (jac of rank below r).
+    The last column of Q in one stacked complete QR of jac^T. Bordered by it
+    at the value 0, jac x = rhs has its minimum-norm solution as its one
+    solution (Allgower & Georg, *Numerical Continuation Methods*, ch. 3).
     """
-    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
-    return (q @ _solve_rows(np.swapaxes(r, 1, 2), rhs)[..., None])[..., 0]
+    return np.linalg.qr(np.swapaxes(jac, 1, 2), mode="complete")[0][..., -1]
 
 
 def _hyperplane(t, w_pred):
@@ -564,11 +526,11 @@ def seed_singular_points(spec, g, rng_seed):
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
     one stacked :func:`projected_descent`; at n = 1, where every link point
-    is singular, the samples are the endpoints. One lockstep Gauss-Newton
-    solve on the augmented system (:meth:`AugmentedSystem._newton_rows`)
-    starts from all endpoints z at once, each with the span coefficients
-    (a, b) of one stacked :meth:`AugmentedSystem.span_coefficients` call.
-    Each start that converges is a seed, in start order;
+    is singular, the samples are the endpoints. One lockstep least-norm
+    Newton solve (:meth:`AugmentedSystem._correct_rows` with no added
+    equation) starts from all endpoints z at once, each with the span
+    coefficients (a, b) of one stacked :meth:`AugmentedSystem.span_coefficients`
+    call. Each start that converges is a seed, in start order;
     :func:`collect_components` skips seeds on a traced component. Returns a
     (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a, Re b,
     Im b), the layout of trace nodes. Raises EmptyResult if nothing
@@ -583,7 +545,7 @@ def seed_singular_points(spec, g, rng_seed):
             max_steps=_SEED_DESCENT_STEPS, target=2e-2,
         )
     starts = np.concatenate([realify(ends), realify(system.span_coefficients(ends))], axis=1)
-    seeds, converged = system._newton_rows(starts)
+    seeds, _, converged = system._correct_rows(starts, None, _NEWTON_MAX_ITER)
     if not converged.any():
         raise EmptyResult(f"no singular seeds converged ({len(samples)} samples)")
     return seeds[converged]
@@ -682,14 +644,16 @@ def trace_singular_curve(seed, spec, g):
     """Pseudo-arclength continuation of the singular curve through ``seed``.
 
     ``seed`` is an augmented vector (z, a, b), a row of
-    :func:`seed_singular_points`. Steps along the one-dimensional null space
-    of the augmented Jacobian with an adaptive step, correcting back onto
-    the curve after each prediction. Steps s are z-arc lengths, as (a, b)
-    are O(1) at every epsilon: the predictor moves h = s / |t_z| along the
-    unit tangent t (Allgower & Georg, section 6.1). s starts at
-    ``_STEP_INIT`` and stays within [``_STEP_MIN``, ``_STEP_MAX``], all
-    times epsilon, and each corrector is held to ``_CORRECTOR_TOL``. The
-    prediction w_pred = w + h t anchors the pseudo-arclength hyperplane
+    :func:`seed_singular_points`, on which
+    :meth:`AugmentedSystem.newton_least_norm` takes no step. Steps along the
+    one-dimensional null space of the augmented Jacobian with an adaptive
+    step, correcting back onto the curve after each prediction. Steps s are
+    z-arc lengths, as (a, b) are O(1) at every epsilon: the predictor moves
+    h = s / |t_z| along the unit tangent t (Allgower & Georg, section 6.1).
+    s starts at ``_STEP_INIT`` and stays within [``_STEP_MIN``,
+    ``_STEP_MAX``], all times epsilon, and every Newton solve is held to
+    ``_CORRECTOR_TOL`` times max(1, epsilon^2). The prediction
+    w_pred = w + h t anchors the pseudo-arclength hyperplane
     t . (w' - w_pred) = 0, the distance test and the step control. The
     corrector starts from the second-order point w_pred + (h^2/2) kappa,
     with kappa = (t - t_prev) / (t . (w - w_prev)) the curvature of the last

@@ -389,7 +389,8 @@ def winding_number(image):
 def newton_least_norm_lstsq(system, w, tol=1e-13, max_iter=30):
     """Damped Gauss-Newton from the one augmented row ``w``, with LAPACK least-norm steps.
 
-    The serial solver the lockstep ``_newton_rows`` replaced: each step is
+    The serial damped solver that the null-bordered Newton of
+    ``AugmentedSystem._correct_rows`` replaced: each step is
     ``np.linalg.lstsq``'s minimum-norm solution of J delta = -residual, and
     up to 8 halvings look for a drop in the residual norm. Stops at the
     norm ``tol``, when no trial helps, or after ``max_iter`` steps.

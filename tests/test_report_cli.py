@@ -292,11 +292,13 @@ def test_verify_a1_scales_to_epsilon_1e_3(tmp_path, n):
     _assert_radii_scale_with_epsilon(tmp_path, n, 1e-3, atol=5e-7)
 
 
-def test_verify_a1_scales_to_epsilon_100(tmp_path):
-    # the corrector's tolerance scales with epsilon^2, above the rounding
-    # floor of the |z|^2 - epsilon^2 row; at the default seed count, since
-    # only 4 of 64 seeding starts converge at this radius and none of 24
-    _assert_radii_scale_with_epsilon(tmp_path, 2, 100.0)
+@pytest.mark.parametrize("n, epsilon", [(2, 100.0), (3, 100.0), (4, 100.0), (2, 1000.0)])
+def test_verify_a1_scales_to_epsilon_100(tmp_path, n, epsilon):
+    # every Newton solve, seeding's included, is held to 1e-12 times
+    # epsilon^2, above the rounding floor of the |z|^2 - epsilon^2 row; a
+    # seeding solver held to an absolute 1e-13 found no seed at n = 3 here,
+    # nor at epsilon = 1000
+    _assert_radii_scale_with_epsilon(tmp_path, n, epsilon)
 
 
 def test_schema_rejects_malformed_report():
@@ -475,6 +477,13 @@ def test_cli_image_svg_runs(tmp_path):
     assert code == 0
     assert (tmp_path / "singular_set.csv").exists()
     assert (tmp_path / "image.svg").exists()
+
+
+def test_cli_verify_a1_at_epsilon_100(tmp_path, capsys):
+    # exited 3 when seeding, held to an absolute 1e-13, found no seed
+    code = main(["verify-a1", "--n", "3", "--epsilon", "100", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "report.json").exists()
 
 
 def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):

@@ -7,6 +7,7 @@ import linkfold as lf
 import linkfold.singular_set as singular_set
 from linkfold.cli import main
 from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
+from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
 from conftest import (
@@ -323,6 +324,19 @@ def test_seeding_is_deterministic(a1_n2, monkeypatch):
     second = lf.seed_singular_points(spec, g, rng_seed=9)
     assert first.shape == second.shape == (len(first), 10)
     assert np.array_equal(first, second)
+
+
+def test_seeding_converges_at_epsilon_100():
+    # b is O(epsilon) and a is O(1) there: a damped least-norm solver held
+    # to an absolute 1e-13 seeded from 6 of these 64 starts
+    spec, g = build_a1(2)
+    spec = lf.LinkSpec(f=spec.f, n=2, epsilon=100.0)
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    assert len(seeds) >= 48
+    newton = RunConfig(n=2, epsilon=100.0).echo()["tolerances"]["newton"]
+    assert newton == singular_set._CORRECTOR_TOL
+    residuals = np.linalg.norm(AugmentedSystem(spec, g).residual(seeds), axis=1)
+    assert np.all(residuals <= newton * max(1.0, spec.epsilon**2))
 
 
 @pytest.mark.parametrize("cols", [3])

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold.singular_set import AugmentedSystem, _hyperplane, _least_norm_step
+from linkfold.singular_set import (
+    _NEWTON_MAX_ITER,
+    AugmentedSystem,
+    _hyperplane,
+    _null_vectors,
+    _solve_rows,
+)
 
 from conftest import BRIESKORN_F, build_a1
 from oracles import collect_components_serial, newton_least_norm_lstsq
@@ -63,7 +69,7 @@ def test_stacked_corrector_rows_equal_one_row_calls(n, f_text, rows):
 def test_stacked_newton_rows_equal_one_row_calls(n, f_text, rows):
     spec, g = _spec_g(n, f_text)
     preds = _predictions(n, f_text)[0][:rows]
-    w, converged = AugmentedSystem(spec, g)._newton_rows(preds)
+    w, _, converged = AugmentedSystem(spec, g)._correct_rows(preds, None, _NEWTON_MAX_ITER)
     assert converged.any()
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).newton_least_norm(preds[k])
@@ -88,7 +94,7 @@ def test_failing_rows_fail_alone(a1_n2):
         expected = AugmentedSystem(spec, g).corrector(preds[k], _hyperplane(tangents[k], preds[k]))
         assert np.array_equal(w[k], expected[0], equal_nan=True)
         assert (iters[k], ok[k]) == expected[1:]
-    w, converged = system._newton_rows(preds)
+    w, _, converged = system._correct_rows(preds, None, _NEWTON_MAX_ITER)
     assert converged.tolist() == [True, True, True, True, False, True]
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).newton_least_norm(preds[k])
@@ -98,6 +104,7 @@ def test_failing_rows_fail_alone(a1_n2):
 
 @pytest.mark.parametrize("n, f_text", SYSTEMS)
 def test_least_norm_step_matches_lstsq(n, f_text):
+    # one step of the Jacobian bordered by its unit null vector at the value 0
     spec, g = _spec_g(n, f_text)
     system = AugmentedSystem(spec, g)
     preds = _predictions(n, f_text)[0]
@@ -109,7 +116,8 @@ def test_least_norm_step_matches_lstsq(n, f_text):
     near[:, -1] = jac[:, 0] + 1e-7 * jac[:, -1]
     eps = np.finfo(float).eps
     for stack in (jac, near):
-        steps = _least_norm_step(stack, rhs)
+        bordered = np.concatenate([stack, _null_vectors(stack)[:, None]], axis=1)
+        steps = _solve_rows(bordered, np.concatenate([rhs, np.zeros((len(rhs), 1))], axis=1))
         for j, r, step in zip(stack, rhs, steps):
             expected = np.linalg.lstsq(j, r, rcond=None)[0]
             s = np.linalg.svd(j, compute_uv=False)
@@ -163,11 +171,12 @@ def test_seeding_and_collection_call_no_lstsq(monkeypatch):
 
 
 def test_lockstep_newton_matches_lstsq_reference():
-    # the QR steps move the serial lstsq solver's points by rounding only
+    # the null-bordered steps, undamped and held to 1e-12, end within
+    # 1e-12 of the damped serial lstsq solver held to 1e-13
     spec, g = build_a1(3)
     system = AugmentedSystem(spec, g)
     preds = _predictions(3, None)[0][::8]
-    w, converged = system._newton_rows(preds)
+    w, _, converged = system._correct_rows(preds, None, _NEWTON_MAX_ITER)
     for k, pred in enumerate(preds):
         expected, ok = newton_least_norm_lstsq(AugmentedSystem(spec, g), pred)
         assert converged[k] == ok
