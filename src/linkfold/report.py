@@ -28,7 +28,7 @@ from .fold_classify import (
     equivariance_error,
     verify_round,
 )
-from .geometry import LinkSpec, sample_link_points
+from .geometry import LinkSpec, chart, tangent_frame
 from .polynomial import parse_poly
 from .singular_set import (
     _CORRECTOR_TOL,
@@ -65,10 +65,10 @@ THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
 # a rank defect at or below this marks a singular point
 _SINGULAR_TOL = 1e-8
-# link points at which the two singularity tests are compared, and the band
-# of either statistic inside which a point is not compared
-_ORACLE_SAMPLES = 1500
-_ORACLE_BAND = (1e-10, 1e-6)
+# oracle_agreement's step off the traced curve over epsilon, and the range
+# of the direct test's growth from one such step to ten: linear growth
+_ORACLE_STEP = 1e-3
+_ORACLE_GROWTH = (9.0, 11.0)
 # side of the square image.svg, in pixels
 _SVG_SIZE = 640
 
@@ -143,7 +143,6 @@ class RunConfig:
             "samples": {
                 "seeds": _SEED_SAMPLES,
                 "equivariance": _EQUIVARIANCE_SAMPLES,
-                "oracle": _ORACLE_SAMPLES,
             },
             "out_dir": self.out_dir,
         }
@@ -321,26 +320,49 @@ def _rotation_invariance(traces, spec, g, rng_seed):
     return float(np.max(criterion_rank_defect(np.array(rotated), spec.f, g)))
 
 
-def _oracle_agreement(spec, g, rng_seed, threshold):
-    """Cross-check the rank-defect and direct-differential singularity tests.
+def _oracle_agreement(traces, spec, g, threshold):
+    """Read the direct differential test at the traced nodes and beside them.
 
-    They are compared at ``_ORACLE_SAMPLES`` link points. Points where either
-    statistic lands inside the margin band ``_ORACLE_BAND`` are excluded
-    from the comparison (threshold flapping), and counted separately.
+    The direct test shares no code with the span criterion that the tracer
+    solves. At every node it must be at or below ``threshold``. Each node
+    is then moved by delta = ``_ORACLE_STEP`` epsilon and by 10 delta
+    through :func:`chart`, along the unit vector of its link tangent frame
+    that is orthogonal to the curve's tangent there: the frame vector least
+    aligned with that tangent, less its tangent component. At delta the test
+    must be above ``threshold``; from delta to 10 delta it must grow by a
+    factor within ``_ORACLE_GROWTH``, since it measures the differential's
+    distance to rank one, which grows linearly off a fold curve. A node that
+    breaks any of the three disagrees, so nodes off the singular set, or a
+    test stuck at either verdict, make disagreements.
     """
-    low, high = _ORACLE_BAND
-    rng = np.random.default_rng(rng_seed + 2)
-    points = sample_link_points(spec, _ORACLE_SAMPLES, rng)
-    defect = criterion_rank_defect(points, spec.f, g)
-    direct = direct_singularity_test(points, spec, g)
-    in_band = (low <= defect) & (defect <= high) | (low <= direct) & (direct <= high)
-    differ = (defect <= threshold) != (direct <= threshold)
+    nodes = np.concatenate([trace.points for trace in traces])
+    tangents = np.concatenate([trace.tangents[:, :-4] for trace in traces])
+    frame = tangent_frame(nodes, spec)
+    along = np.matmul(frame.basis, tangents[..., None])[..., 0]
+    along /= np.linalg.norm(along, axis=1, keepdims=True)
+    rows = np.arange(len(nodes))
+    least = np.argmin(np.abs(along), axis=1)
+    normal = -along[rows, least, None] * along
+    normal[rows, least] += 1.0
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    step = _ORACLE_STEP * spec.epsilon
+    on_curve = direct_singularity_test(nodes, spec, g)
+    near, far = (
+        direct_singularity_test(chart(nodes, frame, scale * normal, spec), spec, g)
+        for scale in (step, 10.0 * step)
+    )
+    growth = np.divide(far, near, out=np.zeros_like(far), where=near > 0.0)
+    low, high = _ORACLE_GROWTH
+    agree = (on_curve <= threshold) & (near > threshold)
+    agree &= (low <= growth) & (growth <= high)
     return {
-        "n_points": _ORACLE_SAMPLES,
-        "disagreements": int(np.count_nonzero(differ & ~in_band)),
-        "band_excluded": int(np.count_nonzero(in_band)),
+        "n_points": len(nodes),
+        "disagreements": int(np.count_nonzero(~agree)),
         "threshold": threshold,
-        "margin_band": [low, high],
+        "step": step,
+        "max_on_curve": float(np.max(on_curve)),
+        "min_off_curve": float(np.min(near)),
+        "growth_range": [float(np.min(growth)), float(np.max(growth))],
     }
 
 
@@ -477,7 +499,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
         scan.min_defect, "no points with pair defect <= 1e-8",
     ))
 
-    agreement = _oracle_agreement(spec, g, config.rng_seed, _SINGULAR_TOL)
+    agreement = _oracle_agreement(traces, spec, g, _SINGULAR_TOL)
     sections["oracle_agreement"] = agreement
     checks.append(_check(
         "oracle_agreement", agreement["disagreements"] == 0,

@@ -8,7 +8,7 @@ independent tests:
   (n+1) x 3 matrix with columns (gradbar f, gradbar g, z);
 * :func:`direct_singularity_test` - smallest singular value of the actual
   2 x (2n-1) differential of h on a tangent frame, with no reference to the
-  span condition.
+  span condition; verify-a1 reads it at the traced nodes and beside them.
 
 The singular set itself is a curve cut out by the augmented system
 
@@ -23,10 +23,11 @@ lockstep Newton solver works on stacks, each row keeping its own state and
 ending as its one-row call would, bit for bit: square Newton on the system
 bordered by one scalar equation per row (:meth:`AugmentedSystem.corrector`
 for one row). Seeding runs one lockstep descent of all its starts on the
-rank defect (none at n = 1, where the whole link is singular), then one
-solve of all of them bordered by each Jacobian's null vector, which makes
-every step the least-norm Gauss-Newton step. Tracing borders the system by
-the pseudo-arclength hyperplane (predictor-corrector continuation), one
+rank defect (none at n = 1, where the whole link is singular), only down
+into the basin of the solve that follows, then one solve of all of them
+bordered by each Jacobian's null vector, which makes every step the
+least-norm Gauss-Newton step. Tracing borders the system by the
+pseudo-arclength hyperplane (predictor-corrector continuation), one
 row per step, each started from a second-order point; the on-trace probes
 of :func:`collect_components` by the hyperplanes through their stations,
 all of them in one solve; and :mod:`linkfold.morse` by the ray equation or
@@ -97,6 +98,10 @@ _NEWTON_MAX_ITER = 30
 # the rank defect before each one's Newton solve
 _SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 25
+# the rank defect at which descent stops: the bordered Newton solve that
+# follows has a wide basin (it converges from 95-99 % of raw link samples on
+# A1, A2 and Brieskorn), so descent only has to bring starts into it
+_SEED_DESCENT_TARGET = 0.15
 # singular-set points (or augmented vectors) closer than this are the same
 _SAME_POINT_TOL = 1e-4
 # starts and Gauss-Newton rounds of the gradient-dependence scan, and the
@@ -351,7 +356,8 @@ class AugmentedSystem:
         scale of the |z|^2 - epsilon^2 row, tested before every step and
         after the last. A row stops unconverged, keeping its last point,
         where its bordered matrix is singular or its step is not finite or
-        longer than 1e3. Returns the (N, 2n+6) points, (N,) iteration
+        longer than 1e3 max(1, epsilon) (seeding's first steps are about
+        1.3 epsilon long). Returns the (N, 2n+6) points, (N,) iteration
         counts and (N,) converged flags.
         """
         w = np.array(w0, dtype=float)
@@ -359,6 +365,7 @@ class AugmentedSystem:
         iters = np.full(count, max_iter)
         converged = np.zeros(count, dtype=bool)
         tol = _residual_tol(_CORRECTOR_TOL, self.spec)
+        cap = 1e6 * max(1.0, self.spec.epsilon**2)
         live = np.arange(count)
         value = np.zeros(count)
         for it in range(max_iter + 1):
@@ -381,8 +388,8 @@ class AugmentedSystem:
             jac = self.jacobian(wl)
             border = _null_vectors(jac) if extra is None else row[rows]
             delta = _solve_rows(np.concatenate([jac, border[:, None]], axis=1), -res)
-            # a step that is not finite or longer than 1e3 stops its row
-            good = _row_dot(delta, delta) <= 1e6
+            # a step that is not finite or too long stops its row
+            good = _row_dot(delta, delta) <= cap
             if np.count_nonzero(good) < len(good):
                 iters[live[~good]] = it
                 rows = live = live[good]
@@ -525,8 +532,11 @@ def seed_singular_points(spec, g, rng_seed):
     """Find points of the singular set by multi-start descent plus Newton.
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
-    one stacked :func:`projected_descent`; at n = 1, where every link point
-    is singular, the samples are the endpoints. One lockstep least-norm
+    one stacked :func:`projected_descent`, until it is at most
+    ``_SEED_DESCENT_TARGET``: into the Newton solve's basin, not onto the
+    curve (descent down to 2e-2 left one of A2's three components unseeded
+    at 10 of 44 seeds). At n = 1, where every link point is singular, the
+    samples are the endpoints. One lockstep least-norm
     Newton solve (:meth:`AugmentedSystem._correct_rows` with no added
     equation) starts from all endpoints z at once, each with the span
     coefficients (a, b) of one stacked :meth:`AugmentedSystem.span_coefficients`
@@ -542,7 +552,7 @@ def seed_singular_points(spec, g, rng_seed):
     if spec.n > 1:
         ends, _ = projected_descent(
             lambda z: _ratio_gradient(system, z), samples, spec,
-            max_steps=_SEED_DESCENT_STEPS, target=2e-2,
+            max_steps=_SEED_DESCENT_STEPS, target=_SEED_DESCENT_TARGET,
         )
     starts = np.concatenate([realify(ends), realify(system.span_coefficients(ends))], axis=1)
     seeds, _, converged = system._correct_rows(starts, None, _NEWTON_MAX_ITER)

@@ -109,7 +109,6 @@ def test_verify_a1_calls_every_traced_name(tracing, tmp_path, monkeypatch):
     # records no call, e.g. when a batched path bypasses a public function
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
     monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 50)
-    monkeypatch.setattr(report, "_ORACLE_SAMPLES", 50)
     tracer = tracing.Tracer("contract")
     tracer.install()
     try:

@@ -25,10 +25,9 @@ SQRT2 = np.sqrt(2.0)
 
 @contextlib.contextmanager
 def _fast_samples():
-    """Fewer seeds and statistics samples than a run draws, for speed."""
+    """Fewer seeds and equivariance samples than a run draws, for speed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lf.singular_set, "_SEED_SAMPLES", 24)
-        mp.setattr(lf.report, "_ORACLE_SAMPLES", 200)
         mp.setattr(lf.fold_classify, "_EQUIVARIANCE_SAMPLES", 100)
         yield
 
@@ -292,12 +291,17 @@ def test_verify_a1_scales_to_epsilon_1e_3(tmp_path, n):
     _assert_radii_scale_with_epsilon(tmp_path, n, 1e-3, atol=5e-7)
 
 
-@pytest.mark.parametrize("n, epsilon", [(2, 100.0), (3, 100.0), (4, 100.0), (2, 1000.0)])
+@pytest.mark.parametrize(
+    "n, epsilon", [(2, 100.0), (3, 100.0), (4, 100.0), (2, 1000.0), (3, 1000.0)]
+)
 def test_verify_a1_scales_to_epsilon_100(tmp_path, n, epsilon):
     # every Newton solve, seeding's included, is held to 1e-12 times
     # epsilon^2, above the rounding floor of the |z|^2 - epsilon^2 row; a
     # seeding solver held to an absolute 1e-13 found no seed at n = 3 here,
-    # nor at epsilon = 1000
+    # nor at epsilon = 1000. At n = 3 and epsilon = 1000 the corrector's
+    # step cap must grow with epsilon too: seeding's first steps are about
+    # 1.3 epsilon long, and under an absolute cap of 1e3 one circle went
+    # unseeded
     _assert_radii_scale_with_epsilon(tmp_path, n, epsilon)
 
 
@@ -484,6 +488,19 @@ def test_cli_verify_a1_at_epsilon_100(tmp_path, capsys):
     code = main(["verify-a1", "--n", "3", "--epsilon", "100", "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("stuck_at", [1.0, 0.0], ids=["never-singular", "always-singular"])
+def test_oracle_agreement_fails_a_stuck_direct_test(tmp_path, monkeypatch, stuck_at):
+    # the check reads the direct test on the traced curve and beside it, so
+    # a test stuck at either verdict fails it; read at random link points
+    # only, none near the curve, one stuck at "never singular" passed
+    monkeypatch.setattr(lf.report, "direct_singularity_test",
+                        lambda z, spec, g: np.full(len(z), stuck_at))
+    code = main(["verify-a1", "--n", "2", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert code == 3
+    assert report["first_failed_check"] == "oracle_agreement"
 
 
 def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):

@@ -631,6 +631,14 @@ def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
     assert np.all(np.abs(counts - counts[0]) <= 0.01 * counts[0])
 
 
+@pytest.mark.parametrize("seed", [1103, 1113])
+def test_a2_seeding_finds_all_three_components(seed):
+    # seeding's descent must stop short of the curve: run down to a rank
+    # defect of 2e-2, it left every converged seed here on two of A2's
+    # three components
+    assert len(pipeline_traces(2, seed, "z1^2 + z2^2 + z3^3")) == 3
+
+
 def test_component_peak_does_not_depend_on_the_seed():
     # the largest node |h| of the short Brieskorn component spanned 18
     # rounding units over these seeds; the interpolated peak must agree. The
