@@ -36,7 +36,6 @@ from .geometry import (
     complexify,
     orthonormal_complement,
     project_to_link,
-    sample_link_points,
     tangent_frame,
 )
 from .polynomial import conj_gradient, eval_poly, gradient, homogeneous_degree
@@ -57,8 +56,6 @@ __all__ = [
     "min_nonadjacent_image_distance",
 ]
 
-# link points at which equivariance_error compares h(alpha z) and alpha h(z)
-_EQUIVARIANCE_SAMPLES = 1000
 # eigenvalues within this fraction of the spectral norm cannot be signed
 _DEAD_BAND = 1e-5
 
@@ -324,20 +321,18 @@ def verify_round(traces, records):
     return RoundVerdict("ROUND", sorted(fitted), center, None)
 
 
-def equivariance_error(spec, g, rng_seed):
-    """Max of |h(alpha z) - alpha h(z)| over random unit alpha and link points.
+def equivariance_error(spec, g, points, phases):
+    """Max of |h(alpha z) - alpha h(z)| over link points z and unit phases alpha.
 
-    ``_EQUIVARIANCE_SAMPLES`` pairs are drawn. Only meaningful when f is
-    homogeneous (so the circle action preserves the link) and g is
-    homogeneous of degree 1; otherwise NotApplicable.
+    One phase per row of ``points``. Only meaningful when f is homogeneous
+    (so the circle action preserves the link) and g is homogeneous of degree
+    1, where the identity is exact and the value measures rounding alone;
+    otherwise NotApplicable.
     """
     if homogeneous_degree(spec.f) is None:
         raise NotApplicable("f is not homogeneous; the circle action does not act")
     if homogeneous_degree(g) != 1:
         raise NotApplicable("g is not homogeneous of degree 1")
-    rng = np.random.default_rng(rng_seed)
-    points = sample_link_points(spec, _EQUIVARIANCE_SAMPLES, rng)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=_EQUIVARIANCE_SAMPLES))
     lhs = eval_poly(g, phases[:, None] * points)
     values = eval_poly(g, points)
     # alpha * h(z) in real arithmetic, rounded as the scalar complex product

@@ -28,12 +28,12 @@ into the basin of the solve that follows, then one solve of all of them
 bordered by each Jacobian's null vector, which makes every step the
 least-norm Gauss-Newton step. Tracing borders the system by the
 pseudo-arclength hyperplane (predictor-corrector continuation), one
-row per step, each started from a second-order point; the on-trace probes
-of :func:`collect_components` by the hyperplanes through their stations,
-all of them in one solve; and :mod:`linkfold.morse` by the ray equation or
-the composed critical-point equation, all brackets in one solve, each
-started on the cubic Hermite interpolant of its nodes. A start only moves
-where Newton begins; the bordered equation pins the point.
+row per step, each started from a second-order point; the probes by which
+:func:`collect_components` skips seeds on a kept trace by the hyperplanes
+through their stations, all in one solve; and :mod:`linkfold.morse` by the
+ray equation or the composed critical-point equation, all brackets in one
+solve, each started on the cubic Hermite interpolant of its nodes. A start
+only moves where Newton begins; the bordered equation pins the point.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ _CORRECTOR_TOL = 1e-12
 _CORRECTOR_MAX_ITER = 12
 # a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
-# an augmented-Jacobian singular value below this suspects a branch point
+# an augmented-Jacobian singular value below this, times min(1, epsilon)^2,
+# suspects a branch point: on A1 the seed's is 0.5 epsilon^2 at small epsilon
 _BIFURCATION_TOL = 1e-8
 # iteration budget of the least-norm Gauss-Newton solve (no added equation)
 _NEWTON_MAX_ITER = 30
@@ -682,17 +683,19 @@ def trace_singular_curve(seed, spec, g):
     area is then reversed with the start kept first, so every image turns
     counterclockwise as a whole, whichever seed the trace began at. Raises
     NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
-    BifurcationSuspected when the Jacobian loses rank along the way and
-    StepCollapse when adaptation falls below the minimum step.
+    BifurcationSuspected when the Jacobian loses rank along the way (below
+    ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when adaptation
+    falls below the minimum step.
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
+    branch_tol = _BIFURCATION_TOL * min(1.0, spec.epsilon) ** 2
     system = AugmentedSystem(spec, g)
     w, ok = system.newton_least_norm(seed)
     if not ok:
         raise StepCollapse("seed does not satisfy the augmented system")
     t, smin = system.tangent(w)
-    if smin < _BIFURCATION_TOL:
+    if smin < branch_tol:
         raise BifurcationSuspected(
             f"Jacobian second-smallest singular value {smin:.3e} at the seed"
         )
@@ -721,7 +724,7 @@ def trace_singular_curve(seed, spec, g):
             ok = False  # the corrector jumped: the distance test fails
         if ok:
             t_new, smin = system.tangent(w_new)
-            if smin < _BIFURCATION_TOL:
+            if smin < branch_tol:
                 raise BifurcationSuspected(
                     f"second-smallest singular value {smin:.3e} during trace"
                 )
@@ -806,16 +809,6 @@ def point_on_trace(system, trace, probes):
     return on
 
 
-def _same_component(system, trace_a, trace_b):
-    """Two traces describe the same closed component if probe nodes coincide.
-
-    The three probe nodes of ``trace_a`` go to :func:`point_on_trace` as one stack.
-    """
-    count = len(trace_a.nodes)
-    probe_idx = sorted({0, count // 3, (2 * count) // 3})
-    return bool(np.all(point_on_trace(system, trace_b, trace_a.nodes[probe_idx])))
-
-
 def _hermite_basis(u):
     """The cubic Hermite basis (h00, h10, h01, h11) at each of the (N,) fractions u, as (N, 4).
 
@@ -869,12 +862,12 @@ def collect_components(seeds, spec, g):
 
     ``seeds`` holds augmented vectors, one per row, taken in order. A seed
     already lying on a kept component is skipped (the trace would be a
-    resampling of the same curve): after each kept trace, every later seed
-    not yet skipped is probed against it in one :func:`point_on_trace` call,
+    resampling of the same curve): after each trace, every later seed not
+    yet skipped is probed against it in one :func:`point_on_trace` call,
     which makes the probes that a seed-by-seed check against the components
-    kept before it would make. The rest are traced with the policy of
-    :func:`trace_singular_curve` and deduplicated by curve distance at
-    ``_SAME_POINT_TOL``. Components come in increasing order of their peak
+    kept before it would make. That is the only duplicate rule; each seed
+    left is traced with the policy of :func:`trace_singular_curve`, and its
+    trace kept. Components come in increasing order of their peak
     |h|, ties broken by z at the peak (see :func:`_component_key`), which
     does not depend on where the seeds fell.
     """
@@ -885,10 +878,7 @@ def collect_components(seeds, spec, g):
     for i, w in enumerate(seeds):
         if skipped[i]:
             continue
-        trace = trace_singular_curve(w, spec, g)
-        if any(_same_component(system, trace, c) for c in components):
-            continue
-        components.append(trace)
+        components.append(trace_singular_curve(w, spec, g))
         later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
-        skipped[later] = point_on_trace(system, trace, seeds[later])
+        skipped[later] = point_on_trace(system, components[-1], seeds[later])
     return sorted(components, key=lambda trace: _component_key(trace, spec, g))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold import fold_classify, geometry, polynomial
+from linkfold import geometry, polynomial
 from linkfold.errors import NonConvergence, RankDeficient
 from linkfold.geometry import _project_rows, link_residual
 from linkfold.polynomial import _VECTOR_MIN_ROWS, gradient, hessian, wirtinger_partial
@@ -386,9 +386,8 @@ def test_singularity_tests_accept_stacks(a1_n2, perturbed_n2):
     assert lf.direct_singularity_test(empty, spec, g).shape == (0,)
 
 
-def test_equivariance_error_matches_pointwise_loop(a1_n3, monkeypatch):
+def test_equivariance_error_matches_pointwise_loop(a1_n3):
     spec, g = a1_n3
-    monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 300)
     rng = np.random.default_rng(4)
     points = sample_link_points_serial(spec, 300, rng, lf.project_to_link)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=300))
@@ -396,7 +395,7 @@ def test_equivariance_error_matches_pointwise_loop(a1_n3, monkeypatch):
         abs(lf.eval_poly(g, alpha * z) - alpha * lf.eval_poly(g, z))
         for z, alpha in zip(points, phases)
     )
-    assert lf.equivariance_error(spec, g, rng_seed=4) == expected
+    assert lf.equivariance_error(spec, g, points, phases) == expected
 
 
 def test_trace_image_and_defects_are_pointwise(a1_n2, traces_n2):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import linkfold
-from linkfold import fold_classify, morse, report, singular_set
+from linkfold import morse, report, singular_set
 from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem
 
@@ -108,7 +108,6 @@ def test_verify_a1_calls_every_traced_name(tracing, tmp_path, monkeypatch):
     # a traced a1_verify run reports correct: false if a required name
     # records no call, e.g. when a batched path bypasses a public function
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
-    monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 50)
     tracer = tracing.Tracer("contract")
     tracer.install()
     try:

@@ -387,10 +387,12 @@ def test_min_nonadjacent_distance_memory_is_linear():
 # ---------------------------------------------------------------------------
 
 
-def test_equivariance_error_tiny_for_a1(a1_n2, monkeypatch):
+def test_equivariance_error_tiny_for_a1(a1_n2):
     spec, g = a1_n2
-    monkeypatch.setattr(fold_classify, "_EQUIVARIANCE_SAMPLES", 200)
-    assert lf.equivariance_error(spec, g, rng_seed=0) <= 1e-12
+    rng = np.random.default_rng(0)
+    points = lf.sample_link_points(spec, 200, rng)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=200))
+    assert lf.equivariance_error(spec, g, points, phases) <= 1e-12
 
 
 def test_equivariance_identity_phase(a1_n2):
@@ -411,9 +413,11 @@ def test_equivariance_not_applicable_for_inhomogeneous():
     f = lf.parse_poly("z1^2 + z2^2 + z3^3", 3)
     g = lf.parse_poly("z1 + 0.5i*z2", 3)
     spec = lf.LinkSpec(f=f, n=2, epsilon=0.4)
+    points = np.array([[0.4, 0.0, 0.0]], dtype=complex)
+    phases = np.array([1j])
     with pytest.raises(NotApplicable):
-        lf.equivariance_error(spec, g, rng_seed=0)
+        lf.equivariance_error(spec, g, points, phases)
     g2 = lf.parse_poly("z1^2", 3)
     spec2 = lf.LinkSpec(f=lf.parse_poly("z1^2 + z2^2 + z3^2", 3), n=2)
     with pytest.raises(NotApplicable):
-        lf.equivariance_error(spec2, g2, rng_seed=0)
+        lf.equivariance_error(spec2, g2, points, phases)

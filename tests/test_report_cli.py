@@ -1,6 +1,7 @@
 import contextlib
 import json
 import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -25,10 +26,9 @@ SQRT2 = np.sqrt(2.0)
 
 @contextlib.contextmanager
 def _fast_samples():
-    """Fewer seeds and equivariance samples than a run draws, for speed."""
+    """Fewer seeds than a run draws, for speed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lf.singular_set, "_SEED_SAMPLES", 24)
-        mp.setattr(lf.fold_classify, "_EQUIVARIANCE_SAMPLES", 100)
         yield
 
 
@@ -282,13 +282,18 @@ def test_verify_a1_scales_with_epsilon(tmp_path, n, epsilon):
 
 
 @pytest.mark.usefixtures("fast_samples")
-@pytest.mark.parametrize("n", [1, 2])
-def test_verify_a1_scales_to_epsilon_1e_3(tmp_path, n):
+@pytest.mark.parametrize(
+    "n, epsilon", [(1, 1e-3), (2, 1e-3), (2, 1e-4)], ids=["1", "2", "2-1e-4"]
+)
+def test_verify_a1_scales_to_epsilon_1e_3(tmp_path, n, epsilon):
     # steps in z-arc length close the traces, and the slice ray floor scales
     # with epsilon, so the inner circle's slice points (|h| = 3.5e-4) stay.
     # The corrector holds the |z|^2 - epsilon^2 row to 1e-12 absolute, which
     # bounds |z| / epsilon - 1, and so radii / epsilon, by 1e-12 / (2 epsilon^2)
-    _assert_radii_scale_with_epsilon(tmp_path, n, 1e-3, atol=5e-7)
+    # at epsilon = 1e-3. The branch-point test scales with epsilon^2: on A1
+    # the seed's Jacobian singular value is 0.5 epsilon^2, 5e-9 at 1e-4,
+    # which an absolute 1e-8 took for a branch point (exit 4)
+    _assert_radii_scale_with_epsilon(tmp_path, n, epsilon, atol=5e-7)
 
 
 @pytest.mark.parametrize(
@@ -501,6 +506,45 @@ def test_oracle_agreement_fails_a_stuck_direct_test(tmp_path, monkeypatch, stuck
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert code == 3
     assert report["first_failed_check"] == "oracle_agreement"
+
+
+def _shifted(record, shift):
+    # an index below 0 would fail the report schema before any check is read
+    return replace(record, morse_index=max(record.morse_index + shift, 0))
+
+
+def _one_more_fold(node_folds):
+    negative, degenerate, reversal = node_folds
+    return negative + 1, degenerate, reversal
+
+
+# each mutant wraps the real function; a report blind to it would exit 0
+_MUTANTS = [
+    pytest.param(lf.report, "collect_components",
+                 lambda real: lambda *args: real(*args)[:-1],
+                 "two_closed_components", id="lost-component"),
+    pytest.param(lf.morse, "slice_morse_index",
+                 lambda real: lambda *args: _shifted(real(*args), 1),
+                 "slice_morse_indices", id="slice-index-plus-1"),
+    pytest.param(lf.morse, "composed_morse",
+                 lambda real: lambda *args: [_shifted(r, -1) for r in real(*args)],
+                 "composed_morse_indices", id="composed-indices-minus-1"),
+    pytest.param(lf.fold_classify, "_node_folds",
+                 lambda real: lambda *args: _one_more_fold(real(*args)),
+                 "outer_component_definite", id="fold-count-plus-1"),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, check", _MUTANTS)
+def test_verify_a1_names_the_check_a_mutant_fails(tmp_path, monkeypatch, module,
+                                                  name, mutate, check):
+    # a wrong component count, Morse index or fold count must fail verify-a1
+    # with a named check, not pass it
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    code = main(["verify-a1", "--n", "2", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert code == 3
+    assert report["first_failed_check"] == check
 
 
 def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):
