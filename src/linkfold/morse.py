@@ -38,7 +38,7 @@ from .geometry import complexify, tangent_frame
 from .polynomial import eval_poly, gradient
 from .singular_set import (
     AugmentedSystem,
-    _hermite_basis,
+    _spline_points,
     collect_components,
     seed_singular_points,
 )
@@ -98,12 +98,11 @@ def _equation_zeros(traces, system, node_values, equation):
 
     Where ``node_values(trace)``, one value per node, vanishes at node k or
     changes sign from k to the next node (the last wraps to the first), the
-    bordered corrector solves ``equation`` from H(u), the cubic Hermite
-    interpolant of the nodes w_k, w_{k+1} and their unit tangents scaled by
-    the chord L = |w_{k+1} - w_k|, at the values' linear zero fraction u:
-    H = h00 w_k + h10 L t_k + h01 w_{k+1} + h11 L t_{k+1}. Every bracket of
-    every trace goes in one :meth:`AugmentedSystem._correct_rows` call,
-    whose ``extra(W)`` is ``equation``; on A1 each takes at most 2 Newton
+    bordered corrector solves ``equation`` from the cubic Hermite
+    interpolant of that segment (:func:`_spline_points`) at the values'
+    linear zero fraction u. Every bracket of every trace goes in one
+    :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
+    ``equation``; on A1 each takes at most 2 Newton
     iterations, where the chord's start took 2 or 3. Converged points
     within ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
     dropped.
@@ -114,11 +113,7 @@ def _equation_zeros(traces, system, node_values, equation):
         vb = np.roll(va, -1)
         k = np.flatnonzero((va == 0.0) | (va * vb < 0.0))
         u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
-        w0, w1 = trace.nodes[k], np.roll(trace.nodes, -1, axis=0)[k]
-        t0, t1 = trace.tangents[k], np.roll(trace.tangents, -1, axis=0)[k]
-        chord = np.linalg.norm(w1 - w0, axis=1)[:, None]
-        ends = np.stack([w0, chord * t0, w1, chord * t1], axis=1)
-        starts.append((_hermite_basis(u)[:, None, :] @ ends)[:, 0])
+        starts.append(_spline_points(trace, k, u))
     w, _, ok = system._correct_rows(np.concatenate(starts), equation, _SOLVE_MAX_ITER)
     found = []
     for z in complexify(w[ok, : 2 * system.m]):

@@ -35,6 +35,7 @@ from .singular_set import (
     _CORRECTOR_TOL,
     _SCAN_SAMPLES,
     _SEED_SAMPLES,
+    _STEP_DISTANCE,
     _STEP_INIT,
     _STEP_MAX,
     _STEP_MIN,
@@ -140,6 +141,7 @@ class RunConfig:
                 "step_init": _STEP_INIT,
                 "step_min": _STEP_MIN,
                 "step_max": _STEP_MAX,
+                "step_distance": _STEP_DISTANCE,
             },
             "samples": {"seeds": _SEED_SAMPLES},
             "out_dir": self.out_dir,
@@ -700,8 +702,19 @@ def validate_report(report):
 
 
 def write_report_json(path, report):
-    """Validate ``report`` against the schema and write it as strict, sorted JSON."""
-    validate_report(report)
+    """Validate ``report`` against the schema and write it as strict, sorted JSON.
+
+    A report that breaks the schema is not written: LinkFoldError names the
+    first failing path, so the CLI exits 3.
+    """
+    import jsonschema
+
+    try:
+        validate_report(report)
+    except jsonschema.ValidationError as error:
+        raise LinkFoldError(
+            f"report breaks its schema at {error.json_path}: {error.message}"
+        ) from error
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
     return path

@@ -28,12 +28,15 @@ into the basin of the solve that follows, then one solve of all of them
 bordered by each Jacobian's null vector, which makes every step the
 least-norm Gauss-Newton step. Tracing borders the system by the
 pseudo-arclength hyperplane (predictor-corrector continuation), one
-row per step, each started from a second-order point; the probes by which
+row per step, each started from a second-order point, and sizes each step
+by how far the corrector moved the Euler prediction; the probes by which
 :func:`collect_components` skips seeds on a kept trace by the hyperplanes
-through their stations, all in one solve; and :mod:`linkfold.morse` by the
-ray equation or the composed critical-point equation, all brackets in one
-solve, each started on the cubic Hermite interpolant of its nodes. A start
-only moves where Newton begins; the bordered equation pins the point.
+through them, all in one solve; and :mod:`linkfold.morse` by the ray
+equation or the composed critical-point equation, all brackets in one
+solve. Probes and brackets start on the cubic Hermite interpolant of the
+trace's nodes and tangents. A start only moves where Newton begins: the
+bordered equation pins the point, and the step control measures from the
+prediction that anchors the hyperplane, not from the start.
 """
 
 from __future__ import annotations
@@ -83,7 +86,10 @@ __all__ = [
 # the continuation policy, in z-arc length over epsilon: first step and limits
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
-_STEP_MAX = 0.1
+_STEP_MAX = 0.5
+# the distance from the Euler prediction to the corrected node, over epsilon,
+# that the step control aims for
+_STEP_DISTANCE = 0.02
 # bordered residual at which a corrector converges, times max(1, epsilon^2),
 # and its iteration budget on the trace
 _CORRECTOR_TOL = 1e-12
@@ -638,17 +644,11 @@ def _arc_segments(nodes_z, tangents_z):
     A chord subtending a tangent turn of angle phi underestimates the arc by
     the factor sin(phi/2)/(phi/2); the correction is exact on circles.
     """
-    count = len(nodes_z)
-    lengths = []
-    for i in range(count):
-        j = (i + 1) % count
-        chord = np.linalg.norm(nodes_z[j] - nodes_z[i])
-        ti, tj = tangents_z[i], tangents_z[j]
-        cosphi = np.clip(np.dot(ti, tj), -1.0, 1.0)
-        phi = np.arccos(cosphi)
-        factor = 1.0 if phi < 1e-9 else (phi / 2.0) / np.sin(phi / 2.0)
-        lengths.append(chord * factor)
-    return np.array(lengths)
+    step = np.roll(nodes_z, -1, axis=0) - nodes_z
+    chord = np.sqrt(_row_dot(step, step))
+    cosphi = _row_dot(tangents_z, np.roll(tangents_z, -1, axis=0))
+    half = 0.5 * np.arccos(np.clip(cosphi, -1.0, 1.0))
+    return chord * np.divide(half, np.sin(half), out=np.ones_like(half), where=half >= 5e-10)
 
 
 def trace_singular_curve(seed, spec, g):
@@ -669,19 +669,29 @@ def trace_singular_curve(seed, spec, g):
     corrector starts from the second-order point w_pred + (h^2/2) kappa,
     with kappa = (t - t_prev) / (t . (w - w_prev)) the curvature of the last
     accepted step (ch. 6 of the same book), or from w_pred on a trace's
-    first step: on A1 that takes 2 Newton iterations per step in place of
-    3, and the hyperplane's equation pins the node. A corrected point
+    first step; the hyperplane's equation pins the node. A corrected point
     farther than h/2 from its prediction is rejected like a failed
     corrector (the distance test of section 6.1), so the trace cannot jump
-    to another part of the curve. The trace closes when a step
-    crosses the start's tangent hyperplane t0 . (w - w0) = 0 from behind and
-    either end of that step lies within s of the start in z; that step's
-    point is not stored, and the polyline closes from the last node back to
-    the start. It starts in the direction in which the image turns
-    counterclockwise about 0, so node placement does not depend on round-off
-    in the seed. A finished polyline whose image polygon has negative signed
-    area is then reversed with the start kept first, so every image turns
-    counterclockwise as a whole, whichever seed the trace began at. Raises
+    to another part of the curve. After each accepted step, the z-distance
+    delta from w_pred to the node, which grows as s^2 times the curve's
+    bending, sets the next step against the target d = ``_STEP_DISTANCE``
+    epsilon (Den Heijer & Rheinboldt, SIAM J. Numer. Anal. 18, 1981): s
+    grows by 1.4 when delta <= d/2 and the corrector took at most 3
+    iterations, shrinks by 0.7 when delta > d or it took 6 or more, and
+    stays otherwise. So the curve's bending, not the cap, sets the node
+    count: 35 per A1 component. delta is measured from the anchor, not
+    from the second-order start: the anchor and the node do not depend on
+    where Newton began, while the start-to-node distance carries the
+    corrector's rounding. With discrete factors, round-off in the seed
+    moves no node. The trace closes when a step crosses the start's
+    tangent hyperplane t0 . (w - w0) = 0 from behind and either end of that
+    step lies within s of the start in z; that step's point is not stored,
+    and the polyline closes from the last node back to the start. It starts
+    in the direction in which the image turns counterclockwise about 0, so
+    node placement does not depend on round-off in the seed. A finished
+    polyline whose image polygon has negative signed area is then reversed
+    with the start kept first, so every image turns counterclockwise as a
+    whole, whichever seed the trace began at. Raises
     NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
     BifurcationSuspected when the Jacobian loses rank along the way (below
     ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when adaptation
@@ -689,6 +699,7 @@ def trace_singular_curve(seed, spec, g):
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
+    target = _STEP_DISTANCE * spec.epsilon
     branch_tol = _BIFURCATION_TOL * min(1.0, spec.epsilon) ** 2
     system = AugmentedSystem(spec, g)
     w, ok = system.newton_least_norm(seed)
@@ -720,7 +731,8 @@ def trace_singular_curve(seed, spec, g):
         w_pred = w + h * t
         start = w_pred if curvature is None else w_pred + (0.5 * h * h) * curvature
         w_new, iters, ok = system.corrector(start, _hyperplane(t, w_pred))
-        if ok and np.linalg.norm(w_new - w_pred) > 0.5 * h:
+        miss = w_new - w_pred
+        if ok and np.linalg.norm(miss) > 0.5 * h:
             ok = False  # the corrector jumped: the distance test fails
         if ok:
             t_new, smin = system.tangent(w_new)
@@ -744,10 +756,11 @@ def trace_singular_curve(seed, spec, g):
         tangents.append(t_new)
         curvature = (t_new - t) / np.dot(t_new, w_new - w)
         w, t = w_new, t_new
-        if iters <= 3:
+        distance = np.linalg.norm(miss[:dim])
+        if distance <= 0.5 * target and iters <= 3:
             s = min(s * 1.4, step_max)
-        elif iters >= 6:
-            s = max(s * 0.6, step_min)
+        elif distance > target or iters >= 6:
+            s = max(s * 0.7, step_min)
 
     nodes = np.array(nodes)
     tangents = np.array(tangents)
@@ -782,12 +795,15 @@ def point_on_trace(system, trace, probes):
     """Which rows of the (N, 2n+6) stack ``probes`` lie on the traced curve.
 
     A coarse gate on node distance first. Each probe that passes starts the
-    bordered corrector from its station on the nearest node's tangent line,
-    held to the pseudo-arclength hyperplane through it, all such probes in
-    one :meth:`AugmentedSystem._correct_rows` call. A probe is on the curve
-    when its corrected point reproduces it to ``_SAME_POINT_TOL``. This
-    measures distance to the curve itself rather than to the discrete node
-    set. Returns an (N,) boolean array.
+    bordered corrector on the cubic Hermite interpolant of the segment from
+    its nearest node toward it (:func:`_spline_points`), at the fraction
+    where the probe projects onto the segment's chord, held to the
+    pseudo-arclength hyperplane through the probe normal to the nearest
+    node's tangent, all such probes in one
+    :meth:`AugmentedSystem._correct_rows` call. A probe is on the curve when
+    its corrected point reproduces it to ``_SAME_POINT_TOL``. This measures
+    distance to the curve itself rather than to the discrete node set.
+    Returns an (N,) boolean array.
     """
     dim = 2 * system.m
     # |node - probe| for every pair, squared in place: one (N, K, 2n+2) block
@@ -799,10 +815,15 @@ def point_on_trace(system, trace, probes):
     near = np.flatnonzero(dz[np.arange(len(probes)), k] <= max(4.0 * max_chord, 0.05))
     on = np.zeros(len(probes), dtype=bool)
     if near.size:
-        w_k, t_k, probe = trace.nodes[k[near]], trace.tangents[k[near]], probes[near]
-        w_pred = w_k + _row_dot(t_k, probe - w_k)[:, None] * t_k
+        k, probe = k[near], probes[near]
+        t_k = trace.tangents[k]
+        # the segment that starts at node k if the probe lies ahead of it, else the one before
+        k0 = np.where(_row_dot(t_k, probe - trace.nodes[k]) >= 0.0, k, k - 1) % len(trace)
+        w0 = trace.nodes[k0]
+        chord = trace.nodes[(k0 + 1) % len(trace)] - w0
+        u = np.clip(_row_dot(probe - w0, chord) / _row_dot(chord, chord), 0.0, 1.0)
         w_star, _, ok = system._correct_rows(
-            w_pred, _hyperplane(t_k, w_pred), _CORRECTOR_MAX_ITER
+            _spline_points(trace, k0, u), _hyperplane(t_k, probe), _CORRECTOR_MAX_ITER
         )
         miss = w_star - probe
         on[near] = ok & (np.sqrt(_row_dot(miss, miss)) <= _SAME_POINT_TOL)
@@ -818,6 +839,20 @@ def _hermite_basis(u):
     u = np.asarray(u, dtype=float)[:, None]
     return np.hstack([2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u,
                       3 * u**2 - 2 * u**3, u**3 - u**2])
+
+
+def _spline_points(trace, k, u):
+    """The cubic Hermite interpolant of ``trace`` at fraction u[i] of segment k[i], as rows.
+
+    Segment k runs from node w_k to the next node (the last wraps to the
+    first), with the unit tangents scaled by the chord L = |w_{k+1} - w_k|:
+    H(u) = h00 w_k + h10 L t_k + h01 w_{k+1} + h11 L t_{k+1}.
+    """
+    k1 = (k + 1) % len(trace)
+    w0, w1 = trace.nodes[k], trace.nodes[k1]
+    chord = np.linalg.norm(w1 - w0, axis=1)[:, None]
+    ends = np.stack([w0, chord * trace.tangents[k], w1, chord * trace.tangents[k1]], axis=1)
+    return (_hermite_basis(u)[:, None, :] @ ends)[:, 0]
 
 
 def _component_key(trace, spec, g):

@@ -417,12 +417,31 @@ def newton_least_norm_lstsq(system, w, tol=1e-13, max_iter=30):
     return w, bool(norm <= 10 * tol)
 
 
+def arc_segments_loop(nodes_z, tangents_z):
+    """Curvature-corrected chord lengths of a closed polyline, one node pair at a time.
+
+    The per-node loop the vectorised ``_arc_segments`` replaced: the chord
+    from node k to the next (the last to the first), times
+    (phi/2)/sin(phi/2) for the tangent turn phi, or 1 below phi = 1e-9.
+    """
+    count = len(nodes_z)
+    lengths = []
+    for i in range(count):
+        j = (i + 1) % count
+        chord = np.linalg.norm(nodes_z[j] - nodes_z[i])
+        phi = np.arccos(np.clip(np.dot(tangents_z[i], tangents_z[j]), -1.0, 1.0))
+        lengths.append(chord * (1.0 if phi < 1e-9 else (phi / 2.0) / np.sin(phi / 2.0)))
+    return np.array(lengths)
+
+
 def point_on_trace_serial(system, trace, w_probe):
     """Whether the one augmented row ``w_probe`` lies on the traced curve.
 
     The per-probe test the stacked ``point_on_trace`` replaced: a gate on
     node distance, then the one-row corrector from the probe's station on
-    the nearest node's tangent line, held to the hyperplane through it.
+    the nearest node's tangent line (a first-order start, where the stacked
+    test starts on the cubic Hermite interpolant), held to the hyperplane
+    through it.
     """
     dim = 2 * system.m
     dz = np.linalg.norm(trace.nodes[:, :dim] - w_probe[:dim], axis=1)

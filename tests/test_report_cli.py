@@ -547,6 +547,23 @@ def test_verify_a1_names_the_check_a_mutant_fails(tmp_path, monkeypatch, module,
     assert report["first_failed_check"] == check
 
 
+def test_verify_a1_report_that_breaks_its_schema_exits_3(tmp_path, monkeypatch, capsys):
+    # the composed-index mutant without the floor at 0: its index-0 record
+    # reads -1, which the schema forbids. It raised jsonschema's
+    # ValidationError out of main, a traceback with no exit code
+    real = lf.morse.composed_morse
+    monkeypatch.setattr(lf.morse, "composed_morse",
+                        lambda *args: [replace(r, morse_index=r.morse_index - 1)
+                                       for r in real(*args)])
+    code = main(["verify-a1", "--n", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert ("report breaks its schema at $.morse.composed_records[0].morse_index: "
+            "-1 is less than the minimum of 0") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_verify_a1_rejects_other_f(tmp_path, capsys):
     # verify-a1 holds the run to the A1 closed forms, so it must not trace
     # the A1 polynomial in place of the f it was given

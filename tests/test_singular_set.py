@@ -19,6 +19,7 @@ from conftest import (
 )
 from oracles import (
     a1_linear_min_pair_defect,
+    arc_segments_loop,
     criterion_det,
     gradient_pair_defect,
     link_residual_jacobian,
@@ -270,7 +271,7 @@ def test_trace_evaluates_each_augmented_point_once(monkeypatch):
 
     monkeypatch.setattr(AugmentedSystem, "grads", counting)
     trace = lf.trace_singular_curve(seed, spec, g)
-    assert len(trace) > 50
+    assert len(trace) > 30
     assert sum(evaluated) == len(points)
 
 
@@ -450,6 +451,20 @@ def test_trace_through_definite_point(a1_n2):
     assert abs(trace.arc_length - 2 * np.pi) <= 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_arc_segments_match_loop_reference(n):
+    # each A1 component is a great circle of the unit sphere, on which the
+    # chord correction is exact
+    spec, g = build_a1(n)
+    for trace in lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=42), spec, g):
+        dim = 2 * n + 2
+        tangents = trace.tangents[:, :dim]
+        tangents = tangents / np.linalg.norm(tangents, axis=1, keepdims=True)
+        segments = singular_set._arc_segments(trace.nodes[:, :dim], tangents)
+        assert np.array_equal(segments, arc_segments_loop(trace.nodes[:, :dim], tangents))
+        assert abs(trace.arc_length - 2 * np.pi) <= 1e-14
+
+
 def test_trace_image_is_outer_circle(a1_n2):
     spec, g = a1_n2
     trace = lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
@@ -493,12 +508,13 @@ def test_brieskorn_trace_is_one_lap(seed):
 
 def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monkeypatch):
     spec, g = a1_n2
-    monkeypatch.setattr(singular_set, "_MAX_NODES", 30)
-    with pytest.raises(NonConvergence, match="within 30 nodes"):
+    # an A1 component takes 35 nodes
+    monkeypatch.setattr(singular_set, "_MAX_NODES", 10)
+    with pytest.raises(NonConvergence, match="within 10 nodes"):
         lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     assert main(["singular-set", "--n", "2", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "trace did not close within 30 nodes (gap to start" in err
+    assert "trace did not close within 10 nodes (gap to start" in err
     assert "Traceback" not in err
 
 
@@ -546,15 +562,19 @@ def _trace_corrector_iterations(monkeypatch):
 
 @pytest.mark.parametrize("seed", [42, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_trace_steps_after_the_first_take_two_corrector_iterations(n, seed, monkeypatch):
-    # from the second step on, each corrector starts at the second-order point
-    # of the last accepted step's curvature; from the Euler prediction every
-    # A1 step took 3 iterations
+def test_trace_node_and_iteration_counts_stay_bounded(n, seed, monkeypatch):
+    # steps sized by the prediction's distance to the node: each A1 component
+    # takes 35 nodes, and every step after the first 2 or 3 corrector
+    # iterations from its second-order start. Grown to a cap of 0.1 epsilon
+    # whenever it converged in 3 iterations, the step gave 64 nodes and 129
+    # iterations per trace, whatever the curve's shape
     spec, g = build_a1(n)
     runs = _trace_corrector_iterations(monkeypatch)
-    lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
-    assert runs and all(len(steps) > 1 for steps in runs)
-    assert max(max(steps[1:]) for steps in runs) <= 2
+    traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
+    assert len(traces) == len(runs) == 2
+    assert all(len(trace) <= 35 for trace in traces)
+    assert all(len(steps) > 1 and max(steps[1:]) <= 3 for steps in runs)
+    assert all(sum(steps) < 129 for steps in runs)
 
 
 @pytest.mark.parametrize("n, epsilon", [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (2, 1e-3)])

@@ -51,7 +51,7 @@ def _predictions(n, f_text):
 @pytest.mark.parametrize("rows", [7, None])
 def test_stacked_corrector_rows_equal_one_row_calls(n, f_text, rows):
     # a stack of 7 rows evaluates its polynomials point by point, a whole
-    # trace's (64 or more) vectorised
+    # trace's (35 or more) vectorised
     spec, g = _spec_g(n, f_text)
     preds, tangents = (a[:rows] for a in _predictions(n, f_text))
     w, iters, ok = AugmentedSystem(spec, g)._correct_rows(
