@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import (
     BifurcationSuspected,
@@ -39,6 +40,7 @@ from .errors import (
 from .polynomial import weighted_homogeneous
 from .report import (
     ConfigError,
+    RunConfig,
     load_config_file,
     make_config,
     run_morse,
@@ -89,15 +91,9 @@ def build_parser():
 
 
 def _config_from_args(args):
+    # every RunConfig field is a flag of every command, under its own name
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "f_text": args.f_text,
-        "g_text": args.g_text,
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "rng_seed": args.rng_seed,
-        "out_dir": args.out_dir,
-    }
+    overrides = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
     return make_config(file_values, overrides)
 
 
@@ -136,8 +132,7 @@ def main(argv=None):
             print(f"wrote {path} ({len(traces)} components)")
             return 0
         if args.command == "morse":
-            path, payload = run_morse(config, theta=args.theta,
-                                      eta_angle=args.eta_angle)
+            path, payload = run_morse(config, args.theta, args.eta_angle)
             slice_count = len(payload["slice"]["records"])
             composed_count = len(payload["composed"]["records"])
             print(

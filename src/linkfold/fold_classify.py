@@ -38,7 +38,7 @@ from .geometry import (
     project_to_link,
     tangent_frame,
 )
-from .polynomial import conj_gradient, eval_poly, gradient, homogeneous_degree
+from .polynomial import _cmul, conj_gradient, eval_poly, gradient, homogeneous_degree
 from .singular_set import AugmentedSystem, span_hessian
 
 __all__ = [
@@ -336,7 +336,6 @@ def equivariance_error(spec, g, points, phases):
     lhs = eval_poly(g, phases[:, None] * points)
     values = eval_poly(g, points)
     # alpha * h(z) in real arithmetic, rounded as the scalar complex product
-    rhs_re = phases.real * values.real - phases.imag * values.imag
-    rhs_im = phases.real * values.imag + phases.imag * values.real
+    rhs_re, rhs_im = _cmul(phases.real, phases.imag, values.real, values.imag)
     errors = np.hypot(lhs.real - rhs_re, lhs.imag - rhs_im)
     return float(np.max(errors, initial=0.0))

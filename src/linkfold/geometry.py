@@ -133,23 +133,23 @@ def link_jacobian_rows(z, fk):
     return jac
 
 
-def project_to_link(z0, spec, tol=_PROJECT_TOL, max_iter=_PROJECT_MAX_ITER):
+def project_to_link(z0, spec, tol=_PROJECT_TOL):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
     One point is a one-row stack of :func:`_project_rows`, whose closed-form
     steps the tests check against an SVD solve. It raises RankDeficient if
     the constraint Jacobian has a singular value below 1e-10 (e.g. at the
     origin), and NonConvergence when a residual or gradient is not finite or
-    after ``max_iter`` iterations. Each row of an (N, n+1) stack is its
-    single call's point, or NaN where that raises.
+    after ``_PROJECT_MAX_ITER`` iterations. Each row of an (N, n+1) stack is
+    its single call's point, or NaN where that raises.
     """
     z = np.asarray(z0, dtype=complex)
     if z.ndim == 2:
-        points, converged, _ = _project_rows(z, spec, tol, max_iter)
+        points, converged, _ = _project_rows(z, spec, tol, _PROJECT_MAX_ITER)
         return np.where(converged[:, None], points, np.nan)
     if z.shape != (spec.ambient_dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({spec.ambient_dim},)")
-    (point,), (converged,), (sigma,) = _project_rows(z[None], spec, tol, max_iter)
+    (point,), (converged,), (sigma,) = _project_rows(z[None], spec, tol, _PROJECT_MAX_ITER)
     if converged:
         return point
     if sigma < _RANK_TOL:

@@ -35,9 +35,10 @@ from .fold_classify import (
     local_fold_data,
 )
 from .geometry import complexify, tangent_frame
-from .polynomial import eval_poly, gradient
+from .polynomial import _cmul, eval_poly, gradient
 from .singular_set import (
     AugmentedSystem,
+    _distinct,
     _spline_points,
     collect_components,
     seed_singular_points,
@@ -58,16 +59,6 @@ _SOLVE_MAX_ITER = 20
 _DEDUPE_TOL = 1e-6
 # slice points with a ray parameter below this times epsilon sit at the origin
 _MIN_RAY_PARAM = 1e-3
-
-
-def _rotated(rotation, values):
-    """(Re, Im) of the complex scalar ``rotation`` times each of ``values``.
-
-    Written out as Python's complex product rounds it, so each entry of a
-    stack equals the product at one point.
-    """
-    return (rotation.real * values.real - rotation.imag * values.imag,
-            rotation.real * values.imag + rotation.imag * values.real)
 
 
 @dataclass(frozen=True)
@@ -115,11 +106,7 @@ def _equation_zeros(traces, system, node_values, equation):
         u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
         starts.append(_spline_points(trace, k, u))
     w, _, ok = system._correct_rows(np.concatenate(starts), equation, _SOLVE_MAX_ITER)
-    found = []
-    for z in complexify(w[ok, : 2 * system.m]):
-        if all(np.linalg.norm(z - other) > _DEDUPE_TOL for other in found):
-            found.append(z)
-    return found
+    return _distinct(complexify(w[ok, : 2 * system.m]), _DEDUPE_TOL)
 
 
 def slice_critical_points(slice_spec, traces, spec, g):
@@ -137,10 +124,11 @@ def slice_critical_points(slice_spec, traces, spec, g):
     def ray_equation(w):
         """Im(rotation * h) and its real gradient rows, zero in (a, b), at each row of w."""
         zc = complexify(w[:, :dim])
-        re, im = _rotated(rotation, gradient(g, zc))
+        grad, value = gradient(g, zc), eval_poly(g, zc)
+        re, im = _cmul(rotation.real, rotation.imag, grad.real, grad.imag)
         rows = np.zeros((len(w), dim + 4))
         rows[:, 0:dim:2], rows[:, 1:dim:2] = im, re
-        return _rotated(rotation, eval_poly(g, zc))[1], rows
+        return _cmul(rotation.real, rotation.imag, value.real, value.imag)[1], rows
 
     def node_values(trace):
         return (rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])).imag
@@ -248,11 +236,12 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
 # ---------------------------------------------------------------------------
 
 
-def trace_image_n1(spec, g, rng_seed=42):
+def trace_image_n1(spec, g, rng_seed):
     """The traced components of a 1-dimensional link, each with its image.
 
     Only valid for n = 1, where every link point is singular for h: the
-    link is seeded and traced as the singular set is at n >= 2.
+    link is seeded from ``rng_seed`` and traced as the singular set is at
+    n >= 2.
     """
     if spec.n != 1:
         raise WrongDimension(f"n = 1 required, got n = {spec.n}")

@@ -67,6 +67,8 @@ THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
 # a rank defect at or below this marks a singular point
 _SINGULAR_TOL = 1e-8
+# |h(alpha z) - alpha h(z)| at or below this passes the equivariance check
+_EQUIVARIANCE_TOL = 1e-12
 # oracle_agreement's step off the traced curve over epsilon, and the range
 # of the direct test's growth from one such step to ten: linear growth
 _ORACLE_STEP = 1e-3
@@ -181,10 +183,9 @@ def load_config_file(path):
     return values
 
 
-def make_config(file_values=None, overrides=None):
-    values = {}
-    values.update(file_values or {})
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+def make_config(file_values, overrides):
+    """RunConfig from config-file values, then the overrides that are not None."""
+    values = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
     valid = {f.name for f in fields(RunConfig)}
     unknown = set(values) - valid
     if unknown:
@@ -362,7 +363,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
     least node-to-node distance between two image polylines (None for one).
     """
     t0 = time.perf_counter()
-    traces = morse_mod.trace_image_n1(spec, g, rng_seed=config.rng_seed)
+    traces = morse_mod.trace_image_n1(spec, g, config.rng_seed)
     timings["trace_image"] = time.perf_counter() - t0
     fits = sorted((circle_fit(trace.image)[:2] for trace in traces), key=lambda fit: fit[1])
     image_radii = [radius for _, radius in fits]
@@ -385,7 +386,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
         _closed_form("n1_image_radii", image_radii, radii, tol),
         _check("n1_injectivity_gap", gap is None or gap >= radii[0], gap, radii[0]),
     ]
-    return "embedding_n1", sections, checks, traces, [t.image for t in traces], image_radii
+    return "embedding_n1", sections, checks, traces, image_radii
 
 
 def _verify_folds(config, spec, g, radii, tol, timings):
@@ -468,10 +469,10 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(nodes)))
     try:
         equiv = equivariance_error(spec, g, nodes, phases)
-        checks.append(_check("equivariance", equiv <= 1e-12, equiv, 1e-12))
+        checks.append(_check("equivariance", equiv <= _EQUIVARIANCE_TOL, equiv, _EQUIVARIANCE_TOL))
         sections["equivariance"] = {"max_error": equiv, "n_samples": len(nodes)}
     except NotApplicable as exc:
-        checks.append(_check("equivariance", False, str(exc), 1e-12))
+        checks.append(_check("equivariance", False, str(exc), _EQUIVARIANCE_TOL))
 
     rotation_defect = criterion_rank_defect(phases[:, None] * nodes, spec.f, g).max()
     checks.append(_check(
@@ -498,9 +499,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     ))
     timings["statistics"] = time.perf_counter() - t0
 
-    curves = [trace.image for trace in traces]
-    svg_radii = [float(r) for r in verdict.radii]
-    return "fold_pipeline", sections, checks, traces, curves, svg_radii
+    return "fold_pipeline", sections, checks, traces, [float(r) for r in verdict.radii]
 
 
 def run_verify_a1(config):
@@ -522,11 +521,9 @@ def run_verify_a1(config):
     timings = {}
     started = time.perf_counter()
     stage = _verify_n1 if config.n == 1 else _verify_folds
-    mode, sections, checks, traces, curves, svg_radii = stage(
-        config, spec, g, radii, 1e-6 * eps, timings
-    )
+    mode, sections, checks, traces, svg_radii = stage(config, spec, g, radii, 1e-6 * eps, timings)
     write_singular_csv(out_dir / "singular_set.csv", traces, spec)
-    write_image_svg(out_dir / "image.svg", curves, svg_radii)
+    write_image_svg(out_dir / "image.svg", [t.image for t in traces], svg_radii)
     timings["total"] = time.perf_counter() - started
 
     failed = [c["name"] for c in checks if not c["passed"]]
@@ -564,8 +561,8 @@ def run_singular_set(config):
     return path, traces
 
 
-def run_morse(config, theta=0.0, eta_angle=0.0):
-    """Slice and composed Morse data; writes morse.json and returns the dict."""
+def run_morse(config, theta, eta_angle):
+    """Slice Morse data at theta and composed at eta_angle; returns morse.json's (path, dict)."""
     if not np.isfinite([theta, eta_angle]).all():
         raise ConfigError(f"angles must be finite, got {theta} and {eta_angle}")
     spec, g, _, traces = compute_components(config)
@@ -619,11 +616,11 @@ def write_singular_csv(path, traces, spec):
 _SVG_PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 
 
-def write_image_svg(path, components_xy, radii=None):
+def write_image_svg(path, components_xy, radii):
     """SVG rendering of image curves: axes, origin, one closed path each.
 
-    The viewBox fits every curve with a 10 percent margin; radius labels are
-    placed on the 45 degree diagonal.
+    The viewBox fits every curve with a 10 percent margin; one label per
+    entry of ``radii`` sits on the 45 degree diagonal at that radius.
     """
     pts = (
         np.vstack([np.asarray(c) for c in components_xy])
@@ -662,13 +659,12 @@ def write_image_svg(path, components_xy, radii=None):
         parts.append(
             f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    if radii:
-        for idx, r in enumerate(radii):
-            lx, ly = to_px(r / np.sqrt(2.0), r / np.sqrt(2.0))
-            parts.append(
-                f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="14" '
-                f'fill="#333">{r:.4f}</text>'
-            )
+    for r in radii:
+        lx, ly = to_px(r / np.sqrt(2.0), r / np.sqrt(2.0))
+        parts.append(
+            f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="14" '
+            f'fill="#333">{r:.4f}</text>'
+        )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
     return path

@@ -329,20 +329,20 @@ class AugmentedSystem:
         (w,), _, (ok,) = self._correct_rows(np.asarray(w, float)[None], None, _NEWTON_MAX_ITER)
         return w, bool(ok)
 
-    def corrector(self, w0, extra, max_iter=_CORRECTOR_MAX_ITER):
+    def corrector(self, w0, extra):
         """Square Newton on the system bordered by one scalar equation.
 
-        The one-row call of :meth:`_correct_rows`, for continuation nodes:
-        ``extra(w)`` returns the added equation's value at the one row w and
-        its real gradient row in the unknowns (z, a, b). Returns (w,
-        iterations, converged).
+        The one-row call of :meth:`_correct_rows` for continuation nodes, with
+        ``_CORRECTOR_MAX_ITER`` iterations: ``extra(w)`` returns the added
+        equation's value at the one row w and its real gradient row in the
+        unknowns (z, a, b). Returns (w, iterations, converged).
         """
         def stacked(w):
             value, row = extra(w[0])
             return np.asarray(value).reshape(1), row[None]
 
         (w,), (iters,), (ok,) = self._correct_rows(
-            np.asarray(w0, dtype=float)[None], stacked, max_iter
+            np.asarray(w0, dtype=float)[None], stacked, _CORRECTOR_MAX_ITER
         )
         return w, int(iters), bool(ok)
 
@@ -483,28 +483,43 @@ def _has_frame(z, spec):
     return True
 
 
-def projected_descent(objective, z, spec, max_steps, target):
-    """Projected gradient descent with backtracking from each row of ``z``.
+def _live_frames(z, live, spec):
+    """(live, frame): the rows ``live`` of ``z`` that have a tangent frame, and their frames."""
+    try:
+        return live, tangent_frame(z[live], spec)
+    except (LinkFoldError, ValueError):  # stop only the rows that raise
+        live = live[[_has_frame(p, spec) for p in z[live]]]
+        return live, tangent_frame(z[live], spec)
 
-    ``objective`` maps an (N, n+1) stack to (N,) values and (N, 2n+2)
-    ambient real gradients. Each row steps along its negative tangential
-    gradient in a retraction chart, trying up to six steps, each a third of
-    the last, until its value drops. It stops at ``target``, after
-    ``max_steps`` steps, at a slope below 1e-14, when its frame fails or
-    when no step helps. Rows run in lockstep, one stacked
+
+def _distinct(points, tol):
+    """The points, in order, that lie farther than ``tol`` from every point kept before."""
+    kept = []
+    for point in points:
+        if all(np.linalg.norm(point - other) > tol for other in kept):
+            kept.append(point)
+    return kept
+
+
+def projected_descent(system, z):
+    """Projected gradient descent on the rank defect, with backtracking, from each row of ``z``.
+
+    The objective is :func:`_ratio_gradient`, sigma_3/sigma_1 of the
+    criterion matrix. Each row steps along its negative tangential gradient
+    in a retraction chart, trying up to six steps, each a third of the last,
+    until its value drops. It stops at ``_SEED_DESCENT_TARGET``, after
+    ``_SEED_DESCENT_STEPS`` steps, at a slope below 1e-14, when its frame
+    fails or when no step helps. Rows run in lockstep, one stacked
     :func:`tangent_frame` per round and one stacked :func:`chart` and
     objective call per trial, and end bit for bit as lone starts would.
+    Returns the (N, n+1) endpoints and their (N,) values.
     """
+    spec = system.spec
     z = np.array(z, dtype=complex)
-    value, grad = objective(z)
+    value, grad = _ratio_gradient(system, z)
     live = np.arange(len(z))
-    for _ in range(max_steps):
-        live = live[value[live] > target]
-        try:
-            frame = tangent_frame(z[live], spec)
-        except (LinkFoldError, ValueError):  # stop only the rows that raise
-            live = live[[_has_frame(p, spec) for p in z[live]]]
-            frame = tangent_frame(z[live], spec)
+    for _ in range(_SEED_DESCENT_STEPS):
+        live, frame = _live_frames(z, live[value[live] > _SEED_DESCENT_TARGET], spec)
         if not live.size:
             break
         # 1-D products on bases in one-start layout: each row rounds as a lone start
@@ -523,7 +538,7 @@ def projected_descent(objective, z, spec, max_steps, target):
             u = step[trying, None] * direction[trying]
             trial = chart(z[rows], frames, u, spec, tol=1e-10)
             ok = np.flatnonzero(~np.isnan(trial[:, 0]))
-            trial_value, trial_grad = objective(trial[ok])
+            trial_value, trial_grad = _ratio_gradient(system, trial[ok])
             better = trial_value < value[rows[ok]]
             done = ok[better]
             z[rows[done]] = trial[done]
@@ -557,10 +572,7 @@ def seed_singular_points(spec, g, rng_seed):
     rng = np.random.default_rng(rng_seed)
     ends = samples = sample_link_points(spec, _SEED_SAMPLES, rng)
     if spec.n > 1:
-        ends, _ = projected_descent(
-            lambda z: _ratio_gradient(system, z), samples, spec,
-            max_steps=_SEED_DESCENT_STEPS, target=_SEED_DESCENT_TARGET,
-        )
+        ends, _ = projected_descent(system, samples)
     starts = np.concatenate([realify(ends), realify(system.span_coefficients(ends))], axis=1)
     seeds, _, converged = system._correct_rows(starts, None, _NEWTON_MAX_ITER)
     if not converged.any():
@@ -604,11 +616,7 @@ def scan_gradient_dependence(spec, g, rng_seed):
     c = np.sum(np.conj(gf) * gg, axis=-1) / np.sum(np.abs(gf) ** 2, axis=-1)
     live = np.arange(len(z))
     for _ in range(_SCAN_ROUNDS):
-        try:
-            frame = tangent_frame(z[live], spec)
-        except (LinkFoldError, ValueError):  # stop only the rows that raise
-            live = live[[_has_frame(p, spec) for p in z[live]]]
-            frame = tangent_frame(z[live], spec)
+        live, frame = _live_frames(z, live, spec)
         if not live.size:
             break
         zl, cl, basis = z[live], c[live, None], frame.complex_basis
@@ -625,10 +633,7 @@ def scan_gradient_dependence(spec, g, rng_seed):
         live = live[ok & (np.linalg.norm(step[:, :-2], axis=1) > 1e-12 * spec.epsilon)]
     s = np.linalg.svd(criterion_matrix(z, spec.f, g)[..., :2], compute_uv=False)
     values = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
-    hits = []
-    for point in z[values <= _SCAN_THRESHOLD]:
-        if all(np.linalg.norm(point - p) > _SAME_POINT_TOL for p in hits):
-            hits.append(point)
+    hits = _distinct(z[values <= _SCAN_THRESHOLD], _SAME_POINT_TOL)
     return GradientDependenceScan(hits, float(min(values, default=np.inf)))
 
 

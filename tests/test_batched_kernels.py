@@ -158,7 +158,9 @@ def _assert_within_reference_rounding(points, starts, expected, spec, **kwargs):
 
 @pytest.mark.parametrize("f_text", [None, BRIESKORN], ids=["a1", "brieskorn"])
 @pytest.mark.parametrize("tol, max_iter", [(1e-12, 50), (1e-12, 8)])
-def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
+def test_projection_rows_match_scalar_calls(f_text, tol, max_iter, monkeypatch):
+    # the public call's iteration budget is the module's constant
+    monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", max_iter)
     spec = build_a1(2)[0]
     if f_text is not None:
         spec = lf.LinkSpec(f=lf.parse_poly(f_text, 3), n=2)
@@ -191,12 +193,12 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter):
         # the public call on one point: the stacked row, or the reference's error
         if failed[k]:
             with pytest.raises(expected[k]):
-                lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
+                lf.project_to_link(z0[k], spec, tol=tol)
         else:
-            single = lf.project_to_link(z0[k], spec, tol=tol, max_iter=max_iter)
+            single = lf.project_to_link(z0[k], spec, tol=tol)
             assert np.array_equal(single, point)
     # the public call on a stack: NaN rows where the single call raises
-    stacked = lf.project_to_link(z0, spec, tol=tol, max_iter=max_iter)
+    stacked = lf.project_to_link(z0, spec, tol=tol)
     nan_row = np.full(3, np.nan, dtype=complex)
     assert np.array_equal(
         stacked, np.where(converged[:, None], points, nan_row), equal_nan=True

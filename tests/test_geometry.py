@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
+from linkfold import geometry
 from linkfold.errors import DimensionCollapse, NonConvergence, RankDeficient
 from linkfold.geometry import orthonormal_complement
 
@@ -102,14 +103,15 @@ def test_link_residual_direct_substitution_oracle(a1_n2):
     assert np.allclose(lf.link_residual(z, spec), 0.0, atol=1e-15)
 
 
-def test_project_converges_near_link(a1_n2):
+def test_project_converges_near_link(a1_n2, monkeypatch):
     spec, _ = a1_n2
+    monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", 10)
     rng = np.random.default_rng(4)
     for _ in range(20):
         noise = rng.standard_normal(6)
         noise /= np.linalg.norm(noise)
         z0 = definite_point(2) + 0.01 * lf.complexify(noise)
-        z = lf.project_to_link(z0, spec, tol=1e-12, max_iter=10)
+        z = lf.project_to_link(z0, spec, tol=1e-12)
         assert np.linalg.norm(lf.link_residual(z, spec)) <= 1e-12
 
 
@@ -156,13 +158,14 @@ def test_projection_converges_at_large_epsilon(epsilon):
     assert np.max(residuals) <= 1e-12 * epsilon**2
 
 
-def test_projection_failure_names_the_scaled_tolerance(a1_n2):
+def test_projection_failure_names_the_scaled_tolerance(a1_n2, monkeypatch):
     # one iteration from a far point cannot converge; the message gives the
     # tolerance the rows were held to
     spec, _ = a1_n2
+    monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", 1)
     spec = lf.LinkSpec(f=spec.f, n=2, epsilon=100.0)
     with pytest.raises(NonConvergence, match=r"> 1\.0e-08$"):
-        lf.project_to_link(np.array([100.0, 30.0, 1j]), spec, max_iter=1)
+        lf.project_to_link(np.array([100.0, 30.0, 1j]), spec)
 
 
 def test_projection_idempotent(a1_n2):

@@ -323,7 +323,7 @@ def test_trace_image_n1_polylines_follow_the_circles(epsilon):
 def test_trace_image_n1_wrong_dimension(a1_n2):
     spec, g = a1_n2
     with pytest.raises(WrongDimension):
-        lf.trace_image_n1(spec, g)
+        lf.trace_image_n1(spec, g, 42)
 
 
 # ---------------------------------------------------------------------------

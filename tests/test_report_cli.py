@@ -61,7 +61,7 @@ def test_config_file_parsing(tmp_path):
         """
     )
     values = load_config_file(cfg)
-    config = make_config(values)
+    config = make_config(values, {})
     assert config.rng_seed == 7
     assert config.out_dir == "results"
     assert config.f_text == "z1^2 + z2^2 + z3^2"

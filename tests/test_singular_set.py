@@ -370,18 +370,24 @@ _DESCENTS = {
 }
 
 
+def _descent_on(monkeypatch, objective, max_steps, target):
+    """Make projected_descent descend ``objective`` for ``max_steps`` steps down to ``target``."""
+    monkeypatch.setattr(singular_set, "_ratio_gradient", objective)
+    monkeypatch.setattr(singular_set, "_SEED_DESCENT_STEPS", max_steps)
+    monkeypatch.setattr(singular_set, "_SEED_DESCENT_TARGET", target)
+
+
 @pytest.mark.parametrize("kind", sorted(_DESCENTS))
 @pytest.mark.parametrize("n, seed", [(2, 42), (4, 3)])
-def test_stacked_descent_matches_serial_starts(kind, n, seed):
+def test_stacked_descent_matches_serial_starts(kind, n, seed, monkeypatch):
     # n = 2, seed 42 reaches a sigma_1 whose scalar square rounds apart
     # from an array's
     objective, cols, max_steps, target, samples = _DESCENTS[kind].values()
     spec, g = build_a1(n)
     system = AugmentedSystem(spec, g)
     starts = lf.sample_link_points(spec, samples, np.random.default_rng(seed))
-    ends, values = singular_set.projected_descent(
-        functools.partial(objective, system), starts, spec, max_steps, target
-    )
+    _descent_on(monkeypatch, objective, max_steps, target)
+    ends, values = singular_set.projected_descent(system, starts)
     assert ends.shape == starts.shape and values.shape == (samples,)
     ratio = functools.partial(ratio_gradient_point, system, cols=cols)
     for start, end, value in zip(starts, ends, values):
@@ -392,7 +398,7 @@ def test_stacked_descent_matches_serial_starts(kind, n, seed):
         assert value == expected_value
 
 
-def test_descent_stops_only_the_rows_whose_frame_fails(a1_n2):
+def test_descent_stops_only_the_rows_whose_frame_fails(a1_n2, monkeypatch):
     # at eps * (1, 0, 0), off the link, z is parallel to gradbar f and the
     # tangent frame raises; the pair defect there is not small
     spec, g = a1_n2
@@ -401,9 +407,8 @@ def test_descent_stops_only_the_rows_whose_frame_fails(a1_n2):
     starts[0] = [spec.epsilon, 0.0, 0.0]
     with pytest.raises(lf.LinkFoldError):
         lf.tangent_frame(starts, spec)
-    ends, values = singular_set.projected_descent(
-        functools.partial(pair_ratio_gradient, system), starts, spec, 40, 1e-8
-    )
+    _descent_on(monkeypatch, pair_ratio_gradient, 40, 1e-8)
+    ends, values = singular_set.projected_descent(system, starts)
     ratio = functools.partial(ratio_gradient_point, system, cols=2)
     assert np.array_equal(ends[0], starts[0])
     assert values[0] == ratio(starts[0])[0] > 1e-8
@@ -550,8 +555,8 @@ def _trace_corrector_iterations(monkeypatch):
         runs.append([])
         return trace(*args)
 
-    def counted_corrector(self, w0, extra, max_iter=singular_set._CORRECTOR_MAX_ITER):
-        w, iters, ok = corrector(self, w0, extra, max_iter)
+    def counted_corrector(self, w0, extra):
+        w, iters, ok = corrector(self, w0, extra)
         runs[-1].append(iters)
         return w, iters, ok
 
@@ -603,8 +608,8 @@ def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch)
         extra.tangent, extra.anchor = t, w_pred
         return extra
 
-    def from_anchor(self, w0, extra, max_iter=singular_set._CORRECTOR_MAX_ITER):
-        w, iters, ok = corrector(self, extra.anchor, extra, max_iter)
+    def from_anchor(self, w0, extra):
+        w, iters, ok = corrector(self, extra.anchor, extra)
         calls[-1].append((extra.tangent, extra.anchor, w))
         return w, iters, ok
 
