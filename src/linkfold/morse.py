@@ -38,7 +38,6 @@ from .geometry import complexify, tangent_frame
 from .polynomial import _cmul, eval_poly, gradient
 from .singular_set import (
     AugmentedSystem,
-    _distinct,
     _spline_points,
     collect_components,
     seed_singular_points,
@@ -82,6 +81,15 @@ class CriticalPointRecord:
     morse_index: int
     hessian_eigenvalues: np.ndarray
     gradient_norm: float
+
+
+def _distinct(points, tol):
+    """The points, in order, that lie farther than ``tol`` from every point kept before."""
+    kept = []
+    for point in points:
+        if all(np.linalg.norm(point - other) > tol for other in kept):
+            kept.append(point)
+    return kept
 
 
 def _equation_zeros(traces, system, node_values, equation):

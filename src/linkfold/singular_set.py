@@ -10,6 +10,9 @@ independent tests:
   2 x (2n-1) differential of h on a tangent frame, with no reference to the
   span condition; verify-a1 reads it at the traced nodes and beside them.
 
+The paper's hypothesis that gradbar f and gradbar g stay independent on the
+link is decided in closed form for A1 and affine g: :func:`scan_gradient_dependence`.
+
 The singular set itself is a curve cut out by the augmented system
 
     z - a * gradbar f(z) - b * gradbar g(z) = 0     (2n+2 real equations)
@@ -51,6 +54,7 @@ from .errors import (
     EmptyResult,
     LinkFoldError,
     NonConvergence,
+    NotApplicable,
     StepCollapse,
 )
 from .geometry import (
@@ -61,12 +65,11 @@ from .geometry import (
     complexify,
     link_jacobian_rows,
     link_residual,
-    project_to_link,
     realify,
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import conj_gradient, eval_poly, gradient, hessian
+from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient, hessian
 
 __all__ = [
     "CurveTrace",
@@ -80,7 +83,6 @@ __all__ = [
     "span_hessian",
     "trace_singular_curve",
     "collect_components",
-    "GradientDependenceScan",
 ]
 
 # the continuation policy, in z-arc length over epsilon: first step and limits
@@ -111,11 +113,6 @@ _SEED_DESCENT_STEPS = 25
 _SEED_DESCENT_TARGET = 0.15
 # singular-set points (or augmented vectors) closer than this are the same
 _SAME_POINT_TOL = 1e-4
-# starts and Gauss-Newton rounds of the gradient-dependence scan, and the
-# pair defect of a hit
-_SCAN_SAMPLES = 48
-_SCAN_ROUNDS = 15
-_SCAN_THRESHOLD = 1e-8
 
 
 def criterion_matrix(z, f, g):
@@ -483,24 +480,6 @@ def _has_frame(z, spec):
     return True
 
 
-def _live_frames(z, live, spec):
-    """(live, frame): the rows ``live`` of ``z`` that have a tangent frame, and their frames."""
-    try:
-        return live, tangent_frame(z[live], spec)
-    except (LinkFoldError, ValueError):  # stop only the rows that raise
-        live = live[[_has_frame(p, spec) for p in z[live]]]
-        return live, tangent_frame(z[live], spec)
-
-
-def _distinct(points, tol):
-    """The points, in order, that lie farther than ``tol`` from every point kept before."""
-    kept = []
-    for point in points:
-        if all(np.linalg.norm(point - other) > tol for other in kept):
-            kept.append(point)
-    return kept
-
-
 def projected_descent(system, z):
     """Projected gradient descent on the rank defect, with backtracking, from each row of ``z``.
 
@@ -519,7 +498,12 @@ def projected_descent(system, z):
     value, grad = _ratio_gradient(system, z)
     live = np.arange(len(z))
     for _ in range(_SEED_DESCENT_STEPS):
-        live, frame = _live_frames(z, live[value[live] > _SEED_DESCENT_TARGET], spec)
+        live = live[value[live] > _SEED_DESCENT_TARGET]
+        try:
+            frame = tangent_frame(z[live], spec)
+        except (LinkFoldError, ValueError):  # stop only the rows that raise
+            live = live[[_has_frame(p, spec) for p in z[live]]]
+            frame = tangent_frame(z[live], spec)
         if not live.size:
             break
         # 1-D products on bases in one-start layout: each row rounds as a lone start
@@ -581,60 +565,33 @@ def seed_singular_points(spec, g, rng_seed):
 
 
 # ---------------------------------------------------------------------------
-# condition (1) detector: mutually dependent gradients
+# condition (1), independent gradients on the link: closed form on A1
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradientDependenceScan:
-    """Result of searching the link for points with dependent gradients.
+def scan_gradient_dependence(spec, g):
+    """Least pair defect sigma2/sigma1 of [gradbar f, gradbar g] on the link, in closed form.
 
-    ``min_defect`` is the least pair defect sigma2/sigma1 of [gradbar f, gradbar g]
-    at the scan's endpoints, which minimise |gradbar g - c gradbar f|: the least
-    on the link where |gradbar f| is constant there (A1), else maybe a bit above.
+    For A1, f = z1^2 + ... + z_{n+1}^2, and an affine g = u . z + c it is
+    sqrt(2) a (s1 - s2)/(a^2 + b^2 + D), with a = 2 epsilon, b = |u|, s1 >= s2
+    the singular values of [Re u; Im u] and D^2 = (a^2 - b^2)^2 + 2 a^2 (s1 + s2)^2
+    (derived at ``tests/oracles.py::a1_linear_min_pair_defect``). s1 - s2 is
+    taken as |sum u_j^2|/(s1 + s2): exactly 0 where the dependent locus
+    {z = lambda u} meets the link. Raises NotApplicable for any other (f, g).
+    The name is that of the sampled search this replaced, which perfbench
+    traces and requires by name.
     """
-
-    points: list
-    min_defect: float
-
-
-def scan_gradient_dependence(spec, g, rng_seed):
-    """Search the link for points where gradbar g lies in C * gradbar f.
-
-    Riemannian Gauss-Newton on gradbar g(z) - c gradbar f(z) = 0, z on the link,
-    from ``_SCAN_SAMPLES`` link points in lockstep, each starting at the
-    least-squares c. A round steps z in its tangent frame and c in C by the
-    row's pseudo-inverse (rcond 1e-12: the Jacobian, with z-block
-    conj(Hess g) - c conj(Hess f), loses rank along a dependent circle), then
-    projects z onto the link. A row stops after a step of at most 1e-12
-    epsilon, when its frame or projection fails (keeping its last point), or
-    after ``_SCAN_ROUNDS`` rounds. It returns the endpoints with pair defect
-    at most ``_SCAN_THRESHOLD``; none certifies that the branch misses the link.
-    """
-    z = sample_link_points(spec, _SCAN_SAMPLES, np.random.default_rng(rng_seed))
-    gf, gg = conj_gradient(spec.f, z), conj_gradient(g, z)
-    c = np.sum(np.conj(gf) * gg, axis=-1) / np.sum(np.abs(gf) ** 2, axis=-1)
-    live = np.arange(len(z))
-    for _ in range(_SCAN_ROUNDS):
-        live, frame = _live_frames(z, live, spec)
-        if not live.size:
-            break
-        zl, cl, basis = z[live], c[live, None], frame.complex_basis
-        gf, gg = conj_gradient(spec.f, zl), conj_gradient(g, zl)
-        # columns: mix conj(v) for each frame vector v, Re c, Im c; rows (Re, Im)
-        mix = np.conj(span_hessian(zl, -cl[..., None], 1.0, spec, g))
-        cols = np.concatenate([mix @ np.conj(np.swapaxes(basis, 1, 2)),
-                               -gf[..., None], -1j * gf[..., None]], axis=-1)
-        jac = np.swapaxes(realify(np.swapaxes(cols, 1, 2)), 1, 2)
-        step = -(np.linalg.pinv(jac, rcond=1e-12) @ realify(gg - cl * gf)[..., None])[..., 0]
-        moved = project_to_link(zl + (step[:, None, :-2] @ basis)[:, 0], spec)
-        ok = ~np.isnan(moved[:, 0])
-        z[live[ok]], c[live[ok]] = moved[ok], c[live[ok]] + complexify(step[ok, -2:])[:, 0]
-        live = live[ok & (np.linalg.norm(step[:, :-2], axis=1) > 1e-12 * spec.epsilon)]
-    s = np.linalg.svd(criterion_matrix(z, spec.f, g)[..., :2], compute_uv=False)
-    values = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
-    hits = _distinct(z[values <= _SCAN_THRESHOLD], _SAME_POINT_TOL)
-    return GradientDependenceScan(hits, float(min(values, default=np.inf)))
+    m = spec.ambient_dim
+    if spec.f != ComplexPoly(m, {tuple(2 * e): 1 for e in np.eye(m, dtype=int)}):
+        raise NotApplicable("the closed form needs f = z1^2 + ... + z_{n+1}^2")
+    if max((sum(e) for e in g.terms), default=0) != 1:
+        raise NotApplicable("the closed form needs an affine, nonconstant g")
+    u = gradient(g, np.zeros(m))
+    s1, s2 = np.linalg.svd(np.vstack([u.real, u.imag]), compute_uv=False)
+    a2, b2 = 4.0 * spec.epsilon**2, s1**2 + s2**2
+    root = np.sqrt((a2 - b2) ** 2 + 2.0 * a2 * (s1 + s2) ** 2)
+    gap = abs(np.sum(u * u)) / (s1 + s2)
+    return float(2.0 * np.sqrt(2.0) * spec.epsilon * gap / (a2 + b2 + root))
 
 
 # ---------------------------------------------------------------------------

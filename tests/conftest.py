@@ -20,7 +20,7 @@ def build_a1(n):
 def pipeline_traces(n, seed, f_text=None):
     """The pipeline's components at the default g, computed once per test run."""
     config = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed)
-    return lf.report.compute_components(config)[3]
+    return lf.report.compute_components(config, *config.build())[3]
 
 
 def definite_point(n):

@@ -14,7 +14,9 @@ from linkfold.geometry import (
     chart,
     complexify,
     link_residual,
+    project_to_link,
     realify,
+    sample_link_points,
     tangent_frame,
 )
 from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian
@@ -94,6 +96,48 @@ def a1_linear_min_pair_defect(u, epsilon):
     total = a2 + b2
     root = math.sqrt((a2 - b2) ** 2 + 4.0 * a2 * b2 * c2)
     return math.sqrt((total - root) / (total + root))
+
+
+def gradient_dependence_scan(spec, g, rng_seed):
+    """Search the link for points where gradbar g lies in C gradbar f; returns (least defect, hits).
+
+    The sampled search that the closed form ``scan_gradient_dependence``
+    replaced: Riemannian Gauss-Newton on gradbar g(z) - c gradbar f(z) = 0,
+    z on the link, from 48 link points in lockstep, each starting at the
+    least-squares c. A round steps z in its tangent frame and c in C by the
+    row's pseudo-inverse (rcond 1e-12: the Jacobian, with z-block
+    conj(Hess g) - c conj(Hess f), loses rank along a dependent circle), then
+    projects z onto the link. A row stops after a step of at most 1e-12
+    epsilon, when its projection fails (keeping its last point), or after 15
+    rounds. The least defect is the least sigma2/sigma1 of
+    [gradbar f, gradbar g] at the endpoints: the least on the link where
+    |gradbar f| is constant there (A1), else maybe a bit above. The hits are
+    the endpoints with defect at most 1e-8, as an (N, n+1) array.
+    """
+    z = sample_link_points(spec, 48, np.random.default_rng(rng_seed))
+    gf, gg = conj_gradient(spec.f, z), conj_gradient(g, z)
+    c = np.sum(np.conj(gf) * gg, axis=-1) / np.sum(np.abs(gf) ** 2, axis=-1)
+    live = np.arange(len(z))
+    for _ in range(15):
+        if not live.size:
+            break
+        zl, cl = z[live], c[live, None]
+        basis = tangent_frame(zl, spec).complex_basis
+        gf, gg = conj_gradient(spec.f, zl), conj_gradient(g, zl)
+        mix = np.conj(hessian(g, zl)) - cl[..., None] * np.conj(hessian(spec.f, zl))
+        # columns: mix conj(v) for each frame vector v, Re c, Im c; rows (Re, Im)
+        cols = np.concatenate([mix @ np.conj(np.swapaxes(basis, 1, 2)),
+                               -gf[..., None], -1j * gf[..., None]], axis=-1)
+        jac = np.swapaxes(realify(np.swapaxes(cols, 1, 2)), 1, 2)
+        step = -(np.linalg.pinv(jac, rcond=1e-12) @ realify(gg - cl * gf)[..., None])[..., 0]
+        moved = project_to_link(zl + (step[:, None, :-2] @ basis)[:, 0], spec)
+        ok = ~np.isnan(moved[:, 0])
+        z[live[ok]], c[live[ok]] = moved[ok], c[live[ok]] + complexify(step[ok, -2:])[:, 0]
+        live = live[ok & (np.linalg.norm(step[:, :-2], axis=1) > 1e-12 * spec.epsilon)]
+    pair = np.stack([conj_gradient(spec.f, z), conj_gradient(g, z)], axis=-1)
+    s = np.linalg.svd(pair, compute_uv=False)
+    values = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] != 0.0)
+    return float(values.min()), z[values <= 1e-8]
 
 
 def chart_hessian(func, dim, step):

@@ -439,6 +439,11 @@ def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys)
     assert len(degenerate) == 3
     assert all(c["absolute_index"] is None and c["negative_eigenvalues"] is None
                for c in degenerate)
+    # the dependence check is decided only for an affine g: it fails, naming why
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "gradient_dependence_locus_empty"]
+    assert not check["passed"]
+    assert "needs an affine, nonconstant g" in check["achieved"]
 
 
 def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
@@ -452,8 +457,7 @@ def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
     (check,) = [c for c in report["checks"]
                 if c["name"] == "gradient_dependence_locus_empty"]
     assert not check["passed"]
-    assert report["degenerate_branch"]["solutions_found"] > 0
-    assert report["degenerate_branch"]["min_pair_defect"] <= 1e-8
+    assert check["achieved"] == report["degenerate_branch"]["min_pair_defect"] <= 1e-15
 
 
 def test_cli_unknown_config_key_exit_code(tmp_path):
@@ -493,6 +497,13 @@ def test_cli_verify_a1_at_epsilon_100(tmp_path, capsys):
     code = main(["verify-a1", "--n", "3", "--epsilon", "100", "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert (tmp_path / "report.json").exists()
+
+
+def test_cli_verify_a1_at_epsilon_1e4(tmp_path, capsys):
+    # exited 3 on equivariance alone: |h(alpha z) - alpha h(z)| rounds to
+    # about 2e-12 at |z| = 1e4, against a tolerance that did not scale with epsilon
+    code = main(["verify-a1", "--n", "2", "--epsilon", "1e4", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stuck_at", [1.0, 0.0], ids=["never-singular", "always-singular"])

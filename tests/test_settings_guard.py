@@ -15,7 +15,7 @@ from linkfold.report import _CONFIG_KEYS, RunConfig
 
 _PACKAGE = Path(linkfold.__file__).resolve().parent
 # defaulted parameters across src/linkfold/*.py, counted as below
-_MAX_DEFAULTED_PARAMETERS = 12
+_MAX_DEFAULTED_PARAMETERS = 8
 
 
 def test_run_config_fields_are_pinned():

@@ -6,7 +6,7 @@ import pytest
 import linkfold as lf
 import linkfold.singular_set as singular_set
 from linkfold.cli import main
-from linkfold.errors import EmptyResult, NonConvergence, WrongDimension
+from linkfold.errors import EmptyResult, NonConvergence, NotApplicable, WrongDimension
 from linkfold.report import RunConfig
 from linkfold.singular_set import AugmentedSystem, _ratio_gradient
 
@@ -21,6 +21,7 @@ from oracles import (
     a1_linear_min_pair_defect,
     arc_segments_loop,
     criterion_det,
+    gradient_dependence_scan,
     gradient_pair_defect,
     link_residual_jacobian,
     pair_ratio_gradient,
@@ -683,7 +684,7 @@ def test_collect_components_steps_scale_with_epsilon(monkeypatch):
     # a direct call follows the same epsilon-scaled policy as the pipeline
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 24)
     config = lf.RunConfig(n=2, epsilon=10.0)
-    spec, g, seeds, traces = lf.report.compute_components(config)
+    spec, g, seeds, traces = lf.report.compute_components(config, *config.build())
     direct = lf.collect_components(seeds, spec, g)
     assert len(direct) == len(traces) == 2
     for mine, theirs in zip(direct, traces):
@@ -722,9 +723,9 @@ def test_gradient_pair_defect_scale(a1_n2):
 
 def test_gradient_dependence_locus_empty_on_link(a1_n2):
     spec, g = a1_n2
-    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
-    assert scan.points == []
-    assert scan.min_defect > 1e-3
+    _, hits = gradient_dependence_scan(spec, g, 42)
+    assert len(hits) == 0
+    assert lf.scan_gradient_dependence(spec, g) > 1e-3
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -733,12 +734,24 @@ def test_gradient_dependence_scan_finds_dependent_circle(n):
     # gradbar f = 2 conj(z) on the link circle z = t (1, i, 0, ...)/sqrt(2)
     spec, _ = build_a1(n)
     g = lf.parse_poly("z1 + 1i*z2", n + 1)
-    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
-    assert scan.points
-    for z in scan.points:
+    _, hits = gradient_dependence_scan(spec, g, 42)
+    assert len(hits)
+    for z in hits:
         assert abs(lf.eval_poly(spec.f, z)) <= 1e-12
         assert abs(np.linalg.norm(z) - spec.epsilon) <= 1e-12
         assert gradient_pair_defect(z, spec.f, g) <= 1e-8
+    assert lf.scan_gradient_dependence(spec, g) <= 1e-15
+
+
+def test_dependence_closed_form_needs_a1_and_affine_g(a1_n2):
+    spec, g = a1_n2
+    # a constant term moves no gradient
+    assert lf.scan_gradient_dependence(spec, g + 1.0) == lf.scan_gradient_dependence(spec, g)
+    with pytest.raises(NotApplicable, match="affine"):
+        lf.scan_gradient_dependence(spec, g * g)
+    a2 = lf.LinkSpec(f=lf.parse_poly("z1^2 + z2^2 + z3^3", 3), n=2)
+    with pytest.raises(NotApplicable, match="f = z1"):
+        lf.scan_gradient_dependence(a2, g)
 
 
 # the linear g of the repository's examples: the paper's, the perturbed one and
@@ -750,12 +763,17 @@ _LINEAR_G = {
 }
 
 
+def _g_of(u):
+    """g = u . z."""
+    return lf.ComplexPoly(len(u), {tuple(np.eye(len(u), dtype=int)[j]): c
+                                   for j, c in enumerate(u)})
+
+
 def _linear_g(n, which):
     """g = u . z in n + 1 variables, with u padded by zeros, and u."""
     u = np.zeros(n + 1, dtype=complex)
     u[: len(_LINEAR_G[which])] = _LINEAR_G[which]
-    return lf.ComplexPoly(n + 1, {tuple(np.eye(n + 1, dtype=int)[j]): c
-                                  for j, c in enumerate(u)}), u
+    return _g_of(u), u
 
 
 def test_a1_closed_form_at_the_paper_g():
@@ -767,47 +785,40 @@ def test_a1_closed_form_at_the_paper_g():
 @pytest.mark.parametrize("which", sorted(_LINEAR_G))
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_scan_min_defect_meets_a1_closed_form(n, which):
-    # |gradbar f| = 2 epsilon on the A1 link, so the scan's endpoints, which
-    # minimise |gradbar g - c gradbar f|, also minimise the pair defect.
-    # Gauss-Newton converges linearly, the slower the larger that residual:
-    # where the least defect is above about 0.19, fifteen rounds can stop
-    # short of 1e-11 (by up to 1e-6 relative at 0.27)
+    # |gradbar f| = 2 epsilon on the A1 link, so the sampled scan's
+    # endpoints, which minimise |gradbar g - c gradbar f|, also minimise the
+    # pair defect. Gauss-Newton converges linearly, the slower the larger
+    # that residual: where the least defect is above about 0.19, fifteen
+    # rounds can stop short of 1e-11 (by up to 1e-6 relative at 0.27)
     for epsilon in (0.5, 0.7, 1.0):
         spec = lf.LinkSpec(f=build_a1(n)[0].f, n=n, epsilon=epsilon)
         g, u = _linear_g(n, which)
-        expected = a1_linear_min_pair_defect(u, epsilon)
+        closed = lf.scan_gradient_dependence(spec, g)
+        assert closed == pytest.approx(a1_linear_min_pair_defect(u, epsilon), rel=1e-14)
         for seed in (42, 3):
-            scan = lf.scan_gradient_dependence(spec, g, rng_seed=seed)
-            assert scan.points == []
-            assert scan.min_defect == pytest.approx(expected, rel=1e-11, abs=0)
+            min_defect, hits = gradient_dependence_scan(spec, g, seed)
+            assert len(hits) == 0
+            assert closed == pytest.approx(min_defect, rel=1e-11, abs=0)
 
 
-@pytest.mark.parametrize("g_text", ["z1 + 0.5i*z2", "z1 + 1i*z2"])
-def test_scan_stops_only_the_rows_whose_frame_fails(monkeypatch, g_text):
-    # at eps * (1, 0, 0), off the link, z is parallel to gradbar f and the
-    # tangent frame raises; g = z1 + i z2 has a circle of dependent gradients
-    spec, _ = build_a1(2)
-    g = lf.parse_poly(g_text, 3)
-    rng = np.random.default_rng(42)
-    starts = lf.sample_link_points(spec, singular_set._SCAN_SAMPLES, rng)
-    bad = starts.copy()
-    bad[0] = [spec.epsilon, 0.0, 0.0]
-    with pytest.raises(lf.LinkFoldError):
-        lf.tangent_frame(bad, spec)
-    ends = []
-
-    def record_ends(z, f, g):
-        ends.append(z.copy())
-        return lf.criterion_matrix(z, f, g)
-
-    monkeypatch.setattr(singular_set, "criterion_matrix", record_ends)
-    monkeypatch.setattr(singular_set, "sample_link_points", lambda *_: bad.copy())
-    scan = lf.scan_gradient_dependence(spec, g, rng_seed=42)
-    monkeypatch.setattr(singular_set, "sample_link_points", lambda *_: starts[1:].copy())
-    reference = lf.scan_gradient_dependence(spec, g, rng_seed=42)
-    assert np.array_equal(ends[0][0], bad[0])
-    assert bool(reference.points) == (g_text == "z1 + 1i*z2")
-    assert len(scan.points) == len(reference.points)
-    for point, expected in zip(scan.points, reference.points):
-        assert np.max(np.abs(point - expected)) <= 1e-12
-    assert abs(scan.min_defect - reference.min_defect) <= 1e-12
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dependence_closed_form_is_exact_invariant_and_seed_free(n, tmp_path):
+    rng = np.random.default_rng(n)
+    spec, _ = build_a1(n)
+    # u = x + i y with x, y orthogonal and of one length: sum u_j^2 = 0
+    x, y = rng.standard_normal((2, n + 1))
+    y -= (x @ y) / (x @ x) * x
+    y *= np.linalg.norm(x) / np.linalg.norm(y)
+    assert lf.scan_gradient_dependence(spec, _g_of(x + 1j * y)) <= 1e-15
+    # the geometry does not change under a phase of g or a permutation of z
+    u = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    defect = lf.scan_gradient_dependence(spec, _g_of(u))
+    assert defect > 1e-3
+    for moved in (np.exp(0.7j) * u, rng.permutation(u)):
+        assert lf.scan_gradient_dependence(spec, _g_of(moved)) == pytest.approx(defect, rel=1e-14)
+    # the report's section does not depend on the seed
+    branches = []
+    for seed in (42, 3, 5):
+        config = RunConfig(n=n, rng_seed=seed, out_dir=str(tmp_path / str(seed)))
+        branches.append(lf.run_verify_a1(config)[0]["degenerate_branch"])
+    assert branches[0] == branches[1] == branches[2]
