@@ -89,7 +89,6 @@ class LocalFoldData:
     kernel_basis: np.ndarray  # (2n-2, 2n-1) rows, chart coordinates
     image_dir: np.ndarray  # unit vector in R^2, sign arbitrary
     frame: TangentFrame
-    base_point: np.ndarray
 
 
 def local_fold_data(point, spec, g):
@@ -112,9 +111,7 @@ def local_fold_data(point, spec, g):
             f"differential has rank 2 (sigma2/sigma1 = {s[1] / s[0]:.3e}); "
             "point is regular"
         )
-    return LocalFoldData(
-        kernel_basis=vt[1:], image_dir=u[:, 0], frame=frame, base_point=z
-    )
+    return LocalFoldData(kernel_basis=vt[1:], image_dir=u[:, 0], frame=frame)
 
 
 def intrinsic_hessian(kernel_basis, frame, spec, g, nu):

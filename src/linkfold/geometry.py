@@ -30,8 +30,10 @@ __all__ = [
 
 # rank threshold for QR pivots of spanning sets and constraint Jacobians
 _RANK_TOL = 1e-10
-# residual target and iteration budget of a link projection
-_PROJECT_TOL = 1e-12
+# residual at which a link projection or a Newton solve on the singular curve
+# converges, times max(1, epsilon^2) (:func:`_residual_tol`)
+_RESIDUAL_TOL = 1e-12
+# iteration budget of a link projection
 _PROJECT_MAX_ITER = 50
 # link samples give up after this many projection attempts per point
 _MAX_ATTEMPTS_FACTOR = 20
@@ -133,23 +135,24 @@ def link_jacobian_rows(z, fk):
     return jac
 
 
-def project_to_link(z0, spec, tol=_PROJECT_TOL):
+def project_to_link(z0, spec):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
     One point is a one-row stack of :func:`_project_rows`, whose closed-form
-    steps the tests check against an SVD solve. It raises RankDeficient if
-    the constraint Jacobian has a singular value below 1e-10 (e.g. at the
-    origin), and NonConvergence when a residual or gradient is not finite or
-    after ``_PROJECT_MAX_ITER`` iterations. Each row of an (N, n+1) stack is
-    its single call's point, or NaN where that raises.
+    steps the tests check against an SVD solve; it converges at a residual
+    of :func:`_residual_tol`. It raises RankDeficient if the constraint
+    Jacobian has a singular value below 1e-10 (e.g. at the origin), and
+    NonConvergence when a residual or gradient is not finite or after
+    ``_PROJECT_MAX_ITER`` iterations. Each row of an (N, n+1) stack is its
+    single call's point, or NaN where that raises.
     """
     z = np.asarray(z0, dtype=complex)
     if z.ndim == 2:
-        points, converged, _ = _project_rows(z, spec, tol, _PROJECT_MAX_ITER)
+        points, converged, _ = _project_rows(z, spec)
         return np.where(converged[:, None], points, np.nan)
     if z.shape != (spec.ambient_dim,):
         raise ValueError(f"point has shape {z.shape}, expected ({spec.ambient_dim},)")
-    (point,), (converged,), (sigma,) = _project_rows(z[None], spec, tol, _PROJECT_MAX_ITER)
+    (point,), (converged,), (sigma,) = _project_rows(z[None], spec)
     if converged:
         return point
     if sigma < _RANK_TOL:
@@ -157,16 +160,16 @@ def project_to_link(z0, spec, tol=_PROJECT_TOL):
     with np.errstate(all="ignore"):
         residual = np.linalg.norm(link_residual(point, spec))
     raise NonConvergence(
-        f"projection stopped at residual {residual:.3e} > {_residual_tol(tol, spec):.1e}"
+        f"projection stopped at residual {residual:.3e} > {_residual_tol(spec):.1e}"
     )
 
 
-def _residual_tol(tol, spec):
-    """``tol`` times max(1, epsilon^2), the rounding scale of the |z|^2 - epsilon^2 row."""
-    return tol * max(1.0, spec.epsilon**2)
+def _residual_tol(spec):
+    """``_RESIDUAL_TOL`` times max(1, epsilon^2), where the |z|^2 - epsilon^2 row rounds."""
+    return _RESIDUAL_TOL * max(1.0, spec.epsilon**2)
 
 
-def _project_rows(z0, spec, tol, max_iter):
+def _project_rows(z0, spec):
     """Gauss-Newton least-norm projection of each row of the (N, m) array ``z0``.
 
     Steps solve J * delta = -residual for the minimum-norm delta in closed
@@ -177,15 +180,15 @@ def _project_rows(z0, spec, tol, max_iter):
     and y1,2 = (r1,2 - (Re c, Im c) y3) / s; J's least singular value is
     sqrt(D / lam), lam = (s + t)/2 + sqrt(((s - t)/2)^2 + |c|^2), 0 on a zero
     row. D is the Lagrange sum 4 sum_{j<k} |conj(fk_j) z_k - conj(fk_k) z_j|^2,
-    as s t - |c|^2 cancels near rank loss. A row is held to ``tol`` times
-    max(1, epsilon^2), the scale at which the |z|^2 - epsilon^2 row rounds,
+    as s t - |c|^2 cancels near rank loss. A row is held to
+    :func:`_residual_tol`, for at most ``_PROJECT_MAX_ITER`` iterations,
     and within it keeps polishing while its residual drops sharply. Rows
     keep their own state and sum by :func:`_row_dot` over contiguous rows,
     so each equals the one-point call bit for bit. Returns (points,
     converged, sigma), ``sigma`` each row's last least singular value:
     below 1e-10 exactly where the row stopped on rank loss.
     """
-    tol = _residual_tol(tol, spec)
+    tol = _residual_tol(spec)
     z = np.array(z0, dtype=complex)
     best = z.copy()
     best_norm = np.full(len(z), np.inf)
@@ -195,7 +198,7 @@ def _project_rows(z0, spec, tol, max_iter):
     live = np.arange(len(z))
     j, k = np.triu_indices(z.shape[1], 1)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_PROJECT_MAX_ITER):
             if not live.size:
                 break
             zl = z[live]
@@ -259,9 +262,7 @@ def sample_link_points(spec, count, rng):
         attempts += draws
         raw = rng.standard_normal((draws, 2 * spec.ambient_dim))
         raw *= (spec.epsilon / np.maximum(np.sqrt(_row_dot(raw, raw)), 1e-12))[:, None]
-        points, converged, _ = _project_rows(
-            complexify(raw), spec, _PROJECT_TOL, _PROJECT_MAX_ITER
-        )
+        points, converged, _ = _project_rows(complexify(raw), spec)
         found.append(points[converged])
         have += int(np.count_nonzero(converged))
     return np.concatenate(found)
@@ -323,14 +324,15 @@ def tangent_frame(point, spec):
     return TangentFrame(base_point=z, basis=basis)
 
 
-def chart(point, frame, u, spec, tol=1e-12):
+def chart(point, frame, u, spec):
     """Retraction chart: project point + sum(u_i * basis_i) back onto the link.
 
     chart(p, frame, 0) returns p exactly; for small u the result has
     second-order contact with the tangent plane because the Gauss-Newton
-    correction is normal to the link. Steps longer than
-    ``_CHART_MAX_RADIUS`` times epsilon raise ValueError. A stack of points,
-    frames and coordinates gives the single calls' rows, NaN where one raises.
+    correction is normal to the link: :func:`project_to_link`'s, held to
+    :func:`_residual_tol`. Steps longer than ``_CHART_MAX_RADIUS`` times
+    epsilon raise ValueError. A stack of points, frames and coordinates
+    gives the single calls' rows, NaN where one raises.
     """
     point = np.asarray(point, dtype=complex)
     u = np.asarray(u, dtype=float)
@@ -346,11 +348,11 @@ def chart(point, frame, u, spec, tol=1e-12):
     if point.ndim == 1:
         if norm_u == 0.0:
             return point.copy()
-        return project_to_link(point + complexify(frame.basis.T @ u), spec, tol=tol)
+        return project_to_link(point + complexify(frame.basis.T @ u), spec)
     step = norm_u != 0.0
     moved = point.copy()
     for k in np.flatnonzero(step):  # 1-D products: a stacked matmul rounds apart
         moved[k] += complexify(frame.basis[k].T @ u[k])
-    moved[step] = project_to_link(moved[step], spec, tol=tol)
+    moved[step] = project_to_link(moved[step], spec)
     return moved
 

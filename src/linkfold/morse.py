@@ -14,11 +14,11 @@ are found by one search: sign changes over the trace nodes, each bracket
 started on the cubic Hermite interpolant of its two nodes and tangents,
 and every start of every trace solved in one call of the lockstep
 bordered Newton solver of the singular set
-(:meth:`AugmentedSystem._correct_rows`). Its ``extra(W)`` returns the added
-equation's values and real gradient rows in (z, a, b) at a stack of
-augmented rows: the ray equation for slices, the criticality equation
-Im(w b) = 0 for composed heights. At n = 1 the whole link is singular, and
-:func:`trace_image_n1` traces it the same way.
+(:meth:`AugmentedSystem._correct_rows`, on the corrector's budget and
+floor). Its ``extra(W)`` gives the added equation's values and real gradient
+rows in (z, a, b) at a stack of augmented rows, trace nodes included: the
+ray equation for slices, Im(w b) = 0 for composed heights. At n = 1 the
+whole link is singular, and :func:`trace_image_n1` traces it the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "trace_image_n1",
 ]
 
-# iteration budget of the bordered Newton solve for slice and composed points
-_SOLVE_MAX_ITER = 20
 # critical points closer than this are one
 _DEDUPE_TOL = 1e-6
 # slice points with a ray parameter below this times epsilon sit at the origin
@@ -83,38 +81,39 @@ class CriticalPointRecord:
     gradient_norm: float
 
 
-def _distinct(points, tol):
-    """The points, in order, that lie farther than ``tol`` from every point kept before."""
+def _distinct(points):
+    """The points, in order, farther than ``_DEDUPE_TOL`` from every point kept before."""
     kept = []
     for point in points:
-        if all(np.linalg.norm(point - other) > tol for other in kept):
+        if all(np.linalg.norm(point - other) > _DEDUPE_TOL for other in kept):
             kept.append(point)
     return kept
 
 
-def _equation_zeros(traces, system, node_values, equation):
+def _equation_zeros(traces, system, equation):
     """Points of the traced singular set where ``equation`` vanishes.
 
-    Where ``node_values(trace)``, one value per node, vanishes at node k or
+    Where ``equation``'s value at a trace's nodes vanishes at node k or
     changes sign from k to the next node (the last wraps to the first), the
     bordered corrector solves ``equation`` from the cubic Hermite
     interpolant of that segment (:func:`_spline_points`) at the values'
     linear zero fraction u. Every bracket of every trace goes in one
     :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
-    ``equation``; on A1 each takes at most 2 Newton
-    iterations, where the chord's start took 2 or 3. Converged points
+    ``equation``; on A1 each takes at most 2 Newton iterations, where the
+    chord's start took 2 or 3, and at most 4 on the other tested f and g,
+    well inside ``_CORRECTOR_MAX_ITER``. Converged points
     within ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
     dropped.
     """
     starts = [np.empty((0, 2 * system.m + 4))]
     for trace in traces:
-        va = node_values(trace)
+        va = equation(trace.nodes)[0]
         vb = np.roll(va, -1)
         k = np.flatnonzero((va == 0.0) | (va * vb < 0.0))
         u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
         starts.append(_spline_points(trace, k, u))
-    w, _, ok = system._correct_rows(np.concatenate(starts), equation, _SOLVE_MAX_ITER)
-    return _distinct(complexify(w[ok, : 2 * system.m]), _DEDUPE_TOL)
+    w, _, ok = system._correct_rows(np.concatenate(starts), equation)
+    return _distinct(complexify(w[ok, : 2 * system.m]))
 
 
 def slice_critical_points(slice_spec, traces, spec, g):
@@ -138,15 +137,10 @@ def slice_critical_points(slice_spec, traces, spec, g):
         rows[:, 0:dim:2], rows[:, 1:dim:2] = im, re
         return _cmul(rotation.real, rotation.imag, value.real, value.imag)[1], rows
 
-    def node_values(trace):
-        return (rotation * (trace.image[:, 0] + 1j * trace.image[:, 1])).imag
-
-    found = [
-        z for z in _equation_zeros(traces, system, node_values, ray_equation)
-        if (rotation * eval_poly(g, z)).real >= _MIN_RAY_PARAM * spec.epsilon
-    ]
-    found.sort(key=lambda z: -(rotation * eval_poly(g, z)).real)
-    return found
+    zeros = _equation_zeros(traces, system, ray_equation)
+    params = [(rotation * eval_poly(g, z)).real for z in zeros]
+    kept = [k for k, param in enumerate(params) if param >= _MIN_RAY_PARAM * spec.epsilon]
+    return [zeros[k] for k in sorted(kept, key=lambda k: -params[k])]
 
 
 def _critical_record(point, value, hess, gradient_norm):
@@ -176,7 +170,7 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     """
     rotation = slice_spec.rotation
     data = local_fold_data(point, spec, g)
-    z = data.base_point
+    z = data.frame.base_point
     derivs = rotation * (data.frame.complex_basis @ gradient(g, z))
     im_row = derivs.imag
     if np.linalg.norm(im_row) <= 1e-10:
@@ -224,11 +218,8 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
         """Im(weight * b) and its real gradient rows at each row of w."""
         return weight.real * w[:, -1] + weight.imag * w[:, -2], np.broadcast_to(row, w.shape)
 
-    def node_values(trace):
-        return (weight * (trace.nodes[:, -2] + 1j * trace.nodes[:, -1])).imag
-
     records = []
-    for z in _equation_zeros(traces, system, node_values, critical_equation):
+    for z in _equation_zeros(traces, system, critical_equation):
         frame = tangent_frame(z, spec)
         derivs = weight * (frame.complex_basis @ gradient(g, z))
         hess = intrinsic_hessian(np.eye(frame.dim), frame, spec, g, eta)

@@ -30,10 +30,9 @@ from .fold_classify import (
     equivariance_error,
     verify_round,
 )
-from .geometry import LinkSpec, chart, tangent_frame
+from .geometry import LinkSpec, _RESIDUAL_TOL, chart, tangent_frame
 from .polynomial import parse_poly
 from .singular_set import (
-    _CORRECTOR_TOL,
     _SEED_SAMPLES,
     _STEP_DISTANCE,
     _STEP_INIT,
@@ -136,7 +135,7 @@ class RunConfig:
             "epsilon": self.epsilon,
             "rng_seed": self.rng_seed,
             "tolerances": {
-                "newton": _CORRECTOR_TOL,
+                "newton": _RESIDUAL_TOL,
                 "singular": _SINGULAR_TOL,
                 "dead_band": _DEAD_BAND,
             },
@@ -287,8 +286,9 @@ def _closed_form(name, values, targets, tol):
     return _check(name, err <= tol, err, tol)
 
 
-def _locus_checks(traces, epsilon, tol):
-    """The A1 singular locus: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
+def _locus_checks(traces, epsilon):
+    """A1 locus to 1e-8 epsilon: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
+    tol = 1e-8 * epsilon
     off_plane = 0.0
     circle_dev = 0.0
     modulus_dev = 0.0
@@ -309,16 +309,16 @@ def _locus_checks(traces, epsilon, tol):
     ]
 
 
-def _oracle_agreement(traces, spec, g, threshold):
+def _oracle_agreement(traces, spec, g):
     """Read the direct differential test at the traced nodes and beside them.
 
     The direct test shares no code with the span criterion that the tracer
-    solves. At every node it must be at or below ``threshold``. Each node
+    solves. At every node it must be at or below ``_SINGULAR_TOL``. Each node
     is then moved by delta = ``_ORACLE_STEP`` epsilon and by 10 delta
     through :func:`chart`, along the unit vector of its link tangent frame
     that is orthogonal to the curve's tangent there: the frame vector least
     aligned with that tangent, less its tangent component. At delta the test
-    must be above ``threshold``; from delta to 10 delta it must grow by a
+    must be above ``_SINGULAR_TOL``; from delta to 10 delta it must grow by a
     factor within ``_ORACLE_GROWTH``, since it measures the differential's
     distance to rank one, which grows linearly off a fold curve. A node that
     breaks any of the three disagrees, so nodes off the singular set, or a
@@ -342,12 +342,12 @@ def _oracle_agreement(traces, spec, g, threshold):
     )
     growth = np.divide(far, near, out=np.zeros_like(far), where=near > 0.0)
     low, high = _ORACLE_GROWTH
-    agree = (on_curve <= threshold) & (near > threshold)
+    agree = (on_curve <= _SINGULAR_TOL) & (near > _SINGULAR_TOL)
     agree &= (low <= growth) & (growth <= high)
     return {
         "n_points": len(nodes),
         "disagreements": int(np.count_nonzero(~agree)),
-        "threshold": threshold,
+        "threshold": _SINGULAR_TOL,
         "step": step,
         "max_on_curve": float(np.max(on_curve)),
         "min_off_curve": float(np.min(near)),
@@ -446,7 +446,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     }
     checks = [
         _check("two_closed_components", len(traces) == 2, len(traces), 2),
-        *_locus_checks(traces, spec.epsilon, 1e-8 * spec.epsilon),
+        *_locus_checks(traces, spec.epsilon),
         _check("classification_consistent",
                all(r.consistent for r in records), None, None),
         _check("round_verdict", verdict.is_round, verdict.status, "ROUND"),
@@ -496,7 +496,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
         defect, "no points with pair defect <= 1e-8",
     ))
 
-    agreement = _oracle_agreement(traces, spec, g, _SINGULAR_TOL)
+    agreement = _oracle_agreement(traces, spec, g)
     sections["oracle_agreement"] = agreement
     checks.append(_check(
         "oracle_agreement", agreement["disagreements"] == 0,

@@ -92,9 +92,8 @@ _STEP_MAX = 0.5
 # the distance from the Euler prediction to the corrected node, over epsilon,
 # that the step control aims for
 _STEP_DISTANCE = 0.02
-# bordered residual at which a corrector converges, times max(1, epsilon^2),
-# and its iteration budget on the trace
-_CORRECTOR_TOL = 1e-12
+# iteration budget of a Newton solve with an added equation: continuation
+# nodes, on-trace probes and Morse brackets
 _CORRECTOR_MAX_ITER = 12
 # a trace that has not closed at this many nodes raises NonConvergence
 _MAX_NODES = 5000
@@ -323,7 +322,7 @@ class AugmentedSystem:
 
         The one-row call of :meth:`_correct_rows` with no added equation.
         """
-        (w,), _, (ok,) = self._correct_rows(np.asarray(w, float)[None], None, _NEWTON_MAX_ITER)
+        (w,), _, (ok,) = self._correct_rows(np.asarray(w, float)[None], None)
         return w, bool(ok)
 
     def corrector(self, w0, extra):
@@ -338,12 +337,10 @@ class AugmentedSystem:
             value, row = extra(w[0])
             return np.asarray(value).reshape(1), row[None]
 
-        (w,), (iters,), (ok,) = self._correct_rows(
-            np.asarray(w0, dtype=float)[None], stacked, _CORRECTOR_MAX_ITER
-        )
+        (w,), (iters,), (ok,) = self._correct_rows(np.asarray(w0, dtype=float)[None], stacked)
         return w, int(iters), bool(ok)
 
-    def _correct_rows(self, w0, extra, max_iter):
+    def _correct_rows(self, w0, extra):
         """Square Newton on each row of ``w0``, bordered by one scalar equation.
 
         The one Newton solver for points of the singular curve: seeds and
@@ -353,22 +350,25 @@ class AugmentedSystem:
         the added equation's (N,) values at all N rows of W and its
         (N, 2n+6) real gradient rows in the unknowns (z, a, b). ``extra``
         None borders each step by its Jacobian's unit null vector at the
-        value 0, which is the least-norm Gauss-Newton step. Rows run in
-        lockstep, each step of every live row from one stacked solve. A row
-        converges when the norm of its residual with that value appended is
-        at most ``_CORRECTOR_TOL`` times max(1, epsilon^2), the rounding
-        scale of the |z|^2 - epsilon^2 row, tested before every step and
-        after the last. A row stops unconverged, keeping its last point,
-        where its bordered matrix is singular or its step is not finite or
-        longer than 1e3 max(1, epsilon) (seeding's first steps are about
-        1.3 epsilon long). Returns the (N, 2n+6) points, (N,) iteration
-        counts and (N,) converged flags.
+        value 0, which is the least-norm Gauss-Newton step. The budget is
+        ``_NEWTON_MAX_ITER`` steps without an added equation and
+        ``_CORRECTOR_MAX_ITER`` with one. Rows run in lockstep, each step of
+        every live row from one stacked solve. A row converges when the norm
+        of its residual with that value appended is at most
+        :func:`~linkfold.geometry._residual_tol`, the link projection's
+        floor, tested before every step and after the last. A row stops
+        unconverged, keeping its last point, where its bordered matrix is
+        singular or its step is not finite or longer than 1e3 max(1,
+        epsilon) (seeding's first steps are about 1.3 epsilon long).
+        Returns the (N, 2n+6) points, (N,) iteration counts and (N,)
+        converged flags.
         """
         w = np.array(w0, dtype=float)
         count = len(w)
+        max_iter = _NEWTON_MAX_ITER if extra is None else _CORRECTOR_MAX_ITER
         iters = np.full(count, max_iter)
         converged = np.zeros(count, dtype=bool)
-        tol = _residual_tol(_CORRECTOR_TOL, self.spec)
+        tol = _residual_tol(self.spec)
         cap = 1e6 * max(1.0, self.spec.epsilon**2)
         live = np.arange(count)
         value = np.zeros(count)
@@ -520,7 +520,7 @@ def projected_descent(system, z):
             rows = live[trying]
             frames = TangentFrame(z[rows], np.swapaxes(basis_t[steep[trying]], 1, 2))
             u = step[trying, None] * direction[trying]
-            trial = chart(z[rows], frames, u, spec, tol=1e-10)
+            trial = chart(z[rows], frames, u, spec)
             ok = np.flatnonzero(~np.isnan(trial[:, 0]))
             trial_value, trial_grad = _ratio_gradient(system, trial[ok])
             better = trial_value < value[rows[ok]]
@@ -558,7 +558,7 @@ def seed_singular_points(spec, g, rng_seed):
     if spec.n > 1:
         ends, _ = projected_descent(system, samples)
     starts = np.concatenate([realify(ends), realify(system.span_coefficients(ends))], axis=1)
-    seeds, _, converged = system._correct_rows(starts, None, _NEWTON_MAX_ITER)
+    seeds, _, converged = system._correct_rows(starts, None)
     if not converged.any():
         raise EmptyResult(f"no singular seeds converged ({len(samples)} samples)")
     return seeds[converged]
@@ -625,7 +625,7 @@ def trace_singular_curve(seed, spec, g):
     h = s / |t_z| along the unit tangent t (Allgower & Georg, section 6.1).
     s starts at ``_STEP_INIT`` and stays within [``_STEP_MIN``,
     ``_STEP_MAX``], all times epsilon, and every Newton solve is held to
-    ``_CORRECTOR_TOL`` times max(1, epsilon^2). The prediction
+    :func:`~linkfold.geometry._residual_tol`. The prediction
     w_pred = w + h t anchors the pseudo-arclength hyperplane
     t . (w' - w_pred) = 0, the distance test and the step control. The
     corrector starts from the second-order point w_pred + (h^2/2) kappa,
@@ -784,9 +784,7 @@ def point_on_trace(system, trace, probes):
         w0 = trace.nodes[k0]
         chord = trace.nodes[(k0 + 1) % len(trace)] - w0
         u = np.clip(_row_dot(probe - w0, chord) / _row_dot(chord, chord), 0.0, 1.0)
-        w_star, _, ok = system._correct_rows(
-            _spline_points(trace, k0, u), _hyperplane(t_k, probe), _CORRECTOR_MAX_ITER
-        )
+        w_star, _, ok = system._correct_rows(_spline_points(trace, k0, u), _hyperplane(t_k, probe))
         miss = w_star - probe
         on[near] = ok & (np.sqrt(_row_dot(miss, miss)) <= _SAME_POINT_TOL)
     return on

@@ -17,9 +17,9 @@ def build_a1(n):
 
 
 @functools.cache
-def pipeline_traces(n, seed, f_text=None):
-    """The pipeline's components at the default g, computed once per test run."""
-    config = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed)
+def pipeline_traces(n, seed, f_text=None, g_text=lf.RunConfig.g_text):
+    """The pipeline's components, at the default g unless given, computed once per test run."""
+    config = lf.RunConfig(f_text=f_text, g_text=g_text, n=n, rng_seed=seed)
     return lf.report.compute_components(config, *config.build())[3]
 
 

@@ -201,7 +201,7 @@ def transverse_eigenvalues(point, spec, g, image_center):
     """
     data = local_fold_data(point, spec, g)
     nu = np.array([-data.image_dir[1], data.image_dir[0]])
-    hval = eval_poly(g, data.base_point)
+    hval = eval_poly(g, data.frame.base_point)
     if np.dot(np.array([hval.real, hval.imag]) - image_center, nu) < 0:
         nu = -nu
     kernel = data.kernel_basis
@@ -404,7 +404,7 @@ def projected_descent_serial(objective, z, spec, max_steps, target):
         improved = False
         for _ in range(6):
             try:
-                trial = chart(z, frame, step * direction, spec, tol=1e-10)
+                trial = chart(z, frame, step * direction, spec)
             except (LinkFoldError, ValueError):
                 step /= 3.0
                 continue

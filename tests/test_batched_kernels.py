@@ -157,9 +157,9 @@ def _assert_within_reference_rounding(points, starts, expected, spec, **kwargs):
 
 
 @pytest.mark.parametrize("f_text", [None, BRIESKORN], ids=["a1", "brieskorn"])
-@pytest.mark.parametrize("tol, max_iter", [(1e-12, 50), (1e-12, 8)])
-def test_projection_rows_match_scalar_calls(f_text, tol, max_iter, monkeypatch):
-    # the public call's iteration budget is the module's constant
+@pytest.mark.parametrize("max_iter", [50, 8])
+def test_projection_rows_match_scalar_calls(f_text, max_iter, monkeypatch):
+    # the iteration budget is the module's constant
     monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", max_iter)
     spec = build_a1(2)[0]
     if f_text is not None:
@@ -170,8 +170,8 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter, monkeypatch):
     z0[5] = 0.0  # rank deficient
     z0[6] = [np.nan, 0.0, 0.0]
     z0[7] = [1e200, 1e200, 0.0]
-    points, converged, sigma = _project_rows(z0, spec, tol=tol, max_iter=max_iter)
-    expected = [_scalar_projection(z, spec, tol=tol, max_iter=max_iter) for z in z0]
+    points, converged, sigma = _project_rows(z0, spec)
+    expected = [_scalar_projection(z, spec, max_iter=max_iter) for z in z0]
     failed = [isinstance(e, type) for e in expected]
     assert converged.tolist() == [not f for f in failed]
     assert 0 < converged.sum() <= len(z0) - 3
@@ -186,19 +186,18 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter, monkeypatch):
         z0[converged],
         [e for e, f in zip(expected, failed) if not f],
         spec,
-        tol=tol,
         max_iter=max_iter,
     )
     for k, point in enumerate(points):
         # the public call on one point: the stacked row, or the reference's error
         if failed[k]:
             with pytest.raises(expected[k]):
-                lf.project_to_link(z0[k], spec, tol=tol)
+                lf.project_to_link(z0[k], spec)
         else:
-            single = lf.project_to_link(z0[k], spec, tol=tol)
+            single = lf.project_to_link(z0[k], spec)
             assert np.array_equal(single, point)
     # the public call on a stack: NaN rows where the single call raises
-    stacked = lf.project_to_link(z0, spec, tol=tol)
+    stacked = lf.project_to_link(z0, spec)
     nan_row = np.full(3, np.nan, dtype=complex)
     assert np.array_equal(
         stacked, np.where(converged[:, None], points, nan_row), equal_nan=True
@@ -211,12 +210,12 @@ def test_projection_rows_match_scalar_calls(f_text, tol, max_iter, monkeypatch):
     u *= (rng.uniform(0.0, 0.1, len(base)) / np.linalg.norm(u, axis=1))[:, None]
     u[0] = 0.0
     u[1] *= 0.0999 / np.linalg.norm(u[1])
-    moved = lf.chart(base, frame, u, spec, tol=tol)
+    moved = lf.chart(base, frame, u, spec)
     assert np.array_equal(moved[0], base[0])
     for k, row in enumerate(moved):
         one_frame = lf.tangent_frame(base[k], spec)
         try:
-            expected_row = lf.chart(base[k], one_frame, u[k], spec, tol=tol)
+            expected_row = lf.chart(base[k], one_frame, u[k], spec)
         except (NonConvergence, RankDeficient):
             expected_row = nan_row
         assert np.array_equal(row, expected_row, equal_nan=True)
@@ -283,7 +282,7 @@ def test_nonfinite_projection_fails_by_name(a1_n2):
         with pytest.raises(NonConvergence):
             lf.project_to_link(np.array(z0, dtype=complex), spec)
     stack = np.array([[np.nan, 0, 0], [1.0, 0.2, 1j], [1e200, 1e200, 0]], dtype=complex)
-    points, converged, _ = _project_rows(stack, spec, 1e-12, 50)
+    points, converged, _ = _project_rows(stack, spec)
     assert converged.tolist() == [False, True, False]
     assert np.array_equal(points[1], lf.project_to_link(stack[1], spec))
 
@@ -307,10 +306,19 @@ def _first_steps(z, spec, monkeypatch):
     monkeypatch.setattr(
         geometry, "link_residual", lambda zl, spec: calls.append(zl) or link_residual(zl, spec)
     )
-    _project_rows(z, spec, 1e-12, 2)
+    monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", 2)
+    _project_rows(z, spec)
     monkeypatch.undo()
     assert calls[1].shape == z.shape
-    return calls[1], _project_rows(z, spec, 1e-12, 1)[2]
+    return calls[1], _one_step_sigma(z, spec, monkeypatch)
+
+
+def _one_step_sigma(z, spec, monkeypatch):
+    """J's least singular value at each row of z, from a one-iteration projection."""
+    monkeypatch.setattr(geometry, "_PROJECT_MAX_ITER", 1)
+    sigma = _project_rows(z, spec)[2]
+    monkeypatch.undo()
+    return sigma
 
 
 def test_step_and_sigma_match_the_svd_reference(monkeypatch):
@@ -330,9 +338,9 @@ def test_step_and_sigma_match_the_svd_reference(monkeypatch):
         assert np.all(np.max(np.abs(stepped - (z + delta)), axis=1) <= bound)
         assert np.all(np.abs(sigma - s[:, -1]) <= 8 * eps * s[:, 0])
         # each row of a stack is its one-row call, to convergence
-        points, converged, sigma = _project_rows(z, spec, 1e-12, 50)
+        points, converged, sigma = _project_rows(z, spec)
         for k in range(len(z)):
-            one = _project_rows(z[k : k + 1], spec, 1e-12, 50)
+            one = _project_rows(z[k : k + 1], spec)
             assert np.array_equal(one[0][0], points[k]) and one[1][0] == converged[k]
             assert np.array_equal(one[2][0], sigma[k], equal_nan=True)
     # A1 rows 1e-2 ... 1e-14 off z parallel to conj(grad f), where J loses
@@ -347,7 +355,7 @@ def test_step_and_sigma_match_the_svd_reference(monkeypatch):
     offsets = 10.0 ** -np.arange(2, 15)
     z = np.exp(0.7j) * (x + 1j * offsets[:, None] * y)
     z = np.vstack([z, np.zeros(4)])
-    _, _, sigma = _project_rows(z, spec, 1e-12, 1)
+    sigma = _one_step_sigma(z, spec, monkeypatch)
     _, s = _svd_step(z, spec)
     expected = s[:, -1]
     assert np.all(np.abs(sigma - expected) <= 8 * eps * s[:, 0])

@@ -30,7 +30,7 @@ def test_local_fold_data_at_definite_point(a1_n2):
     data = lf.local_fold_data(definite_point(2), spec, g)
     assert data.kernel_basis.shape == (2, 3)
     # dh vanishes on the kernel rows
-    derivs = data.frame.complex_basis @ lf.polynomial.gradient(g, data.base_point)
+    derivs = data.frame.complex_basis @ lf.polynomial.gradient(g, data.frame.base_point)
     assert np.max(np.abs(data.kernel_basis @ derivs)) <= 1e-12
 
 
@@ -89,7 +89,7 @@ def test_hessian_cross_check_two_difference_schemes(perturbed_n2, perturbed_trac
         data = lf.local_fold_data(point, spec, g)
         nu = np.array([-data.image_dir[1], data.image_dir[0]])
         hess_a = lf.intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
-        z = data.base_point
+        z = data.frame.base_point
         frame = data.frame
         kernel = data.kernel_basis
 

@@ -111,7 +111,7 @@ def test_project_converges_near_link(a1_n2, monkeypatch):
         noise = rng.standard_normal(6)
         noise /= np.linalg.norm(noise)
         z0 = definite_point(2) + 0.01 * lf.complexify(noise)
-        z = lf.project_to_link(z0, spec, tol=1e-12)
+        z = lf.project_to_link(z0, spec)
         assert np.linalg.norm(lf.link_residual(z, spec)) <= 1e-12
 
 
@@ -300,7 +300,7 @@ def _critical_pairs(kind, spec, g, traces):
         for trace in traces:
             data = lf.local_fold_data(trace.points[len(trace) // 3], spec, g)
             nu = np.array([-data.image_dir[1], data.image_dir[0]])
-            pairs.append((data.base_point, complex(nu[0], -nu[1])))
+            pairs.append((data.frame.base_point, complex(nu[0], -nu[1])))
         return pairs
     if kind == "slice":
         theta = 0.7

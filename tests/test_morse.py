@@ -258,27 +258,53 @@ def test_composed_morse_n3(a1_n3, traces_n3):
     assert [r.morse_index for r in records] == [0, 2, 3, 5]
 
 
-def test_morse_zeros_take_at_most_two_iterations(monkeypatch):
-    # each bracket starts from the cubic Hermite interpolant of its two nodes
-    # and tangents; from the chord, half of the zeros took 3 iterations
-    spec, g = lf.RunConfig(n=4).build()
-    traces = pipeline_traces(4, 42)
-    counts = []
+def _bracket_solves(traces, spec, g, monkeypatch):
+    """Iteration counts and converged flags of every bracket solve over 8 angles."""
+    counts, converged = [], []
     correct_rows = AugmentedSystem._correct_rows
 
-    def counted(self, w0, extra, max_iter):
-        w, iters, ok = correct_rows(self, w0, extra, max_iter)
+    def counted(self, w0, extra):
+        w, iters, ok = correct_rows(self, w0, extra)
         counts.extend(iters)
+        converged.extend(ok)
         return w, iters, ok
 
     monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted)
     for theta in 2 * np.pi * np.arange(8) / 8:
         lf.slice_critical_points(SliceSpec(theta), traces, spec, g)
         lf.composed_morse(np.array([np.cos(theta), np.sin(theta)]), traces, spec, g)
+    return counts, converged
+
+
+def test_morse_zeros_take_at_most_two_iterations(monkeypatch):
+    # each bracket starts from the cubic Hermite interpolant of its two nodes
+    # and tangents; from the chord, half of the zeros took 3 iterations
+    spec, g = lf.RunConfig(n=4).build()
+    counts, _ = _bracket_solves(pipeline_traces(4, 42), spec, g, monkeypatch)
     # per angle, each of the two circles crosses the ray's line and the
     # height's criticality equation twice
     assert len(counts) == 8 * (4 + 4)
     assert max(counts) <= 2
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, seed",
+    [
+        ("z1^2 + z2^2 + z3^3", lf.RunConfig.g_text, 7),
+        (BRIESKORN_F, lf.RunConfig.g_text, 42),
+        (None, "z1 + 0.5i*z2 + 0.8*z2^2", 42),
+        (None, "z1 + 0.5i*z2 + 0.8*z2^2", 5),
+    ],
+    ids=["a2_s7", "brieskorn_s42", "quadratic_g_s42", "quadratic_g_s5"],
+)
+def test_morse_zeros_converge_within_four_iterations_off_a1(f_text, g_text, seed, monkeypatch):
+    # the brackets share the continuation corrector's budget of 12; off A1
+    # the most any took is 2, 3, 3 and 4 iterations on these cases
+    spec, g = lf.RunConfig(f_text=f_text, g_text=g_text, rng_seed=seed).build()
+    traces = pipeline_traces(2, seed, f_text, g_text)
+    counts, converged = _bracket_solves(traces, spec, g, monkeypatch)
+    assert counts and all(converged)
+    assert max(counts) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +399,12 @@ def _critical_heights(name):
         for k in range(0, len(trace), max(1, len(trace) // 24)):
             data = lf.local_fold_data(trace.points[k], spec, g)
             normal = complex(-data.image_dir[1], -data.image_dir[0])
-            triples.append((data.base_point, normal, data.kernel_basis))
+            triples.append((data.frame.base_point, normal, data.kernel_basis))
     for theta in (0.0, 0.7, np.pi / 2):
         for z in lf.slice_critical_points(SliceSpec(theta), traces, spec, g):
             data = lf.local_fold_data(z, spec, g)
-            weight = _slice_weight(data.base_point, theta, spec, g)
-            triples.append((data.base_point, weight, data.kernel_basis))
+            weight = _slice_weight(data.frame.base_point, theta, spec, g)
+            triples.append((data.frame.base_point, weight, data.kernel_basis))
     for angle in _ANGLES:
         weight = np.exp(-1j * angle)
         triples += [(r.point, weight, None) for r in _composed(name, angle)]

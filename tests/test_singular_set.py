@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
+import linkfold.geometry as geometry
 import linkfold.singular_set as singular_set
 from linkfold.cli import main
 from linkfold.errors import EmptyResult, NonConvergence, NotApplicable, WrongDimension
@@ -336,7 +337,7 @@ def test_seeding_converges_at_epsilon_100():
     seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     assert len(seeds) >= 48
     newton = RunConfig(n=2, epsilon=100.0).echo()["tolerances"]["newton"]
-    assert newton == singular_set._CORRECTOR_TOL
+    assert newton == geometry._RESIDUAL_TOL
     residuals = np.linalg.norm(AugmentedSystem(spec, g).residual(seeds), axis=1)
     assert np.all(residuals <= newton * max(1.0, spec.epsilon**2))
 

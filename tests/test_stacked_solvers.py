@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold.singular_set import (
-    _NEWTON_MAX_ITER,
-    AugmentedSystem,
-    _hyperplane,
-    _null_vectors,
-    _solve_rows,
-)
+from linkfold.singular_set import AugmentedSystem, _hyperplane, _null_vectors, _solve_rows
 
 from conftest import BRIESKORN_F, build_a1
 from oracles import collect_components_serial, newton_least_norm_lstsq
@@ -54,9 +48,7 @@ def test_stacked_corrector_rows_equal_one_row_calls(n, f_text, rows):
     # trace's (35 or more) vectorised
     spec, g = _spec_g(n, f_text)
     preds, tangents = (a[:rows] for a in _predictions(n, f_text))
-    w, iters, ok = AugmentedSystem(spec, g)._correct_rows(
-        preds, _hyperplane(tangents, preds), 12
-    )
+    w, iters, ok = AugmentedSystem(spec, g)._correct_rows(preds, _hyperplane(tangents, preds))
     assert len(set(iters.tolist())) >= 2
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).corrector(preds[k], _hyperplane(tangents[k], preds[k]))
@@ -69,7 +61,7 @@ def test_stacked_corrector_rows_equal_one_row_calls(n, f_text, rows):
 def test_stacked_newton_rows_equal_one_row_calls(n, f_text, rows):
     spec, g = _spec_g(n, f_text)
     preds = _predictions(n, f_text)[0][:rows]
-    w, _, converged = AugmentedSystem(spec, g)._correct_rows(preds, None, _NEWTON_MAX_ITER)
+    w, _, converged = AugmentedSystem(spec, g)._correct_rows(preds, None)
     assert converged.any()
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).newton_least_norm(preds[k])
@@ -88,13 +80,13 @@ def test_failing_rows_fail_alone(a1_n2):
     bordered = np.concatenate([system.jacobian(preds), tangents[:, None]], axis=1)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(bordered, np.ones((len(preds), bordered.shape[1], 1)))
-    w, iters, ok = system._correct_rows(preds, _hyperplane(tangents, preds), 12)
+    w, iters, ok = system._correct_rows(preds, _hyperplane(tangents, preds))
     assert ok.tolist() == [True, True, False, True, False, True]
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).corrector(preds[k], _hyperplane(tangents[k], preds[k]))
         assert np.array_equal(w[k], expected[0], equal_nan=True)
         assert (iters[k], ok[k]) == expected[1:]
-    w, _, converged = system._correct_rows(preds, None, _NEWTON_MAX_ITER)
+    w, _, converged = system._correct_rows(preds, None)
     assert converged.tolist() == [True, True, True, True, False, True]
     for k in range(len(preds)):
         expected = AugmentedSystem(spec, g).newton_least_norm(preds[k])
@@ -176,7 +168,7 @@ def test_lockstep_newton_matches_lstsq_reference():
     spec, g = build_a1(3)
     system = AugmentedSystem(spec, g)
     preds = _predictions(3, None)[0][::8]
-    w, _, converged = system._correct_rows(preds, None, _NEWTON_MAX_ITER)
+    w, _, converged = system._correct_rows(preds, None)
     for k, pred in enumerate(preds):
         expected, ok = newton_least_norm_lstsq(AugmentedSystem(spec, g), pred)
         assert converged[k] == ok
