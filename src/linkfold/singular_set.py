@@ -30,8 +30,9 @@ rank defect (none at n = 1, where the whole link is singular), only down
 into the basin of the solve that follows, then one solve of all of them
 bordered by each Jacobian's null vector, which makes every step the
 least-norm Gauss-Newton step. Tracing borders the system by the
-pseudo-arclength hyperplane (predictor-corrector continuation), one
-row per step, each started from a second-order point, and sizes each step
+pseudo-arclength hyperplane (predictor-corrector continuation) with two
+fronts that leave each seed in opposite directions, one row per front and
+one solve per round, each step started from a second-order point and sized
 by how far the corrector moved the Euler prediction; the probes by which
 :func:`collect_components` skips seeds on a kept trace by the hyperplanes
 through them, all in one solve; and :mod:`linkfold.morse` by the ray
@@ -92,6 +93,11 @@ _STEP_MAX = 0.5
 # the distance from the Euler prediction to the corrected node, over epsilon,
 # that the step control aims for
 _STEP_DISTANCE = 0.02
+# two trace fronts join only where the gap between their tips lies within
+# this cosine of each one's direction, so that they face each other along
+# the curve: not at the start, where the backward tip is the seed right
+# behind the forward one, nor across two nearby strands of one component
+_JOIN_COSINE = 0.9
 # iteration budget of a Newton solve with an added equation: continuation
 # nodes, on-trace probes and Morse brackets
 _CORRECTOR_MAX_ITER = 12
@@ -188,8 +194,7 @@ class CurveTrace:
     continuation, one row per node; ``image`` holds h(z) as (Re, Im) rows;
     ``arc_params`` is the cumulative curvature-corrected arc length;
     ``defects`` the rank defect at each node. The polyline is closed: the
-    first node is the start, the last node joins it in place of the step
-    that crossed the start's tangent hyperplane, and ``arc_length``
+    first node is the seed, the last node joins it, and ``arc_length``
     includes that segment. The image polygon has positive signed area.
     """
 
@@ -311,10 +316,13 @@ class AugmentedSystem:
         """Unit null vector of the Jacobian and its smallest singular value.
 
         A smallest singular value near zero means the solution set is not a
-        regular curve at w (possible branch point).
+        regular curve at w (possible branch point). One row gives (vector,
+        float); a stack of N rows gives (N, 2n+6) vectors and (N,) values
+        from one stacked SVD, each row its one-row call bit for bit.
         """
-        jac = self.jacobian(w)
-        _, s, vt = np.linalg.svd(jac, full_matrices=True)
+        _, s, vt = np.linalg.svd(self.jacobian(w), full_matrices=True)
+        if np.ndim(w) == 2:
+            return vt[:, -1], s[:, -1]
         return vt[-1], float(s[-1])
 
     def newton_least_norm(self, w):
@@ -613,51 +621,121 @@ def _arc_segments(nodes_z, tangents_z):
     return chord * np.divide(half, np.sin(half), out=np.ones_like(half), where=half >= 5e-10)
 
 
+@dataclass(eq=False)
+class _Front:
+    """One of a trace's two fronts: its nodes and tangents from the seed out.
+
+    ``s`` is its next step and ``curvature`` that of its last accepted step,
+    None before its first.
+    """
+
+    nodes: list
+    tangents: list
+    s: float
+    curvature: np.ndarray | None
+
+
+def _corrector_start(w_pred, h, curvature):
+    """Where the corrector starts a step whose prediction is w_pred = w + h t.
+
+    The second-order point w_pred + (h^2/2) kappa, with kappa the curvature of
+    the front's last accepted step, or w_pred on the front's first step.
+    """
+    return w_pred if curvature is None else w_pred + (0.5 * h * h) * curvature
+
+
+def _correct_steps(system, starts, t, w_pred):
+    """Correct one round's steps, one row per stepping front, forward front first.
+
+    Row k starts at starts[k] and is held to the pseudo-arclength hyperplane
+    t[k] . (w - w_pred[k]) = 0. One row goes through
+    :meth:`AugmentedSystem.corrector`, two through one
+    :meth:`AugmentedSystem._correct_rows` call, which ends each row as its
+    one-row call would. Returns the stacked (points, iterations, converged).
+    """
+    if len(starts) == 1:
+        w, iters, ok = system.corrector(starts[0], _hyperplane(t[0], w_pred[0]))
+        return w[None], np.array([iters]), np.array([ok])
+    return system._correct_rows(starts, _hyperplane(t, w_pred))
+
+
+def _facing_gap(forward, backward, dim):
+    """The z-gap between the fronts' tips, or inf unless they face each other.
+
+    The gap from the forward tip to the backward one must lie within cosine
+    ``_JOIN_COSINE`` of the forward tip's z-tangent, and its reverse within
+    that of the backward tip's.
+    """
+    gap = backward.nodes[-1][:dim] - forward.nodes[-1][:dim]
+    length = np.sqrt(gap @ gap)
+    ends = ((gap, forward.tangents[-1][:dim]), (-gap, backward.tangents[-1][:dim]))
+    facing = all(d @ t >= _JOIN_COSINE * length * np.sqrt(t @ t) for d, t in ends)
+    return length if facing else np.inf
+
+
 def trace_singular_curve(seed, spec, g):
-    """Pseudo-arclength continuation of the singular curve through ``seed``.
+    """Pseudo-arclength continuation of the singular curve through ``seed``, from both sides.
 
     ``seed`` is an augmented vector (z, a, b), a row of
     :func:`seed_singular_points`, on which
-    :meth:`AugmentedSystem.newton_least_norm` takes no step. Steps along the
-    one-dimensional null space of the augmented Jacobian with an adaptive
-    step, correcting back onto the curve after each prediction. Steps s are
-    z-arc lengths, as (a, b) are O(1) at every epsilon: the predictor moves
-    h = s / |t_z| along the unit tangent t (Allgower & Georg, section 6.1).
-    s starts at ``_STEP_INIT`` and stays within [``_STEP_MIN``,
+    :meth:`AugmentedSystem.newton_least_norm` takes no step. Two fronts leave
+    it, forward along the unit null vector t of the augmented Jacobian and
+    backward along -t, each stepping with an adaptive step and correcting
+    back onto the curve after each prediction. Steps s are z-arc lengths, as
+    (a, b) are O(1) at every epsilon: the predictor moves h = s / |t_z|
+    along the front's unit tangent t (Allgower & Georg, section 6.1). s
+    starts at ``_STEP_INIT`` and stays within [``_STEP_MIN``,
     ``_STEP_MAX``], all times epsilon, and every Newton solve is held to
-    :func:`~linkfold.geometry._residual_tol`. The prediction
-    w_pred = w + h t anchors the pseudo-arclength hyperplane
+    :func:`~linkfold.geometry._residual_tol`.
+
+    Each round advances every stepping front at once: one corrector solve
+    for all their rows (:func:`_correct_steps`) and one stacked
+    :meth:`AugmentedSystem.tangent`. The forward front steps alone until it
+    takes a step no longer than its last one; the backward front then starts
+    from the seed with the forward front's next step, so the step ramps up
+    once, not twice. The
+    prediction w_pred = w + h t anchors the pseudo-arclength hyperplane
     t . (w' - w_pred) = 0, the distance test and the step control. The
-    corrector starts from the second-order point w_pred + (h^2/2) kappa,
-    with kappa = (t - t_prev) / (t . (w - w_prev)) the curvature of the last
-    accepted step (ch. 6 of the same book), or from w_pred on a trace's
-    first step; the hyperplane's equation pins the node. A corrected point
-    farther than h/2 from its prediction is rejected like a failed
-    corrector (the distance test of section 6.1), so the trace cannot jump
-    to another part of the curve. After each accepted step, the z-distance
-    delta from w_pred to the node, which grows as s^2 times the curve's
-    bending, sets the next step against the target d = ``_STEP_DISTANCE``
-    epsilon (Den Heijer & Rheinboldt, SIAM J. Numer. Anal. 18, 1981): s
-    grows by 1.4 when delta <= d/2 and the corrector took at most 3
-    iterations, shrinks by 0.7 when delta > d or it took 6 or more, and
-    stays otherwise. So the curve's bending, not the cap, sets the node
-    count: 35 per A1 component. delta is measured from the anchor, not
-    from the second-order start: the anchor and the node do not depend on
-    where Newton began, while the start-to-node distance carries the
-    corrector's rounding. With discrete factors, round-off in the seed
-    moves no node. The trace closes when a step crosses the start's
-    tangent hyperplane t0 . (w - w0) = 0 from behind and either end of that
-    step lies within s of the start in z; that step's point is not stored,
-    and the polyline closes from the last node back to the start. It starts
-    in the direction in which the image turns counterclockwise about 0, so
-    node placement does not depend on round-off in the seed. A finished
-    polyline whose image polygon has negative signed area is then reversed
-    with the start kept first, so every image turns counterclockwise as a
-    whole, whichever seed the trace began at. Raises
-    NonConvergence when it has not closed after ``_MAX_NODES`` nodes,
+    corrector starts from :func:`_corrector_start`: the second-order point
+    w_pred + (h^2/2) kappa, with kappa = (t - t_prev) / (t . (w - w_prev))
+    the curvature of the front's last accepted step (ch. 6 of the same
+    book), or w_pred on its first step; the hyperplane's equation pins the
+    node. A corrected point farther than h/2 from its prediction is rejected
+    like a failed corrector (the distance test of section 6.1), so a front
+    cannot jump to another part of the curve, and so is one whose tangent
+    turns by more than 60 degrees. A rejected step halves that front's step
+    for the next round. After each accepted step, the z-distance delta from
+    w_pred to the node, which grows as s^2 times the curve's bending, sets
+    the front's next step against the target d = ``_STEP_DISTANCE`` epsilon
+    (Den Heijer & Rheinboldt, SIAM J. Numer. Anal. 18, 1981): s grows by
+    1.4 when delta <= d/2 and the corrector took at most 3 iterations,
+    shrinks by 0.7 when delta > d or it took 6 or more, and stays otherwise.
+    So the curve's bending, not the cap, sets the node count: 35 per A1
+    component, from 7 one-row and 14 two-row solves. delta is measured from
+    the anchor, not from the second-order start: the anchor and the node do
+    not depend on where Newton began, while the start-to-node distance
+    carries the corrector's rounding. With discrete factors, round-off in
+    the seed moves no node.
+
+    After each round the fronts' tips are compared in z (:func:`_facing_gap`).
+    Where they face each other within the larger of their steps, the fronts
+    join, and the gap between them is a segment of the polyline. Where they
+    face each other within the sum of their steps, the forward front steps
+    alone, by at most half the gap, so that neither front passes the other.
+    The backward tip is the seed until that front starts, so a curve shorter
+    than the forward ramp closes on it. The polyline is the seed, the
+    forward nodes, then the backward nodes reversed with their tangents
+    negated, and closes from the last of them back to the seed. The forward
+    front leaves in the direction in which the image turns counterclockwise
+    about 0, so node placement does not depend on round-off in the seed. A
+    finished polyline whose image polygon has negative signed area is then
+    reversed with the start kept first, so every image turns
+    counterclockwise as a whole, whichever seed the trace began at. Raises
+    NonConvergence when the fronts hold ``_MAX_NODES`` nodes between them
+    without having joined (the message gives the gap between their tips),
     BifurcationSuspected when the Jacobian loses rank along the way (below
-    ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when adaptation
-    falls below the minimum step.
+    ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when a front's
+    step falls below the minimum step.
     """
     step_min = _STEP_MIN * spec.epsilon
     step_max = _STEP_MAX * spec.epsilon
@@ -677,55 +755,64 @@ def trace_singular_curve(seed, spec, g):
     z0 = complexify(w[:-4])
     if np.imag(np.conj(eval_poly(g, z0)) * (gradient(g, z0) @ complexify(t[:-4]))) < 0:
         t = -t
-    start_w, start_t = w, t
     dim = 2 * system.m
-    nodes = [w]
-    tangents = [t]
     s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
-    curvature = None  # of the last accepted step; none before the first
+    forward, backward = fronts = [_Front([w], [t], s, None), _Front([w], [-t], s, None)]
+    started = closing = False
+    last_step = 0.0  # the forward front's step in the round before
     while True:
-        if len(nodes) >= _MAX_NODES:
+        if len(forward.nodes) + len(backward.nodes) - 1 >= _MAX_NODES:
+            gap = np.linalg.norm(backward.nodes[-1] - forward.nodes[-1])
             raise NonConvergence(
-                f"trace did not close within {_MAX_NODES} nodes "
-                f"(gap to start {np.linalg.norm(w - start_w):.1e})"
+                f"trace did not close within {_MAX_NODES} nodes (gap to start {gap:.1e})"
             )
-        h = s / np.linalg.norm(t[:dim])
-        w_pred = w + h * t
-        start = w_pred if curvature is None else w_pred + (0.5 * h * h) * curvature
-        w_new, iters, ok = system.corrector(start, _hyperplane(t, w_pred))
+        stepping = fronts if started and not closing else [forward]
+        forward_step = forward.s
+        w = np.array([front.nodes[-1] for front in stepping])
+        t = np.array([front.tangents[-1] for front in stepping])
+        h = np.array([front.s for front in stepping]) / np.sqrt(_row_dot(t[:, :dim], t[:, :dim]))
+        w_pred = w + h[:, None] * t
+        starts = np.array([_corrector_start(p, hk, front.curvature)
+                           for p, hk, front in zip(w_pred, h, stepping)])
+        w_new, iters, ok = _correct_steps(system, starts, t, w_pred)
         miss = w_new - w_pred
-        if ok and np.linalg.norm(miss) > 0.5 * h:
-            ok = False  # the corrector jumped: the distance test fails
-        if ok:
-            t_new, smin = system.tangent(w_new)
-            if smin < branch_tol:
+        ok &= np.sqrt(_row_dot(miss, miss)) <= 0.5 * h  # else the corrector jumped
+        distance = np.sqrt(_row_dot(miss[:, :dim], miss[:, :dim]))
+        t_new = np.zeros_like(t)
+        if ok.any():
+            t_new[ok], smin = system.tangent(w_new[ok])
+            if np.min(smin) < branch_tol:
                 raise BifurcationSuspected(
-                    f"second-smallest singular value {smin:.3e} during trace"
+                    f"second-smallest singular value {np.min(smin):.3e} during trace"
                 )
-            if np.dot(t_new, t) < 0:
-                t_new = -t_new
-            if np.dot(t_new, t) < 0.5:
-                ok = False  # sharp turn: the step jumped too far
-        if not ok:
-            s *= 0.5
-            if s < step_min:
-                raise StepCollapse(f"continuation step collapsed below {step_min:.1e}")
-            continue
-        near = min(np.linalg.norm(end[:dim] - start_w[:dim]) for end in (w, w_new)) <= s
-        if near and np.dot(start_t, w - start_w) < 0 <= np.dot(start_t, w_new - start_w):
-            break  # the step crosses the start's tangent hyperplane: closed
-        nodes.append(w_new)
-        tangents.append(t_new)
-        curvature = (t_new - t) / np.dot(t_new, w_new - w)
-        w, t = w_new, t_new
-        distance = np.linalg.norm(miss[:dim])
-        if distance <= 0.5 * target and iters <= 3:
-            s = min(s * 1.4, step_max)
-        elif distance > target or iters >= 6:
-            s = max(s * 0.7, step_min)
+            turn = _row_dot(t_new, t)
+            t_new[turn < 0] *= -1.0
+            ok &= np.abs(turn) >= 0.5  # else a sharp turn: the step jumped too far
+        for k, front in enumerate(stepping):
+            if not ok[k]:
+                front.s *= 0.5
+                if front.s < step_min:
+                    raise StepCollapse(f"continuation step collapsed below {step_min:.1e}")
+                continue
+            front.nodes.append(w_new[k])
+            front.tangents.append(t_new[k])
+            front.curvature = (t_new[k] - t[k]) / np.dot(t_new[k], w_new[k] - w[k])
+            if distance[k] <= 0.5 * target and iters[k] <= 3:
+                front.s = min(front.s * 1.4, step_max)
+            elif distance[k] > target or iters[k] >= 6:
+                front.s = max(front.s * 0.7, step_min)
+        gap = _facing_gap(forward, backward, dim) if len(forward.nodes) > 1 else np.inf
+        if gap <= max(forward.s, backward.s):
+            break  # the fronts join: the gap is the last segment
+        closing = gap <= forward.s + backward.s
+        if closing:  # the forward front alone halves the gap
+            forward.s = min(forward.s, 0.5 * gap)
+        if not started and forward_step <= last_step:
+            started, backward.s = True, forward.s
+        last_step = forward_step
 
-    nodes = np.array(nodes)
-    tangents = np.array(tangents)
+    nodes = np.array(forward.nodes + backward.nodes[:0:-1])
+    tangents = np.array(forward.tangents + [-x for x in backward.tangents[:0:-1]])
     values = eval_poly(g, complexify(nodes[:, :dim]))
     # orient by the whole image: a polyline whose image polygon has negative
     # signed area is reversed, keeping the start first

@@ -407,7 +407,7 @@ def _assert_configuration_error(tmp_path, capsys, argv):
 
 def test_single_image_component_report_is_strict_json(tmp_path, capsys):
     # g = z1 maps both circles of the n = 1 A1 link onto one image circle:
-    # two traced components whose image polylines nearly touch
+    # two traced components whose image polylines lie on one circle
     code = main(["verify-a1", "--n", "1", "--g", "z1", "--out", str(tmp_path)])
     assert code == 3
     assert "n1_image_radii" in capsys.readouterr().err
@@ -421,7 +421,20 @@ def test_single_image_component_report_is_strict_json(tmp_path, capsys):
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["n1_two_components"]["passed"]
     assert not checks["n1_injectivity_gap"]["passed"]
-    assert 0 < report["n1_image"]["min_intercomponent_distance"] < 1e-2
+    image = report["n1_image"]
+    (r0, r1), (c0, c1) = image["radii"], image["centers"]
+    assert abs(r0 - r1) <= 1e-9
+    assert np.linalg.norm(np.subtract(c0, c1)) <= 1e-9
+    # a node of one polyline on the circle lies within about half a chord of
+    # the other's nodes, wherever the nodes fall
+    rows = np.genfromtxt(tmp_path / "singular_set.csv", delimiter=",", names=True)
+    chords = []
+    for k in np.unique(rows["component_id"]):
+        h = rows[rows["component_id"] == k]
+        h = np.column_stack([h["re_h"], h["im_h"]])
+        chords.append(np.max(np.linalg.norm(np.roll(h, -1, axis=0) - h, axis=1)))
+    assert len(chords) == 2
+    assert 0 < image["min_intercomponent_distance"] <= 0.5 * max(chords)
 
 
 def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys):

@@ -548,22 +548,79 @@ def test_trace_direction_ignores_seed_round_off(a1_n2):
         assert np.allclose(trace.nodes, reference.nodes, rtol=0.0, atol=1e-12)
 
 
+def test_fronts_join_only_facing_each_other(monkeypatch):
+    # the backward front's tip is the seed until that front starts, and the
+    # forward front's first node lies within a step of it: only the cosine
+    # condition keeps the fronts from joining there, each trace a 2-node stub
+    monkeypatch.setattr(singular_set, "_JOIN_COSINE", -np.inf)
+    spec, g = lf.RunConfig(f_text=BRIESKORN_F, n=2).build()
+    assert len(lf.collect_components(lf.seed_singular_points(spec, g, 42), spec, g)) > 2
+    monkeypatch.undo()
+    for seed in (42, 4, 5, 9):
+        assert len(pipeline_traces(2, seed, BRIESKORN_F)) == 2
+
+
+@pytest.mark.parametrize("seed", [42, 4, 5, 9])
+def test_join_leaves_no_long_segment(seed):
+    # joined directly only within one step, the fronts leave no segment
+    # longer than the others: the largest is 1.23-1.33 times the median,
+    # where joining at the sum of both steps gave up to 1.84
+    for trace in pipeline_traces(2, seed, BRIESKORN_F):
+        segments = np.diff(np.r_[trace.arc_params, trace.arc_length])
+        assert segments.max() <= 1.5 * np.median(segments)
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a1_trace_is_one_circle_from_21_solves(n, seed, monkeypatch):
+    # the seed's solve, 6 one-row steps of the forward front, then 14 rounds
+    # of both fronts: 35 nodes, against 36 one-row solves from one front
+    spec, g = build_a1(n)
+    solves, inside = [], []
+    trace, correct_rows = singular_set.trace_singular_curve, AugmentedSystem._correct_rows
+
+    def counted_trace(*args):
+        solves.append(0)
+        inside.append(True)
+        try:
+            return trace(*args)
+        finally:
+            inside.pop()
+
+    def counted_rows(self, *args):
+        if inside:
+            solves[-1] += 1
+        return correct_rows(self, *args)
+
+    monkeypatch.setattr(singular_set, "trace_singular_curve", counted_trace)
+    monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted_rows)
+    traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
+    assert len(traces) == len(solves) == 2
+    assert solves == [21, 21]
+    for component in traces:
+        assert len(component) == 35
+        assert abs(component.arc_length - 2 * np.pi) <= 1e-10
+
+
 def _trace_corrector_iterations(monkeypatch):
-    """Record the corrector iterations of every trace step, one list per trace."""
+    """Record the corrector iterations of every step of both fronts, one list per trace.
+
+    A round's steps are recorded in row order, the forward front first.
+    """
     runs = []
-    trace, corrector = singular_set.trace_singular_curve, AugmentedSystem.corrector
+    trace, correct_steps = singular_set.trace_singular_curve, singular_set._correct_steps
 
     def counted_trace(*args):
         runs.append([])
         return trace(*args)
 
-    def counted_corrector(self, w0, extra):
-        w, iters, ok = corrector(self, w0, extra)
-        runs[-1].append(iters)
+    def counted_steps(*args):
+        w, iters, ok = correct_steps(*args)
+        runs[-1].extend(iters.tolist())
         return w, iters, ok
 
     monkeypatch.setattr(singular_set, "trace_singular_curve", counted_trace)
-    monkeypatch.setattr(AugmentedSystem, "corrector", counted_corrector)
+    monkeypatch.setattr(singular_set, "_correct_steps", counted_steps)
     return runs
 
 
@@ -597,27 +654,25 @@ def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch)
     units = np.r_[np.full(2 * n + 2, epsilon), 1.0, 1.0, epsilon, epsilon]
     seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     reference = lf.collect_components(seeds, spec, g)
-    trace, hyperplane = singular_set.trace_singular_curve, singular_set._hyperplane
-    corrector = AugmentedSystem.corrector
-    calls = []  # per trace: (tangent, anchor, corrected point) of each step
+    trace, correct_steps = singular_set.trace_singular_curve, singular_set._correct_steps
+    # per trace and front: (tangent, anchor, corrected point) of each step.
+    # Row k of a round is front k: the forward front steps first, and alone
+    # until the backward one starts
+    calls = []
 
     def traced(*args):
-        calls.append([])
+        calls.append(([], []))
         return trace(*args)
 
-    def anchored(t, w_pred):
-        extra = hyperplane(t, w_pred)
-        extra.tangent, extra.anchor = t, w_pred
-        return extra
-
-    def from_anchor(self, w0, extra):
-        w, iters, ok = corrector(self, extra.anchor, extra)
-        calls[-1].append((extra.tangent, extra.anchor, w))
+    def recorded(system, starts, t, w_pred):
+        w, iters, ok = correct_steps(system, starts, t, w_pred)
+        for front, step in zip(calls[-1], zip(t, w_pred, w)):
+            front.append(step)
         return w, iters, ok
 
     monkeypatch.setattr(singular_set, "trace_singular_curve", traced)
-    monkeypatch.setattr(singular_set, "_hyperplane", anchored)
-    monkeypatch.setattr(AugmentedSystem, "corrector", from_anchor)
+    monkeypatch.setattr(singular_set, "_corrector_start", lambda w_pred, h, curvature: w_pred)
+    monkeypatch.setattr(singular_set, "_correct_steps", recorded)
     euler = lf.collect_components(seeds, spec, g)
     assert len(euler) == len(reference) == 2
     for mine, theirs in zip(reference, euler):
@@ -626,7 +681,7 @@ def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch)
         assert moved <= 1e-12 / min(1.0, epsilon) ** 2
     # the anchor stays the Euler prediction: a step with a new tangent leaves
     # the point the step before it accepted, along that tangent
-    for steps in calls:
+    for steps in (front for fronts in calls for front in fronts):
         for (t_before, _, node), (t, anchor, _) in zip(steps, steps[1:]):
             if not np.array_equal(t, t_before):
                 ahead = anchor - node
@@ -645,17 +700,24 @@ def test_collect_components_two_circles(traces_n2, traces_n3):
 
 @pytest.mark.parametrize(
     "n, f_text, seeds",
-    [(2, None, (42, 3, 5)), (3, None, (42, 3, 5)), (2, BRIESKORN_F, (42, 4))],
+    [(2, None, (42, 3, 5)), (3, None, (42, 3, 5)), (2, BRIESKORN_F, (42, 4, 5, 9))],
     ids=["a1_n2", "a1_n3", "brieskorn"],
 )
 def test_component_order_does_not_depend_on_the_seed(n, f_text, seeds):
     # ordered by the first node, A1 at n = 2 listed the inner circle first at
     # seed 42 and second at seed 3, and the Brieskorn link its long component
-    # first at seed 42 and second at seed 4
-    counts = np.array([[len(t) for t in pipeline_traces(n, s, f_text)] for s in seeds])
-    assert counts.shape == (len(seeds), 2)
-    # the k-th component has about the same node count at every seed
-    assert np.all(np.abs(counts - counts[0]) <= 0.01 * counts[0])
+    # first at seed 42 and second at seed 4. Node counts cannot tell A1's two
+    # circles apart (35 nodes each), and the long Brieskorn component's vary
+    # by 1.4 % with node placement; its arc length and largest |h| do not
+    shape = np.array([
+        [(t.arc_length, np.max(np.linalg.norm(t.image, axis=1))) for t in pipeline_traces(n, s, f_text)]
+        for s in seeds
+    ])
+    assert shape.shape == (len(seeds), 2, 2)
+    # the k-th component has about the same arc length and peak |h| at every seed
+    moved = np.abs(shape - shape[0]) / shape[0]
+    assert np.all(moved[..., 0] <= 1e-4)
+    assert np.all(moved[..., 1] <= 1e-3)
 
 
 @pytest.mark.parametrize("seed", [1103, 1113])

@@ -69,6 +69,19 @@ def test_stacked_newton_rows_equal_one_row_calls(n, f_text, rows):
         assert converged[k] == expected[1]
 
 
+@pytest.mark.parametrize("n, f_text", SYSTEMS)
+def test_stacked_tangent_rows_equal_one_row_calls(n, f_text):
+    # on the curve at a trace's nodes and off it at predictor points
+    spec, g = _spec_g(n, f_text)
+    rows = np.concatenate([_seeds_and_traces(n, f_text, 42)[1][0].nodes, _predictions(n, f_text)[0]])
+    vectors, sigmas = AugmentedSystem(spec, g).tangent(rows)
+    assert vectors.shape == rows.shape and sigmas.shape == (len(rows),)
+    for row, vector, sigma in zip(rows, vectors, sigmas):
+        expected = AugmentedSystem(spec, g).tangent(row)
+        assert isinstance(expected[1], float)
+        assert np.array_equal(vector, expected[0]) and sigma == expected[1]
+
+
 def test_failing_rows_fail_alone(a1_n2):
     # a zero border row makes its bordered matrix singular, so the stacked
     # solve raises for the whole stack and each row is solved alone
