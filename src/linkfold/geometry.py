@@ -139,8 +139,9 @@ def project_to_link(z0, spec):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
     One point is a one-row stack of :func:`_project_rows`, whose closed-form
-    steps the tests check against an SVD solve; it converges at a residual
-    of :func:`_residual_tol`. It raises RankDeficient if the constraint
+    steps the tests check against an SVD solve; it converges one polishing
+    step after its residual first reaches :func:`_residual_tol`, on the
+    better of its last two points. It raises RankDeficient if the constraint
     Jacobian has a singular value below 1e-10 (e.g. at the origin), and
     NonConvergence when a residual or gradient is not finite or after
     ``_PROJECT_MAX_ITER`` iterations. Each row of an (N, n+1) stack is its
@@ -164,6 +165,13 @@ def project_to_link(z0, spec):
     )
 
 
+def _rows_where(mask, *arrays):
+    """The rows of each array where ``mask`` holds; the arrays themselves where it always does."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
 def _residual_tol(spec):
     """``_RESIDUAL_TOL`` times max(1, epsilon^2), where the |z|^2 - epsilon^2 row rounds."""
     return _RESIDUAL_TOL * max(1.0, spec.epsilon**2)
@@ -181,19 +189,22 @@ def _project_rows(z0, spec):
     sqrt(D / lam), lam = (s + t)/2 + sqrt(((s - t)/2)^2 + |c|^2), 0 on a zero
     row. D is the Lagrange sum 4 sum_{j<k} |conj(fk_j) z_k - conj(fk_k) z_j|^2,
     as s t - |c|^2 cancels near rank loss. A row is held to
-    :func:`_residual_tol`, for at most ``_PROJECT_MAX_ITER`` iterations,
-    and within it keeps polishing while its residual drops sharply. Rows
-    keep their own state and sum by :func:`_row_dot` over contiguous rows,
-    so each equals the one-point call bit for bit. Returns (points,
-    converged, sigma), ``sigma`` each row's last least singular value:
-    below 1e-10 exactly where the row stopped on rank loss.
+    :func:`_residual_tol`, for at most ``_PROJECT_MAX_ITER`` iterations:
+    the first time its residual is at most that floor it takes exactly one
+    more step, and it converges at the next residual evaluation, returning
+    whichever of its points had the smaller residual. A zero residual
+    converges at once, and a non-finite residual stops the row. Only rows
+    that step evaluate f's gradient. Rows keep their own state and sum by
+    :func:`_row_dot` over contiguous rows, so each equals the one-point call
+    bit for bit. Returns (points, converged, sigma), ``sigma`` each row's
+    last least singular value: below 1e-10 exactly where the row stopped on
+    rank loss.
     """
     tol = _residual_tol(spec)
     z = np.array(z0, dtype=complex)
     best = z.copy()
     best_norm = np.full(len(z), np.inf)
     sigma = np.full(len(z), np.nan)
-    hit_tol = np.zeros(len(z), dtype=bool)
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
     j, k = np.triu_indices(z.shape[1], 1)
@@ -204,18 +215,19 @@ def _project_rows(z0, spec):
             zl = z[live]
             res = link_residual(zl, spec)
             res_norm = np.sqrt(_row_dot(res, res))
+            # converged: one polishing step past the floor, or an exact zero
+            done = ((best_norm[live] <= tol) & (res_norm > 0.0)) | (res_norm == 0.0)
+            converged[live[done]] = True
             better = res_norm < best_norm[live]
             best[live[better]] = zl[better]
             best_norm[live[better]] = res_norm[better]
-            polished = hit_tol[live] & (res_norm > 0.25 * best_norm[live])
-            broken = ~polished & ~np.isfinite(res_norm)
-            hit_tol[live[res_norm <= tol]] = True
-            exact = ~polished & (res_norm == 0.0)
-            converged[live[polished | exact]] = True
+            live, zl, res = _rows_where(~done & np.isfinite(res_norm), live, zl, res)
+            if not live.size:
+                break
             fk = gradient(spec.f, zl)
             # a finite residual bounds |z|, so J is finite where fk is
-            step = ~(polished | broken | exact) & np.all(np.isfinite(fk), axis=1)
-            live, zl, res, fk_bar = live[step], zl[step], res[step], np.conj(fk[step])
+            live, zl, res, fk = _rows_where(np.all(np.isfinite(fk), axis=1), live, zl, res, fk)
+            fk_bar = np.conj(fk)
             a, b, w = fk_bar.view(float), (1j * fk_bar).view(float), 2.0 * zl.view(float)
             s, t, cr, ci = _row_dot(a, a), _row_dot(w, w), _row_dot(a, w), _row_dot(b, w)
             # take, unlike [:, j], keeps rows contiguous, as _row_dot needs
@@ -230,10 +242,9 @@ def _project_rows(z0, spec):
             y3 = (s * r3 - cr * r1 - ci * r2) / det
             y1, y2 = (r1 - cr * y3) / s, (r2 - ci * y3) / s
             delta = (y1[:, None] * a + y2[:, None] * b + y3[:, None] * w).view(complex)
-            full_rank = sigma[live] >= _RANK_TOL
-            live = live[full_rank]
-            z[live] = (zl + delta)[full_rank]
-    converged[live] = hit_tol[live] | (best_norm[live] <= tol)
+            live, zl, delta = _rows_where(sigma[live] >= _RANK_TOL, live, zl, delta)
+            z[live] = zl + delta
+    converged[live] = best_norm[live] <= tol
     return best, converged, sigma
 
 
@@ -351,8 +362,10 @@ def chart(point, frame, u, spec):
         return project_to_link(point + complexify(frame.basis.T @ u), spec)
     step = norm_u != 0.0
     moved = point.copy()
-    for k in np.flatnonzero(step):  # 1-D products: a stacked matmul rounds apart
-        moved[k] += complexify(frame.basis[k].T @ u[k])
+    # a stacked matmul over the frames as given: each product's matrix keeps
+    # its one-point layout, so it rounds as the one-point product does
+    shift = np.matmul(np.swapaxes(frame.basis, -1, -2), u[..., None])[..., 0]
+    moved[step] += complexify(shift[step])
     moved[step] = project_to_link(moved[step], spec)
     return moved
 

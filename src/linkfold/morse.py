@@ -90,24 +90,24 @@ def _distinct(points):
     return kept
 
 
-def _equation_zeros(traces, system, equation):
+def _equation_zeros(traces, system, equation, node_values):
     """Points of the traced singular set where ``equation`` vanishes.
 
-    Where ``equation``'s value at a trace's nodes vanishes at node k or
-    changes sign from k to the next node (the last wraps to the first), the
-    bordered corrector solves ``equation`` from the cubic Hermite
-    interpolant of that segment (:func:`_spline_points`) at the values'
-    linear zero fraction u. Every bracket of every trace goes in one
-    :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
+    ``node_values`` holds ``equation``'s value at each trace's nodes, one
+    (K,) array per trace, as the caller reads it from the trace. Where it
+    vanishes at node k or changes sign from k to the next node (the last
+    wraps to the first), the bordered corrector solves ``equation`` from
+    the cubic Hermite interpolant of that segment (:func:`_spline_points`)
+    at the values' linear zero fraction u. Every bracket of every trace goes
+    in one :meth:`AugmentedSystem._correct_rows` call, whose ``extra(W)`` is
     ``equation``; on A1 each takes at most 2 Newton iterations, where the
     chord's start took 2 or 3, and at most 4 on the other tested f and g,
-    well inside ``_CORRECTOR_MAX_ITER``. Converged points
-    within ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
+    well inside ``_CORRECTOR_MAX_ITER``. Converged points within
+    ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
     dropped.
     """
     starts = [np.empty((0, 2 * system.m + 4))]
-    for trace in traces:
-        va = equation(trace.nodes)[0]
+    for trace, va in zip(traces, node_values):
         vb = np.roll(va, -1)
         k = np.flatnonzero((va == 0.0) | (va * vb < 0.0))
         u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
@@ -137,7 +137,9 @@ def slice_critical_points(slice_spec, traces, spec, g):
         rows[:, 0:dim:2], rows[:, 1:dim:2] = im, re
         return _cmul(rotation.real, rotation.imag, value.real, value.imag)[1], rows
 
-    zeros = _equation_zeros(traces, system, ray_equation)
+    # the nodes' values of h are stored on each trace, from the same eval_poly
+    ray_values = [_cmul(rotation.real, rotation.imag, *trace.image.T)[1] for trace in traces]
+    zeros = _equation_zeros(traces, system, ray_equation, ray_values)
     params = [(rotation * eval_poly(g, z)).real for z in zeros]
     kept = [k for k, param in enumerate(params) if param >= _MIN_RAY_PARAM * spec.epsilon]
     return [zeros[k] for k in sorted(kept, key=lambda k: -params[k])]
@@ -219,7 +221,8 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
         return weight.real * w[:, -1] + weight.imag * w[:, -2], np.broadcast_to(row, w.shape)
 
     records = []
-    for z in _equation_zeros(traces, system, critical_equation):
+    node_values = [critical_equation(trace.nodes)[0] for trace in traces]
+    for z in _equation_zeros(traces, system, critical_equation, node_values):
         frame = tangent_frame(z, spec)
         derivs = weight * (frame.complex_basis @ gradient(g, z))
         hess = intrinsic_hessian(np.eye(frame.dim), frame, spec, g, eta)

@@ -8,10 +8,14 @@ descending), so both are deterministic.
 
 Values, gradients and Hessians walk one kind of table, cached on the
 polynomial per derivative order: the distinct powers and the terms of all
-its partials of that order. One point, and stacks below ``_VECTOR_MIN_ROWS``
-rows, walk it point by point in Python complex arithmetic. Larger stacks
-walk it once as real float array operations. Every path equals the plain
-term loop bit for bit.
+its partials of that order. Partials of an order at least the polynomial's
+degree are constants, summed once when the table is built and copied out on
+every call. Otherwise one point, and stacks below ``_VECTOR_MIN_ROWS`` rows,
+walk the table point by point in Python complex arithmetic, and larger
+stacks in one grouped sweep of real float array operations: one power call
+per distinct exponent, one complex product per factor position over all
+terms, and one add per term position over all partials. Every path equals
+the plain term loop bit for bit.
 
 The text grammar accepted by :func:`parse_poly`:
 
@@ -115,24 +119,16 @@ class ComplexPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def _slot_table(self, order):
-        """The distinct powers (variable, exponent) and terms of all partials of ``order``.
+        """The :class:`_SlotTable` of all partials of ``order``, cached on the instance.
 
         Order 0 is the polynomial itself, in slot 0; slot j is d/dz_j and
-        slot j * n_vars + k is d^2/dz_j dz_k. Terms are (slot, coefficient,
-        indices into the powers), each slot's in its partial's graded order.
-        Cached on the instance.
+        slot j * n_vars + k is d^2/dz_j dz_k.
         """
         if order not in self._slots:
             polys = [self]
             for _ in range(order):
                 polys = [q for p in polys for q in p.partials()]
-            powers, entries = {}, []
-            for slot, q in enumerate(polys):
-                for exps, coeff in q.sorted_terms():
-                    factors = ((j, e) for j, e in enumerate(exps) if e)
-                    idx = tuple(powers.setdefault(f, len(powers)) for f in factors)
-                    entries.append((slot, coeff, idx))
-            self._slots[order] = tuple(powers), tuple(entries)
+            self._slots[order] = _SlotTable(polys)
         return self._slots[order]
 
     def is_zero(self):
@@ -268,7 +264,10 @@ def _cmul(ar, ai, br, bi):
 
 
 def _power_rows(xr, xi, e):
-    """:func:`_power` over arrays of real parts ``xr`` and imaginary parts ``xi``."""
+    """:func:`_power` over arrays of real parts ``xr`` and imaginary parts ``xi``.
+
+    The (k, N) arrays of a grouped sweep hold k powers of one exponent.
+    """
     if e == 1:
         pr, pi = xr, xi
     elif e == 2:
@@ -289,45 +288,139 @@ def _power_rows(xr, xi, e):
     return np.where(zero, 0.0, pr), np.where(zero, 0.0, pi)
 
 
+def _row_index(indices):
+    """The row indices as a slice where they are consecutive (a view), else as an array."""
+    if indices == list(range(indices[0], indices[0] + len(indices))):
+        return slice(indices[0], indices[0] + len(indices))
+    return np.array(indices)
+
+
+class _SlotTable:
+    """The distinct powers and the terms of a list of partials, and the plans that walk them.
+
+    ``powers`` holds the distinct (variable, exponent) pairs, ordered by
+    exponent, then variable; ``entries`` the terms as (slot, coefficient,
+    indices into ``powers``), each slot's in its partial's graded order.
+    Where no term has a factor, every partial is a constant: ``constant``
+    holds them in an array of ``slots`` entries, each summed from 0j in
+    graded order as the point path sums it, and is None otherwise. The
+    grouped sweep's plan:
+
+    * ``groups``: (exponent, variables) per distinct exponent;
+    * ``coeff``: the (T, 1) real and imaginary coefficients of the terms,
+      ordered by factor count, most first (stable), so that the terms with
+      more than q factors are a prefix;
+    * ``factor_steps``: (k, power indices) per factor position q, k the
+      length of that prefix;
+    * ``sum_steps``: (count, term indices) per term position p, the p-th
+      term of each slot that has one, slots ranked by term count, most
+      first (stable), so that the slots with more than p terms are a prefix;
+    * ``ranked``: the slot ranking, None where it is the identity.
+    """
+
+    __slots__ = ("powers", "entries", "slots", "constant", "groups", "coeff",
+                 "factor_steps", "sum_steps", "ranked")
+
+    def __init__(self, polys):
+        self.slots = len(polys)
+        terms = [(slot, coeff, exps) for slot, q in enumerate(polys)
+                 for exps, coeff in q.sorted_terms()]
+        self.powers = tuple(sorted({(j, e) for *_, exps in terms for j, e in enumerate(exps) if e},
+                                   key=lambda f: (f[1], f[0])))
+        index = {f: i for i, f in enumerate(self.powers)}
+        self.entries = tuple(
+            (slot, coeff, tuple(index[j, e] for j, e in enumerate(exps) if e))
+            for slot, coeff, exps in terms
+        )
+        self.constant = None
+        if not self.powers:
+            row = [0j] * self.slots
+            for slot, coeff, _ in self.entries:
+                row[slot] += coeff
+            self.constant = np.array(row, dtype=complex)
+            return
+        exponents = sorted({e for _, e in self.powers})
+        self.groups = [(e, _row_index([j for j, f in self.powers if f == e])) for e in exponents]
+        by_factors = sorted(range(len(self.entries)), key=lambda t: -len(self.entries[t][2]))
+        ordered = [self.entries[t] for t in by_factors]
+        self.coeff = (np.array([[c.real] for _, c, _ in ordered]),
+                      np.array([[c.imag] for _, c, _ in ordered]))
+        self.factor_steps = []
+        for q in range(len(ordered[0][2])):
+            held = [idx[q] for *_, idx in ordered if len(idx) > q]
+            self.factor_steps.append((len(held), _row_index(held)))
+        # each slot's terms in graded order, as places in the factor order
+        place = {t: i for i, t in enumerate(by_factors)}
+        per_slot = [[] for _ in range(self.slots)]
+        for t, (slot, *_) in enumerate(self.entries):
+            per_slot[slot].append(place[t])
+        ranked = sorted(range(self.slots), key=lambda slot: -len(per_slot[slot]))
+        self.sum_steps = []
+        for p in range(len(per_slot[ranked[0]])):
+            block = [per_slot[slot][p] for slot in ranked if len(per_slot[slot]) > p]
+            self.sum_steps.append((len(block), _row_index(block)))
+        self.ranked = None if ranked == list(range(self.slots)) else np.array(ranked)
+
+    def sweep(self, z):
+        """Every partial at each row of the (N, n_vars) stack z, as an (N, slots) array.
+
+        Each power is taken once per call, grouped by exponent; each term
+        multiplies its coefficient by its factors in order, as the point
+        path does, and each slot adds its terms from 0.0 in graded order.
+        Complex products are written as real float operations, because
+        numpy's complex array multiply may fuse multiply-adds.
+        """
+        zr = np.ascontiguousarray(z.real.T)
+        zi = np.ascontiguousarray(z.imag.T)
+        with np.errstate(all="ignore"):
+            values = [_power_rows(zr[js], zi[js], e) for e, js in self.groups]
+            vr, vi = values[0] if len(values) == 1 else map(np.concatenate, zip(*values))
+            (k, idx), *steps = self.factor_steps
+            cr, ci = self.coeff
+            tr, ti = _cmul(cr[:k], ci[:k], vr[idx], vi[idx])
+            for k, idx in steps:
+                tr[:k], ti[:k] = _cmul(tr[:k], ti[:k], vr[idx], vi[idx])
+            if len(tr) < len(cr):  # terms with no factor are their coefficients
+                tr = np.concatenate([tr, cr[len(tr):].repeat(len(z), axis=1)])
+                ti = np.concatenate([ti, ci[len(ti):].repeat(len(z), axis=1)])
+            sr, si = np.zeros((self.slots, len(z))), np.zeros((self.slots, len(z)))
+            for count, idx in self.sum_steps:
+                sr[:count] += tr[idx]
+                si[:count] += ti[idx]
+        out = np.empty((len(z), self.slots), dtype=complex)
+        slots = slice(None) if self.ranked is None else self.ranked
+        out.real[:, slots] = sr.T
+        out.imag[:, slots] = si.T
+        return out
+
+
 def _evaluate(p, z, order):
     """All partials of ``order`` 0, 1 or 2 of ``p`` at ``z``, one n_vars axis per order.
 
-    Walks the slot table of that order. One point and stacks below
-    ``_VECTOR_MIN_ROWS`` rows go point by point: each power is taken once
-    per point and each slot adds its terms from 0j in its partial's graded
-    order, so every entry equals the term loop of its partial bit for bit.
-    Larger stacks walk the table once over arrays of real and imaginary
-    parts, taking each power once per call. They write each complex product
-    as real float operations, because numpy's complex array multiply may
-    fuse multiply-adds, and so round as the point path does. Non-finite
-    inputs or overflow give inf or nan, never an exception or a warning.
+    Walks the :class:`_SlotTable` of that order. Where its partials are
+    constants, every row is a fresh copy of them, whatever the point.
+    Otherwise one point and stacks below ``_VECTOR_MIN_ROWS`` rows go point
+    by point: each power is taken once per point and each slot adds its
+    terms from 0j in its partial's graded order, so every entry equals the
+    term loop of its partial bit for bit. Larger stacks take the table's
+    grouped sweep (:meth:`_SlotTable.sweep`), whose float operations round
+    as the point path's. Non-finite inputs or overflow give inf or nan,
+    never an exception or a warning.
     """
     z, m = _points(p, z), p.n_vars
-    powers, entries = p._slot_table(order)
-    shape, slots = z.shape[:-1] + (m,) * order, m**order
+    table = p._slot_table(order)
+    shape = z.shape[:-1] + (m,) * order
+    if table.constant is not None:
+        out = np.empty(z.shape[:-1] + (table.slots,), dtype=complex)
+        out[...] = table.constant
+        return out.reshape(shape) if shape else out[0]
     if z.ndim == 2 and len(z) >= _VECTOR_MIN_ROWS:
-        zr = np.ascontiguousarray(z.real.T)
-        zi = np.ascontiguousarray(z.imag.T)
-        # one (N,) sum per slot: a fresh (slots, N) block is slower, from page faults
-        sum_r, sum_i = [0.0] * slots, [0.0] * slots
-        with np.errstate(all="ignore"):
-            values = [_power_rows(zr[j], zi[j], e) for j, e in powers]
-            for slot, coeff, idx in entries:
-                tr, ti = coeff.real, coeff.imag
-                for i in idx:
-                    tr, ti = _cmul(tr, ti, *values[i])
-                sum_r[slot] += tr
-                sum_i[slot] += ti
-        out = np.empty((len(z), slots), dtype=complex)
-        for slot in range(slots):
-            out.real[:, slot] = sum_r[slot]
-            out.imag[:, slot] = sum_i[slot]
-        return out.reshape(shape)
+        return table.sweep(z).reshape(shape)
     rows = []
     for zs in [z.tolist()] if z.ndim == 1 else z.tolist():
-        values = [_power(zs[j], e) for j, e in powers]
-        row = [0j] * slots
-        for slot, coeff, idx in entries:
+        values = [_power(zs[j], e) for j, e in table.powers]
+        row = [0j] * table.slots
+        for slot, coeff, idx in table.entries:
             term = coeff
             for i in idx:
                 term *= values[i]

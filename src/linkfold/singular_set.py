@@ -514,9 +514,10 @@ def projected_descent(system, z):
             frame = tangent_frame(z[live], spec)
         if not live.size:
             break
-        # 1-D products on bases in one-start layout: each row rounds as a lone start
-        tang_grad = np.array([b @ grad[k] for b, k in zip(frame.basis, live)])
-        slope = np.array([np.linalg.norm(t) for t in tang_grad])
+        # stacked products on bases in one-start layout, and norms as 1-D dots:
+        # each row rounds as a lone start
+        tang_grad = np.matmul(frame.basis, grad[live][..., None])[..., 0]
+        slope = np.sqrt(_row_dot(tang_grad, tang_grad))
         steep = np.flatnonzero(~(slope < 1e-14))
         live, slope, basis_t = live[steep], slope[steep], np.swapaxes(frame.basis, 1, 2)
         direction = -tang_grad[steep] / slope[:, None]

@@ -277,8 +277,8 @@ def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
     step and smallest singular value in closed form from the Jacobian's
     3 x 3 Gram matrix: each step here is the minimum-norm solution of
     J * delta = -residual from LAPACK's SVD of J, with 1-D residuals and
-    norms, and after the tolerance is met it keeps polishing while the
-    residual still drops sharply. Raises RankDeficient on a Jacobian
+    norms. Once the tolerance is met it takes one more step, then returns
+    the better of its last two points. Raises RankDeficient on a Jacobian
     singular value below 1e-10 and NonConvergence on a non-finite residual
     or Jacobian, or after ``max_iter`` iterations.
     """

@@ -7,6 +7,8 @@ steps in closed form, so it meets its SVD reference in ``oracles.py`` to
 rounding, with every convergence flag and error class exact.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -104,20 +106,65 @@ def test_hessian_of_nonfinite_rows_is_nonfinite_without_warning():
                 assert np.array_equal(call(p, z[k]), out[k], equal_nan=True)
 
 
+@pytest.mark.parametrize(
+    "text, orders",
+    [
+        ("z1^2 + z2^2 + z3^2", (2,)),
+        ("z1 + 0.5i*z2", (1, 2)),
+        ("(0.3+0.7i)*z1 - 2*z3 + 1.5i", (1, 2)),
+    ],
+    ids=["a1", "linear", "affine"],
+)
+def test_constant_partials_match_term_loop(text, orders):
+    # partials of an order at least the degree are constants, summed once;
+    # the suite turns warnings into errors, so a warning fails this test
+    p = lf.parse_poly(text, 3)
+    z = _random_points(np.random.default_rng(3), _VECTOR_MIN_ROWS + 1, 3)
+    z[1] = [np.inf, 1.0, 0.5j]
+    z[2] = [0.2, np.nan, 1.0]
+    z[3] = [1e200, 1e200, 1e200]
+    for order in orders:
+        evaluate = (gradient, hessian)[order - 1]
+        polys = [p]
+        for _ in range(order):
+            polys = [wirtinger_partial(q, k) for q in polys for k in (1, 2, 3)]
+        shape = (3,) * order
+        for size in (0, 1, 2, _VECTOR_MIN_ROWS - 1, _VECTOR_MIN_ROWS, _VECTOR_MIN_ROWS + 1):
+            stack = z[:size]
+            loop = np.array([[eval_poly_loop(q, row) for q in polys] for row in stack],
+                            dtype=complex).reshape((size,) + shape)
+            out = evaluate(p, stack)
+            assert np.array_equal(out, loop)
+            # a fresh array: writing into it leaves the next call's result alone
+            out[...] = 7.0
+            assert np.array_equal(evaluate(p, stack), loop)
+        # one point at a time, the rows of the largest stack
+        for row, expected in zip(z[:4], loop):
+            out = evaluate(p, row)
+            assert np.array_equal(out, expected)
+            out[...] = 7.0
+            assert np.array_equal(evaluate(p, row), expected)
+
+
 def test_each_power_is_taken_once_per_call(monkeypatch):
+    # a call takes one power per row of its arguments: count the rows, so
+    # that grouping powers of one exponent into one call counts each power
     p = lf.parse_poly(QUARTIC, 3)
     z = _random_points(np.random.default_rng(5), _VECTOR_MIN_ROWS + 8, 3)
-    calls = []
+    taken = Counter()
     power_rows = polynomial._power_rows
-    monkeypatch.setattr(
-        polynomial, "_power_rows", lambda xr, xi, e: calls.append(e) or power_rows(xr, xi, e)
-    )
+
+    def counting(xr, xi, e):
+        taken[e] += len(xr)
+        return power_rows(xr, xi, e)
+
+    monkeypatch.setattr(polynomial, "_power_rows", counting)
     polys = [p]
     for evaluate in (lf.eval_poly, gradient, hessian):
         distinct = {(j, e) for q in polys for exps in q.terms for j, e in enumerate(exps) if e}
-        calls.clear()
+        taken.clear()
         evaluate(p, z)
-        assert len(calls) == len(distinct)
+        assert taken == Counter(e for _, e in distinct)
         polys = [wirtinger_partial(q, k) for q in polys for k in (1, 2, 3)]
 
 

@@ -288,6 +288,33 @@ def test_chart_rejects_large_steps(a1_n2):
         lf.chart(q, frame, np.array([1.0, 0, 0]), spec)
 
 
+def test_chart_step_polishes_once_after_the_floor(a1_n2, monkeypatch):
+    # a step of 0.09 epsilon, the descent's longest, reaches the residual
+    # floor in three Newton steps; the projection then takes exactly one
+    # more step and stops at its fifth residual, on the better of its last
+    # two points
+    spec, _ = a1_n2
+    q = lf.project_to_link(definite_point(2), spec)
+    frame = lf.tangent_frame(q, spec)
+    evaluated = []
+    residual = geometry.link_residual
+
+    def recording(z, spec):
+        res = residual(z, spec)
+        evaluated.append((z.copy(), np.linalg.norm(res)))
+        return res
+
+    monkeypatch.setattr(geometry, "link_residual", recording)
+    moved = lf.chart(q, frame, np.array([0.0, 0.09 * spec.epsilon, 0.0]), spec)
+    norms = [norm for _, norm in evaluated]
+    assert len(norms) == 5
+    assert 1e-2 < norms[0] < 2e-2 and 1e-5 < norms[1] < 1e-4 and 1e-10 < norms[2] < 1e-9
+    tol = geometry._residual_tol(spec)
+    assert norms[3] <= tol and norms[4] <= tol
+    better = 4 if norms[4] < norms[3] else 3
+    assert np.array_equal(moved, evaluated[better][0][0])
+
+
 # ---------------------------------------------------------------------------
 # analytic link Hessian
 # ---------------------------------------------------------------------------
