@@ -122,14 +122,16 @@ def intrinsic_hessian(kernel_basis, frame, spec, g, nu):
     w = nu1 - i nu2, must be critical at the frame's base point. Its Hessian
     is mu (Re(V P V^T) - I) with V the kernel rows as ambient vectors and P
     from :func:`span_hessian` at the point's span coefficients (a, b), and
-    mu = w / conj(b). The identity kernel gives the whole tangent space.
+    mu = w / conj(b). The identity kernel gives the whole tangent space. A
+    stacked frame gives the stacked Hessians, each its one-point call's bit
+    for bit, with ``kernel_basis`` broadcast against the frames' bases.
     """
     z = frame.base_point
-    a, b = AugmentedSystem(spec, g).span_coefficients(z)
+    a, b = np.moveaxis(AugmentedSystem(spec, g).span_coefficients(z), -1, 0)[..., None, None]
     mu = (complex(nu[0], -nu[1]) / np.conj(b)).real
     vectors = kernel_basis @ frame.complex_basis
-    second = np.real(vectors @ span_hessian(z, a, b, spec, g) @ vectors.T)
-    return mu * (second - np.eye(len(vectors)))
+    second = np.real(vectors @ span_hessian(z, a, b, spec, g) @ np.swapaxes(vectors, -1, -2))
+    return mu * (second - np.eye(vectors.shape[-2]))
 
 
 def fold_counts(eigenvalues):

@@ -8,6 +8,7 @@ constraint work happens on the 3 real residuals (Re f, Im f, |z|^2 - eps^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _RANK_TOL = 1e-10
 # residual at which a link projection or a Newton solve on the singular curve
 # converges, times max(1, epsilon^2) (:func:`_residual_tol`)
 _RESIDUAL_TOL = 1e-12
+# a residual at or below this, times epsilon^2, is the rounding of the
+# |z|^2 - epsilon^2 row: a projection there converges without another step
+_ROUNDING_FLOOR = 64 * np.finfo(float).eps
 # iteration budget of a link projection
 _PROJECT_MAX_ITER = 50
 # link samples give up after this many projection attempts per point
@@ -57,6 +61,15 @@ def complexify(v):
     """Inverse of :func:`realify`."""
     v = np.asarray(v, dtype=float)
     return v[..., 0::2] + 1j * v[..., 1::2]
+
+
+@cache
+def _index_pairs(m):
+    """The index pairs j < k of range(m), as ``np.triu_indices(m, 1)``, built once per m."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _row_dot(a, b):
@@ -139,13 +152,16 @@ def project_to_link(z0, spec):
     """Gauss-Newton least-norm projection of ``z0`` onto the link.
 
     One point is a one-row stack of :func:`_project_rows`, whose closed-form
-    steps the tests check against an SVD solve; it converges one polishing
-    step after its residual first reaches :func:`_residual_tol`, on the
-    better of its last two points. It raises RankDeficient if the constraint
-    Jacobian has a singular value below 1e-10 (e.g. at the origin), and
-    NonConvergence when a residual or gradient is not finite or after
-    ``_PROJECT_MAX_ITER`` iterations. Each row of an (N, n+1) stack is its
-    single call's point, or NaN where that raises.
+    steps the tests check against an SVD solve. A residual at the rounding
+    floor (``_ROUNDING_FLOOR`` epsilon^2) converges at once, so a point
+    already on the link costs one residual and no step; a residual that
+    first reaches :func:`_residual_tol` above that floor takes one polishing
+    step and converges on the better of its last two points. It raises
+    RankDeficient if the constraint Jacobian has a singular value below
+    1e-10 (e.g. at the origin), and NonConvergence when a residual or
+    gradient is not finite or after ``_PROJECT_MAX_ITER`` iterations. Each
+    row of an (N, n+1) stack is its single call's point, or NaN where that
+    raises.
     """
     z = np.asarray(z0, dtype=complex)
     if z.ndim == 2:
@@ -177,6 +193,11 @@ def _residual_tol(spec):
     return _RESIDUAL_TOL * max(1.0, spec.epsilon**2)
 
 
+def _rounding_floor(spec):
+    """``_ROUNDING_FLOOR`` times epsilon^2: the rounding of the |z|^2 - epsilon^2 row."""
+    return _ROUNDING_FLOOR * spec.epsilon**2
+
+
 def _project_rows(z0, spec):
     """Gauss-Newton least-norm projection of each row of the (N, m) array ``z0``.
 
@@ -189,25 +210,26 @@ def _project_rows(z0, spec):
     sqrt(D / lam), lam = (s + t)/2 + sqrt(((s - t)/2)^2 + |c|^2), 0 on a zero
     row. D is the Lagrange sum 4 sum_{j<k} |conj(fk_j) z_k - conj(fk_k) z_j|^2,
     as s t - |c|^2 cancels near rank loss. A row is held to
-    :func:`_residual_tol`, for at most ``_PROJECT_MAX_ITER`` iterations:
-    the first time its residual is at most that floor it takes exactly one
-    more step, and it converges at the next residual evaluation, returning
-    whichever of its points had the smaller residual. A zero residual
-    converges at once, and a non-finite residual stops the row. Only rows
-    that step evaluate f's gradient. Rows keep their own state and sum by
-    :func:`_row_dot` over contiguous rows, so each equals the one-point call
-    bit for bit. Returns (points, converged, sigma), ``sigma`` each row's
-    last least singular value: below 1e-10 exactly where the row stopped on
-    rank loss.
+    :func:`_residual_tol`, for at most ``_PROJECT_MAX_ITER`` iterations. A
+    residual at or below :func:`_rounding_floor` converges at once, on that
+    point: another step there moves the point by rounding alone. The first
+    time a residual is at most the tolerance but above that floor, the row
+    takes exactly one more step and converges at the next residual
+    evaluation, returning whichever of its points had the smaller residual.
+    A non-finite residual stops the row. Only rows that step evaluate f's
+    gradient. Rows keep their own state and sum by :func:`_row_dot` over
+    contiguous rows, so each equals the one-point call bit for bit. Returns
+    (points, converged, sigma), ``sigma`` each row's last least singular
+    value: below 1e-10 exactly where the row stopped on rank loss.
     """
-    tol = _residual_tol(spec)
+    tol, floor = _residual_tol(spec), _rounding_floor(spec)
     z = np.array(z0, dtype=complex)
     best = z.copy()
     best_norm = np.full(len(z), np.inf)
     sigma = np.full(len(z), np.nan)
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
-    j, k = np.triu_indices(z.shape[1], 1)
+    j, k = _index_pairs(z.shape[1])
     with np.errstate(all="ignore"):
         for _ in range(_PROJECT_MAX_ITER):
             if not live.size:
@@ -215,8 +237,8 @@ def _project_rows(z0, spec):
             zl = z[live]
             res = link_residual(zl, spec)
             res_norm = np.sqrt(_row_dot(res, res))
-            # converged: one polishing step past the floor, or an exact zero
-            done = ((best_norm[live] <= tol) & (res_norm > 0.0)) | (res_norm == 0.0)
+            # converged: at the rounding floor, or one polishing step past the tolerance
+            done = ((best_norm[live] <= tol) & (res_norm > 0.0)) | (res_norm <= floor)
             converged[live[done]] = True
             better = res_norm < best_norm[live]
             best[live[better]] = zl[better]
@@ -341,9 +363,11 @@ def chart(point, frame, u, spec):
     chart(p, frame, 0) returns p exactly; for small u the result has
     second-order contact with the tangent plane because the Gauss-Newton
     correction is normal to the link: :func:`project_to_link`'s, held to
-    :func:`_residual_tol`. Steps longer than ``_CHART_MAX_RADIUS`` times
-    epsilon raise ValueError. A stack of points, frames and coordinates
-    gives the single calls' rows, NaN where one raises.
+    :func:`_residual_tol`, which stops at the first residual at the rounding
+    floor and otherwise polishes once past the tolerance. Steps longer than
+    ``_CHART_MAX_RADIUS`` times epsilon raise ValueError. A stack of points,
+    frames and coordinates gives the single calls' rows, NaN where one
+    raises.
     """
     point = np.asarray(point, dtype=complex)
     u = np.asarray(u, dtype=float)

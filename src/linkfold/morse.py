@@ -145,16 +145,23 @@ def slice_critical_points(slice_spec, traces, spec, g):
     return [zeros[k] for k in sorted(kept, key=lambda k: -params[k])]
 
 
-def _critical_record(point, value, hess, gradient_norm):
-    """Record with Morse index from ``hess``; DegenerateHessian in the dead band."""
+def _critical_records(points, values, hess, gradient_norms):
+    """Records of a stack of critical points, with Morse indices from the stacked ``hess``.
+
+    One ``eigvalsh`` call classifies every point; DegenerateHessian names
+    the first point with an eigenvalue inside the dead band.
+    """
     eigs = np.linalg.eigvalsh(hess)
     neg, _, degenerate = fold_counts(eigs)
-    if degenerate:
+    if degenerate.any():
         raise DegenerateHessian(
             f"Hessian eigenvalue inside dead band {_DEAD_BAND:g} x spectral "
-            f"norm: {eigs}"
+            f"norm: {eigs[np.argmax(degenerate)]}"
         )
-    return CriticalPointRecord(point, float(value), neg, eigs, float(gradient_norm))
+    return [
+        CriticalPointRecord(point, float(value), int(count), spectrum, float(norm))
+        for point, value, count, spectrum, norm in zip(points, values, neg, eigs, gradient_norms)
+    ]
 
 
 # hessian_step and dead_band are ignored: perfbench/workloads.py passes them
@@ -182,10 +189,11 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     weight = rotation * (1.0 + 1j * lam)
     nu = (weight.real, -weight.imag)
     hess = intrinsic_hessian(data.kernel_basis, data.frame, spec, g, nu)
-    return _critical_record(
-        z, (rotation * eval_poly(g, z)).real, hess,
-        np.max(np.abs(derivs.real - lam * im_row)),
+    (record,) = _critical_records(
+        [z], [(rotation * eval_poly(g, z)).real], hess[None],
+        [np.max(np.abs(derivs.real - lam * im_row))],
     )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +211,12 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
     exactly where Im(w b) = 0. Sign changes of Im(w b) over each trace's
     nodes are refined by the bordered corrector with that equation, then
     classified by the full (2n-1)-dimensional link Hessian, eta's
-    :func:`intrinsic_hessian` on the whole frame. Records are sorted by value.
+    :func:`intrinsic_hessian` on the whole frame. All critical points are
+    classified in one stacked pass, one call each of :func:`tangent_frame`,
+    :func:`intrinsic_hessian`, ``eigvalsh`` and :func:`eval_poly`; each
+    record equals the one-point classification bit for bit, and the first
+    point whose Hessian falls in the dead band raises DegenerateHessian, as
+    a loop over the points would. Records are sorted by value.
     """
     eta = np.asarray(eta, dtype=float)
     norm = np.linalg.norm(eta)
@@ -220,15 +233,18 @@ def composed_morse(eta, traces, spec, g, hessian_step=None, dead_band=None):
         """Im(weight * b) and its real gradient rows at each row of w."""
         return weight.real * w[:, -1] + weight.imag * w[:, -2], np.broadcast_to(row, w.shape)
 
-    records = []
     node_values = [critical_equation(trace.nodes)[0] for trace in traces]
-    for z in _equation_zeros(traces, system, critical_equation, node_values):
-        frame = tangent_frame(z, spec)
-        derivs = weight * (frame.complex_basis @ gradient(g, z))
-        hess = intrinsic_hessian(np.eye(frame.dim), frame, spec, g, eta)
-        records.append(_critical_record(
-            z, (weight * eval_poly(g, z)).real, hess, np.max(np.abs(derivs.real))
-        ))
+    zeros = _equation_zeros(traces, system, critical_equation, node_values)
+    if not zeros:
+        return []
+    z = np.array(zeros)
+    frame = tangent_frame(z, spec)
+    derivs = weight * (frame.complex_basis @ gradient(g, z)[..., None])[..., 0]
+    hess = intrinsic_hessian(np.eye(frame.dim), frame, spec, g, eta)
+    values = eval_poly(g, z)
+    # the real part of weight * value, rounded as the scalar complex product
+    heights = _cmul(weight.real, weight.imag, values.real, values.imag)[0]
+    records = _critical_records(z, heights, hess, np.max(np.abs(derivs.real), axis=-1))
     records.sort(key=lambda r: r.value)
     return records
 

@@ -307,19 +307,25 @@ class _SlotTable:
     grouped sweep's plan:
 
     * ``groups``: (exponent, variables) per distinct exponent;
-    * ``coeff``: the (T, 1) real and imaginary coefficients of the terms,
-      ordered by factor count, most first (stable), so that the terms with
-      more than q factors are a prefix;
+    * ``coeff``: the (T, 1) real and imaginary coefficients of the terms
+      with a factor, ordered by factor count, most first (stable), so that
+      the terms with more than q factors are a prefix;
     * ``factor_steps``: (k, power indices) per factor position q, k the
       length of that prefix;
+    * ``written``: (count, slot indices) of the slots that have a term,
+      ranked by their count of terms with a factor, most first (stable);
+      the other slots stay 0;
     * ``sum_steps``: (count, term indices) per term position p, the p-th
-      term of each slot that has one, slots ranked by term count, most
-      first (stable), so that the slots with more than p terms are a prefix;
-    * ``ranked``: the slot ranking, None where it is the identity.
+      term with a factor of each slot that has one, so that the ranked
+      slots with more than p such terms are a prefix;
+    * ``offsets``: (rows, real, imaginary) of the constant terms, each
+      slot's one added once to its row of the ranking, or None where no
+      partial has one. A constant term is the last of its slot in graded
+      order, so it is added last.
     """
 
     __slots__ = ("powers", "entries", "slots", "constant", "groups", "coeff",
-                 "factor_steps", "sum_steps", "ranked")
+                 "factor_steps", "written", "sum_steps", "offsets")
 
     def __init__(self, polys):
         self.slots = len(polys)
@@ -341,7 +347,8 @@ class _SlotTable:
             return
         exponents = sorted({e for _, e in self.powers})
         self.groups = [(e, _row_index([j for j, f in self.powers if f == e])) for e in exponents]
-        by_factors = sorted(range(len(self.entries)), key=lambda t: -len(self.entries[t][2]))
+        factored = [t for t in range(len(self.entries)) if self.entries[t][2]]
+        by_factors = sorted(factored, key=lambda t: -len(self.entries[t][2]))
         ordered = [self.entries[t] for t in by_factors]
         self.coeff = (np.array([[c.real] for _, c, _ in ordered]),
                       np.array([[c.imag] for _, c, _ in ordered]))
@@ -349,24 +356,37 @@ class _SlotTable:
         for q in range(len(ordered[0][2])):
             held = [idx[q] for *_, idx in ordered if len(idx) > q]
             self.factor_steps.append((len(held), _row_index(held)))
-        # each slot's terms in graded order, as places in the factor order
+        # each slot's terms with a factor in graded order, as places in the
+        # factor order, and its constant term
         place = {t: i for i, t in enumerate(by_factors)}
         per_slot = [[] for _ in range(self.slots)]
-        for t, (slot, *_) in enumerate(self.entries):
-            per_slot[slot].append(place[t])
-        ranked = sorted(range(self.slots), key=lambda slot: -len(per_slot[slot]))
+        constants = {}
+        for t, (slot, coeff, idx) in enumerate(self.entries):
+            if idx:
+                per_slot[slot].append(place[t])
+            else:
+                constants[slot] = coeff
+        ranked = [slot for slot in sorted(range(self.slots), key=lambda slot: -len(per_slot[slot]))
+                  if per_slot[slot] or slot in constants]
+        self.written = (len(ranked), _row_index(ranked))
         self.sum_steps = []
         for p in range(len(per_slot[ranked[0]])):
             block = [per_slot[slot][p] for slot in ranked if len(per_slot[slot]) > p]
             self.sum_steps.append((len(block), _row_index(block)))
-        self.ranked = None if ranked == list(range(self.slots)) else np.array(ranked)
+        self.offsets = None
+        if constants:
+            rows = [row for row, slot in enumerate(ranked) if slot in constants]
+            values = [constants[ranked[row]] for row in rows]
+            self.offsets = (_row_index(rows), np.array([[c.real] for c in values]),
+                            np.array([[c.imag] for c in values]))
 
     def sweep(self, z):
         """Every partial at each row of the (N, n_vars) stack z, as an (N, slots) array.
 
         Each power is taken once per call, grouped by exponent; each term
         multiplies its coefficient by its factors in order, as the point
-        path does, and each slot adds its terms from 0.0 in graded order.
+        path does, and each slot adds its terms from 0.0 in graded order,
+        its constant term last. Slots with no term are left 0.
         Complex products are written as real float operations, because
         numpy's complex array multiply may fuse multiply-adds.
         """
@@ -375,22 +395,22 @@ class _SlotTable:
         with np.errstate(all="ignore"):
             values = [_power_rows(zr[js], zi[js], e) for e, js in self.groups]
             vr, vi = values[0] if len(values) == 1 else map(np.concatenate, zip(*values))
-            (k, idx), *steps = self.factor_steps
-            cr, ci = self.coeff
-            tr, ti = _cmul(cr[:k], ci[:k], vr[idx], vi[idx])
+            (_, idx), *steps = self.factor_steps
+            tr, ti = _cmul(*self.coeff, vr[idx], vi[idx])
             for k, idx in steps:
                 tr[:k], ti[:k] = _cmul(tr[:k], ti[:k], vr[idx], vi[idx])
-            if len(tr) < len(cr):  # terms with no factor are their coefficients
-                tr = np.concatenate([tr, cr[len(tr):].repeat(len(z), axis=1)])
-                ti = np.concatenate([ti, ci[len(ti):].repeat(len(z), axis=1)])
-            sr, si = np.zeros((self.slots, len(z))), np.zeros((self.slots, len(z)))
-            for count, idx in self.sum_steps:
-                sr[:count] += tr[idx]
-                si[:count] += ti[idx]
-        out = np.empty((len(z), self.slots), dtype=complex)
-        slots = slice(None) if self.ranked is None else self.ranked
-        out.real[:, slots] = sr.T
-        out.imag[:, slots] = si.T
+            rows, written = self.written
+            sr, si = np.zeros((rows, len(z))), np.zeros((rows, len(z)))
+            for k, idx in self.sum_steps:
+                sr[:k] += tr[idx]
+                si[:k] += ti[idx]
+            if self.offsets is not None:
+                idx, cr, ci = self.offsets
+                sr[idx] += cr
+                si[idx] += ci
+        out = np.zeros((len(z), self.slots), dtype=complex)
+        out.real[:, written] = sr.T
+        out.imag[:, written] = si.T
         return out
 
 

@@ -60,6 +60,7 @@ from .errors import (
 )
 from .geometry import (
     TangentFrame,
+    _index_pairs,
     _residual_tol,
     _row_dot,
     chart,
@@ -300,7 +301,7 @@ class AugmentedSystem:
         gives non-finite values.
         """
         z = np.asarray(z, dtype=complex)
-        j, k = np.triu_indices(self.m, 1)
+        j, k = _index_pairs(self.m)
         # take, unlike [..., j], keeps rows contiguous
         (uj, vj, zj), (uk, vk, zk) = ([x.take(i, -1) for x in (*self.grads(z), z)] for i in (j, k))
         pair = uj * vk - uk * vj

@@ -8,9 +8,16 @@ import math
 
 import numpy as np
 
-from linkfold.errors import LinkFoldError, NonConvergence, RankDeficient, WrongDimension
-from linkfold.fold_classify import FoldKind, fold_counts, local_fold_data
+from linkfold.errors import (
+    DegenerateHessian,
+    LinkFoldError,
+    NonConvergence,
+    RankDeficient,
+    WrongDimension,
+)
+from linkfold.fold_classify import _DEAD_BAND, FoldKind, fold_counts, local_fold_data
 from linkfold.geometry import (
+    _rounding_floor,
     chart,
     complexify,
     link_residual,
@@ -19,6 +26,7 @@ from linkfold.geometry import (
     sample_link_points,
     tangent_frame,
 )
+from linkfold.morse import CriticalPointRecord, _equation_zeros
 from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian
 from linkfold.singular_set import (
     _SAME_POINT_TOL,
@@ -26,6 +34,7 @@ from linkfold.singular_set import (
     _component_key,
     _hyperplane,
     criterion_matrix,
+    span_hessian,
     trace_singular_curve,
 )
 
@@ -277,14 +286,19 @@ def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
     step and smallest singular value in closed form from the Jacobian's
     3 x 3 Gram matrix: each step here is the minimum-norm solution of
     J * delta = -residual from LAPACK's SVD of J, with 1-D residuals and
-    norms. Once the tolerance is met it takes one more step, then returns
-    the better of its last two points. Raises RankDeficient on a Jacobian
-    singular value below 1e-10 and NonConvergence on a non-finite residual
-    or Jacobian, or after ``max_iter`` iterations.
+    norms. A residual at or below the package's rounding floor
+    (``_rounding_floor``) returns its point at once, as the package's
+    projection does: a step there moves the point by rounding alone. Once
+    the tolerance is met above that floor it steps on while each step cuts
+    the residual fourfold, then returns the best of its points. Raises
+    RankDeficient on a Jacobian singular value below 1e-10 and
+    NonConvergence on a non-finite residual or Jacobian, or after
+    ``max_iter`` iterations.
     """
     z = np.asarray(z0, dtype=complex).copy()
     best = z
     best_norm = np.inf
+    floor = _rounding_floor(spec)
     hit_tol = False
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
@@ -292,14 +306,14 @@ def project_to_link_point(z0, spec, tol=1e-12, max_iter=50):
             res_norm = float(np.linalg.norm(res))
             if res_norm < best_norm:
                 best, best_norm = z, res_norm
+            if res_norm <= floor:
+                return z
             if hit_tol and res_norm > 0.25 * best_norm:
                 return best
             if not math.isfinite(res_norm):
                 raise NonConvergence(f"projection residual is {res_norm}")
             if res_norm <= tol:
                 hit_tol = True
-                if res_norm == 0.0:
-                    return z
             jac = link_residual_jacobian(z, spec)
             if not np.all(np.isfinite(jac)):
                 raise NonConvergence("projection Jacobian is not finite")
@@ -520,3 +534,47 @@ def collect_components_serial(seeds, spec, g):
             continue
         components.append(trace)
     return sorted(components, key=lambda trace: _component_key(trace, spec, g))
+
+
+def composed_morse_loop(eta, traces, spec, g):
+    """Critical points of the height eta . h with Morse data, one point at a time.
+
+    The per-point loop that ``composed_morse``'s stacked pass replaced: the
+    same bracket solve, then for each critical point in turn its tangent
+    frame, one-point span coefficients and span Hessian, the link Hessian
+    mu (Re(V P V^T) - I) on the whole frame, ``eigvalsh`` and the height's
+    value. The first point whose Hessian has an eigenvalue in the dead band
+    raises DegenerateHessian. Records are sorted by value.
+    """
+    eta = np.asarray(eta, dtype=float)
+    eta = eta / np.linalg.norm(eta)
+    weight = complex(eta[0], -eta[1])
+    system = AugmentedSystem(spec, g)
+    row = np.zeros(2 * system.m + 4)
+    row[-2:] = weight.imag, weight.real
+
+    def critical_equation(w):
+        return weight.real * w[:, -1] + weight.imag * w[:, -2], np.broadcast_to(row, w.shape)
+
+    node_values = [critical_equation(trace.nodes)[0] for trace in traces]
+    records = []
+    for z in _equation_zeros(traces, system, critical_equation, node_values):
+        frame = tangent_frame(z, spec)
+        derivs = weight * (frame.complex_basis @ gradient(g, z))
+        a, b = system.span_coefficients(z)
+        mu = (weight / np.conj(b)).real
+        vectors = np.eye(frame.dim) @ frame.complex_basis
+        second = np.real(vectors @ span_hessian(z, a, b, spec, g) @ vectors.T)
+        eigs = np.linalg.eigvalsh(mu * (second - np.eye(len(vectors))))
+        neg, _, degenerate = fold_counts(eigs)
+        if degenerate:
+            raise DegenerateHessian(
+                f"Hessian eigenvalue inside dead band {_DEAD_BAND:g} x spectral "
+                f"norm: {eigs}"
+            )
+        value = (weight * eval_poly(g, z)).real
+        records.append(CriticalPointRecord(
+            z, float(value), neg, eigs, float(np.max(np.abs(derivs.real)))
+        ))
+    records.sort(key=lambda r: r.value)
+    return records

@@ -288,31 +288,57 @@ def test_chart_rejects_large_steps(a1_n2):
         lf.chart(q, frame, np.array([1.0, 0, 0]), spec)
 
 
-def test_chart_step_polishes_once_after_the_floor(a1_n2, monkeypatch):
-    # a step of 0.09 epsilon, the descent's longest, reaches the residual
-    # floor in three Newton steps; the projection then takes exactly one
-    # more step and stops at its fifth residual, on the better of its last
-    # two points
-    spec, _ = a1_n2
-    q = lf.project_to_link(definite_point(2), spec)
-    frame = lf.tangent_frame(q, spec)
-    evaluated = []
-    residual = geometry.link_residual
+def _recorded_projection(monkeypatch):
+    """(residual log, gradient rows): each residual evaluation's point and norm, and the steps."""
+    evaluated, stepped = [], []
+    residual, gradient = geometry.link_residual, geometry.gradient
 
-    def recording(z, spec):
+    def recording_residual(z, spec):
         res = residual(z, spec)
         evaluated.append((z.copy(), np.linalg.norm(res)))
         return res
 
-    monkeypatch.setattr(geometry, "link_residual", recording)
+    def recording_gradient(p, z):
+        stepped.append(len(z))
+        return gradient(p, z)
+
+    monkeypatch.setattr(geometry, "link_residual", recording_residual)
+    monkeypatch.setattr(geometry, "gradient", recording_gradient)
+    return evaluated, stepped
+
+
+def test_projection_stops_at_the_rounding_floor(a1_n2, traces_n2, monkeypatch):
+    spec, _ = a1_n2
+    tol, floor = geometry._residual_tol(spec), geometry._rounding_floor(spec)
+    q = lf.project_to_link(definite_point(2), spec)
+    frame = lf.tangent_frame(q, spec)
+    evaluated, stepped = _recorded_projection(monkeypatch)
+    # a step of 0.09 epsilon, the descent's longest, reaches the rounding
+    # floor in three Newton steps and stops on its fourth residual's point
     moved = lf.chart(q, frame, np.array([0.0, 0.09 * spec.epsilon, 0.0]), spec)
     norms = [norm for _, norm in evaluated]
-    assert len(norms) == 5
+    assert len(norms) == 4 and len(stepped) == 3
     assert 1e-2 < norms[0] < 2e-2 and 1e-5 < norms[1] < 1e-4 and 1e-10 < norms[2] < 1e-9
-    tol = geometry._residual_tol(spec)
-    assert norms[3] <= tol and norms[4] <= tol
-    better = 4 if norms[4] < norms[3] else 3
+    assert norms[3] <= floor
+    assert np.array_equal(moved, evaluated[3][0][0])
+    # a step of 0.03 epsilon first reaches the tolerance above the rounding
+    # floor: it takes exactly one polishing step and stops on the better of
+    # its last two points
+    evaluated.clear()
+    stepped.clear()
+    moved = lf.chart(q, frame, np.array([0.0, 0.03 * spec.epsilon, 0.0]), spec)
+    norms = [norm for _, norm in evaluated]
+    assert len(norms) == 4 and len(stepped) == 3
+    assert norms[1] > tol and floor < norms[2] <= tol
+    better = 3 if norms[3] < norms[2] else 2
     assert np.array_equal(moved, evaluated[better][0][0])
+    # a traced node is on the link to rounding: one residual and no step
+    node = traces_n2[0].points[len(traces_n2[0]) // 3]
+    evaluated.clear()
+    stepped.clear()
+    assert np.array_equal(lf.project_to_link(node, spec), node)
+    assert len(evaluated) == 1 and evaluated[0][1] <= floor
+    assert stepped == []
 
 
 # ---------------------------------------------------------------------------

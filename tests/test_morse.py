@@ -5,7 +5,8 @@ import pytest
 
 import linkfold as lf
 from linkfold import SliceSpec
-from linkfold.errors import RankTwo, WrongDimension
+from linkfold import fold_classify
+from linkfold.errors import DegenerateHessian, RankTwo, WrongDimension
 from linkfold.polynomial import gradient
 from linkfold.singular_set import AugmentedSystem, _hyperplane
 
@@ -16,7 +17,7 @@ from conftest import (
     indefinite_point,
     pipeline_traces,
 )
-from oracles import chart_hessian, classify_fold, critical_hessian
+from oracles import chart_hessian, classify_fold, composed_morse_loop, critical_hessian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -364,12 +365,16 @@ def _pair(name):
     """(spec, g, traces) of a named configuration, traced once per test run."""
     if name == "a1_off_centre":
         return _off_centre_a1()
-    n, seed, f_text = {
-        "a1_n2": (2, 42, None), "a1_n3": (3, 42, None), "a1_n4": (4, 42, None),
-        "brieskorn_s42": (2, 42, BRIESKORN_F), "brieskorn_s4": (2, 4, BRIESKORN_F),
+    n, seed, f_text, g_text = {
+        "a1_n2": (2, 42, None, lf.RunConfig.g_text),
+        "a1_n3": (3, 42, None, lf.RunConfig.g_text),
+        "a1_n4": (4, 42, None, lf.RunConfig.g_text),
+        "quadratic_g_s42": (2, 42, None, "z1 + 0.5i*z2 + 0.8*z2^2"),
+        "brieskorn_s42": (2, 42, BRIESKORN_F, lf.RunConfig.g_text),
+        "brieskorn_s4": (2, 4, BRIESKORN_F, lf.RunConfig.g_text),
     }[name]
-    spec, g = lf.RunConfig(f_text=f_text, n=n, rng_seed=seed).build()
-    return spec, g, pipeline_traces(n, seed, f_text)
+    spec, g = lf.RunConfig(f_text=f_text, g_text=g_text, n=n, rng_seed=seed).build()
+    return spec, g, pipeline_traces(n, seed, f_text, g_text)
 
 
 @functools.cache
@@ -488,3 +493,37 @@ def test_brieskorn_composed_morse_topology(name):
         counts.append(c)
     for k in range(4):
         assert counts[k + 4].tolist() == counts[k][::-1].tolist()
+
+
+@pytest.mark.parametrize("name", ["a1_n2", "a1_n3", "a1_n4", "quadratic_g_s42", "brieskorn_s42"])
+def test_composed_morse_matches_the_point_loop(name):
+    # the stacked classification gives the one-point loop's records bit for bit
+    spec, g, traces = _pair(name)
+    for angle in _ANGLES:
+        eta = (np.cos(angle), np.sin(angle))
+        records = _composed(name, angle)
+        expected = composed_morse_loop(eta, traces, spec, g)
+        assert len(records) == len(expected) >= 2
+        for record, reference in zip(records, expected):
+            assert np.array_equal(record.point, reference.point)
+            assert record.value == reference.value
+            assert record.morse_index == reference.morse_index
+            assert np.array_equal(record.hessian_eigenvalues, reference.hessian_eigenvalues)
+            assert record.gradient_norm == reference.gradient_norm
+
+
+def test_composed_morse_raises_at_the_loops_first_degenerate_point(monkeypatch):
+    # a dead band of 0.3 takes in 10 of the 26 points, of two spectra: both
+    # raise DegenerateHessian naming the same one
+    spec, g, traces = _pair("brieskorn_s42")
+    eta = (np.cos(_ANGLES[1]), np.sin(_ANGLES[1]))
+    records = _composed("brieskorn_s42", _ANGLES[1])
+    monkeypatch.setattr(fold_classify, "_DEAD_BAND", 0.3)
+    inside = [r for r in records if lf.fold_counts(r.hessian_eigenvalues)[2]]
+    assert 0 < len(inside) < len(records)
+    assert len({str(r.hessian_eigenvalues) for r in inside}) == 2
+    with pytest.raises(DegenerateHessian) as expected:
+        composed_morse_loop(eta, traces, spec, g)
+    with pytest.raises(DegenerateHessian) as raised:
+        lf.composed_morse(eta, traces, spec, g)
+    assert str(raised.value) == str(expected.value)
