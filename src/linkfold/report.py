@@ -38,6 +38,7 @@ from .singular_set import (
     _STEP_INIT,
     _STEP_MAX,
     _STEP_MIN,
+    _require_affine,
     collect_components,
     criterion_rank_defect,
     direct_singularity_test,
@@ -73,6 +74,8 @@ _EQUIVARIANCE_TOL = 1e-12
 # of the direct test's growth from one such step to ten: linear growth
 _ORACLE_STEP = 1e-3
 _ORACLE_GROWTH = (9.0, 11.0)
+# each component's arc length within this, times epsilon, of 2 pi epsilon
+_ARC_LENGTH_TOL = 1e-10
 # side of the square image.svg, in pixels
 _SVG_SIZE = 640
 
@@ -309,6 +312,23 @@ def _locus_checks(traces, epsilon):
     ]
 
 
+def _arc_length_check(traces, g, epsilon):
+    """component_arc_lengths: on A1 with an affine g, each component is 2 pi epsilon long.
+
+    The singular set is then invariant under z -> alpha z, |alpha| = 1, so
+    each component is one orbit, a great circle of the sphere of radius
+    epsilon. This shares no code with the tracer's arc-length sum. Fails
+    with the NotApplicable message for any other g.
+    """
+    tol = _ARC_LENGTH_TOL * epsilon
+    try:
+        _require_affine(g)
+    except NotApplicable as exc:
+        return _check("component_arc_lengths", False, str(exc), tol)
+    err = max((abs(t.arc_length - 2.0 * np.pi * epsilon) for t in traces), default=0.0)
+    return _check("component_arc_lengths", err <= tol, err, tol)
+
+
 def _oracle_agreement(traces, spec, g):
     """Read the direct differential test at the traced nodes and beside them.
 
@@ -384,6 +404,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
         _check("n1_two_components", count == 2, count, 2),
         _closed_form("n1_image_radii", image_radii, radii, tol),
         _check("n1_injectivity_gap", gap is None or gap >= radii[0], gap, radii[0]),
+        _arc_length_check(traces, g, spec.epsilon),
     ]
     return "embedding_n1", sections, checks, traces, image_radii
 
@@ -391,9 +412,10 @@ def _verify_n1(config, spec, g, radii, tol, timings):
 def _verify_folds(config, spec, g, radii, tol, timings):
     """n >= 2: trace, classify and Morse-check the two A1 fold circles.
 
-    A check that does not apply to (f, g), equivariance or
-    gradient_dependence_locus_empty, fails with the NotApplicable message as
-    ``achieved``, so the exit code still comes from the verdicts.
+    A check that does not apply to (f, g), equivariance,
+    component_arc_lengths or gradient_dependence_locus_empty, fails with the
+    NotApplicable message as ``achieved``, so the exit code still comes from
+    the verdicts.
     """
     n = config.n
     t0 = time.perf_counter()
@@ -447,6 +469,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     checks = [
         _check("two_closed_components", len(traces) == 2, len(traces), 2),
         *_locus_checks(traces, spec.epsilon),
+        _arc_length_check(traces, g, spec.epsilon),
         _check("classification_consistent",
                all(r.consistent for r in records), None, None),
         _check("round_verdict", verdict.is_round, verdict.status, "ROUND"),

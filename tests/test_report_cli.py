@@ -226,7 +226,7 @@ def test_report_validates_against_schema(tmp_path):
 
 
 _N1_LAYOUT = (
-    ["n1_two_components", "n1_image_radii", "n1_injectivity_gap"],
+    ["n1_two_components", "n1_image_radii", "n1_injectivity_gap", "component_arc_lengths"],
     ["trace_image", "total"],
 )
 _FOLD_LAYOUT = (
@@ -235,6 +235,7 @@ _FOLD_LAYOUT = (
         "locus_higher_coordinates_vanish",
         "locus_on_diagonal_circles",
         "locus_moduli",
+        "component_arc_lengths",
         "classification_consistent",
         "round_verdict",
         "image_radii",
@@ -457,6 +458,9 @@ def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys)
                 if c["name"] == "gradient_dependence_locus_empty"]
     assert not check["passed"]
     assert "needs an affine, nonconstant g" in check["achieved"]
+    (check,) = [c for c in report["checks"] if c["name"] == "component_arc_lengths"]
+    assert not check["passed"]
+    assert "needs an affine, nonconstant g" in check["achieved"]
 
 
 def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
@@ -556,14 +560,19 @@ _MUTANTS = [
     pytest.param(lf.fold_classify, "_node_folds",
                  lambda real: lambda *args: _one_more_fold(real(*args)),
                  "outer_component_definite", id="fold-count-plus-1"),
+    # every tangent the first one's: no turn, so the chords go uncorrected
+    pytest.param(lf.singular_set, "_arc_segments",
+                 lambda real: lambda nodes, tangents:
+                     real(nodes, np.broadcast_to(tangents[0], tangents.shape)),
+                 "component_arc_lengths", id="arc-chords-uncorrected"),
 ]
 
 
 @pytest.mark.parametrize("module, name, mutate, check", _MUTANTS)
 def test_verify_a1_names_the_check_a_mutant_fails(tmp_path, monkeypatch, module,
                                                   name, mutate, check):
-    # a wrong component count, Morse index or fold count must fail verify-a1
-    # with a named check, not pass it
+    # a wrong component count, Morse index, fold count or arc length must
+    # fail verify-a1 with a named check, not pass it
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     code = main(["verify-a1", "--n", "2", "--out", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))

@@ -728,6 +728,14 @@ def test_a2_seeding_finds_all_three_components(seed):
     assert len(pipeline_traces(2, seed, "z1^2 + z2^2 + z3^3")) == 3
 
 
+@pytest.mark.parametrize("seed", [42, 1, 3, 7])
+def test_quartic_seeding_finds_all_twelve_components(seed):
+    # 64 starts find 11 of the 12 components at seeds 4, 9, 12, 18 and 19 of
+    # 0..19; these seeds must keep all 12 while seeding changes
+    g_text = "(0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3"
+    assert len(pipeline_traces(2, seed, "z1^4 + z2^4 + z3^4", g_text)) == 12
+
+
 def test_component_peak_does_not_depend_on_the_seed():
     # the largest node |h| of the short Brieskorn component spanned 18
     # rounding units over these seeds; the interpolated peak must agree. The
