@@ -74,8 +74,10 @@ _EQUIVARIANCE_TOL = 1e-12
 # of the direct test's growth from one such step to ten: linear growth
 _ORACLE_STEP = 1e-3
 _ORACLE_GROWTH = (9.0, 11.0)
-# each component's arc length within this, times epsilon, of 2 pi epsilon
-_ARC_LENGTH_TOL = 1e-10
+# a traced A1 node within this, times epsilon, of the locus passes the
+# locus checks; each component's arc length within 2 pi times as much of
+# 2 pi epsilon, since a radial offset d of the nodes lengthens it by 2 pi d
+_LOCUS_TOL = 1e-8
 # side of the square image.svg, in pixels
 _SVG_SIZE = 640
 
@@ -290,8 +292,8 @@ def _closed_form(name, values, targets, tol):
 
 
 def _locus_checks(traces, epsilon):
-    """A1 locus to 1e-8 epsilon: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
-    tol = 1e-8 * epsilon
+    """A1 locus to ``_LOCUS_TOL`` epsilon: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
+    tol = _LOCUS_TOL * epsilon
     off_plane = 0.0
     circle_dev = 0.0
     modulus_dev = 0.0
@@ -317,10 +319,13 @@ def _arc_length_check(traces, g, epsilon):
 
     The singular set is then invariant under z -> alpha z, |alpha| = 1, so
     each component is one orbit, a great circle of the sphere of radius
-    epsilon. This shares no code with the tracer's arc-length sum. Fails
-    with the NotApplicable message for any other g.
+    epsilon. The tolerance is the length that nodes the locus checks accept
+    can add: the corrector's absolute residual floor leaves nodes up to
+    about 4e-9 epsilon off the sphere at epsilon = 1e-4. This shares no code
+    with the tracer's arc-length sum. Fails with the NotApplicable message
+    for any other g.
     """
-    tol = _ARC_LENGTH_TOL * epsilon
+    tol = 2.0 * np.pi * _LOCUS_TOL * epsilon
     try:
         _require_affine(g)
     except NotApplicable as exc:

@@ -28,7 +28,8 @@ bordered by one scalar equation per row (:meth:`AugmentedSystem.corrector`
 for one row). Seeding runs one lockstep descent of all its starts on the
 rank defect (none at n = 1, where the whole link is singular), only down
 into the basin of the solve that follows, then one solve of all of them
-by least-norm Gauss-Newton steps. Tracing borders the system by the
+bordered by each Jacobian's null vector, which makes every step the
+least-norm Gauss-Newton step. Tracing borders the system by the
 pseudo-arclength hyperplane (predictor-corrector continuation) with two
 fronts that leave each seed in opposite directions, one row per front and
 one solve per round, each step started from a second-order point and sized
@@ -109,11 +110,14 @@ _BIFURCATION_TOL = 1e-8
 # iteration budget of the least-norm Gauss-Newton solve (no added equation)
 _NEWTON_MAX_ITER = 30
 # link points that seeding starts from, and the most lockstep descent rounds
-# before their Newton solve: the slowest start sets the rounds, and a round of
-# 1 row costs a third of one of 64, so 6 beat 8, 10 and 25 at equal coverage
+# before their Newton solve. The slowest start sets the rounds, and a round of
+# 1 row costs a third of one of 64. Budgets of 4 to 25 miss the same
+# components in tools/seed_coverage.py's sweep. 4 seeds about 5 ms faster
+# than 6 in process, but a morse_sweep pass is no measurably faster, and 2
+# loses a Fermat-quartic component at seed 1, so 6 is kept for the margin
 _SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 6
-# the rank defect at which descent stops: the least-norm Newton solve that
+# the rank defect at which descent stops: the bordered Newton solve that
 # follows has a wide basin (it converges from 95-99 % of raw link samples on
 # A1, A2 and Brieskorn), so descent only has to bring starts into it
 _SEED_DESCENT_TARGET = 0.15
@@ -357,16 +361,16 @@ class AugmentedSystem:
         probes (the pseudo-arclength hyperplane of :func:`_hyperplane`),
         ray-slice points and composed critical points. ``extra(W)`` returns
         the added equation's (N,) values at all N rows of W and its
-        (N, 2n+6) real gradient rows in the unknowns (z, a, b). With
-        ``extra`` None each step is the Jacobian's least-norm step, from a
-        reduced QR of its transpose (:func:`_least_norm_steps`). The budget
-        is ``_NEWTON_MAX_ITER`` steps without an added equation and
+        (N, 2n+6) real gradient rows in the unknowns (z, a, b). ``extra``
+        None borders each step by its Jacobian's unit null vector at the
+        value 0, which is the least-norm Gauss-Newton step. The budget is
+        ``_NEWTON_MAX_ITER`` steps without an added equation and
         ``_CORRECTOR_MAX_ITER`` with one. Rows run in lockstep, each step of
         every live row from one stacked solve. A row converges when the norm
         of its residual with that value appended is at most
         :func:`~linkfold.geometry._residual_tol`, the link projection's
         floor, tested before every step and after the last. A row stops
-        unconverged, keeping its last point, where its square matrix is
+        unconverged, keeping its last point, where its bordered matrix is
         singular or its step is not finite or longer than 1e3 max(1,
         epsilon) (seeding's first steps: median 0.6-1.8 max(1, epsilon)).
         Returns the (N, 2n+6) points, (N,) iteration counts and (N,)
@@ -399,8 +403,8 @@ class AugmentedSystem:
             if it == max_iter:
                 break
             jac = self.jacobian(wl)
-            delta = (_least_norm_steps(jac, -res[:, :-1]) if extra is None else
-                     _solve_rows(np.concatenate([jac, row[rows][:, None]], axis=1), -res))
+            border = _null_vectors(jac) if extra is None else row[rows]
+            delta = _solve_rows(np.concatenate([jac, border[:, None]], axis=1), -res)
             # a step that is not finite or too long stops its row
             good = _row_dot(delta, delta) <= cap
             if np.count_nonzero(good) < len(good):
@@ -429,15 +433,14 @@ def _solve_rows(a, b):
         return x
 
 
-def _least_norm_steps(jac, rhs):
-    """Least-norm x with jac x = rhs for each full-rank (r, r + 1) matrix of the stack ``jac``.
+def _null_vectors(jac):
+    """Unit null vector of each full-rank (r, r + 1) matrix of the stack ``jac``.
 
-    x = Q y with R^T y = rhs, from one stacked reduced QR jac^T = Q R; NaN
-    where R is singular. The normal equations would square cond(jac), about
-    1/epsilon at small epsilon (Golub & Van Loan, *Matrix Computations*, 5.7).
+    The last column of Q in one stacked complete QR of jac^T. Bordered by it
+    at the value 0, jac x = rhs has its minimum-norm solution as its one
+    solution (Allgower & Georg, *Numerical Continuation Methods*, ch. 3).
     """
-    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
-    return np.matmul(q, _solve_rows(np.swapaxes(r, 1, 2), rhs)[..., None])[..., 0]
+    return np.linalg.qr(np.swapaxes(jac, 1, 2), mode="complete")[0][..., -1]
 
 
 def _hyperplane(t, w_pred):
@@ -554,14 +557,15 @@ def seed_singular_points(spec, g, rng_seed):
     ``_SEED_DESCENT_TARGET``: into the Newton solve's basin, not onto the
     curve (descent down to 2e-2 left one of A2's three components unseeded
     at 10 of 44 seeds). At n = 1, where every link point is singular, the
-    samples are the endpoints. One lockstep least-norm Gauss-Newton solve
-    (:meth:`AugmentedSystem._correct_rows` with no added equation) starts
-    from all endpoints z at once, each with the span coefficients (a, b) of
-    one stacked :meth:`AugmentedSystem.span_coefficients` call. Each start
-    that converges is a seed, in start order; :func:`collect_components`
-    skips seeds on a traced component. Returns a (k, 2n+6) array of
-    augmented vectors (realify(z), Re a, Im a, Re b, Im b), the layout of
-    trace nodes. Raises EmptyResult if nothing converges.
+    samples are the endpoints. One lockstep least-norm
+    Newton solve (:meth:`AugmentedSystem._correct_rows` with no added
+    equation) starts from all endpoints z at once, each with the span
+    coefficients (a, b) of one stacked :meth:`AugmentedSystem.span_coefficients`
+    call. Each start that converges is a seed, in start order;
+    :func:`collect_components` skips seeds on a traced component. Returns a
+    (k, 2n+6) array of augmented vectors (realify(z), Re a, Im a, Re b,
+    Im b), the layout of trace nodes. Raises EmptyResult if nothing
+    converges.
     """
     system = AugmentedSystem(spec, g)
     rng = np.random.default_rng(rng_seed)

@@ -463,6 +463,21 @@ def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys)
     assert "needs an affine, nonconstant g" in check["achieved"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_arc_lengths_accept_what_the_locus_checks_accept(n):
+    # at epsilon = 1e-4 the corrector's absolute residual floor leaves nodes
+    # up to about 4e-9 epsilon off the sphere; a trace whose nodes pass the
+    # locus checks must pass component_arc_lengths too
+    for seed in range(10):
+        config = RunConfig(n=n, rng_seed=seed, epsilon=1e-4)
+        spec, g = config.build()
+        traces = (lf.morse.trace_image_n1(spec, g, seed) if n == 1
+                  else lf.report.compute_components(config, spec, g)[3])
+        checks = [*lf.report._locus_checks(traces, spec.epsilon),
+                  lf.report._arc_length_check(traces, g, spec.epsilon)]
+        assert all(c["passed"] for c in checks), (seed, checks)
+
+
 def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
     # g = z1 + i z2 has gradbar g parallel to gradbar f on the A1 link circle
     # z = t (1, i, 0)/sqrt(2), so the degenerate branch meets the link

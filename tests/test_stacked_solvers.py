@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import linkfold as lf
-from linkfold.singular_set import AugmentedSystem, _hyperplane, _least_norm_steps
+from linkfold.singular_set import AugmentedSystem, _hyperplane, _null_vectors, _solve_rows
 
 from conftest import BRIESKORN_F, build_a1
 from oracles import collect_components_serial, newton_least_norm_lstsq
@@ -109,7 +109,7 @@ def test_failing_rows_fail_alone(a1_n2):
 
 @pytest.mark.parametrize("n, f_text", SYSTEMS)
 def test_least_norm_step_matches_lstsq(n, f_text):
-    # one least-norm step from the reduced QR of J^T, against LAPACK's lstsq
+    # one step of the Jacobian bordered by its unit null vector at the value 0
     spec, g = _spec_g(n, f_text)
     system = AugmentedSystem(spec, g)
     preds = _predictions(n, f_text)[0]
@@ -121,7 +121,9 @@ def test_least_norm_step_matches_lstsq(n, f_text):
     near[:, -1] = jac[:, 0] + 1e-7 * jac[:, -1]
     eps = np.finfo(float).eps
     for stack in (jac, near):
-        for j, r, step in zip(stack, rhs, _least_norm_steps(stack, rhs)):
+        bordered = np.concatenate([stack, _null_vectors(stack)[:, None]], axis=1)
+        steps = _solve_rows(bordered, np.concatenate([rhs, np.zeros((len(rhs), 1))], axis=1))
+        for j, r, step in zip(stack, rhs, steps):
             expected = np.linalg.lstsq(j, r, rcond=None)[0]
             s = np.linalg.svd(j, compute_uv=False)
             bound = 64 * eps * (s[0] / s[-1]) * np.linalg.norm(expected)

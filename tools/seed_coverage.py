@@ -14,8 +14,9 @@ The families, all with epsilon = 1:
   - the Fermat quartic z1^4 + z2^4 + z3^4 with
     g = (0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3, seeds 0..19 and 42: 12.
 
-The exit status is 1 when A1, A2 or Brieskorn miss at any seed, or the
-quartic at seed 42, 1, 3 or 7 (it misses at some other seeds), else 0.
+The exit status is 1 when A1, A2 or Brieskorn miss at any seed, else 0.
+The quartic, which misses at some seeds, is only reported; the tier-1 test
+test_quartic_seeding_finds_all_twelve_components holds seeds 42, 1, 3 and 7.
 """
 
 import os
@@ -33,12 +34,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import linkfold as lf  # noqa: E402
 
 QUARTIC_G = "(0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3"
-# (label, f, g, n, seeds, components, seeds at which a miss fails the run)
+# (label, f, g, n, seeds, components, whether a miss fails the run)
 FAMILIES = [
-    *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, None) for n in (2, 3, 4)),
-    ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, None),
-    ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, None),
-    ("quartic", "z1^4 + z2^4 + z3^4", QUARTIC_G, 2, [*range(20), 42], 12, {42, 1, 3, 7}),
+    *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, True) for n in (2, 3, 4)),
+    ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, True),
+    ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, True),
+    ("quartic", "z1^4 + z2^4 + z3^4", QUARTIC_G, 2, [*range(20), 42], 12, False),
 ]
 
 
@@ -69,7 +70,7 @@ def main():
               f"{1e3 * np.median(seconds):.1f} ms, total {sum(seconds):.2f} s")
         for seed, what in misses:
             print(f"  seed {seed}: {what}")
-        failed |= any(gated is None or seed in gated for seed, _ in misses)
+        failed |= gated and bool(misses)
     return int(failed)
 
 
