@@ -18,7 +18,8 @@ Exit 2 covers every input a run cannot start from:
 - an epsilon that is not positive or whose square is not finite;
 - a non-finite Morse angle;
 - a config file that cannot be read, or has an unknown key or a bad value;
-- an output directory that cannot be created;
+- an output directory that cannot be created, or an artifact in it that
+  cannot be written;
 - an f other than A1 for verify-a1.
 """
 
@@ -140,7 +141,7 @@ def main(argv=None):
                 f"{composed_count} composed critical points)"
             )
             return 0
-    except (ConfigError, WrongDimension) as exc:
+    except (ConfigError, WrongDimension, OSError) as exc:  # OSError: an artifact write
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _DEGENERATE_ERRORS as exc:

@@ -26,7 +26,8 @@ lockstep Newton solver works on stacks, each row keeping its own state and
 ending as its one-row call would, bit for bit: square Newton on the system
 bordered by one scalar equation per row (:meth:`AugmentedSystem.corrector`
 for one row). Seeding runs one lockstep descent of all its starts on the
-rank defect (none at n = 1, where the whole link is singular), only down
+rank defect (none at n = 1, where the whole link is singular), one capped
+chart step per start and round, kept whether or not it helps, only down
 into the basin of the solve that follows, then one solve of all of them
 bordered by each Jacobian's null vector, which makes every step the
 least-norm Gauss-Newton step. Tracing borders the system by the
@@ -110,11 +111,10 @@ _BIFURCATION_TOL = 1e-8
 # iteration budget of the least-norm Gauss-Newton solve (no added equation)
 _NEWTON_MAX_ITER = 30
 # link points that seeding starts from, and the most lockstep descent rounds
-# before their Newton solve. The slowest start sets the rounds, and a round of
-# 1 row costs a third of one of 64. Budgets of 4 to 25 miss the same
-# components in tools/seed_coverage.py's sweep. 4 seeds about 5 ms faster
-# than 6 in process, but a morse_sweep pass is no measurably faster, and 2
-# loses a Fermat-quartic component at seed 1, so 6 is kept for the margin
+# before their Newton solve, one chart step per row and round; the slowest
+# start sets the rounds. In tools/seed_coverage.py's sweep, budgets of 2, 4, 6
+# and 8 miss no A1, A2 or Brieskorn component and 4 or 5 of 21 Fermat-quartic
+# runs, but 2 misses at seed 1, which tier-1 holds, so 6 is kept for the margin
 _SEED_SAMPLES = 64
 _SEED_DESCENT_STEPS = 6
 # the rank defect at which descent stops: the bordered Newton solve that
@@ -494,17 +494,19 @@ def _has_frame(z, spec):
 
 
 def projected_descent(system, z):
-    """Projected gradient descent on the rank defect, with backtracking, from each row of ``z``.
+    """Projected gradient descent on the rank defect, one chart step per round, from each row of ``z``.
 
     The objective is :func:`_ratio_gradient`, sigma_3/sigma_1 of the
-    criterion matrix. Each row steps along its negative tangential gradient
-    in a retraction chart, trying up to six steps, each a third of the last,
-    until its value drops. It stops at ``_SEED_DESCENT_TARGET``, after
-    ``_SEED_DESCENT_STEPS`` rounds, at a slope below 1e-14, when its frame
-    fails or when no step helps. Rows run in lockstep, one stacked
-    :func:`tangent_frame` per round and one stacked :func:`chart` and
-    objective call per trial, and end bit for bit as lone starts would.
-    Returns the (N, n+1) endpoints and their (N,) values.
+    criterion matrix. Each round, each row takes one step of length
+    min(0.09 epsilon, value/slope) along its negative tangential gradient in
+    a retraction chart, and keeps it whether or not its value dropped: the
+    descent only brings starts into the basin of the Newton solve that
+    follows. A row stops at ``_SEED_DESCENT_TARGET``, after
+    ``_SEED_DESCENT_STEPS`` rounds, at a slope below 1e-14, or where its frame
+    fails or its chart step does. Rows run in lockstep, one stacked
+    :func:`tangent_frame`, :func:`chart` and objective call per round, and
+    end bit for bit as lone starts would. Returns the (N, n+1) endpoints and
+    their (N,) values.
     """
     spec = system.spec
     z = np.array(z, dtype=complex)
@@ -524,27 +526,15 @@ def projected_descent(system, z):
         tang_grad = np.matmul(frame.basis, grad[live][..., None])[..., 0]
         slope = np.sqrt(_row_dot(tang_grad, tang_grad))
         steep = np.flatnonzero(~(slope < 1e-14))
-        live, slope, basis_t = live[steep], slope[steep], np.swapaxes(frame.basis, 1, 2)
+        live, slope = live[steep], slope[steep]
         direction = -tang_grad[steep] / slope[:, None]
         step = np.minimum(0.09 * spec.epsilon, value[live] / slope)
-        trying = np.arange(len(live))
-        for _ in range(6):
-            if not trying.size:
-                break
-            rows = live[trying]
-            frames = TangentFrame(z[rows], np.swapaxes(basis_t[steep[trying]], 1, 2))
-            u = step[trying, None] * direction[trying]
-            trial = chart(z[rows], frames, u, spec)
-            ok = np.flatnonzero(~np.isnan(trial[:, 0]))
-            trial_value, trial_grad = _ratio_gradient(system, trial[ok])
-            better = trial_value < value[rows[ok]]
-            done = ok[better]
-            z[rows[done]] = trial[done]
-            value[rows[done]] = trial_value[better]
-            grad[rows[done]] = trial_grad[better]
-            trying = np.delete(trying, done)
-            step[trying] /= 3.0
-        live = np.delete(live, trying)
+        frames = TangentFrame(z[live], np.swapaxes(np.swapaxes(frame.basis, 1, 2)[steep], 1, 2))
+        moved = chart(z[live], frames, step[:, None] * direction, spec)
+        ok = ~np.isnan(moved[:, 0])
+        live = live[ok]
+        z[live] = moved[ok]
+        value[live], grad[live] = _ratio_gradient(system, moved[ok])
     return z, value
 
 
@@ -552,8 +542,8 @@ def seed_singular_points(spec, g, rng_seed):
     """Find points of the singular set by multi-start descent plus Newton.
 
     ``_SEED_SAMPLES`` random link points go downhill on the rank defect in
-    one stacked :func:`projected_descent`, for at most
-    ``_SEED_DESCENT_STEPS`` rounds, until it is at most
+    one stacked :func:`projected_descent`, one chart step per round, for at
+    most ``_SEED_DESCENT_STEPS`` rounds or until it is at most
     ``_SEED_DESCENT_TARGET``: into the Newton solve's basin, not onto the
     curve (descent down to 2e-2 left one of A2's three components unseeded
     at 10 of 44 seeds). At n = 1, where every link point is singular, the

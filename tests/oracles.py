@@ -396,10 +396,10 @@ def projected_descent_serial(objective, z, spec, max_steps, target):
 
     The routine the stacked ``projected_descent`` replaced: ``objective(z)``
     returns (value, ambient real gradient) at one point. Each step moves
-    along the negative tangential gradient in a retraction chart and tries
-    up to six steps, each a third of the last, until the value drops.
-    Stops at ``target``, after ``max_steps`` steps, or when no step helps.
-    Returns the final point and its value.
+    min(0.09 epsilon, value/slope) along the negative tangential gradient in
+    a retraction chart and is kept whether or not the value drops. Stops at
+    ``target``, after ``max_steps`` steps, at a slope below 1e-14, or when
+    the frame or the chart step fails. Returns the final point and its value.
     """
     value, grad = objective(z)
     for _ in range(max_steps):
@@ -415,21 +415,11 @@ def projected_descent_serial(objective, z, spec, max_steps, target):
             break
         direction = -tang_grad / slope
         step = min(0.09 * spec.epsilon, value / slope)
-        improved = False
-        for _ in range(6):
-            try:
-                trial = chart(z, frame, step * direction, spec)
-            except (LinkFoldError, ValueError):
-                step /= 3.0
-                continue
-            trial_value, trial_grad = objective(trial)
-            if trial_value < value:
-                z, value, grad = trial, trial_value, trial_grad
-                improved = True
-                break
-            step /= 3.0
-        if not improved:
+        try:
+            z = chart(z, frame, step * direction, spec)
+        except (LinkFoldError, ValueError):
             break
+        value, grad = objective(z)
     return z, value
 
 

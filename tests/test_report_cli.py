@@ -360,6 +360,14 @@ def test_cli_unwritable_out_is_configuration_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+    # an artifact that cannot be written, here a report.json that is a
+    # directory, once ended in an IsADirectoryError traceback and exit 1
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    code = main(["verify-a1", "--n", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "report.json" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -492,11 +500,16 @@ def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):
     assert check["achieved"] == report["degenerate_branch"]["min_pair_defect"] <= 1e-15
 
 
-def test_cli_unknown_config_key_exit_code(tmp_path):
+def test_cli_unknown_config_key_exit_code(tmp_path, capsys):
+    # a file that is not UTF-8 cannot be read as a config file: it once ended
+    # in a UnicodeDecodeError traceback and exit 1
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nope = 3\n")
-    code = main(["verify-a1", "--config", str(cfg)])
-    assert code == 2
+    for content in (b"nope = 3\n", bytes(range(128, 228))):
+        cfg.write_bytes(content)
+        code = main(["verify-a1", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["hessian_step", "dead_band"])

@@ -422,6 +422,24 @@ def test_descent_stops_only_the_rows_whose_frame_fails(a1_n2, monkeypatch):
         assert value == expected_value
 
 
+def test_descent_makes_one_chart_call_per_round(monkeypatch):
+    # a backtracking descent retried shorter steps through further chart
+    # calls: 13 of them here, over 6 rounds
+    spec, g = build_a1(2)
+    system = AugmentedSystem(spec, g)
+    starts = lf.sample_link_points(spec, 64, np.random.default_rng(7))
+    calls = 0
+
+    def counted_chart(*args):
+        nonlocal calls
+        calls += 1
+        return geometry.chart(*args)
+
+    monkeypatch.setattr(singular_set, "chart", counted_chart)
+    singular_set.projected_descent(system, starts)
+    assert 0 < calls <= singular_set._SEED_DESCENT_STEPS
+
+
 def test_seeding_empty_result(monkeypatch):
     spec, g = build_a1(2)
     monkeypatch.setattr(singular_set, "_SEED_SAMPLES", 0)

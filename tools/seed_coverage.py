@@ -14,9 +14,11 @@ The families, all with epsilon = 1:
   - the Fermat quartic z1^4 + z2^4 + z3^4 with
     g = (0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3, seeds 0..19 and 42: 12.
 
-The exit status is 1 when A1, A2 or Brieskorn miss at any seed, else 0.
-The quartic, which misses at some seeds, is only reported; the tier-1 test
-test_quartic_seeding_finds_all_twelve_components holds seeds 42, 1, 3 and 7.
+The exit status is 1 when A1, A2 or Brieskorn miss at any seed, or the
+quartic misses at more than 5 of its 21 seeds (it misses at seeds 4, 9, 12,
+18 and 19), else 0. The tier-1 test
+test_quartic_seeding_finds_all_twelve_components holds the quartic at seeds
+42, 1, 3 and 7.
 """
 
 import os
@@ -34,12 +36,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import linkfold as lf  # noqa: E402
 
 QUARTIC_G = "(0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3"
-# (label, f, g, n, seeds, components, whether a miss fails the run)
+# (label, f, g, n, seeds, components, the most runs that may miss)
 FAMILIES = [
-    *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, True) for n in (2, 3, 4)),
-    ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, True),
-    ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, True),
-    ("quartic", "z1^4 + z2^4 + z3^4", QUARTIC_G, 2, [*range(20), 42], 12, False),
+    *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, 0) for n in (2, 3, 4)),
+    ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, 0),
+    ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, 0),
+    ("quartic", "z1^4 + z2^4 + z3^4", QUARTIC_G, 2, [*range(20), 42], 12, 5),
 ]
 
 
@@ -63,14 +65,14 @@ def run_family(f_text, g_text, n, seeds, components):
 
 def main():
     failed = False
-    for label, f_text, g_text, n, seeds, components, gated in FAMILIES:
+    for label, f_text, g_text, n, seeds, components, allowed in FAMILIES:
         seeds = list(seeds)
         misses, seconds = run_family(f_text, g_text, n, seeds, components)
         print(f"{label}: {len(misses)} of {len(seeds)} runs miss; seeding median "
               f"{1e3 * np.median(seconds):.1f} ms, total {sum(seconds):.2f} s")
         for seed, what in misses:
             print(f"  seed {seed}: {what}")
-        failed |= gated and bool(misses)
+        failed |= len(misses) > allowed
     return int(failed)
 
 
