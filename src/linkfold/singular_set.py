@@ -42,6 +42,16 @@ solve. Probes and brackets start on the cubic Hermite interpolant of the
 trace's nodes and tangents. A start only moves where Newton begins: the
 bordered equation pins the point, and the step control measures from the
 prediction that anchors the hyperplane, not from the start.
+
+Each trace is a lane of one lockstep driver, whose rounds stack the rows of
+every lane's stepping fronts into that one solve. A lane alone ramps its
+step up from a small first one until the step settles. Where f and g are
+both homogeneous (the homogeneity gate), z -> alpha z (|alpha| = 1) maps
+the singular set to itself and keeps |h|, so each component is one orbit
+with one |h|: :func:`collect_components` then gives the first seed of each
+|h| a lane in the same rounds, seed 0's ramping and every other starting
+from the step it settled at (the settled step), so the step ramps up once
+per call, not once per component.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from .geometry import (
     sample_link_points,
     tangent_frame,
 )
-from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient, hessian
+from .polynomial import ComplexPoly, conj_gradient, eval_poly, gradient, hessian, homogeneous_degree
 
 __all__ = [
     "CurveTrace",
@@ -647,11 +657,11 @@ def _corrector_start(w_pred, h, curvature):
 
 
 def _correct_steps(system, starts, t, w_pred):
-    """Correct one round's steps, one row per stepping front, forward front first.
+    """Correct one round's steps, one row per stepping front, lane by lane and forward front first.
 
     Row k starts at starts[k] and is held to the pseudo-arclength hyperplane
     t[k] . (w - w_pred[k]) = 0. One row goes through
-    :meth:`AugmentedSystem.corrector`, two through one
+    :meth:`AugmentedSystem.corrector`, more through one
     :meth:`AugmentedSystem._correct_rows` call, which ends each row as its
     one-row call would. Returns the stacked (points, iterations, converged).
     """
@@ -675,6 +685,194 @@ def _facing_gap(forward, backward, dim):
     return length if facing else np.inf
 
 
+class _Lane:
+    """One trace of :func:`_trace_lanes`: the two fronts that leave one seed, and their state.
+
+    Made from a seed, a lane solves it and takes the curve's tangent there,
+    raising as :func:`trace_singular_curve` describes. Given no step, it
+    ramps: its forward front steps alone from ``_STEP_INIT`` epsilon, and
+    ``started`` turns true when the backward front starts. Given a step, both
+    fronts start from it. ``closing`` holds while the forward front alone
+    halves the gap between the tips, and ``joined`` once the fronts have met.
+    """
+
+    def __init__(self, system, seed, step):
+        spec, g = system.spec, system.g
+        self.step_min = _STEP_MIN * spec.epsilon
+        self.step_max = _STEP_MAX * spec.epsilon
+        self.target = _STEP_DISTANCE * spec.epsilon
+        self.branch_tol = _BIFURCATION_TOL * min(1.0, spec.epsilon) ** 2
+        w, ok = system.newton_least_norm(seed)
+        if not ok:
+            raise StepCollapse("seed does not satisfy the augmented system")
+        t, smin = system.tangent(w)
+        if smin < self.branch_tol:
+            raise BifurcationSuspected(
+                f"Jacobian second-smallest singular value {smin:.3e} at the seed"
+            )
+        # start so that the image h(z) turns counterclockwise about 0, whatever
+        # sign the SVD gave the null vector
+        z0 = complexify(w[:-4])
+        if np.imag(np.conj(eval_poly(g, z0)) * (gradient(g, z0) @ complexify(t[:-4]))) < 0:
+            t = -t
+        self.started = step is not None
+        if step is None:
+            step = float(np.clip(_STEP_INIT * spec.epsilon, self.step_min, self.step_max))
+        self.forward = _Front([w], [t], step, None)
+        self.backward = _Front([w], [-t], step, None)
+        self.closing = self.joined = False
+        self.last_step = 0.0  # the forward front's step in the round before
+
+    @property
+    def stepping(self):
+        """The fronts that step this round, forward first."""
+        return [self.forward, self.backward] if self.started and not self.closing else [self.forward]
+
+    def advance(self, w, t, w_new, t_new, iters, ok, distance, smin):
+        """Take this lane's steps of one round, then join, close or ramp its fronts.
+
+        Each argument holds one row per stepping front, forward first: its tip
+        and tangent, the corrected point and its tangent, the corrector's
+        iterations, whether the step is accepted, the z-distance from the
+        prediction to the corrected point, and the Jacobian's smallest
+        singular value there (inf where no tangent was taken).
+        """
+        if np.min(smin) < self.branch_tol:
+            raise BifurcationSuspected(
+                f"second-smallest singular value {np.min(smin):.3e} during trace"
+            )
+        forward, backward = self.forward, self.backward
+        forward_step = forward.s
+        for k, front in enumerate(self.stepping):
+            if not ok[k]:
+                front.s *= 0.5
+                if front.s < self.step_min:
+                    raise StepCollapse(f"continuation step collapsed below {self.step_min:.1e}")
+                continue
+            front.nodes.append(w_new[k])
+            front.tangents.append(t_new[k])
+            front.curvature = (t_new[k] - t[k]) / np.dot(t_new[k], w_new[k] - w[k])
+            if distance[k] <= 0.5 * self.target and iters[k] <= 3:
+                front.s = min(front.s * 1.4, self.step_max)
+            elif distance[k] > self.target or iters[k] >= 6:
+                front.s = max(front.s * 0.7, self.step_min)
+        gap = _facing_gap(forward, backward, w.shape[1] - 4) if len(forward.nodes) > 1 else np.inf
+        if gap <= max(forward.s, backward.s):
+            self.joined = True  # the gap is the last segment
+            return
+        self.closing = gap <= forward.s + backward.s
+        if self.closing:  # the forward front alone halves the gap
+            forward.s = min(forward.s, 0.5 * gap)
+        if not self.started and forward_step <= self.last_step:
+            self.started, backward.s = True, forward.s
+        self.last_step = forward_step
+        if len(forward.nodes) + len(backward.nodes) - 1 >= _MAX_NODES:
+            gap = np.linalg.norm(backward.nodes[-1] - forward.nodes[-1])
+            raise NonConvergence(
+                f"trace did not close within {_MAX_NODES} nodes (gap to start {gap:.1e})"
+            )
+
+    def curve(self, system):
+        """The joined fronts as a closed :class:`CurveTrace`, its image counterclockwise."""
+        spec, g = system.spec, system.g
+        dim = 2 * system.m
+        forward, backward = self.forward, self.backward
+        nodes = np.array(forward.nodes + backward.nodes[:0:-1])
+        tangents = np.array(forward.tangents + [-x for x in backward.tangents[:0:-1]])
+        values = eval_poly(g, complexify(nodes[:, :dim]))
+        # orient by the whole image: a polyline whose image polygon has negative
+        # signed area is reversed, keeping the start first
+        if np.sum(np.imag(np.conj(values) * np.roll(values, -1))) < 0:
+            order = np.r_[0, len(nodes) - 1 : 0 : -1]
+            nodes, tangents, values = nodes[order], -tangents[order], values[order]
+        nodes_z = nodes[:, :dim]
+        tangents_z = tangents[:, :dim]
+        norms = np.linalg.norm(tangents_z, axis=1, keepdims=True)
+        tangents_z = tangents_z / np.maximum(norms, 1e-15)
+
+        seg = _arc_segments(nodes_z, tangents_z)
+        arc_params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
+        arc_length = float(arc_params[-1] + seg[-1])
+
+        image = np.column_stack([values.real, values.imag])
+        defects = criterion_rank_defect(complexify(nodes_z), spec.f, g)
+        return CurveTrace(
+            arc_length=arc_length,
+            image=image,
+            arc_params=arc_params,
+            defects=defects,
+            nodes=nodes,
+            tangents=tangents,
+        )
+
+
+def _trace_lanes(system, seeds, step):
+    """Trace the curve through each row of ``seeds``, one :class:`_Lane` per row, in lockstep.
+
+    The lead lane, from seeds[0], starts first. Given no step it ramps, and
+    its step settles when its backward front starts, at the step that front
+    starts with, or when the lane joins before that, at its forward front's
+    step then; given a step, that step is settled from the start. The other
+    lanes start from the settled step, both fronts at once, so the step
+    ramps up once per call, not once per seed. Each round advances every
+    stepping front of every lane: one :func:`_correct_steps` solve for all
+    their rows and one stacked :meth:`AugmentedSystem.tangent`, each row
+    ending as it would in its lane alone. The lead lane's exception is
+    raised at once, as :func:`collect_components` keeps seed 0 whatever
+    follows; another lane's takes the place of its trace. Returns the list
+    of traces, one per seed, and the settled step.
+    """
+    dim = 2 * system.m
+    lead = _Lane(system, seeds[0], step)
+    results = [None] * len(seeds)
+    live, settled = [(0, lead)], None
+    while True:
+        if settled is None and (lead.started or lead.joined):
+            settled = lead.forward.s
+            for i in range(1, len(seeds)):
+                try:
+                    live.append((i, _Lane(system, seeds[i], settled)))
+                except LinkFoldError as exc:
+                    results[i] = exc
+        if not live:
+            return results, settled
+        groups = [lane.stepping for _, lane in live]
+        stepping = [front for group in groups for front in group]
+        w = np.array([front.nodes[-1] for front in stepping])
+        t = np.array([front.tangents[-1] for front in stepping])
+        h = np.array([front.s for front in stepping]) / np.sqrt(_row_dot(t[:, :dim], t[:, :dim]))
+        w_pred = w + h[:, None] * t
+        starts = np.array([_corrector_start(p, hk, front.curvature)
+                           for p, hk, front in zip(w_pred, h, stepping)])
+        w_new, iters, ok = _correct_steps(system, starts, t, w_pred)
+        miss = w_new - w_pred
+        ok &= np.sqrt(_row_dot(miss, miss)) <= 0.5 * h  # else the corrector jumped
+        distance = np.sqrt(_row_dot(miss[:, :dim], miss[:, :dim]))
+        t_new, smin = np.zeros_like(t), np.full(len(t), np.inf)
+        if ok.any():
+            t_new[ok], smin[ok] = system.tangent(w_new[ok])
+            turn = _row_dot(t_new, t)
+            t_new[turn < 0] *= -1.0
+            ok &= np.abs(turn) >= 0.5  # else a sharp turn: the step jumped too far
+        steps = (w, t, w_new, t_new, iters, ok, distance, smin)
+        begin, still = 0, []
+        for (i, lane), group in zip(live, groups):
+            rows = slice(begin, begin + len(group))
+            begin = rows.stop
+            try:
+                lane.advance(*(x[rows] for x in steps))
+            except LinkFoldError as exc:
+                if i == 0:
+                    raise
+                results[i] = exc
+                continue
+            if lane.joined:
+                results[i] = lane.curve(system)
+            else:
+                still.append((i, lane))
+        live = still
+
+
 def trace_singular_curve(seed, spec, g):
     """Pseudo-arclength continuation of the singular curve through ``seed``, from both sides.
 
@@ -690,12 +888,15 @@ def trace_singular_curve(seed, spec, g):
     ``_STEP_MAX``], all times epsilon, and every Newton solve is held to
     :func:`~linkfold.geometry._residual_tol`.
 
-    Each round advances every stepping front at once: one corrector solve
-    for all their rows (:func:`_correct_steps`) and one stacked
+    The trace is one lane (:class:`_Lane`) of the lockstep driver
+    :func:`_trace_lanes`, run alone; :func:`collect_components` runs one
+    lane per orbit of a homogeneous pair in the same rounds. Each round
+    advances every stepping front at once: one corrector solve for all their
+    rows (:func:`_correct_steps`) and one stacked
     :meth:`AugmentedSystem.tangent`. The forward front steps alone until it
-    takes a step no longer than its last one; the backward front then starts
-    from the seed with the forward front's next step, so the step ramps up
-    once, not twice. The
+    takes a step no longer than its last one: there the step has settled,
+    and the backward front starts from the seed with the forward front's
+    next step, so the step ramps up once, not twice. The
     prediction w_pred = w + h t anchors the pseudo-arclength hyperplane
     t . (w' - w_pred) = 0, the distance test and the step control. The
     corrector starts from :func:`_corrector_start`: the second-order point
@@ -713,7 +914,8 @@ def trace_singular_curve(seed, spec, g):
     1.4 when delta <= d/2 and the corrector took at most 3 iterations,
     shrinks by 0.7 when delta > d or it took 6 or more, and stays otherwise.
     So the curve's bending, not the cap, sets the node count: 35 per A1
-    component, from 7 one-row and 14 two-row solves. delta is measured from
+    component traced alone, from 7 one-row and 14 two-row solves, and 33 for
+    a lane that starts from the settled step. delta is measured from
     the anchor, not from the second-order start: the anchor and the node do
     not depend on where Newton began, while the start-to-node distance
     carries the corrector's rounding. With discrete factors, round-off in
@@ -733,113 +935,15 @@ def trace_singular_curve(seed, spec, g):
     finished polyline whose image polygon has negative signed area is then
     reversed with the start kept first, so every image turns
     counterclockwise as a whole, whichever seed the trace began at. Raises
+    StepCollapse at a seed that does not solve the augmented system,
     NonConvergence when the fronts hold ``_MAX_NODES`` nodes between them
     without having joined (the message gives the gap between their tips),
-    BifurcationSuspected when the Jacobian loses rank along the way (below
-    ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when a front's
-    step falls below the minimum step.
+    BifurcationSuspected when the Jacobian loses rank at the seed or along
+    the way (below ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse
+    when a front's step falls below the minimum step.
     """
-    step_min = _STEP_MIN * spec.epsilon
-    step_max = _STEP_MAX * spec.epsilon
-    target = _STEP_DISTANCE * spec.epsilon
-    branch_tol = _BIFURCATION_TOL * min(1.0, spec.epsilon) ** 2
-    system = AugmentedSystem(spec, g)
-    w, ok = system.newton_least_norm(seed)
-    if not ok:
-        raise StepCollapse("seed does not satisfy the augmented system")
-    t, smin = system.tangent(w)
-    if smin < branch_tol:
-        raise BifurcationSuspected(
-            f"Jacobian second-smallest singular value {smin:.3e} at the seed"
-        )
-    # start so that the image h(z) turns counterclockwise about 0, whatever
-    # sign the SVD gave the null vector
-    z0 = complexify(w[:-4])
-    if np.imag(np.conj(eval_poly(g, z0)) * (gradient(g, z0) @ complexify(t[:-4]))) < 0:
-        t = -t
-    dim = 2 * system.m
-    s = float(np.clip(_STEP_INIT * spec.epsilon, step_min, step_max))
-    forward, backward = fronts = [_Front([w], [t], s, None), _Front([w], [-t], s, None)]
-    started = closing = False
-    last_step = 0.0  # the forward front's step in the round before
-    while True:
-        if len(forward.nodes) + len(backward.nodes) - 1 >= _MAX_NODES:
-            gap = np.linalg.norm(backward.nodes[-1] - forward.nodes[-1])
-            raise NonConvergence(
-                f"trace did not close within {_MAX_NODES} nodes (gap to start {gap:.1e})"
-            )
-        stepping = fronts if started and not closing else [forward]
-        forward_step = forward.s
-        w = np.array([front.nodes[-1] for front in stepping])
-        t = np.array([front.tangents[-1] for front in stepping])
-        h = np.array([front.s for front in stepping]) / np.sqrt(_row_dot(t[:, :dim], t[:, :dim]))
-        w_pred = w + h[:, None] * t
-        starts = np.array([_corrector_start(p, hk, front.curvature)
-                           for p, hk, front in zip(w_pred, h, stepping)])
-        w_new, iters, ok = _correct_steps(system, starts, t, w_pred)
-        miss = w_new - w_pred
-        ok &= np.sqrt(_row_dot(miss, miss)) <= 0.5 * h  # else the corrector jumped
-        distance = np.sqrt(_row_dot(miss[:, :dim], miss[:, :dim]))
-        t_new = np.zeros_like(t)
-        if ok.any():
-            t_new[ok], smin = system.tangent(w_new[ok])
-            if np.min(smin) < branch_tol:
-                raise BifurcationSuspected(
-                    f"second-smallest singular value {np.min(smin):.3e} during trace"
-                )
-            turn = _row_dot(t_new, t)
-            t_new[turn < 0] *= -1.0
-            ok &= np.abs(turn) >= 0.5  # else a sharp turn: the step jumped too far
-        for k, front in enumerate(stepping):
-            if not ok[k]:
-                front.s *= 0.5
-                if front.s < step_min:
-                    raise StepCollapse(f"continuation step collapsed below {step_min:.1e}")
-                continue
-            front.nodes.append(w_new[k])
-            front.tangents.append(t_new[k])
-            front.curvature = (t_new[k] - t[k]) / np.dot(t_new[k], w_new[k] - w[k])
-            if distance[k] <= 0.5 * target and iters[k] <= 3:
-                front.s = min(front.s * 1.4, step_max)
-            elif distance[k] > target or iters[k] >= 6:
-                front.s = max(front.s * 0.7, step_min)
-        gap = _facing_gap(forward, backward, dim) if len(forward.nodes) > 1 else np.inf
-        if gap <= max(forward.s, backward.s):
-            break  # the fronts join: the gap is the last segment
-        closing = gap <= forward.s + backward.s
-        if closing:  # the forward front alone halves the gap
-            forward.s = min(forward.s, 0.5 * gap)
-        if not started and forward_step <= last_step:
-            started, backward.s = True, forward.s
-        last_step = forward_step
-
-    nodes = np.array(forward.nodes + backward.nodes[:0:-1])
-    tangents = np.array(forward.tangents + [-x for x in backward.tangents[:0:-1]])
-    values = eval_poly(g, complexify(nodes[:, :dim]))
-    # orient by the whole image: a polyline whose image polygon has negative
-    # signed area is reversed, keeping the start first
-    if np.sum(np.imag(np.conj(values) * np.roll(values, -1))) < 0:
-        order = np.r_[0, len(nodes) - 1 : 0 : -1]
-        nodes, tangents, values = nodes[order], -tangents[order], values[order]
-    nodes_z = nodes[:, :dim]
-    tangents_z = tangents[:, :dim]
-    norms = np.linalg.norm(tangents_z, axis=1, keepdims=True)
-    tangents_z = tangents_z / np.maximum(norms, 1e-15)
-
-    seg = _arc_segments(nodes_z, tangents_z)
-    arc_params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-    arc_length = float(arc_params[-1] + seg[-1])
-
-    image = np.column_stack([values.real, values.imag])
-    defects = criterion_rank_defect(complexify(nodes_z), spec.f, g)
-    return CurveTrace(
-        arc_length=arc_length,
-        image=image,
-        arc_params=arc_params,
-        defects=defects,
-        nodes=nodes,
-        tangents=tangents,
-    )
+    (trace,), _ = _trace_lanes(AugmentedSystem(spec, g), np.asarray(seed, dtype=float)[None], None)
+    return trace
 
 
 def point_on_trace(system, trace, probes):
@@ -941,6 +1045,18 @@ def _component_key(trace, spec, g):
     return round(float(np.sqrt(peak[0])) / unit), tuple(z_at_peak.tolist())
 
 
+def _orbit_leads(seeds, spec, g):
+    """The first seed of each group of ``seeds`` with one |h|, as ascending indices.
+
+    Sorted by |h|, a seed starts a new group where |h| exceeds the one before
+    by more than ``_SAME_POINT_TOL`` epsilon.
+    """
+    values = np.abs(eval_poly(g, complexify(seeds[:, :-4])))
+    order = np.argsort(values, kind="stable")
+    first = np.flatnonzero(np.r_[True, np.diff(values[order]) > _SAME_POINT_TOL * spec.epsilon])
+    return np.sort(np.minimum.reduceat(order, first))
+
+
 def collect_components(seeds, spec, g):
     """Trace every novel seed and return the distinct singular components.
 
@@ -949,20 +1065,39 @@ def collect_components(seeds, spec, g):
     resampling of the same curve): after each trace, every later seed not
     yet skipped is probed against it in one :func:`point_on_trace` call,
     which makes the probes that a seed-by-seed check against the components
-    kept before it would make. That is the only duplicate rule; each seed
-    left is traced with the policy of :func:`trace_singular_curve`, and its
-    trace kept. Components come in increasing order of their peak
-    |h|, ties broken by z at the peak (see :func:`_component_key`), which
-    does not depend on where the seeds fell.
+    kept before it would make. That is the only duplicate rule, and it
+    alone decides which traces are kept.
+
+    Where f and g are both homogeneous, z -> alpha z (|alpha| = 1) maps the
+    singular set to itself and keeps |h|, so each component is one orbit, on
+    which |h| is constant. There the seeds are grouped by |h|
+    (:func:`_orbit_leads`), and the first seed of each group is traced
+    before the rule runs, all in one lockstep call of :func:`_trace_lanes`:
+    seed 0's lane ramps the step as :func:`trace_singular_curve` does, and
+    every other lane starts from the step it settles at. A kept seed takes
+    its lane's trace, or raises its lane's exception; a kept seed without a
+    lane (two components with one |h|) is traced alone from the settled
+    step. For any other pair each kept seed is traced alone, as by
+    :func:`trace_singular_curve`. Components come in increasing order of
+    their peak |h|, ties broken by z at the peak (see
+    :func:`_component_key`), which does not depend on where the seeds fell.
     """
     system = AugmentedSystem(spec, g)
     seeds = np.asarray(seeds, dtype=float)
+    traced, settled = {}, None
+    if len(seeds) and homogeneous_degree(spec.f) is not None and homogeneous_degree(g) is not None:
+        leads = _orbit_leads(seeds, spec, g)
+        results, settled = _trace_lanes(system, seeds[leads], None)
+        traced = dict(zip(leads.tolist(), results))
     skipped = np.zeros(len(seeds), dtype=bool)
     components = []
-    for i, w in enumerate(seeds):
+    for i in range(len(seeds)):
         if skipped[i]:
             continue
-        components.append(trace_singular_curve(w, spec, g))
+        trace = traced[i] if i in traced else _trace_lanes(system, seeds[i : i + 1], settled)[0][0]
+        if isinstance(trace, LinkFoldError):
+            raise trace
+        components.append(trace)
         later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
-        skipped[later] = point_on_trace(system, components[-1], seeds[later])
+        skipped[later] = point_on_trace(system, trace, seeds[later])
     return sorted(components, key=lambda trace: _component_key(trace, spec, g))

@@ -27,15 +27,15 @@ from linkfold.geometry import (
     tangent_frame,
 )
 from linkfold.morse import CriticalPointRecord, _equation_zeros
-from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian
+from linkfold.polynomial import conj_gradient, eval_poly, gradient, hessian, homogeneous_degree
 from linkfold.singular_set import (
     _SAME_POINT_TOL,
     AugmentedSystem,
     _component_key,
     _hyperplane,
+    _trace_lanes,
     criterion_matrix,
     span_hessian,
-    trace_singular_curve,
 )
 
 
@@ -510,14 +510,20 @@ def collect_components_serial(seeds, spec, g):
     The loop the stacked ``collect_components`` replaced: each seed is
     probed against every component kept so far with
     :func:`point_on_trace_serial`, and a new trace against them at three
-    of its nodes. Sorted as the package sorts them.
+    of its nodes. Each trace runs alone. Where f and g are both homogeneous,
+    the first ramps its step and every later one starts from the step the
+    first settled at, as the package's lanes do. Sorted as the package sorts
+    them.
     """
     system = AugmentedSystem(spec, g)
-    components = []
+    homogeneous = homogeneous_degree(spec.f) is not None and homogeneous_degree(g) is not None
+    components, settled = [], None
     for w in seeds:
         if any(point_on_trace_serial(system, c, w) for c in components):
             continue
-        trace = trace_singular_curve(w, spec, g)
+        (trace,), step = _trace_lanes(system, w[None], settled)
+        if homogeneous:
+            settled = step
         count = len(trace.nodes)
         probes = [trace.nodes[i] for i in sorted({0, count // 3, (2 * count) // 3})]
         if any(all(point_on_trace_serial(system, c, p) for p in probes) for c in components):

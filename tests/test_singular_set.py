@@ -588,75 +588,81 @@ def test_join_leaves_no_long_segment(seed):
         assert segments.max() <= 1.5 * np.median(segments)
 
 
+def _record_rounds(monkeypatch):
+    """Record every lockstep round of the traces: one (iterations, first step) pair per row.
+
+    A row is a front's first step while the front has no accepted step, so
+    no curvature, yet. Rows come in the order of the round's solve.
+    """
+    rounds, firsts = [], []
+    correct_steps, corrector_start = singular_set._correct_steps, singular_set._corrector_start
+
+    def started(w_pred, h, curvature):
+        firsts.append(curvature is None)
+        return corrector_start(w_pred, h, curvature)
+
+    def counted(system, starts, t, w_pred):
+        w, iters, ok = correct_steps(system, starts, t, w_pred)
+        rounds.append(list(zip(iters.tolist(), firsts[-len(starts):])))
+        return w, iters, ok
+
+    monkeypatch.setattr(singular_set, "_corrector_start", started)
+    monkeypatch.setattr(singular_set, "_correct_steps", counted)
+    return rounds
+
+
 @pytest.mark.parametrize("seed", [42, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a1_trace_is_one_circle_from_21_solves(n, seed, monkeypatch):
-    # the seed's solve, 6 one-row steps of the forward front, then 14 rounds
-    # of both fronts: 35 nodes, against 36 one-row solves from one front
+    # traced alone, seed 0's circle takes the seed's solve, 6 one-row steps
+    # of the forward front, then 14 rounds of both fronts: 35 nodes, against
+    # 36 one-row solves from one front. In collect_components the other
+    # circle's lane starts both fronts from the step seed 0's lane settled
+    # at, in the same rounds, and takes 33 nodes: 22 rounds per call, the
+    # first 6 one-row, where the two traces one after the other took 40
     spec, g = build_a1(n)
-    solves, inside = [], []
-    trace, correct_rows = singular_set.trace_singular_curve, AugmentedSystem._correct_rows
-
-    def counted_trace(*args):
-        solves.append(0)
-        inside.append(True)
-        try:
-            return trace(*args)
-        finally:
-            inside.pop()
+    seeds = lf.seed_singular_points(spec, g, rng_seed=seed)
+    solves, correct_rows = [], AugmentedSystem._correct_rows
 
     def counted_rows(self, *args):
-        if inside:
-            solves[-1] += 1
+        solves.append(len(args[0]))
         return correct_rows(self, *args)
 
-    monkeypatch.setattr(singular_set, "trace_singular_curve", counted_trace)
     monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted_rows)
-    traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
-    assert len(traces) == len(solves) == 2
-    assert solves == [21, 21]
+    alone = lf.trace_singular_curve(seeds[0], spec, g)
+    assert solves == [1] * 7 + [2] * 14
+    assert len(alone) == 35
+    monkeypatch.undo()
+    rounds = _record_rounds(monkeypatch)
+    traces = lf.collect_components(seeds, spec, g)
+    rows = [len(r) for r in rounds]
+    assert len(rows) <= 22
+    assert rows[:6] == [1] * 6 and min(rows[6:]) >= 2
+    assert len(traces) == 2
+    assert [len(t) for t in traces if np.array_equal(t.nodes, alone.nodes)] == [35]
+    assert sorted(len(t) for t in traces) == [33, 35]
     for component in traces:
-        assert len(component) == 35
         assert abs(component.arc_length - 2 * np.pi) <= 1e-10
-
-
-def _trace_corrector_iterations(monkeypatch):
-    """Record the corrector iterations of every step of both fronts, one list per trace.
-
-    A round's steps are recorded in row order, the forward front first.
-    """
-    runs = []
-    trace, correct_steps = singular_set.trace_singular_curve, singular_set._correct_steps
-
-    def counted_trace(*args):
-        runs.append([])
-        return trace(*args)
-
-    def counted_steps(*args):
-        w, iters, ok = correct_steps(*args)
-        runs[-1].extend(iters.tolist())
-        return w, iters, ok
-
-    monkeypatch.setattr(singular_set, "trace_singular_curve", counted_trace)
-    monkeypatch.setattr(singular_set, "_correct_steps", counted_steps)
-    return runs
 
 
 @pytest.mark.parametrize("seed", [42, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trace_node_and_iteration_counts_stay_bounded(n, seed, monkeypatch):
-    # steps sized by the prediction's distance to the node: each A1 component
-    # takes 35 nodes, and every step after the first 2 or 3 corrector
-    # iterations from its second-order start. Grown to a cap of 0.1 epsilon
-    # whenever it converged in 3 iterations, the step gave 64 nodes and 129
-    # iterations per trace, whatever the curve's shape
+    # steps sized by the prediction's distance to the node: each A1
+    # component takes at most 35 nodes, and every step after a front's first
+    # takes 2 or 3 corrector iterations from its second-order start. Grown to
+    # a cap of 0.1 epsilon whenever it converged in 3 iterations, the step
+    # gave 64 nodes and 129 iterations per trace, whatever the curve's shape
     spec, g = build_a1(n)
-    runs = _trace_corrector_iterations(monkeypatch)
+    rounds = _record_rounds(monkeypatch)
     traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=seed), spec, g)
-    assert len(traces) == len(runs) == 2
+    steps = [row for r in rounds for row in r]
+    assert len(traces) == 2
     assert all(len(trace) <= 35 for trace in traces)
-    assert all(len(steps) > 1 and max(steps[1:]) <= 3 for steps in runs)
-    assert all(sum(steps) < 129 for steps in runs)
+    # two fronts in each of two lanes
+    assert sum(first for _, first in steps) == 4
+    assert max(iters for iters, first in steps if not first) <= 3
+    assert sum(iters for iters, _ in steps) < 2 * 129
 
 
 @pytest.mark.parametrize("n, epsilon", [(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (2, 1e-3)])
@@ -672,23 +678,15 @@ def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch)
     units = np.r_[np.full(2 * n + 2, epsilon), 1.0, 1.0, epsilon, epsilon]
     seeds = lf.seed_singular_points(spec, g, rng_seed=42)
     reference = lf.collect_components(seeds, spec, g)
-    trace, correct_steps = singular_set.trace_singular_curve, singular_set._correct_steps
-    # per trace and front: (tangent, anchor, corrected point) of each step.
-    # Row k of a round is front k: the forward front steps first, and alone
-    # until the backward one starts
-    calls = []
-
-    def traced(*args):
-        calls.append(([], []))
-        return trace(*args)
+    correct_steps = singular_set._correct_steps
+    # (tangent, anchor, corrected point) of every row of every round
+    steps = []
 
     def recorded(system, starts, t, w_pred):
         w, iters, ok = correct_steps(system, starts, t, w_pred)
-        for front, step in zip(calls[-1], zip(t, w_pred, w)):
-            front.append(step)
+        steps.extend(zip(t, w_pred, w))
         return w, iters, ok
 
-    monkeypatch.setattr(singular_set, "trace_singular_curve", traced)
     monkeypatch.setattr(singular_set, "_corrector_start", lambda w_pred, h, curvature: w_pred)
     monkeypatch.setattr(singular_set, "_correct_steps", recorded)
     euler = lf.collect_components(seeds, spec, g)
@@ -697,13 +695,15 @@ def test_corrector_start_moves_no_node_beyond_tolerance(n, epsilon, monkeypatch)
         assert len(mine) == len(theirs)
         moved = np.max(np.abs(mine.nodes - theirs.nodes) / units)
         assert moved <= 1e-12 / min(1.0, epsilon) ** 2
-    # the anchor stays the Euler prediction: a step with a new tangent leaves
-    # the point the step before it accepted, along that tangent
-    for steps in (front for fronts in calls for front in fronts):
-        for (t_before, _, node), (t, anchor, _) in zip(steps, steps[1:]):
-            if not np.array_equal(t, t_before):
-                ahead = anchor - node
-                assert np.linalg.norm(ahead - (ahead @ t) * t) <= 1e-12 * np.linalg.norm(ahead)
+    # the anchor stays the Euler prediction: a step with a tangent new to the
+    # call leaves a seed, or a point that an earlier step accepted, along it
+    points, tangents = list(seeds), []
+    for t, anchor, node in steps:
+        if not any(np.array_equal(t, seen) for seen in tangents):
+            tangents.append(t)
+            ahead = [anchor - p for p in points]
+            assert any(np.linalg.norm(d - (d @ t) * t) <= 1e-12 * np.linalg.norm(d) for d in ahead)
+        points.append(node)
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +794,89 @@ def test_collect_components_duplicate_seeds(a1_n2, traces_n2, monkeypatch):
     # the two components are identified by their image radii
     radii = sorted(np.mean(np.linalg.norm(t.image, axis=1)) for t in doubled)
     assert radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-8)
+
+
+def _each_kept_seed_traced_alone(seeds, spec, g):
+    """The duplicate rule of collect_components, each kept seed traced by trace_singular_curve."""
+    system = AugmentedSystem(spec, g)
+    skipped = np.zeros(len(seeds), dtype=bool)
+    traces = []
+    for i, w in enumerate(seeds):
+        if skipped[i]:
+            continue
+        traces.append(lf.trace_singular_curve(w, spec, g))
+        later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
+        skipped[later] = singular_set.point_on_trace(system, traces[-1], seeds[later])
+    return sorted(traces, key=lambda trace: singular_set._component_key(trace, spec, g))
+
+
+@pytest.mark.parametrize("f_text, g_text, seed, count", [
+    (BRIESKORN_F, "z1 + 0.5i*z2", 42, 2),
+    (BRIESKORN_F, "z1 + 0.5i*z2", 4, 2),
+    ("z1^2 + z2^3 + z3^2", "z1 + 0.5i*z2", 7, 3),
+    (None, "z1 + 0.5i*z2 + 0.8*z2^2", 42, 4),
+], ids=["brieskorn-42", "brieskorn-4", "a2-7", "a1-quadratic-g"])
+def test_pairs_not_both_homogeneous_trace_each_kept_seed_alone(f_text, g_text, seed, count):
+    # lanes are only for a homogeneous f and g, whose components are orbits
+    # told apart by |h|. Here every kept seed ramps its own step: traced from
+    # the step seed 0 settled at, A2's three components came out as two, of
+    # 114 and 228 nodes
+    spec, g = RunConfig(f_text=f_text, g_text=g_text, n=2).build()
+    seeds = lf.seed_singular_points(spec, g, rng_seed=seed)
+    traces = lf.collect_components(seeds, spec, g)
+    expected = _each_kept_seed_traced_alone(seeds, spec, g)
+    assert len(traces) == len(expected) == count
+    for trace, reference in zip(traces, expected):
+        assert np.array_equal(trace.nodes, reference.nodes)
+
+
+def _fail_off_seed_circle(monkeypatch, spec, g, where):
+    """Make every Jacobian off seed 42's circle read singular, at the seeds or along the traces.
+
+    The A1 circles have |h| = sqrt(2)/4 and 3 sqrt(2)/4 epsilon, and seed 0
+    lies on the inner one. At the seeds a lane solves one row; along a trace
+    the tangents of a round come stacked. Returns the seeds.
+    """
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    assert abs(lf.eval_poly(g, lf.complexify(seeds[0, :-4]))) < 0.7
+    tangent = AugmentedSystem.tangent
+
+    def failing(self, w):
+        t, smin = tangent(self, w)
+        off = np.abs(lf.eval_poly(g, lf.complexify(np.atleast_2d(w)[:, :-4]))) > 0.7
+        if (np.ndim(w) == 1) == (where == "seed"):
+            smin = np.where(off, 0.0, smin) if np.ndim(w) == 2 else (0.0 if off[0] else smin)
+        return t, smin
+
+    monkeypatch.setattr(AugmentedSystem, "tangent", failing)
+    return seeds
+
+
+@pytest.mark.parametrize("where", ["seed", "trace"])
+def test_a_lane_that_raises_on_a_skipped_seed_is_dropped(a1_n2, where, monkeypatch):
+    # the outer circle's lane raises, but the duplicate rule, told that every
+    # later seed lies on seed 0's circle, keeps seed 0 alone
+    spec, g = a1_n2
+    seeds = _fail_off_seed_circle(monkeypatch, spec, g, where)
+    monkeypatch.setattr(singular_set, "point_on_trace", lambda system, trace, probes: np.ones(len(probes), bool))
+    (trace,) = lf.collect_components(seeds, spec, g)
+    assert len(trace) == 35
+
+
+@pytest.mark.parametrize("where", ["seed", "trace"])
+def test_a_lane_that_raises_on_a_kept_seed_raises_as_its_trace_alone(a1_n2, where, monkeypatch, tmp_path, capsys):
+    spec, g = a1_n2
+    seeds = _fail_off_seed_circle(monkeypatch, spec, g, where)
+    outer = seeds[np.abs(lf.eval_poly(g, lf.complexify(seeds[:, :-4]))) > 0.7][0]
+    with pytest.raises(lf.BifurcationSuspected) as alone:
+        lf.trace_singular_curve(outer, spec, g)
+    with pytest.raises(lf.BifurcationSuspected) as lanes:
+        lf.collect_components(seeds, spec, g)
+    assert str(lanes.value) == str(alone.value)
+    assert str(alone.value).endswith("at the seed" if where == "seed" else "during trace")
+    # the CLI's exit code for a degenerate geometry
+    assert main(["singular-set", "--n", "2", "--out", str(tmp_path)]) == 4
+    assert str(alone.value) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 For each family it seeds and traces the singular set at a list of seeds and
 counts the runs that find fewer components than the family has, or raise.
-It prints one line per family (runs, misses and the seeds that missed) and
-the time spent in seeding alone, median and total, with one BLAS thread.
+It prints one line per family (runs, misses and the seeds that missed), the
+time spent in seeding, median and total, and the median time of the
+collect_components call that traces the seeds, with one BLAS thread.
 
     python tools/seed_coverage.py
 
@@ -46,30 +47,33 @@ FAMILIES = [
 
 
 def run_family(f_text, g_text, n, seeds, components):
-    """(seeds that missed, with what was found; seeding seconds per run)."""
-    misses, seconds = [], []
+    """(seeds that missed, with what was found; seeding and tracing seconds per run)."""
+    misses, seconds, tracing = [], [], []
     for seed in seeds:
         spec, g = lf.RunConfig(f_text=f_text, g_text=g_text, n=n).build()
         try:
             t0 = time.perf_counter()
             points = lf.seed_singular_points(spec, g, rng_seed=seed)
-            seconds.append(time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            seconds.append(t1 - t0)
             found = len(lf.collect_components(points, spec, g))
+            tracing.append(time.perf_counter() - t1)
         except lf.LinkFoldError as exc:
             misses.append((seed, f"{type(exc).__name__}: {exc}"))
             continue
         if found != components:
             misses.append((seed, f"{found} of {components}"))
-    return misses, seconds
+    return misses, seconds, tracing
 
 
 def main():
     failed = False
     for label, f_text, g_text, n, seeds, components, allowed in FAMILIES:
         seeds = list(seeds)
-        misses, seconds = run_family(f_text, g_text, n, seeds, components)
+        misses, seconds, tracing = run_family(f_text, g_text, n, seeds, components)
         print(f"{label}: {len(misses)} of {len(seeds)} runs miss; seeding median "
-              f"{1e3 * np.median(seconds):.1f} ms, total {sum(seconds):.2f} s")
+              f"{1e3 * np.median(seconds):.1f} ms, total {sum(seconds):.2f} s; "
+              f"collect_components median {1e3 * np.median(tracing):.1f} ms")
         for seed, what in misses:
             print(f"  seed {seed}: {what}")
         failed |= len(misses) > allowed
