@@ -80,7 +80,6 @@ from .singular_set import (
     direct_singularity_test,
     scan_gradient_dependence,
     seed_singular_points,
-    trace_singular_curve,
 )
 
 __version__ = "0.1.0"

@@ -43,15 +43,15 @@ trace's nodes and tangents. A start only moves where Newton begins: the
 bordered equation pins the point, and the step control measures from the
 prediction that anchors the hyperplane, not from the start.
 
-Each trace is a lane of one lockstep driver, whose rounds stack the rows of
-every lane's stepping fronts into that one solve. A lane alone ramps its
-step up from a small first one until the step settles. Where f and g are
-both homogeneous (the homogeneity gate), z -> alpha z (|alpha| = 1) maps
-the singular set to itself and keeps |h|, so each component is one orbit
-with one |h|: :func:`collect_components` then gives the first seed of each
-|h| a lane in the same rounds, seed 0's ramping and every other starting
-from the step it settled at (the settled step), so the step ramps up once
-per call, not once per component.
+Each trace is a lane of one lockstep driver, :func:`_trace_lanes`, whose
+rounds stack the rows of every lane's stepping fronts into that one solve.
+The lead lane ramps its step up from a small first one until the step
+settles, and every other lane starts from the step it settled at, so the
+step ramps up once per call, not once per lane. Where f and g are both
+homogeneous (the homogeneity gate), z -> alpha z (|alpha| = 1) maps the
+singular set to itself, so each component is one orbit of that circle
+action: :func:`collect_components` then groups the seeds by orbit and gives
+the first seed of each orbit a lane, all in one call.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ __all__ = [
     "scan_gradient_dependence",
     "seed_singular_points",
     "span_hessian",
-    "trace_singular_curve",
     "collect_components",
 ]
 
@@ -131,7 +130,7 @@ _SEED_DESCENT_STEPS = 6
 # follows has a wide basin (it converges from 95-99 % of raw link samples on
 # A1, A2 and Brieskorn), so descent only has to bring starts into it
 _SEED_DESCENT_TARGET = 0.15
-# singular-set points (or augmented vectors) closer than this are the same
+# singular-set points whose z lie closer than this, times epsilon, are the same
 _SAME_POINT_TOL = 1e-4
 
 
@@ -689,7 +688,7 @@ class _Lane:
     """One trace of :func:`_trace_lanes`: the two fronts that leave one seed, and their state.
 
     Made from a seed, a lane solves it and takes the curve's tangent there,
-    raising as :func:`trace_singular_curve` describes. Given no step, it
+    raising as :func:`_trace_lanes` describes. Given no step, it
     ramps: its forward front steps alone from ``_STEP_INIT`` epsilon, and
     ``started`` turns true when the backward front starts. Given a step, both
     fronts start from it. ``closing`` holds while the forward front alone
@@ -806,24 +805,83 @@ class _Lane:
         )
 
 
-def _trace_lanes(system, seeds, step):
-    """Trace the curve through each row of ``seeds``, one :class:`_Lane` per row, in lockstep.
+def _trace_lanes(system, seeds):
+    """Pseudo-arclength continuation through each row of ``seeds``, one lane per row, in lockstep.
 
-    The lead lane, from seeds[0], starts first. Given no step it ramps, and
-    its step settles when its backward front starts, at the step that front
-    starts with, or when the lane joins before that, at its forward front's
-    step then; given a step, that step is settled from the start. The other
-    lanes start from the settled step, both fronts at once, so the step
-    ramps up once per call, not once per seed. Each round advances every
-    stepping front of every lane: one :func:`_correct_steps` solve for all
-    their rows and one stacked :meth:`AugmentedSystem.tangent`, each row
-    ending as it would in its lane alone. The lead lane's exception is
-    raised at once, as :func:`collect_components` keeps seed 0 whatever
-    follows; another lane's takes the place of its trace. Returns the list
-    of traces, one per seed, and the settled step.
+    Each row is an augmented vector (z, a, b), a row of
+    :func:`seed_singular_points`, on which
+    :meth:`AugmentedSystem.newton_least_norm` takes no step, and makes one
+    :class:`_Lane`. Two fronts leave each seed, forward along the unit null
+    vector t of the augmented Jacobian and backward along -t, each stepping
+    with an adaptive step and correcting back onto the curve after each
+    prediction. Steps s are z-arc lengths, as (a, b) are O(1) at every
+    epsilon: the predictor moves h = s / |t_z| along the front's unit tangent
+    t (Allgower & Georg, *Introduction to Numerical Continuation Methods*,
+    section 6.1). s starts at ``_STEP_INIT`` and stays within
+    [``_STEP_MIN``, ``_STEP_MAX``], all times epsilon, and every Newton
+    solve is held to :func:`~linkfold.geometry._residual_tol`.
+
+    Each round advances every stepping front of every lane at once: one
+    corrector solve for all their rows (:func:`_correct_steps`) and one
+    stacked :meth:`AugmentedSystem.tangent`, each row ending as it would in
+    its lane alone. The lead lane, from seeds[0], starts alone, and its
+    forward front steps alone until it takes a step no longer than its last
+    one: there the step has settled, and the backward front starts from the
+    seed with the forward front's next step, so the step ramps up once, not
+    twice. Every other lane starts both fronts from that settled step, or
+    from the forward front's step where the lead lane joins before that, so
+    the step ramps up once per call, not once per seed. The prediction
+    w_pred = w + h t anchors the pseudo-arclength hyperplane
+    t . (w' - w_pred) = 0, the distance test and the step control. The
+    corrector starts from :func:`_corrector_start`: the second-order point
+    w_pred + (h^2/2) kappa, with kappa = (t - t_prev) / (t . (w - w_prev))
+    the curvature of the front's last accepted step (ch. 6 of the same
+    book), or w_pred on its first step; the hyperplane's equation pins the
+    node. A corrected point farther than h/2 from its prediction is rejected
+    like a failed corrector (the distance test of section 6.1), so a front
+    cannot jump to another part of the curve, and so is one whose tangent
+    turns by more than 60 degrees. A rejected step halves that front's step
+    for the next round. After each accepted step, the z-distance delta from
+    w_pred to the node, which grows as s^2 times the curve's bending, sets
+    the front's next step against the target d = ``_STEP_DISTANCE`` epsilon
+    (Den Heijer & Rheinboldt, SIAM J. Numer. Anal. 18, 1981): s grows by
+    1.4 when delta <= d/2 and the corrector took at most 3 iterations,
+    shrinks by 0.7 when delta > d or it took 6 or more, and stays otherwise.
+    So the curve's bending, not the cap, sets the node count: 35 for an A1
+    component traced by the lead lane, from 7 one-row and 14 two-row solves
+    when it runs alone, and 33 for a lane that starts from the settled step.
+    delta is measured from the anchor, not from the second-order start: the
+    anchor and the node do not depend on where Newton began, while the
+    start-to-node distance carries the corrector's rounding. With discrete
+    factors, round-off in the seed moves no node.
+
+    After each round a lane's tips are compared in z (:func:`_facing_gap`).
+    Where they face each other within the larger of their steps, the fronts
+    join, and the gap between them is a segment of the polyline. Where they
+    face each other within the sum of their steps, the forward front steps
+    alone, by at most half the gap, so that neither front passes the other.
+    The backward tip is the seed until that front starts, so a curve shorter
+    than the forward ramp closes on it. The polyline is the seed, the
+    forward nodes, then the backward nodes reversed with their tangents
+    negated, and closes from the last of them back to the seed. The forward
+    front leaves in the direction in which the image turns counterclockwise
+    about 0, so node placement does not depend on round-off in the seed. A
+    finished polyline whose image polygon has negative signed area is then
+    reversed with the start kept first, so every image turns
+    counterclockwise as a whole, whichever seed the trace began at.
+
+    Returns the list of traces, one per seed. A lane raises StepCollapse at
+    a seed that does not solve the augmented system, NonConvergence when its
+    fronts hold ``_MAX_NODES`` nodes between them without having joined (the
+    message gives the gap between their tips), BifurcationSuspected when the
+    Jacobian loses rank at the seed or along the way (below
+    ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when a front's
+    step falls below the minimum step. The lead lane's exception is raised
+    at once, as :func:`collect_components` keeps seed 0 whatever follows;
+    another lane's takes the place of its trace in the list.
     """
     dim = 2 * system.m
-    lead = _Lane(system, seeds[0], step)
+    lead = _Lane(system, seeds[0], None)
     results = [None] * len(seeds)
     live, settled = [(0, lead)], None
     while True:
@@ -835,7 +893,7 @@ def _trace_lanes(system, seeds, step):
                 except LinkFoldError as exc:
                     results[i] = exc
         if not live:
-            return results, settled
+            return results
         groups = [lane.stepping for _, lane in live]
         stepping = [front for group in groups for front in group]
         w = np.array([front.nodes[-1] for front in stepping])
@@ -873,79 +931,6 @@ def _trace_lanes(system, seeds, step):
         live = still
 
 
-def trace_singular_curve(seed, spec, g):
-    """Pseudo-arclength continuation of the singular curve through ``seed``, from both sides.
-
-    ``seed`` is an augmented vector (z, a, b), a row of
-    :func:`seed_singular_points`, on which
-    :meth:`AugmentedSystem.newton_least_norm` takes no step. Two fronts leave
-    it, forward along the unit null vector t of the augmented Jacobian and
-    backward along -t, each stepping with an adaptive step and correcting
-    back onto the curve after each prediction. Steps s are z-arc lengths, as
-    (a, b) are O(1) at every epsilon: the predictor moves h = s / |t_z|
-    along the front's unit tangent t (Allgower & Georg, section 6.1). s
-    starts at ``_STEP_INIT`` and stays within [``_STEP_MIN``,
-    ``_STEP_MAX``], all times epsilon, and every Newton solve is held to
-    :func:`~linkfold.geometry._residual_tol`.
-
-    The trace is one lane (:class:`_Lane`) of the lockstep driver
-    :func:`_trace_lanes`, run alone; :func:`collect_components` runs one
-    lane per orbit of a homogeneous pair in the same rounds. Each round
-    advances every stepping front at once: one corrector solve for all their
-    rows (:func:`_correct_steps`) and one stacked
-    :meth:`AugmentedSystem.tangent`. The forward front steps alone until it
-    takes a step no longer than its last one: there the step has settled,
-    and the backward front starts from the seed with the forward front's
-    next step, so the step ramps up once, not twice. The
-    prediction w_pred = w + h t anchors the pseudo-arclength hyperplane
-    t . (w' - w_pred) = 0, the distance test and the step control. The
-    corrector starts from :func:`_corrector_start`: the second-order point
-    w_pred + (h^2/2) kappa, with kappa = (t - t_prev) / (t . (w - w_prev))
-    the curvature of the front's last accepted step (ch. 6 of the same
-    book), or w_pred on its first step; the hyperplane's equation pins the
-    node. A corrected point farther than h/2 from its prediction is rejected
-    like a failed corrector (the distance test of section 6.1), so a front
-    cannot jump to another part of the curve, and so is one whose tangent
-    turns by more than 60 degrees. A rejected step halves that front's step
-    for the next round. After each accepted step, the z-distance delta from
-    w_pred to the node, which grows as s^2 times the curve's bending, sets
-    the front's next step against the target d = ``_STEP_DISTANCE`` epsilon
-    (Den Heijer & Rheinboldt, SIAM J. Numer. Anal. 18, 1981): s grows by
-    1.4 when delta <= d/2 and the corrector took at most 3 iterations,
-    shrinks by 0.7 when delta > d or it took 6 or more, and stays otherwise.
-    So the curve's bending, not the cap, sets the node count: 35 per A1
-    component traced alone, from 7 one-row and 14 two-row solves, and 33 for
-    a lane that starts from the settled step. delta is measured from
-    the anchor, not from the second-order start: the anchor and the node do
-    not depend on where Newton began, while the start-to-node distance
-    carries the corrector's rounding. With discrete factors, round-off in
-    the seed moves no node.
-
-    After each round the fronts' tips are compared in z (:func:`_facing_gap`).
-    Where they face each other within the larger of their steps, the fronts
-    join, and the gap between them is a segment of the polyline. Where they
-    face each other within the sum of their steps, the forward front steps
-    alone, by at most half the gap, so that neither front passes the other.
-    The backward tip is the seed until that front starts, so a curve shorter
-    than the forward ramp closes on it. The polyline is the seed, the
-    forward nodes, then the backward nodes reversed with their tangents
-    negated, and closes from the last of them back to the seed. The forward
-    front leaves in the direction in which the image turns counterclockwise
-    about 0, so node placement does not depend on round-off in the seed. A
-    finished polyline whose image polygon has negative signed area is then
-    reversed with the start kept first, so every image turns
-    counterclockwise as a whole, whichever seed the trace began at. Raises
-    StepCollapse at a seed that does not solve the augmented system,
-    NonConvergence when the fronts hold ``_MAX_NODES`` nodes between them
-    without having joined (the message gives the gap between their tips),
-    BifurcationSuspected when the Jacobian loses rank at the seed or along
-    the way (below ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse
-    when a front's step falls below the minimum step.
-    """
-    (trace,), _ = _trace_lanes(AugmentedSystem(spec, g), np.asarray(seed, dtype=float)[None], None)
-    return trace
-
-
 def point_on_trace(system, trace, probes):
     """Which rows of the (N, 2n+6) stack ``probes`` lie on the traced curve.
 
@@ -956,8 +941,9 @@ def point_on_trace(system, trace, probes):
     pseudo-arclength hyperplane through the probe normal to the nearest
     node's tangent, all such probes in one
     :meth:`AugmentedSystem._correct_rows` call. A probe is on the curve when
-    its corrected point reproduces it to ``_SAME_POINT_TOL``. This measures
-    distance to the curve itself rather than to the discrete node set.
+    its corrected point's z lies within ``_SAME_POINT_TOL`` epsilon of the
+    probe's. This measures distance to the curve itself rather than to the
+    discrete node set.
     Returns an (N,) boolean array.
     """
     dim = 2 * system.m
@@ -978,8 +964,8 @@ def point_on_trace(system, trace, probes):
         chord = trace.nodes[(k0 + 1) % len(trace)] - w0
         u = np.clip(_row_dot(probe - w0, chord) / _row_dot(chord, chord), 0.0, 1.0)
         w_star, _, ok = system._correct_rows(_spline_points(trace, k0, u), _hyperplane(t_k, probe))
-        miss = w_star - probe
-        on[near] = ok & (np.sqrt(_row_dot(miss, miss)) <= _SAME_POINT_TOL)
+        miss = w_star[:, :dim] - probe[:, :dim]
+        on[near] = ok & (np.sqrt(_row_dot(miss, miss)) <= _SAME_POINT_TOL * system.spec.epsilon)
     return on
 
 
@@ -1045,16 +1031,19 @@ def _component_key(trace, spec, g):
     return round(float(np.sqrt(peak[0])) / unit), tuple(z_at_peak.tolist())
 
 
-def _orbit_leads(seeds, spec, g):
-    """The first seed of each group of ``seeds`` with one |h|, as ascending indices.
+def _orbit_leads(seeds, spec):
+    """The first seed of each S^1-orbit among ``seeds``, as ascending indices.
 
-    Sorted by |h|, a seed starts a new group where |h| exceeds the one before
-    by more than ``_SAME_POINT_TOL`` epsilon.
+    The orbit of z under z -> alpha z (|alpha| = 1) passes within
+    sqrt(|z|^2 + |z'|^2 - 2 |<z, z'>|) of z'. A seed leads unless the orbit
+    of an earlier seed passes within ``_SAME_POINT_TOL`` epsilon of it; one
+    Gram product gives every pair.
     """
-    values = np.abs(eval_poly(g, complexify(seeds[:, :-4])))
-    order = np.argsort(values, kind="stable")
-    first = np.flatnonzero(np.r_[True, np.diff(values[order]) > _SAME_POINT_TOL * spec.epsilon])
-    return np.sort(np.minimum.reduceat(order, first))
+    z = complexify(seeds[:, :-4])
+    norms = _row_dot(seeds[:, :-4], seeds[:, :-4])
+    gaps = norms[:, None] + norms[None, :] - 2.0 * np.abs(np.conj(z) @ z.T)
+    same = gaps <= (_SAME_POINT_TOL * spec.epsilon) ** 2
+    return np.flatnonzero(~np.tril(same, -1).any(axis=1))
 
 
 def collect_components(seeds, spec, g):
@@ -1069,32 +1058,29 @@ def collect_components(seeds, spec, g):
     alone decides which traces are kept.
 
     Where f and g are both homogeneous, z -> alpha z (|alpha| = 1) maps the
-    singular set to itself and keeps |h|, so each component is one orbit, on
-    which |h| is constant. There the seeds are grouped by |h|
-    (:func:`_orbit_leads`), and the first seed of each group is traced
-    before the rule runs, all in one lockstep call of :func:`_trace_lanes`:
-    seed 0's lane ramps the step as :func:`trace_singular_curve` does, and
-    every other lane starts from the step it settles at. A kept seed takes
-    its lane's trace, or raises its lane's exception; a kept seed without a
-    lane (two components with one |h|) is traced alone from the settled
-    step. For any other pair each kept seed is traced alone, as by
-    :func:`trace_singular_curve`. Components come in increasing order of
-    their peak |h|, ties broken by z at the peak (see
-    :func:`_component_key`), which does not depend on where the seeds fell.
+    singular set to itself, so each component is one orbit of that circle
+    action (Milnor, *Singular Points of Complex Hypersurfaces*, 1968). There
+    the seeds are grouped by orbit (:func:`_orbit_leads`), and the first
+    seed of each orbit is traced before the rule runs, all in one call of
+    :func:`_trace_lanes`, whose lead lane ramps the step for every lane. A
+    kept seed takes its lane's trace, or raises its lane's exception. For
+    any other pair each kept seed is traced alone, ramping its own step.
+    Components come in increasing order of their peak |h|, ties broken by z
+    at the peak (see :func:`_component_key`), which does not depend on where
+    the seeds fell.
     """
     system = AugmentedSystem(spec, g)
     seeds = np.asarray(seeds, dtype=float)
-    traced, settled = {}, None
+    traced = {}
     if len(seeds) and homogeneous_degree(spec.f) is not None and homogeneous_degree(g) is not None:
-        leads = _orbit_leads(seeds, spec, g)
-        results, settled = _trace_lanes(system, seeds[leads], None)
-        traced = dict(zip(leads.tolist(), results))
+        leads = _orbit_leads(seeds, spec)
+        traced = dict(zip(leads.tolist(), _trace_lanes(system, seeds[leads])))
     skipped = np.zeros(len(seeds), dtype=bool)
     components = []
     for i in range(len(seeds)):
         if skipped[i]:
             continue
-        trace = traced[i] if i in traced else _trace_lanes(system, seeds[i : i + 1], settled)[0][0]
+        trace = traced[i] if i in traced else _trace_lanes(system, seeds[i : i + 1])[0]
         if isinstance(trace, LinkFoldError):
             raise trace
         components.append(trace)

@@ -489,7 +489,8 @@ def point_on_trace_serial(system, trace, w_probe):
     node distance, then the one-row corrector from the probe's station on
     the nearest node's tangent line (a first-order start, where the stacked
     test starts on the cubic Hermite interpolant), held to the hyperplane
-    through it.
+    through it. The probe is on the curve when the corrected point's z lies
+    within ``_SAME_POINT_TOL`` epsilon of its own.
     """
     dim = 2 * system.m
     dz = np.linalg.norm(trace.nodes[:, :dim] - w_probe[:dim], axis=1)
@@ -501,7 +502,19 @@ def point_on_trace_serial(system, trace, w_probe):
     w_k, t_k = trace.nodes[k], trace.tangents[k]
     w_pred = w_k + float(np.dot(t_k, w_probe - w_k)) * t_k
     w_star, _, ok = system.corrector(w_pred, _hyperplane(t_k, w_pred))
-    return ok and bool(np.linalg.norm(w_star - w_probe) <= _SAME_POINT_TOL)
+    miss = np.linalg.norm(w_star[:dim] - w_probe[:dim])
+    return ok and bool(miss <= _SAME_POINT_TOL * system.spec.epsilon)
+
+
+def trace_singular_curve(seed, spec, g):
+    """The closed trace of the singular curve through the one augmented row ``seed``.
+
+    The one-seed entry point that the package's lanes replaced: the lockstep
+    driver ``_trace_lanes`` on one lane, which ramps its own step. Raises as
+    that lane does.
+    """
+    (trace,) = _trace_lanes(AugmentedSystem(spec, g), np.asarray(seed, dtype=float)[None])
+    return trace
 
 
 def collect_components_serial(seeds, spec, g):
@@ -510,20 +523,23 @@ def collect_components_serial(seeds, spec, g):
     The loop the stacked ``collect_components`` replaced: each seed is
     probed against every component kept so far with
     :func:`point_on_trace_serial`, and a new trace against them at three
-    of its nodes. Each trace runs alone. Where f and g are both homogeneous,
-    the first ramps its step and every later one starts from the step the
-    first settled at, as the package's lanes do. Sorted as the package sorts
-    them.
+    of its nodes. The first trace ramps its own step. Where f and g are both
+    homogeneous, every later one starts from the step the first settled at,
+    as the package's lanes do: it is traced as the second lane beside
+    seeds[0]. Elsewhere each trace ramps its own step. Sorted as the package
+    sorts them.
     """
     system = AugmentedSystem(spec, g)
     homogeneous = homogeneous_degree(spec.f) is not None and homogeneous_degree(g) is not None
-    components, settled = [], None
+    components = []
     for w in seeds:
         if any(point_on_trace_serial(system, c, w) for c in components):
             continue
-        (trace,), step = _trace_lanes(system, w[None], settled)
-        if homogeneous:
-            settled = step
+        # seeds[0] is traced first and always kept
+        rows = np.stack([seeds[0], w]) if homogeneous and components else w[None]
+        trace = _trace_lanes(system, rows)[-1]
+        if isinstance(trace, LinkFoldError):
+            raise trace
         count = len(trace.nodes)
         probes = [trace.nodes[i] for i in sorted({0, count // 3, (2 * count) // 3})]
         if any(all(point_on_trace_serial(system, c, p) for p in probes) for c in components):

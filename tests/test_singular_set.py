@@ -21,6 +21,7 @@ from conftest import (
 from oracles import (
     a1_linear_min_pair_defect,
     arc_segments_loop,
+    collect_components_serial,
     criterion_det,
     gradient_dependence_scan,
     gradient_pair_defect,
@@ -28,6 +29,7 @@ from oracles import (
     pair_ratio_gradient,
     projected_descent_serial,
     ratio_gradient_point,
+    trace_singular_curve,
     winding_number,
 )
 
@@ -272,7 +274,7 @@ def test_trace_evaluates_each_augmented_point_once(monkeypatch):
         return _grads(self, z)
 
     monkeypatch.setattr(AugmentedSystem, "grads", counting)
-    trace = lf.trace_singular_curve(seed, spec, g)
+    trace = trace_singular_curve(seed, spec, g)
     assert len(trace) > 30
     assert sum(evaluated) == len(points)
 
@@ -461,7 +463,7 @@ def _seed_near(spec, g, z):
 
 def test_trace_through_definite_point(a1_n2):
     spec, g = a1_n2
-    trace = lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
+    trace = trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     zs = trace.points
     assert np.max(np.abs(zs[:, 0] - 1j * zs[:, 1])) <= 1e-8
     # exact parametrization oracle: (i e^{i t}, e^{i t}, 0)/sqrt(2)
@@ -492,14 +494,14 @@ def test_arc_segments_match_loop_reference(n):
 
 def test_trace_image_is_outer_circle(a1_n2):
     spec, g = a1_n2
-    trace = lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
+    trace = trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     radii = np.linalg.norm(trace.image, axis=1)
     assert np.max(np.abs(radii - 3 * SQRT2 / 4)) <= 1e-8
 
 
 def test_trace_image_is_inner_circle(a1_n2):
     spec, g = a1_n2
-    trace = lf.trace_singular_curve(
+    trace = trace_singular_curve(
         _seed_near(spec, g, indefinite_point(2)), spec, g
     )
     radii = np.linalg.norm(trace.image, axis=1)
@@ -509,7 +511,7 @@ def test_trace_image_is_inner_circle(a1_n2):
 def test_trace_nodes_satisfy_system(a1_n2):
     spec, g = a1_n2
     system = AugmentedSystem(spec, g)
-    trace = lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
+    trace = trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     for node in trace.nodes:
         assert np.linalg.norm(system.residual(node)) <= 1e-11
     assert np.all(trace.defects <= 1e-8)
@@ -536,7 +538,7 @@ def test_trace_out_of_node_budget_is_named_failure(a1_n2, tmp_path, capsys, monk
     # an A1 component takes 35 nodes
     monkeypatch.setattr(singular_set, "_MAX_NODES", 10)
     with pytest.raises(NonConvergence, match="within 10 nodes"):
-        lf.trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
+        trace_singular_curve(_seed_near(spec, g, definite_point(2)), spec, g)
     assert main(["singular-set", "--n", "2", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "trace did not close within 10 nodes (gap to start" in err
@@ -557,11 +559,11 @@ def test_trace_direction_ignores_seed_round_off(a1_n2):
     # vector for some of these draws; the trace must not follow it
     spec, g = a1_n2
     seed = lf.seed_singular_points(spec, g, rng_seed=42)[0]
-    reference = lf.trace_singular_curve(seed, spec, g)
+    reference = trace_singular_curve(seed, spec, g)
     for draw in range(4):
         rng = np.random.default_rng(draw)
         moved = seed * (1.0 + 1e-15 * rng.standard_normal(seed.size))
-        trace = lf.trace_singular_curve(moved, spec, g)
+        trace = trace_singular_curve(moved, spec, g)
         assert len(trace) == len(reference)
         assert np.allclose(trace.nodes, reference.nodes, rtol=0.0, atol=1e-12)
 
@@ -629,7 +631,7 @@ def test_a1_trace_is_one_circle_from_21_solves(n, seed, monkeypatch):
         return correct_rows(self, *args)
 
     monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted_rows)
-    alone = lf.trace_singular_curve(seeds[0], spec, g)
+    alone = trace_singular_curve(seeds[0], spec, g)
     assert solves == [1] * 7 + [2] * 14
     assert len(alone) == 35
     monkeypatch.undo()
@@ -796,6 +798,64 @@ def test_collect_components_duplicate_seeds(a1_n2, traces_n2, monkeypatch):
     assert radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], abs=1e-8)
 
 
+def test_same_point_rule_scales_with_epsilon():
+    # probes compared as whole augmented vectors to an absolute 1e-4 missed
+    # seeds on a kept circle at epsilon = 1e8, where rounding alone moves a
+    # corrected (z, a, b) by up to 1.0e-4 (its z by 4.6e-13 epsilon): the
+    # inner circle was traced twice, of 35 and 33 nodes, and the call kept 3
+    # components
+    config = RunConfig(n=2, epsilon=1e8)
+    spec, g = config.build()
+    traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=42), spec, g)
+    radii = [np.mean(np.linalg.norm(t.image, axis=1)) / spec.epsilon for t in traces]
+    assert radii == pytest.approx([SQRT2 / 4, 3 * SQRT2 / 4], rel=1e-8)
+
+
+def _rotated(w, phase):
+    """The augmented row w with its z turned by the unit complex ``phase``."""
+    moved = w.copy()
+    moved[:-4] = lf.realify(phase * lf.complexify(w[:-4]))
+    return moved
+
+
+def test_orbit_leads_group_seeds_by_orbit(a1_n2):
+    # A1's two circles are two orbits of z -> alpha z: one lead each, the
+    # first seed on each. A seed turned by a unit phase joins its orbit
+    spec, g = a1_n2
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    leads = singular_set._orbit_leads(seeds, spec)
+    radii = np.abs(lf.eval_poly(g, lf.complexify(seeds[:, :-4])))
+    assert len(leads) == 2 and leads[0] == 0
+    assert leads[1] == np.flatnonzero(np.abs(radii - radii[0]) > 1e-3)[0]
+    turned = np.vstack([seeds, [_rotated(seeds[k], np.exp(2.0j)) for k in leads]])
+    assert np.array_equal(singular_set._orbit_leads(turned, spec), leads)
+    # turned by a phase, an outer seed leads its own orbit from the front
+    ahead = np.vstack([_rotated(seeds[leads[1]], np.exp(0.5j)), seeds])
+    assert np.array_equal(singular_set._orbit_leads(ahead, spec), [0, 1])
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+def test_fermat_cubic_traces_every_orbit_in_one_call(seed, monkeypatch):
+    # the cubic's 9 components are 9 orbits, 4 of them sharing |h| with
+    # another: grouped by |h|, 5 lanes ran in one call and 4 seeds were
+    # traced alone afterwards
+    spec, g = RunConfig(f_text="z1^3 + z2^3 + z3^3", n=2).build()
+    seeds = lf.seed_singular_points(spec, g, rng_seed=seed)
+    calls, trace_lanes = [], singular_set._trace_lanes
+
+    def counted(system, rows):
+        calls.append(len(rows))
+        return trace_lanes(system, rows)
+
+    monkeypatch.setattr(singular_set, "_trace_lanes", counted)
+    traces = lf.collect_components(seeds, spec, g)
+    assert calls == [9]
+    expected = collect_components_serial(seeds, spec, g)
+    assert len(traces) == len(expected) == 9
+    for trace, reference in zip(traces, expected):
+        assert np.array_equal(trace.nodes, reference.nodes)
+
+
 def _each_kept_seed_traced_alone(seeds, spec, g):
     """The duplicate rule of collect_components, each kept seed traced by trace_singular_curve."""
     system = AugmentedSystem(spec, g)
@@ -804,7 +864,7 @@ def _each_kept_seed_traced_alone(seeds, spec, g):
     for i, w in enumerate(seeds):
         if skipped[i]:
             continue
-        traces.append(lf.trace_singular_curve(w, spec, g))
+        traces.append(trace_singular_curve(w, spec, g))
         later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
         skipped[later] = singular_set.point_on_trace(system, traces[-1], seeds[later])
     return sorted(traces, key=lambda trace: singular_set._component_key(trace, spec, g))
@@ -818,7 +878,7 @@ def _each_kept_seed_traced_alone(seeds, spec, g):
 ], ids=["brieskorn-42", "brieskorn-4", "a2-7", "a1-quadratic-g"])
 def test_pairs_not_both_homogeneous_trace_each_kept_seed_alone(f_text, g_text, seed, count):
     # lanes are only for a homogeneous f and g, whose components are orbits
-    # told apart by |h|. Here every kept seed ramps its own step: traced from
+    # of z -> alpha z. Here every kept seed ramps its own step: traced from
     # the step seed 0 settled at, A2's three components came out as two, of
     # 114 and 228 nodes
     spec, g = RunConfig(f_text=f_text, g_text=g_text, n=2).build()
@@ -869,7 +929,7 @@ def test_a_lane_that_raises_on_a_kept_seed_raises_as_its_trace_alone(a1_n2, wher
     seeds = _fail_off_seed_circle(monkeypatch, spec, g, where)
     outer = seeds[np.abs(lf.eval_poly(g, lf.complexify(seeds[:, :-4]))) > 0.7][0]
     with pytest.raises(lf.BifurcationSuspected) as alone:
-        lf.trace_singular_curve(outer, spec, g)
+        trace_singular_curve(outer, spec, g)
     with pytest.raises(lf.BifurcationSuspected) as lanes:
         lf.collect_components(seeds, spec, g)
     assert str(lanes.value) == str(alone.value)

@@ -12,12 +12,14 @@ The families, all with epsilon = 1:
   - A1 at n = 2, 3 and 4 with g = z1 + 0.5i*z2, seeds 0..59: 2 components;
   - A2, z1^2 + z2^2 + z3^3 with the same g, seeds 0..19, 1103 and 1113: 3;
   - Brieskorn, z1^2 + z2^3 + z3^5 with the same g, seeds 42, 4, 5 and 9: 2;
+  - the Fermat cubic z1^3 + z2^3 + z3^3 with the same g, seeds 0..19 and 42:
+    9, some of them orbits of z -> alpha z with one |h|;
   - the Fermat quartic z1^4 + z2^4 + z3^4 with
     g = (0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3, seeds 0..19 and 42: 12.
 
-The exit status is 1 when A1, A2 or Brieskorn miss at any seed, or the
-quartic misses at more than 5 of its 21 seeds (it misses at seeds 4, 9, 12,
-18 and 19), else 0. The tier-1 test
+The exit status is 1 when A1, A2, Brieskorn or the cubic miss at any seed,
+or the quartic misses at more than 5 of its 21 seeds (it misses at seeds 4,
+9, 12, 18 and 19), else 0. The tier-1 test
 test_quartic_seeding_finds_all_twelve_components holds the quartic at seeds
 42, 1, 3 and 7.
 """
@@ -42,6 +44,7 @@ FAMILIES = [
     *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, 0) for n in (2, 3, 4)),
     ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, 0),
     ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, 0),
+    ("cubic", "z1^3 + z2^3 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 42], 9, 0),
     ("quartic", "z1^4 + z2^4 + z3^4", QUARTIC_G, 2, [*range(20), 42], 12, 5),
 ]
 
