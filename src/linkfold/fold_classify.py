@@ -245,7 +245,7 @@ def classify_component(trace, spec, g, component_id):
         image_center=center,
         image_radius_mean=float(np.mean(radii)),
         image_radius_deviation=float(np.max(np.abs(radii - np.mean(radii)))),
-        embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6,
+        embedding_ok=min_nonadjacent_image_distance(trace) > 1e-6 * spec.epsilon,
         cusps=cusps,
         consistent=kind is not FoldKind.DEGENERATE and cusps == 0,
     )
@@ -287,10 +287,10 @@ def verify_round(traces, records):
     Checks, in order: every component non-degenerate; h injective on each
     component, as ``embedding_ok`` of its record says (set by
     :func:`classify_component`: non-adjacent image samples separated by more
-    than 1e-6); winding number +-1 about the common centre; and pairwise
-    disjoint radial annuli. The common centre is the mean of the records'
-    circle-fit centres, so it does not depend on how the trace nodes are
-    spaced. Returns a RoundVerdict with per-component fitted radii.
+    than 1e-6 epsilon); winding number +-1 about the common centre; and
+    pairwise disjoint radial annuli. The common centre is the mean of the
+    records' circle-fit centres, so it does not depend on how the trace
+    nodes are spaced. Returns a RoundVerdict with per-component fitted radii.
     """
     if not traces:
         return RoundVerdict("NOT_ROUND", [], np.zeros(2), "no_components")

@@ -52,7 +52,7 @@ __all__ = [
     "trace_image_n1",
 ]
 
-# critical points closer than this are one
+# critical points closer than this, times epsilon, are one
 _DEDUPE_TOL = 1e-6
 # slice points with a ray parameter below this times epsilon sit at the origin
 _MIN_RAY_PARAM = 1e-3
@@ -81,11 +81,12 @@ class CriticalPointRecord:
     gradient_norm: float
 
 
-def _distinct(points):
-    """The points, in order, farther than ``_DEDUPE_TOL`` from every point kept before."""
+def _distinct(points, spec):
+    """The points, in order, farther than ``_DEDUPE_TOL`` epsilon from every point kept before."""
+    tol = _DEDUPE_TOL * spec.epsilon
     kept = []
     for point in points:
-        if all(np.linalg.norm(point - other) > _DEDUPE_TOL for other in kept):
+        if all(np.linalg.norm(point - other) > tol for other in kept):
             kept.append(point)
     return kept
 
@@ -103,7 +104,7 @@ def _equation_zeros(traces, system, equation, node_values):
     ``equation``; on A1 each takes at most 2 Newton iterations, where the
     chord's start took 2 or 3, and at most 4 on the other tested f and g,
     well inside ``_CORRECTOR_MAX_ITER``. Converged points within
-    ``_DEDUPE_TOL`` of an earlier one, in trace and node order, are
+    ``_DEDUPE_TOL`` epsilon of an earlier one, in trace and node order, are
     dropped.
     """
     starts = [np.empty((0, 2 * system.m + 4))]
@@ -113,7 +114,7 @@ def _equation_zeros(traces, system, equation, node_values):
         u = np.divide(va[k], va[k] - vb[k], out=np.zeros(len(k)), where=va[k] != 0.0)
         starts.append(_spline_points(trace, k, u))
     w, _, ok = system._correct_rows(np.concatenate(starts), equation)
-    return _distinct(complexify(w[ok, : 2 * system.m]))
+    return _distinct(complexify(w[ok, : 2 * system.m]), system.spec)
 
 
 def slice_critical_points(slice_spec, traces, spec, g):

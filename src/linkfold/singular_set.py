@@ -35,13 +35,14 @@ pseudo-arclength hyperplane (predictor-corrector continuation) with two
 fronts that leave each seed in opposite directions, one row per front and
 one solve per round, each step started from a second-order point and sized
 by how far the corrector moved the Euler prediction; the probes by which
-:func:`collect_components` skips seeds on a kept trace by the hyperplanes
-through them, all in one solve; and :mod:`linkfold.morse` by the ray
-equation or the composed critical-point equation, all brackets in one
-solve. Probes and brackets start on the cubic Hermite interpolant of the
-trace's nodes and tangents. A start only moves where Newton begins: the
-bordered equation pins the point, and the step control measures from the
-prediction that anchors the hyperplane, not from the start.
+:func:`collect_components` skips seeds on a kept trace, for a pair that is
+not homogeneous, by the hyperplanes through them, all in one solve; and
+:mod:`linkfold.morse` by the ray equation or the composed critical-point
+equation, all brackets in one solve. Probes and brackets start on the
+cubic Hermite interpolant of the trace's nodes and tangents. A start only
+moves where Newton begins: the bordered equation pins the point, and the
+step control measures from the prediction that anchors the hyperplane, not
+from the start.
 
 Each trace is a lane of one lockstep driver, :func:`_trace_lanes`, whose
 rounds stack the rows of every lane's stepping fronts into that one solve.
@@ -50,8 +51,10 @@ settles, and every other lane starts from the step it settled at, so the
 step ramps up once per call, not once per lane. Where f and g are both
 homogeneous (the homogeneity gate), z -> alpha z (|alpha| = 1) maps the
 singular set to itself, so each component is one orbit of that circle
-action: :func:`collect_components` then groups the seeds by orbit and gives
-the first seed of each orbit a lane, all in one call.
+action: :func:`collect_components` then groups the seeds by orbit, gives
+the first seed of each orbit a lane, all in one call, and returns their
+traces. Every other pair traces one seed at a time and skips the seeds that
+:func:`point_on_trace` finds on a kept trace.
 """
 
 from __future__ import annotations
@@ -876,9 +879,8 @@ def _trace_lanes(system, seeds):
     message gives the gap between their tips), BifurcationSuspected when the
     Jacobian loses rank at the seed or along the way (below
     ``_BIFURCATION_TOL`` min(1, epsilon)^2) and StepCollapse when a front's
-    step falls below the minimum step. The lead lane's exception is raised
-    at once, as :func:`collect_components` keeps seed 0 whatever follows;
-    another lane's takes the place of its trace in the list.
+    step falls below the minimum step; the first lane to raise ends the
+    call, as :func:`collect_components` keeps every lane's trace.
     """
     dim = 2 * system.m
     lead = _Lane(system, seeds[0], None)
@@ -887,11 +889,7 @@ def _trace_lanes(system, seeds):
     while True:
         if settled is None and (lead.started or lead.joined):
             settled = lead.forward.s
-            for i in range(1, len(seeds)):
-                try:
-                    live.append((i, _Lane(system, seeds[i], settled)))
-                except LinkFoldError as exc:
-                    results[i] = exc
+            live += [(i, _Lane(system, seeds[i], settled)) for i in range(1, len(seeds))]
         if not live:
             return results
         groups = [lane.stepping for _, lane in live]
@@ -917,13 +915,7 @@ def _trace_lanes(system, seeds):
         for (i, lane), group in zip(live, groups):
             rows = slice(begin, begin + len(group))
             begin = rows.stop
-            try:
-                lane.advance(*(x[rows] for x in steps))
-            except LinkFoldError as exc:
-                if i == 0:
-                    raise
-                results[i] = exc
-                continue
+            lane.advance(*(x[rows] for x in steps))
             if lane.joined:
                 results[i] = lane.curve(system)
             else:
@@ -934,12 +926,13 @@ def _trace_lanes(system, seeds):
 def point_on_trace(system, trace, probes):
     """Which rows of the (N, 2n+6) stack ``probes`` lie on the traced curve.
 
-    A coarse gate on node distance first. Each probe that passes starts the
-    bordered corrector on the cubic Hermite interpolant of the segment from
-    its nearest node toward it (:func:`_spline_points`), at the fraction
-    where the probe projects onto the segment's chord, held to the
-    pseudo-arclength hyperplane through the probe normal to the nearest
-    node's tangent, all such probes in one
+    A coarse gate first: a probe farther from every node than four times the
+    trace's longest segment (in arc length) is off the curve. Each probe
+    that passes starts the bordered corrector on the cubic Hermite
+    interpolant of the segment from its nearest node toward it
+    (:func:`_spline_points`), at the fraction where the probe projects onto
+    the segment's chord, held to the pseudo-arclength hyperplane through
+    the probe normal to the nearest node's tangent, all such probes in one
     :meth:`AugmentedSystem._correct_rows` call. A probe is on the curve when
     its corrected point's z lies within ``_SAME_POINT_TOL`` epsilon of the
     probe's. This measures distance to the curve itself rather than to the
@@ -951,9 +944,7 @@ def point_on_trace(system, trace, probes):
     diff = trace.nodes[:, :dim] - probes[:, None, :dim]
     dz = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=2))
     k = np.argmin(dz, axis=1)
-    seg = np.diff(trace.arc_params)
-    max_chord = float(seg.max()) if seg.size else 0.1
-    near = np.flatnonzero(dz[np.arange(len(probes)), k] <= max(4.0 * max_chord, 0.05))
+    near = np.flatnonzero(dz[np.arange(len(probes)), k] <= 4.0 * np.diff(trace.arc_params).max())
     on = np.zeros(len(probes), dtype=bool)
     if near.size:
         k, probe = k[near], probes[near]
@@ -1047,43 +1038,38 @@ def _orbit_leads(seeds, spec):
 
 
 def collect_components(seeds, spec, g):
-    """Trace every novel seed and return the distinct singular components.
+    """Trace the seeds and return the distinct singular components.
 
-    ``seeds`` holds augmented vectors, one per row, taken in order. A seed
-    already lying on a kept component is skipped (the trace would be a
-    resampling of the same curve): after each trace, every later seed not
-    yet skipped is probed against it in one :func:`point_on_trace` call,
-    which makes the probes that a seed-by-seed check against the components
-    kept before it would make. That is the only duplicate rule, and it
-    alone decides which traces are kept.
+    ``seeds`` holds augmented vectors, one per row, taken in order. Where f
+    and g are both homogeneous, z -> alpha z (|alpha| = 1) maps the singular
+    set to itself, so each component is one orbit of that circle action
+    (Milnor, *Singular Points of Complex Hypersurfaces*, 1968). There the
+    seeds are grouped by orbit (:func:`_orbit_leads`), and the components
+    are the traces of the first seed of each orbit, all in one call of
+    :func:`_trace_lanes`, whose lead lane ramps the step for every lane.
 
-    Where f and g are both homogeneous, z -> alpha z (|alpha| = 1) maps the
-    singular set to itself, so each component is one orbit of that circle
-    action (Milnor, *Singular Points of Complex Hypersurfaces*, 1968). There
-    the seeds are grouped by orbit (:func:`_orbit_leads`), and the first
-    seed of each orbit is traced before the rule runs, all in one call of
-    :func:`_trace_lanes`, whose lead lane ramps the step for every lane. A
-    kept seed takes its lane's trace, or raises its lane's exception. For
-    any other pair each kept seed is traced alone, ramping its own step.
+    For any other pair, each kept seed is traced alone, ramping its own
+    step, and a seed already lying on a kept component is skipped (the
+    trace would be a resampling of the same curve): after each trace, every
+    later seed not yet skipped is probed against it in one
+    :func:`point_on_trace` call, which makes the probes that a seed-by-seed
+    check against the components kept before it would make.
+
     Components come in increasing order of their peak |h|, ties broken by z
     at the peak (see :func:`_component_key`), which does not depend on where
     the seeds fell.
     """
     system = AugmentedSystem(spec, g)
     seeds = np.asarray(seeds, dtype=float)
-    traced = {}
     if len(seeds) and homogeneous_degree(spec.f) is not None and homogeneous_degree(g) is not None:
-        leads = _orbit_leads(seeds, spec)
-        traced = dict(zip(leads.tolist(), _trace_lanes(system, seeds[leads])))
-    skipped = np.zeros(len(seeds), dtype=bool)
-    components = []
-    for i in range(len(seeds)):
-        if skipped[i]:
-            continue
-        trace = traced[i] if i in traced else _trace_lanes(system, seeds[i : i + 1])[0]
-        if isinstance(trace, LinkFoldError):
-            raise trace
-        components.append(trace)
-        later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
-        skipped[later] = point_on_trace(system, trace, seeds[later])
+        components = _trace_lanes(system, seeds[_orbit_leads(seeds, spec)])
+    else:
+        skipped = np.zeros(len(seeds), dtype=bool)
+        components = []
+        for i in range(len(seeds)):
+            if skipped[i]:
+                continue
+            components += _trace_lanes(system, seeds[i : i + 1])
+            later = i + 1 + np.flatnonzero(~skipped[i + 1 :])
+            skipped[later] = point_on_trace(system, components[-1], seeds[later])
     return sorted(components, key=lambda trace: _component_key(trace, spec, g))

@@ -538,8 +538,6 @@ def collect_components_serial(seeds, spec, g):
         # seeds[0] is traced first and always kept
         rows = np.stack([seeds[0], w]) if homogeneous and components else w[None]
         trace = _trace_lanes(system, rows)[-1]
-        if isinstance(trace, LinkFoldError):
-            raise trace
         count = len(trace.nodes)
         probes = [trace.nodes[i] for i in sorted({0, count // 3, (2 * count) // 3})]
         if any(all(point_on_trace_serial(system, c, p) for p in probes) for c in components):

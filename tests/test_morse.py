@@ -253,6 +253,21 @@ def test_composed_morse_rejects_zero_eta(a1_n2, traces_n2):
         lf.composed_morse(np.zeros(2), traces_n2, spec, g)
 
 
+def test_critical_points_are_told_apart_in_units_of_epsilon():
+    # at epsilon = 1e-7 distinct critical points lie about 1.4e-7 apart: an
+    # absolute 1e-6 merged the composed height's four into one, and the
+    # slice's two into one of index 1
+    spec, g = lf.RunConfig(n=2, epsilon=1e-7).build()
+    traces = lf.collect_components(lf.seed_singular_points(spec, g, rng_seed=42), spec, g)
+    records = lf.composed_morse(np.array([1.0, 0.0]), traces, spec, g)
+    assert [r.morse_index for r in records] == [0, 1, 2, 3]
+    targets = [-3 * SQRT2 / 4, -SQRT2 / 4, SQRT2 / 4, 3 * SQRT2 / 4]
+    assert [r.value / spec.epsilon for r in records] == pytest.approx(targets, rel=1e-6)
+    ray = SliceSpec(theta=0.0)
+    points = lf.slice_critical_points(ray, traces, spec, g)
+    assert [lf.slice_morse_index(z, ray, spec, g).morse_index for z in points] == [2, 1]
+
+
 def test_composed_morse_n3(a1_n3, traces_n3):
     spec, g = a1_n3
     records = lf.composed_morse(np.array([1.0, 0.0]), traces_n3, spec, g)

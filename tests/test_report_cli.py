@@ -311,6 +311,13 @@ def test_verify_a1_scales_to_epsilon_100(tmp_path, n, epsilon):
     _assert_radii_scale_with_epsilon(tmp_path, n, epsilon)
 
 
+def test_verify_a1_injectivity_scales_with_epsilon(tmp_path):
+    # at epsilon = 1e-5 the inner circle's closest non-adjacent image samples
+    # lie 4.3e-7 apart, 0.04 epsilon, near the short first steps of the ramp:
+    # an absolute 1e-6 read that as a crossing and failed round_verdict
+    assert main(["verify-a1", "--n", "2", "--epsilon", "1e-5", "--out", str(tmp_path)]) == 0
+
+
 def test_schema_rejects_malformed_report():
     import jsonschema
 

@@ -834,6 +834,59 @@ def test_orbit_leads_group_seeds_by_orbit(a1_n2):
     assert np.array_equal(singular_set._orbit_leads(ahead, spec), [0, 1])
 
 
+def _counted_probes(monkeypatch):
+    """The number of probes of each point_on_trace call that collect_components makes, as a list."""
+    calls, probe = [], singular_set.point_on_trace
+
+    def counted(system, trace, probes):
+        calls.append(len(probes))
+        return probe(system, trace, probes)
+
+    monkeypatch.setattr(singular_set, "point_on_trace", counted)
+    return calls
+
+
+def test_a1_components_are_its_orbit_traces_without_probes(a1_n2, monkeypatch):
+    # each orbit of z -> alpha z is one component, so the lanes' traces are
+    # the components and no seed is probed against them; the probe rule
+    # stays the reference (test_collect_components_matches_serial_reference)
+    spec, g = a1_n2
+    seeds = lf.seed_singular_points(spec, g, rng_seed=42)
+    probes = _counted_probes(monkeypatch)
+    assert len(lf.collect_components(seeds, spec, g)) == 2
+    assert probes == []
+
+
+def test_probe_gate_scales_with_the_trace(monkeypatch):
+    # with an absolute floor of 0.05 on the gate, the corrector took 118
+    # probe rows at epsilon = 1e-2, where 61 probes lie within four times
+    # the trace's longest segment of a node; the decisions were the same
+    spec, g = RunConfig(f_text="z1^2 + z2^2 + z3^3", n=2, epsilon=1e-2).build()
+    seeds = lf.seed_singular_points(spec, g, rng_seed=7)
+    near, rows, probing = [], [], []
+    probe, correct_rows = singular_set.point_on_trace, AugmentedSystem._correct_rows
+
+    def counted_probe(system, trace, probes):
+        dim = 2 * system.m
+        dz = np.linalg.norm(trace.nodes[None, :, :dim] - probes[:, None, :dim], axis=2)
+        near.append(np.count_nonzero(dz.min(axis=1) <= 4.0 * np.diff(trace.arc_params).max()))
+        probing.append(True)
+        try:
+            return probe(system, trace, probes)
+        finally:
+            probing.pop()
+
+    def counted_rows(self, w0, extra):
+        if probing:
+            rows.append(len(w0))
+        return correct_rows(self, w0, extra)
+
+    monkeypatch.setattr(singular_set, "point_on_trace", counted_probe)
+    monkeypatch.setattr(AugmentedSystem, "_correct_rows", counted_rows)
+    assert len(lf.collect_components(seeds, spec, g)) == 3
+    assert sum(near) > 0 and sum(rows) == sum(near)
+
+
 @pytest.mark.parametrize("seed", [42, 1])
 def test_fermat_cubic_traces_every_orbit_in_one_call(seed, monkeypatch):
     # the cubic's 9 components are 9 orbits, 4 of them sharing |h| with
@@ -848,8 +901,9 @@ def test_fermat_cubic_traces_every_orbit_in_one_call(seed, monkeypatch):
         return trace_lanes(system, rows)
 
     monkeypatch.setattr(singular_set, "_trace_lanes", counted)
+    probes = _counted_probes(monkeypatch)
     traces = lf.collect_components(seeds, spec, g)
-    assert calls == [9]
+    assert calls == [9] and probes == []
     expected = collect_components_serial(seeds, spec, g)
     assert len(traces) == len(expected) == 9
     for trace, reference in zip(traces, expected):
@@ -910,17 +964,6 @@ def _fail_off_seed_circle(monkeypatch, spec, g, where):
 
     monkeypatch.setattr(AugmentedSystem, "tangent", failing)
     return seeds
-
-
-@pytest.mark.parametrize("where", ["seed", "trace"])
-def test_a_lane_that_raises_on_a_skipped_seed_is_dropped(a1_n2, where, monkeypatch):
-    # the outer circle's lane raises, but the duplicate rule, told that every
-    # later seed lies on seed 0's circle, keeps seed 0 alone
-    spec, g = a1_n2
-    seeds = _fail_off_seed_circle(monkeypatch, spec, g, where)
-    monkeypatch.setattr(singular_set, "point_on_trace", lambda system, trace, probes: np.ones(len(probes), bool))
-    (trace,) = lf.collect_components(seeds, spec, g)
-    assert len(trace) == 35
 
 
 @pytest.mark.parametrize("where", ["seed", "trace"])
