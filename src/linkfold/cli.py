@@ -20,7 +20,7 @@ Exit 2 covers every input a run cannot start from:
 - a config file that cannot be read, or has an unknown key or a bad value;
 - an output directory that cannot be created, or an artifact in it that
   cannot be written;
-- an f other than A1 for verify-a1.
+- an f other than A1, or a g that is not linear, for verify-a1.
 """
 
 from __future__ import annotations

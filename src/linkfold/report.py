@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import morse as morse_mod
-from .errors import LinkFoldError, NotApplicable, WrongDimension
+from .errors import LinkFoldError, WrongDimension
 from .fold_classify import (
     _DEAD_BAND,
     FoldKind,
@@ -31,14 +31,14 @@ from .fold_classify import (
     verify_round,
 )
 from .geometry import LinkSpec, _RESIDUAL_TOL, chart, tangent_frame
-from .polynomial import parse_poly
+from .polynomial import homogeneous_degree, parse_poly
 from .singular_set import (
     _SEED_SAMPLES,
     _STEP_DISTANCE,
     _STEP_INIT,
     _STEP_MAX,
     _STEP_MIN,
-    _require_affine,
+    _a1_linear_form,
     collect_components,
     criterion_rank_defect,
     direct_singularity_test,
@@ -58,12 +58,7 @@ __all__ = [
     "write_image_svg",
     "write_report_json",
     "validate_report",
-    "SQRT2_OVER_4",
-    "THREE_SQRT2_OVER_4",
 ]
-
-SQRT2_OVER_4 = np.sqrt(2.0) / 4.0
-THREE_SQRT2_OVER_4 = 3.0 * np.sqrt(2.0) / 4.0
 
 # a rank defect at or below this marks a singular point
 _SINGULAR_TOL = 1e-8
@@ -294,22 +289,19 @@ def _closed_form(name, values, targets, tol):
     return _check(name, err <= tol, err, tol)
 
 
-def _locus_checks(traces, epsilon):
-    """A1 locus to ``_LOCUS_TOL`` epsilon: z1 = +-i z2, |z1| = |z2| = epsilon/sqrt(2), rest 0."""
+def _locus_checks(nodes, epsilon, p, q):
+    """A1 locus to ``_LOCUS_TOL`` epsilon, with a = p . z and b = q . z (:func:`_a1_linear_form`).
+
+    Each node z lies in the complex span of p and q, a = +-i b and
+    |a| = |b| = epsilon/sqrt(2). Moduli of a, b and a -+ i b round as scalar abs.
+    """
     tol = _LOCUS_TOL * epsilon
-    off_plane = 0.0
-    circle_dev = 0.0
-    modulus_dev = 0.0
-    target = epsilon / np.sqrt(2.0)
-    for trace in traces:
-        for z in trace.points:
-            if z.size > 2:
-                off_plane = max(off_plane, float(np.max(np.abs(z[2:]))))
-            branch = min(abs(z[0] - 1j * z[1]), abs(z[0] + 1j * z[1]))
-            circle_dev = max(circle_dev, branch)
-            modulus_dev = max(
-                modulus_dev, abs(abs(z[0]) - target), abs(abs(z[1]) - target)
-            )
+    a, b = nodes @ p, nodes @ q
+    w = np.stack([a - 1j * b, a + 1j * b, a, b])
+    moduli = np.hypot(w.real, w.imag)
+    off_plane = float(np.max(np.abs(nodes - a[:, None] * p - b[:, None] * q)))
+    circle_dev = float(np.max(np.min(moduli[:2], axis=0)))
+    modulus_dev = float(np.max(np.abs(moduli[2:] - epsilon / np.sqrt(2.0))))
     return [
         _check("locus_higher_coordinates_vanish", off_plane <= tol, off_plane, tol),
         _check("locus_on_diagonal_circles", circle_dev <= tol, circle_dev, tol),
@@ -317,22 +309,17 @@ def _locus_checks(traces, epsilon):
     ]
 
 
-def _arc_length_check(traces, g, epsilon):
-    """component_arc_lengths: on A1 with an affine g, each component is 2 pi epsilon long.
+def _arc_length_check(traces, epsilon):
+    """component_arc_lengths: on A1 with a linear g, each component is 2 pi epsilon long.
 
     The singular set is then invariant under z -> alpha z, |alpha| = 1, so
     each component is one orbit, a great circle of the sphere of radius
     epsilon. The tolerance is the length that nodes the locus checks accept
     can add: the corrector's absolute residual floor leaves nodes up to
     about 4e-9 epsilon off the sphere at epsilon = 1e-4. This shares no code
-    with the tracer's arc-length sum. Fails with the NotApplicable message
-    for any other g.
+    with the tracer's arc-length sum.
     """
     tol = 2.0 * np.pi * _LOCUS_TOL * epsilon
-    try:
-        _require_affine(g)
-    except NotApplicable as exc:
-        return _check("component_arc_lengths", False, str(exc), tol)
     err = max((abs(t.arc_length - 2.0 * np.pi * epsilon) for t in traces), default=0.0)
     return _check("component_arc_lengths", err <= tol, err, tol)
 
@@ -388,6 +375,8 @@ def _verify_n1(config, spec, g, radii, tol, timings):
 
     Radii and centres are circle fits of the traced images; the gap is the
     least node-to-node distance between two image polylines (None for one).
+    Circles of the closed-form radii lie their difference apart, so the gap
+    must reach that less ``tol``, and that threshold must be positive.
     """
     t0 = time.perf_counter()
     traces = morse_mod.trace_image_n1(spec, g, config.rng_seed)
@@ -395,6 +384,7 @@ def _verify_n1(config, spec, g, radii, tol, timings):
     fits = sorted((circle_fit(trace.image)[:2] for trace in traces), key=lambda fit: fit[1])
     image_radii = [radius for _, radius in fits]
     count = len(traces)
+    threshold = radii[1] - radii[0] - tol
     gap = min((
         float(np.min(np.linalg.norm(other.image - point, axis=1)))
         for i, trace in enumerate(traces) for other in traces[i + 1:]
@@ -411,24 +401,26 @@ def _verify_n1(config, spec, g, radii, tol, timings):
     checks = [
         _check("n1_two_components", count == 2, count, 2),
         _closed_form("n1_image_radii", image_radii, radii, tol),
-        _check("n1_injectivity_gap", gap is None or gap >= radii[0], gap, radii[0]),
-        _arc_length_check(traces, g, spec.epsilon),
+        _check("n1_injectivity_gap", threshold > 0 and (gap is None or gap >= threshold),
+               gap, threshold),
+        _arc_length_check(traces, spec.epsilon),
     ]
     return "embedding_n1", sections, checks, traces, image_radii
 
 
-def _verify_folds(config, spec, g, radii, tol, timings):
+def _verify_folds(config, spec, g, radii, tol, timings, form):
     """n >= 2: trace, classify and Morse-check the two A1 fold circles.
 
-    A check that does not apply to (f, g), equivariance,
-    component_arc_lengths or gradient_dependence_locus_empty, fails with the
-    NotApplicable message as ``achieved``, so the exit code still comes from
-    the verdicts.
+    ``form`` is :func:`_a1_linear_form`'s (u, s1, s2, p, q): the locus
+    checks read the plane of p and q, and the definite slice Hessian's
+    eigenvalue ratio is held to s1/s2, with no target when s2 = 0.
     """
     n = config.n
+    _, s1, s2, p, q = form
     t0 = time.perf_counter()
     spec, g, _, traces = compute_components(config, spec, g)
     timings["seed_and_trace"] = time.perf_counter() - t0
+    nodes = np.concatenate([trace.points for trace in traces])
 
     t0 = time.perf_counter()
     records = [
@@ -448,11 +440,13 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     definite = [
         r.hessian_eigenvalues for r in slice_records if r.morse_index == 2 * n - 2
     ]
+    target = float(s1 / s2) if s2 > 0 else None
     ratio, ratio_ok = None, False
     if definite:
         eigs = np.abs(definite[0])
         ratio = float(np.max(eigs) / np.min(eigs))
-        ratio_ok = bool(np.all(definite[0] < 0)) and abs(ratio - 2.0) <= 1e-3
+        ratio_ok = (target is not None and bool(np.all(definite[0] < 0))
+                    and abs(ratio - target) <= 1e-3)
     composed_indices = sorted(r.morse_index for r in composed)
     composed_expected = sorted([0, n - 1, n, 2 * n - 1])
 
@@ -476,8 +470,8 @@ def _verify_folds(config, spec, g, radii, tol, timings):
     }
     checks = [
         _check("two_closed_components", len(traces) == 2, len(traces), 2),
-        *_locus_checks(traces, spec.epsilon),
-        _arc_length_check(traces, g, spec.epsilon),
+        *_locus_checks(nodes, spec.epsilon, p, q),
+        _arc_length_check(traces, spec.epsilon),
         _check("classification_consistent",
                all(r.consistent for r in records), None, None),
         _check("round_verdict", verdict.is_round, verdict.status, "ROUND"),
@@ -489,7 +483,7 @@ def _verify_folds(config, spec, g, radii, tol, timings):
                inner.absolute_index, n - 1),
         _check("slice_morse_indices", slice_indices == slice_expected,
                slice_indices, slice_expected),
-        _check("slice_hessian_ratio_two_to_one", ratio_ok, ratio, 2.0),
+        _check("slice_hessian_ratio_two_to_one", ratio_ok, ratio, target),
         _check("composed_morse_indices",
                len(composed) == 4 and composed_indices == composed_expected,
                composed_indices, composed_expected),
@@ -499,16 +493,12 @@ def _verify_folds(config, spec, g, radii, tol, timings):
 
     t0 = time.perf_counter()
     # every traced node z with its own unit alpha: alpha z is singular too
-    nodes = np.concatenate([trace.points for trace in traces])
     rng = np.random.default_rng(config.rng_seed + 1)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(nodes)))
     equiv_tol = _EQUIVARIANCE_TOL * max(1.0, spec.epsilon)
-    try:
-        equiv = equivariance_error(spec, g, nodes, phases)
-        checks.append(_check("equivariance", equiv <= equiv_tol, equiv, equiv_tol))
-        sections["equivariance"] = {"max_error": equiv, "n_samples": len(nodes)}
-    except NotApplicable as exc:
-        checks.append(_check("equivariance", False, str(exc), equiv_tol))
+    equiv = equivariance_error(spec, g, nodes, phases)
+    checks.append(_check("equivariance", equiv <= equiv_tol, equiv, equiv_tol))
+    sections["equivariance"] = {"max_error": equiv, "n_samples": len(nodes)}
 
     rotation_defect = criterion_rank_defect(phases[:, None] * nodes, spec.f, g).max()
     checks.append(_check(
@@ -516,14 +506,10 @@ def _verify_folds(config, spec, g, radii, tol, timings):
         rotation_defect <= _SINGULAR_TOL, rotation_defect, _SINGULAR_TOL,
     ))
 
-    try:
-        defect = scan_gradient_dependence(spec, g)
-        sections["degenerate_branch"] = {"min_pair_defect": defect}
-        independent = defect > 1e-8
-    except NotApplicable as exc:
-        defect, independent = str(exc), False
+    defect = scan_gradient_dependence(spec, g)
+    sections["degenerate_branch"] = {"min_pair_defect": defect}
     checks.append(_check(
-        "gradient_dependence_locus_empty", independent,
+        "gradient_dependence_locus_empty", defect > 1e-8,
         defect, "no points with pair defect <= 1e-8",
     ))
 
@@ -539,25 +525,31 @@ def _verify_folds(config, spec, g, radii, tol, timings):
 
 
 def run_verify_a1(config):
-    """Full verification pipeline for the A1 example; returns (report, exit_code).
+    """Full verification pipeline for A1 and a linear g; returns (report, exit_code).
 
-    Builds f = z1^2 + ... + z_{n+1}^2 and g = z1 + (i/2) z2 for the
-    configured n, runs seed -> trace -> classify -> round verdict -> slice
-    Morse -> composed Morse -> equivariance, and writes report.json,
-    singular_set.csv and image.svg into the output directory. The closed
-    forms (image radii eps sqrt(2)/4 and 3 eps sqrt(2)/4) scale with eps.
-    Raises ConfigError when ``f_text`` is set to any other polynomial.
+    Runs seed -> trace -> classify -> round verdict -> slice Morse ->
+    composed Morse -> equivariance on f = z1^2 + ... + z_{n+1}^2 and
+    g = u . z, and writes report.json, singular_set.csv and image.svg into
+    the output directory. The closed forms come from :func:`_a1_linear_form`:
+    image radii eps (s1 -+ s2)/sqrt(2), eps sqrt(2)/4 and 3 eps sqrt(2)/4 at
+    the paper's g = z1 + (i/2) z2. Raises ConfigError for any other f or a
+    g that is not linear.
     """
     spec, g = config.build()
     if spec.f != parse_poly(_a1_f_text(config.n), config.n + 1):
         raise ConfigError(f"verify-a1 needs the A1 polynomial f, got {spec.f}")
+    if homogeneous_degree(g) != 1:
+        raise ConfigError(f"verify-a1 needs a linear g, got {g}")
     out_dir = _out_dir(config)
     eps = config.epsilon
-    radii = [SQRT2_OVER_4 * eps, THREE_SQRT2_OVER_4 * eps]
+    form = _a1_linear_form(spec, g)
+    s1, s2 = form[1:3]
+    radii = [(s1 - s2) * np.sqrt(2.0) / 2.0 * eps, (s1 + s2) * np.sqrt(2.0) / 2.0 * eps]
     timings = {}
     started = time.perf_counter()
-    stage = _verify_n1 if config.n == 1 else _verify_folds
-    mode, sections, checks, traces, svg_radii = stage(config, spec, g, radii, 1e-6 * eps, timings)
+    args = (config, spec, g, radii, 1e-6 * eps, timings)
+    mode, sections, checks, traces, svg_radii = (
+        _verify_n1(*args) if config.n == 1 else _verify_folds(*args, form))
     write_singular_csv(out_dir / "singular_set.csv", traces, spec)
     write_image_svg(out_dir / "image.svg", [t.image for t in traces], svg_radii)
     timings["total"] = time.perf_counter() - started

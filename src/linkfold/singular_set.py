@@ -586,10 +586,22 @@ def seed_singular_points(spec, g, rng_seed):
 # ---------------------------------------------------------------------------
 
 
-def _require_affine(g):
-    """Raise NotApplicable unless g is affine and nonconstant, as the closed forms on A1 need."""
+def _a1_linear_form(spec, g):
+    """(u, s1, s2, p, q) of an affine g = u . z + c on A1: the SVD of [Re u; Im u].
+
+    s1 >= s2 are its singular values and p, q its first right singular
+    vectors. The singular set of h is {alpha (p +- i q) : |alpha| = epsilon/sqrt(2)},
+    two circles of image radii epsilon (s1 -+ s2)/sqrt(2). Raises
+    NotApplicable unless f = z1^2 + ... + z_{n+1}^2 and g is affine and nonconstant.
+    """
+    m = spec.ambient_dim
+    if spec.f != ComplexPoly(m, {tuple(2 * e): 1 for e in np.eye(m, dtype=int)}):
+        raise NotApplicable("the closed form needs f = z1^2 + ... + z_{n+1}^2")
     if max((sum(e) for e in g.terms), default=0) != 1:
         raise NotApplicable("the closed form needs an affine, nonconstant g")
+    u = gradient(g, np.zeros(m))
+    _, (s1, s2), (p, q) = np.linalg.svd(np.vstack([u.real, u.imag]), full_matrices=False)
+    return u, s1, s2, p, q
 
 
 def scan_gradient_dependence(spec, g):
@@ -597,19 +609,14 @@ def scan_gradient_dependence(spec, g):
 
     For A1, f = z1^2 + ... + z_{n+1}^2, and an affine g = u . z + c it is
     sqrt(2) a (s1 - s2)/(a^2 + b^2 + D), with a = 2 epsilon, b = |u|, s1 >= s2
-    the singular values of [Re u; Im u] and D^2 = (a^2 - b^2)^2 + 2 a^2 (s1 + s2)^2
+    from :func:`_a1_linear_form` and D^2 = (a^2 - b^2)^2 + 2 a^2 (s1 + s2)^2
     (derived at ``tests/oracles.py::a1_linear_min_pair_defect``). s1 - s2 is
     taken as |sum u_j^2|/(s1 + s2): exactly 0 where the dependent locus
     {z = lambda u} meets the link. Raises NotApplicable for any other (f, g).
     The name is that of the sampled search this replaced, which perfbench
     traces and requires by name.
     """
-    m = spec.ambient_dim
-    if spec.f != ComplexPoly(m, {tuple(2 * e): 1 for e in np.eye(m, dtype=int)}):
-        raise NotApplicable("the closed form needs f = z1^2 + ... + z_{n+1}^2")
-    _require_affine(g)
-    u = gradient(g, np.zeros(m))
-    s1, s2 = np.linalg.svd(np.vstack([u.real, u.imag]), compute_uv=False)
+    u, s1, s2, _, _ = _a1_linear_form(spec, g)
     a2, b2 = 4.0 * spec.epsilon**2, s1**2 + s2**2
     root = np.sqrt((a2 - b2) ** 2 + 2.0 * a2 * (s1 + s2) ** 2)
     gap = abs(np.sum(u * u)) / (s1 + s2)

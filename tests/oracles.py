@@ -107,6 +107,24 @@ def a1_linear_min_pair_defect(u, epsilon):
     return math.sqrt((total - root) / (total + root))
 
 
+def a1_paper_locus_deviations(traces, epsilon):
+    """Node by node, the A1 locus deviations at the paper's g, z1 = +-i z2.
+
+    Returns the largest |z_j| for j >= 3, the largest min |z1 -+ i z2| and
+    the largest ||z1| - epsilon/sqrt(2)| and ||z2| - epsilon/sqrt(2)|, with
+    scalar abs.
+    """
+    off_plane = circle_dev = modulus_dev = 0.0
+    target = epsilon / np.sqrt(2.0)
+    for trace in traces:
+        for z in trace.points:
+            if z.size > 2:
+                off_plane = max(off_plane, float(np.max(np.abs(z[2:]))))
+            circle_dev = max(circle_dev, min(abs(z[0] - 1j * z[1]), abs(z[0] + 1j * z[1])))
+            modulus_dev = max(modulus_dev, abs(abs(z[0]) - target), abs(abs(z[1]) - target))
+    return off_plane, circle_dev, modulus_dev
+
+
 def gradient_dependence_scan(spec, g, rng_seed):
     """Search the link for points where gradbar g lies in C gradbar f; returns (least defect, hits).
 

@@ -250,6 +250,21 @@ def test_fold_components_have_no_cusps(n, seed, f_text):
     assert all(r.cusps == 0 and r.consistent for r in records)
 
 
+def test_quadratic_g_components_are_degenerate():
+    # with a quadratic term in g, three of the four traced components change
+    # their transverse negative count between nodes: each passes a degenerate
+    # fold point, so the round verdict is degenerate_fold, not a failed check
+    g_text = "z1 + 0.5i*z2 + 0.8*z2^2"
+    spec, g = lf.RunConfig(g_text=g_text, n=2, rng_seed=42).build()
+    traces = pipeline_traces(2, 42, None, g_text)
+    records = [lf.classify_component(t, spec, g, i) for i, t in enumerate(traces)]
+    degenerate = [r for r in records if r.kind == FoldKind.DEGENERATE]
+    assert (len(records), len(degenerate)) == (4, 3)
+    assert all(r.absolute_index is None and r.negative_eigenvalues is None
+               for r in degenerate)
+    assert lf.verify_round(traces, records).failed_check == "degenerate_fold"
+
+
 # ---------------------------------------------------------------------------
 # round verdict
 # ---------------------------------------------------------------------------

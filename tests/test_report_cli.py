@@ -9,6 +9,7 @@ import pytest
 
 import linkfold as lf
 from linkfold.cli import main
+from linkfold.polynomial import gradient
 from linkfold.report import (
     ConfigError,
     RunConfig,
@@ -20,6 +21,8 @@ from linkfold.report import (
     write_image_svg,
     write_singular_csv,
 )
+
+from oracles import a1_paper_locus_deviations
 
 SQRT2 = np.sqrt(2.0)
 
@@ -423,19 +426,22 @@ def _assert_configuration_error(tmp_path, capsys, argv):
 
 def test_single_image_component_report_is_strict_json(tmp_path, capsys):
     # g = z1 maps both circles of the n = 1 A1 link onto one image circle:
-    # two traced components whose image polylines lie on one circle
+    # two traced components whose image polylines lie on one circle. The
+    # closed-form radii are epsilon/sqrt(2) twice, which the traced image
+    # has, and no positive gap separates them
     code = main(["verify-a1", "--n", "1", "--g", "z1", "--out", str(tmp_path)])
     assert code == 3
-    assert "n1_image_radii" in capsys.readouterr().err
+    assert "n1_injectivity_gap" in capsys.readouterr().err
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     text = (tmp_path / "report.json").read_text(encoding="utf-8")
     report = json.loads(text, parse_constant=reject)
-    assert report["first_failed_check"] == "n1_image_radii"
+    assert report["first_failed_check"] == "n1_injectivity_gap"
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["n1_two_components"]["passed"]
+    assert checks["n1_image_radii"]["passed"]
     assert not checks["n1_injectivity_gap"]["passed"]
     image = report["n1_image"]
     (r0, r1), (c0, c1) = image["radii"], image["centers"]
@@ -454,28 +460,16 @@ def test_single_image_component_report_is_strict_json(tmp_path, capsys):
 
 
 def test_cli_fold_type_changing_along_components_is_degenerate(tmp_path, capsys):
-    # with a quadratic term in g, three of the four traced components change
-    # their transverse negative count between nodes: each passes a degenerate
-    # fold point, so the run ends as degenerate geometry, not as a failed check
+    # with a quadratic term in g the fold type changes along three of the
+    # components (test_quadratic_g_components_are_degenerate), and no closed
+    # form of verify-a1 holds: it rejects the g as a configuration error
+    out = tmp_path / "out"
     code = main(["verify-a1", "--n", "2", "--g", "z1 + 0.5i*z2 + 0.8*z2^2",
-                 "--seed", "42", "--out", str(tmp_path)])
-    assert code == 4
-    assert "Traceback" not in capsys.readouterr().err
-    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    validate_report(report)
-    assert report["round"]["failed_check"] == "degenerate_fold"
-    degenerate = [c for c in report["components"] if c["kind"] == "DEGENERATE"]
-    assert len(degenerate) == 3
-    assert all(c["absolute_index"] is None and c["negative_eigenvalues"] is None
-               for c in degenerate)
-    # the dependence check is decided only for an affine g: it fails, naming why
-    (check,) = [c for c in report["checks"]
-                if c["name"] == "gradient_dependence_locus_empty"]
-    assert not check["passed"]
-    assert "needs an affine, nonconstant g" in check["achieved"]
-    (check,) = [c for c in report["checks"] if c["name"] == "component_arc_lengths"]
-    assert not check["passed"]
-    assert "needs an affine, nonconstant g" in check["achieved"]
+                 "--seed", "42", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs a linear g" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -488,9 +482,135 @@ def test_arc_lengths_accept_what_the_locus_checks_accept(n):
         spec, g = config.build()
         traces = (lf.morse.trace_image_n1(spec, g, seed) if n == 1
                   else lf.report.compute_components(config, spec, g)[3])
-        checks = [*lf.report._locus_checks(traces, spec.epsilon),
-                  lf.report._arc_length_check(traces, g, spec.epsilon)]
+        _, _, _, p, q = lf.singular_set._a1_linear_form(spec, g)
+        nodes = np.concatenate([trace.points for trace in traces])
+        checks = [*lf.report._locus_checks(nodes, spec.epsilon, p, q),
+                  lf.report._arc_length_check(traces, spec.epsilon)]
         assert all(c["passed"] for c in checks), (seed, checks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("epsilon", [1.0, 1e4])
+def test_locus_checks_match_the_coordinate_loop_at_the_paper_g(n, epsilon):
+    # at the paper's g the plane's p and q are e1 and e2 exactly, so the array
+    # code must give the node loop's values bit for bit
+    config = RunConfig(n=n, epsilon=epsilon)
+    spec, g = config.build()
+    traces = (lf.morse.trace_image_n1(spec, g, 42) if n == 1
+              else lf.report.compute_components(config, spec, g)[3])
+    _, _, _, p, q = lf.singular_set._a1_linear_form(spec, g)
+    nodes = np.concatenate([trace.points for trace in traces])
+    checks = lf.report._locus_checks(nodes, epsilon, p, q)
+    assert [c["achieved"] for c in checks] == list(a1_paper_locus_deviations(traces, epsilon))
+
+
+# the last g, found among random u, has s1 > 3 s2: the n = 1 gap between
+# the image circles is then below the inner radius
+_LINEAR_G = [
+    (2, "z1 + 0.8i*z2"),
+    (2, "z1 + 0.5i*z3"),
+    (3, "0.5i*z2 + z4"),
+    (3, "(0.9-0.2i)*z1 + (0.1+0.6i)*z2 + 0.3i*z3 + 0.2*z4"),
+    (4, "z1 + 0.3i*z2"),
+    (1, "(0.7252-0.2512i)*z1 + (-1.1753+1.1585i)*z2"),
+]
+
+
+@pytest.mark.parametrize("n, g_text", _LINEAR_G)
+def test_verify_a1_closed_forms_hold_for_every_linear_g(tmp_path, n, g_text):
+    # for g = u . z, with s1 >= s2 the singular values of [Re u; Im u], the
+    # image circles have radii epsilon (s1 -+ s2)/sqrt(2), and the definite
+    # slice Hessian has eigenvalue ratio s1/s2
+    config = _config(tmp_path, n=n, g_text=g_text)
+    u = gradient(config.build()[1], np.zeros(n + 1))
+    s1, s2 = np.linalg.svd(np.vstack([u.real, u.imag]), compute_uv=False)
+    report, code = lf.run_verify_a1(config)
+    assert code == 0, report["first_failed_check"]
+    radii = report["n1_image" if n == 1 else "round"]["radii"]
+    assert np.allclose(radii, [(s1 - s2) / SQRT2, (s1 + s2) / SQRT2], rtol=0, atol=1e-6)
+    if n == 1:
+        assert s1 > 3.0 * s2
+    else:
+        (ratio,) = [c["achieved"] for c in report["checks"]
+                    if c["name"] == "slice_hessian_ratio_two_to_one"]
+        assert abs(ratio - s1 / s2) <= 1e-3
+
+
+@pytest.mark.usefixtures("fast_samples")
+def test_degenerate_classification_exits_4(tmp_path, monkeypatch):
+    # a component whose fold type changes between nodes is degenerate
+    # geometry: the run exits 4, not 3, though checks fail
+    classify = lf.report.classify_component
+
+    def degenerate(trace, spec, g, component_id):
+        return replace(classify(trace, spec, g, component_id), kind=lf.FoldKind.DEGENERATE,
+                       absolute_index=None, negative_eigenvalues=None, consistent=False)
+
+    monkeypatch.setattr(lf.report, "classify_component", degenerate)
+    assert main(["verify-a1", "--n", "2", "--out", str(tmp_path)]) == 4
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["round"]["failed_check"] == "degenerate_fold"
+
+
+def _verify(tmp_path, n, g_text=RunConfig.g_text, seed=42, epsilon=1.0):
+    """A verify-a1 run that exits 0: its report, and its nodes' z and h from singular_set.csv."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    config = RunConfig(n=n, g_text=g_text, rng_seed=seed, epsilon=epsilon, out_dir=str(out))
+    report, code = lf.run_verify_a1(config)
+    assert code == 0, (g_text, seed, epsilon, report["first_failed_check"])
+    rows = np.genfromtxt(out / "singular_set.csv", delimiter=",", names=True)
+    z = np.column_stack([rows[f"re_z{j}"] + 1j * rows[f"im_z{j}"] for j in range(1, n + 2)])
+    return report, z, rows["re_h"] + 1j * rows["im_h"]
+
+
+def _morse_values(report):
+    """Radii, composed values, slice eigenvalues, Morse indices and slice ratio of a report."""
+    composed = sorted(report["morse"]["composed_records"], key=lambda r: r["value"])
+    slices = sorted(report["morse"]["slice_records"],
+                    key=lambda r: (r["morse_index"], r["value"]))
+    (ratio,) = [c["achieved"] for c in report["checks"]
+                if c["name"] == "slice_hessian_ratio_two_to_one"]
+    return {
+        "radii": np.array(report["round"]["radii"]),
+        "composed": np.array([r["value"] for r in composed]),
+        "slice_eigenvalues": np.array([r["hessian_eigenvalues"] for r in slices]),
+        "indices": [r["morse_index"] for r in composed + slices],
+        "ratio": ratio,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_a1_metamorphic_matrix(tmp_path, n):
+    # relations of the A1 problem at the paper's g, seed 42 and epsilon = 1
+    # (Segura et al., "A survey on metamorphic testing", IEEE TSE 42(9), 2016)
+    base, z, h = _verify(tmp_path, n)
+    values = _morse_values(base)
+    # g times a unit phase c: the singular set is the same, and so are the
+    # nodes; the image turns by c
+    for phase, g_text in [(0.6 + 0.8j, "(0.6+0.8i)*z1 + (-0.4+0.3i)*z2"),
+                          (-1.0, "-z1 - 0.5i*z2"), (1j, "1i*z1 - 0.5*z2")]:
+        _, z_c, h_c = _verify(tmp_path, n, g_text)
+        assert z_c.shape == z.shape and np.max(np.abs(z_c - z)) <= 1e-12
+        assert np.max(np.abs(h_c - phase * h)) <= 1e-12
+    # the variables of g permuted: f is symmetric in them, so no value moves
+    permuted = _morse_values(_verify(tmp_path, n, f"z{n + 1} + 0.5i*z{n}")[0])
+    assert permuted["indices"] == values["indices"]
+    for key in ("radii", "composed", "slice_eigenvalues", "ratio"):
+        assert np.max(np.abs(permuted[key] - values[key])) <= 1e-9, key
+    # epsilon rescaled: radii and composed values scale with epsilon, to the
+    # 1e-12 / (2 epsilon^2) that the corrector's floor allows at 1e-3; the
+    # Morse indices and the slice ratio stay
+    for epsilon in (1e-3, 1e3):
+        scaled = _morse_values(_verify(tmp_path, n, epsilon=epsilon)[0])
+        assert scaled["indices"] == values["indices"]
+        assert abs(scaled["ratio"] - values["ratio"]) <= 1e-9
+        for key in ("radii", "composed"):
+            assert np.max(np.abs(scaled[key] / epsilon - values[key])) <= 5e-7, (epsilon, key)
+    # another seed: the same verdicts, and radii within 1e-9 epsilon
+    for seed in (3, 5):
+        other = _verify(tmp_path, n, seed=seed)[0]
+        assert [c["passed"] for c in other["checks"]] == [c["passed"] for c in base["checks"]]
+        assert np.max(np.abs(_morse_values(other)["radii"] - values["radii"])) <= 1e-9
 
 
 def test_cli_dependent_gradients_fail_the_scan(tmp_path, capsys):

@@ -11,12 +11,16 @@ collect_components returns one trace per S^1-orbit of the seeds and never
 probes a seed. On every such run this script probes every seed against
 every returned trace with singular_set.point_on_trace, the duplicate rule
 of every other pair, and counts a disagreement where a seed lies on no
-trace or on two or more; it prints each one.
+trace or on two or more; it prints each one. On every A1 run it also
+counts a component longer than 2 pi epsilon by more than 2 pi 1e-8 epsilon:
+each A1 component is one great circle of the link, so a longer trace went
+round it more than once.
 
     python tools/seed_coverage.py
 
 The families, all with epsilon = 1:
   - A1 at n = 2, 3 and 4 with g = z1 + 0.5i*z2, seeds 0..59: 2 components;
+  - A1 at n = 2, 3 and 4 with g = z1 + 0.8i*z2, seeds 0..19: 2;
   - A2, z1^2 + z2^2 + z3^3 with the same g, seeds 0..19, 1103 and 1113: 3;
   - Brieskorn, z1^2 + z2^3 + z3^5 with the same g, seeds 42, 4, 5 and 9: 2;
   - the Fermat cubic z1^3 + z2^3 + z3^3 with the same g, seeds 0..19 and 42:
@@ -26,10 +30,10 @@ The families, all with epsilon = 1:
 
 The exit status is 1 when A1, A2, Brieskorn or the cubic miss at any seed,
 the quartic misses at more than 5 of its 21 seeds (it misses at seeds 4,
-9, 12, 18 and 19), or any run disagrees with the probes, whatever its
-family's miss allowance, else 0. The tier-1 test
-test_quartic_seeding_finds_all_twelve_components holds the quartic at seeds
-42, 1, 3 and 7.
+9, 12, 18 and 19), or any run disagrees with the probes or has an A1
+component too long, whatever its family's miss allowance, else 0. The
+tier-1 test test_quartic_seeding_finds_all_twelve_components holds the
+quartic at seeds 42, 1, 3 and 7.
 """
 
 import os
@@ -51,6 +55,7 @@ QUARTIC_G = "(0.3+0.7i)*z1 + 0.45*z2 + (-0.2+0.1i)*z3"
 # (label, f, g, n, seeds, components, the most runs that may miss)
 FAMILIES = [
     *((f"A1 n={n}", None, "z1 + 0.5i*z2", n, range(60), 2, 0) for n in (2, 3, 4)),
+    *((f"A1 n={n}, 0.8i", None, "z1 + 0.8i*z2", n, range(20), 2, 0) for n in (2, 3, 4)),
     ("A2", "z1^2 + z2^2 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 1103, 1113], 3, 0),
     ("Brieskorn", "z1^2 + z2^3 + z3^5", "z1 + 0.5i*z2", 2, [42, 4, 5, 9], 2, 0),
     ("cubic", "z1^3 + z2^3 + z3^3", "z1 + 0.5i*z2", 2, [*range(20), 42], 9, 0),
@@ -67,7 +72,7 @@ def probe_disagreements(spec, g, points, traces):
 
 
 def run_family(f_text, g_text, n, seeds, components):
-    """(seeds that missed, seeds whose probes disagree; seeding and tracing seconds per run)."""
+    """(missed seeds, seeds whose probes or A1 lengths disagree; seeding, tracing seconds)."""
     misses, disagree, seconds, tracing = [], [], [], []
     for seed in seeds:
         spec, g = lf.RunConfig(f_text=f_text, g_text=g_text, n=n).build()
@@ -87,6 +92,10 @@ def run_family(f_text, g_text, n, seeds, components):
             what = probe_disagreements(spec, g, points, traces)
             if what:
                 disagree.append((seed, what))
+        if f_text is None:
+            lengths = [t.arc_length for t in traces]
+            if max(lengths) > 2.0 * np.pi * (1.0 + 1e-8):
+                disagree.append((seed, f"A1 component lengths {lengths}, above 2 pi"))
     return misses, disagree, seconds, tracing
 
 
@@ -101,7 +110,7 @@ def main():
         for seed, what in misses:
             print(f"  seed {seed}: {what}")
         for seed, what in disagree:
-            print(f"  seed {seed} disagrees with the probes: {what}")
+            print(f"  seed {seed} disagrees: {what}")
         failed |= len(misses) > allowed or bool(disagree)
     return int(failed)
 
