@@ -84,11 +84,12 @@ class FoldRecord:
 
 @dataclass(eq=False)
 class LocalFoldData:
-    """First-order data of h in a tangent chart at a singular point."""
+    """First-order data of h in a tangent chart at a singular point, with the chart Jacobian."""
 
     kernel_basis: np.ndarray  # (2n-2, 2n-1) rows, chart coordinates
     image_dir: np.ndarray  # unit vector in R^2, sign arbitrary
     frame: TangentFrame
+    derivs: np.ndarray  # (2n-1,) derivatives of g along the frame: Jacobian rows (Re, Im)
 
 
 def local_fold_data(point, spec, g):
@@ -111,7 +112,7 @@ def local_fold_data(point, spec, g):
             f"differential has rank 2 (sigma2/sigma1 = {s[1] / s[0]:.3e}); "
             "point is regular"
         )
-    return LocalFoldData(kernel_basis=vt[1:], image_dir=u[:, 0], frame=frame)
+    return LocalFoldData(kernel_basis=vt[1:], image_dir=u[:, 0], frame=frame, derivs=derivs)
 
 
 def intrinsic_hessian(kernel_basis, frame, spec, g, nu):

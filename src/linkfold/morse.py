@@ -2,7 +2,8 @@
 
 For a ray direction theta, the slice Q_theta is the preimage under h of the
 ray {t e^{i theta} : t >= 0}; the critical points of Re(e^{-i theta} h) on
-Q_theta are the fold points of h on the ray, and the slice Hessian there is
+Q_theta are the fold points of h on the ray, where the ray parameter
+Re(e^{-i theta} h) is positive, and the slice Hessian there is
 the fold's transverse Hessian :func:`intrinsic_hessian` on ker dh, weighted
 by the slice multiplier. Composing h with a nonzero linear height eta gives
 a Morse function on the whole link whose critical points sit on the traced
@@ -54,8 +55,6 @@ __all__ = [
 
 # critical points closer than this, times epsilon, are one
 _DEDUPE_TOL = 1e-6
-# slice points with a ray parameter below this times epsilon sit at the origin
-_MIN_RAY_PARAM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,11 @@ def slice_critical_points(slice_spec, traces, spec, g):
     """Points of the traced singular set whose image lies on the ray.
 
     Sign changes of Im(e^{-i theta} h) along each trace are refined by the
-    bordered corrector with the ray equation. Points whose ray parameter
-    Re(e^{-i theta} h) ends up below ``_MIN_RAY_PARAM`` epsilon are discarded:
-    they lie on the opposite ray or at the slice boundary at the origin.
+    bordered corrector with the ray equation. A point is kept exactly when
+    its ray parameter Re(e^{-i theta} h) is positive: a negative one puts it
+    on the opposite ray, and h = 0 on the singular set takes two real
+    conditions on a curve, which no generic pair meets. Kept points come in
+    descending order of the parameter, from one stacked :func:`eval_poly`.
     """
     system = AugmentedSystem(spec, g)
     rotation = slice_spec.rotation
@@ -141,9 +142,11 @@ def slice_critical_points(slice_spec, traces, spec, g):
     # the nodes' values of h are stored on each trace, from the same eval_poly
     ray_values = [_cmul(rotation.real, rotation.imag, *trace.image.T)[1] for trace in traces]
     zeros = _equation_zeros(traces, system, ray_equation, ray_values)
-    params = [(rotation * eval_poly(g, z)).real for z in zeros]
-    kept = [k for k, param in enumerate(params) if param >= _MIN_RAY_PARAM * spec.epsilon]
-    return [zeros[k] for k in sorted(kept, key=lambda k: -params[k])]
+    if not zeros:
+        return []
+    params = (rotation * eval_poly(g, np.array(zeros))).real
+    order = np.argsort(-params, kind="stable")
+    return [zeros[k] for k in order if params[k] > 0.0]
 
 
 def _critical_records(points, values, hess, gradient_norms):
@@ -181,7 +184,7 @@ def slice_morse_index(point, slice_spec, spec, g, hessian_step=None,
     rotation = slice_spec.rotation
     data = local_fold_data(point, spec, g)
     z = data.frame.base_point
-    derivs = rotation * (data.frame.complex_basis @ gradient(g, z))
+    derivs = rotation * data.derivs
     im_row = derivs.imag
     if np.linalg.norm(im_row) <= 1e-10:
         raise RankZero("slice normal degenerated: d Im(e^{-i theta} h) = 0")

@@ -74,12 +74,12 @@ class ComplexPoly:
 
     __slots__ = ("n_vars", "terms", "_slots")
 
-    def __init__(self, n_vars, terms=None):
+    def __init__(self, n_vars, terms):
         if n_vars < 1:
             raise ValueError("n_vars must be >= 1")
         self.n_vars = int(n_vars)
         clean = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.n_vars:
                 raise ValueError(f"exponent tuple {exps} has wrong length")

@@ -112,6 +112,11 @@ _STEP_DISTANCE = 0.02
 # the curve: not at the start, where the backward tip is the seed right
 # behind the forward one, nor across two nearby strands of one component
 _JOIN_COSINE = 0.9
+# two fronts that both take a step and land closer than this, times the
+# smaller of their next steps, have met: a gap that short has no direction,
+# so the _JOIN_COSINE facing test cannot judge it, and the fronts would run
+# another lap. The backward tip, which sits behind the forward one, is dropped
+_SIDE_BY_SIDE = 0.25
 # iteration budget of a Newton solve with an added equation: continuation
 # nodes, on-trace probes and Morse brackets
 _CORRECTOR_MAX_ITER = 12
@@ -702,7 +707,8 @@ class _Lane:
     ramps: its forward front steps alone from ``_STEP_INIT`` epsilon, and
     ``started`` turns true when the backward front starts. Given a step, both
     fronts start from it. ``closing`` holds while the forward front alone
-    halves the gap between the tips, and ``joined`` once the fronts have met.
+    halves the gap between the tips, and ``joined`` once the fronts have met,
+    facing each other or side by side (``_SIDE_BY_SIDE``).
     """
 
     def __init__(self, system, seed, step):
@@ -765,10 +771,17 @@ class _Lane:
                 front.s = min(front.s * 1.4, self.step_max)
             elif distance[k] > self.target or iters[k] >= 6:
                 front.s = max(front.s * 0.7, self.step_min)
-        gap = _facing_gap(forward, backward, w.shape[1] - 4) if len(forward.nodes) > 1 else np.inf
+        dim = w.shape[1] - 4
+        gap = _facing_gap(forward, backward, dim) if len(forward.nodes) > 1 else np.inf
         if gap <= max(forward.s, backward.s):
             self.joined = True  # the gap is the last segment
             return
+        if len(ok) == 2 and ok.all():
+            tips = forward.nodes[-1][:dim] - backward.nodes[-1][:dim]
+            if np.sqrt(tips @ tips) <= _SIDE_BY_SIDE * min(forward.s, backward.s):
+                del backward.nodes[-1], backward.tangents[-1]
+                self.joined = True  # the fronts landed side by side
+                return
         self.closing = gap <= forward.s + backward.s
         if self.closing:  # the forward front alone halves the gap
             forward.s = min(forward.s, 0.5 * gap)
@@ -867,7 +880,11 @@ def _trace_lanes(system, seeds):
 
     After each round a lane's tips are compared in z (:func:`_facing_gap`).
     Where they face each other within the larger of their steps, the fronts
-    join, and the gap between them is a segment of the polyline. Where they
+    join, and the gap between them is a segment of the polyline. Where both
+    fronts took a step and landed within ``_SIDE_BY_SIDE`` times the smaller
+    of their next steps, a gap too short for the facing test to judge, they
+    have met side by side: the backward tip is dropped and the fronts join.
+    Where they
     face each other within the sum of their steps, the forward front steps
     alone, by at most half the gap, so that neither front passes the other.
     The backward tip is the seed until that front starts, so a curve shorter
